@@ -43,6 +43,7 @@ from .symbols import (
 from .residue import (
     Density,
     DensityReport,
+    PipelineContext,
     audit,
     metric_density,
     part1_closed,

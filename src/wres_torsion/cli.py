@@ -3,7 +3,13 @@
 Exit code contract (stable):
     0  every selected comparison matched exactly
     1  a mathematical discrepancy was found (and reported)
-    2  invalid configuration or input
+    2  invalid configuration or input, or an unreadable input / unwritable
+       output file; the reason is named on stderr, with no traceback
+    3  internal error: an unexpected exception inside the engine (reported
+       on stderr); never a discrepancy, which is always 1
+
+Each jet of a command is computed through one ``PipelineContext``, so its
+densities, closed forms and audit share every per-jet artifact.
 
 Two of the selectable checks compare the engine against displayed
 reference expressions that are reproducibly off (the grade-1 product
@@ -20,6 +26,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -31,8 +38,8 @@ from .clifford import (
     trace_via_rep,
 )
 from .geometry import (
+    SUPPORTED_M,
     InstanceError,
-    derived_scalars,
     jet_from_dict,
     jet_to_dict,
     make_point_jet,
@@ -40,17 +47,11 @@ from .geometry import (
 )
 from .numerics import GaussianRational, format_rational
 from .residue import (
+    PipelineContext,
     audit,
-    metric_density,
-    part1_closed,
-    part1_density,
-    part2_closed,
-    part2_density,
     sphere_moment,
     sphere_moment_bruteforce,
-    theorem_density,
 )
-from .symbols import build_sigma_ab_composed, build_sigma_ab_printed
 
 REPORT_SCHEMA = "wres-torsion-report-v1"
 PREFACTOR = "2^m * 2*pi^m / Gamma(m)"
@@ -61,6 +62,11 @@ ALL_CHECKS = ("clifford", "moments", "traces", "lemma36", "part1", "part2",
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+
+
+class UsageError(Exception):
+    """Invalid input or I/O failure: exit 2 with the reason named."""
 
 
 @dataclass
@@ -274,20 +280,19 @@ def check_lemma36(cfg: RunConfig) -> CheckResult:
     rows = []
     all_equal = True
     for trial in range(cfg.trials):
-        jet = random_point_jet(cfg.seed + trial, cfg.dim_m)
-        c2, c1, c0 = build_sigma_ab_composed(jet)
-        p2, p1, p0 = build_sigma_ab_printed(jet)
+        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
+        c2, c1, c0 = ctx.ab_composed
+        p2, p1, p0 = ctx.ab_printed
         eq = (c2 == p2, c1 == p1, c0 == p0)
         all_equal = all_equal and all(eq)
         row = {"seed": cfg.seed + trial, "grade2_equal": eq[0],
                "grade1_equal": eq[1], "grade0_equal": eq[2]}
         if not all(eq):
-            der = derived_scalars(jet)
-            shift = (part2_density(jet, cfg.dim_m, "composed").value
-                     - part2_density(jet, cfg.dim_m, "printed").value)
+            tt = ctx.der.tt_vw
+            shift = ctx.part2("composed").value - ctx.part2("printed").value
             row["density_shift"] = format_rational(shift)
-            row["three_quarters_tt"] = format_rational(Fraction(3, 4) * der.tt_vw)
-            row["shift_characterized"] = shift == Fraction(3, 4) * der.tt_vw
+            row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
+            row["shift_characterized"] = shift == Fraction(3, 4) * tt
             diff = (c1 - p1)
             row["differing_term_count"] = len(diff.terms)
         rows.append(row)
@@ -301,13 +306,11 @@ def _density_rows(cfg: RunConfig, kind: str) -> CheckResult:
     rows = []
     ok = True
     for trial in range(cfg.trials):
-        jet = random_point_jet(cfg.seed + trial, cfg.dim_m)
+        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
         if kind == "part1":
-            engine = part1_density(jet, cfg.dim_m).value
-            closed = part1_closed(jet, cfg.dim_m).value
+            engine, closed = ctx.part1().value, ctx.part1_closed().value
         elif kind == "part2":
-            engine = part2_density(jet, cfg.dim_m, "printed").value
-            closed = part2_closed(jet, cfg.dim_m).value
+            engine, closed = ctx.part2("printed").value, ctx.part2_closed().value
         else:
             raise ValueError(kind)
         match = engine == closed
@@ -331,24 +334,23 @@ def check_theorem(cfg: RunConfig) -> CheckResult:
     ok = True
     m = cfg.dim_m
     for trial in range(cfg.trials):
-        jet = random_point_jet(cfg.seed + trial, m)
-        total = part1_density(jet, m).value + part2_density(jet, m).value
-        thm = theorem_density(jet, m).value
+        ctx = PipelineContext(random_point_jet(cfg.seed + trial, m), m)
+        total = ctx.part1().value + ctx.part2().value
+        thm = ctx.theorem().value
         match = total == thm
         ok = ok and match
         rows.append({"seed": cfg.seed + trial, "total": format_rational(total),
                      "theorem": format_rational(thm), "match": match})
     if m >= 2:
-        zt = random_point_jet(cfg.seed, m, with_torsion=False,
-                              with_torsion_jet=False)
-        der = derived_scalars(zt)
-        total = part1_density(zt, m).value + part2_density(zt, m).value
-        row_ok = total == -Fraction(1, 6) * der.einstein_vw
+        ctx = PipelineContext(random_point_jet(cfg.seed, m, with_torsion=False,
+                                               with_torsion_jet=False), m)
+        total = ctx.part1().value + ctx.part2().value
+        row_ok = total == -Fraction(1, 6) * ctx.der.einstein_vw
         rows.append({"case": "zero-torsion", "match": row_ok})
         ok = ok and row_ok
         for label, expected, jet_kw in _one_hot_cases(m):
-            jet = make_point_jet(m, **jet_kw)
-            total = part1_density(jet, m).value + part2_density(jet, m).value
+            ctx = PipelineContext(make_point_jet(m, **jet_kw), m)
+            total = ctx.part1().value + ctx.part2().value
             row_ok = total == expected
             rows.append({"case": label, "value": format_rational(total),
                          "expected": format_rational(expected), "match": row_ok})
@@ -380,13 +382,12 @@ def check_metric(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
     for trial in range(cfg.trials):
-        jet = random_point_jet(cfg.seed + trial, cfg.dim_m)
-        der = derived_scalars(jet)
-        value = metric_density(jet, cfg.dim_m).value
-        match = value == -der.g_vw
+        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
+        value = ctx.metric().value
+        match = value == -ctx.der.g_vw
         ok = ok and match
         rows.append({"seed": cfg.seed + trial, "value": format_rational(value),
-                     "expected": format_rational(-der.g_vw), "match": match})
+                     "expected": format_rational(-ctx.der.g_vw), "match": match})
     return CheckResult("metric", ok, "metric density vs -g(v,w)", rows)
 
 
@@ -409,8 +410,11 @@ CHECK_RUNNERS = {
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -452,19 +456,18 @@ def cmd_density(cfg: RunConfig) -> int:
     try:
         with open(cfg.input_path) as fh:
             data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read instance: {exc}") from None
+    try:
         jet = jet_from_dict(data)
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: cannot read instance: {exc}\n")
-        return EXIT_USAGE
     except InstanceError as exc:
-        sys.stderr.write(f"error: invalid instance: {exc}\n")
-        return EXIT_USAGE
-    m = jet.m
-    p1 = part1_density(jet, m).value
-    p2 = part2_density(jet, m).value
-    thm = theorem_density(jet, m).value
+        raise UsageError(f"invalid instance: {exc}") from None
+    ctx = PipelineContext(jet, jet.m)
+    p1 = ctx.part1().value
+    p2 = ctx.part2().value
+    thm = ctx.theorem().value
     rows = {
-        "metric": format_rational(metric_density(jet, m).value),
+        "metric": format_rational(ctx.metric().value),
         "part1": format_rational(p1),
         "part2": format_rational(p2),
         "theorem": format_rational(thm),
@@ -533,7 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials_default=5):
         p.add_argument("--dim", "-m", type=int, default=2, dest="dim_m",
-                       help="half-dimension m (n = 2m); supported: 1, 2, 3")
+                       help="half-dimension m (n = 2m); supported: "
+                            + ", ".join(map(str, SUPPORTED_M)))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -585,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         output_path=getattr(args, "output_path", None),
     )
     if cfg.command != "density":
-        if cfg.dim_m not in (1, 2, 3):
+        if cfg.dim_m not in SUPPORTED_M:
             sys.stderr.write(f"error: unsupported dimension m={cfg.dim_m}\n")
             return EXIT_USAGE
         if cfg.trials < 1:
@@ -597,14 +601,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_USAGE
-        return cmd_verify(cfg)
-    if cfg.command == "instance":
-        return cmd_instance(cfg)
-    if cfg.command == "density":
-        return cmd_density(cfg)
-    if cfg.command == "audit":
-        return cmd_audit(cfg)
-    return EXIT_USAGE
+    commands = {"verify": cmd_verify, "instance": cmd_instance,
+                "density": cmd_density, "audit": cmd_audit}
+    try:
+        return commands[cfg.command](cfg)
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except Exception as exc:  # the engine's own fault, never a discrepancy
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n"
+                         + traceback.format_exc())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

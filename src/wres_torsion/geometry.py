@@ -26,6 +26,7 @@ is summed over strictly increasing triples only.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,8 +292,27 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
 # validation
 # ---------------------------------------------------------------------------
 
+def _integer_entries(tensor):
+    """The nested tensor times one common positive denominator, as ints.
+
+    Scaling by a positive constant keeps every equality, sign and zero
+    test, so the symmetry scans compare plain ints instead of building a
+    ``Fraction`` per negation or Bianchi sum."""
+    def leaves(t):
+        return [y for x in t for y in leaves(x)] if isinstance(t, (tuple, list)) else [t]
+
+    den = math.lcm(*{x.denominator for x in leaves(tensor)})
+
+    def scale(t):
+        if isinstance(t, (tuple, list)):
+            return [scale(x) for x in t]
+        return t.numerator * (den // t.denominator)
+    return scale(tensor)
+
+
 def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
     n = len(R)
+    R = _integer_entries(R)
     out: List[str] = []
     for a in range(n):
         for b in range(n):
@@ -313,6 +333,7 @@ def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
 
 def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
     n = len(T)
+    T = _integer_entries(T)
     out: List[str] = []
     for a in range(n):
         for j in range(n):
@@ -386,11 +407,11 @@ def jet_from_dict(data: dict) -> PointJet:
 
     Sparse R/T/dT1 entries are completed by symmetry; entries whose orbits
     collide with a different value are rejected, as is any tensor that fails
-    validation after completion.
+    validation after completion.  Any malformed value raises InstanceError.
     """
     try:
         n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"missing or invalid field 'n': {exc}") from None
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")
@@ -398,9 +419,7 @@ def jet_from_dict(data: dict) -> PointJet:
 
     R = _zeros(n, n, n, n)
     seen: Dict[Tuple[int, int, int, int], Fraction] = {}
-    for entry in data.get("R", []):
-        a, b, c, d = (_index(x, n, "R") for x in entry[:4])
-        val = parse_rational(str(entry[4]))
+    for a, b, c, d, val in _entries(data, "R", 4, n):
         for (p, q, r, s), sign in _riemann_orbit(a, b, c, d):
             value = sign * val
             if seen.get((p, q, r, s), value) != value:
@@ -411,25 +430,22 @@ def jet_from_dict(data: dict) -> PointJet:
 
     T = _zeros(n, n, n)
     seen3: Dict[Tuple[int, int, int], Fraction] = {}
-    for entry in data.get("T", []):
-        a, j, l = (_index(x, n, "T") for x in entry[:3])
-        val = parse_rational(str(entry[3]))
+    for a, j, l, val in _entries(data, "T", 3, n):
         _complete_antisym3(T, seen3, a, j, l, val, "T")
 
     dT1 = _zeros(n, n, n, n)
     seen_dt: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {}
-    for entry in data.get("dT1", []):
-        b, a, j, l = (_index(x, n, "dT1") for x in entry[:4])
-        val = parse_rational(str(entry[4]))
+    for b, a, j, l, val in _entries(data, "dT1", 4, n):
         _complete_antisym3(dT1[b], seen_dt.setdefault(b, {}), a, j, l, val,
                            f"dT1[{b+1}]")
 
     v = _vector(data.get("v"), n, "v")
     w = _vector(data.get("w"), n, "w")
     dw_raw = data.get("dw") or [[0] * n for _ in range(n)]
-    if len(dw_raw) != n or any(len(row) != n for row in dw_raw):
+    if not (isinstance(dw_raw, list) and len(dw_raw) == n and all(
+            isinstance(row, list) and len(row) == n for row in dw_raw)):
         raise InstanceError(f"dw must be a dense {n}x{n} matrix")
-    dw = [[parse_rational(str(x)) for x in row] for row in dw_raw]
+    dw = [[_rational(x, "dw") for x in row] for row in dw_raw]
 
     jet = PointJet(m=m, R=_freeze(R), T=_freeze(T), dT1=_freeze(dT1),
                    v=v, w=w, dw=_freeze(dw))
@@ -437,6 +453,20 @@ def jet_from_dict(data: dict) -> PointJet:
     if not report.ok:
         raise InstanceError(report.violations[0])
     return jet
+
+
+def _entries(data: dict, name: str, indices: int, n: int):
+    """The sparse entries [i_1, .., i_k, value] of one tensor field, as
+    0-based indices plus an exact value; a missing or null field is empty."""
+    raw = data.get(name) or []
+    if not isinstance(raw, list):
+        raise InstanceError(f"{name} must be a list of entries")
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == indices + 1):
+            raise InstanceError(f"{name} entry {entry!r} must be a list of "
+                                f"{indices} indices and a value")
+        yield (*(_index(x, n, name) for x in entry[:indices]),
+               _rational(entry[indices], name))
 
 
 def _complete_antisym3(tensor, seen, a, j, l, val, name):
@@ -459,14 +489,21 @@ def _complete_antisym3(tensor, seen, a, j, l, val, name):
 def _index(raw, n: int, name: str) -> int:
     try:
         i = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InstanceError(f"{name} index {raw!r} is not an integer") from None
     if not 1 <= i <= n:
         raise InstanceError(f"{name} index {i} outside 1..{n}")
     return i - 1
 
 
+def _rational(raw, name: str) -> Fraction:
+    try:
+        return parse_rational(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"{name} value {raw!r} is not an exact rational") from None
+
+
 def _vector(raw, n: int, name: str) -> Vec:
-    if raw is None or len(raw) != n:
+    if not (isinstance(raw, list) and len(raw) == n):
         raise InstanceError(f"{name} must be a dense length-{n} array")
-    return tuple(parse_rational(str(x)) for x in raw)
+    return tuple(_rational(x, name) for x in raw)

@@ -40,25 +40,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import CliffordElement, blade_mul
-from .geometry import PointJet, derived_scalars
+from .geometry import DerivedScalars, PointJet, derived_scalars
 from .numerics import GaussianRational, format_rational
 from .symbols import (
     SymbolExpr,
-    at_x0,
     build_sigma_ab_composed,
-    build_sigma_ab_printed,
     build_sigma_ab_printed_parts,
-    build_sigma_delta_inv,
     build_sigma_delta_inv_parts,
-    build_sigma_dtpow,
+    build_sigma_delta_lead,
     build_sigma_dtpow_parts,
-    d_x,
-    d_xi,
-    _alpha_coefficient,
-    _iter_alphas,
+    leibniz_pairs,
+    printed_grades,
+    x_partials,
 )
 
 # ---------------------------------------------------------------------------
@@ -214,38 +211,113 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
 # ---------------------------------------------------------------------------
 
 
-def _cvw_symbol(jet: PointJet) -> SymbolExpr:
-    cv = CliffordElement.from_vector(jet.n, jet.v)
-    cw = CliffordElement.from_vector(jet.n, jet.w)
-    return SymbolExpr.from_clifford(cv * cw)
+class PipelineContext:
+    """The per-(jet, m) artifacts of the density pipelines, each built once.
+
+    Every field is built on first use and reused by every later consumer:
+    the derived scalars, c(v)c(w), the channels of the inverse powers
+    (part 1 and part 2), the printed and composed product-symbol grades,
+    and the table alpha -> d_x^alpha sigma_Delta |x0 (|alpha| <= 2) that
+    every Leibniz sum of part 2 reads.  One public call (a density, a
+    closed form, ``audit``, one jet of a CLI command) makes one context and
+    drops it when it returns; nothing is cached across calls.
+    """
+
+    def __init__(self, jet: PointJet, m: int):
+        self.jet, self.m, self.n = jet, m, jet.n
+
+    @cached_property
+    def der(self) -> DerivedScalars:
+        return derived_scalars(self.jet)
+
+    @cached_property
+    def cvw(self) -> SymbolExpr:
+        cv = CliffordElement.from_vector(self.n, self.jet.v)
+        cw = CliffordElement.from_vector(self.n, self.jet.w)
+        return SymbolExpr.from_clifford(cv * cw)
+
+    @cached_property
+    def dtpow_parts(self) -> Dict[str, SymbolExpr]:
+        return build_sigma_dtpow_parts(self.jet, self.m, self.der)
+
+    @cached_property
+    def delta_inv_parts(self) -> Tuple[Dict[str, SymbolExpr], ...]:
+        return build_sigma_delta_inv_parts(self.jet, self.m, self.der)
+
+    @cached_property
+    def delta_dx(self) -> Dict[Tuple[int, ...], SymbolExpr]:
+        """alpha -> d_x^alpha sigma_Delta |x0, sigma_Delta the sum of every
+        inverse-power channel."""
+        return x_partials(SymbolExpr.sum_of(self.n, (
+            part for parts in self.delta_inv_parts for part in parts.values())))
+
+    @cached_property
+    def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
+        return build_sigma_ab_printed_parts(self.jet)
+
+    @cached_property
+    def ab_printed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+        return printed_grades(self.ab_printed_parts)
+
+    @cached_property
+    def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+        return build_sigma_ab_composed(self.jet)
+
+    def metric(self) -> Density:
+        return trace_integral(self.cvw * build_sigma_delta_lead(self.jet, self.m),
+                              self.m)
+
+    def part1(self) -> Density:
+        return trace_integral(
+            self.cvw * SymbolExpr.sum_of(self.n, self.dtpow_parts.values()), self.m)
+
+    def part2(self, ab_source: str = "printed") -> Density:
+        if ab_source == "printed":
+            grades = self.ab_printed
+        elif ab_source == "composed":
+            grades = self.ab_composed
+        else:
+            raise ValueError(f"unknown ab_source {ab_source!r}")
+        sigma_ab = SymbolExpr.sum_of(self.n, grades)
+        return Density(sum((_trace_integral_product(dl, dr, self.m)
+                            for dl, dr in leibniz_pairs(sigma_ab, self.delta_dx)),
+                           Fraction(0)))
+
+    def part1_closed(self) -> Density:
+        der, m = self.der, self.m
+        return Density(Fraction(m - 1, 12) * der.s * der.g_vw
+                       - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
+
+    def part2_closed(self) -> Density:
+        der, m = self.der, self.m
+        return Density(-Fraction(1, 6) * (der.ric_vw - der.s * der.g_vw / 2)
+                       - Fraction(m - 1, 12) * der.s * der.g_vw
+                       + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
+                       - Fraction(25, 16) * der.tt_vw
+                       + Fraction(11, 4) * der.div_t_vw
+                       + Fraction(17, 4) * der.t_dw)
+
+    def theorem(self) -> Density:
+        der = self.der
+        return Density(-Fraction(1, 6) * der.einstein_vw
+                       + Fraction(73, 16) * der.norm_t2 * der.g_vw
+                       - Fraction(25, 16) * der.tt_vw
+                       + Fraction(11, 4) * der.div_t_vw
+                       + Fraction(17, 4) * der.t_dw)
 
 
 def metric_density(jet: PointJet, m: int) -> Density:
     """Trace of c(v)c(w) against the leading inverse symbol: exactly -g(v,w)."""
-    parts_m, _, _ = build_sigma_delta_inv_parts(jet, m)
-    return trace_integral(_cvw_symbol(jet) * at_x0(parts_m["lead"]), m)
+    return PipelineContext(jet, m).metric()
 
 
 def part1_density(jet: PointJet, m: int) -> Density:
-    return trace_integral(_cvw_symbol(jet) * build_sigma_dtpow(jet, m), m)
+    return PipelineContext(jet, m).part1()
 
 
 def part1_closed(jet: PointJet, m: int) -> Density:
     """(m-1)/12 s g(v,w) - 3(m-1)/4 |T|^2 g(v,w)."""
-    der = derived_scalars(jet)
-    value = (Fraction(m - 1, 12) * der.s * der.g_vw
-             - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
-    return Density(value)
-
-
-def _sigma_ab_sum(jet: PointJet, ab_source: str) -> SymbolExpr:
-    if ab_source == "printed":
-        s2, s1, s0 = build_sigma_ab_printed(jet)
-    elif ab_source == "composed":
-        s2, s1, s0 = build_sigma_ab_composed(jet)
-    else:
-        raise ValueError(f"unknown ab_source {ab_source!r}")
-    return s2 + s1 + s0
+    return PipelineContext(jet, m).part1_closed()
 
 
 def part2_density(jet: PointJet, m: int, ab_source: str = "printed") -> Density:
@@ -255,47 +327,17 @@ def part2_density(jet: PointJet, m: int, ab_source: str = "printed") -> Density:
     or the strict Leibniz composition ("composed"); the two differ by the
     documented grade-1 ordering finding.
     """
-    sigma_ab = _sigma_ab_sum(jet, ab_source)
-    s_m, s_m1, s_m2 = build_sigma_delta_inv(jet, m)
-    sigma_delta = s_m + s_m1 + s_m2
-    total = Fraction(0)
-    for alpha in _iter_alphas(jet.n, 2):
-        dl = sigma_ab
-        for j in alpha:
-            dl = d_xi(dl, j)
-        if not dl:
-            continue
-        dr = sigma_delta
-        for j in alpha:
-            dr = d_x(dr, j)
-        dr = at_x0(dr)
-        if not dr:
-            continue
-        total += _trace_integral_product(dl.scale(_alpha_coefficient(alpha)), dr, m)
-    return Density(total)
+    return PipelineContext(jet, m).part2(ab_source)
 
 
 def part2_closed(jet: PointJet, m: int) -> Density:
     """Closed reference form of the second density."""
-    der = derived_scalars(jet)
-    value = (-Fraction(1, 6) * (der.ric_vw - der.s * der.g_vw / 2)
-             - Fraction(m - 1, 12) * der.s * der.g_vw
-             + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
-             - Fraction(25, 16) * der.tt_vw
-             + Fraction(11, 4) * der.div_t_vw
-             + Fraction(17, 4) * der.t_dw)
-    return Density(value)
+    return PipelineContext(jet, m).part2_closed()
 
 
 def theorem_density(jet: PointJet, m: int) -> Density:
     """-(1/6) G + (73/16)|T|^2 g - (25/16) TT + (11/4) divT + (17/4) T.dw."""
-    der = derived_scalars(jet)
-    value = (-Fraction(1, 6) * der.einstein_vw
-             + Fraction(73, 16) * der.norm_t2 * der.g_vw
-             - Fraction(25, 16) * der.tt_vw
-             + Fraction(11, 4) * der.div_t_vw
-             + Fraction(17, 4) * der.t_dw)
-    return Density(value)
+    return PipelineContext(jet, m).theorem()
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +433,18 @@ def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict
 
 def audit(jet: PointJet, m: int) -> DensityReport:
     """Step-by-step comparison of the engine against the reference chain."""
-    der = derived_scalars(jet)
+    ctx = PipelineContext(jet, m)
+    der = ctx.der
     report = DensityReport(m=m)
-    n = jet.n
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw
-    cvw = _cvw_symbol(jet)
+
+    def tr(left: SymbolExpr, right: SymbolExpr) -> Fraction:
+        return _trace_integral_product(left, right, m)
 
     # ---- part 1 sub-terms -------------------------------------------------
-    p1_parts = build_sigma_dtpow_parts(jet, m)
     p1_engine: Dict[str, Fraction] = {
-        key: _trace_integral_product(cvw, part, m) for key, part in p1_parts.items()
-    }
+        key: tr(ctx.cvw, part) for key, part in ctx.dtpow_parts.items()}
     p1_printed = {
         "ric": ("I-A", -Fraction(m - 1, 6) * s * g, False, ""),
         "tt_xx": ("I-B", -Fraction(27 * (m - 1), 4) * nt2 * g, False, ""),
@@ -427,38 +469,35 @@ def audit(jet: PointJet, m: int) -> DensityReport:
             "I-D + I-F failed to cancel; part-1 pipeline inconsistent")
 
     # ---- part 2 sub-terms ---------------------------------------------------
-    ab_parts = build_sigma_ab_printed_parts(jet)
-    parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet, m)
-    sm_x0 = at_x0(parts_m["lead"] + parts_m["r_jet"])
-    sm1_x0 = at_x0(parts_m1["ric_jet"] + parts_m1["tt"] + parts_m1["r_jet"]
-                   + parts_m1["dt_jet"])
-
-    def tr(left: SymbolExpr, right: SymbolExpr) -> Fraction:
-        return _trace_integral_product(left, right, m)
+    ab_parts = ctx.ab_printed_parts
+    parts_m, parts_m1, parts_m2 = ctx.delta_inv_parts
+    # the trace keeps only the x-degree-0 terms of the right factor
+    sm = SymbolExpr.sum_of(jet.n, parts_m.values())
+    sm1 = SymbolExpr.sum_of(jet.n, parts_m1.values())
 
     report.entries.append(_entry(
-        "II-1-A", tr(ab_parts["s0_tt"], sm_x0),
+        "II-1-A", tr(ab_parts["s0_tt"], sm),
         Fraction(1, 16) * nt2 * g - Fraction(1, 16) * tt,
         note="displayed with a dangling summation index; printed value read"
              " without the extra index sum"))
     report.entries.append(_entry(
-        "II-1-B", tr(ab_parts["s0_r"], sm_x0),
+        "II-1-B", tr(ab_parts["s0_r"], sm),
         Fraction(1, 4) * s * g - Fraction(1, 2) * ric_vw,
         note="displayed curvature term carries the opposite sign pairing;"
              " the engine keeps the jet-consistent pairing, which reproduces"
              " exactly this displayed value"))
     report.entries.append(_entry(
-        "II-1-C", tr(ab_parts["s0_dt"], sm_x0), -Fraction(1, 4) * divt))
+        "II-1-C", tr(ab_parts["s0_dt"], sm), -Fraction(1, 4) * divt))
     report.entries.append(_entry(
-        "II-1-D", tr(ab_parts["s0_tdw"], sm_x0), -Fraction(1, 4) * tdw))
+        "II-1-D", tr(ab_parts["s0_tdw"], sm), -Fraction(1, 4) * tdw))
 
     report.entries.append(_entry(
-        "II-2-A", tr(ab_parts["s1_tt"], sm1_x0),
+        "II-2-A", tr(ab_parts["s1_tt"], sm1),
         -Fraction(9, 4) * nt2 * g + Fraction(3, 4) * tt,
         note="reference chain value; the strict composition ordering of the"
              " grade-1 cross term shifts this sub-term, see lemma36_diff"))
     report.entries.append(_entry(
-        "II-2-B", tr(ab_parts["s1_dw"], sm1_x0), Fraction(9, 2) * tdw))
+        "II-2-B", tr(ab_parts["s1_dw"], sm1), Fraction(9, 2) * tdw))
 
     s2 = ab_parts["s2"]
     p2_3_printed = {
@@ -483,7 +522,7 @@ def audit(jet: PointJet, m: int) -> DensityReport:
     }
     p2_3_engine: Dict[str, Fraction] = {}
     for key, (label, printed, reconciled, note) in p2_3_printed.items():
-        p2_3_engine[key] = tr(s2, at_x0(parts_m2[key]))
+        p2_3_engine[key] = tr(s2, parts_m2[key])
         report.entries.append(_entry(label, p2_3_engine[key], printed,
                                      reconciled, note))
     pair_sum_printed = (p2_3_printed["tt_xx"][1] + p2_3_printed["tt_scalar"][1])
@@ -491,55 +530,32 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         report.convention_notes.append(
             "II-3-B + II-3-C failed to compensate; part-2 pipeline inconsistent")
 
-    def alpha1_trace(left: SymbolExpr, right_part: SymbolExpr) -> Fraction:
-        total = Fraction(0)
-        for j in range(1, n + 1):
-            dl = d_xi(left, j).scale(GaussianRational(0, -1))
-            dr = at_x0(d_x(right_part, j))
-            if dl and dr:
-                total += _trace_integral_product(dl, dr, m)
-        return total
+    def alpha_trace(left: SymbolExpr, right: SymbolExpr, order: int) -> Fraction:
+        """The |alpha| = order Leibniz terms of left o right, traced."""
+        return sum((tr(dl, dr) for dl, dr in leibniz_pairs(
+            left, x_partials(right, order), (order,))), Fraction(0))
 
     report.entries.append(_entry(
-        "II-4-A", alpha1_trace(s2, parts_m1["ric_jet"]),
+        "II-4-A", alpha_trace(s2, parts_m1["ric_jet"], 1),
         Fraction(2, 3) * (2 * ric_vw - s * g)))
     report.entries.append(_entry(
-        "II-4-B", alpha1_trace(s2, parts_m1["r_jet"]), Fraction(0)))
+        "II-4-B", alpha_trace(s2, parts_m1["r_jet"], 1), Fraction(0)))
     report.entries.append(_entry(
-        "II-4-C", alpha1_trace(s2, parts_m1["dt_jet"]), 6 * divt))
-
-    s1_full = ab_parts["s1_tt"] + ab_parts["s1_dw"]
+        "II-4-C", alpha_trace(s2, parts_m1["dt_jet"], 1), 6 * divt))
     report.entries.append(_entry(
-        "II-5", alpha1_trace(s1_full, parts_m["lead"] + parts_m["r_jet"]),
-        Fraction(0)))
-
-    ii6 = Fraction(0)
-    r_jet = parts_m["r_jet"]
-    for alpha in _iter_alphas(n, 2):
-        if len(alpha) != 2:
-            continue
-        dl = s2
-        for j in alpha:
-            dl = d_xi(dl, j)
-        if not dl:
-            continue
-        dr = r_jet
-        for j in alpha:
-            dr = d_x(dr, j)
-        dr = at_x0(dr)
-        if dr:
-            ii6 += _trace_integral_product(dl.scale(_alpha_coefficient(alpha)), dr, m)
+        "II-5", alpha_trace(ctx.ab_printed[1], sm, 1), Fraction(0)))
     report.entries.append(_entry(
-        "II-6", ii6, -Fraction(1, 3) * (2 * ric_vw - s * g)))
+        "II-6", alpha_trace(s2, parts_m["r_jet"], 2),
+        -Fraction(1, 3) * (2 * ric_vw - s * g)))
 
     # ---- totals -------------------------------------------------------------
-    p1 = part1_density(jet, m).value
-    p1c = part1_closed(jet, m).value
-    p2 = part2_density(jet, m, "printed").value
-    p2c = part2_closed(jet, m).value
-    p2_composed = part2_density(jet, m, "composed").value
-    thm = theorem_density(jet, m).value
-    metric = metric_density(jet, m).value
+    p1 = ctx.part1().value
+    p1c = ctx.part1_closed().value
+    p2 = ctx.part2("printed").value
+    p2c = ctx.part2_closed().value
+    p2_composed = ctx.part2("composed").value
+    thm = ctx.theorem().value
+    metric = ctx.metric().value
 
     def total_row(engine: Fraction, printed: Fraction) -> Dict[str, str]:
         return {"engine": format_rational(engine),
@@ -554,8 +570,8 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         p2_composed - p2, Fraction(3, 4) * tt)
 
     # ---- grade-by-grade product-symbol comparison ---------------------------
-    c2, c1, c0 = build_sigma_ab_composed(jet)
-    g2, g1, g0 = build_sigma_ab_printed(jet)
+    c2, c1, c0 = ctx.ab_composed
+    g2, g1, g0 = ctx.ab_printed
     diff_rows = _expr_diff_terms(c1, g1)
     report.lemma36_diff = {
         "grade2_equal": c2 == g2,

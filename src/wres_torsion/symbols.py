@@ -30,13 +30,13 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, Iterable, Sequence, Tuple
 
 from dataclasses import dataclass
 
 from .clifford import CliffordElement, Word, _sign_table, word_indices
-from .geometry import PointJet, derived_scalars
+from .geometry import DerivedScalars, PointJet, derived_scalars
 from .numerics import GaussianRational, I, ONE
 
 Deg = Tuple[int, ...]
@@ -94,6 +94,16 @@ class SymbolExpr:
             out.terms[(xdeg, xideg, normpow, word)] = coeff
         return out
 
+    @classmethod
+    def sum_of(cls, n: int, exprs: Iterable["SymbolExpr"]) -> "SymbolExpr":
+        """Sum of expressions, accumulated in one term dictionary."""
+        out = cls(n)
+        for expr in exprs:
+            out._check(expr)
+            for key, coeff in expr.terms.items():
+                out.add_term(*key, coeff)
+        return out
+
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
                  coeff: GaussianRational) -> None:
         if not coeff:
@@ -113,11 +123,7 @@ class SymbolExpr:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
 
     def __add__(self, other: "SymbolExpr") -> "SymbolExpr":
-        self._check(other)
-        out = SymbolExpr(self.n, dict(self.terms))
-        for key, coeff in other.terms.items():
-            out.add_term(*key, coeff)
-        return out
+        return SymbolExpr.sum_of(self.n, (self, other))
 
     def __sub__(self, other: "SymbolExpr") -> "SymbolExpr":
         return self + other.scale(-ONE)
@@ -266,9 +272,50 @@ def _iter_alphas(n: int, alpha_max: int) -> Iterable[Tuple[int, ...]]:
         yield from combinations_with_replacement(range(1, n + 1), k)
 
 
+def _partials(expr: SymbolExpr, d, alpha_max: int) -> Dict[Deg, SymbolExpr]:
+    """alpha -> d^alpha(expr) for |alpha| <= alpha_max, zero entries dropped;
+    each entry is one derivative of the entry for alpha minus its last index."""
+    table = {(): expr}
+    for alpha in _iter_alphas(expr.n, alpha_max):
+        prev = table.get(alpha[:-1]) if alpha else None
+        if prev:
+            der = d(prev, alpha[-1])
+            if der:
+                table[alpha] = der
+    return table
+
+
+def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
+    """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only."""
+    out = {}
+    for alpha, der in _partials(expr, d_x, alpha_max).items():
+        der = at_x0(der)
+        if der:
+            out[alpha] = der
+    return out
+
+
+def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
+                  orders: Sequence[int] = (0, 1, 2)
+                  ) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
+    """The Leibniz kernel at x0: pairs ((-i)^|alpha|/alpha! d_xi^alpha(L)|x0,
+    d_x^alpha(R)|x0) for |alpha| in ``orders``, with ``right_dx`` the
+    ``x_partials`` table of R.  Multiplying and summing the pairs gives the
+    x0-evaluation of the composition; tracing them gives its density."""
+    left_dxi = _partials(left, d_xi, max(orders))
+    for alpha, dr in right_dx.items():
+        if len(alpha) in orders and alpha in left_dxi:
+            dl = at_x0(left_dxi[alpha])
+            if dl:
+                yield dl.scale(_alpha_coefficient(alpha)), dr
+
+
 def leibniz_compose(left: SymbolExpr, right: SymbolExpr,
                     alpha_max: int = 2) -> SymbolExpr:
-    """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R)."""
+    """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
+
+    The full x-dependent composition, kept as the independent oracle of
+    ``leibniz_pairs``."""
     left._check(right)
     total = SymbolExpr(left.n)
     for alpha in _iter_alphas(left.n, alpha_max):
@@ -294,21 +341,8 @@ def leibniz_compose_at_x0(left: SymbolExpr, right: SymbolExpr,
     product is the product of x-degree-zero parts.
     """
     left._check(right)
-    total = SymbolExpr(left.n)
-    for alpha in _iter_alphas(left.n, alpha_max):
-        dl, dr = left, right
-        for j in alpha:
-            dl = d_xi(dl, j)
-        dl = at_x0(dl)
-        if not dl:
-            continue
-        for j in alpha:
-            dr = d_x(dr, j)
-        dr = at_x0(dr)
-        if not dr:
-            continue
-        total = total + (dl.scale(_alpha_coefficient(alpha)) * dr)
-    return total
+    return SymbolExpr.sum_of(left.n, (dl * dr for dl, dr in leibniz_pairs(
+        left, x_partials(right, alpha_max), range(alpha_max + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -329,59 +363,68 @@ def _unit(n: int, j: int) -> Deg:
     return tuple(1 if i == j else 0 for i in range(n))
 
 
+def _pair(n: int, a: int, b: int) -> Deg:
+    """Multidegree of x_a x_b (or xi_a xi_b)."""
+    return tuple((i == a) + (i == b) for i in range(n))
+
+
+def _sym(elem: CliffordElement, coeff=ONE, *, xdeg: Deg | None = None,
+         xideg: Deg | None = None, normpow: int = 0) -> SymbolExpr:
+    """coeff * elem as a symbol term family of the given degrees."""
+    return SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg,
+                                    normpow=normpow).scale(coeff)
+
+
+def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
+    return sum(elems, CliffordElement.zero(n))
+
+
+def _check_dim(jet: PointJet, m: int) -> None:
+    if jet.n != 2 * m:
+        raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
+
+
+def _elem(n: int, terms: Iterable[Tuple[Word, Fraction]]) -> CliffordElement:
+    """Sum of coeff * word over (word, rational coeff) pairs; zeros dropped."""
+    acc: Dict[Word, Fraction] = {}
+    for word, coeff in terms:
+        prev = acc.get(word)
+        acc[word] = coeff if prev is None else prev + coeff
+    return CliffordElement(n, {w: GaussianRational(c) for w, c in acc.items() if c})
+
+
 def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
     """scale * sum_{f<a<b} values[f][a][b] c_f c_a c_b (indices 0-based)."""
-    elem = CliffordElement.zero(n)
-    terms: Dict[Word, GaussianRational] = {}
-    for f in range(n):
-        for a in range(f + 1, n):
-            for b in range(a + 1, n):
-                val = values[f][a][b]
-                if val:
-                    terms[(1 << f) | (1 << a) | (1 << b)] = GaussianRational(val * scale)
-    elem.terms = terms
-    return elem
+    return _elem(n, [((1 << f) | (1 << a) | (1 << b), values[f][a][b] * scale)
+                     for f, a, b in combinations(range(n), 3) if values[f][a][b]])
 
 
 def _torsion_pair(values_a, n: int) -> CliffordElement:
     """sum_{j<l} values_a[j][l] c_j c_l (one frame slot already applied)."""
-    elem = CliffordElement.zero(n)
-    terms: Dict[Word, GaussianRational] = {}
-    for j in range(n):
-        for l in range(j + 1, n):
-            val = values_a[j][l]
-            if val:
-                terms[(1 << j) | (1 << l)] = GaussianRational(val)
-    elem.terms = terms
-    return elem
+    return _elem(n, [((1 << j) | (1 << l), values_a[j][l])
+                     for j, l in combinations(range(n), 2) if values_a[j][l]])
 
 
 def _curvature_word_sum(jet: PointJet, b: int, scale: Fraction) -> CliffordElement:
     """scale * sum_{a,t,s} R_{bats} c_a c_s c_t (the x^b jet channel)."""
-    n = jet.n
-    acc = CliffordElement.zero(n)
-    sign = _sign_table(n)
-    terms: Dict[Word, GaussianRational] = {}
-    for a in range(n):
-        for t in range(n):
-            for s in range(n):
-                val = jet.R[b][a][t][s]
-                if not val:
-                    continue
-                # canonicalize c_a c_s c_t for possibly coinciding indices
-                sg, w = 1, 0
-                for idx in (a, s, t):
-                    s2, w = (sign[w][1 << idx], w ^ (1 << idx))
-                    sg *= s2
-                coeff = GaussianRational(val * scale * sg)
-                prev = terms.get(w)
-                acc2 = coeff if prev is None else prev + coeff
-                if acc2:
-                    terms[w] = acc2
-                else:
-                    terms.pop(w, None)
-    acc.terms = terms
-    return acc
+    sign = _sign_table(jet.n)
+    terms = []
+    for a, t, s in product(range(jet.n), repeat=3):
+        val = jet.R[b][a][t][s]
+        if val:
+            # canonicalize c_a c_s c_t for possibly coinciding indices
+            ws = (1 << a) ^ (1 << s)
+            sg = sign[1 << a][1 << s] * sign[ws][1 << t]
+            terms.append((ws ^ (1 << t), val * scale * sg))
+    return _elem(jet.n, terms)
+
+
+def _curvature_pair_sum_single(jet: PointJet, b: int, a: int) -> CliffordElement:
+    """sum_{t,s} R_{bats} c_s c_t with the printed index pairing."""
+    row = jet.R[b][a]
+    return _elem(jet.n, [((1 << s) | (1 << t), row[t][s] if s < t else -row[t][s])
+                         for t, s in product(range(jet.n), repeat=2)
+                         if t != s and row[t][s]])
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed"
@@ -394,17 +437,11 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     kappa = TORSION_PREFACTOR[variant]
     n = jet.n
     x0 = (0,) * n
-    sigma1 = SymbolExpr(n)
-    for a in range(n):
-        sigma1.add_term(x0, _unit(n, a), 0, 1 << a, I)
-
-    sigma0 = SymbolExpr.from_clifford(_torsion_cube(jet.T, n, kappa))
-    for b in range(n):
-        xb = _unit(n, b)
-        jet_b = _torsion_cube(jet.dT1[b], n, kappa) + \
-            _curvature_word_sum(jet, b, Fraction(1, 8))
-        for word, coeff in jet_b.terms.items():
-            sigma0.add_term(xb, x0, 0, word, coeff)
+    sigma1 = SymbolExpr(n, {(x0, _unit(n, a), 0, 1 << a): I for a in range(n)})
+    sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n, kappa))] + [
+        _sym(_torsion_cube(jet.dT1[b], n, kappa)
+             + _curvature_word_sum(jet, b, Fraction(1, 8)), xdeg=_unit(n, b))
+        for b in range(n)])
     return sigma1, sigma0
 
 
@@ -412,15 +449,10 @@ def _vector_symbol(jet: PointJet, which: str) -> SymbolExpr:
     """c(v) (constant) or c(w(x)) carrying w's first jet."""
     n = jet.n
     if which == "v":
-        return SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v))
-    expr = SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.w))
-    x0 = (0,) * n
-    for j in range(n):
-        for g in range(n):
-            val = jet.dw[j][g]
-            if val:
-                expr.add_term(_unit(n, j), x0, 0, 1 << g, GaussianRational(val))
-    return expr
+        return _sym(CliffordElement.from_vector(n, jet.v))
+    return SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
+        _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
+        for j, row in enumerate(jet.dw)])
 
 
 def build_sigma_a(jet: PointJet, variant: str = "printed"
@@ -442,10 +474,12 @@ def build_sigma_b(jet: PointJet, variant: str = "printed"
 def build_sigma_ab_composed(jet: PointJet, variant: str = "printed"
                             ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
-    one-form-times-Dirac factors, by the Leibniz formula."""
-    s1a, s0a = build_sigma_a(jet, variant)
-    s1b, s0b = build_sigma_b(jet, variant)
-    full = leibniz_compose_at_x0(s1a + s0a, s1b + s0b, alpha_max=2)
+    one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
+    formula; sigma(D_T) is built once for both factors."""
+    s1, s0 = build_sigma_dt(jet, variant)
+    sigma = s1 + s0
+    full = leibniz_compose_at_x0(_vector_symbol(jet, "v") * sigma,
+                                 _vector_symbol(jet, "w") * sigma, alpha_max=2)
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
@@ -465,191 +499,118 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
       the audit reports the difference.
     """
     n = jet.n
-    x0 = (0,) * n
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
     tau = _torsion_cube(jet.T, n, Fraction(1))
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    # sum_{j,g} (d_j w_g) c_j c_g
+    dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
+                       for j, row in enumerate(jet.dw)))
+    return {
+        "s2": SymbolExpr.sum_of(n, (
+            _sym(cv * gens[f] * cw * gens[g], -ONE, xideg=_pair(n, f, g))
+            for f in range(n) for g in range(n))),
+        "s1_tt": SymbolExpr.sum_of(n, (
+            _sym((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
+                 GaussianRational(0, Fraction(1, 4)), xideg=_unit(n, a))
+            for a in range(n))),
+        "s1_dw": SymbolExpr.sum_of(n, (
+            _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
+        "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
+        "s0_r": _sym(_elem_sum(n, (
+            cv * gens[j] * cw * _curvature_word_sum(jet, j, Fraction(1, 8))
+            for j in range(n)))),
+        "s0_dt": _sym(_elem_sum(n, (
+            cv * gens[j] * cw * _torsion_cube(jet.dT1[j], n, Fraction(1, 4))
+            for j in range(n)))),
+        "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
+    }
 
-    parts: Dict[str, SymbolExpr] = {}
 
-    s2 = SymbolExpr(n)
-    for f in range(n):
-        for g in range(n):
-            elem = (cv * gens[f] * cw * gens[g]).scale(-ONE)
-            xi = tuple((1 if i == f else 0) + (1 if i == g else 0) for i in range(n))
-            for word, coeff in elem.terms.items():
-                s2.add_term(x0, xi, 0, word, coeff)
-    parts["s2"] = s2
-
-    iq = GaussianRational(0, Fraction(1, 4))
-    s1_tt = SymbolExpr(n)
-    for a in range(n):
-        bracket = (cv * gens[a] * cw + cw * gens[a] * cv) * tau
-        for word, coeff in bracket.terms.items():
-            s1_tt.add_term(x0, _unit(n, a), 0, word, coeff * iq)
-    parts["s1_tt"] = s1_tt
-
-    s1_dw = SymbolExpr(n)
-    for a in range(n):
-        elem = CliffordElement.zero(n)
-        for j in range(n):
-            for g in range(n):
-                val = jet.dw[j][g]
-                if val:
-                    elem = elem + (gens[j] * gens[g]).scale(GaussianRational(val))
-        elem = (cv * elem * gens[a]).scale(I)
-        for word, coeff in elem.terms.items():
-            s1_dw.add_term(x0, _unit(n, a), 0, word, coeff)
-    parts["s1_dw"] = s1_dw
-
-    s0_tt = SymbolExpr.from_clifford(
-        (cv * tau * cw * tau).scale(GaussianRational(Fraction(1, 16))))
-    parts["s0_tt"] = s0_tt
-
-    s0_r = SymbolExpr(n)
-    for j in range(n):
-        elem = cv * gens[j] * cw * _curvature_word_sum(jet, j, Fraction(1, 8))
-        for word, coeff in elem.terms.items():
-            s0_r.add_term(x0, x0, 0, word, coeff)
-    parts["s0_r"] = s0_r
-
-    s0_dt = SymbolExpr(n)
-    for j in range(n):
-        dtau_j = _torsion_cube(jet.dT1[j], n, Fraction(1, 4))
-        elem = cv * gens[j] * cw * dtau_j
-        for word, coeff in elem.terms.items():
-            s0_dt.add_term(x0, x0, 0, word, coeff)
-    parts["s0_dt"] = s0_dt
-
-    s0_tdw = SymbolExpr(n)
-    for j in range(n):
-        for g in range(n):
-            val = jet.dw[j][g]
-            if not val:
-                continue
-            elem = (cv * gens[j] * gens[g] * tau).scale(
-                GaussianRational(val * Fraction(1, 4)))
-            for word, coeff in elem.terms.items():
-                s0_tdw.add_term(x0, x0, 0, word, coeff)
-    parts["s0_tdw"] = s0_tdw
-    return parts
+def printed_grades(parts: Dict[str, SymbolExpr]
+                   ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+    """Grades 2, 1, 0 from the channels of build_sigma_ab_printed_parts."""
+    n = parts["s2"].n
+    return (parts["s2"],
+            SymbolExpr.sum_of(n, (parts["s1_tt"], parts["s1_dw"])),
+            SymbolExpr.sum_of(n, (parts["s0_tt"], parts["s0_r"], parts["s0_dt"],
+                                  parts["s0_tdw"])))
 
 
 def build_sigma_ab_printed(jet: PointJet
                            ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-    parts = build_sigma_ab_printed_parts(jet)
-    return (parts["s2"],
-            parts["s1_tt"] + parts["s1_dw"],
-            parts["s0_tt"] + parts["s0_r"] + parts["s0_dt"] + parts["s0_tdw"])
+    return printed_grades(build_sigma_ab_printed_parts(jet))
 
 
 # -- inverse Laplacian-type symbols -----------------------------------------
 
-def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
+def build_sigma_delta_lead(jet: PointJet, m: int) -> SymbolExpr:
+    """||xi||^{-2m-2} sum_a xi_a^2: the leading, x-free channel of the
+    inverse m-th power (all the metric density needs)."""
+    _check_dim(jet, m)
+    n = jet.n
+    return SymbolExpr(n, {((0,) * n, _pair(n, a, a), -2 * m - 2, 0): ONE
+                          for a in range(n)})
+
+
+def build_sigma_delta_inv_parts(jet: PointJet, m: int,
+                                der: DerivedScalars | None = None) -> Tuple[
         Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
-    (x^2 jet, x^1 jet, base point)."""
+    (x^2 jet, x^1 jet, base point).  ``der`` is derived_scalars(jet),
+    computed here when not given."""
+    _check_dim(jet, m)
     n = jet.n
-    if n != 2 * m:
-        raise ValueError(f"jet dimension n={n} does not match m={m}")
-    x0 = (0,) * n
-    der = derived_scalars(jet)
+    der = der or derived_scalars(jet)
+    p = -2 * m - 2
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-    lead = SymbolExpr(n)
-    for a in range(n):
-        xi = tuple(2 if i == a else 0 for i in range(n))
-        lead.add_term(x0, xi, -2 * m - 2, 0, ONE)
     r_jet = SymbolExpr(n)
     third_m = GaussianRational(Fraction(-m, 3))
     for a in range(n):
         for b in range(n):
-            xi = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
             for j in range(n):
                 for k in range(n):
                     val = jet.R[a][j][b][k]
                     if val:
-                        x = tuple((1 if i == j else 0) + (1 if i == k else 0)
-                                  for i in range(n))
-                        r_jet.add_term(x, xi, -2 * m - 2, 0, third_m * GaussianRational(val))
-    parts_m = {"lead": lead, "r_jet": r_jet}
+                        r_jet.add_term(_pair(n, j, k), _pair(n, a, b), p, 0,
+                                       third_m * GaussianRational(val))
+    parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
-    ric_jet = SymbolExpr(n)
     c_ric = GaussianRational(0, Fraction(-2 * m, 3))
-    for a in range(n):
-        for b in range(n):
-            val = der.ric[a][b]
-            if val:
-                ric_jet.add_term(_unit(n, b), _unit(n, a), -2 * m - 2, 0,
-                                 c_ric * GaussianRational(val))
-    tt = SymbolExpr(n)
     c_t = GaussianRational(0, 3 * m)
-    tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
-    for a in range(n):
-        for word, coeff in tau_a[a].terms.items():
-            tt.add_term(x0, _unit(n, a), -2 * m - 2, word, coeff * c_t)
-    r_jet1 = SymbolExpr(n)
-    c_r = GaussianRational(0, Fraction(m, 4))
-    for b in range(n):
-        for a in range(n):
-            elem = _curvature_pair_sum_single(jet, b, a)
-            for word, coeff in elem.terms.items():
-                r_jet1.add_term(_unit(n, b), _unit(n, a), -2 * m - 2, word,
-                                coeff * c_r)
-    dt_jet = SymbolExpr(n)
-    for b in range(n):
-        for a in range(n):
-            pair = _torsion_pair(jet.dT1[b][a], n)
-            for word, coeff in pair.terms.items():
-                dt_jet.add_term(_unit(n, b), _unit(n, a), -2 * m - 2, word,
-                                coeff * c_t)
-    parts_m1 = {"ric_jet": ric_jet, "tt": tt, "r_jet": r_jet1, "dt_jet": dt_jet}
+    parts_m1 = {
+        "ric_jet": SymbolExpr(n, {
+            (_unit(n, b), _unit(n, a), p, 0): c_ric * GaussianRational(der.ric[a][b])
+            for a in range(n) for b in range(n)}),
+        "tt": SymbolExpr.sum_of(n, (
+            _sym(_torsion_pair(jet.T[a], n), c_t, xideg=_unit(n, a), normpow=p)
+            for a in range(n))),
+        "r_jet": SymbolExpr.sum_of(n, (
+            _sym(_curvature_pair_sum_single(jet, b, a), GaussianRational(0, Fraction(m, 4)),
+                 xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
+            for b in range(n) for a in range(n))),
+        "dt_jet": SymbolExpr.sum_of(n, (
+            _sym(_torsion_pair(jet.dT1[b][a], n), c_t,
+                 xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
+            for b in range(n) for a in range(n))),
+    }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, mm=m)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, der)
     return parts_m, parts_m1, parts_m2
 
 
-def _curvature_pair_sum_single(jet: PointJet, b: int, a: int) -> CliffordElement:
-    """sum_{t,s} R_{bats} c_s c_t with the printed index pairing."""
-    n = jet.n
-    elem = CliffordElement.zero(n)
-    terms: Dict[Word, GaussianRational] = {}
-    for t in range(n):
-        for s in range(n):
-            val = jet.R[b][a][t][s]
-            if not val or t == s:
-                continue
-            if s < t:
-                word, sg = (1 << s) | (1 << t), 1
-            else:
-                word, sg = (1 << t) | (1 << s), -1
-            coeff = GaussianRational(val * sg)
-            prev = terms.get(word)
-            acc = coeff if prev is None else prev + coeff
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
-    elem.terms = terms
-    return elem
-
-
-def _sigma_inverse_order2_parts(jet: PointJet, mm: int) -> Dict[str, SymbolExpr]:
+def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
+                                der: DerivedScalars) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
     with mm = m-1 for the first one."""
     n = jet.n
     x0 = (0,) * n
-    der = derived_scalars(jet)
+    p2, p4 = -2 * mm - 2, -2 * mm - 4
     tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
-
-    def xi_pair(a: int, b: int) -> Deg:
-        return tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-
-    parts: Dict[str, SymbolExpr] = {}
 
     ric = SymbolExpr(n)
     c_ric = GaussianRational(Fraction(mm * (mm + 1), 3))
@@ -657,99 +618,51 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int) -> Dict[str, SymbolExpr]
         for b in range(n):
             val = der.ric[a][b]
             if val:
-                ric.add_term(x0, xi_pair(a, b), -2 * mm - 4, 0,
-                             c_ric * GaussianRational(val))
-    parts["ric"] = ric
+                ric.add_term(x0, _pair(n, a, b), p4, 0, c_ric * GaussianRational(val))
 
-    tt_xx = SymbolExpr(n)
-    c_ttxx = GaussianRational(Fraction(-9 * mm * (mm + 1), 2))
-    for a in range(n):
-        for b in range(n):
-            prod = tau_a[a] * tau_a[b]
-            xi = xi_pair(a, b)
-            for word, coeff in prod.terms.items():
-                tt_xx.add_term(x0, xi, -2 * mm - 4, word, coeff * c_ttxx)
-    parts["tt_xx"] = tt_xx
-
-    tt_scalar = SymbolExpr(n)
-    c_tts = GaussianRational(Fraction(9 * mm, 4))
-    for a in range(n):
-        prod = tau_a[a] * tau_a[a]
-        for word, coeff in prod.terms.items():
-            tt_scalar.add_term(x0, x0, -2 * mm - 2, word, coeff * c_tts)
-    parts["tt_scalar"] = tt_scalar
-
-    div_t = SymbolExpr(n)
-    c_div = GaussianRational(Fraction(3 * mm, 2))
-    for a in range(n):
-        pair = _torsion_pair(jet.dT1[a][a], n)
-        for word, coeff in pair.terms.items():
-            div_t.add_term(x0, x0, -2 * mm - 2, word, coeff * c_div)
-    parts["div_t"] = div_t
-
-    r_xx = SymbolExpr(n)
-    c_rxx = GaussianRational(Fraction(-mm * (mm + 1), 4))
-    for a in range(n):
-        for b in range(n):
-            elem = _curvature_pair_sum_single(jet, b, a)
-            xi = xi_pair(a, b)
-            for word, coeff in elem.terms.items():
-                r_xx.add_term(x0, xi, -2 * mm - 4, word, coeff * c_rxx)
-    parts["r_xx"] = r_xx
-
-    dt_xx = SymbolExpr(n)
-    c_dtxx = GaussianRational(-3 * mm * (mm + 1))
-    for a in range(n):
-        for b in range(n):
-            pair = _torsion_pair(jet.dT1[b][a], n)
-            xi = xi_pair(a, b)
-            for word, coeff in pair.terms.items():
-                dt_xx.add_term(x0, xi, -2 * mm - 4, word, coeff * c_dtxx)
-    parts["dt_xx"] = dt_xx
-
-    e_scalar = SymbolExpr(n)
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
-    e_scalar.add_term(x0, x0, -2 * mm - 2, 0, GaussianRational(e_val))
-    parts["e_scalar"] = e_scalar
+    dt4 = _elem(n, [((1 << i) | (1 << j) | (1 << k) | (1 << t), der.dT4[i][j][k][t])
+                    for i, j, k, t in combinations(range(n), 4) if der.dT4[i][j][k][t]])
 
-    dt4 = SymbolExpr(n)
-    c_dt4 = GaussianRational(Fraction(-3 * mm, 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for t in range(k + 1, n):
-                    val = der.dT4[i][j][k][t]
-                    if val:
-                        word = (1 << i) | (1 << j) | (1 << k) | (1 << t)
-                        dt4.add_term(x0, x0, -2 * mm - 2, word,
-                                     c_dt4 * GaussianRational(val))
-    parts["dt4"] = dt4
-    return parts
+    return {
+        "ric": ric,
+        "tt_xx": SymbolExpr.sum_of(n, (
+            _sym(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
+                 xideg=_pair(n, a, b), normpow=p4)
+            for a in range(n) for b in range(n))),
+        "tt_scalar": _sym(_elem_sum(n, (t * t for t in tau_a)),
+                          Fraction(9 * mm, 4), normpow=p2),
+        "div_t": _sym(_elem_sum(n, (_torsion_pair(jet.dT1[a][a], n) for a in range(n))),
+                      Fraction(3 * mm, 2), normpow=p2),
+        "r_xx": SymbolExpr.sum_of(n, (
+            _sym(_curvature_pair_sum_single(jet, b, a), Fraction(-mm * (mm + 1), 4),
+                 xideg=_pair(n, a, b), normpow=p4)
+            for a in range(n) for b in range(n))),
+        "dt_xx": SymbolExpr.sum_of(n, (
+            _sym(_torsion_pair(jet.dT1[b][a], n), -3 * mm * (mm + 1),
+                 xideg=_pair(n, a, b), normpow=p4)
+            for a in range(n) for b in range(n))),
+        "e_scalar": SymbolExpr(n, {(x0, x0, p2, 0): GaussianRational(e_val)}),
+        "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
+    }
 
 
 def build_sigma_delta_inv(jet: PointJet, m: int
                           ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet, m)
-    s_m = parts_m["lead"] + parts_m["r_jet"]
-    s_m1 = SymbolExpr(jet.n)
-    for part in parts_m1.values():
-        s_m1 = s_m1 + part
-    s_m2 = SymbolExpr(jet.n)
-    for part in parts_m2.values():
-        s_m2 = s_m2 + part
-    return s_m, s_m1, s_m2
+    return tuple(SymbolExpr.sum_of(jet.n, parts.values())
+                 for parts in (parts_m, parts_m1, parts_m2))
 
 
-def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
+def build_sigma_dtpow_parts(jet: PointJet, m: int,
+                            der: DerivedScalars | None = None
+                            ) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
-    the base point (prefactors carry m-1 in place of m)."""
-    if jet.n != 2 * m:
-        raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
-    return _sigma_inverse_order2_parts(jet, mm=m - 1)
+    the base point (prefactors carry m-1 in place of m).  ``der`` is
+    derived_scalars(jet), computed here when not given."""
+    _check_dim(jet, m)
+    return _sigma_inverse_order2_parts(jet, m - 1, der or derived_scalars(jet))
 
 
 def build_sigma_dtpow(jet: PointJet, m: int) -> SymbolExpr:
-    total = SymbolExpr(jet.n)
-    for part in build_sigma_dtpow_parts(jet, m).values():
-        total = total + part
-    return total
+    return SymbolExpr.sum_of(jet.n, build_sigma_dtpow_parts(jet, m).values())

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from wres_torsion.cli import main
 from wres_torsion.geometry import jet_to_dict, make_point_jet
 
@@ -169,3 +171,48 @@ def test_audit_json_structure(capsys):
     assert {"I-A", "I-G", "II-1-B", "II-2-A", "II-3-G", "II-6"} <= labels
     assert report["totals"]["theorem"]["match"] == "true"
     assert payload["all_reconciled"] is True
+
+
+def _density_with(tmp_path, capsys, field, value, *extra):
+    data = jet_to_dict(make_point_jet(2, v=[1, 0, 0, 0], w=[1, 0, 0, 0]))
+    data[field] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "density", "--input", str(path), *extra)
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("R", [[1, 2, 3]], "R entry"),
+    ("T", [[1, 2, 3, "1/0"]], "not an exact rational"),
+    ("T", [[1, 2, 3, "abc"]], "not an exact rational"),
+    ("v", "1234", "v must be a dense length-4 array"),
+    ("dw", ["1234"] * 4, "dw must be a dense 4x4 matrix"),
+    ("R", 7, "R must be a list"),
+])
+def test_density_malformed_input_exits_2(tmp_path, capsys, field, value, reason):
+    code, out, err = _density_with(tmp_path, capsys, field, value)
+    assert code == 2
+    assert out == ""
+    assert reason in err and "Traceback" not in err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.json")
+    code, _, err = _density_with(tmp_path, capsys, "v", [1, 0, 0, 0],
+                                 "--output", target)
+    assert code == 2
+    assert "cannot write output" in err
+    code, _, err = run(capsys, "instance", "--output", target)
+    assert code == 2
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import wres_torsion.cli as cli
+
+    def broken(jet, m):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "audit", broken)
+    code, _, err = run(capsys, "audit", "--dim", "1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert "RuntimeError: engine fault" in err

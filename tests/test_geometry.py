@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wres_torsion.geometry import (
     InstanceError,
     PointJet,
+    _antisym3_violations,
+    _riemann_violations,
     dT_four_form,
     jet_from_dict,
     jet_to_dict,
@@ -189,6 +194,72 @@ def test_validator_names_torsion_antisymmetry():
     assert any(v.startswith("T total antisymmetry") for v in report.violations)
 
 
+# The symmetry scans before integer scaling: one Fraction per comparison.
+# They stay here as the oracle of the integer scans.
+
+def _riemann_violations_fraction(R, limit: int = 20) -> List[str]:
+    n = len(R)
+    out: List[str] = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if R[a][b][c][d] != -R[b][a][c][d]:
+                        out.append(f"R pair antisymmetry (first pair) at ({a},{b},{c},{d})")
+                    if R[a][b][c][d] != -R[a][b][d][c]:
+                        out.append(f"R pair antisymmetry (second pair) at ({a},{b},{c},{d})")
+                    if R[a][b][c][d] != R[c][d][a][b]:
+                        out.append(f"R pair-exchange symmetry at ({a},{b},{c},{d})")
+                    if R[a][b][c][d] + R[a][c][d][b] + R[a][d][b][c]:
+                        out.append(f"first Bianchi identity at ({a},{b},{c},{d})")
+                    if len(out) >= limit:
+                        return out
+    return out
+
+
+def _antisym3_violations_fraction(T, name: str, limit: int = 20) -> List[str]:
+    n = len(T)
+    out: List[str] = []
+    for a in range(n):
+        for j in range(n):
+            for l in range(n):
+                if T[a][j][l] != -T[j][a][l] or T[a][j][l] != -T[a][l][j]:
+                    out.append(f"{name} total antisymmetry at ({a},{j},{l})")
+                if len(out) >= limit:
+                    return out
+    return out
+
+
+def _perturbed(tensor, rng: random.Random):
+    """A nested copy with a few entries replaced by small rationals."""
+    def thaw(t):
+        return [thaw(x) for x in t] if isinstance(t, tuple) else t
+
+    out = thaw(tensor)
+    for _ in range(rng.randint(0, 3)):
+        cell = out
+        while isinstance(cell[0], list):
+            cell = cell[rng.randrange(len(cell))]
+        cell[rng.randrange(len(cell))] = Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+    return out
+
+
+@pytest.mark.parametrize("m,count", [(2, 150), (3, 12)])
+def test_integer_scans_match_fraction_oracle(m, count):
+    rng = random.Random(f"scan-oracle:{m}")
+    for k in range(count):
+        jet = random_point_jet(k, m)
+        R = _perturbed(jet.R, rng)
+        T = _perturbed(jet.T, rng)
+        dT = _perturbed(jet.dT1[rng.randrange(jet.n)], rng)
+        for limit in (1, 20):
+            assert _riemann_violations(R, limit) == _riemann_violations_fraction(R, limit)
+            assert (_antisym3_violations(T, "T", limit)
+                    == _antisym3_violations_fraction(T, "T", limit))
+            assert (_antisym3_violations(dT, "dT1[1]", limit)
+                    == _antisym3_violations_fraction(dT, "dT1[1]", limit))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -237,3 +308,28 @@ def test_repeated_index_torsion_rejected():
 def test_unsupported_instance_dimension():
     with pytest.raises(InstanceError, match="unsupported"):
         jet_from_dict({"n": 10, "v": [], "w": [], "dw": []})
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
+                 | st.text(max_size=4) | st.sampled_from(["1/0", "abc", "2/3", "-1"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=24)
+_instances = st.fixed_dictionaries(
+    {"n": st.sampled_from([2, 4, 6, "4", 3, 8]) | _json_values},
+    optional={name: _json_values | st.lists(st.lists(
+        st.integers(-1, 7) | _json_scalars, max_size=6), max_size=3)
+        for name in ("R", "T", "dT1", "v", "w", "dw")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values | _instances)
+def test_any_json_value_parses_or_raises_instance_error(data):
+    try:
+        jet = jet_from_dict(data)
+    except InstanceError:
+        return
+    assert isinstance(jet, PointJet)
+

@@ -469,3 +469,45 @@ def test_audit_report_serializes():
     row = payload["lemma36_diff"]["differing_terms"][0]
     assert isinstance(row["word"], list)
     assert {"composed", "displayed"} <= set(row)
+
+
+# ---------------------------------------------------------------------------
+# build once
+# ---------------------------------------------------------------------------
+
+BUILDERS = ("derived_scalars", "build_sigma_delta_inv_parts",
+            "build_sigma_ab_printed_parts", "build_sigma_ab_composed",
+            "build_sigma_dtpow_parts")
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count calls of the per-jet builders through every module binding."""
+    import sys
+    from collections import Counter
+
+    counts = Counter()
+    modules = [mod for name, mod in list(sys.modules.items())
+               if name.startswith("wres_torsion.")]
+    for fn_name in BUILDERS:
+        original = getattr(sys.modules["wres_torsion.symbols"], fn_name)
+
+        def counted(*args, _fn=original, _name=fn_name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, fn_name, None) is original:
+                monkeypatch.setattr(mod, fn_name, counted)
+    return counts
+
+
+def test_audit_builds_each_artifact_once(build_counts):
+    audit(random_point_jet(3, 2), 2)
+    assert build_counts == {name: 1 for name in BUILDERS}
+
+
+def test_metric_builds_no_inverse_power_channels(build_counts):
+    assert metric_density(random_point_jet(3, 2), 2).value
+    assert build_counts["build_sigma_delta_inv_parts"] == 0
+    assert build_counts["derived_scalars"] == 0
