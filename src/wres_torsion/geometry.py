@@ -30,7 +30,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, compress, permutations, product
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .numerics import format_rational, parse_rational
@@ -204,8 +205,70 @@ def _riemann_orbit(a: int, b: int, c: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# derived quantities
+# derived quantities: contractions over the nonzero entries of each channel
 # ---------------------------------------------------------------------------
+
+def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
+    """Index tuple -> value for the nonzero entries of a nested tensor."""
+    shape = []
+    cell = tensor
+    while isinstance(cell, (tuple, list)) and cell:
+        shape.append(len(cell))
+        cell = cell[0]
+    flat = tensor
+    for _ in shape[1:]:
+        flat = chain.from_iterable(flat)
+    flat = list(flat)
+    if len(flat) != math.prod(shape):
+        raise ValueError(f"tensor is not of shape {tuple(shape)}")
+    return dict(compress(zip(product(*map(range, shape)), flat), flat))
+
+
+def _integer_form(entries: Dict[Tuple[int, ...], Fraction]
+                  ) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """The entries times one common positive denominator, as ints, and that
+    denominator.
+
+    Scaling by a positive constant keeps every equality, sign and zero
+    test, so the symmetry scans compare plain ints, and a contraction is
+    an int sum divided once by the product of its factors' denominators."""
+    den = math.lcm(*{x.denominator for x in entries.values()})
+    return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
+
+
+def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):
+    """The nested-tuple tensor over range(n)^rank holding ``entries`` and
+    Fraction(0) elsewhere; every all-zero sub-tensor is one shared tuple."""
+    zeros = [Fraction(0)]
+    for _ in range(rank):
+        zeros.append((zeros[-1],) * n)
+    prefixes = {key[:k] for key in entries for k in range(rank)}
+
+    def build(prefix):
+        depth = rank - len(prefix)
+        if prefix not in prefixes:
+            return zeros[depth]
+        if depth == 1:
+            return tuple(entries.get(prefix + (i,), zeros[0]) for i in range(n))
+        return tuple(build(prefix + (i,)) for i in range(n))
+    return build(())
+
+
+def _ricci(R) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Ric_{bk} = sum_j R_{jbjk} times the common denominator of R, and
+    that denominator; raises ValueError if R violates the pair symmetries
+    (the contraction convention is only meaningful on an admissible
+    tensor)."""
+    entries, den = _integer_form(_nonzero(R))
+    problems = _riemann_scan(entries, len(R), limit=1)
+    if problems:
+        raise ValueError(problems[0])
+    ric: Dict[Tuple[int, int], int] = {}
+    for (j, b, c, k), x in entries.items():
+        if j == c:
+            ric[b, k] = ric.get((b, k), 0) + x
+    return ric, den
+
 
 def ricci_scalar(R: Ten4) -> Tuple[Mat2, Fraction]:
     """Ric_{bk} = sum_j R_{jbjk} and s = sum_b Ric_{bb}.
@@ -213,32 +276,14 @@ def ricci_scalar(R: Ten4) -> Tuple[Mat2, Fraction]:
     Raises ValueError if R violates the pair symmetries (the contraction
     convention is only meaningful on an admissible tensor).
     """
-    n = len(R)
-    problems = _riemann_violations(R, limit=1)
-    if problems:
-        raise ValueError(problems[0])
-    ric = [[sum((R[j][b][j][k] for j in range(n)), Fraction(0))
-            for k in range(n)] for b in range(n)]
-    s = sum((ric[b][b] for b in range(n)), Fraction(0))
-    return _freeze(ric), s
+    ric, den = _ricci(R)
+    return _ricci_fractions(ric, den, len(R))
 
 
-def dT_four_form(dT1: Ten4) -> Ten4:
-    """(dT)_{ijkt} by alternation of the coordinate jet at x0."""
-    n = len(dT1)
-    out = _zeros(n, n, n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for t in range(k + 1, n):
-                    val = (dT1[i][j][k][t] - dT1[j][i][k][t]
-                           + dT1[k][i][j][t] - dT1[t][i][j][k])
-                    if val:
-                        for perm in permutations((0, 1, 2, 3)):
-                            idx = [(i, j, k, t)[p] for p in perm]
-                            out[idx[0]][idx[1]][idx[2]][idx[3]] = \
-                                _perm_sign(perm) * val
-    return _freeze(out)
+def _ricci_fractions(ric: Dict[Tuple[int, int], int], den: int,
+                     n: int) -> Tuple[Mat2, Fraction]:
+    s = Fraction(sum(x for (b, k), x in ric.items() if b == k), den)
+    return _dense({bk: Fraction(x, den) for bk, x in ric.items() if x}, n, 2), s
 
 
 def _perm_sign(perm) -> int:
@@ -251,40 +296,75 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+# the 24 reorderings of four slots, as getters, and the sign of each
+_SIGNED_PERMS4 = tuple((itemgetter(*perm), _perm_sign(perm) > 0)
+                       for perm in permutations(range(4)))
+
+
+def dT_four_form(dT1: Ten4) -> Ten4:
+    """(dT)_{ijkt} by alternation of the coordinate jet at x0."""
+    return _four_form(_nonzero(dT1), len(dT1))
+
+
+def _four_form(dT1: Dict[Tuple[int, ...], Fraction], n: int) -> Ten4:
+    """dT from the nonzero dT1 entries: for i0 < i1 < i2 < i3,
+    (dT)_{i0 i1 i2 i3} = sum_r (-1)^r dT1[i_r][the other three, increasing],
+    so only entries with an increasing form triple and a distinct
+    derivative slot contribute."""
+    alt: Dict[Tuple[int, ...], Fraction] = {}
+    for (b, a, j, l), x in dT1.items():
+        if a < j < l and b not in (a, j, l):
+            key = tuple(sorted((b, a, j, l)))
+            alt[key] = alt.get(key, 0) + (-x if key.index(b) % 2 else x)
+    out = {}
+    for key, val in alt.items():
+        if val:
+            neg = -val
+            for get, even in _SIGNED_PERMS4:
+                out[get(key)] = val if even else neg
+    return _dense(out, n, 4)
+
+
 def torsion_norm_sq(T: Ten3) -> Fraction:
     """Sum of T_{ajl}^2 over strictly increasing triples a < j < l."""
-    n = len(T)
-    total = Fraction(0)
-    for a in range(n):
-        for j in range(a + 1, n):
-            for l in range(j + 1, n):
-                total += T[a][j][l] * T[a][j][l]
-    return total
+    return sum((x * x for (a, j, l), x in _nonzero(T).items() if a < j < l),
+               Fraction(0))
 
 
 def derived_scalars(jet: PointJet) -> DerivedScalars:
+    """The contractions of ``jet``, each summed over nonzero factors only,
+    in ints over one common denominator per channel."""
     n = jet.n
-    ric, s = ricci_scalar(jet.R)
-    g_vw = sum((jet.v[a] * jet.w[a] for a in range(n)), Fraction(0))
-    ric_vw = sum((jet.v[a] * ric[a][b] * jet.w[b]
-                  for a in range(n) for b in range(n)), Fraction(0))
-    tt_vw = Fraction(0)
-    for j in range(n):
-        for l in range(n):
-            tv = sum((jet.v[a] * jet.T[a][j][l] for a in range(n)), Fraction(0))
-            tw = sum((jet.w[a] * jet.T[a][j][l] for a in range(n)), Fraction(0))
-            tt_vw += tv * tw
-    div_t_vw = sum((jet.dT1[a][a][j][l] * jet.v[j] * jet.w[l]
-                    for a in range(n) for j in range(n) for l in range(n)),
-                   Fraction(0))
-    t_dw = sum((jet.v[a] * jet.T[a][g][j] * jet.dw[j][g]
-                for a in range(n) for g in range(n) for j in range(n)),
-               Fraction(0))
+    ric, d_r = _ricci(jet.R)
+    T, d_t = _integer_form(_nonzero(jet.T))
+    dT1 = _nonzero(jet.dT1)
+    div, d_div = _integer_form({k: x for k, x in dT1.items() if k[0] == k[1]})
+    dw, d_dw = _integer_form(_nonzero(jet.dw))
+    (v, d_v), (w, d_w) = (_integer_form(dict(enumerate(vec))) for vec in (jet.v, jet.w))
+
+    tv: Dict[Tuple[int, int], int] = {}
+    tw: Dict[Tuple[int, int], int] = {}
+    t_dw = 0
+    for (a, j, l), x in T.items():
+        if v[a]:
+            tv[j, l] = tv.get((j, l), 0) + v[a] * x
+            t_dw += v[a] * x * dw.get((l, j), 0)
+        if w[a]:
+            tw[j, l] = tw.get((j, l), 0) + w[a] * x
+    tt_vw = sum(x * tw.get(jl, 0) for jl, x in tv.items())
+    div_t_vw = sum(x * v[j] * w[l] for (_, _, j, l), x in div.items())
+
+    ric_mat, s = _ricci_fractions(ric, d_r, n)
+    g_vw = Fraction(sum(x * w[a] for a, x in v.items()), d_v * d_w)
+    ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()),
+                      d_v * d_r * d_w)
     return DerivedScalars(
-        ric=ric, s=s, dT4=dT_four_form(jet.dT1),
+        ric=ric_mat, s=s, dT4=_four_form(dT1, n),
         norm_t2=torsion_norm_sq(jet.T), g_vw=g_vw, ric_vw=ric_vw,
-        einstein_vw=ric_vw - s * g_vw / 2, tt_vw=tt_vw,
-        div_t_vw=div_t_vw, t_dw=t_dw,
+        einstein_vw=ric_vw - s * g_vw / 2,
+        tt_vw=Fraction(tt_vw, d_v * d_w * d_t * d_t),
+        div_t_vw=Fraction(div_t_vw, d_div * d_v * d_w),
+        t_dw=Fraction(t_dw, d_v * d_t * d_dw),
     )
 
 
@@ -292,39 +372,36 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
 # validation
 # ---------------------------------------------------------------------------
 
-def _integer_entries(tensor):
-    """The nested tensor times one common positive denominator, as ints.
-
-    Scaling by a positive constant keeps every equality, sign and zero
-    test, so the symmetry scans compare plain ints instead of building a
-    ``Fraction`` per negation or Bianchi sum."""
-    def leaves(t):
-        return [y for x in t for y in leaves(x)] if isinstance(t, (tuple, list)) else [t]
-
-    den = math.lcm(*{x.denominator for x in leaves(tensor)})
-
-    def scale(t):
-        if isinstance(t, (tuple, list)):
-            return [scale(x) for x in t]
-        return t.numerator * (den // t.denominator)
-    return scale(tensor)
-
-
 def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
-    n = len(R)
-    R = _integer_entries(R)
+    return _riemann_scan(_integer_form(_nonzero(R))[0], len(R), limit)
+
+
+def _riemann_scan(R: Dict[Tuple[int, ...], int], n: int, limit: int) -> List[str]:
+    """The violated pair symmetries and Bianchi sums of the int entries R,
+    in lexicographic order of position, at most ``limit`` of them.
+
+    Every relation tested holds trivially where all its entries are zero,
+    so one pass over the nonzero entries decides whether any fails; the
+    lexicographic scan over all n^4 positions runs only then."""
+    at = R.get
+    if all(x == -at((b, a, c, d), 0) and x == -at((a, b, d, c), 0)
+           and x == at((c, d, a, b), 0)
+           and not x + at((a, c, d, b), 0) + at((a, d, b, c), 0)
+           for (a, b, c, d), x in R.items()):
+        return []
     out: List[str] = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    if R[a][b][c][d] != -R[b][a][c][d]:
+                    x = at((a, b, c, d), 0)
+                    if x != -at((b, a, c, d), 0):
                         out.append(f"R pair antisymmetry (first pair) at ({a},{b},{c},{d})")
-                    if R[a][b][c][d] != -R[a][b][d][c]:
+                    if x != -at((a, b, d, c), 0):
                         out.append(f"R pair antisymmetry (second pair) at ({a},{b},{c},{d})")
-                    if R[a][b][c][d] != R[c][d][a][b]:
+                    if x != at((c, d, a, b), 0):
                         out.append(f"R pair-exchange symmetry at ({a},{b},{c},{d})")
-                    if R[a][b][c][d] + R[a][c][d][b] + R[a][d][b][c]:
+                    if x + at((a, c, d, b), 0) + at((a, d, b, c), 0):
                         out.append(f"first Bianchi identity at ({a},{b},{c},{d})")
                     if len(out) >= limit:
                         return out
@@ -332,13 +409,21 @@ def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
 
 
 def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
+    """The positions where T is not totally antisymmetric, in lexicographic
+    order, at most ``limit`` of them; decided first over the nonzero
+    entries, as in ``_riemann_scan``."""
     n = len(T)
-    T = _integer_entries(T)
+    entries = _integer_form(_nonzero(T))[0]
+    at = entries.get
+    if all(x == -at((j, a, l), 0) and x == -at((a, l, j), 0)
+           for (a, j, l), x in entries.items()):
+        return []
     out: List[str] = []
     for a in range(n):
         for j in range(n):
             for l in range(n):
-                if T[a][j][l] != -T[j][a][l] or T[a][j][l] != -T[a][l][j]:
+                x = at((a, j, l), 0)
+                if x != -at((j, a, l), 0) or x != -at((a, l, j), 0):
                     out.append(f"{name} total antisymmetry at ({a},{j},{l})")
                 if len(out) >= limit:
                     return out
@@ -410,9 +495,10 @@ def jet_from_dict(data: dict) -> PointJet:
     validation after completion.  Any malformed value raises InstanceError.
     """
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raw_n = data["n"]
+    except (KeyError, TypeError) as exc:
         raise InstanceError(f"missing or invalid field 'n': {exc}") from None
+    n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")
     m = n // 2
@@ -486,11 +572,19 @@ def _complete_antisym3(tensor, seen, a, j, l, val, name):
         tensor[perm[0]][perm[1]][perm[2]] = value
 
 
-def _index(raw, n: int, name: str) -> int:
+def _integer(raw, what: str) -> int:
+    """An integral JSON number or integer string; booleans and fractional
+    numbers are rejected rather than truncated."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise InstanceError(f"{what} {raw!r} is not an integer")
     try:
-        i = int(raw)
+        return int(raw)
     except (TypeError, ValueError, OverflowError):
-        raise InstanceError(f"{name} index {raw!r} is not an integer") from None
+        raise InstanceError(f"{what} {raw!r} is not an integer") from None
+
+
+def _index(raw, n: int, name: str) -> int:
+    i = _integer(raw, f"{name} index")
     if not 1 <= i <= n:
         raise InstanceError(f"{name} index {i} outside 1..{n}")
     return i - 1

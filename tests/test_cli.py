@@ -188,6 +188,9 @@ def _density_with(tmp_path, capsys, field, value, *extra):
     ("v", "1234", "v must be a dense length-4 array"),
     ("dw", ["1234"] * 4, "dw must be a dense 4x4 matrix"),
     ("R", 7, "R must be a list"),
+    ("n", 4.7, "field 'n' 4.7 is not an integer"),
+    ("T", [[1.9, 2, 3, "1"]], "T index 1.9 is not an integer"),
+    ("R", [[True, 2, 1, 2, "1"]], "R index True is not an integer"),
 ])
 def test_density_malformed_input_exits_2(tmp_path, capsys, field, value, reason):
     code, out, err = _density_with(tmp_path, capsys, field, value)

@@ -5,17 +5,21 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wres_torsion.cli import _one_hot_cases
 from wres_torsion.geometry import (
+    DerivedScalars,
     InstanceError,
     PointJet,
     _antisym3_violations,
     _riemann_violations,
     dT_four_form,
+    derived_scalars,
     jet_from_dict,
     jet_to_dict,
     make_point_jet,
@@ -260,6 +264,202 @@ def test_integer_scans_match_fraction_oracle(m, count):
                     == _antisym3_violations_fraction(dT, "dT1[1]", limit))
 
 
+def _with_entry(tensor, index, value):
+    """A nested list copy of ``tensor`` with one entry replaced."""
+    def thaw(t):
+        return [thaw(x) for x in t] if isinstance(t, (tuple, list)) else t
+
+    out = thaw(tensor)
+    cell = out
+    for i in index[:-1]:
+        cell = cell[i]
+    cell[index[-1]] = Fraction(value)
+    return out
+
+
+def _sparse_violations(m):
+    """Tensors whose violations sit at zero entries with a nonzero partner:
+    one-hot R and T without their symmetry images, symmetry orbits with
+    one image missing, and a complete R orbit that breaks only Bianchi."""
+    n = 2 * m
+    zero = zero_point_jet(m)
+    riemann = [_with_entry(zero.R, idx, 1) for idx in
+               ((0, 1, 0, 1), (0, 1, 2, 3), (1, 0, 0, 1), (0, 0, 1, 1), (n - 1, 2, 1, 0))]
+    orbit = make_point_jet(m, R=[(0, 1, 0, 2, 1)]).R
+    riemann += [_with_entry(orbit, (0, 2, 0, 1), 0), _with_entry(orbit, (1, 0, 2, 0), 0)]
+    riemann.append(make_point_jet(m, R=[(0, 1, 2, 3, 1)]).R)
+    torsion = [_with_entry(zero.T, idx, 1) for idx in ((0, 1, 2), (2, 1, 0), (1, 1, 2))]
+    torsion.append(_with_entry(make_point_jet(m, T=[(0, 1, 2, 1)]).T, (2, 0, 1), 0))
+    # antisymmetric in the first or in the last two slots only
+    torsion.append(_with_entry(_with_entry(zero.T, (0, 1, 2), 1), (1, 0, 2), -1))
+    torsion.append(_with_entry(_with_entry(zero.T, (0, 1, 2), 1), (0, 2, 1), -1))
+    return riemann, torsion
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
+    riemann, torsion = _sparse_violations(m)
+    for R in riemann:
+        expected = _riemann_violations_fraction(R, 1)
+        assert expected
+        for limit in (1, 20):
+            assert _riemann_violations(R, limit) == _riemann_violations_fraction(R, limit)
+        with pytest.raises(ValueError) as err:
+            ricci_scalar(R)
+        assert str(err.value) == expected[0]
+    for T in torsion:
+        assert _antisym3_violations_fraction(T, "T", 1)
+        for limit in (1, 20):
+            assert (_antisym3_violations(T, "T", limit)
+                    == _antisym3_violations_fraction(T, "T", limit))
+
+
+# The contractions before the sparse rewrite: dense Fraction sums over the
+# whole index space.  They stay here as the oracle of ``derived_scalars``.
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _dT_four_form_dense(dT1):
+    n = len(dT1)
+    out = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for t in range(k + 1, n):
+                    val = (dT1[i][j][k][t] - dT1[j][i][k][t]
+                           + dT1[k][i][j][t] - dT1[t][i][j][k])
+                    if val:
+                        for perm in permutations((0, 1, 2, 3)):
+                            idx = [(i, j, k, t)[p] for p in perm]
+                            out[idx[0]][idx[1]][idx[2]][idx[3]] = \
+                                _perm_sign(perm) * val
+    return _frozen(out)
+
+
+def _frozen(x):
+    return tuple(_frozen(e) for e in x) if isinstance(x, (tuple, list)) else x
+
+
+def _derived_scalars_dense(jet) -> DerivedScalars:
+    n = jet.n
+    problems = _riemann_violations_fraction(jet.R, limit=1)
+    if problems:
+        raise ValueError(problems[0])
+    R = jet.R
+    ric = [[sum((R[j][b][j][k] for j in range(n)), Fraction(0))
+            for k in range(n)] for b in range(n)]
+    s = sum((ric[b][b] for b in range(n)), Fraction(0))
+    norm_t2 = sum((jet.T[a][j][l] * jet.T[a][j][l] for a in range(n)
+                   for j in range(a + 1, n) for l in range(j + 1, n)), Fraction(0))
+    g_vw = sum((jet.v[a] * jet.w[a] for a in range(n)), Fraction(0))
+    ric_vw = sum((jet.v[a] * ric[a][b] * jet.w[b]
+                  for a in range(n) for b in range(n)), Fraction(0))
+    tt_vw = Fraction(0)
+    for j in range(n):
+        for l in range(n):
+            tv = sum((jet.v[a] * jet.T[a][j][l] for a in range(n)), Fraction(0))
+            tw = sum((jet.w[a] * jet.T[a][j][l] for a in range(n)), Fraction(0))
+            tt_vw += tv * tw
+    div_t_vw = sum((jet.dT1[a][a][j][l] * jet.v[j] * jet.w[l]
+                    for a in range(n) for j in range(n) for l in range(n)),
+                   Fraction(0))
+    t_dw = sum((jet.v[a] * jet.T[a][g][j] * jet.dw[j][g]
+                for a in range(n) for g in range(n) for j in range(n)),
+               Fraction(0))
+    return DerivedScalars(
+        ric=_frozen(ric), s=s, dT4=_dT_four_form_dense(jet.dT1), norm_t2=norm_t2,
+        g_vw=g_vw, ric_vw=ric_vw, einstein_vw=ric_vw - s * g_vw / 2,
+        tt_vw=tt_vw, div_t_vw=div_t_vw, t_dw=t_dw)
+
+
+def _kulkarni_nomizu(h, k, n):
+    """Entries (a, b, c, d, value), a < b and c < d, of h (KN) k for
+    symmetric forms given as {(i, j): value}."""
+    def at(form, a, b):
+        return form.get((a, b), 0)
+
+    entries = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                for d in range(c + 1, n):
+                    val = (at(h, a, c) * at(k, b, d) + at(h, b, d) * at(k, a, c)
+                           - at(h, a, d) * at(k, b, c) - at(h, b, c) * at(k, a, d))
+                    if val:
+                        entries.append((a, b, c, d, val))
+    return entries
+
+
+def _one_channel_jets(m):
+    """Jets of each single channel of the polarized basis (curvature as a
+    Kulkarni-Nomizu product, one T entry, one nabla T entry, T with one
+    dw entry), against basis and generic (v, w)."""
+    n = 2 * m
+    basis = [[Fraction(int(k == i)) for k in range(n)] for i in range(n)]
+    generic = ([Fraction(k - 2, k + 1) for k in range(n)],
+               [Fraction(3 - k, 2) for k in range(n)])
+    dw = [[Fraction(0)] * n for _ in range(n)]
+    dw[2][1] = Fraction(1)
+    dense_dw = [[Fraction(j - g, j + g + 1) for g in range(n)] for j in range(n)]
+    channels = [
+        dict(R=_kulkarni_nomizu({(0, 0): 1}, {(1, 2): 1, (2, 1): 1}, n)),
+        dict(R=_kulkarni_nomizu({(0, 1): 1, (1, 0): 1}, {(2, 3): 1, (3, 2): 1}, n)),
+        dict(T=[(0, 1, 2, 1)]),
+        dict(T=[(1, 2, n - 1, Fraction(-2, 3))]),
+        dict(dT1=[(0, 0, 1, 2, 1)]),
+        dict(dT1=[(n - 1, 0, 1, 2, Fraction(5, 2))]),
+        dict(T=[(0, 1, 2, 1)], dw=dw),
+        dict(T=[(0, 1, 2, 1)], dw=dense_dw),
+    ]
+    for kw in channels:
+        for v, w in ((basis[0], basis[1]), (basis[2], basis[2]),
+                     (basis[1], basis[0]), generic):
+            yield make_point_jet(m, v=v, w=w, **kw)
+
+
+def _contraction_jets():
+    rng = random.Random("contraction-oracle")
+    for m, seeds in ((1, range(6)), (2, range(6)), (3, range(4))):
+        for seed in seeds:
+            yield random_point_jet(seed, m)
+        yield zero_point_jet(m)
+    for m in (2, 3):
+        for _, _, kw in _one_hot_cases(m):
+            yield make_point_jet(m, **kw)
+    yield from _one_channel_jets(3)
+    # T, dT1 and dw need no symmetry for the contractions: perturbed ones
+    # must still give the dense sums
+    for seed in range(4):
+        jet = random_point_jet(seed, 2)
+        yield PointJet(m=2, R=jet.R, T=_frozen(_perturbed(jet.T, rng)),
+                       dT1=_frozen(_perturbed(jet.dT1, rng)), v=jet.v, w=jet.w,
+                       dw=_frozen(_perturbed(jet.dw, rng)))
+
+
+def test_derived_scalars_match_dense_oracle():
+    assert all(validate_symmetries(jet).ok for jet in _one_channel_jets(3))
+    jets = list(_contraction_jets())
+    for jet in jets:
+        assert derived_scalars(jet) == _derived_scalars_dense(jet)
+    assert sum(derived_scalars(j).tt_vw != 0 for j in jets) > 10
+    assert sum(derived_scalars(j).t_dw != 0 for j in jets) > 10
+
+
+def test_dT_four_form_matches_dense_oracle_on_any_jet():
+    rng = random.Random("four-form-oracle")
+    for seed in range(8):
+        dT1 = random_point_jet(seed, 3).dT1
+        for tensor in (dT1, _perturbed(dT1, rng)):
+            assert dT_four_form(tensor) == _dT_four_form_dense(tensor)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -308,6 +508,37 @@ def test_repeated_index_torsion_rejected():
 def test_unsupported_instance_dimension():
     with pytest.raises(InstanceError, match="unsupported"):
         jet_from_dict({"n": 10, "v": [], "w": [], "dw": []})
+
+
+def _instance(**fields) -> dict:
+    data = {"n": 4, "R": [[1, 2, 1, 2, "1"]], "T": [[1, 2, 3, "1"]],
+            "dT1": [[1, 2, 3, 4, "1/2"]], "v": ["1", "0", "0", "0"],
+            "w": ["0", "1", "0", "0"], "dw": [["0"] * 4] * 4}
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("fields,reason", [
+    (dict(n=4.7, T=[[1.9, 2, 3, "1"]]), "field 'n' 4.7 is not an integer"),
+    (dict(n=True), "field 'n' True is not an integer"),
+    (dict(n=float("inf")), "field 'n' inf is not an integer"),
+    (dict(T=[[1.9, 2, 3, "1"]]), "T index 1.9 is not an integer"),
+    (dict(T=[[True, 2, 3, "1"]]), "T index True is not an integer"),
+    (dict(R=[[1, 2, 1, 2.5, "1"]]), "R index 2.5 is not an integer"),
+    (dict(dT1=[[1, 2, 3, False, "1"]]), "dT1 index False is not an integer"),
+])
+def test_non_integral_numbers_rejected_not_truncated(fields, reason):
+    with pytest.raises(InstanceError) as err:
+        jet_from_dict(_instance(**fields))
+    assert str(err.value) == reason
+
+
+def test_integral_numbers_parse_as_before():
+    as_floats = _instance(n=4.0, R=[[1.0, 2, 1, 2.0, "1"]], T=[[1, 2.0, 3, "1"]],
+                          dT1=[[1, 2, 3.0, 4, "1/2"]])
+    as_strings = _instance(n="4", T=[["1", "2", "3", "1"]])
+    assert jet_from_dict(as_floats) == jet_from_dict(_instance())
+    assert jet_from_dict(as_strings) == jet_from_dict(_instance())
 
 
 _json_scalars = (st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
