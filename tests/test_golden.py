@@ -1,8 +1,9 @@
 """Behavioural golden: audit JSON and densities for fixed seeds, byte for byte.
 
 The fixture ``golden_pipeline.json`` records, for ``random_point_jet(s, m)``
-with s = 0..4 and m = 2, 3, the sorted-key audit JSON and the part1, part2
-(printed and composed), metric and theorem densities.  A refactor of the
+with s = 0..4 and m = 2, 3, the sorted-key instance JSON (``jet_to_dict``),
+the sorted-key audit JSON and the part1, part2 (printed and composed),
+metric and theorem densities.  A refactor of the
 pipelines must leave every byte unchanged.  Regenerate only for an intended
 behaviour change:
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from wres_torsion.geometry import random_point_jet
+from wres_torsion.geometry import jet_to_dict, random_point_jet
 from wres_torsion.numerics import format_rational
 from wres_torsion.residue import (
     audit,
@@ -35,6 +36,7 @@ def golden_payload() -> dict:
         for seed in SEEDS:
             jet = random_point_jet(seed, m)
             rows[f"m={m} seed={seed}"] = {
+                "instance": json.dumps(jet_to_dict(jet), sort_keys=True),
                 "audit": json.dumps(audit(jet, m).to_json(), sort_keys=True),
                 "part1": format_rational(part1_density(jet, m).value),
                 "part2_printed": format_rational(part2_density(jet, m, "printed").value),
