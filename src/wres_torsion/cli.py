@@ -29,7 +29,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .clifford import (
     CliffordElement,
@@ -270,6 +270,13 @@ def _six_bracket(v, w, g_vw, j, l, jh, lh) -> Fraction:
             - d(j, lh) * d(l, jh) * g_vw + d(j, jh) * d(l, lh) * g_vw)
 
 
+def _trial_contexts(cfg: RunConfig):
+    """(seed, context) for the seeded random jet of each trial."""
+    for trial in range(cfg.trials):
+        seed = cfg.seed + trial
+        yield seed, PipelineContext(random_point_jet(seed, cfg.dim_m), cfg.dim_m)
+
+
 def check_lemma36(cfg: RunConfig) -> CheckResult:
     """Strict composition vs displayed product-symbol grades.
 
@@ -279,13 +286,12 @@ def check_lemma36(cfg: RunConfig) -> CheckResult:
     """
     rows = []
     all_equal = True
-    for trial in range(cfg.trials):
-        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
+    for seed, ctx in _trial_contexts(cfg):
         c2, c1, c0 = ctx.ab_composed
         p2, p1, p0 = ctx.ab_printed
         eq = (c2 == p2, c1 == p1, c0 == p0)
         all_equal = all_equal and all(eq)
-        row = {"seed": cfg.seed + trial, "grade2_equal": eq[0],
+        row = {"seed": seed, "grade2_equal": eq[0],
                "grade1_equal": eq[1], "grade0_equal": eq[2]}
         if not all(eq):
             tt = ctx.der.tt_vw
@@ -302,44 +308,40 @@ def check_lemma36(cfg: RunConfig) -> CheckResult:
     return CheckResult("lemma36", all_equal, summary, rows)
 
 
-def _density_rows(cfg: RunConfig, kind: str) -> CheckResult:
+def _density_rows(cfg: RunConfig, name: str, density: Callable,
+                  closed_form: Callable) -> CheckResult:
+    """Each trial jet's ``density`` against its ``closed_form`` (context
+    methods)."""
     rows = []
     ok = True
-    for trial in range(cfg.trials):
-        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
-        if kind == "part1":
-            engine, closed = ctx.part1().value, ctx.part1_closed().value
-        elif kind == "part2":
-            engine, closed = ctx.part2("printed").value, ctx.part2_closed().value
-        else:
-            raise ValueError(kind)
+    for seed, ctx in _trial_contexts(cfg):
+        engine, closed = density(ctx).value, closed_form(ctx).value
         match = engine == closed
         ok = ok and match
-        rows.append({"seed": cfg.seed + trial,
+        rows.append({"seed": seed,
                      "engine": format_rational(engine),
                      "closed": format_rational(closed), "match": match})
-    return CheckResult(kind, ok, f"{kind} density vs closed form", rows)
+    return CheckResult(name, ok, f"{name} density vs closed form", rows)
 
 
 def check_part1(cfg: RunConfig) -> CheckResult:
-    return _density_rows(cfg, "part1")
+    return _density_rows(cfg, "part1", PipelineContext.part1, PipelineContext.part1_closed)
 
 
 def check_part2(cfg: RunConfig) -> CheckResult:
-    return _density_rows(cfg, "part2")
+    return _density_rows(cfg, "part2", PipelineContext.part2, PipelineContext.part2_closed)
 
 
 def check_theorem(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
     m = cfg.dim_m
-    for trial in range(cfg.trials):
-        ctx = PipelineContext(random_point_jet(cfg.seed + trial, m), m)
+    for seed, ctx in _trial_contexts(cfg):
         total = ctx.part1().value + ctx.part2().value
         thm = ctx.theorem().value
         match = total == thm
         ok = ok and match
-        rows.append({"seed": cfg.seed + trial, "total": format_rational(total),
+        rows.append({"seed": seed, "total": format_rational(total),
                      "theorem": format_rational(thm), "match": match})
     if m >= 2:
         ctx = PipelineContext(random_point_jet(cfg.seed, m, with_torsion=False,
@@ -381,12 +383,11 @@ def _one_hot_cases(m: int):
 def check_metric(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
-    for trial in range(cfg.trials):
-        ctx = PipelineContext(random_point_jet(cfg.seed + trial, cfg.dim_m), cfg.dim_m)
+    for seed, ctx in _trial_contexts(cfg):
         value = ctx.metric().value
         match = value == -ctx.der.g_vw
         ok = ok and match
-        rows.append({"seed": cfg.seed + trial, "value": format_rational(value),
+        rows.append({"seed": seed, "value": format_rational(value),
                      "expected": format_rational(-ctx.der.g_vw), "match": match})
     return CheckResult("metric", ok, "metric density vs -g(v,w)", rows)
 

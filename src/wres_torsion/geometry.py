@@ -30,7 +30,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, compress,
+                       permutations, product)
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -84,23 +85,88 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# random generation
+# channel symmetries: one image table per channel and one completion
+# ---------------------------------------------------------------------------
+
+class InstanceError(ValueError):
+    """Raised when jet entries or a serialized instance are malformed or
+    inconsistent."""
+
+
+_ANTISYM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+             ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
+
+# the images of one entry, as slot getters with signs: the 8 pair-symmetry
+# images of R_{abcd}, the 6 signed permutations of T_{ajl}, and the same 6
+# on the form slots of dT1_{b,ajl} (the derivative slot b stays first)
+_IMAGES = {name: tuple((itemgetter(*perm), sign) for perm, sign in images)
+           for name, images in (
+               ("R", (((0, 1, 2, 3), 1), ((2, 3, 0, 1), 1),
+                      ((1, 0, 2, 3), -1), ((2, 3, 1, 0), -1),
+                      ((0, 1, 3, 2), -1), ((3, 2, 0, 1), -1),
+                      ((1, 0, 3, 2), 1), ((3, 2, 1, 0), 1))),
+               ("T", _ANTISYM3),
+               ("dT1", [((0, p + 1, q + 1, r + 1), sign)
+                        for (p, q, r), sign in _ANTISYM3]))}
+
+
+def _one_based(index: Tuple[int, ...]) -> str:
+    return "(" + ",".join(str(i + 1) for i in index) + ")"
+
+
+def _complete(name: str, entries, n: int) -> Dict[Tuple[int, ...], Fraction]:
+    """Index -> value for the nonzero entries of channel ``name`` ("R",
+    "T" or "dT1"), completed over the channel's images from sparse
+    (0-based index tuple, exact value) pairs.
+
+    Raises InstanceError where an index lies outside 0..n-1, where two
+    images of the entries disagree, and on a nonzero torsion entry with a
+    repeated form index (a zero one is skipped)."""
+    images = _IMAGES[name]
+    lead = 1 if name == "dT1" else 0      # dT1's derivative slot is not a form slot
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for index, val in entries:
+        label = f"dT1[{index[0] + 1}]" if lead else name
+        if not all(0 <= i < n for i in index):
+            raise InstanceError(f"{name} index {index} outside 0..{n - 1}")
+        if name != "R" and len(set(index[lead:])) < 3:
+            if val:
+                raise InstanceError(f"{label} entry with repeated index "
+                                    f"{_one_based(index[lead:])} must be zero")
+            continue
+        orbit: Dict[Tuple[int, ...], int] = {}
+        for get, sign in images:
+            orbit.setdefault(get(index), sign)
+        for key, sign in orbit.items():
+            value = val if sign > 0 else -val
+            if out.setdefault(key, value) != value:
+                kind = "symmetry" if name == "R" else "antisymmetry"
+                raise InstanceError(f"{label} entries conflict by {kind} "
+                                    f"at {_one_based(key[lead:])}")
+    return {key: x for key, x in out.items() if x}
+
+
+def _point_jet(m: int, R, T, dT1, v, w, dw) -> PointJet:
+    """The jet with the completed channels R, T, dT1 (index -> value) and
+    the dense v, w and dw."""
+    n = 2 * m
+    return PointJet(m=m, R=_dense(R, n, 4), T=_dense(T, n, 3), dT1=_dense(dT1, n, 4),
+                    v=tuple(v), w=tuple(w), dw=tuple(map(tuple, dw)))
+
+
+def _admissible(jet: PointJet) -> PointJet:
+    report = validate_symmetries(jet)
+    if not report.ok:
+        raise InstanceError(report.violations[0])
+    return jet
+
+
+# ---------------------------------------------------------------------------
+# construction: random, from sparse entries, zero
 # ---------------------------------------------------------------------------
 
 def _small_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-
-def _zeros(*shape: int):
-    if len(shape) == 1:
-        return [Fraction(0)] * shape[0]
-    return [_zeros(*shape[1:]) for _ in range(shape[0])]
-
-
-def _freeze(data):
-    if isinstance(data, list):
-        return tuple(_freeze(x) for x in data)
-    return data
 
 
 def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
@@ -112,54 +178,29 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
     n = 2 * m
     rng = random.Random(f"wres:{seed}:{m}")
 
-    R = _zeros(n, n, n, n)
+    R: Dict[Tuple[int, ...], Fraction] = {}
     if with_curvature:
-        for _ in range(rng.randint(2, 4)):
-            h = _zeros(n, n)
-            for i in range(n):
-                for j in range(i, n):
-                    h[i][j] = h[j][i] = _small_rational(rng)
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            # Kulkarni-Nomizu square of h (up to overall scale)
-                            R[a][b][c][d] += h[a][c] * h[b][d] - h[a][d] * h[b][c]
-
-    T = _zeros(n, n, n)
-    if with_torsion:
-        for a in range(n):
-            for j in range(a + 1, n):
-                for l in range(j + 1, n):
-                    _set_antisym3(T, a, j, l, _small_rational(rng))
-
-    dT1 = _zeros(n, n, n, n)
-    if with_torsion_jet:
-        for b in range(n):
-            for a in range(n):
-                for j in range(a + 1, n):
-                    for l in range(j + 1, n):
-                        _set_antisym3(dT1[b], a, j, l, _small_rational(rng))
-
+        hs = [{} for _ in range(rng.randint(2, 4))]
+        for h in hs:
+            for i, j in combinations_with_replacement(range(n), 2):
+                h[i, j] = h[j, i] = _small_rational(rng)
+        # the sum of the Kulkarni-Nomizu squares of the h (up to overall
+        # scale), on one representative a < b, c < d, (a, b) <= (c, d) per orbit
+        R = _complete("R", (
+            ((a, b, c, d), sum(h[a, c] * h[b, d] - h[a, d] * h[b, c] for h in hs))
+            for (a, b), (c, d) in combinations_with_replacement(
+                list(combinations(range(n), 2)), 2)), n)
+    triples = list(combinations(range(n), 3))
+    T = _complete("T", (((a, j, l), _small_rational(rng)) for a, j, l in triples),
+                  n) if with_torsion else {}
+    dT1 = _complete("dT1", (((b, a, j, l), _small_rational(rng))
+                            for b in range(n) for a, j, l in triples),
+                    n) if with_torsion_jet else {}
     v = [_small_rational(rng) for _ in range(n)]
     w = [_small_rational(rng) for _ in range(n)]
-    dw = _zeros(n, n)
-    if with_w_jet:
-        for j in range(n):
-            for g in range(n):
-                dw[j][g] = _small_rational(rng)
-
-    return PointJet(m=m, R=_freeze(R), T=_freeze(T), dT1=_freeze(dT1),
-                    v=tuple(v), w=tuple(w), dw=_freeze(dw))
-
-
-def _set_antisym3(tensor, a: int, j: int, l: int, value: Fraction) -> None:
-    for perm, sign in (
-        ((a, j, l), 1), ((j, l, a), 1), ((l, a, j), 1),
-        ((a, l, j), -1), ((j, a, l), -1), ((l, j, a), -1),
-    ):
-        p, q, r = perm
-        tensor[p][q][r] = sign * value
+    dw = ([[_small_rational(rng) for _ in range(n)] for _ in range(n)] if with_w_jet
+          else _dense({}, n, 2))
+    return _point_jet(m, R, T, dT1, v, w, dw)
 
 
 def zero_point_jet(m: int) -> PointJet:
@@ -169,39 +210,24 @@ def zero_point_jet(m: int) -> PointJet:
 
 def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
                    dw=None) -> PointJet:
-    """Build a jet from sparse channel entries (indices 0-based).
+    """Build an admissible jet from sparse channel entries (indices 0-based).
 
-    R entries are [a, b, c, d, value] and are completed over the pair
-    symmetries; T entries [a, j, l, value] and dT1 entries [b, a, j, l, value]
-    over total antisymmetry.  No validation is performed here.
+    R entries are [a, b, c, d, value], T entries [a, j, l, value] and dT1
+    entries [b, a, j, l, value]; each channel is completed over its
+    symmetry images, as in ``jet_from_dict``.  Conflicting entries, a
+    nonzero torsion entry with a repeated index and a jet that fails
+    ``validate_symmetries`` raise InstanceError with ``jet_from_dict``'s
+    message.
     """
     n = 2 * m
-    Rd = _zeros(n, n, n, n)
-    for a, b, c, d, val in (R or ()):
-        val = Fraction(val)
-        for (p, q, r, s), sign in _riemann_orbit(a, b, c, d):
-            Rd[p][q][r][s] = sign * val
-    Td = _zeros(n, n, n)
-    for a, j, l, val in (T or ()):
-        _set_antisym3(Td, a, j, l, Fraction(val))
-    dTd = _zeros(n, n, n, n)
-    for b, a, j, l, val in (dT1 or ()):
-        _set_antisym3(dTd[b], a, j, l, Fraction(val))
-    vd = [Fraction(x) for x in (v or [0] * n)]
-    wd = [Fraction(x) for x in (w or [0] * n)]
-    dwd = [[Fraction(x) for x in row] for row in (dw or _zeros(n, n))]
-    return PointJet(m=m, R=_freeze(Rd), T=_freeze(Td), dT1=_freeze(dTd),
-                    v=tuple(vd), w=tuple(wd), dw=_freeze(dwd))
 
-
-def _riemann_orbit(a: int, b: int, c: int, d: int):
-    """Orbit of one R_{abcd} slot under the pair symmetries, with signs."""
-    orbit: Dict[Tuple[int, int, int, int], int] = {}
-    for (p, q, r, s), sign in (((a, b, c, d), 1), ((b, a, c, d), -1),
-                               ((a, b, d, c), -1), ((b, a, d, c), 1)):
-        for (pp, qq, rr, ss), sg in (((p, q, r, s), sign), ((r, s, p, q), sign)):
-            orbit.setdefault((pp, qq, rr, ss), sg)
-    return orbit.items()
+    def sparse(entries):
+        return ((tuple(index), Fraction(x)) for *index, x in entries or ())
+    return _admissible(_point_jet(
+        m, _complete("R", sparse(R), n), _complete("T", sparse(T), n),
+        _complete("dT1", sparse(dT1), n),
+        map(Fraction, v or [0] * n), map(Fraction, w or [0] * n),
+        [map(Fraction, row) for row in dw] if dw else _dense({}, n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +286,7 @@ def _ricci(R) -> Tuple[Dict[Tuple[int, int], int], int]:
     (the contraction convention is only meaningful on an admissible
     tensor)."""
     entries, den = _integer_form(_nonzero(R))
-    problems = _riemann_scan(entries, len(R), limit=1)
+    problems = _riemann_scan(entries, limit=1)
     if problems:
         raise ValueError(problems[0])
     ric: Dict[Tuple[int, int], int] = {}
@@ -286,19 +312,11 @@ def _ricci_fractions(ric: Dict[Tuple[int, int], int], den: int,
     return _dense({bk: Fraction(x, den) for bk, x in ric.items() if x}, n, 2), s
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = list(perm)
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            if seen[i] > seen[j]:
-                sign = -sign
-    return sign
-
-
-# the 24 reorderings of four slots, as getters, and the sign of each
-_SIGNED_PERMS4 = tuple((itemgetter(*perm), _perm_sign(perm) > 0)
-                       for perm in permutations(range(4)))
+# the 24 reorderings of four slots, as getters, and whether each is even
+# (the sign of a permutation is the sign of its Vandermonde product)
+_SIGNED_PERMS4 = tuple(
+    (itemgetter(*perm), math.prod(q - p for p, q in combinations(perm, 2)) > 0)
+    for perm in permutations(range(4)))
 
 
 def dT_four_form(dT1: Ten4) -> Ten4:
@@ -373,16 +391,25 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
 # ---------------------------------------------------------------------------
 
 def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
-    return _riemann_scan(_integer_form(_nonzero(R))[0], len(R), limit)
+    return _riemann_scan(_integer_form(_nonzero(R))[0], limit)
 
 
-def _riemann_scan(R: Dict[Tuple[int, ...], int], n: int, limit: int) -> List[str]:
+# the positions whose tested relations read a given entry of R: the entry,
+# its two pair swaps, its pair exchange and its two Bianchi preimages; of T:
+# the entry and its two transpositions
+_R_READERS = tuple(itemgetter(*p) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2),
+                                            (2, 3, 0, 1), (0, 3, 1, 2), (0, 2, 3, 1)))
+_T_READERS = tuple(itemgetter(*p) for p in ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+
+
+def _riemann_scan(R: Dict[Tuple[int, ...], int], limit: int) -> List[str]:
     """The violated pair symmetries and Bianchi sums of the int entries R,
-    in lexicographic order of position, at most ``limit`` of them.
+    in lexicographic order of position, at most ``limit`` (>= 1) of them.
 
     Every relation tested holds trivially where all its entries are zero,
-    so one pass over the nonzero entries decides whether any fails; the
-    lexicographic scan over all n^4 positions runs only then."""
+    so one pass over the nonzero entries decides whether any fails; only
+    then are the positions whose relations read a nonzero entry named, in
+    sorted order."""
     at = R.get
     if all(x == -at((b, a, c, d), 0) and x == -at((a, b, d, c), 0)
            and x == at((c, d, a, b), 0)
@@ -390,43 +417,37 @@ def _riemann_scan(R: Dict[Tuple[int, ...], int], n: int, limit: int) -> List[str
            for (a, b, c, d), x in R.items()):
         return []
     out: List[str] = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    x = at((a, b, c, d), 0)
-                    if x != -at((b, a, c, d), 0):
-                        out.append(f"R pair antisymmetry (first pair) at ({a},{b},{c},{d})")
-                    if x != -at((a, b, d, c), 0):
-                        out.append(f"R pair antisymmetry (second pair) at ({a},{b},{c},{d})")
-                    if x != at((c, d, a, b), 0):
-                        out.append(f"R pair-exchange symmetry at ({a},{b},{c},{d})")
-                    if x + at((a, c, d, b), 0) + at((a, d, b, c), 0):
-                        out.append(f"first Bianchi identity at ({a},{b},{c},{d})")
-                    if len(out) >= limit:
-                        return out
+    for a, b, c, d in sorted({get(key) for key in R for get in _R_READERS}):
+        x = at((a, b, c, d), 0)
+        if x != -at((b, a, c, d), 0):
+            out.append(f"R pair antisymmetry (first pair) at ({a},{b},{c},{d})")
+        if x != -at((a, b, d, c), 0):
+            out.append(f"R pair antisymmetry (second pair) at ({a},{b},{c},{d})")
+        if x != at((c, d, a, b), 0):
+            out.append(f"R pair-exchange symmetry at ({a},{b},{c},{d})")
+        if x + at((a, c, d, b), 0) + at((a, d, b, c), 0):
+            out.append(f"first Bianchi identity at ({a},{b},{c},{d})")
+        if len(out) >= limit:
+            return out
     return out
 
 
 def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
     """The positions where T is not totally antisymmetric, in lexicographic
-    order, at most ``limit`` of them; decided first over the nonzero
-    entries, as in ``_riemann_scan``."""
-    n = len(T)
+    order, at most ``limit`` (>= 1) of them; decided first over the
+    nonzero entries, as in ``_riemann_scan``."""
     entries = _integer_form(_nonzero(T))[0]
     at = entries.get
     if all(x == -at((j, a, l), 0) and x == -at((a, l, j), 0)
            for (a, j, l), x in entries.items()):
         return []
     out: List[str] = []
-    for a in range(n):
-        for j in range(n):
-            for l in range(n):
-                x = at((a, j, l), 0)
-                if x != -at((j, a, l), 0) or x != -at((a, l, j), 0):
-                    out.append(f"{name} total antisymmetry at ({a},{j},{l})")
-                if len(out) >= limit:
-                    return out
+    for a, j, l in sorted({get(key) for key in entries for get in _T_READERS}):
+        x = at((a, j, l), 0)
+        if x != -at((j, a, l), 0) or x != -at((a, l, j), 0):
+            out.append(f"{name} total antisymmetry at ({a},{j},{l})")
+            if len(out) >= limit:
+                return out
     return out
 
 
@@ -450,41 +471,25 @@ def validate_symmetries(jet: PointJet) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def jet_to_dict(jet: PointJet) -> dict:
-    n = jet.n
-    R_entries = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                for d in range(c + 1, n):
-                    if (a, b) <= (c, d) and jet.R[a][b][c][d]:
-                        R_entries.append([a + 1, b + 1, c + 1, d + 1,
-                                          format_rational(jet.R[a][b][c][d])])
-    T_entries = []
-    dT_entries = []
-    for a in range(n):
-        for j in range(a + 1, n):
-            for l in range(j + 1, n):
-                if jet.T[a][j][l]:
-                    T_entries.append([a + 1, j + 1, l + 1,
-                                      format_rational(jet.T[a][j][l])])
-                for b in range(n):
-                    if jet.dT1[b][a][j][l]:
-                        dT_entries.append([b + 1, a + 1, j + 1, l + 1,
-                                           format_rational(jet.dT1[b][a][j][l])])
+    """The instance JSON of ``jet``: of each orbit of nonzero R, T and dT1
+    entries, the representative with increasing pairs (R) or form slots,
+    in lexicographic order; dT1 entries are ordered by their form slots
+    first."""
+    R, T, dT1 = (_nonzero(x) for x in (jet.R, jet.T, jet.dT1))
+
+    def listed(entries, keys):
+        return [[*(i + 1 for i in key), format_rational(entries[key])] for key in keys]
     return {
         "schema": "wres-torsion-instance-v1",
-        "n": n,
-        "R": R_entries,
-        "T": T_entries,
-        "dT1": dT_entries,
+        "n": jet.n,
+        "R": listed(R, [k for k in R if k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:]]),
+        "T": listed(T, [k for k in T if k[0] < k[1] < k[2]]),
+        "dT1": listed(dT1, sorted((k for k in dT1 if k[1] < k[2] < k[3]),
+                                  key=lambda k: (k[1:], k[0]))),
         "v": [format_rational(x) for x in jet.v],
         "w": [format_rational(x) for x in jet.w],
         "dw": [[format_rational(x) for x in row] for row in jet.dw],
     }
-
-
-class InstanceError(ValueError):
-    """Raised when a serialized instance is malformed or inconsistent."""
 
 
 def jet_from_dict(data: dict) -> PointJet:
@@ -492,7 +497,8 @@ def jet_from_dict(data: dict) -> PointJet:
 
     Sparse R/T/dT1 entries are completed by symmetry; entries whose orbits
     collide with a different value are rejected, as is any tensor that fails
-    validation after completion.  Any malformed value raises InstanceError.
+    validation after completion.  A missing or null R, T, dT1 or dw is
+    empty; any other malformed value raises InstanceError naming the field.
     """
     try:
         raw_n = data["n"]
@@ -501,75 +507,36 @@ def jet_from_dict(data: dict) -> PointJet:
     n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")
-    m = n // 2
-
-    R = _zeros(n, n, n, n)
-    seen: Dict[Tuple[int, int, int, int], Fraction] = {}
-    for a, b, c, d, val in _entries(data, "R", 4, n):
-        for (p, q, r, s), sign in _riemann_orbit(a, b, c, d):
-            value = sign * val
-            if seen.get((p, q, r, s), value) != value:
-                raise InstanceError(
-                    f"R entries conflict by symmetry at ({p+1},{q+1},{r+1},{s+1})")
-            seen[(p, q, r, s)] = value
-            R[p][q][r][s] = value
-
-    T = _zeros(n, n, n)
-    seen3: Dict[Tuple[int, int, int], Fraction] = {}
-    for a, j, l, val in _entries(data, "T", 3, n):
-        _complete_antisym3(T, seen3, a, j, l, val, "T")
-
-    dT1 = _zeros(n, n, n, n)
-    seen_dt: Dict[int, Dict[Tuple[int, int, int], Fraction]] = {}
-    for b, a, j, l, val in _entries(data, "dT1", 4, n):
-        _complete_antisym3(dT1[b], seen_dt.setdefault(b, {}), a, j, l, val,
-                           f"dT1[{b+1}]")
-
+    R = _complete("R", _entries(data, "R", 4, n), n)
+    T = _complete("T", _entries(data, "T", 3, n), n)
+    dT1 = _complete("dT1", _entries(data, "dT1", 4, n), n)
     v = _vector(data.get("v"), n, "v")
     w = _vector(data.get("w"), n, "w")
-    dw_raw = data.get("dw") or [[0] * n for _ in range(n)]
-    if not (isinstance(dw_raw, list) and len(dw_raw) == n and all(
-            isinstance(row, list) and len(row) == n for row in dw_raw)):
+    dw = data.get("dw")
+    if dw is None:
+        dw = [[0] * n] * n
+    if not (isinstance(dw, list) and len(dw) == n and all(
+            isinstance(row, list) and len(row) == n for row in dw)):
         raise InstanceError(f"dw must be a dense {n}x{n} matrix")
-    dw = [[_rational(x, "dw") for x in row] for row in dw_raw]
-
-    jet = PointJet(m=m, R=_freeze(R), T=_freeze(T), dT1=_freeze(dT1),
-                   v=v, w=w, dw=_freeze(dw))
-    report = validate_symmetries(jet)
-    if not report.ok:
-        raise InstanceError(report.violations[0])
-    return jet
+    return _admissible(_point_jet(n // 2, R, T, dT1, v, w,
+                                  [[_rational(x, "dw") for x in row] for row in dw]))
 
 
 def _entries(data: dict, name: str, indices: int, n: int):
-    """The sparse entries [i_1, .., i_k, value] of one tensor field, as
-    0-based indices plus an exact value; a missing or null field is empty."""
-    raw = data.get(name) or []
+    """The sparse entries [i_1, .., i_k, value] of one tensor field, as a
+    0-based index tuple and an exact value; a missing or null field is
+    empty."""
+    raw = data.get(name)
+    if raw is None:
+        raw = []
     if not isinstance(raw, list):
         raise InstanceError(f"{name} must be a list of entries")
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == indices + 1):
             raise InstanceError(f"{name} entry {entry!r} must be a list of "
                                 f"{indices} indices and a value")
-        yield (*(_index(x, n, name) for x in entry[:indices]),
+        yield (tuple(_index(x, n, name) for x in entry[:indices]),
                _rational(entry[indices], name))
-
-
-def _complete_antisym3(tensor, seen, a, j, l, val, name):
-    if len({a, j, l}) < 3:
-        if val:
-            raise InstanceError(f"{name} entry with repeated index "
-                                f"({a+1},{j+1},{l+1}) must be zero")
-        return
-    for perm, sign in (((a, j, l), 1), ((j, l, a), 1), ((l, a, j), 1),
-                       ((a, l, j), -1), ((j, a, l), -1), ((l, j, a), -1)):
-        value = sign * val
-        if seen.get(perm, value) != value:
-            p, q, r = perm
-            raise InstanceError(
-                f"{name} entries conflict by antisymmetry at ({p+1},{q+1},{r+1})")
-        seen[perm] = value
-        tensor[perm[0]][perm[1]][perm[2]] = value
 
 
 def _integer(raw, what: str) -> int:

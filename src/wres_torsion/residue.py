@@ -48,6 +48,7 @@ from .geometry import DerivedScalars, PointJet, derived_scalars
 from .numerics import GaussianRational, format_rational
 from .symbols import (
     SymbolExpr,
+    _check_dim,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
     build_sigma_delta_inv_parts,
@@ -220,10 +221,12 @@ class PipelineContext:
     and the table alpha -> d_x^alpha sigma_Delta |x0 (|alpha| <= 2) that
     every Leibniz sum of part 2 reads.  One public call (a density, a
     closed form, ``audit``, one jet of a CLI command) makes one context and
-    drops it when it returns; nothing is cached across calls.
+    drops it when it returns; nothing is cached across calls.  A jet whose
+    dimension is not 2m is rejected here, before any field is built.
     """
 
     def __init__(self, jet: PointJet, m: int):
+        _check_dim(jet, m)
         self.jet, self.m, self.n = jet, m, jet.n
 
     @cached_property

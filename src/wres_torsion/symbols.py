@@ -354,10 +354,6 @@ TORSION_PREFACTOR = {
     "first_principles": Fraction(9, 2),
 }
 
-# Torsion coefficient of the operator's own definition (the difference from
-# the Levi-Civita Dirac operator), per increasing triple; audit material.
-DIRAC_DEFINITION_PREFACTOR = Fraction(3, 2)
-
 
 def _unit(n: int, j: int) -> Deg:
     return tuple(1 if i == j else 0 for i in range(n))
@@ -445,41 +441,19 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     return sigma1, sigma0
 
 
-def _vector_symbol(jet: PointJet, which: str) -> SymbolExpr:
-    """c(v) (constant) or c(w(x)) carrying w's first jet."""
-    n = jet.n
-    if which == "v":
-        return _sym(CliffordElement.from_vector(n, jet.v))
-    return SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
-        _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
-        for j, row in enumerate(jet.dw)])
-
-
-def build_sigma_a(jet: PointJet, variant: str = "printed"
-                  ) -> Tuple[SymbolExpr, SymbolExpr]:
-    """Symbols of c(v) D_T: left Clifford multiplication by constant c(v)."""
-    s1, s0 = build_sigma_dt(jet, variant)
-    cv = _vector_symbol(jet, "v")
-    return cv * s1, cv * s0
-
-
-def build_sigma_b(jet: PointJet, variant: str = "printed"
-                  ) -> Tuple[SymbolExpr, SymbolExpr]:
-    """Symbols of c(w) D_T, carrying w's first x-jet."""
-    s1, s0 = build_sigma_dt(jet, variant)
-    cw = _vector_symbol(jet, "w")
-    return cw * s1, cw * s0
-
-
 def build_sigma_ab_composed(jet: PointJet, variant: str = "printed"
                             ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
     formula; sigma(D_T) is built once for both factors."""
-    s1, s0 = build_sigma_dt(jet, variant)
-    sigma = s1 + s0
-    full = leibniz_compose_at_x0(_vector_symbol(jet, "v") * sigma,
-                                 _vector_symbol(jet, "w") * sigma, alpha_max=2)
+    n = jet.n
+    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet, variant))
+    cv = _sym(CliffordElement.from_vector(n, jet.v))
+    # c(w(x)) carries w's first jet
+    cw = SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
+        _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
+        for j, row in enumerate(jet.dw)])
+    full = leibniz_compose_at_x0(cv * sigma, cw * sigma, alpha_max=2)
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 

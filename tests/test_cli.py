@@ -199,6 +199,24 @@ def test_density_malformed_input_exits_2(tmp_path, capsys, field, value, reason)
     assert reason in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value,reason", [
+    ("R", 0, "R must be a list of entries"),
+    ("T", False, "T must be a list of entries"),
+    ("dT1", {}, "dT1 must be a list of entries"),
+    ("R", "", "R must be a list of entries"),
+    ("dw", 0, "dw must be a dense 4x4 matrix"),
+    ("dw", [], "dw must be a dense 4x4 matrix"),
+])
+def test_density_falsy_field_exits_2(tmp_path, capsys, field, value, reason):
+    # only a missing or null field reads as empty
+    code, out, err = _density_with(tmp_path, capsys, field, value)
+    assert code == 2
+    assert out == ""
+    assert f"invalid instance: {reason}" in err and "Traceback" not in err
+    code, _, _ = _density_with(tmp_path, capsys, field, None)
+    assert code == 0
+
+
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     target = str(tmp_path / "missing" / "out.json")
     code, _, err = _density_with(tmp_path, capsys, "v", [1, 0, 0, 0],

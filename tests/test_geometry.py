@@ -17,6 +17,8 @@ from wres_torsion.geometry import (
     InstanceError,
     PointJet,
     _antisym3_violations,
+    _complete,
+    _dense,
     _riemann_violations,
     dT_four_form,
     derived_scalars,
@@ -29,6 +31,7 @@ from wres_torsion.geometry import (
     validate_symmetries,
     zero_point_jet,
 )
+from wres_torsion.numerics import format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,8 @@ def _sparse_violations(m):
                ((0, 1, 0, 1), (0, 1, 2, 3), (1, 0, 0, 1), (0, 0, 1, 1), (n - 1, 2, 1, 0))]
     orbit = make_point_jet(m, R=[(0, 1, 0, 2, 1)]).R
     riemann += [_with_entry(orbit, (0, 2, 0, 1), 0), _with_entry(orbit, (1, 0, 2, 0), 0)]
-    riemann.append(make_point_jet(m, R=[(0, 1, 2, 3, 1)]).R)
+    # make_point_jet rejects this orbit, so it is completed here unchecked
+    riemann.append(_dense(_complete("R", [((0, 1, 2, 3), Fraction(1))], n), n, 4))
     torsion = [_with_entry(zero.T, idx, 1) for idx in ((0, 1, 2), (2, 1, 0), (1, 1, 2))]
     torsion.append(_with_entry(make_point_jet(m, T=[(0, 1, 2, 1)]).T, (2, 0, 1), 0))
     # antisymmetric in the first or in the last two slots only
@@ -472,6 +476,58 @@ def test_roundtrip_byte_identical():
     assert blob == again
 
 
+# The serializer before the sparse rewrite: a dense walk over every
+# increasing representative.  It stays here as the oracle of ``jet_to_dict``.
+
+def _jet_to_dict_dense(jet: PointJet) -> dict:
+    n = jet.n
+    R_entries = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                for d in range(c + 1, n):
+                    if (a, b) <= (c, d) and jet.R[a][b][c][d]:
+                        R_entries.append([a + 1, b + 1, c + 1, d + 1,
+                                          format_rational(jet.R[a][b][c][d])])
+    T_entries = []
+    dT_entries = []
+    for a in range(n):
+        for j in range(a + 1, n):
+            for l in range(j + 1, n):
+                if jet.T[a][j][l]:
+                    T_entries.append([a + 1, j + 1, l + 1,
+                                      format_rational(jet.T[a][j][l])])
+                for b in range(n):
+                    if jet.dT1[b][a][j][l]:
+                        dT_entries.append([b + 1, a + 1, j + 1, l + 1,
+                                           format_rational(jet.dT1[b][a][j][l])])
+    return {
+        "schema": "wres-torsion-instance-v1",
+        "n": n,
+        "R": R_entries,
+        "T": T_entries,
+        "dT1": dT_entries,
+        "v": [format_rational(x) for x in jet.v],
+        "w": [format_rational(x) for x in jet.w],
+        "dw": [[format_rational(x) for x in row] for row in jet.dw],
+    }
+
+
+def test_jet_to_dict_matches_dense_oracle():
+    jets = [random_point_jet(seed, m) for m in (1, 2, 3) for seed in range(4)]
+    for m in (1, 2, 3):
+        jets.append(zero_point_jet(m))
+        for channel in ("with_curvature", "with_torsion", "with_torsion_jet",
+                        "with_w_jet"):
+            off = dict.fromkeys(("with_curvature", "with_torsion",
+                                 "with_torsion_jet", "with_w_jet"), False)
+            jets.append(random_point_jet(m + 5, m, **{**off, channel: True}))
+    jets += list(_one_channel_jets(2)) + list(_one_channel_jets(3))
+    for jet in jets:
+        assert jet_to_dict(jet) == _jet_to_dict_dense(jet)
+    assert sum(bool(jet_to_dict(j)["dT1"]) for j in jets) > 10
+
+
 def test_sparse_symmetry_completion():
     data = {"n": 4, "R": [[1, 2, 1, 2, "1"]], "T": [[1, 2, 3, "1/2"]],
             "dT1": [], "v": ["1", "0", "0", "0"], "w": ["0", "1", "0", "0"],
@@ -533,6 +589,34 @@ def test_non_integral_numbers_rejected_not_truncated(fields, reason):
     assert str(err.value) == reason
 
 
+@pytest.mark.parametrize("value", [0, False, {}, ""])
+@pytest.mark.parametrize("name,reason", [
+    ("R", "R must be a list of entries"),
+    ("T", "T must be a list of entries"),
+    ("dT1", "dT1 must be a list of entries"),
+    ("dw", "dw must be a dense 4x4 matrix"),
+])
+def test_falsy_fields_rejected_not_read_as_empty(name, reason, value):
+    with pytest.raises(InstanceError) as err:
+        jet_from_dict(_instance(**{name: value}))
+    assert str(err.value) == reason
+
+
+def test_empty_dw_list_rejected_not_read_as_zero():
+    with pytest.raises(InstanceError) as err:
+        jet_from_dict(_instance(dw=[]))
+    assert str(err.value) == "dw must be a dense 4x4 matrix"
+
+
+def test_missing_or_null_fields_are_empty():
+    empty = jet_from_dict(_instance(R=[], T=[], dT1=[], dw=[[0] * 4] * 4))
+    for name in ("R", "T", "dT1", "dw"):
+        missing = _instance(R=[], T=[], dT1=[])
+        del missing[name]
+        assert jet_from_dict(missing) == empty
+        assert jet_from_dict({**missing, name: None}) == empty
+
+
 def test_integral_numbers_parse_as_before():
     as_floats = _instance(n=4.0, R=[[1.0, 2, 1, 2.0, "1"]], T=[[1, 2.0, 3, "1"]],
                           dT1=[[1, 2, 3.0, 4, "1/2"]])
@@ -564,3 +648,71 @@ def test_any_json_value_parses_or_raises_instance_error(data):
         return
     assert isinstance(jet, PointJet)
 
+
+
+# ---------------------------------------------------------------------------
+# make_point_jet: the same completion and checks as jet_from_dict
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entries,reason", [
+    (dict(R=[(0, 1, 0, 1, 1), (1, 0, 0, 1, 1)]),
+     "R entries conflict by symmetry at (2,1,1,2)"),
+    (dict(R=[(0, 1, 2, 3, 1)]), "first Bianchi identity at (0,1,2,3)"),
+    (dict(R=[(0, 0, 1, 2, 1)]), "R pair antisymmetry (first pair) at (0,0,1,2)"),
+    (dict(T=[(0, 0, 1, 1)]), "T entry with repeated index (1,1,2) must be zero"),
+    (dict(T=[(0, 1, 2, 1), (1, 0, 2, 1)]), "T entries conflict by antisymmetry at (2,1,3)"),
+    (dict(dT1=[(1, 2, 2, 3, -1)]), "dT1[2] entry with repeated index (3,3,4) must be zero"),
+    (dict(T=[(0, 1, 4, 1)]), "T index (0, 1, 4) outside 0..3"),
+    (dict(v=[1, 0, 0]), "v/w/dw dimension mismatch"),
+])
+def test_make_point_jet_rejects_malformed_entries(entries, reason):
+    with pytest.raises(InstanceError) as err:
+        make_point_jet(2, **entries)
+    assert str(err.value) == reason
+
+
+def test_make_point_jet_skips_zero_repeated_torsion_entry():
+    assert make_point_jet(2, T=[(0, 0, 1, 0)]) == make_point_jet(2)
+
+
+_values = st.sampled_from([Fraction(1), Fraction(-1), Fraction(0), Fraction(2, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_make_point_jet_agrees_with_jet_from_dict(data):
+    """0-based entries through make_point_jet give the jet that jet_from_dict
+    gives on the same entries written 1-based, or the same InstanceError."""
+    m = data.draw(st.sampled_from([1, 2, 3]))
+    n = 2 * m
+    index = st.integers(0, n - 1)
+    # entries often on increasing R pairs and distinct torsion slots, so
+    # that some jets pass and some conflict by symmetry
+    pair = st.tuples(index, index).map(sorted)
+    triple = st.permutations(range(n)).map(lambda p: p[:3]) if n > 2 else st.nothing()
+    R = data.draw(st.lists(st.tuples(index, index, index, index, _values)
+                           | st.tuples(pair, pair, _values).map(
+                               lambda e: (*e[0], *e[1], e[2])), max_size=4))
+    T = data.draw(st.lists(st.tuples(index, index, index, _values)
+                           | st.tuples(triple, _values).map(lambda e: (*e[0], e[1])),
+                           max_size=4))
+    dT1 = data.draw(st.lists(st.tuples(index, index, index, index, _values)
+                             | st.tuples(index, triple, _values).map(
+                                 lambda e: (e[0], *e[1], e[2])), max_size=4))
+    v, w = (data.draw(st.lists(_values, min_size=n, max_size=n)) for _ in "vw")
+    dw = data.draw(st.lists(st.lists(_values, min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    on_disk = {"n": n, "v": [format_rational(x) for x in v],
+               "w": [format_rational(x) for x in w],
+               "dw": [[format_rational(x) for x in row] for row in dw]}
+    for name, entries in (("R", R), ("T", T), ("dT1", dT1)):
+        on_disk[name] = [[*(i + 1 for i in e[:-1]), format_rational(e[-1])]
+                         for e in entries]
+    try:
+        expected = jet_from_dict(on_disk)
+    except InstanceError as exc:
+        with pytest.raises(InstanceError) as err:
+            make_point_jet(m, R=R, T=T, dT1=dT1, v=v, w=w, dw=dw)
+        assert str(err.value) == str(exc)
+    else:
+        assert make_point_jet(m, R=R, T=T, dT1=dT1, v=v, w=w, dw=dw) == expected

@@ -299,6 +299,20 @@ def test_part2_via_generic_pipeline():
     assert generic == part2_density(jet, m, "printed").value
 
 
+@pytest.mark.parametrize("compute", [
+    metric_density, part1_density, part1_closed, part2_density,
+    lambda jet, m: part2_density(jet, m, "composed"), part2_closed,
+    theorem_density, audit,
+])
+def test_dimension_mismatch_rejected(compute):
+    # every closed form too: they read only derived scalars, which exist
+    # for any n, so without the check they would return a wrong value
+    for jet, m in ((random_point_jet(0, 3), 2), (random_point_jet(0, 2), 3)):
+        with pytest.raises(ValueError) as err:
+            compute(jet, m)
+        assert str(err.value) == f"jet dimension n={jet.n} does not match m={m}"
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_theorem_end_to_end(m):
     for seed in range(3):

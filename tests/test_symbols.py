@@ -158,13 +158,16 @@ def test_compose_xi_independent_left_is_product():
 
 
 def test_compose_at_x0_matches_generic():
+    # the two factors c(v) D_T and c(w) D_T of the product symbol, w with its jet
+    def c(vector, xdeg=Z):
+        return SymbolExpr.from_clifford(CliffordElement.from_vector(N, vector), xdeg=xdeg)
+
     jet = random_point_jet(4, 2)
-    from wres_torsion.symbols import build_sigma_a, build_sigma_b
-    s1a, s0a = build_sigma_a(jet)
-    s1b, s0b = build_sigma_b(jet)
-    generic = at_x0(leibniz_compose(s1a + s0a, s1b + s0b, 2))
-    fast = leibniz_compose_at_x0(s1a + s0a, s1b + s0b, 2)
-    assert generic == fast
+    sigma = SymbolExpr.sum_of(N, build_sigma_dt(jet))
+    cw = SymbolExpr.sum_of(N, [c(jet.w)] + [c(row, _unit(j))
+                                            for j, row in enumerate(jet.dw)])
+    left, right = c(jet.v) * sigma, cw * sigma
+    assert at_x0(leibniz_compose(left, right, 2)) == leibniz_compose_at_x0(left, right, 2)
 
 
 # ---------------------------------------------------------------------------
