@@ -122,7 +122,7 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
                 if not _is_scalar_matrix(prod_ij, target):
                     anti_ok = False
         trace_id = trace(CliffordElement.identity(n), m)
-        ok_m = anti_ok and trace_id == GaussianRational(1 << m)
+        ok_m = anti_ok and trace_id == 1 << m
         rng = random.Random(f"clifford:{cfg.seed}:{m}")
         oracle_ok = True
         for _ in range(max(cfg.trials, 10)):
@@ -218,9 +218,9 @@ def check_traces(cfg: RunConfig) -> CheckResult:
                     if j == l:
                         continue
                     t4 = trace(cv * cw * gens[j] * gens[l], m)
-                    if t4 != GaussianRational((v[j] * w[l] + v[l] * w[j]) * scale):
+                    if t4 != (v[j] * w[l] + v[l] * w[j]) * scale:
                         four_printed_ok = False
-                    if t4 != GaussianRational((-v[j] * w[l] + v[l] * w[j]) * scale):
+                    if t4 != (-v[j] * w[l] + v[l] * w[j]) * scale:
                         four_corrected_ok = False
             for j in range(n):
                 for l in range(n):
@@ -233,7 +233,7 @@ def check_traces(cfg: RunConfig) -> CheckResult:
                             t6 = trace(cv * cw * gens[j] * gens[l]
                                        * gens[jh] * gens[lh], m)
                             br = _six_bracket(v, w, g_vw, j, l, jh, lh)
-                            if t6 != GaussianRational(br * scale):
+                            if t6 != br * scale:
                                 six_ok = False
             rngx = random.Random(f"eight:{cfg.seed}:{m}:{trial}")
             for _ in range(4):
@@ -241,12 +241,12 @@ def check_traces(cfg: RunConfig) -> CheckResult:
                 x_elem = CliffordElement.identity(n)
                 for idx in word:
                     x_elem = x_elem * gens[idx - 1]
-                lhs = GaussianRational(0)
+                lhs = Fraction(0)
                 for f in range(n):
                     lhs = lhs + trace(cv * gens[f] * cw * gens[f] * x_elem, m)
                 rhs = trace(cv * cw * x_elem, m) * (2 * m)
                 for f in range(n):
-                    rhs = rhs - trace(cv * gens[f] * x_elem, m) * GaussianRational(2 * w[f])
+                    rhs = rhs - trace(cv * gens[f] * x_elem, m) * (2 * w[f])
                 if lhs != rhs:
                     eight_ok = False
     rows.append({"six_factor": six_ok, "eight_factor": eight_ok,

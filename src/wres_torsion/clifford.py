@@ -7,8 +7,11 @@ Generators c_1 .. c_n obey
 so c_i^2 = -1 and distinct generators anticommute.  A basis word is a
 product of distinct generators in strictly increasing index order, encoded
 as a bitmask (bit k <-> c_{k+1}); the empty word is the identity.  Elements
-are finite linear combinations over Gaussian rationals with no stored zero
-coefficients, making element equality a plain map comparison.
+are finite linear combinations with exact coefficients and no stored zeros,
+making element equality a plain map comparison.  The class does not care
+which exact scalars it holds: the engine's builders give it rational
+``Fraction`` coefficients, and only the gamma-matrix oracle and its checks
+feed it ``GaussianRational`` ones.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
@@ -20,6 +23,7 @@ grown by iterated tensor products from a 2x2 seed pair, entries always in
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .numerics import GaussianRational, I, ONE, ZERO
@@ -27,6 +31,17 @@ from .numerics import GaussianRational, I, ONE, ZERO
 Word = int  # bitmask encoding of a canonical word
 
 _SIGN_TABLES: Dict[int, List[List[int]]] = {}
+_PARITY_TABLES: Dict[int, List[List[bool]]] = {}
+
+
+def _swaps(a: Word, b: Word) -> int:
+    """Transpositions that interleave the generators of b into a."""
+    swaps = 0
+    while b:
+        low = b & -b
+        swaps += (a >> low.bit_length()).bit_count()
+        b ^= low
+    return swaps
 
 
 def blade_mul(a: Word, b: Word) -> Tuple[int, Word]:
@@ -35,17 +50,7 @@ def blade_mul(a: Word, b: Word) -> Tuple[int, Word]:
     Sign = transposition parity of interleaving b into a, times (-1) per
     common generator (each c_i^2 = -1).
     """
-    swaps = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        i = low.bit_length() - 1
-        swaps += (a >> (i + 1)).bit_count()
-        bb ^= low
-    sign = -1 if swaps & 1 else 1
-    if (a & b).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    return (-1 if (_swaps(a, b) + (a & b).bit_count()) & 1 else 1), a ^ b
 
 
 def _sign_table(n: int) -> List[List[int]]:
@@ -54,6 +59,17 @@ def _sign_table(n: int) -> List[List[int]]:
         size = 1 << n
         table = [[blade_mul(a, b)[0] for b in range(size)] for a in range(size)]
         _SIGN_TABLES[n] = table
+    return table
+
+
+def _parity_table(n: int) -> List[List[bool]]:
+    """[a][b]: interleaving word b into word a takes an odd number of
+    transpositions (the sign of ``blade_mul`` without the c_i^2 factors)."""
+    table = _PARITY_TABLES.get(n)
+    if table is None:
+        size = 1 << n
+        table = [[bool(_swaps(a, b) & 1) for b in range(size)] for a in range(size)]
+        _PARITY_TABLES[n] = table
     return table
 
 
@@ -76,7 +92,7 @@ def word_from_indices(indices: Iterable[int]) -> Word:
     return mask
 
 
-def canonicalize(indices: Sequence[int], n: int) -> Tuple[GaussianRational, Tuple[int, ...]]:
+def canonicalize(indices: Sequence[int], n: int) -> Tuple[Fraction, Tuple[int, ...]]:
     """Reduce a raw generator product to (sign, canonical word).
 
     ``indices`` may repeat and be unordered; rewriting uses c_i c_j = -c_j c_i
@@ -89,17 +105,17 @@ def canonicalize(indices: Sequence[int], n: int) -> Tuple[GaussianRational, Tupl
             raise ValueError(f"generator index {i} outside 1..{n}")
         s, mask = blade_mul(mask, 1 << (i - 1))
         sign *= s
-    return (ONE if sign > 0 else -ONE), word_indices(mask)
+    return Fraction(sign), word_indices(mask)
 
 
 class CliffordElement:
-    """Linear combination of canonical words over GaussianRational."""
+    """Linear combination of canonical words with exact coefficients."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[Word, GaussianRational] | None = None):
+    def __init__(self, n: int, terms: Dict[Word, object] | None = None):
         self.n = n
-        self.terms: Dict[Word, GaussianRational] = {}
+        self.terms: Dict[Word, object] = {}
         if terms:
             for word, coeff in terms.items():
                 if coeff:
@@ -113,27 +129,23 @@ class CliffordElement:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordElement":
-        return cls(n, {0: ONE})
+        return cls(n, {0: Fraction(1)})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "CliffordElement":
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} outside 1..{n}")
-        return cls(n, {1 << (i - 1): ONE})
+        return cls(n, {1 << (i - 1): Fraction(1)})
 
     @classmethod
     def from_vector(cls, n: int, coeffs: Sequence) -> "CliffordElement":
         """c(v) for v = sum v_i e_i; coeffs are rationals (length n)."""
-        terms: Dict[Word, GaussianRational] = {}
-        for i, c in enumerate(coeffs):
-            g = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            if g:
-                terms[1 << i] = g
-        return cls(n, terms)
+        return cls(n, {1 << i: c if isinstance(c, Fraction) else Fraction(c)
+                       for i, c in enumerate(coeffs) if c})
 
     @classmethod
     def from_word(cls, n: int, indices: Sequence[int],
-                  coeff: GaussianRational = ONE) -> "CliffordElement":
+                  coeff=Fraction(1)) -> "CliffordElement":
         sign, word = canonicalize(indices, n)
         return cls(n, {word_from_indices(word): sign * coeff})
 
@@ -147,7 +159,8 @@ class CliffordElement:
         self._check(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = terms.get(word, ZERO) + coeff
+            prev = terms.get(word)
+            acc = coeff if prev is None else prev + coeff
             if acc:
                 terms[word] = acc
             else:
@@ -165,16 +178,15 @@ class CliffordElement:
         return out
 
     def scale(self, scalar) -> "CliffordElement":
-        s = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
         out = CliffordElement(self.n)
-        if s:
-            out.terms = {w: c * s for w, c in self.terms.items()}
+        if scalar:
+            out.terms = {w: c * scalar for w, c in self.terms.items()}
         return out
 
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
         sign = _sign_table(self.n)
-        acc: Dict[Word, GaussianRational] = {}
+        acc: Dict[Word, object] = {}
         for wa, ca in self.terms.items():
             row = sign[wa]
             for wb, cb in other.terms.items():
@@ -209,11 +221,12 @@ def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return a * b
 
 
-def trace(a: CliffordElement, m: int) -> GaussianRational:
-    """Spinor trace over n = 2m: 2^m times the identity coefficient."""
+def trace(a: CliffordElement, m: int):
+    """Spinor trace over n = 2m: 2^m times the identity coefficient (a
+    scalar of the element's coefficient type; ``Fraction(0)`` when absent)."""
     if a.n != 2 * m:
         raise ValueError(f"element over n={a.n} traced with m={m}")
-    return a.terms.get(0, ZERO) * (1 << m)
+    return a.terms.get(0, Fraction(0)) * (1 << m)
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,16 @@ def _small_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
+def _check_supported(m: int) -> None:
+    if m not in SUPPORTED_M:
+        raise ValueError(f"unsupported half-dimension m={m}; supported: {SUPPORTED_M}")
+
+
 def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
                      with_torsion: bool = True, with_torsion_jet: bool = True,
                      with_w_jet: bool = True) -> PointJet:
     """Deterministic admissible jet for (seed, m); channels can be zeroed."""
-    if m not in SUPPORTED_M:
-        raise ValueError(f"unsupported half-dimension m={m}; supported: {SUPPORTED_M}")
+    _check_supported(m)
     n = 2 * m
     rng = random.Random(f"wres:{seed}:{m}")
 
@@ -204,8 +208,9 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
 
 
 def zero_point_jet(m: int) -> PointJet:
-    return random_point_jet(0, m, with_curvature=False, with_torsion=False,
-                            with_torsion_jet=False, with_w_jet=False)
+    """The all-zero jet: flat, torsion-free, with v = w = 0 and dw = 0."""
+    _check_supported(m)
+    return make_point_jet(m)
 
 
 def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,

@@ -1,10 +1,16 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
-Every coefficient in the engine is a complex number ``a + b*i`` with
-rational ``a``, ``b``.  Exactness is non-negotiable: intermediate symbol
-coefficients overflow 64-bit ranges already for half-dimension m = 3, so
-both components are arbitrary-precision ``fractions.Fraction`` values.
-``Fraction`` already maintains the normal form gcd(|p|, q) = 1, q > 0.
+Exactness is non-negotiable: intermediate symbol coefficients overflow
+64-bit ranges already for half-dimension m = 3, so every scalar is built
+from arbitrary-precision ``fractions.Fraction`` values, which already keep
+the normal form gcd(|p|, q) = 1, q > 0.
+
+The engine computes in rationals.  A symbol coefficient is purely real or
+purely imaginary, and its phase follows from its key (see ``symbols``), so
+a symbol term stores one ``Fraction``.  ``GaussianRational`` (``a + b*i``
+with rational ``a``, ``b``) is the exact complex scalar of the gamma-matrix
+oracle, whose matrices have entries in {0, +-1, +-i}, and the type in which
+a symbol's exact complex coefficients are given and read back.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .clifford import CliffordElement, blade_mul
+from .clifford import CliffordElement, _parity_table
 from .geometry import DerivedScalars, PointJet, derived_scalars
-from .numerics import GaussianRational, format_rational
+from .numerics import format_rational
 from .symbols import (
     SymbolExpr,
     _check_dim,
@@ -141,29 +141,46 @@ class PipelineError(ValueError):
     """Internal consistency violation in a trace-integral pipeline."""
 
 
-def trace_integral(expr: SymbolExpr, m: int) -> Density:
-    """Integrate tr[expr]/2^m over the unit cosphere, exactly.
-
-    Requires an x-independent expression of pure xi-homogeneity -2m; the
-    norm factors are 1 on the sphere.  A nonzero imaginary part signals a
-    pipeline bug and raises.
-    """
-    n = expr.n
-    total = GaussianRational(0)
-    for (xdeg, xideg, p, word), coeff in expr.terms.items():
+def _require_traceable(expr: SymbolExpr, m: int) -> None:
+    """Raise unless every term is x-free of xi-homogeneity -2m."""
+    for xdeg, xideg, p, _ in expr.terms:
         if any(xdeg):
             raise PipelineError("trace integral of an x-dependent expression")
         if sum(xideg) + p != -2 * m:
             raise PipelineError(
                 f"term has xi-homogeneity {sum(xideg) + p}, expected {-2 * m}")
+
+
+def _real_trace(total: Fraction, phase: int) -> Fraction:
+    """A trace summed as sum (-1)^(|nu|/2) r * moment is i^-phase times the
+    true value: real for an even phase, imaginary (a pipeline bug) otherwise."""
+    if phase & 1:
+        if total:
+            raise PipelineError(f"trace integral has imaginary part {-total}")
+        return total
+    return -total if phase & 2 else total
+
+
+def trace_integral(expr: SymbolExpr, m: int) -> Density:
+    """Integrate tr[expr]/2^m over the unit cosphere, exactly.
+
+    Requires an x-independent expression of pure xi-homogeneity -2m; the
+    norm factors are 1 on the sphere.  Only the identity word is traced,
+    and only even xi-monomials have a moment, so a term contributes
+    i^(|nu| - phase) r = (-1)^(|nu|/2) i^-phase r times its moment.  An odd
+    phase with a nonzero sum is an imaginary trace, a pipeline bug, and
+    raises.
+    """
+    _require_traceable(expr, m)
+    n = expr.n
+    total = Fraction(0)
+    for (_, xideg, _, word), r in expr.terms.items():
         if word:
             continue  # nonempty canonical words are traceless
         moment = sphere_moment(xideg, n)
         if moment:
-            total = total + coeff * moment
-    if total.im:
-        raise PipelineError(f"trace integral has imaginary part {total.im}")
-    return Density(total.re)
+            total += -r * moment if sum(xideg) & 2 else r * moment
+    return Density(_real_trace(total, expr.phase))
 
 
 def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
@@ -171,40 +188,36 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
 
     Equivalent to ``trace_integral(at_x0(xi_grade(left * right, -2m)), m)``
     but joins terms by Clifford word: tr(w_a w_b) vanishes unless the two
-    canonical words coincide, in which case the product is the sign of
-    w*w times the identity.
+    canonical words coincide, in which case the product is the
+    transposition parity of w into w times the identity (the c_i^2 signs
+    cancel against the phase of the lost grade).
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
     n = left.n
-    by_word: Dict[int, List] = {}
-    for (xdeg, xideg, p, word), coeff in right.terms.items():
-        by_word.setdefault(word, []).append((xdeg, xideg, p, coeff))
-    total = GaussianRational(0)
+    odd = _parity_table(n)
     grade = -2 * m
+    by_word: Dict[int, List] = {}
+    for (xdeg, xideg, p, word), r in right.terms.items():
+        if not any(xdeg):
+            by_word.setdefault(word, []).append((xideg, sum(xideg), p, r))
+    total = Fraction(0)
     for (xa, xia, pa, word), ca in left.terms.items():
         bucket = by_word.get(word)
-        if bucket is None:
+        if bucket is None or any(xa):
             continue
-        xa_any = any(xa)
-        square_sign = blade_mul(word, word)[0]
-        for xb, xib, pb, cb in bucket:
-            if xa_any or any(xb):
-                if any(p + q for p, q in zip(xa, xb)):
-                    continue
-            xi = tuple(p + q for p, q in zip(xia, xib))
-            if sum(xi) + pa + pb != grade:
+        deg_a = sum(xia)
+        negate = odd[word][word]
+        for xib, deg_b, pb, cb in bucket:
+            degree = deg_a + deg_b
+            if degree + pa + pb != grade:
                 continue
-            moment = sphere_moment(xi, n)
+            moment = sphere_moment(tuple(map(sum, zip(xia, xib))), n)
             if not moment:
                 continue
-            c = ca * cb
-            if square_sign < 0:
-                c = -c
-            total = total + c * moment
-    if total.im:
-        raise PipelineError(f"trace integral has imaginary part {total.im}")
-    return total.re
+            c = ca * cb * moment
+            total += -c if negate != bool(degree & 2) else c
+    return _real_trace(total, left.phase + right.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +279,18 @@ class PipelineContext:
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self.jet)
 
+    def _trace_cvw(self, expr: SymbolExpr) -> Density:
+        """trace_integral(cvw * expr), joined by word: cvw is x-free of
+        xi-homogeneity 0, so the product is traceable exactly when expr is,
+        and only the words of expr that match a word of cvw survive."""
+        _require_traceable(expr, self.m)
+        return Density(_trace_integral_product(self.cvw, expr, self.m))
+
     def metric(self) -> Density:
-        return trace_integral(self.cvw * build_sigma_delta_lead(self.jet, self.m),
-                              self.m)
+        return self._trace_cvw(build_sigma_delta_lead(self.jet, self.m))
 
     def part1(self) -> Density:
-        return trace_integral(
-            self.cvw * SymbolExpr.sum_of(self.n, self.dtpow_parts.values()), self.m)
+        return self._trace_cvw(SymbolExpr.sum_of(self.n, self.dtpow_parts.values()))
 
     def part2(self, ab_source: str = "printed") -> Density:
         if ab_source == "printed":
@@ -418,10 +436,8 @@ def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict
 
     keys = set(a.terms) | set(b.terms)
     rows = []
-    zero = GaussianRational(0)
     for key in sorted(keys):
-        ca = a.terms.get(key, zero)
-        cb = b.terms.get(key, zero)
+        ca, cb = a.coefficient(key), b.coefficient(key)
         if ca != cb:
             xdeg, xideg, p, word = key
             rows.append({

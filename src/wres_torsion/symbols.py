@@ -4,12 +4,31 @@ A symbol expression is a finite sum of terms
 
     coeff * x^mu * xi^nu * ||xi||^p * (canonical Clifford word)
 
-with exact Gaussian-rational coefficients.  The x-multidegree is hard
-truncated at total degree 2 (the deepest jet any builder carries, and at
-most two x-derivatives are ever applied), while ||xi||^p stays symbolic:
-the cosphere integrals later set p-factors to 1, and the homogeneity of a
-term is |nu| + p throughout.  Terms are keyed by (x-degree, xi-degree, p,
-word), so equality of expressions is structural.
+with exact coefficients.  The x-multidegree is hard truncated at total
+degree 2 (the deepest jet any builder carries, and at most two
+x-derivatives are ever applied), while ||xi||^p stays symbolic: the
+cosphere integrals later set p-factors to 1, and the homogeneity of a term
+is |nu| + p throughout.  Terms are keyed by (x-degree, xi-degree, p, word),
+so equality of expressions is structural.
+
+Every coefficient is purely real or purely imaginary, and which one
+follows from the key: the coefficient of key (mu, nu, p, word) is
+
+    i^(|nu| + grade(word) - phase) * r,   r rational,
+
+with one phase bit per expression.  The phase is 0 for the even symbols
+that the pipelines trace (a term is imaginary exactly when |nu| + grade is
+odd) and 1 for odd ones such as sigma(D_T), c(v) and c(w); it flips under
+each d/dxi and under multiplication by i.  So a term stores the one
+``Fraction`` r.  In a product the phases add, and the (-1) of each common
+generator (c_i^2 = -1) cancels against the i^2 of the grade it removes, so
+the product's sign is the plain transposition parity of the two words.
+The Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha
+flips, and a cosphere trace is real exactly when the phase is even.  Exact
+``GaussianRational`` coefficients are accepted where a term is given
+(``SymbolExpr(n, terms)``, ``add_term``, ``scale``) and rebuilt where one
+is read (``coefficient``, ``term_list``, ``pretty``); a coefficient that
+breaks the phase rule raises ValueError naming its key.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -30,14 +49,14 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from typing import Dict, Iterable, Sequence, Tuple
+from itertools import combinations, combinations_with_replacement
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from dataclasses import dataclass
 
-from .clifford import CliffordElement, Word, _sign_table, word_indices
-from .geometry import DerivedScalars, PointJet, derived_scalars
-from .numerics import GaussianRational, I, ONE
+from .clifford import CliffordElement, Word, _parity_table, _sign_table, word_indices
+from .geometry import DerivedScalars, PointJet, _nonzero, derived_scalars
+from .numerics import GaussianRational, I
 
 Deg = Tuple[int, ...]
 Key = Tuple[Deg, Deg, int, Word]
@@ -64,18 +83,65 @@ class SymbolTerm:
         return sum(self.xideg) + self.normpow
 
 
+def _split(scalar) -> Tuple[Fraction, Fraction]:
+    """(real part, imaginary part) of an exact scalar."""
+    if isinstance(scalar, GaussianRational):
+        return scalar.re, scalar.im
+    return (scalar if isinstance(scalar, Fraction) else Fraction(scalar)), Fraction(0)
+
+
+def _exponent(key: Key, phase: int) -> int:
+    """e with coefficient = i^e * r for the key: |nu| + grade - phase mod 4."""
+    return (sum(key[1]) + key[3].bit_count() - phase) & 3
+
+
+def _real(key: Key, coeff, phase: int) -> Fraction:
+    """The stored r of an exact coefficient ``coeff`` = i^e * r at ``key``."""
+    re, im = _split(coeff)
+    e = _exponent(key, phase)
+    value, stray = (im, re) if e & 1 else (re, im)
+    if stray:
+        raise ValueError(
+            f"coefficient {coeff} of term {key} breaks the phase rule: in a"
+            f" phase-{phase} expression it must be {'imaginary' if e & 1 else 'real'}")
+    return -value if e & 2 else value
+
+
+def _accumulate(terms: Dict[Key, Fraction], key: Key, value: Fraction) -> None:
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = value
+    else:
+        value += prev
+        if value:
+            terms[key] = value
+        else:
+            del terms[key]
+
+
 class SymbolExpr:
-    """Canonical sum of symbol terms; no zero coefficients stored."""
+    """Canonical sum of symbol terms; no zero coefficients stored.
 
-    __slots__ = ("n", "terms")
+    ``terms`` maps each key to the rational r of its coefficient
+    i^(|nu| + grade(word) - phase) * r; ``phase`` is 0 or 1 and means
+    nothing while the expression is zero.
+    """
 
-    def __init__(self, n: int, terms: Dict[Key, GaussianRational] | None = None):
+    __slots__ = ("n", "terms", "phase")
+
+    def __init__(self, n: int, terms: Dict[Key, object] | None = None):
         self.n = n
-        self.terms: Dict[Key, GaussianRational] = {}
+        self.terms: Dict[Key, Fraction] = {}
+        self.phase = 0
         if terms:
             for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff
+                self.add_term(*key, coeff)
+
+    @classmethod
+    def _of(cls, n: int, terms: Dict[Key, Fraction], phase: int) -> "SymbolExpr":
+        out = cls.__new__(cls)
+        out.n, out.terms, out.phase = n, terms, phase
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -91,30 +157,49 @@ class SymbolExpr:
         xideg = xideg or (0,) * n
         out = cls(n)
         for word, coeff in elem.terms.items():
-            out.terms[(xdeg, xideg, normpow, word)] = coeff
+            out.add_term(xdeg, xideg, normpow, word, coeff)
         return out
 
     @classmethod
     def sum_of(cls, n: int, exprs: Iterable["SymbolExpr"]) -> "SymbolExpr":
-        """Sum of expressions, accumulated in one term dictionary."""
-        out = cls(n)
+        """Sum of expressions, accumulated in one term dictionary; the
+        nonzero summands must share one phase."""
+        terms: Dict[Key, Fraction] = {}
+        phase = None
         for expr in exprs:
-            out._check(expr)
-            for key, coeff in expr.terms.items():
-                out.add_term(*key, coeff)
-        return out
+            if expr.n != n:
+                raise ValueError(f"dimension mismatch: {n} != {expr.n}")
+            if not expr.terms:
+                continue
+            if phase is None:
+                phase = expr.phase
+            elif expr.phase != phase:
+                raise ValueError("sum of expressions of different phase breaks"
+                                 " the phase rule")
+            for key, r in expr.terms.items():
+                _accumulate(terms, key, r)
+        return cls._of(n, terms, phase or 0)
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
-                 coeff: GaussianRational) -> None:
+                 coeff) -> None:
+        """Add an exact (rational or Gaussian-rational) coefficient at a key;
+        the first term of a zero expression sets its phase."""
         if not coeff:
             return
         key = (xdeg, xideg, normpow, word)
-        acc = self.terms.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            self.terms[key] = acc
-        else:
-            del self.terms[key]
+        if not self.terms:
+            self.phase = (sum(xideg) + word.bit_count() + bool(_split(coeff)[1])) & 1
+        _accumulate(self.terms, key, _real(key, coeff, self.phase))
+
+    def coefficient(self, key: Key) -> GaussianRational:
+        """The exact complex coefficient at ``key`` (zero when absent)."""
+        r = self.terms.get(key)
+        if r is None:
+            return GaussianRational(0)
+        e = _exponent(key, self.phase)
+        if e & 2:
+            r = -r
+        return GaussianRational(0, r) if e & 1 else GaussianRational(r)
 
     # -- ring operations ---------------------------------------------------
 
@@ -126,53 +211,66 @@ class SymbolExpr:
         return SymbolExpr.sum_of(self.n, (self, other))
 
     def __sub__(self, other: "SymbolExpr") -> "SymbolExpr":
-        return self + other.scale(-ONE)
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> "SymbolExpr":
-        s = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
-        out = SymbolExpr(self.n)
-        if s:
-            out.terms = {k: c * s for k, c in self.terms.items()}
-        return out
+        """scalar * self for a real or purely imaginary exact scalar."""
+        re, im = _split(scalar)
+        if not (self.terms and (re or im)):
+            return SymbolExpr(self.n)
+        if re and im:
+            raise ValueError(f"scaling by {scalar} breaks the phase rule:"
+                             " the scalar is neither real nor imaginary")
+        phase = self.phase
+        if im:
+            # i lowers the phase by one; from 0 it wraps to -1 = 1 - 2
+            s, phase = (im, 0) if phase else (-im, 1)
+        else:
+            s = re
+        return SymbolExpr._of(self.n, {k: c * s for k, c in self.terms.items()}, phase)
 
     def __neg__(self) -> "SymbolExpr":
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def __mul__(self, other: "SymbolExpr") -> "SymbolExpr":
-        """Exact graded product; x-degree truncated at X_TRUNCATION."""
+        """Exact graded product; x-degree truncated at X_TRUNCATION.
+
+        The phases add; two odd phases give i^-2 = -1."""
         self._check(other)
         n = self.n
-        sign = _sign_table(n)
-        acc: Dict[Key, GaussianRational] = {}
+        odd = _parity_table(n)
+        flip = bool(self.phase and other.phase)
+        right = [(xb, sum(xb), xib, pb, wb, cb)
+                 for (xb, xib, pb, wb), cb in other.terms.items()]
+        acc: Dict[Key, Fraction] = {}
         for (xa, xia, pa, wa), ca in self.terms.items():
-            row = sign[wa]
+            row = odd[wa]
             xa_total = sum(xa)
-            for (xb, xib, pb, wb), cb in other.terms.items():
-                if xa_total + sum(xb) > X_TRUNCATION:
+            for xb, xb_total, xib, pb, wb, cb in right:
+                if xa_total + xb_total > X_TRUNCATION:
                     continue
-                x = tuple(map(sum, zip(xa, xb))) if xa_total or sum(xb) else xa
-                xi = tuple(map(sum, zip(xia, xib)))
-                key = (x, xi, pa + pb, wa ^ wb)
+                x = tuple(map(sum, zip(xa, xb))) if xa_total or xb_total else xa
+                key = (x, tuple(map(sum, zip(xia, xib))), pa + pb, wa ^ wb)
                 c = ca * cb
-                if row[wb] < 0:
+                if row[wb] != flip:
                     c = -c
                 prev = acc.get(key)
                 acc[key] = c if prev is None else prev + c
-        out = SymbolExpr(n)
-        out.terms = {k: c for k, c in acc.items() if c}
-        return out
+        return SymbolExpr._of(n, {k: c for k, c in acc.items() if c},
+                              self.phase ^ other.phase)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolExpr):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.terms == other.terms
+                and (not self.terms or self.phase == other.phase))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def term_list(self) -> "list[SymbolTerm]":
-        """Terms in deterministic (sorted-key) order."""
-        return [SymbolTerm(self.terms[key], *key) for key in sorted(self.terms)]
+        """Terms in deterministic (sorted-key) order, with exact coefficients."""
+        return [SymbolTerm(self.coefficient(key), *key) for key in sorted(self.terms)]
 
     def pretty(self) -> str:
         """Deterministic rendering (sorted term order) for reports."""
@@ -181,7 +279,7 @@ class SymbolExpr:
         lines = []
         for key in sorted(self.terms):
             xdeg, xideg, p, word = key
-            factors = [f"({self.terms[key]})"]
+            factors = [f"({self.coefficient(key)})"]
             for i, d in enumerate(xdeg):
                 if d:
                     factors.append(f"x{i+1}" + (f"^{d}" if d > 1 else ""))
@@ -211,60 +309,59 @@ class SymbolExpr:
 # ---------------------------------------------------------------------------
 
 def d_xi(expr: SymbolExpr, j: int) -> SymbolExpr:
-    """d/d(xi_j), 1-based; product rule over the monomial and ||xi||^p."""
-    n = expr.n
+    """d/d(xi_j), 1-based; product rule over the monomial and ||xi||^p.
+
+    The phase flips.  Lowering nu_j keeps i^(|nu| - phase) when the phase
+    goes 1 -> 0 and turns it by i^-2 = -1 when it goes 0 -> 1 (which wraps
+    to 1); raising nu_j (from ||xi||^p) does the opposite."""
     jj = j - 1
-    out = SymbolExpr(n)
-    for (xdeg, xideg, p, word), coeff in expr.terms.items():
+    s = 1 if expr.phase else -1
+    out: Dict[Key, Fraction] = {}
+    for (xdeg, xideg, p, word), r in expr.terms.items():
         e = xideg[jj]
         if e:
             lowered = xideg[:jj] + (e - 1,) + xideg[jj + 1:]
-            out.add_term(xdeg, lowered, p, word, coeff * e)
+            _accumulate(out, (xdeg, lowered, p, word), r * (s * e))
         if p:
             raised = xideg[:jj] + (e + 1,) + xideg[jj + 1:]
-            out.add_term(xdeg, raised, p - 2, word, coeff * p)
-    return out
+            _accumulate(out, (xdeg, raised, p - 2, word), r * (-s * p))
+    return SymbolExpr._of(expr.n, out, expr.phase ^ 1)
 
 
 def d_x(expr: SymbolExpr, j: int) -> SymbolExpr:
-    """d/d(x_j), 1-based; formal partial on the x-monomial."""
-    n = expr.n
+    """d/d(x_j), 1-based; formal partial on the x-monomial (phase kept)."""
     jj = j - 1
-    out = SymbolExpr(n)
-    for (xdeg, xideg, p, word), coeff in expr.terms.items():
+    out: Dict[Key, Fraction] = {}
+    for (xdeg, xideg, p, word), r in expr.terms.items():
         e = xdeg[jj]
         if e:
             lowered = xdeg[:jj] + (e - 1,) + xdeg[jj + 1:]
-            out.add_term(lowered, xideg, p, word, coeff * e)
-    return out
+            _accumulate(out, (lowered, xideg, p, word), r * e)
+    return SymbolExpr._of(expr.n, out, expr.phase)
 
 
 def xi_grade(expr: SymbolExpr, degree: int) -> SymbolExpr:
     """Terms of xi-homogeneity |xideg| + normpow == degree."""
-    out = SymbolExpr(expr.n)
-    out.terms = {k: c for k, c in expr.terms.items() if sum(k[1]) + k[2] == degree}
-    return out
+    return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
+                                   if sum(k[1]) + k[2] == degree}, expr.phase)
 
 
 def at_x0(expr: SymbolExpr) -> SymbolExpr:
     """Evaluate at the base point: keep x-degree-zero terms."""
-    out = SymbolExpr(expr.n)
-    out.terms = {k: c for k, c in expr.terms.items() if not any(k[0])}
-    return out
+    return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
+                                   if not any(k[0])}, expr.phase)
 
 
 def _alpha_coefficient(alpha: Sequence[int]) -> GaussianRational:
-    # (-i)^|alpha| / alpha!
+    # (-i)^|alpha| / alpha!; (-i)^k is 1, -i, -1, i for k = 0, 1, 2, 3 mod 4
     k = len(alpha)
     fact = 1
     run = 1
     for a, b in zip(alpha, alpha[1:]):
         run = run + 1 if a == b else 1
         fact *= run
-    coeff = GaussianRational(Fraction(1, fact))
-    for _ in range(k):
-        coeff = coeff * -I
-    return coeff
+    r = Fraction(1 if k % 4 in (0, 3) else -1, fact)
+    return GaussianRational(0, r) if k % 2 else GaussianRational(r)
 
 
 def _iter_alphas(n: int, alpha_max: int) -> Iterable[Tuple[int, ...]]:
@@ -364,11 +461,11 @@ def _pair(n: int, a: int, b: int) -> Deg:
     return tuple((i == a) + (i == b) for i in range(n))
 
 
-def _sym(elem: CliffordElement, coeff=ONE, *, xdeg: Deg | None = None,
+def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
          xideg: Deg | None = None, normpow: int = 0) -> SymbolExpr:
     """coeff * elem as a symbol term family of the given degrees."""
-    return SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg,
-                                    normpow=normpow).scale(coeff)
+    out = SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=normpow)
+    return out if coeff == 1 else out.scale(coeff)
 
 
 def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
@@ -386,7 +483,7 @@ def _elem(n: int, terms: Iterable[Tuple[Word, Fraction]]) -> CliffordElement:
     for word, coeff in terms:
         prev = acc.get(word)
         acc[word] = coeff if prev is None else prev + coeff
-    return CliffordElement(n, {w: GaussianRational(c) for w, c in acc.items() if c})
+    return CliffordElement(n, acc)
 
 
 def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
@@ -401,26 +498,30 @@ def _torsion_pair(values_a, n: int) -> CliffordElement:
                      for j, l in combinations(range(n), 2) if values_a[j][l]])
 
 
-def _curvature_word_sum(jet: PointJet, b: int, scale: Fraction) -> CliffordElement:
-    """scale * sum_{a,t,s} R_{bats} c_a c_s c_t (the x^b jet channel)."""
-    sign = _sign_table(jet.n)
-    terms = []
-    for a, t, s in product(range(jet.n), repeat=3):
-        val = jet.R[b][a][t][s]
-        if val:
-            # canonicalize c_a c_s c_t for possibly coinciding indices
-            ws = (1 << a) ^ (1 << s)
-            sg = sign[1 << a][1 << s] * sign[ws][1 << t]
-            terms.append((ws ^ (1 << t), val * scale * sg))
-    return _elem(jet.n, terms)
+def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
+                         scale: Fraction) -> List[CliffordElement]:
+    """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
+    channels), from the nonzero entries ``curvature`` = _nonzero(R)."""
+    sign = _sign_table(n)
+    terms: List[list] = [[] for _ in range(n)]
+    for (b, a, t, s), val in curvature.items():
+        # canonicalize c_a c_s c_t for possibly coinciding indices
+        ws = (1 << a) ^ (1 << s)
+        sg = sign[1 << a][1 << s] * sign[ws][1 << t]
+        terms[b].append((ws ^ (1 << t), val * scale * sg))
+    return [_elem(n, row) for row in terms]
 
 
-def _curvature_pair_sum_single(jet: PointJet, b: int, a: int) -> CliffordElement:
-    """sum_{t,s} R_{bats} c_s c_t with the printed index pairing."""
-    row = jet.R[b][a]
-    return _elem(jet.n, [((1 << s) | (1 << t), row[t][s] if s < t else -row[t][s])
-                         for t, s in product(range(jet.n), repeat=2)
-                         if t != s and row[t][s]])
+def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
+                         ) -> Dict[Tuple[int, int], CliffordElement]:
+    """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing,
+    for the pairs with a nonzero entry; ``curvature`` = _nonzero(R)."""
+    terms: Dict[Tuple[int, int], list] = {}
+    for (b, a, t, s), val in curvature.items():
+        if t != s:
+            terms.setdefault((b, a), []).append(
+                ((1 << s) | (1 << t), val if s < t else -val))
+    return {ba: _elem(n, row) for ba, row in terms.items()}
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed"
@@ -429,14 +530,15 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
 
     sigma_1 = i c(xi).  sigma_0 carries the torsion value and jet at the
     chosen prefactor plus the curvature jet (1/8) R_{bats} c_a c_s c_t x^b.
+    Both are odd (phase 1).
     """
     kappa = TORSION_PREFACTOR[variant]
     n = jet.n
     x0 = (0,) * n
     sigma1 = SymbolExpr(n, {(x0, _unit(n, a), 0, 1 << a): I for a in range(n)})
+    curvature = _curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
     sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n, kappa))] + [
-        _sym(_torsion_cube(jet.dT1[b], n, kappa)
-             + _curvature_word_sum(jet, b, Fraction(1, 8)), xdeg=_unit(n, b))
+        _sym(_torsion_cube(jet.dT1[b], n, kappa) + curvature[b], xdeg=_unit(n, b))
         for b in range(n)])
     return sigma1, sigma0
 
@@ -477,12 +579,13 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     cw = CliffordElement.from_vector(n, jet.w)
     tau = _torsion_cube(jet.T, n, Fraction(1))
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    curvature = _curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
     return {
         "s2": SymbolExpr.sum_of(n, (
-            _sym(cv * gens[f] * cw * gens[g], -ONE, xideg=_pair(n, f, g))
+            _sym(cv * gens[f] * cw * gens[g], -1, xideg=_pair(n, f, g))
             for f in range(n) for g in range(n))),
         "s1_tt": SymbolExpr.sum_of(n, (
             _sym((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
@@ -491,9 +594,8 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
         "s1_dw": SymbolExpr.sum_of(n, (
             _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
         "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
-        "s0_r": _sym(_elem_sum(n, (
-            cv * gens[j] * cw * _curvature_word_sum(jet, j, Fraction(1, 8))
-            for j in range(n)))),
+        "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
+                                   for j in range(n)))),
         "s0_dt": _sym(_elem_sum(n, (
             cv * gens[j] * cw * _torsion_cube(jet.dT1[j], n, Fraction(1, 4))
             for j in range(n)))),
@@ -523,7 +625,7 @@ def build_sigma_delta_lead(jet: PointJet, m: int) -> SymbolExpr:
     inverse m-th power (all the metric density needs)."""
     _check_dim(jet, m)
     n = jet.n
-    return SymbolExpr(n, {((0,) * n, _pair(n, a, a), -2 * m - 2, 0): ONE
+    return SymbolExpr(n, {((0,) * n, _pair(n, a, a), -2 * m - 2, 0): Fraction(1)
                           for a in range(n)})
 
 
@@ -538,61 +640,59 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int,
     n = jet.n
     der = der or derived_scalars(jet)
     p = -2 * m - 2
+    curvature = _nonzero(jet.R)
+    pairs = _curvature_pair_sums(curvature, n)
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = SymbolExpr(n)
-    third_m = GaussianRational(Fraction(-m, 3))
-    for a in range(n):
-        for b in range(n):
-            for j in range(n):
-                for k in range(n):
-                    val = jet.R[a][j][b][k]
-                    if val:
-                        r_jet.add_term(_pair(n, j, k), _pair(n, a, b), p, 0,
-                                       third_m * GaussianRational(val))
+    third_m = Fraction(-m, 3)
+    for (a, j, b, k), val in curvature.items():
+        r_jet.add_term(_pair(n, j, k), _pair(n, a, b), p, 0, third_m * val)
     parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
-    c_ric = GaussianRational(0, Fraction(-2 * m, 3))
+    c_ric = Fraction(-2 * m, 3)
     c_t = GaussianRational(0, 3 * m)
     parts_m1 = {
         "ric_jet": SymbolExpr(n, {
-            (_unit(n, b), _unit(n, a), p, 0): c_ric * GaussianRational(der.ric[a][b])
+            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * der.ric[a][b])
             for a in range(n) for b in range(n)}),
         "tt": SymbolExpr.sum_of(n, (
             _sym(_torsion_pair(jet.T[a], n), c_t, xideg=_unit(n, a), normpow=p)
             for a in range(n))),
         "r_jet": SymbolExpr.sum_of(n, (
-            _sym(_curvature_pair_sum_single(jet, b, a), GaussianRational(0, Fraction(m, 4)),
+            _sym(pair, GaussianRational(0, Fraction(m, 4)),
                  xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
-            for b in range(n) for a in range(n))),
+            for (b, a), pair in pairs.items())),
         "dt_jet": SymbolExpr.sum_of(n, (
             _sym(_torsion_pair(jet.dT1[b][a], n), c_t,
                  xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
             for b in range(n) for a in range(n))),
     }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, der)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, der, pairs)
     return parts_m, parts_m1, parts_m2
 
 
-def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
-                                der: DerivedScalars) -> Dict[str, SymbolExpr]:
+def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
+                                pairs: Dict[Tuple[int, int], CliffordElement]
+                                ) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
-    with mm = m-1 for the first one."""
+    with mm = m-1 for the first one; ``pairs`` is _curvature_pair_sums of
+    the jet's curvature."""
     n = jet.n
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
 
     ric = SymbolExpr(n)
-    c_ric = GaussianRational(Fraction(mm * (mm + 1), 3))
+    c_ric = Fraction(mm * (mm + 1), 3)
     for a in range(n):
         for b in range(n):
             val = der.ric[a][b]
             if val:
-                ric.add_term(x0, _pair(n, a, b), p4, 0, c_ric * GaussianRational(val))
+                ric.add_term(x0, _pair(n, a, b), p4, 0, c_ric * val)
 
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     dt4 = _elem(n, [((1 << i) | (1 << j) | (1 << k) | (1 << t), der.dT4[i][j][k][t])
@@ -609,14 +709,13 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
         "div_t": _sym(_elem_sum(n, (_torsion_pair(jet.dT1[a][a], n) for a in range(n))),
                       Fraction(3 * mm, 2), normpow=p2),
         "r_xx": SymbolExpr.sum_of(n, (
-            _sym(_curvature_pair_sum_single(jet, b, a), Fraction(-mm * (mm + 1), 4),
-                 xideg=_pair(n, a, b), normpow=p4)
-            for a in range(n) for b in range(n))),
+            _sym(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
+            for (b, a), pair in pairs.items())),
         "dt_xx": SymbolExpr.sum_of(n, (
             _sym(_torsion_pair(jet.dT1[b][a], n), -3 * mm * (mm + 1),
                  xideg=_pair(n, a, b), normpow=p4)
             for a in range(n) for b in range(n))),
-        "e_scalar": SymbolExpr(n, {(x0, x0, p2, 0): GaussianRational(e_val)}),
+        "e_scalar": SymbolExpr(n, {(x0, x0, p2, 0): e_val}),
         "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
     }
 
@@ -635,7 +734,8 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int,
     the base point (prefactors carry m-1 in place of m).  ``der`` is
     derived_scalars(jet), computed here when not given."""
     _check_dim(jet, m)
-    return _sigma_inverse_order2_parts(jet, m - 1, der or derived_scalars(jet))
+    return _sigma_inverse_order2_parts(jet, m - 1, der or derived_scalars(jet),
+                                       _curvature_pair_sums(_nonzero(jet.R), jet.n))
 
 
 def build_sigma_dtpow(jet: PointJet, m: int) -> SymbolExpr:

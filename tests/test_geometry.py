@@ -59,6 +59,15 @@ def test_zero_torsion_mode():
 def test_unsupported_dimension():
     with pytest.raises(ValueError):
         random_point_jet(0, 4)
+    with pytest.raises(ValueError, match="unsupported half-dimension m=4"):
+        zero_point_jet(4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zero_point_jet_is_the_zero_jet(m):
+    jet = zero_point_jet(m)
+    assert jet == make_point_jet(m)
+    assert not any(jet.v) and not any(jet.w)
 
 
 def test_entry_magnitudes_bounded():

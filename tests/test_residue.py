@@ -143,19 +143,28 @@ def test_trace_integral_imaginary_error():
         trace_integral(e, 2)
 
 
+def _phase_coeff(xi, word, phase, r):
+    """i^(|xi| + grade(word) - phase) r: the coefficient the phase rule allows."""
+    e = (sum(xi) + bin(word).count("1") - phase) % 4
+    value = -r if e >= 2 else r
+    return GaussianRational(0, value) if e % 2 else GaussianRational(value)
+
+
 def test_fast_product_trace_equals_generic():
     rng = random.Random(8)
     n, m = 4, 2
-    for _ in range(15):
+    for trial in range(30):
         left = SymbolExpr(n)
         right = SymbolExpr(n)
+        phase = trial % 2  # both even, or both odd (an even product)
         for _ in range(6):
             xi = [0] * n
             for _ in range(rng.randint(0, 2)):
                 xi[rng.randrange(n)] += 1
             word = rng.randrange(1 << n)
-            coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            left.add_term((0,) * n, tuple(xi), -sum(xi), word, coeff)
+            r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            left.add_term((0,) * n, tuple(xi), -sum(xi), word,
+                          _phase_coeff(xi, word, phase, r))
         for _ in range(6):
             xi = [0] * n
             for _ in range(rng.randint(0, 2)):
@@ -164,10 +173,46 @@ def test_fast_product_trace_equals_generic():
             if rng.random() < 0.4:
                 xd[rng.randrange(n)] += 1
             word = rng.randrange(1 << n)
-            coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            right.add_term(tuple(xd), tuple(xi), -2 * m - sum(xi), word, coeff)
+            r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            right.add_term(tuple(xd), tuple(xi), -2 * m - sum(xi), word,
+                           _phase_coeff(xi, word, phase, r))
         generic = trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value
         assert _trace_integral_product(left, right, m) == generic
+
+
+def test_odd_phase_traces_raise():
+    n, m = 4, 2
+    # c(v) against ||xi||^-4 c_1: an odd times an even symbol has an
+    # imaginary trace (here -i tr(c_1 c_1) = 4i per tr[id])
+    cv = SymbolExpr.from_clifford(CliffordElement.from_vector(n, [1, 0, 0, 0]))
+    even = SymbolExpr(n, {((0,) * n, (0,) * n, -2 * m, 0b0001): I})
+    assert cv.phase == 1 and even.phase == 0
+    with pytest.raises(PipelineError, match="imaginary part"):
+        _trace_integral_product(cv, even, m)
+    with pytest.raises(PipelineError, match="imaginary part"):
+        trace_integral(cv * even, m)
+    # two odd factors trace to a real number again
+    assert _trace_integral_product(cv, cv.scale(I) * even, m) == \
+        trace_integral(cv * (cv.scale(I) * even), m).value
+
+
+@pytest.mark.parametrize("method", ["part1", "metric"])
+@pytest.mark.parametrize("bad, message", [
+    (((1, 0, 0, 0), (0,) * 4, -4, 0), "x-dependent"),
+    (((0,) * 4, (2, 0, 0, 0), -4, 0), "homogeneity -2, expected -4"),
+])
+def test_cvw_trace_guards(monkeypatch, method, bad, message):
+    """part1 and metric trace c(v)c(w) against one symbol by word; that
+    symbol must still be x-free of homogeneity -2m, as trace_integral
+    demanded of the full product."""
+    import wres_torsion.residue as residue
+
+    ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
+    expr = SymbolExpr(4, {bad: ONE})
+    ctx.dtpow_parts = {"ric": expr}
+    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet, m: expr)
+    with pytest.raises(PipelineError, match=message):
+        getattr(ctx, method)()
 
 
 # ---------------------------------------------------------------------------

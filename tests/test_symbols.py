@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wres_torsion.clifford import CliffordElement
-from wres_torsion.geometry import make_point_jet, random_point_jet, zero_point_jet
+from wres_torsion import symbols
+from wres_torsion.clifford import CliffordElement, _sign_table
+from wres_torsion.geometry import (
+    _nonzero,
+    derived_scalars,
+    make_point_jet,
+    random_point_jet,
+    zero_point_jet,
+)
 from wres_torsion.numerics import GaussianRational, I, ONE
 from wres_torsion.symbols import (
+    X_TRUNCATION,
     SymbolExpr,
     TORSION_PREFACTOR,
     at_x0,
@@ -92,7 +105,16 @@ def test_d_x_examples():
     assert not d_x(_expr((Z, _unit(1), 0, 0b0001, ONE)), 1).terms
 
 
-def _random_expr(rng, n=N, terms=8):
+def _phase_coeff(xideg, word, phase, r):
+    """The coefficient i^(|xideg| + grade(word) - phase) r, as a Gaussian rational."""
+    e = (sum(xideg) + bin(word).count("1") - phase) % 4
+    value = -r if e >= 2 else r
+    return GaussianRational(0, value) if e % 2 else GaussianRational(value)
+
+
+def _random_expr(rng, n=N, terms=8, phase=None):
+    """Random phase-consistent expression (phase drawn when not given)."""
+    phase = rng.randint(0, 1) if phase is None else phase
     out = SymbolExpr(n)
     for _ in range(terms):
         xdeg = [0] * n
@@ -103,9 +125,9 @@ def _random_expr(rng, n=N, terms=8):
             xideg[rng.randrange(n)] += 1
         p = rng.choice([0, -2, -4, -6])
         word = rng.randrange(1 << n)
-        coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        out.add_term(tuple(xdeg), tuple(xideg), p, word, coeff)
+        r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        out.add_term(tuple(xdeg), tuple(xideg), p, word,
+                     _phase_coeff(xideg, word, phase, r))
     return out
 
 
@@ -364,3 +386,330 @@ def test_term_list_view():
         assert term.xi_homogeneity == 1
         assert len(term.word_indices) == 1
         assert term.coeff == I
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Gaussian-rational symbol arithmetic
+# ---------------------------------------------------------------------------
+#
+# The engine stores one rational per term and reads the phase off the key.
+# The oracle below is the arithmetic it replaced: every coefficient a full
+# GaussianRational, the product signed by the complete Clifford sign table
+# (c_i^2 = -1 included), d_xi without a phase, and the Leibniz factor
+# (-i)^|alpha|/alpha! multiplied out.  Running the module's own builders and
+# Leibniz kernel on it and comparing expanded coefficients checks the phase
+# bookkeeping on every channel the pipelines use.
+
+def _gauss(c):
+    return c if isinstance(c, GaussianRational) else GaussianRational(c)
+
+
+class OracleExpr:
+    """Symbol expression with one GaussianRational per term."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {}
+        if terms:
+            for key, coeff in terms.items():
+                if coeff:
+                    self.terms[key] = _gauss(coeff)
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    @classmethod
+    def from_clifford(cls, elem, *, xdeg=None, xideg=None, normpow=0):
+        n = elem.n
+        xdeg = xdeg or (0,) * n
+        xideg = xideg or (0,) * n
+        return cls(n, {(xdeg, xideg, normpow, w): c for w, c in elem.terms.items()})
+
+    @classmethod
+    def sum_of(cls, n, exprs):
+        out = cls(n)
+        for expr in exprs:
+            out._check(expr)
+            for key, coeff in expr.terms.items():
+                out.add_term(*key, coeff)
+        return out
+
+    def add_term(self, xdeg, xideg, normpow, word, coeff):
+        if not coeff:
+            return
+        key = (xdeg, xideg, normpow, word)
+        acc = self.terms.get(key)
+        acc = _gauss(coeff) if acc is None else acc + coeff
+        if acc:
+            self.terms[key] = acc
+        else:
+            del self.terms[key]
+
+    def _check(self, other):
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
+
+    def __add__(self, other):
+        return OracleExpr.sum_of(self.n, (self, other))
+
+    def __sub__(self, other):
+        return self + other.scale(-ONE)
+
+    def scale(self, scalar):
+        s = _gauss(scalar)
+        out = OracleExpr(self.n)
+        if s:
+            out.terms = {k: c * s for k, c in self.terms.items()}
+        return out
+
+    def __neg__(self):
+        return self.scale(-ONE)
+
+    def __mul__(self, other):
+        self._check(other)
+        sign = _sign_table(self.n)
+        acc = {}
+        for (xa, xia, pa, wa), ca in self.terms.items():
+            for (xb, xib, pb, wb), cb in other.terms.items():
+                if sum(xa) + sum(xb) > X_TRUNCATION:
+                    continue
+                key = (tuple(map(sum, zip(xa, xb))), tuple(map(sum, zip(xia, xib))),
+                       pa + pb, wa ^ wb)
+                c = ca * cb
+                if sign[wa][wb] < 0:
+                    c = -c
+                acc[key] = acc[key] + c if key in acc else c
+        out = OracleExpr(self.n)
+        out.terms = {k: c for k, c in acc.items() if c}
+        return out
+
+    def __eq__(self, other):
+        return self.n == other.n and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def oracle_d_xi(expr, j):
+    jj = j - 1
+    out = OracleExpr(expr.n)
+    for (xdeg, xideg, p, word), coeff in expr.terms.items():
+        e = xideg[jj]
+        if e:
+            lowered = xideg[:jj] + (e - 1,) + xideg[jj + 1:]
+            out.add_term(xdeg, lowered, p, word, coeff * e)
+        if p:
+            raised = xideg[:jj] + (e + 1,) + xideg[jj + 1:]
+            out.add_term(xdeg, raised, p - 2, word, coeff * p)
+    return out
+
+
+def oracle_d_x(expr, j):
+    jj = j - 1
+    out = OracleExpr(expr.n)
+    for (xdeg, xideg, p, word), coeff in expr.terms.items():
+        e = xdeg[jj]
+        if e:
+            lowered = xdeg[:jj] + (e - 1,) + xdeg[jj + 1:]
+            out.add_term(lowered, xideg, p, word, coeff * e)
+    return out
+
+
+def oracle_xi_grade(expr, degree):
+    out = OracleExpr(expr.n)
+    out.terms = {k: c for k, c in expr.terms.items() if sum(k[1]) + k[2] == degree}
+    return out
+
+
+def oracle_at_x0(expr):
+    out = OracleExpr(expr.n)
+    out.terms = {k: c for k, c in expr.terms.items() if not any(k[0])}
+    return out
+
+
+def oracle_alpha_coefficient(alpha):
+    coeff = GaussianRational(Fraction(1, math.prod(
+        math.factorial(alpha.count(j)) for j in set(alpha))))
+    for _ in alpha:
+        coeff = coeff * -I
+    return coeff
+
+
+@contextmanager
+def oracle_arithmetic():
+    """Run the symbols module's builders and Leibniz kernel on OracleExpr."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
+                            ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
+                            ("at_x0", oracle_at_x0),
+                            ("_alpha_coefficient", oracle_alpha_coefficient)):
+            mp.setattr(symbols, name, value)
+        yield
+
+
+def expand(expr):
+    """key -> exact complex coefficient of an engine expression."""
+    return {key: expr.coefficient(key) for key in expr.terms}
+
+
+def _pipeline_symbols(jet, m):
+    """Every builder channel, the printed and composed grades and the
+    Leibniz pairs of part 2, under whichever arithmetic is installed."""
+    n = jet.n
+    der = derived_scalars(jet)
+    out = {f"dt.{i}": e for i, e in enumerate(symbols.build_sigma_dt(jet))}
+    out.update((f"dt_first_principles.{i}", e) for i, e in
+               enumerate(symbols.build_sigma_dt(jet, "first_principles")))
+    out["lead"] = symbols.build_sigma_delta_lead(jet, m)
+    delta = symbols.build_sigma_delta_inv_parts(jet, m, der)
+    for order, parts in zip(("m", "m1", "m2"), delta):
+        out.update((f"delta_{order}.{k}", e) for k, e in parts.items())
+    out.update((f"dtpow.{k}", e) for k, e in
+               symbols.build_sigma_dtpow_parts(jet, m, der).items())
+    printed = symbols.build_sigma_ab_printed_parts(jet)
+    out.update((f"printed.{k}", e) for k, e in printed.items())
+    sigma_delta = symbols.SymbolExpr.sum_of(
+        n, (e for parts in delta for e in parts.values()))
+    right_dx = symbols.x_partials(sigma_delta)
+    for source, grades in (("printed", symbols.printed_grades(printed)),
+                           ("composed", symbols.build_sigma_ab_composed(jet))):
+        out.update((f"{source}_grade{2 - i}", e) for i, e in enumerate(grades))
+        left = symbols.SymbolExpr.sum_of(n, grades)
+        for i, (dl, dr) in enumerate(symbols.leibniz_pairs(left, right_dx)):
+            out[f"{source}_pair{i}.left"] = dl
+            out[f"{source}_pair{i}.right"] = dr
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_pipeline_symbols_match_complex_oracle(m, seed):
+    jet = random_point_jet(seed, m)
+    engine = _pipeline_symbols(jet, m)
+    with oracle_arithmetic():
+        oracle = _pipeline_symbols(jet, m)
+    assert engine.keys() == oracle.keys()
+    for name, expr in engine.items():
+        assert isinstance(oracle[name], OracleExpr)
+        assert expand(expr) == oracle[name].terms, name
+        assert [t.coeff for t in expr.term_list()] == [
+            oracle[name].terms[k] for k in sorted(oracle[name].terms)], name
+    # every traced symbol is even; sigma(D_T) is odd
+    assert {e.phase for k, e in engine.items() if e and not k.startswith("dt")} == {0}
+    assert {engine["dt.0"].phase, engine["dt.1"].phase} == {1}
+
+
+_degs = st.lists(st.integers(0, N - 1), max_size=3).map(
+    lambda idx: tuple(idx.count(i) for i in range(N)))
+_terms = st.lists(st.tuples(
+    _degs.filter(lambda d: sum(d) <= 2), _degs, st.sampled_from([0, -2, -4, -6]),
+    st.integers(0, (1 << N) - 1),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6)
+_scalars = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                     st.booleans()).map(
+    lambda t: GaussianRational(0, t[0]) if t[1] else GaussianRational(t[0]))
+
+
+def _pair_of(terms, phase):
+    engine, oracle = SymbolExpr(N), OracleExpr(N)
+    for xdeg, xideg, p, word, r in terms:
+        coeff = _phase_coeff(xideg, word, phase, r)
+        engine.add_term(xdeg, xideg, p, word, coeff)
+        oracle.add_term(xdeg, xideg, p, word, coeff)
+    return engine, oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, _terms, st.integers(0, 1), st.integers(0, 1),
+       st.integers(1, N), _scalars)
+def test_phase_arithmetic_matches_complex_oracle(ta, tb, tc, pa, pb, j, z):
+    a, oa = _pair_of(ta, pa)
+    b, ob = _pair_of(tb, pb)
+    c, oc = _pair_of(tc, pa)
+    assert expand(a) == oa.terms
+    assert expand(a * b) == (oa * ob).terms
+    assert expand(b * a) == (ob * oa).terms
+    assert expand(d_xi(a, j)) == oracle_d_xi(oa, j).terms
+    assert expand(d_xi(d_xi(b, j), 1)) == oracle_d_xi(oracle_d_xi(ob, j), 1).terms
+    assert expand(d_x(a, j)) == oracle_d_x(oa, j).terms
+    assert expand(a.scale(z)) == oa.scale(z).terms
+    assert expand(a.scale(z).scale(z)) == oa.scale(z).scale(z).terms
+    assert expand(SymbolExpr.sum_of(N, (a, c, a))) == OracleExpr.sum_of(N, (oa, oc, oa)).terms
+    assert expand(a - c) == (oa - oc).terms
+    engine = leibniz_compose(a, b, 2)
+    with oracle_arithmetic():
+        oracle = symbols.leibniz_compose(oa, ob, 2)
+    assert expand(engine) == oracle.terms
+
+
+def test_phase_violation_raises_at_construction():
+    key = (Z, _unit(0), -2, 0b0011)           # |nu| + grade = 3
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        SymbolExpr(N, {(Z, Z, 0, 0): ONE, key: GaussianRational(2)})
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        SymbolExpr(N, {key: GaussianRational(1, 1)})
+    e = _expr((Z, Z, 0, 0, ONE))
+    with pytest.raises(ValueError, match="phase rule"):
+        e.add_term(*key, GaussianRational(2))
+    with pytest.raises(ValueError, match="phase rule"):
+        e.scale(GaussianRational(1, 1))
+    with pytest.raises(ValueError, match="phase"):
+        SymbolExpr.sum_of(N, (e, e.scale(I)))
+    # the same term is fine where the phase makes it imaginary or odd
+    assert SymbolExpr(N, {key: I}).phase == 0
+    assert SymbolExpr(N, {key: GaussianRational(2)}).phase == 1
+    assert e.add_term(*key, I) is None and e.coefficient(key) == I
+
+
+def test_coefficients_read_back_exactly():
+    e = SymbolExpr(N)
+    e.add_term(Z, _unit(0), 0, 0b0001, GaussianRational(Fraction(3, 4)))   # e = 2
+    e.add_term(Z, _unit(1), 0, 0, GaussianRational(0, Fraction(-1, 2)))    # e = 1
+    assert e.terms[(Z, _unit(0), 0, 0b0001)] == Fraction(-3, 4)
+    assert e.pretty() == "(-1/2*i)*xi2 + (3/4)*xi1*c1"
+    assert e.coefficient((Z, Z, 0, 0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# sparse curvature helpers against the dense loops
+# ---------------------------------------------------------------------------
+
+def _dense_curvature_word_sum(jet, b, scale):
+    """scale * sum_{a,t,s} R_{bats} c_a c_s c_t over every dense entry."""
+    n = jet.n
+    total = CliffordElement.zero(n)
+    for a, t, s in itertools.product(range(n), repeat=3):
+        if jet.R[b][a][t][s]:
+            total = total + CliffordElement.from_word(n, [a + 1, s + 1, t + 1],
+                                                      jet.R[b][a][t][s] * scale)
+    return total
+
+
+def _dense_curvature_pair_sum(jet, b, a):
+    """sum_{t,s} R_{bats} c_s c_t with the printed pairing (s < t kept)."""
+    n = jet.n
+    total = CliffordElement.zero(n)
+    for t, s in itertools.product(range(n), repeat=2):
+        val = jet.R[b][a][t][s]
+        if t != s and val:
+            lo, hi = min(s, t), max(s, t)
+            total = total + CliffordElement.from_word(
+                n, [lo + 1, hi + 1], val if s < t else -val)
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sparse_curvature_sums_match_dense(m):
+    jets = [random_point_jet(seed, m) for seed in range(3)]
+    jets += [zero_point_jet(m), make_point_jet(m, R=[(0, 1, 0, 1, Fraction(2, 3))])]
+    for jet in jets:
+        n = jet.n
+        curvature = _nonzero(jet.R)
+        words = symbols._curvature_word_sums(curvature, n, Fraction(1, 8))
+        pairs = symbols._curvature_pair_sums(curvature, n)
+        for b in range(n):
+            assert words[b] == _dense_curvature_word_sum(jet, b, Fraction(1, 8))
+            for a in range(n):
+                assert pairs.get((b, a), CliffordElement.zero(n)) == \
+                    _dense_curvature_pair_sum(jet, b, a)
