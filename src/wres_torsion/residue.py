@@ -45,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .clifford import CliffordElement, _parity_table
 from .geometry import DerivedScalars, PointJet, derived_scalars
-from .numerics import format_rational
+from .numerics import I, ONE, format_rational
 from .symbols import (
     SymbolExpr,
     _check_dim,
@@ -141,6 +141,9 @@ class PipelineError(ValueError):
     """Internal consistency violation in a trace-integral pipeline."""
 
 
+_I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
+
+
 def _require_traceable(expr: SymbolExpr, m: int) -> None:
     """Raise unless every term is x-free of xi-homogeneity -2m."""
     for xdeg, xideg, p, _ in expr.terms:
@@ -151,36 +154,48 @@ def _require_traceable(expr: SymbolExpr, m: int) -> None:
                 f"term has xi-homogeneity {sum(xideg) + p}, expected {-2 * m}")
 
 
-def _real_trace(total: Fraction, phase: int) -> Fraction:
-    """A trace summed as sum (-1)^(|nu|/2) r * moment is i^-phase times the
-    true value: real for an even phase, imaginary (a pipeline bug) otherwise."""
-    if phase & 1:
-        if total:
-            raise PipelineError(f"trace integral has imaginary part {-total}")
-        return total
-    return -total if phase & 2 else total
+def _real_trace(moments: Dict[Tuple[int, ...], Fraction], n: int, phase: int) -> Fraction:
+    """The cosphere trace of a term sum given as xi-exponent -> summed r.
+
+    Only even xi-monomials have a moment, so the sum over keys of
+    (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.
+    That value is rebuilt and must be real: an imaginary part is a
+    pipeline bug and raises.
+    """
+    total = Fraction(0)
+    for xi, r in moments.items():
+        if not r:
+            continue
+        moment = sphere_moment(xi, n)
+        if moment:
+            total += -r * moment if sum(xi) & 2 else r * moment
+    value = _I_POWERS[-phase % 4] * total
+    if value.im:
+        raise PipelineError(f"trace integral has imaginary part {value.im}")
+    return value.re
 
 
 def trace_integral(expr: SymbolExpr, m: int) -> Density:
     """Integrate tr[expr]/2^m over the unit cosphere, exactly.
 
     Requires an x-independent expression of pure xi-homogeneity -2m; the
-    norm factors are 1 on the sphere.  Only the identity word is traced,
-    and only even xi-monomials have a moment, so a term contributes
-    i^(|nu| - phase) r = (-1)^(|nu|/2) i^-phase r times its moment.  An odd
-    phase with a nonzero sum is an imaginary trace, a pipeline bug, and
-    raises.
+    norm factors are 1 on the sphere.  Only the identity word is traced
+    (nonempty canonical words are traceless), and a term contributes
+    i^(|nu| - phase) r times its moment.
     """
     _require_traceable(expr, m)
-    n = expr.n
-    total = Fraction(0)
-    for (_, xideg, _, word), r in expr.terms.items():
-        if word:
-            continue  # nonempty canonical words are traceless
-        moment = sphere_moment(xideg, n)
-        if moment:
-            total += -r * moment if sum(xideg) & 2 else r * moment
-    return Density(_real_trace(total, expr.phase))
+    return Density(_real_trace(
+        {xideg: r for (_, xideg, _, word), r in expr.terms.items() if not word},
+        expr.n, expr.phase))
+
+
+def _odd_mask(xi: Tuple[int, ...]) -> int:
+    """Bit i set when the exponent of xi_i is odd."""
+    mask = 0
+    for i, e in enumerate(xi):
+        if e & 1:
+            mask |= 1 << i
+    return mask
 
 
 def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
@@ -190,34 +205,33 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
     but joins terms by Clifford word: tr(w_a w_b) vanishes unless the two
     canonical words coincide, in which case the product is the
     transposition parity of w into w times the identity (the c_i^2 signs
-    cancel against the phase of the lost grade).
+    cancel against the phase of the lost grade).  Only pairs whose xi-exponents
+    have the same parities have an even, moment-bearing sum, so terms are
+    also joined by that parity mask.  The signed products are summed per
+    xi-exponent before any moment is taken.
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
-    n = left.n
-    odd = _parity_table(n)
+    odd = _parity_table(left.n)
     grade = -2 * m
-    by_word: Dict[int, List] = {}
+    by_word: Dict[Tuple[int, int], List] = {}
     for (xdeg, xideg, p, word), r in right.terms.items():
         if not any(xdeg):
-            by_word.setdefault(word, []).append((xideg, sum(xideg), p, r))
-    total = Fraction(0)
+            by_word.setdefault((word, _odd_mask(xideg)), []).append(
+                (xideg, sum(xideg) + p, r))
+    moments: Dict[Tuple[int, ...], Fraction] = {}
     for (xa, xia, pa, word), ca in left.terms.items():
-        bucket = by_word.get(word)
+        bucket = by_word.get((word, _odd_mask(xia)))
         if bucket is None or any(xa):
             continue
-        deg_a = sum(xia)
-        negate = odd[word][word]
-        for xib, deg_b, pb, cb in bucket:
-            degree = deg_a + deg_b
-            if degree + pa + pb != grade:
-                continue
-            moment = sphere_moment(tuple(map(sum, zip(xia, xib))), n)
-            if not moment:
-                continue
-            c = ca * cb * moment
-            total += -c if negate != bool(degree & 2) else c
-    return _real_trace(total, left.phase + right.phase)
+        want = grade - sum(xia) - pa
+        if odd[word][word]:
+            ca = -ca
+        for xib, order_b, cb in bucket:
+            if order_b == want:
+                xi = tuple(map(sum, zip(xia, xib)))
+                moments[xi] = moments.get(xi, 0) + ca * cb
+    return _real_trace(moments, left.n, left.phase + right.phase)
 
 
 # ---------------------------------------------------------------------------
