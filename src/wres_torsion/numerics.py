@@ -10,7 +10,8 @@ purely imaginary, and its phase follows from its key (see ``symbols``), so
 a symbol term stores one ``Fraction``.  ``GaussianRational`` (``a + b*i``
 with rational ``a``, ``b``) is the exact complex scalar of the gamma-matrix
 oracle, whose matrices have entries in {0, +-1, +-i}, and the type in which
-a symbol's exact complex coefficients are given and read back.
+a symbol's exact complex coefficients are given and read back, and in which
+a summed trace is checked to be real.
 """
 
 from __future__ import annotations
