@@ -13,6 +13,14 @@ which exact scalars it holds: the engine's builders give it rational
 ``Fraction`` coefficients, and only the gamma-matrix oracle and its checks
 feed it ``GaussianRational`` ones.
 
+The product is one accumulation loop over word pairs, signed from a static
+per-n table.  When both operands hold only ``Fraction`` coefficients, each
+is first scaled to int numerators over its common denominator: the loop
+then sums plain int products per output word, and each nonzero sum is
+divided once by the product of the two denominators, so the result is in
+``Fraction`` again.  Other coefficients (ints, ``GaussianRational``) run
+through the same loop as they are.
+
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
 ``trace`` reads off 2^m times the identity coefficient.  ``build_gamma``
@@ -26,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .numerics import GaussianRational, I, ONE, ZERO
+from .numerics import GaussianRational, I, ONE, ZERO, _integer_form
 
 Word = int  # bitmask encoding of a canonical word
 
@@ -186,17 +194,25 @@ class CliffordElement:
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
         sign = _sign_table(self.n)
+        left, right = self.terms, other.terms
+        rational = all(type(c) is Fraction for t in (left, right) for c in t.values())
+        if rational:
+            (left, d_left), (right, d_right) = _integer_form(left), _integer_form(right)
         acc: Dict[Word, object] = {}
-        for wa, ca in self.terms.items():
+        for wa, ca in left.items():
             row = sign[wa]
-            for wb, cb in other.terms.items():
+            for wb, cb in right.items():
                 w = wa ^ wb
                 c = ca * cb
                 prev = acc.get(w)
                 term = c if row[wb] > 0 else -c
                 acc[w] = term if prev is None else prev + term
         out = CliffordElement(self.n)
-        out.terms = {w: c for w, c in acc.items() if c}
+        if rational:
+            den = d_left * d_right
+            out.terms = {w: Fraction(c, den) for w, c in acc.items() if c}
+        else:
+            out.terms = {w: c for w, c in acc.items() if c}
         return out
 
     def __eq__(self, other) -> bool:

@@ -35,7 +35,7 @@ from itertools import (chain, combinations, combinations_with_replacement, compr
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from .numerics import format_rational, parse_rational
+from .numerics import _integer_form, format_rational, parse_rational
 
 MAX_MAGNITUDE = 9
 
@@ -253,18 +253,6 @@ def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
     if len(flat) != math.prod(shape):
         raise ValueError(f"tensor is not of shape {tuple(shape)}")
     return dict(compress(zip(product(*map(range, shape)), flat), flat))
-
-
-def _integer_form(entries: Dict[Tuple[int, ...], Fraction]
-                  ) -> Tuple[Dict[Tuple[int, ...], int], int]:
-    """The entries times one common positive denominator, as ints, and that
-    denominator.
-
-    Scaling by a positive constant keeps every equality, sign and zero
-    test, so the symmetry scans compare plain ints, and a contraction is
-    an int sum divided once by the product of its factors' denominators."""
-    den = math.lcm(*{x.denominator for x in entries.values()})
-    return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
 
 
 def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):

@@ -16,7 +16,9 @@ a summed trace is checked to be real.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Dict, Hashable, Tuple
 
 Rational = Fraction
 
@@ -33,10 +35,22 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], int]:
+    """The entries times one common positive denominator, as ints, and that
+    denominator.
+
+    Scaling by a positive constant keeps every equality, sign and zero
+    test, so the symmetry scans compare plain ints, and a contraction or a
+    Clifford product is an int sum divided once by the product of its
+    factors' denominators."""
+    den = math.lcm(*{x.denominator for x in entries.values()})
+    return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
+
+
 class GaussianRational:
     """Element of Q(i): exact complex-rational scalar.
 
-    Immutable.  ``i * i == -1``; inversion of nonzero elements is exact.
+    Immutable; ``i * i == -1``.
     """
 
     __slots__ = ("re", "im")
@@ -86,28 +100,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        norm = self.re * self.re + self.im * self.im
-        if not norm:
-            raise ZeroDivisionError("inversion of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     # -- comparisons / hashing ------------------------------------------
 

@@ -472,6 +472,12 @@ def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
     return sum(elems, CliffordElement.zero(n))
 
 
+def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
+    """The part of ``elem`` on words of the given grades."""
+    return CliffordElement(elem.n, {w: c for w, c in elem.terms.items()
+                                    if w.bit_count() in grades})
+
+
 def _check_dim(jet: PointJet, m: int) -> None:
     if jet.n != 2 * m:
         raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
@@ -583,22 +589,26 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
+    # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
+    cvc = [cv * gens[f] * cw for f in range(n)]
     return {
+        # xi_f xi_g = xi_g xi_f: one term family per unordered pair
         "s2": SymbolExpr.sum_of(n, (
-            _sym(cv * gens[f] * cw * gens[g], -1, xideg=_pair(n, f, g))
-            for f in range(n) for g in range(n))),
+            _sym(cvc[f] * gens[g] + cvc[g] * gens[f] if f < g else cvc[f] * gens[f],
+                 -1, xideg=_pair(n, f, g))
+            for f, g in combinations_with_replacement(range(n), 2))),
+        # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
+        # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
         "s1_tt": SymbolExpr.sum_of(n, (
-            _sym((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
-                 GaussianRational(0, Fraction(1, 4)), xideg=_unit(n, a))
+            _sym(_grades(cvc[a], 1) * tau,
+                 GaussianRational(0, Fraction(1, 2)), xideg=_unit(n, a))
             for a in range(n))),
         "s1_dw": SymbolExpr.sum_of(n, (
             _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
         "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
-        "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
-                                   for j in range(n)))),
+        "s0_r": _sym(_elem_sum(n, (cvc[j] * curvature[j] for j in range(n)))),
         "s0_dt": _sym(_elem_sum(n, (
-            cv * gens[j] * cw * _torsion_cube(jet.dT1[j], n, Fraction(1, 4))
-            for j in range(n)))),
+            cvc[j] * _torsion_cube(jet.dT1[j], n, Fraction(1, 4)) for j in range(n)))),
         "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
     }
 
@@ -698,13 +708,19 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
     dt4 = _elem(n, [((1 << i) | (1 << j) | (1 << k) | (1 << t), der.dT4[i][j][k][t])
                     for i, j, k, t in combinations(range(n), 4) if der.dT4[i][j][k][t]])
 
+    # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
+    # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
+    # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
+    tt = {(a, b): tau_a[a] * tau_a[b]
+          for a, b in combinations_with_replacement(range(n), 2)}
+    c_tt = Fraction(-9 * mm * (mm + 1), 2)
     return {
         "ric": ric,
         "tt_xx": SymbolExpr.sum_of(n, (
-            _sym(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
+            _sym(_grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
                  xideg=_pair(n, a, b), normpow=p4)
-            for a in range(n) for b in range(n))),
-        "tt_scalar": _sym(_elem_sum(n, (t * t for t in tau_a)),
+            for (a, b), prod in tt.items())),
+        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in range(n))),
                           Fraction(9 * mm, 4), normpow=p2),
         "div_t": _sym(_elem_sum(n, (_torsion_pair(jet.dT1[a][a], n) for a in range(n))),
                       Fraction(3 * mm, 2), normpow=p2),

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wres_torsion.clifford import (
     CliffordElement,
+    _sign_table,
     build_gamma,
     canonicalize,
     trace,
@@ -116,6 +117,75 @@ def test_mul_associative_on_random_triples():
         n = rng.choice([2, 4, 6])
         a, b, c = (_random_element(rng, n) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+# The product runs over int numerators when both operands hold only Fractions.
+# The oracle is the coefficient-by-coefficient loop it replaced.
+
+def _coefficientwise_mul(a, b):
+    sign = _sign_table(a.n)
+    acc = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            c = ca * cb if sign[wa][wb] > 0 else -(ca * cb)
+            acc[wa ^ wb] = acc[wa ^ wb] + c if wa ^ wb in acc else c
+    out = CliffordElement(a.n)
+    out.terms = {w: c for w, c in acc.items() if c}
+    return out
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_ints = st.integers(-9, 9)
+_gaussians = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@st.composite
+def _element_pairs(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    words = st.integers(0, (1 << n) - 1)
+    kind = draw(st.sampled_from(["fraction", "int", "gaussian", "mixed"]))
+    left, right = {"fraction": (_fractions, _fractions), "int": (_ints, _ints),
+                   "gaussian": (_gaussians, _gaussians),
+                   "mixed": (_fractions, _gaussians)}[kind]
+    a = CliffordElement(n, draw(st.dictionaries(words, left, max_size=8)))
+    b = CliffordElement(n, draw(st.dictionaries(words, right, max_size=8)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_pairs())
+def test_integer_product_matches_coefficientwise_loop(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        assert product == _coefficientwise_mul(x, y)
+        assert all(product.terms.values())
+        if all(type(c) is Fraction for c in (*x.terms.values(), *y.terms.values())):
+            assert all(type(c) is Fraction for c in product.terms.values())
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_integer_product_edge_cases(n):
+    c1, c2 = _gen(n, 1), _gen(n, 2)
+    zero = CliffordElement.zero(n)
+    x = c1.scale(Fraction(2, 3)) + c2.scale(Fraction(-5, 4))
+    # mixed denominators that cancel: (x c1 c2)(c2 c1) - x = 0
+    assert x * (c1 * c2) * (c2 * c1) - x == zero
+    assert (x * (c1 * c2)) * (c2.scale(Fraction(3, 7)) * c1.scale(Fraction(7, 3))) \
+        + x.scale(-1) == zero
+    # c1 y + y c1 = -2 g(e1, y): the c1 c2 words cancel between the products
+    y = c1.scale(Fraction(1, 6)) + c2.scale(Fraction(1, 10))
+    assert c1 * y + y * c1 == CliffordElement.identity(n).scale(Fraction(-1, 3))
+    # a product whose sums cancel inside the loop stores no zero
+    cancel = (c1 + c2) * (c1 - c2)
+    assert cancel == (c1 * c2).scale(-2)
+    assert (c1 + c2).scale(Fraction(1, 2)) * (c1 + c2).scale(Fraction(1, 3)) \
+        == CliffordElement.identity(n).scale(Fraction(-1, 3))
+    odd = c1 * c2 * c1.scale(Fraction(1, 5))
+    assert odd * odd.scale(0) == zero and (odd * odd.scale(0)).terms == {}
+    assert zero * x == zero and x * zero == zero and (x * zero).terms == {}
+    assert all(type(c) is Fraction for c in (x * x * c2).terms.values())
+    assert (x * x).terms == {0: Fraction(-(16 * 4 + 9 * 25), 144)}
 
 
 # ---------------------------------------------------------------------------

@@ -713,3 +713,101 @@ def test_sparse_curvature_sums_match_dense(m):
             for a in range(n):
                 assert pairs.get((b, a), CliffordElement.zero(n)) == \
                     _dense_curvature_pair_sum(jet, b, a)
+
+
+# ---------------------------------------------------------------------------
+# one product per distinct factor pair, against the all-ordered-pairs loops
+# ---------------------------------------------------------------------------
+
+def _ordered_pair_order2_channels(jet, mm):
+    """tt_xx and tt_scalar from all n^2 ordered products tau_a tau_b."""
+    n = jet.n
+    p2, p4 = -2 * mm - 2, -2 * mm - 4
+    tau_a = [symbols._torsion_pair(jet.T[a], n) for a in range(n)]
+    return {
+        "tt_xx": SymbolExpr.sum_of(n, (
+            symbols._sym(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
+                         xideg=symbols._pair(n, a, b), normpow=p4)
+            for a in range(n) for b in range(n))),
+        "tt_scalar": symbols._sym(symbols._elem_sum(n, (t * t for t in tau_a)),
+                                  Fraction(9 * mm, 4), normpow=p2),
+    }
+
+
+def _per_pair_printed_parts(jet):
+    """The printed channels with every operator product written out per
+    (f, g) and per a, as displayed."""
+    n = jet.n
+    _sym, _elem_sum = symbols._sym, symbols._elem_sum
+    cv = CliffordElement.from_vector(n, jet.v)
+    cw = CliffordElement.from_vector(n, jet.w)
+    tau = symbols._torsion_cube(jet.T, n, Fraction(1))
+    gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    curvature = symbols._curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
+    dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
+                       for j, row in enumerate(jet.dw)))
+    return {
+        "s2": SymbolExpr.sum_of(n, (
+            _sym(cv * gens[f] * cw * gens[g], -1, xideg=symbols._pair(n, f, g))
+            for f in range(n) for g in range(n))),
+        "s1_tt": SymbolExpr.sum_of(n, (
+            _sym((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
+                 GaussianRational(0, Fraction(1, 4)), xideg=symbols._unit(n, a))
+            for a in range(n))),
+        "s1_dw": SymbolExpr.sum_of(n, (
+            _sym(cv * dw * gens[a], I, xideg=symbols._unit(n, a)) for a in range(n))),
+        "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
+        "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
+                                   for j in range(n)))),
+        "s0_dt": _sym(_elem_sum(n, (
+            cv * gens[j] * cw * symbols._torsion_cube(jet.dT1[j], n, Fraction(1, 4))
+            for j in range(n)))),
+        "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
+    }
+
+
+def _factor_pair_jets(m):
+    """Random jets, each one-channel jet, the zero jet and (m >= 2) a
+    torsion jet whose last tau_a vanish."""
+    channels = ("with_curvature", "with_torsion", "with_torsion_jet", "with_w_jet")
+    jets = [random_point_jet(seed, m) for seed in range(5)]
+    jets += [random_point_jet(7, m, **{c: c == on for c in channels}) for on in channels]
+    jets.append(zero_point_jet(m))
+    if m >= 2:
+        base = random_point_jet(3, m)
+        jets.append(make_point_jet(m, T=[(0, 1, 2, Fraction(-2, 3))], v=base.v,
+                                   w=base.w, dw=base.dw))
+    return jets
+
+
+def _assert_same_channels(engine, oracle):
+    for name, expr in oracle.items():
+        assert engine[name] == expr, name
+        assert engine[name].terms == expr.terms, name
+        assert engine[name].phase == expr.phase, name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_order2_channels_match_ordered_pair_loop(m):
+    for jet in _factor_pair_jets(m):
+        der = derived_scalars(jet)
+        _assert_same_channels(build_sigma_delta_inv_parts(jet, m, der)[2],
+                              _ordered_pair_order2_channels(jet, m))
+        _assert_same_channels(build_sigma_dtpow_parts(jet, m, der),
+                              _ordered_pair_order2_channels(jet, m - 1))
+
+
+def test_factor_pair_jets_cover_a_vanishing_tau():
+    jet = _factor_pair_jets(2)[-1]
+    tau_a = [symbols._torsion_pair(jet.T[a], jet.n) for a in range(jet.n)]
+    assert any(tau_a) and not all(tau_a)
+    assert _ordered_pair_order2_channels(jet, 2)["tt_xx"].terms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_printed_parts_match_per_pair_products(m):
+    for jet in _factor_pair_jets(m):
+        engine = symbols.build_sigma_ab_printed_parts(jet)
+        oracle = _per_pair_printed_parts(jet)
+        assert engine.keys() == oracle.keys()
+        _assert_same_channels(engine, oracle)
