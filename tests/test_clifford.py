@@ -143,19 +143,25 @@ _gaussians = st.builds(GaussianRational, _fractions, _fractions)
 def _element_pairs(draw):
     n = draw(st.sampled_from([2, 4, 6]))
     words = st.integers(0, (1 << n) - 1)
-    kind = draw(st.sampled_from(["fraction", "int", "gaussian", "mixed"]))
-    left, right = {"fraction": (_fractions, _fractions), "int": (_ints, _ints),
-                   "gaussian": (_gaussians, _gaussians),
-                   "mixed": (_fractions, _gaussians)}[kind]
+    kinds = ["fraction", "int", "gaussian", "mixed"] + ["zero divisor"] * (n >= 4)
+    kind = draw(st.sampled_from(kinds))
+    left, right = {"int": (_ints, _ints), "gaussian": (_gaussians, _gaussians),
+                   "mixed": (_fractions, _gaussians)}.get(kind, (_fractions, _fractions))
     a = CliffordElement(n, draw(st.dictionaries(words, left, max_size=8)))
     b = CliffordElement(n, draw(st.dictionaries(words, right, max_size=8)))
-    return a, b
+    if kind == "zero divisor":
+        # w = c1 c2 c3 c4 squares to 1, so (a (1 + w)) ((1 - w) b) = 0
+        one, w = CliffordElement.identity(n), CliffordElement(n, {0b1111: Fraction(1)})
+        a, b = _coefficientwise_mul(a, one + w), _coefficientwise_mul(one - w, b)
+    return kind, a, b
 
 
 @settings(max_examples=300, deadline=None)
 @given(_element_pairs())
 def test_integer_product_matches_coefficientwise_loop(pair):
-    a, b = pair
+    kind, a, b = pair
+    if kind == "zero divisor":
+        assert a * b == CliffordElement.zero(a.n) and (a * b).terms == {}
     for x, y in ((a, b), (b, a)):
         product = x * y
         assert product == _coefficientwise_mul(x, y)
