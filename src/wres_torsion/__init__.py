@@ -37,7 +37,6 @@ from .symbols import (
     build_sigma_dtpow,
     d_x,
     d_xi,
-    leibniz_compose,
     xi_grade,
 )
 from .residue import (

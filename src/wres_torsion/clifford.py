@@ -193,6 +193,8 @@ class CliffordElement:
 
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
+        if not (self.terms and other.terms):
+            return CliffordElement(self.n)
         sign = _sign_table(self.n)
         left, right = self.terms, other.terms
         rational = all(type(c) is Fraction for t in (left, right) for c in t.values())

@@ -7,7 +7,9 @@ the normal form gcd(|p|, q) = 1, q > 0.
 
 The engine computes in rationals.  A symbol coefficient is purely real or
 purely imaginary, and its phase follows from its key (see ``symbols``), so
-a symbol term stores one ``Fraction``.  ``GaussianRational`` (``a + b*i``
+a symbol term stores one rational: a reduced int numerator over the
+expression's one denominator, the form ``_integer_form`` gives.
+``GaussianRational`` (``a + b*i``
 with rational ``a``, ``b``) is the exact complex scalar of the gamma-matrix
 oracle, whose matrices have entries in {0, +-1, +-i}, and the type in which
 a symbol's exact complex coefficients are given and read back, and in which

@@ -154,8 +154,10 @@ def _require_traceable(expr: SymbolExpr, m: int) -> None:
                 f"term has xi-homogeneity {sum(xideg) + p}, expected {-2 * m}")
 
 
-def _real_trace(moments: Dict[Tuple[int, ...], Fraction], n: int, phase: int) -> Fraction:
-    """The cosphere trace of a term sum given as xi-exponent -> summed r.
+def _real_trace(moments: Dict[Tuple[int, ...], int], n: int, phase: int,
+                den: int) -> Fraction:
+    """The cosphere trace of a term sum given as xi-exponent -> summed int
+    numerator of r, over the common denominator ``den``.
 
     Only even xi-monomials have a moment, so the sum over keys of
     (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.
@@ -169,7 +171,7 @@ def _real_trace(moments: Dict[Tuple[int, ...], Fraction], n: int, phase: int) ->
         moment = sphere_moment(xi, n)
         if moment:
             total += -r * moment if sum(xi) & 2 else r * moment
-    value = _I_POWERS[-phase % 4] * total
+    value = _I_POWERS[-phase % 4] * (total / den)
     if value.im:
         raise PipelineError(f"trace integral has imaginary part {value.im}")
     return value.re
@@ -186,7 +188,7 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     _require_traceable(expr, m)
     return Density(_real_trace(
         {xideg: r for (_, xideg, _, word), r in expr.terms.items() if not word},
-        expr.n, expr.phase))
+        expr.n, expr.phase, expr.den))
 
 
 def _odd_mask(xi: Tuple[int, ...]) -> int:
@@ -207,8 +209,9 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
     transposition parity of w into w times the identity (the c_i^2 signs
     cancel against the phase of the lost grade).  Only pairs whose xi-exponents
     have the same parities have an even, moment-bearing sum, so terms are
-    also joined by that parity mask.  The signed products are summed per
-    xi-exponent before any moment is taken.
+    also joined by that parity mask.  The signed int products are summed per
+    xi-exponent before any moment is taken, and the total is divided once by
+    the product of the two denominators.
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
@@ -219,7 +222,7 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
         if not any(xdeg):
             by_word.setdefault((word, _odd_mask(xideg)), []).append(
                 (xideg, sum(xideg) + p, r))
-    moments: Dict[Tuple[int, ...], Fraction] = {}
+    moments: Dict[Tuple[int, ...], int] = {}
     for (xa, xia, pa, word), ca in left.terms.items():
         bucket = by_word.get((word, _odd_mask(xia)))
         if bucket is None or any(xa):
@@ -231,7 +234,8 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
             if order_b == want:
                 xi = tuple(map(sum, zip(xia, xib)))
                 moments[xi] = moments.get(xi, 0) + ca * cb
-    return _real_trace(moments, left.n, left.phase + right.phase)
+    return _real_trace(moments, left.n, left.phase + right.phase,
+                       left.den * right.den)
 
 
 # ---------------------------------------------------------------------------

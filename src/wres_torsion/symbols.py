@@ -19,16 +19,19 @@ follows from the key: the coefficient of key (mu, nu, p, word) is
 with one phase bit per expression.  The phase is 0 for the even symbols
 that the pipelines trace (a term is imaginary exactly when |nu| + grade is
 odd) and 1 for odd ones such as sigma(D_T), c(v) and c(w); it flips under
-each d/dxi and under multiplication by i.  So a term stores the one
-``Fraction`` r.  In a product the phases add, and the (-1) of each common
-generator (c_i^2 = -1) cancels against the i^2 of the grade it removes, so
-the product's sign is the plain transposition parity of the two words.
-The Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha
-flips, and a cosphere trace is real exactly when the phase is even.  Exact
-``GaussianRational`` coefficients are accepted where a term is given
-(``SymbolExpr(n, terms)``, ``add_term``, ``scale``) and rebuilt where one
-is read (``coefficient``, ``term_list``, ``pretty``); a coefficient that
-breaks the phase rule raises ValueError naming its key.
+each d/dxi and under multiplication by i.  So a term stores r alone, as a
+reduced int numerator over the expression's one denominator: a product
+multiplies ints and the two denominators, a sum rescales to their lcm,
+and a trace sums ints and divides once.  In a product the phases add, and
+the (-1) of each common generator (c_i^2 = -1) cancels against the i^2 of
+the grade it removes, so the product's sign is the plain transposition
+parity of the two words.  The Leibniz factor (-i)^|alpha| turns back the
+phase that d_xi^alpha flips, and a cosphere trace is real exactly when the
+phase is even.  Exact ``GaussianRational`` coefficients are accepted where
+a term is given (``SymbolExpr(n, terms)``, ``add_term``, ``scale``, the
+scalar of a Clifford term family) and rebuilt where one is read
+(``coefficient``, ``term_list``, ``pretty``); a coefficient that breaks
+the phase rule raises ValueError naming its key.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -48,6 +51,7 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 
 from .clifford import CliffordElement, Word, _parity_table, _sign_table, word_indices
 from .geometry import DerivedScalars, PointJet, _nonzero, derived_scalars
-from .numerics import GaussianRational, I
+from .numerics import GaussianRational, I, _integer_form
 
 Deg = Tuple[int, ...]
 Key = Tuple[Deg, Deg, int, Word]
@@ -83,11 +87,11 @@ class SymbolTerm:
         return sum(self.xideg) + self.normpow
 
 
-def _split(scalar) -> Tuple[Fraction, Fraction]:
+def _split(scalar) -> Tuple[Fraction, Fraction | int]:
     """(real part, imaginary part) of an exact scalar."""
     if isinstance(scalar, GaussianRational):
         return scalar.re, scalar.im
-    return (scalar if isinstance(scalar, Fraction) else Fraction(scalar)), Fraction(0)
+    return (scalar if isinstance(scalar, Fraction) else Fraction(scalar)), 0
 
 
 def _exponent(key: Key, phase: int) -> int:
@@ -95,19 +99,38 @@ def _exponent(key: Key, phase: int) -> int:
     return (sum(key[1]) + key[3].bit_count() - phase) & 3
 
 
+def _phase_error(key: Key, coeff, phase: int) -> ValueError:
+    kind = "imaginary" if _exponent(key, phase) & 1 else "real"
+    return ValueError(f"coefficient {coeff} of term {key} breaks the phase rule:"
+                      f" in a phase-{phase} expression it must be {kind}")
+
+
+def _real_or_imaginary(scalar) -> Tuple[Fraction, int]:
+    """(s, imag) with scalar = i^imag * s, s rational."""
+    re, im = _split(scalar)
+    if re and im:
+        raise ValueError(f"scaling by {scalar} breaks the phase rule:"
+                         " the scalar is neither real nor imaginary")
+    return (im, 1) if im else (re, 0)
+
+
+def _phase_of(key: Key, coeff) -> int:
+    """The phase in which the exact coefficient ``coeff`` at ``key`` obeys
+    the phase rule."""
+    return (sum(key[1]) + key[3].bit_count() + bool(_split(coeff)[1])) & 1
+
+
 def _real(key: Key, coeff, phase: int) -> Fraction:
-    """The stored r of an exact coefficient ``coeff`` = i^e * r at ``key``."""
+    """The rational r of an exact coefficient ``coeff`` = i^e * r at ``key``."""
     re, im = _split(coeff)
     e = _exponent(key, phase)
     value, stray = (im, re) if e & 1 else (re, im)
     if stray:
-        raise ValueError(
-            f"coefficient {coeff} of term {key} breaks the phase rule: in a"
-            f" phase-{phase} expression it must be {'imaginary' if e & 1 else 'real'}")
+        raise _phase_error(key, coeff, phase)
     return -value if e & 2 else value
 
 
-def _accumulate(terms: Dict[Key, Fraction], key: Key, value: Fraction) -> None:
+def _accumulate(terms: Dict[Key, int], key: Key, value: int) -> None:
     prev = terms.get(key)
     if prev is None:
         terms[key] = value
@@ -122,25 +145,35 @@ def _accumulate(terms: Dict[Key, Fraction], key: Key, value: Fraction) -> None:
 class SymbolExpr:
     """Canonical sum of symbol terms; no zero coefficients stored.
 
-    ``terms`` maps each key to the rational r of its coefficient
-    i^(|nu| + grade(word) - phase) * r; ``phase`` is 0 or 1 and means
+    ``terms`` maps each key to the int numerator of the rational r of its
+    coefficient i^(|nu| + grade(word) - phase) * r, over the one
+    denominator ``den`` > 0 of the expression; gcd(den, *numerators) = 1,
+    and den = 1 when the expression is zero.  ``phase`` is 0 or 1 and means
     nothing while the expression is zero.
     """
 
-    __slots__ = ("n", "terms", "phase")
+    __slots__ = ("n", "terms", "den", "phase")
 
     def __init__(self, n: int, terms: Dict[Key, object] | None = None):
         self.n = n
-        self.terms: Dict[Key, Fraction] = {}
         self.phase = 0
-        if terms:
-            for key, coeff in terms.items():
-                self.add_term(*key, coeff)
+        rationals: Dict[Key, Fraction] = {}
+        for key, coeff in (terms or {}).items():
+            if coeff:
+                if not rationals:
+                    self.phase = _phase_of(key, coeff)
+                rationals[key] = _real(key, coeff, self.phase)
+        self.terms, self.den = _integer_form(rationals)
 
     @classmethod
-    def _of(cls, n: int, terms: Dict[Key, Fraction], phase: int) -> "SymbolExpr":
+    def _of(cls, n: int, terms: Dict[Key, int], den: int, phase: int) -> "SymbolExpr":
+        """The expression (nonzero int numerators over ``den`` > 0), reduced."""
         out = cls.__new__(cls)
-        out.n, out.terms, out.phase = n, terms, phase
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+        out.n, out.terms, out.den, out.phase = n, terms, den, phase
         return out
 
     # -- constructors ----------------------------------------------------
@@ -152,33 +185,35 @@ class SymbolExpr:
     @classmethod
     def from_clifford(cls, elem: CliffordElement, *, xdeg: Deg | None = None,
                       xideg: Deg | None = None, normpow: int = 0) -> "SymbolExpr":
-        n = elem.n
-        xdeg = xdeg or (0,) * n
-        xideg = xideg or (0,) * n
-        out = cls(n)
-        for word, coeff in elem.terms.items():
-            out.add_term(xdeg, xideg, normpow, word, coeff)
-        return out
+        """The rational Clifford element as one term family of the given degrees."""
+        return _sym(elem, xdeg=xdeg, xideg=xideg, normpow=normpow)
 
     @classmethod
     def sum_of(cls, n: int, exprs: Iterable["SymbolExpr"]) -> "SymbolExpr":
-        """Sum of expressions, accumulated in one term dictionary; the
-        nonzero summands must share one phase."""
-        terms: Dict[Key, Fraction] = {}
-        phase = None
+        """Sum of expressions, rescaled to the lcm of their denominators and
+        accumulated in one term dictionary; the nonzero summands must share
+        one phase."""
+        parts = []
         for expr in exprs:
             if expr.n != n:
                 raise ValueError(f"dimension mismatch: {n} != {expr.n}")
-            if not expr.terms:
-                continue
-            if phase is None:
-                phase = expr.phase
-            elif expr.phase != phase:
-                raise ValueError("sum of expressions of different phase breaks"
-                                 " the phase rule")
-            for key, r in expr.terms.items():
-                _accumulate(terms, key, r)
-        return cls._of(n, terms, phase or 0)
+            if expr.terms:
+                if parts and expr.phase != parts[0].phase:
+                    raise ValueError("sum of expressions of different phase breaks"
+                                     " the phase rule")
+                parts.append(expr)
+        if not parts:
+            return cls(n)
+        den = math.lcm(*(expr.den for expr in parts))
+        terms: Dict[Key, int] = {}
+        for expr in parts:
+            f = den // expr.den
+            for key, c in expr.terms.items():
+                if f != 1:
+                    c *= f
+                prev = terms.get(key)
+                terms[key] = c if prev is None else prev + c
+        return cls._of(n, {k: c for k, c in terms.items() if c}, den, parts[0].phase)
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
                  coeff) -> None:
@@ -188,17 +223,19 @@ class SymbolExpr:
             return
         key = (xdeg, xideg, normpow, word)
         if not self.terms:
-            self.phase = (sum(xideg) + word.bit_count() + bool(_split(coeff)[1])) & 1
-        _accumulate(self.terms, key, _real(key, coeff, self.phase))
+            self.phase = _phase_of(key, coeff)
+        r = _real(key, coeff, self.phase)
+        total = SymbolExpr.sum_of(self.n, (self, SymbolExpr._of(
+            self.n, {key: r.numerator}, r.denominator, self.phase)))
+        self.terms, self.den = total.terms, total.den
 
     def coefficient(self, key: Key) -> GaussianRational:
         """The exact complex coefficient at ``key`` (zero when absent)."""
-        r = self.terms.get(key)
-        if r is None:
+        c = self.terms.get(key)
+        if c is None:
             return GaussianRational(0)
         e = _exponent(key, self.phase)
-        if e & 2:
-            r = -r
+        r = Fraction(-c if e & 2 else c, self.den)
         return GaussianRational(0, r) if e & 1 else GaussianRational(r)
 
     # -- ring operations ---------------------------------------------------
@@ -215,19 +252,16 @@ class SymbolExpr:
 
     def scale(self, scalar) -> "SymbolExpr":
         """scalar * self for a real or purely imaginary exact scalar."""
-        re, im = _split(scalar)
-        if not (self.terms and (re or im)):
+        if not (self.terms and scalar):
             return SymbolExpr(self.n)
-        if re and im:
-            raise ValueError(f"scaling by {scalar} breaks the phase rule:"
-                             " the scalar is neither real nor imaginary")
+        s, imag = _real_or_imaginary(scalar)
         phase = self.phase
-        if im:
+        if imag:
             # i lowers the phase by one; from 0 it wraps to -1 = 1 - 2
-            s, phase = (im, 0) if phase else (-im, 1)
-        else:
-            s = re
-        return SymbolExpr._of(self.n, {k: c * s for k, c in self.terms.items()}, phase)
+            s, phase = (s, 0) if phase else (-s, 1)
+        num = s.numerator
+        return SymbolExpr._of(self.n, {k: c * num for k, c in self.terms.items()},
+                              self.den * s.denominator, phase)
 
     def __neg__(self) -> "SymbolExpr":
         return self.scale(-1)
@@ -242,7 +276,7 @@ class SymbolExpr:
         flip = bool(self.phase and other.phase)
         right = [(xb, sum(xb), xib, pb, wb, cb)
                  for (xb, xib, pb, wb), cb in other.terms.items()]
-        acc: Dict[Key, Fraction] = {}
+        acc: Dict[Key, int] = {}
         for (xa, xia, pa, wa), ca in self.terms.items():
             row = odd[wa]
             xa_total = sum(xa)
@@ -257,12 +291,13 @@ class SymbolExpr:
                 prev = acc.get(key)
                 acc[key] = c if prev is None else prev + c
         return SymbolExpr._of(n, {k: c for k, c in acc.items() if c},
-                              self.phase ^ other.phase)
+                              self.den * other.den, self.phase ^ other.phase)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolExpr):
             return NotImplemented
         return (self.n == other.n and self.terms == other.terms
+                and self.den == other.den
                 and (not self.terms or self.phase == other.phase))
 
     def __bool__(self) -> bool:
@@ -316,7 +351,7 @@ def d_xi(expr: SymbolExpr, j: int) -> SymbolExpr:
     to 1); raising nu_j (from ||xi||^p) does the opposite."""
     jj = j - 1
     s = 1 if expr.phase else -1
-    out: Dict[Key, Fraction] = {}
+    out: Dict[Key, int] = {}
     for (xdeg, xideg, p, word), r in expr.terms.items():
         e = xideg[jj]
         if e:
@@ -325,31 +360,31 @@ def d_xi(expr: SymbolExpr, j: int) -> SymbolExpr:
         if p:
             raised = xideg[:jj] + (e + 1,) + xideg[jj + 1:]
             _accumulate(out, (xdeg, raised, p - 2, word), r * (-s * p))
-    return SymbolExpr._of(expr.n, out, expr.phase ^ 1)
+    return SymbolExpr._of(expr.n, out, expr.den, expr.phase ^ 1)
 
 
 def d_x(expr: SymbolExpr, j: int) -> SymbolExpr:
     """d/d(x_j), 1-based; formal partial on the x-monomial (phase kept)."""
     jj = j - 1
-    out: Dict[Key, Fraction] = {}
+    out: Dict[Key, int] = {}
     for (xdeg, xideg, p, word), r in expr.terms.items():
         e = xdeg[jj]
         if e:
             lowered = xdeg[:jj] + (e - 1,) + xdeg[jj + 1:]
             _accumulate(out, (lowered, xideg, p, word), r * e)
-    return SymbolExpr._of(expr.n, out, expr.phase)
+    return SymbolExpr._of(expr.n, out, expr.den, expr.phase)
 
 
 def xi_grade(expr: SymbolExpr, degree: int) -> SymbolExpr:
     """Terms of xi-homogeneity |xideg| + normpow == degree."""
     return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
-                                   if sum(k[1]) + k[2] == degree}, expr.phase)
+                                   if sum(k[1]) + k[2] == degree}, expr.den, expr.phase)
 
 
 def at_x0(expr: SymbolExpr) -> SymbolExpr:
     """Evaluate at the base point: keep x-degree-zero terms."""
     return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
-                                   if not any(k[0])}, expr.phase)
+                                   if not any(k[0])}, expr.den, expr.phase)
 
 
 def _alpha_coefficient(alpha: Sequence[int]) -> GaussianRational:
@@ -407,41 +442,6 @@ def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
                 yield dl.scale(_alpha_coefficient(alpha)), dr
 
 
-def leibniz_compose(left: SymbolExpr, right: SymbolExpr,
-                    alpha_max: int = 2) -> SymbolExpr:
-    """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
-
-    The full x-dependent composition, kept as the independent oracle of
-    ``leibniz_pairs``."""
-    left._check(right)
-    total = SymbolExpr(left.n)
-    for alpha in _iter_alphas(left.n, alpha_max):
-        dl, dr = left, right
-        for j in alpha:
-            dl = d_xi(dl, j)
-        if not dl:
-            continue
-        for j in alpha:
-            dr = d_x(dr, j)
-        if not dr:
-            continue
-        total = total + (dl.scale(_alpha_coefficient(alpha)) * dr)
-    return total
-
-
-def leibniz_compose_at_x0(left: SymbolExpr, right: SymbolExpr,
-                          alpha_max: int = 2) -> SymbolExpr:
-    """x0-evaluation of leibniz_compose.
-
-    Mathematically identical to ``at_x0(leibniz_compose(left, right))``:
-    every term degree is nonnegative, so the x-degree-zero part of a
-    product is the product of x-degree-zero parts.
-    """
-    left._check(right)
-    return SymbolExpr.sum_of(left.n, (dl * dr for dl, dr in leibniz_pairs(
-        left, x_partials(right, alpha_max), range(alpha_max + 1))))
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -463,9 +463,31 @@ def _pair(n: int, a: int, b: int) -> Deg:
 
 def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
          xideg: Deg | None = None, normpow: int = 0) -> SymbolExpr:
-    """coeff * elem as a symbol term family of the given degrees."""
-    out = SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=normpow)
-    return out if coeff == 1 else out.scale(coeff)
+    """coeff * elem as a symbol term family of the given degrees, for a
+    rational element and a real or purely imaginary exact ``coeff``.
+
+    The element's int numerators times coeff's numerator become the terms
+    over the product of the two denominators; the first word sets the
+    phase, and a word of the other grade parity breaks the phase rule."""
+    n = elem.n
+    if not (elem.terms and coeff):
+        return SymbolExpr(n)
+    s, imag = _real_or_imaginary(coeff)
+    xdeg = xdeg or (0,) * n
+    xideg = xideg or (0,) * n
+    nums, den = _integer_form(elem.terms)
+    # coeff * c = i^imag * s * c = i^e * r, so r = i^(imag - e) * s * c
+    nu = sum(xideg) - imag
+    phase = (nu + next(iter(nums)).bit_count()) & 1
+    plus, minus = s.numerator, -s.numerator
+    terms: Dict[Key, int] = {}
+    for word, c in nums.items():
+        key = (xdeg, xideg, normpow, word)
+        e = nu + word.bit_count() - phase
+        if e & 1:
+            raise _phase_error(key, coeff * elem.terms[word], phase)
+        terms[key] = c * (minus if e & 2 else plus)
+    return SymbolExpr._of(n, terms, den * s.denominator, phase)
 
 
 def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
@@ -483,25 +505,25 @@ def _check_dim(jet: PointJet, m: int) -> None:
         raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
 
 
-def _elem(n: int, terms: Iterable[Tuple[Word, Fraction]]) -> CliffordElement:
-    """Sum of coeff * word over (word, rational coeff) pairs; zeros dropped."""
-    acc: Dict[Word, Fraction] = {}
-    for word, coeff in terms:
-        prev = acc.get(word)
-        acc[word] = coeff if prev is None else prev + coeff
-    return CliffordElement(n, acc)
+def _elem(n: int, terms: Iterable[Tuple[Word, int]], den: int) -> CliffordElement:
+    """Sum of (c / den) * word over (word, int c) pairs; zero sums dropped."""
+    acc: Dict[Word, int] = {}
+    for word, c in terms:
+        acc[word] = acc.get(word, 0) + c
+    return CliffordElement(n, {w: Fraction(c, den) for w, c in acc.items()})
 
 
 def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
     """scale * sum_{f<a<b} values[f][a][b] c_f c_a c_b (indices 0-based)."""
-    return _elem(n, [((1 << f) | (1 << a) | (1 << b), values[f][a][b] * scale)
-                     for f, a, b in combinations(range(n), 3) if values[f][a][b]])
+    return CliffordElement(n, {(1 << f) | (1 << a) | (1 << b): values[f][a][b] * scale
+                               for f, a, b in combinations(range(n), 3)
+                               if values[f][a][b]})
 
 
 def _torsion_pair(values_a, n: int) -> CliffordElement:
     """sum_{j<l} values_a[j][l] c_j c_l (one frame slot already applied)."""
-    return _elem(n, [((1 << j) | (1 << l), values_a[j][l])
-                     for j, l in combinations(range(n), 2) if values_a[j][l]])
+    return CliffordElement(n, {(1 << j) | (1 << l): values_a[j][l]
+                               for j, l in combinations(range(n), 2)})
 
 
 def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
@@ -509,25 +531,42 @@ def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
     """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
     channels), from the nonzero entries ``curvature`` = _nonzero(R)."""
     sign = _sign_table(n)
+    nums, den = _integer_form(curvature)
     terms: List[list] = [[] for _ in range(n)]
-    for (b, a, t, s), val in curvature.items():
+    for (b, a, t, s), val in nums.items():
         # canonicalize c_a c_s c_t for possibly coinciding indices
         ws = (1 << a) ^ (1 << s)
-        sg = sign[1 << a][1 << s] * sign[ws][1 << t]
-        terms[b].append((ws ^ (1 << t), val * scale * sg))
-    return [_elem(n, row) for row in terms]
+        terms[b].append((ws ^ (1 << t), val * sign[1 << a][1 << s] * sign[ws][1 << t]))
+    num = scale.numerator
+    return [_elem(n, ((w, c * num) for w, c in row), den * scale.denominator)
+            for row in terms]
 
 
 def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
                          ) -> Dict[Tuple[int, int], CliffordElement]:
     """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing,
     for the pairs with a nonzero entry; ``curvature`` = _nonzero(R)."""
+    nums, den = _integer_form(curvature)
     terms: Dict[Tuple[int, int], list] = {}
-    for (b, a, t, s), val in curvature.items():
+    for (b, a, t, s), val in nums.items():
         if t != s:
             terms.setdefault((b, a), []).append(
                 ((1 << s) | (1 << t), val if s < t else -val))
-    return {ba: _elem(n, row) for ba, row in terms.items()}
+    return {ba: _elem(n, row, den) for ba, row in terms.items()}
+
+
+def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
+                scale: Fraction) -> SymbolExpr:
+    """scale * sum of value * (the word-free term key_of(*index)) over the
+    nonzero rational ``entries``, summed as int numerators; several indices
+    may share one key."""
+    nums, den = _integer_form(entries)
+    acc: Dict[Key, int] = {}
+    for index, c in nums.items():
+        key = key_of(*index)
+        acc[key] = acc.get(key, 0) + c
+    num, den = scale.numerator, scale.denominator * den
+    return SymbolExpr(n, {key: Fraction(c * num, den) for key, c in acc.items()})
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed"
@@ -561,7 +600,10 @@ def build_sigma_ab_composed(jet: PointJet, variant: str = "printed"
     cw = SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
         _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
         for j, row in enumerate(jet.dw)])
-    full = leibniz_compose_at_x0(cv * sigma, cw * sigma, alpha_max=2)
+    # every term degree is nonnegative, so the x-degree-zero part of the
+    # composition is the sum of the products of the x0-evaluated pairs
+    full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
+        cv * sigma, x_partials(cw * sigma))))
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
@@ -654,10 +696,8 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int,
     pairs = _curvature_pair_sums(curvature, n)
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-    r_jet = SymbolExpr(n)
-    third_m = Fraction(-m, 3)
-    for (a, j, b, k), val in curvature.items():
-        r_jet.add_term(_pair(n, j, k), _pair(n, a, b), p, 0, third_m * val)
+    r_jet = _scalar_channel(n, curvature, lambda a, j, b, k: (
+        _pair(n, j, k), _pair(n, a, b), p, 0), Fraction(-m, 3))
     parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
@@ -696,17 +736,12 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
 
-    ric = SymbolExpr(n)
-    c_ric = Fraction(mm * (mm + 1), 3)
-    for a in range(n):
-        for b in range(n):
-            val = der.ric[a][b]
-            if val:
-                ric.add_term(x0, _pair(n, a, b), p4, 0, c_ric * val)
+    ric = _scalar_channel(n, _nonzero(der.ric), lambda a, b: (x0, _pair(n, a, b), p4, 0),
+                      Fraction(mm * (mm + 1), 3))
 
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
-    dt4 = _elem(n, [((1 << i) | (1 << j) | (1 << k) | (1 << t), der.dT4[i][j][k][t])
-                    for i, j, k, t in combinations(range(n), 4) if der.dT4[i][j][k][t]])
+    dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): der.dT4[i][j][k][t]
+                              for i, j, k, t in combinations(range(n), 4)})
 
     # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
     # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share

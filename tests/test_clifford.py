@@ -99,6 +99,11 @@ def test_identity_law():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         _gen(4, 1) * _gen(6, 1)
+    # an empty factor of the wrong dimension still raises
+    for a, b in ((CliffordElement.zero(4), _gen(6, 1)), (_gen(4, 1), CliffordElement.zero(6)),
+                 (CliffordElement.zero(4), CliffordElement.zero(6))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a * b
 
 
 def _random_element(rng, n, terms=6):

@@ -29,12 +29,12 @@ from wres_torsion.residue import (
     theorem_density,
     trace_integral,
 )
+from test_symbols import leibniz_compose
 from wres_torsion.symbols import (
     SymbolExpr,
     at_x0,
     build_sigma_ab_printed,
     build_sigma_delta_inv,
-    leibniz_compose,
     xi_grade,
 )
 

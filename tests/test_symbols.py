@@ -35,8 +35,6 @@ from wres_torsion.symbols import (
     build_sigma_dtpow_parts,
     d_x,
     d_xi,
-    leibniz_compose,
-    leibniz_compose_at_x0,
     xi_grade,
 )
 
@@ -155,6 +153,28 @@ def test_grade_partition():
 # composition
 # ---------------------------------------------------------------------------
 
+def leibniz_compose(left, right, alpha_max=2):
+    """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
+
+    The full x-dependent composition, the independent oracle of
+    ``symbols.leibniz_pairs``.  The derivatives and the Leibniz factor are
+    looked up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
+    left._check(right)
+    total = type(left)(left.n)
+    for alpha in symbols._iter_alphas(left.n, alpha_max):
+        dl, dr = left, right
+        for j in alpha:
+            dl = symbols.d_xi(dl, j)
+        if not dl:
+            continue
+        for j in alpha:
+            dr = symbols.d_x(dr, j)
+        if not dr:
+            continue
+        total = total + (dl.scale(symbols._alpha_coefficient(alpha)) * dr)
+    return total
+
+
 def test_compose_canonical_commutation():
     # L = xi_1, R = x_1:  x_1 xi_1 - i
     L = _expr((Z, _unit(0), 0, 0, ONE))
@@ -189,7 +209,8 @@ def test_compose_at_x0_matches_generic():
     cw = SymbolExpr.sum_of(N, [c(jet.w)] + [c(row, _unit(j))
                                             for j, row in enumerate(jet.dw)])
     left, right = c(jet.v) * sigma, cw * sigma
-    assert at_x0(leibniz_compose(left, right, 2)) == leibniz_compose_at_x0(left, right, 2)
+    assert at_x0(leibniz_compose(left, right, 2)) == SymbolExpr.sum_of(N, (
+        dl * dr for dl, dr in symbols.leibniz_pairs(left, symbols.x_partials(right, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +557,19 @@ def oracle_alpha_coefficient(alpha):
     return coeff
 
 
+def oracle_sym(elem, coeff=1, *, xdeg=None, xideg=None, normpow=0):
+    """``symbols._sym`` computed term by term: from_clifford, then scale."""
+    return OracleExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg,
+                                    normpow=normpow).scale(coeff)
+
+
 @contextmanager
 def oracle_arithmetic():
     """Run the symbols module's builders and Leibniz kernel on OracleExpr."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
-                            ("at_x0", oracle_at_x0),
+                            ("at_x0", oracle_at_x0), ("_sym", oracle_sym),
                             ("_alpha_coefficient", oracle_alpha_coefficient)):
             mp.setattr(symbols, name, value)
         yield
@@ -605,10 +632,19 @@ _degs = st.lists(st.integers(0, N - 1), max_size=3).map(
 _terms = st.lists(st.tuples(
     _degs.filter(lambda d: sum(d) <= 2), _degs, st.sampled_from([0, -2, -4, -6]),
     st.integers(0, (1 << N) - 1),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6)
+    st.fractions(min_value=-4, max_value=4, max_denominator=12)), max_size=6)
 _scalars = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5),
                      st.booleans()).map(
     lambda t: GaussianRational(0, t[0]) if t[1] else GaussianRational(t[0]))
+
+
+def _assert_canonical(expr):
+    """The integer form: nonzero int numerators over one positive
+    denominator, reduced, and den = 1 for the zero expression."""
+    assert type(expr.den) is int and expr.den > 0
+    assert all(type(c) is int and c for c in expr.terms.values())
+    assert math.gcd(expr.den, *expr.terms.values()) == 1
+    assert expr.terms or expr.den == 1
 
 
 def _pair_of(terms, phase):
@@ -627,20 +663,26 @@ def test_phase_arithmetic_matches_complex_oracle(ta, tb, tc, pa, pb, j, z):
     a, oa = _pair_of(ta, pa)
     b, ob = _pair_of(tb, pb)
     c, oc = _pair_of(tc, pa)
-    assert expand(a) == oa.terms
-    assert expand(a * b) == (oa * ob).terms
-    assert expand(b * a) == (ob * oa).terms
-    assert expand(d_xi(a, j)) == oracle_d_xi(oa, j).terms
-    assert expand(d_xi(d_xi(b, j), 1)) == oracle_d_xi(oracle_d_xi(ob, j), 1).terms
-    assert expand(d_x(a, j)) == oracle_d_x(oa, j).terms
-    assert expand(a.scale(z)) == oa.scale(z).terms
-    assert expand(a.scale(z).scale(z)) == oa.scale(z).scale(z).terms
-    assert expand(SymbolExpr.sum_of(N, (a, c, a))) == OracleExpr.sum_of(N, (oa, oc, oa)).terms
-    assert expand(a - c) == (oa - oc).terms
-    engine = leibniz_compose(a, b, 2)
+    # the negated terms of a, then c: sums with a cancel partly or fully
+    d, od = _pair_of([t[:4] + (-t[4],) for t in ta] + tc, pa)
     with oracle_arithmetic():
-        oracle = symbols.leibniz_compose(oa, ob, 2)
-    assert expand(engine) == oracle.terms
+        oracle_compose = leibniz_compose(oa, ob, 2)
+    cases = [
+        (a, oa), (d, od), (a * b, oa * ob), (b * a, ob * oa),
+        (d_xi(a, j), oracle_d_xi(oa, j)),
+        (d_xi(d_xi(b, j), 1), oracle_d_xi(oracle_d_xi(ob, j), 1)),
+        (d_x(a, j), oracle_d_x(oa, j)),
+        (xi_grade(a, 1), oracle_xi_grade(oa, 1)), (at_x0(b), oracle_at_x0(ob)),
+        (a.scale(z), oa.scale(z)), (a.scale(z).scale(z), oa.scale(z).scale(z)),
+        (SymbolExpr.sum_of(N, (a, c, a)), OracleExpr.sum_of(N, (oa, oc, oa))),
+        (a - c, oa - oc), (a - a, oa - oa), (a + d, oa + od),
+        (SymbolExpr.sum_of(N, (d, b.scale(0), a)), OracleExpr.sum_of(N, (od, oa))),
+        (leibniz_compose(a, b, 2), oracle_compose),
+    ]
+    for engine, oracle in cases:
+        _assert_canonical(engine)
+        assert expand(engine) == oracle.terms
+    assert a - a == SymbolExpr(N) and (a + d) == c
 
 
 def test_phase_violation_raises_at_construction():
@@ -657,6 +699,12 @@ def test_phase_violation_raises_at_construction():
     with pytest.raises(ValueError, match="phase"):
         SymbolExpr.sum_of(N, (e, e.scale(I)))
     # the same term is fine where the phase makes it imaginary or odd
+    # a Clifford element whose words differ in grade parity
+    with pytest.raises(ValueError, match=re.escape(str((Z, Z, 0, 0b0011)))):
+        SymbolExpr.from_clifford(CliffordElement(N, {0b0001: Fraction(1), 0b0011: Fraction(1)}))
+    with pytest.raises(ValueError, match=re.escape(str((Z, _unit(0), 0, 0b0001)))):
+        symbols._sym(CliffordElement(N, {0: Fraction(1, 3), 0b0001: Fraction(2)}), I,
+                     xideg=_unit(0))
     assert SymbolExpr(N, {key: I}).phase == 0
     assert SymbolExpr(N, {key: GaussianRational(2)}).phase == 1
     assert e.add_term(*key, I) is None and e.coefficient(key) == I
@@ -666,7 +714,7 @@ def test_coefficients_read_back_exactly():
     e = SymbolExpr(N)
     e.add_term(Z, _unit(0), 0, 0b0001, GaussianRational(Fraction(3, 4)))   # e = 2
     e.add_term(Z, _unit(1), 0, 0, GaussianRational(0, Fraction(-1, 2)))    # e = 1
-    assert e.terms[(Z, _unit(0), 0, 0b0001)] == Fraction(-3, 4)
+    assert Fraction(e.terms[(Z, _unit(0), 0, 0b0001)], e.den) == Fraction(-3, 4)
     assert e.pretty() == "(-1/2*i)*xi2 + (3/4)*xi1*c1"
     assert e.coefficient((Z, Z, 0, 0)) == 0
 
@@ -782,7 +830,8 @@ def _factor_pair_jets(m):
 
 def _assert_same_channels(engine, oracle):
     for name, expr in oracle.items():
-        assert (engine[name].terms, engine[name].phase) == (expr.terms, expr.phase), name
+        assert (engine[name].terms, engine[name].den, engine[name].phase) == (
+            expr.terms, expr.den, expr.phase), name
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
