@@ -14,7 +14,8 @@ which exact scalars it holds: the engine's builders give it rational
 feed it ``GaussianRational`` ones.
 
 The product is one accumulation loop over word pairs, signed from a static
-per-n table.  When both operands hold only ``Fraction`` coefficients, each
+per-n table; a product with an empty factor is the zero element, returned
+right after the dimension check.  When both operands hold only ``Fraction`` coefficients, each
 is first scaled to int numerators over its common denominator: the loop
 then sums plain int products per output word, and each nonzero sum is
 divided once by the product of the two denominators, so the result is in
