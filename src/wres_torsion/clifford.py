@@ -15,12 +15,12 @@ feed it ``GaussianRational`` ones.
 
 The product is one accumulation loop over word pairs, signed from a static
 per-n table; a product with an empty factor is the zero element, returned
-right after the dimension check.  When both operands hold only ``Fraction`` coefficients, each
-is first scaled to int numerators over its common denominator: the loop
-then sums plain int products per output word, and each nonzero sum is
-divided once by the product of the two denominators, so the result is in
-``Fraction`` again.  Other coefficients (ints, ``GaussianRational``) run
-through the same loop as they are.
+right after the dimension check.  When both operands hold only ``Fraction``
+coefficients, each is first scaled to int numerators over its common
+denominator: the loop then sums plain int products per output word, and
+each nonzero sum is divided once by the product of the two denominators,
+so the result is in ``Fraction`` again.  Other coefficients (ints,
+``GaussianRational``) run through the same loop as they are.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence

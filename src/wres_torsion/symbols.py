@@ -556,7 +556,7 @@ def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
 
 
 def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
-                scale: Fraction) -> SymbolExpr:
+                    scale: Fraction) -> SymbolExpr:
     """scale * sum of value * (the word-free term key_of(*index)) over the
     nonzero rational ``entries``, summed as int numerators; several indices
     may share one key."""
@@ -737,7 +737,7 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
     tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
 
     ric = _scalar_channel(n, _nonzero(der.ric), lambda a, b: (x0, _pair(n, a, b), p4, 0),
-                      Fraction(mm * (mm + 1), 3))
+                          Fraction(mm * (mm + 1), 3))
 
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): der.dT4[i][j][k][t]
