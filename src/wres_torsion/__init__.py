@@ -7,7 +7,6 @@ from .clifford import (
     GammaRep,
     build_gamma,
     canonicalize,
-    mul,
     trace,
     trace_via_rep,
 )
@@ -32,9 +31,7 @@ from .symbols import (
     at_x0,
     build_sigma_ab_composed,
     build_sigma_ab_printed,
-    build_sigma_delta_inv,
     build_sigma_dt,
-    build_sigma_dtpow,
     d_x,
     d_xi,
     xi_grade,

@@ -13,14 +13,17 @@ which exact scalars it holds: the engine's builders give it rational
 ``Fraction`` coefficients, and only the gamma-matrix oracle and its checks
 feed it ``GaussianRational`` ones.
 
-The product is one accumulation loop over word pairs, signed from a static
-per-n table; a product with an empty factor is the zero element, returned
-right after the dimension check.  When both operands hold only ``Fraction``
-coefficients, each is first scaled to int numerators over its common
-denominator: the loop then sums plain int products per output word, and
-each nonzero sum is divided once by the product of the two denominators,
-so the result is in ``Fraction`` again.  Other coefficients (ints,
-``GaussianRational``) run through the same loop as they are.
+The product is one accumulation loop over word pairs.  Its sign needs no
+table: each right-hand word b gives one bit mask, ``_below(b) ^ b``, and
+the pair (a, b) is negative exactly when a meets that mask in an odd
+number of bits, for any n.  A product with an empty factor is the zero
+element, returned right after the dimension check.  When both operands
+hold only ``Fraction`` coefficients, each is first scaled to int
+numerators over its common denominator: the loop then sums plain int
+products per output word, and each nonzero sum is divided once by the
+product of the two denominators, so the result is in ``Fraction`` again.
+Other coefficients (ints, ``GaussianRational``) run through the same loop
+as they are.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
@@ -39,47 +42,34 @@ from .numerics import GaussianRational, I, ONE, ZERO, _integer_form
 
 Word = int  # bitmask encoding of a canonical word
 
-_SIGN_TABLES: Dict[int, List[List[int]]] = {}
-_PARITY_TABLES: Dict[int, List[List[bool]]] = {}
 
+def _below(b: Word) -> int:
+    """The mask with bit i set when an odd number of b's generators lie
+    below bit i.
 
-def _swaps(a: Word, b: Word) -> int:
-    """Transpositions that interleave the generators of b into a."""
-    swaps = 0
+    Interleaving b into a word a passes each generator of a over the
+    generators of b below it, so it takes popcount(a & _below(b))
+    transpositions mod 2.  Each set bit of b flips every bit above it, so
+    for any n the loop runs once per generator of b; for odd grade the
+    result is a negative int (all high bits set) and only ever meets a word
+    through ``&``.
+    """
+    mask = 0
     while b:
         low = b & -b
-        swaps += (a >> low.bit_length()).bit_count()
+        mask ^= -(low << 1)
         b ^= low
-    return swaps
+    return mask
 
 
 def blade_mul(a: Word, b: Word) -> Tuple[int, Word]:
     """Product of two canonical words: (sign, canonical word).
 
     Sign = transposition parity of interleaving b into a, times (-1) per
-    common generator (each c_i^2 = -1).
+    common generator (each c_i^2 = -1): the parity of a against the one
+    mask ``_below(b) ^ b``.
     """
-    return (-1 if (_swaps(a, b) + (a & b).bit_count()) & 1 else 1), a ^ b
-
-
-def _sign_table(n: int) -> List[List[int]]:
-    table = _SIGN_TABLES.get(n)
-    if table is None:
-        size = 1 << n
-        table = [[blade_mul(a, b)[0] for b in range(size)] for a in range(size)]
-        _SIGN_TABLES[n] = table
-    return table
-
-
-def _parity_table(n: int) -> List[List[bool]]:
-    """[a][b]: interleaving word b into word a takes an odd number of
-    transpositions (the sign of ``blade_mul`` without the c_i^2 factors)."""
-    table = _PARITY_TABLES.get(n)
-    if table is None:
-        size = 1 << n
-        table = [[bool(_swaps(a, b) & 1) for b in range(size)] for a in range(size)]
-        _PARITY_TABLES[n] = table
-    return table
+    return (-1 if (a & (_below(b) ^ b)).bit_count() & 1 else 1), a ^ b
 
 
 def word_indices(word: Word) -> Tuple[int, ...]:
@@ -196,19 +186,18 @@ class CliffordElement:
         self._check(other)
         if not (self.terms and other.terms):
             return CliffordElement(self.n)
-        sign = _sign_table(self.n)
         left, right = self.terms, other.terms
         rational = all(type(c) is Fraction for t in (left, right) for c in t.values())
         if rational:
             (left, d_left), (right, d_right) = _integer_form(left), _integer_form(right)
+        signed = [(wb, _below(wb) ^ wb, cb) for wb, cb in right.items()]
         acc: Dict[Word, object] = {}
         for wa, ca in left.items():
-            row = sign[wa]
-            for wb, cb in right.items():
+            for wb, mask, cb in signed:
                 w = wa ^ wb
                 c = ca * cb
                 prev = acc.get(w)
-                term = c if row[wb] > 0 else -c
+                term = -c if (wa & mask).bit_count() & 1 else c
                 acc[w] = term if prev is None else prev + term
         out = CliffordElement(self.n)
         if rational:
@@ -234,10 +223,6 @@ class CliffordElement:
             label = "id" if word == 0 else "c" + "c".join(map(str, word_indices(word)))
             bits.append(f"({self.terms[word]})*{label}")
         return " + ".join(bits)
-
-
-def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
 
 
 def trace(a: CliffordElement, m: int):

@@ -209,7 +209,6 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
 
 def zero_point_jet(m: int) -> PointJet:
     """The all-zero jet: flat, torsion-free, with v = w = 0 and dw = 0."""
-    _check_supported(m)
     return make_point_jet(m)
 
 
@@ -222,8 +221,9 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
     symmetry images, as in ``jet_from_dict``.  Conflicting entries, a
     nonzero torsion entry with a repeated index and a jet that fails
     ``validate_symmetries`` raise InstanceError with ``jet_from_dict``'s
-    message.
+    message; an unsupported m raises ValueError.
     """
+    _check_supported(m)
     n = 2 * m
 
     def sparse(entries):

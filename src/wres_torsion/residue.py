@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .clifford import CliffordElement, _parity_table
+from .clifford import CliffordElement
 from .geometry import DerivedScalars, PointJet, derived_scalars
 from .numerics import I, ONE, format_rational
 from .symbols import (
@@ -215,7 +215,6 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
-    odd = _parity_table(left.n)
     grade = -2 * m
     by_word: Dict[Tuple[int, int], List] = {}
     for (xdeg, xideg, p, word), r in right.terms.items():
@@ -228,7 +227,9 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
         if bucket is None or any(xa):
             continue
         want = grade - sum(xia) - pa
-        if odd[word][word]:
+        # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
+        # an odd number exactly when k % 4 is 2 or 3
+        if word.bit_count() & 2:
             ca = -ca
         for xib, order_b, cb in bucket:
             if order_b == want:

@@ -58,7 +58,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from dataclasses import dataclass
 
-from .clifford import CliffordElement, Word, _parity_table, _sign_table, word_indices
+from .clifford import CliffordElement, Word, _below, word_indices
 from .geometry import DerivedScalars, PointJet, _nonzero, derived_scalars
 from .numerics import GaussianRational, I, _integer_form
 
@@ -272,21 +272,19 @@ class SymbolExpr:
         The phases add; two odd phases give i^-2 = -1."""
         self._check(other)
         n = self.n
-        odd = _parity_table(n)
-        flip = bool(self.phase and other.phase)
-        right = [(xb, sum(xb), xib, pb, wb, cb)
+        flip = self.phase & other.phase
+        right = [(xb, sum(xb), xib, pb, wb, _below(wb), cb)
                  for (xb, xib, pb, wb), cb in other.terms.items()]
         acc: Dict[Key, int] = {}
         for (xa, xia, pa, wa), ca in self.terms.items():
-            row = odd[wa]
             xa_total = sum(xa)
-            for xb, xb_total, xib, pb, wb, cb in right:
+            for xb, xb_total, xib, pb, wb, below, cb in right:
                 if xa_total + xb_total > X_TRUNCATION:
                     continue
                 x = tuple(map(sum, zip(xa, xb))) if xa_total or xb_total else xa
                 key = (x, tuple(map(sum, zip(xia, xib))), pa + pb, wa ^ wb)
                 c = ca * cb
-                if row[wb] != flip:
+                if ((wa & below).bit_count() ^ flip) & 1:
                     c = -c
                 prev = acc.get(key)
                 acc[key] = c if prev is None else prev + c
@@ -324,14 +322,7 @@ class SymbolExpr:
             if p:
                 factors.append(f"|xi|^{p}")
             if word:
-                idx = []
-                b, i = word, 1
-                while b:
-                    if b & 1:
-                        idx.append(str(i))
-                    b >>= 1
-                    i += 1
-                factors.append("c" + "c".join(idx))
+                factors.append("c" + "c".join(map(str, word_indices(word))))
             lines.append("*".join(factors))
         return " + ".join(lines)
 
@@ -530,13 +521,15 @@ def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
                          scale: Fraction) -> List[CliffordElement]:
     """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
     channels), from the nonzero entries ``curvature`` = _nonzero(R)."""
-    sign = _sign_table(n)
     nums, den = _integer_form(curvature)
     terms: List[list] = [[] for _ in range(n)]
     for (b, a, t, s), val in nums.items():
-        # canonicalize c_a c_s c_t for possibly coinciding indices
+        # c_a c_s is -1 times its canonical word iff a >= s (a swap or
+        # c_a^2 = -1); c_t then passes the generators of that word above t
+        # and squares to -1 if it is one of them
         ws = (1 << a) ^ (1 << s)
-        terms[b].append((ws ^ (1 << t), val * sign[1 << a][1 << s] * sign[ws][1 << t]))
+        odd = (a >= s) + (ws >> t).bit_count()
+        terms[b].append((ws ^ (1 << t), -val if odd & 1 else val))
     num = scale.numerator
     return [_elem(n, ((w, c * num) for w, c in row), den * scale.denominator)
             for row in terms]
@@ -771,13 +764,6 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
     }
 
 
-def build_sigma_delta_inv(jet: PointJet, m: int
-                          ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-    parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet, m)
-    return tuple(SymbolExpr.sum_of(jet.n, parts.values())
-                 for parts in (parts_m, parts_m1, parts_m2))
-
-
 def build_sigma_dtpow_parts(jet: PointJet, m: int,
                             der: DerivedScalars | None = None
                             ) -> Dict[str, SymbolExpr]:
@@ -787,7 +773,3 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int,
     _check_dim(jet, m)
     return _sigma_inverse_order2_parts(jet, m - 1, der or derived_scalars(jet),
                                        _curvature_pair_sums(_nonzero(jet.R), jet.n))
-
-
-def build_sigma_dtpow(jet: PointJet, m: int) -> SymbolExpr:
-    return SymbolExpr.sum_of(jet.n, build_sigma_dtpow_parts(jet, m).values())

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from wres_torsion.clifford import (
     CliffordElement,
-    _sign_table,
+    blade_mul,
     build_gamma,
     canonicalize,
     trace,
@@ -70,6 +70,14 @@ def test_canonicalize_matches_slow_reference(indices):
     assert canonicalize(indices, 6) == _slow_canonicalize(indices, 6)
 
 
+def test_blade_mul_matches_slow_reference():
+    # every word pair of every n <= 6
+    for a in range(1 << 6):
+        for b in range(1 << 6):
+            sign, word = _slow_canonicalize(word_indices(a) + word_indices(b), 6)
+            assert blade_mul(a, b) == (sign, word_from_indices(word))
+
+
 # ---------------------------------------------------------------------------
 # element algebra
 # ---------------------------------------------------------------------------
@@ -119,7 +127,7 @@ def _random_element(rng, n, terms=6):
 def test_mul_associative_on_random_triples():
     rng = random.Random(7)
     for _ in range(40):
-        n = rng.choice([2, 4, 6])
+        n = rng.choice([2, 4, 6, 12])
         a, b, c = (_random_element(rng, n) for _ in range(3))
         assert (a * b) * c == a * (b * c)
 
@@ -128,11 +136,10 @@ def test_mul_associative_on_random_triples():
 # The oracle is the coefficient-by-coefficient loop it replaced.
 
 def _coefficientwise_mul(a, b):
-    sign = _sign_table(a.n)
     acc = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            c = ca * cb if sign[wa][wb] > 0 else -(ca * cb)
+            c = ca * cb if blade_mul(wa, wb)[0] > 0 else -(ca * cb)
             acc[wa ^ wb] = acc[wa ^ wb] + c if wa ^ wb in acc else c
     out = CliffordElement(a.n)
     out.terms = {w: c for w, c in acc.items() if c}
@@ -146,7 +153,7 @@ _gaussians = st.builds(GaussianRational, _fractions, _fractions)
 
 @st.composite
 def _element_pairs(draw):
-    n = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.sampled_from([2, 4, 6, 12]))
     words = st.integers(0, (1 << n) - 1)
     kinds = ["fraction", "int", "gaussian", "mixed"] + ["zero divisor"] * (n >= 4)
     kind = draw(st.sampled_from(kinds))

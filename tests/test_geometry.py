@@ -59,8 +59,10 @@ def test_zero_torsion_mode():
 def test_unsupported_dimension():
     with pytest.raises(ValueError):
         random_point_jet(0, 4)
-    with pytest.raises(ValueError, match="unsupported half-dimension m=4"):
-        zero_point_jet(4)
+    for m in (4, 0):
+        for build in (zero_point_jet, make_point_jet):
+            with pytest.raises(ValueError, match=f"unsupported half-dimension m={m}"):
+                build(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

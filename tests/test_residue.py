@@ -34,7 +34,7 @@ from wres_torsion.symbols import (
     SymbolExpr,
     at_x0,
     build_sigma_ab_printed,
-    build_sigma_delta_inv,
+    build_sigma_delta_inv_parts,
     xi_grade,
 )
 
@@ -338,7 +338,8 @@ def test_part2_via_generic_pipeline():
     m = 2
     jet = random_point_jet(13, m)
     s2, s1, s0 = build_sigma_ab_printed(jet)
-    s_m, s_m1, s_m2 = build_sigma_delta_inv(jet, m)
+    s_m, s_m1, s_m2 = (SymbolExpr.sum_of(jet.n, parts.values())
+                       for parts in build_sigma_delta_inv_parts(jet, m))
     full = leibniz_compose(s2 + s1 + s0, s_m + s_m1 + s_m2, 2)
     generic = trace_integral(at_x0(xi_grade(full, -2 * m)), m).value
     assert generic == part2_density(jet, m, "printed").value

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wres_torsion import symbols
-from wres_torsion.clifford import CliffordElement, _sign_table
+from wres_torsion.clifford import CliffordElement, blade_mul
 from wres_torsion.geometry import (
     _nonzero,
     derived_scalars,
@@ -29,7 +29,6 @@ from wres_torsion.symbols import (
     at_x0,
     build_sigma_ab_composed,
     build_sigma_ab_printed,
-    build_sigma_delta_inv,
     build_sigma_delta_inv_parts,
     build_sigma_dt,
     build_sigma_dtpow_parts,
@@ -259,7 +258,8 @@ def test_sigma_dt_variant_ratio():
 
 def test_sigma_delta_inv_flat():
     jet = zero_point_jet(2)
-    s_m, s_m1, s_m2 = build_sigma_delta_inv(jet, 2)
+    s_m, s_m1, s_m2 = (SymbolExpr.sum_of(4, parts.values())
+                       for parts in build_sigma_delta_inv_parts(jet, 2))
     lead = SymbolExpr(4)
     for a in range(4):
         lead.add_term(Z, _unit(a, 2), -6, 0, ONE)
@@ -489,7 +489,6 @@ class OracleExpr:
 
     def __mul__(self, other):
         self._check(other)
-        sign = _sign_table(self.n)
         acc = {}
         for (xa, xia, pa, wa), ca in self.terms.items():
             for (xb, xib, pb, wb), cb in other.terms.items():
@@ -498,7 +497,7 @@ class OracleExpr:
                 key = (tuple(map(sum, zip(xa, xb))), tuple(map(sum, zip(xia, xib))),
                        pa + pb, wa ^ wb)
                 c = ca * cb
-                if sign[wa][wb] < 0:
+                if blade_mul(wa, wb)[0] < 0:
                     c = -c
                 acc[key] = acc[key] + c if key in acc else c
         out = OracleExpr(self.n)
