@@ -9,7 +9,8 @@ Exit code contract (stable):
        on stderr); never a discrepancy, which is always 1
 
 Each jet of a command is computed through one ``PipelineContext``, so its
-densities, closed forms and audit share every per-jet artifact.
+densities and audit share every symbol artifact, and its closed forms read
+the derived scalars the jet computes once (``jet.derived``).
 
 Two of the selectable checks compare the engine against displayed
 reference expressions that are reproducibly off (the grade-1 product
@@ -294,7 +295,7 @@ def check_lemma36(cfg: RunConfig) -> CheckResult:
         row = {"seed": seed, "grade2_equal": eq[0],
                "grade1_equal": eq[1], "grade0_equal": eq[2]}
         if not all(eq):
-            tt = ctx.der.tt_vw
+            tt = ctx.jet.derived.tt_vw
             shift = ctx.part2("composed").value - ctx.part2("printed").value
             row["density_shift"] = format_rational(shift)
             row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
@@ -347,7 +348,7 @@ def check_theorem(cfg: RunConfig) -> CheckResult:
         ctx = PipelineContext(random_point_jet(cfg.seed, m, with_torsion=False,
                                                with_torsion_jet=False), m)
         total = ctx.part1().value + ctx.part2().value
-        row_ok = total == -Fraction(1, 6) * ctx.der.einstein_vw
+        row_ok = total == -Fraction(1, 6) * ctx.jet.derived.einstein_vw
         rows.append({"case": "zero-torsion", "match": row_ok})
         ok = ok and row_ok
         for label, expected, jet_kw in _one_hot_cases(m):
@@ -384,11 +385,11 @@ def check_metric(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
     for seed, ctx in _trial_contexts(cfg):
-        value = ctx.metric().value
-        match = value == -ctx.der.g_vw
+        value, expected = ctx.metric().value, -ctx.jet.derived.g_vw
+        match = value == expected
         ok = ok and match
         rows.append({"seed": seed, "value": format_rational(value),
-                     "expected": format_rational(-ctx.der.g_vw), "match": match})
+                     "expected": format_rational(expected), "match": match})
     return CheckResult("metric", ok, "metric density vs -g(v,w)", rows)
 
 
@@ -457,7 +458,7 @@ def cmd_density(cfg: RunConfig) -> int:
     try:
         with open(cfg.input_path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise UsageError(f"cannot read instance: {exc}") from None
     try:
         jet = jet_from_dict(data)

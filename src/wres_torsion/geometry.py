@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import (chain, combinations, combinations_with_replacement, compress,
                        permutations, product)
 from operator import itemgetter
@@ -60,6 +61,12 @@ class PointJet:
     @property
     def n(self) -> int:
         return 2 * self.m
+
+    @cached_property
+    def derived(self) -> DerivedScalars:
+        """``derived_scalars(self)``, computed on first read and kept with
+        the jet (outside its fields, so equality, hash and repr ignore it)."""
+        return derived_scalars(self)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import CliffordElement
-from .geometry import DerivedScalars, PointJet, derived_scalars
+from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
     SymbolExpr,
@@ -248,22 +248,18 @@ class PipelineContext:
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
     Every field is built on first use and reused by every later consumer:
-    the derived scalars, c(v)c(w), the channels of the inverse powers
-    (part 1 and part 2), the printed and composed product-symbol grades,
-    and the table alpha -> d_x^alpha sigma_Delta |x0 (|alpha| <= 2) that
-    every Leibniz sum of part 2 reads.  One public call (a density, a
-    closed form, ``audit``, one jet of a CLI command) makes one context and
-    drops it when it returns; nothing is cached across calls.  A jet whose
-    dimension is not 2m is rejected here, before any field is built.
+    c(v)c(w), the inverse-power channels of parts 1 and 2, the printed and
+    composed product-symbol grades, and the table alpha -> d_x^alpha
+    sigma_Delta |x0 (|alpha| <= 2) that every Leibniz sum of part 2 reads.
+    One public call (a density, a closed form, ``audit``, one jet of a CLI
+    command) makes one context and drops it on return; the derived scalars
+    belong to the jet (``jet.derived``), so all calls on one jet share them.
+    A jet whose dimension is not 2m is rejected before any field is built.
     """
 
     def __init__(self, jet: PointJet, m: int):
         _check_dim(jet, m)
         self.jet, self.m, self.n = jet, m, jet.n
-
-    @cached_property
-    def der(self) -> DerivedScalars:
-        return derived_scalars(self.jet)
 
     @cached_property
     def cvw(self) -> SymbolExpr:
@@ -273,11 +269,11 @@ class PipelineContext:
 
     @cached_property
     def dtpow_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_dtpow_parts(self.jet, self.m, self.der)
+        return build_sigma_dtpow_parts(self.jet, self.m)
 
     @cached_property
     def delta_inv_parts(self) -> Tuple[Dict[str, SymbolExpr], ...]:
-        return build_sigma_delta_inv_parts(self.jet, self.m, self.der)
+        return build_sigma_delta_inv_parts(self.jet, self.m)
 
     @cached_property
     def delta_dx(self) -> Dict[Tuple[int, ...], SymbolExpr]:
@@ -324,12 +320,12 @@ class PipelineContext:
                            Fraction(0)))
 
     def part1_closed(self) -> Density:
-        der, m = self.der, self.m
+        der, m = self.jet.derived, self.m
         return Density(Fraction(m - 1, 12) * der.s * der.g_vw
                        - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
 
     def part2_closed(self) -> Density:
-        der, m = self.der, self.m
+        der, m = self.jet.derived, self.m
         return Density(-Fraction(1, 6) * (der.ric_vw - der.s * der.g_vw / 2)
                        - Fraction(m - 1, 12) * der.s * der.g_vw
                        + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
@@ -338,7 +334,7 @@ class PipelineContext:
                        + Fraction(17, 4) * der.t_dw)
 
     def theorem(self) -> Density:
-        der = self.der
+        der = self.jet.derived
         return Density(-Fraction(1, 6) * der.einstein_vw
                        + Fraction(73, 16) * der.norm_t2 * der.g_vw
                        - Fraction(25, 16) * der.tt_vw
@@ -472,7 +468,7 @@ def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict
 def audit(jet: PointJet, m: int) -> DensityReport:
     """Step-by-step comparison of the engine against the reference chain."""
     ctx = PipelineContext(jet, m)
-    der = ctx.der
+    der = jet.derived
     report = DensityReport(m=m)
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw

@@ -59,7 +59,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from dataclasses import dataclass
 
 from .clifford import CliffordElement, Word, _below, word_indices
-from .geometry import DerivedScalars, PointJet, _nonzero, derived_scalars
+# derived_scalars stays bound for bench/test_bench.py; builders read jet.derived
+from .geometry import PointJet, _nonzero, derived_scalars  # noqa: F401
 from .numerics import GaussianRational, I, _integer_form
 
 Deg = Tuple[int, ...]
@@ -674,16 +675,13 @@ def build_sigma_delta_lead(jet: PointJet, m: int) -> SymbolExpr:
                           for a in range(n)})
 
 
-def build_sigma_delta_inv_parts(jet: PointJet, m: int,
-                                der: DerivedScalars | None = None) -> Tuple[
+def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
         Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
-    (x^2 jet, x^1 jet, base point).  ``der`` is derived_scalars(jet),
-    computed here when not given."""
+    (x^2 jet, x^1 jet, base point)."""
     _check_dim(jet, m)
     n = jet.n
-    der = der or derived_scalars(jet)
     p = -2 * m - 2
     curvature = _nonzero(jet.R)
     pairs = _curvature_pair_sums(curvature, n)
@@ -696,9 +694,10 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int,
     # order -2m-1
     c_ric = Fraction(-2 * m, 3)
     c_t = GaussianRational(0, 3 * m)
+    ric = jet.derived.ric
     parts_m1 = {
         "ric_jet": SymbolExpr(n, {
-            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * der.ric[a][b])
+            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * ric[a][b])
             for a in range(n) for b in range(n)}),
         "tt": SymbolExpr.sum_of(n, (
             _sym(_torsion_pair(jet.T[a], n), c_t, xideg=_unit(n, a), normpow=p)
@@ -713,18 +712,18 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int,
             for b in range(n) for a in range(n))),
     }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, der, pairs)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs)
     return parts_m, parts_m1, parts_m2
 
 
-def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
+def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
                                 pairs: Dict[Tuple[int, int], CliffordElement]
                                 ) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
     with mm = m-1 for the first one; ``pairs`` is _curvature_pair_sums of
     the jet's curvature."""
-    n = jet.n
+    n, der = jet.n, jet.derived
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
@@ -764,12 +763,9 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int, der: DerivedScalars,
     }
 
 
-def build_sigma_dtpow_parts(jet: PointJet, m: int,
-                            der: DerivedScalars | None = None
-                            ) -> Dict[str, SymbolExpr]:
+def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
-    the base point (prefactors carry m-1 in place of m).  ``der`` is
-    derived_scalars(jet), computed here when not given."""
+    the base point (prefactors carry m-1 in place of m)."""
     _check_dim(jet, m)
-    return _sigma_inverse_order2_parts(jet, m - 1, der or derived_scalars(jet),
+    return _sigma_inverse_order2_parts(jet, m - 1,
                                        _curvature_pair_sums(_nonzero(jet.R), jet.n))

@@ -154,6 +154,18 @@ def test_density_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000],
+                         ids=["unclosed", "balanced"])
+def test_density_deeply_nested_input_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "density", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read instance: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -462,9 +463,51 @@ def test_derived_scalars_match_dense_oracle():
     assert all(validate_symmetries(jet).ok for jet in _one_channel_jets(3))
     jets = list(_contraction_jets())
     for jet in jets:
-        assert derived_scalars(jet) == _derived_scalars_dense(jet)
+        oracle = _derived_scalars_dense(jet)
+        assert derived_scalars(jet) == oracle
+        assert jet.derived == oracle
     assert sum(derived_scalars(j).tt_vw != 0 for j in jets) > 10
     assert sum(derived_scalars(j).t_dw != 0 for j in jets) > 10
+
+
+# ---------------------------------------------------------------------------
+# the derived scalars a jet keeps
+# ---------------------------------------------------------------------------
+
+def test_replaced_jet_computes_its_own_derived_scalars():
+    jet = random_point_jet(3, 2)
+    assert jet.derived.tt_vw
+    other = dataclasses.replace(jet, w=jet.v)
+    assert other.derived == _derived_scalars_dense(other)
+    assert other.derived.g_vw == sum(x * x for x in jet.v) != jet.derived.g_vw
+    assert other.derived.tt_vw != jet.derived.tt_vw
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_filled_cache_leaves_the_jet_unchanged(m):
+    jet, twin = random_point_jet(4, m), random_point_jet(4, m)
+    before = (hash(jet), repr(jet), jet_to_dict(jet))
+    assert jet.derived is jet.derived
+    assert "derived" in vars(jet) and "derived" not in vars(twin)
+    assert jet == twin
+    assert (hash(jet), repr(jet), jet_to_dict(jet)) == before == (
+        hash(twin), repr(twin), jet_to_dict(twin))
+
+
+def test_failed_derived_scalars_are_not_cached():
+    from wres_torsion.residue import part1_closed
+
+    # R_{0123} = R_{1023}, where pair antisymmetry wants R_{1023} = -R_{0123}
+    R = _dense({(0, 1, 2, 3): Fraction(1), (1, 0, 2, 3): Fraction(1)}, 4, 4)
+    bad = dataclasses.replace(random_point_jet(1, 2), R=R)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            part1_closed(bad, 2)
+        assert type(info.value) is ValueError
+        messages.append(str(info.value))
+        assert "derived" not in vars(bad)
+    assert messages[0] == messages[1] == "R pair antisymmetry (first pair) at (0,1,2,3)"
 
 
 def test_dT_four_form_matches_dense_oracle_on_any_jet():

@@ -571,3 +571,55 @@ def test_metric_builds_no_inverse_power_channels(build_counts):
     assert metric_density(random_point_jet(3, 2), 2).value
     assert build_counts["build_sigma_delta_inv_parts"] == 0
     assert build_counts["derived_scalars"] == 0
+
+
+def _bench_check_certify():
+    """``check_certify`` of bench/workloads.py: the six public calls the
+    certify-m3 workload makes per jet."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.check_certify
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_certify_derives_scalars_once_per_jet(build_counts, seed):
+    import wres_torsion
+    from collections import Counter
+
+    check_certify = _bench_check_certify()
+    assert check_certify(wres_torsion, random_point_jet(seed, 3), Counter(), None)
+    assert build_counts["derived_scalars"] == 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
+    from wres_torsion.cli import _one_hot_cases
+
+    for _, expected, kw in _one_hot_cases(m):
+        jet = make_point_jet(m, **kw)
+        before = build_counts["derived_scalars"]
+        total = part1_density(jet, m).value + part2_density(jet, m).value
+        assert total == theorem_density(jet, m).value == expected
+        assert build_counts["derived_scalars"] == before + 1
+
+
+def test_jet_construction_derives_no_scalars(build_counts):
+    from wres_torsion.cli import _one_hot_cases
+    from wres_torsion.geometry import jet_from_dict, jet_to_dict, validate_symmetries
+
+    jets = [make_point_jet(m, **kw) for m in (2, 3) for _, _, kw in _one_hot_cases(m)]
+    for m in (1, 2, 3):
+        jets += [random_point_jet(7, m), jet_from_dict(jet_to_dict(random_point_jet(8, m)))]
+    assert all(validate_symmetries(jet).ok for jet in jets)
+    assert build_counts["derived_scalars"] == 0
+    assert not any("derived" in vars(jet) for jet in jets)

@@ -272,7 +272,6 @@ def test_sigma_delta_inv_displayed_coefficients():
     m = 2
     jet = random_point_jet(3, m, with_torsion=False, with_torsion_jet=False)
     parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet, m)
-    from wres_torsion.geometry import derived_scalars
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
@@ -293,7 +292,6 @@ def test_sigma_dtpow_coefficients():
     m = 2
     jet = random_point_jet(12, m)
     parts = build_sigma_dtpow_parts(jet, m)
-    from wres_torsion.geometry import derived_scalars
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
@@ -583,16 +581,15 @@ def _pipeline_symbols(jet, m):
     """Every builder channel, the printed and composed grades and the
     Leibniz pairs of part 2, under whichever arithmetic is installed."""
     n = jet.n
-    der = derived_scalars(jet)
     out = {f"dt.{i}": e for i, e in enumerate(symbols.build_sigma_dt(jet))}
     out.update((f"dt_first_principles.{i}", e) for i, e in
                enumerate(symbols.build_sigma_dt(jet, "first_principles")))
     out["lead"] = symbols.build_sigma_delta_lead(jet, m)
-    delta = symbols.build_sigma_delta_inv_parts(jet, m, der)
+    delta = symbols.build_sigma_delta_inv_parts(jet, m)
     for order, parts in zip(("m", "m1", "m2"), delta):
         out.update((f"delta_{order}.{k}", e) for k, e in parts.items())
     out.update((f"dtpow.{k}", e) for k, e in
-               symbols.build_sigma_dtpow_parts(jet, m, der).items())
+               symbols.build_sigma_dtpow_parts(jet, m).items())
     printed = symbols.build_sigma_ab_printed_parts(jet)
     out.update((f"printed.{k}", e) for k, e in printed.items())
     sigma_delta = symbols.SymbolExpr.sum_of(
@@ -836,10 +833,9 @@ def _assert_same_channels(engine, oracle):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_order2_channels_match_ordered_pair_loop(m):
     for jet in _factor_pair_jets(m):
-        der = derived_scalars(jet)
-        _assert_same_channels(build_sigma_delta_inv_parts(jet, m, der)[2],
+        _assert_same_channels(build_sigma_delta_inv_parts(jet, m)[2],
                               _ordered_pair_order2_channels(jet, m))
-        _assert_same_channels(build_sigma_dtpow_parts(jet, m, der),
+        _assert_same_channels(build_sigma_dtpow_parts(jet, m),
                               _ordered_pair_order2_channels(jet, m - 1))
 
 
