@@ -8,9 +8,8 @@ Exit code contract (stable):
     3  internal error: an unexpected exception inside the engine (reported
        on stderr); never a discrepancy, which is always 1
 
-Each jet of a command is computed through one ``PipelineContext``, so its
-densities and audit share every symbol artifact, and its closed forms read
-the derived scalars the jet computes once (``jet.derived``).
+Each jet of a command shares one ``PipelineContext`` (symbol artifacts) and
+its own ``jet.derived`` (derived scalars) across its densities and audit.
 
 Two of the selectable checks compare the engine against displayed
 reference expressions that are reproducibly off (the grade-1 product
@@ -385,11 +384,11 @@ def check_metric(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
     for seed, ctx in _trial_contexts(cfg):
-        value, expected = ctx.metric().value, -ctx.jet.derived.g_vw
-        match = value == expected
+        value = ctx.metric().value
+        match = value == -ctx.jet.derived.g_vw
         ok = ok and match
         rows.append({"seed": seed, "value": format_rational(value),
-                     "expected": format_rational(expected), "match": match})
+                     "expected": format_rational(-ctx.jet.derived.g_vw), "match": match})
     return CheckResult("metric", ok, "metric density vs -g(v,w)", rows)
 
 

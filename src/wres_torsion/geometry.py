@@ -30,7 +30,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import (chain, combinations, combinations_with_replacement, compress,
                        permutations, product)
 from operator import itemgetter
@@ -62,11 +61,14 @@ class PointJet:
     def n(self) -> int:
         return 2 * self.m
 
-    @cached_property
+    @property
     def derived(self) -> DerivedScalars:
-        """``derived_scalars(self)``, computed on first read and kept with
-        the jet (outside its fields, so equality, hash and repr ignore it)."""
-        return derived_scalars(self)
+        """``derived_scalars(self)``, kept outside the fields (==, hash and repr ignore
+        it) from the first read until the module's ``derived_scalars`` is rebound."""
+        kept = self.__dict__.get("derived")
+        if kept is None or kept[0] is not derived_scalars:
+            kept = self.__dict__["derived"] = (derived_scalars, derived_scalars(self))
+        return kept[1]
 
 
 @dataclass(frozen=True)

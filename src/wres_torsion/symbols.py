@@ -692,9 +692,8 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
-    c_ric = Fraction(-2 * m, 3)
+    c_ric, ric = Fraction(-2 * m, 3), jet.derived.ric
     c_t = GaussianRational(0, 3 * m)
-    ric = jet.derived.ric
     parts_m1 = {
         "ric_jet": SymbolExpr(n, {
             (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * ric[a][b])

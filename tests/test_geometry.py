@@ -494,6 +494,25 @@ def test_filled_cache_leaves_the_jet_unchanged(m):
         hash(twin), repr(twin), jet_to_dict(twin))
 
 
+def test_rebound_derived_scalars_recomputes_a_kept_value(monkeypatch):
+    import wres_torsion.geometry as geometry
+
+    jet = random_point_jet(5, 2)
+    original = jet.derived
+    calls = []
+
+    def wrapped(j):
+        calls.append(j)
+        return derived_scalars(j)
+
+    monkeypatch.setattr(geometry, "derived_scalars", wrapped)
+    assert jet.derived == jet.derived == original
+    assert calls == [jet]
+    monkeypatch.undo()
+    assert jet.derived == original
+    assert vars(jet)["derived"][0] is derived_scalars
+
+
 def test_failed_derived_scalars_are_not_cached():
     from wres_torsion.residue import part1_closed
 

@@ -573,31 +573,15 @@ def test_metric_builds_no_inverse_power_channels(build_counts):
     assert build_counts["derived_scalars"] == 0
 
 
-def _bench_check_certify():
-    """``check_certify`` of bench/workloads.py: the six public calls the
-    certify-m3 workload makes per jet."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.check_certify
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_certify_derives_scalars_once_per_jet(build_counts, seed):
-    import wres_torsion
-    from collections import Counter
-
-    check_certify = _bench_check_certify()
-    assert check_certify(wres_torsion, random_point_jet(seed, 3), Counter(), None)
+    """The six public calls the certify-m3 benchmark workload makes per jet."""
+    jet = random_point_jet(seed, 3)
+    p1, p2 = part1_density(jet, 3).value, part2_density(jet, 3).value
+    assert p1 == part1_closed(jet, 3).value
+    assert p2 == part2_closed(jet, 3).value
+    assert p1 + p2 == theorem_density(jet, 3).value
+    assert metric_density(jet, 3).value == -jet.derived.g_vw
     assert build_counts["derived_scalars"] == 1
 
 
