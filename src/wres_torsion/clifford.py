@@ -7,27 +7,28 @@ Generators c_1 .. c_n obey
 so c_i^2 = -1 and distinct generators anticommute.  A basis word is a
 product of distinct generators in strictly increasing index order, encoded
 as a bitmask (bit k <-> c_{k+1}); the empty word is the identity.  Elements
-are finite linear combinations with exact coefficients and no stored zeros,
-making element equality a plain map comparison.  The class does not care
-which exact scalars it holds: the engine's builders give it rational
-``Fraction`` coefficients, and only the gamma-matrix oracle and its checks
-feed it ``GaussianRational`` ones.
+are finite linear combinations with exact coefficients and no stored zeros.
+A rational element (the engine's builders make only these) stores each
+coefficient as an int numerator over the element's one denominator
+``den`` > 0, reduced so that gcd(den, *numerators) = 1, with den = 1 for
+zero; equality is then a plain comparison of numerators and denominators.
+``GaussianRational`` coefficients, which only the gamma-matrix oracle and
+its checks use, are stored as numerators over den = 1.  ``terms`` is the
+read view, word -> exact coefficient (``Fraction`` for a rational element).
 
-The product is one accumulation loop over word pairs.  Its sign needs no
-table: each right-hand word b gives one bit mask, ``_below(b) ^ b``, and
-the pair (a, b) is negative exactly when a meets that mask in an odd
-number of bits, for any n.  A product with an empty factor is the zero
-element, returned right after the dimension check.  When both operands
-hold only ``Fraction`` coefficients, each is first scaled to int
-numerators over its common denominator: the loop then sums plain int
-products per output word, and each nonzero sum is divided once by the
-product of the two denominators, so the result is in ``Fraction`` again.
-Other coefficients (ints, ``GaussianRational``) run through the same loop
-as they are.
+The product is one accumulation loop over the numerators of word pairs.
+Its sign needs no table: each right-hand word b gives one bit mask,
+``_below(b) ^ b``, and the pair (a, b) is negative exactly when a meets
+that mask in an odd number of bits, for any n.  The result's denominator
+is the product of the two, reduced once against the nonzero sums; a
+``GaussianRational`` factor runs through the same loop and its result
+folds the denominator into the numerators.  A product with an empty factor
+is the zero element, returned right after the dimension check.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
-``trace`` reads off 2^m times the identity coefficient.  ``build_gamma``
+``trace`` reads off 2^m times the identity coefficient, a ``Fraction`` for
+a rational element.  ``build_gamma``
 and ``trace_via_rep`` provide the independent oracle: exact gamma matrices
 grown by iterated tensor products from a 2x2 seed pair, entries always in
 {0, +-1, +-i}, and the trace recomputed as an honest matrix diagonal sum.
@@ -35,6 +36,7 @@ grown by iterated tensor products from a 2x2 seed pair, entries always in
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -108,17 +110,37 @@ def canonicalize(indices: Sequence[int], n: int) -> Tuple[Fraction, Tuple[int, .
 
 
 class CliffordElement:
-    """Linear combination of canonical words with exact coefficients."""
+    """Linear combination of canonical words: nonzero numerators ``nums``
+    over one denominator ``den`` (see the module docstring)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, terms: Dict[Word, object] | None = None):
-        self.n = n
-        self.terms: Dict[Word, object] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    self.terms[word] = coeff
+        nonzero = {w: c for w, c in (terms or {}).items() if c}
+        rational = all(isinstance(c, (int, Fraction)) for c in nonzero.values())
+        self.n, (self.nums, self.den) = n, _integer_form(nonzero) if rational else (nonzero, 1)
+
+    @classmethod
+    def _of(cls, n: int, nums: Dict[Word, object], den: int) -> "CliffordElement":
+        """The element sum nums[w]/den * w (nonzero numerators), in canonical
+        form: int numerators reduced against den, others divided into den = 1."""
+        if den != 1:
+            try:
+                g = math.gcd(den, *nums.values())
+            except TypeError:  # numerators that are not ints
+                nums, g = {w: c * Fraction(1, den) for w, c in nums.items()}, den
+            else:
+                nums = {w: c // g for w, c in nums.items()} if g != 1 else nums
+            den //= g
+        out = cls.__new__(cls)
+        out.n, out.nums, out.den = n, nums, den
+        return out
+
+    @property
+    def terms(self) -> Dict[Word, object]:
+        """Word -> exact coefficient (a ``Fraction`` for a rational element)."""
+        return {w: Fraction(c, self.den) if type(c) is int else c
+                for w, c in self.nums.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -128,19 +150,18 @@ class CliffordElement:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordElement":
-        return cls(n, {0: Fraction(1)})
+        return cls._of(n, {0: 1}, 1)
 
     @classmethod
     def generator(cls, n: int, i: int) -> "CliffordElement":
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} outside 1..{n}")
-        return cls(n, {1 << (i - 1): Fraction(1)})
+        return cls._of(n, {1 << (i - 1): 1}, 1)
 
     @classmethod
     def from_vector(cls, n: int, coeffs: Sequence) -> "CliffordElement":
         """c(v) for v = sum v_i e_i; coeffs are rationals (length n)."""
-        return cls(n, {1 << i: c if isinstance(c, Fraction) else Fraction(c)
-                       for i, c in enumerate(coeffs) if c})
+        return cls(n, {1 << i: c for i, c in enumerate(coeffs)})
 
     @classmethod
     def from_word(cls, n: int, indices: Sequence[int],
@@ -156,72 +177,64 @@ class CliffordElement:
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            prev = terms.get(word)
-            acc = coeff if prev is None else prev + coeff
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        nums = {w: c * f for w, c in self.nums.items()} if f != 1 else dict(self.nums)
+        for word, c in other.nums.items():
+            acc = nums.get(word, 0) + c * g
             if acc:
-                terms[word] = acc
+                nums[word] = acc
             else:
-                terms.pop(word, None)
-        out = CliffordElement(self.n)
-        out.terms = terms
-        return out
+                nums.pop(word, None)
+        return CliffordElement._of(self.n, nums, den)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)
 
     def __neg__(self) -> "CliffordElement":
-        out = CliffordElement(self.n)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return CliffordElement._of(self.n, {w: -c for w, c in self.nums.items()}, self.den)
 
     def scale(self, scalar) -> "CliffordElement":
-        out = CliffordElement(self.n)
-        if scalar:
-            out.terms = {w: c * scalar for w, c in self.terms.items()}
-        return out
+        if not scalar:
+            return CliffordElement(self.n)
+        num, den = ((scalar.numerator, scalar.denominator)
+                    if isinstance(scalar, (int, Fraction)) else (scalar, 1))
+        return CliffordElement._of(self.n, {w: c * num for w, c in self.nums.items()},
+                                   self.den * den)
 
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
-        if not (self.terms and other.terms):
+        if not (self.nums and other.nums):
             return CliffordElement(self.n)
-        left, right = self.terms, other.terms
-        rational = all(type(c) is Fraction for t in (left, right) for c in t.values())
-        if rational:
-            (left, d_left), (right, d_right) = _integer_form(left), _integer_form(right)
-        signed = [(wb, _below(wb) ^ wb, cb) for wb, cb in right.items()]
+        signed = [(wb, _below(wb) ^ wb, cb) for wb, cb in other.nums.items()]
         acc: Dict[Word, object] = {}
-        for wa, ca in left.items():
+        for wa, ca in self.nums.items():
             for wb, mask, cb in signed:
                 w = wa ^ wb
                 c = ca * cb
                 prev = acc.get(w)
                 term = -c if (wa & mask).bit_count() & 1 else c
                 acc[w] = term if prev is None else prev + term
-        out = CliffordElement(self.n)
-        if rational:
-            den = d_left * d_right
-            out.terms = {w: Fraction(c, den) for w, c in acc.items() if c}
-        else:
-            out.terms = {w: c for w, c in acc.items() if c}
-        return out
+        return CliffordElement._of(self.n, {w: c for w, c in acc.items() if c},
+                                   self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and (self.nums == other.nums if self.den == other.den
+                                      else self.terms == other.terms)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        terms = self.terms
         bits = []
-        for word in sorted(self.terms):
+        for word in sorted(terms):
             label = "id" if word == 0 else "c" + "c".join(map(str, word_indices(word)))
-            bits.append(f"({self.terms[word]})*{label}")
+            bits.append(f"({terms[word]})*{label}")
         return " + ".join(bits)
 
 
@@ -230,7 +243,8 @@ def trace(a: CliffordElement, m: int):
     scalar of the element's coefficient type; ``Fraction(0)`` when absent)."""
     if a.n != 2 * m:
         raise ValueError(f"element over n={a.n} traced with m={m}")
-    return a.terms.get(0, Fraction(0)) * (1 << m)
+    c = a.nums.get(0, 0)
+    return Fraction(c << m, a.den) if type(c) is int else c * (1 << m)
 
 
 # ---------------------------------------------------------------------------

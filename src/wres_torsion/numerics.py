@@ -8,7 +8,9 @@ the normal form gcd(|p|, q) = 1, q > 0.
 The engine computes in rationals.  A symbol coefficient is purely real or
 purely imaginary, and its phase follows from its key (see ``symbols``), so
 a symbol term stores one rational: a reduced int numerator over the
-expression's one denominator, the form ``_integer_form`` gives.
+expression's one denominator, the form ``_integer_form`` gives.  A
+rational Clifford element stores its coefficients the same way, so a
+builder goes from the jet's nonzero entries to its symbols in ints.
 ``GaussianRational`` (``a + b*i``
 with rational ``a``, ``b``) is the exact complex scalar of the gamma-matrix
 oracle, whose matrices have entries in {0, +-1, +-i}, and the type in which
@@ -42,9 +44,9 @@ def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int
     denominator.
 
     Scaling by a positive constant keeps every equality, sign and zero
-    test, so the symmetry scans compare plain ints, and a contraction or a
-    Clifford product is an int sum divided once by the product of its
-    factors' denominators."""
+    test, so the symmetry scans compare plain ints, a contraction is an int
+    sum divided once, and a Clifford element or symbol expression keeps
+    this form as its storage."""
     den = math.lcm(*{x.denominator for x in entries.values()})
     return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
 

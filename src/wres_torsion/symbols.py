@@ -444,13 +444,17 @@ TORSION_PREFACTOR = {
 }
 
 
-def _unit(n: int, j: int) -> Deg:
-    return tuple(1 if i == j else 0 for i in range(n))
+_DEGREES: Dict[Tuple[int, int, int], Deg] = {}
 
 
 def _pair(n: int, a: int, b: int) -> Deg:
-    """Multidegree of x_a x_b (or xi_a xi_b)."""
-    return tuple((i == a) + (i == b) for i in range(n))
+    """Multidegree of x_a x_b (or xi_a xi_b), one shared tuple per (n, a, b)."""
+    return _DEGREES.get((n, a, b)) or _DEGREES.setdefault(
+        (n, a, b), tuple((i == a) + (i == b) for i in range(n)))
+
+
+def _unit(n: int, j: int) -> Deg:
+    return _pair(n, j, -1)  # -1 matches no index
 
 
 def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
@@ -462,12 +466,12 @@ def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
     over the product of the two denominators; the first word sets the
     phase, and a word of the other grade parity breaks the phase rule."""
     n = elem.n
-    if not (elem.terms and coeff):
+    nums, den = elem.nums, elem.den
+    if not (nums and coeff):
         return SymbolExpr(n)
     s, imag = _real_or_imaginary(coeff)
     xdeg = xdeg or (0,) * n
     xideg = xideg or (0,) * n
-    nums, den = _integer_form(elem.terms)
     # coeff * c = i^imag * s * c = i^e * r, so r = i^(imag - e) * s * c
     nu = sum(xideg) - imag
     phase = (nu + next(iter(nums)).bit_count()) & 1
@@ -477,7 +481,7 @@ def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
         key = (xdeg, xideg, normpow, word)
         e = nu + word.bit_count() - phase
         if e & 1:
-            raise _phase_error(key, coeff * elem.terms[word], phase)
+            raise _phase_error(key, coeff * Fraction(c, den), phase)
         terms[key] = c * (minus if e & 2 else plus)
     return SymbolExpr._of(n, terms, den * s.denominator, phase)
 
@@ -488,8 +492,8 @@ def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
 
 def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
     """The part of ``elem`` on words of the given grades."""
-    return CliffordElement(elem.n, {w: c for w, c in elem.terms.items()
-                                    if w.bit_count() in grades})
+    return CliffordElement._of(elem.n, {w: c for w, c in elem.nums.items()
+                                        if w.bit_count() in grades}, elem.den)
 
 
 def _check_dim(jet: PointJet, m: int) -> None:
@@ -502,7 +506,7 @@ def _elem(n: int, terms: Iterable[Tuple[Word, int]], den: int) -> CliffordElemen
     acc: Dict[Word, int] = {}
     for word, c in terms:
         acc[word] = acc.get(word, 0) + c
-    return CliffordElement(n, {w: Fraction(c, den) for w, c in acc.items()})
+    return CliffordElement._of(n, {w: c for w, c in acc.items() if c}, den)
 
 
 def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
@@ -512,10 +516,17 @@ def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
                                if values[f][a][b]})
 
 
-def _torsion_pair(values_a, n: int) -> CliffordElement:
-    """sum_{j<l} values_a[j][l] c_j c_l (one frame slot already applied)."""
-    return CliffordElement(n, {(1 << j) | (1 << l): values_a[j][l]
-                               for j, l in combinations(range(n), 2)})
+def _torsion_rows(tensor, n: int) -> Dict[Tuple[int, ...], CliffordElement]:
+    """lead -> sum_{j<l} tensor[*lead][j][l] c_j c_l for every leading index
+    tuple with a nonzero entry (T: (a,), dT1: (b, a)), from one scan of the
+    nonzero entries."""
+    nums, den = _integer_form(_nonzero(tensor))
+    rows: Dict[Tuple[int, ...], Dict[Word, int]] = {}
+    for index, c in nums.items():
+        j, l = index[-2:]
+        if j < l:
+            rows.setdefault(index[:-2], {})[(1 << j) | (1 << l)] = c
+    return {lead: CliffordElement._of(n, row, den) for lead, row in rows.items()}
 
 
 def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
@@ -547,6 +558,15 @@ def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
             terms.setdefault((b, a), []).append(
                 ((1 << s) | (1 << t), val if s < t else -val))
     return {ba: _elem(n, row, den) for ba, row in terms.items()}
+
+
+def _bivector_rows(jet: PointJet, curvature: Dict[Deg, Fraction]) -> Tuple[Dict, ...]:
+    """The nonzero bivector rows an inverse-power builder reads: the
+    curvature pair sums (b, a), the torsion rows tau_a of T and the rows
+    (b, a) of dT1; ``curvature`` = _nonzero(R)."""
+    n = jet.n
+    tau = {a: row for (a,), row in _torsion_rows(jet.T, n).items()}
+    return _curvature_pair_sums(curvature, n), tau, _torsion_rows(jet.dT1, n)
 
 
 def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
@@ -684,7 +704,8 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     n = jet.n
     p = -2 * m - 2
     curvature = _nonzero(jet.R)
-    pairs = _curvature_pair_sums(curvature, n)
+    rows = _bivector_rows(jet, curvature)
+    pairs, tau, dtau = rows
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = _scalar_channel(n, curvature, lambda a, j, b, k: (
@@ -699,33 +720,28 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
             (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * ric[a][b])
             for a in range(n) for b in range(n)}),
         "tt": SymbolExpr.sum_of(n, (
-            _sym(_torsion_pair(jet.T[a], n), c_t, xideg=_unit(n, a), normpow=p)
-            for a in range(n))),
+            _sym(row, c_t, xideg=_unit(n, a), normpow=p) for a, row in tau.items())),
         "r_jet": SymbolExpr.sum_of(n, (
             _sym(pair, GaussianRational(0, Fraction(m, 4)),
                  xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
             for (b, a), pair in pairs.items())),
         "dt_jet": SymbolExpr.sum_of(n, (
-            _sym(_torsion_pair(jet.dT1[b][a], n), c_t,
-                 xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
-            for b in range(n) for a in range(n))),
+            _sym(row, c_t, xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
+            for (b, a), row in dtau.items())),
     }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, rows)
     return parts_m, parts_m1, parts_m2
 
 
-def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
-                                pairs: Dict[Tuple[int, int], CliffordElement]
-                                ) -> Dict[str, SymbolExpr]:
+def _sigma_inverse_order2_parts(jet: PointJet, mm: int, rows) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
-    with mm = m-1 for the first one; ``pairs`` is _curvature_pair_sums of
-    the jet's curvature."""
+    with mm = m-1 for the first one; ``rows`` is _bivector_rows of the jet."""
     n, der = jet.n, jet.derived
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
-    tau_a = [_torsion_pair(jet.T[a], n) for a in range(n)]
+    pairs, tau, dtau = rows
 
     ric = _scalar_channel(n, _nonzero(der.ric), lambda a, b: (x0, _pair(n, a, b), p4, 0),
                           Fraction(mm * (mm + 1), 3))
@@ -737,8 +753,7 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
     # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
     # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
     # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
-    tt = {(a, b): tau_a[a] * tau_a[b]
-          for a, b in combinations_with_replacement(range(n), 2)}
+    tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
     c_tt = Fraction(-9 * mm * (mm + 1), 2)
     return {
         "ric": ric,
@@ -746,17 +761,16 @@ def _sigma_inverse_order2_parts(jet: PointJet, mm: int,
             _sym(_grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
                  xideg=_pair(n, a, b), normpow=p4)
             for (a, b), prod in tt.items())),
-        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in range(n))),
+        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in tau)),
                           Fraction(9 * mm, 4), normpow=p2),
-        "div_t": _sym(_elem_sum(n, (_torsion_pair(jet.dT1[a][a], n) for a in range(n))),
+        "div_t": _sym(_elem_sum(n, (row for (b, a), row in dtau.items() if a == b)),
                       Fraction(3 * mm, 2), normpow=p2),
         "r_xx": SymbolExpr.sum_of(n, (
             _sym(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
             for (b, a), pair in pairs.items())),
         "dt_xx": SymbolExpr.sum_of(n, (
-            _sym(_torsion_pair(jet.dT1[b][a], n), -3 * mm * (mm + 1),
-                 xideg=_pair(n, a, b), normpow=p4)
-            for a in range(n) for b in range(n))),
+            _sym(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
+            for (b, a), row in dtau.items())),
         "e_scalar": SymbolExpr(n, {(x0, x0, p2, 0): e_val}),
         "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
     }
@@ -766,5 +780,4 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
     _check_dim(jet, m)
-    return _sigma_inverse_order2_parts(jet, m - 1,
-                                       _curvature_pair_sums(_nonzero(jet.R), jet.n))
+    return _sigma_inverse_order2_parts(jet, m - 1, _bivector_rows(jet, _nonzero(jet.R)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -132,8 +133,9 @@ def test_mul_associative_on_random_triples():
         assert (a * b) * c == a * (b * c)
 
 
-# The product runs over int numerators when both operands hold only Fractions.
-# The oracle is the coefficient-by-coefficient loop it replaced.
+# A rational element stores int numerators over one denominator, and the
+# product multiplies numerators and denominators.  The oracle is the
+# coefficient-by-coefficient loop over exact coefficients.
 
 def _coefficientwise_mul(a, b):
     acc = {}
@@ -141,9 +143,16 @@ def _coefficientwise_mul(a, b):
         for wb, cb in b.terms.items():
             c = ca * cb if blade_mul(wa, wb)[0] > 0 else -(ca * cb)
             acc[wa ^ wb] = acc[wa ^ wb] + c if wa ^ wb in acc else c
-    out = CliffordElement(a.n)
-    out.terms = {w: c for w, c in acc.items() if c}
-    return out
+    return CliffordElement(a.n, acc)
+
+
+def _assert_canonical(elem):
+    """The integer form of a rational element: nonzero int numerators over
+    one positive denominator, reduced, and den = 1 for the zero element."""
+    assert type(elem.den) is int and elem.den > 0
+    assert all(type(c) is int and c for c in elem.nums.values())
+    assert math.gcd(elem.den, *elem.nums.values()) == 1
+    assert elem.nums or elem.den == 1
 
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -178,8 +187,12 @@ def test_integer_product_matches_coefficientwise_loop(pair):
         product = x * y
         assert product == _coefficientwise_mul(x, y)
         assert all(product.terms.values())
-        if all(type(c) is Fraction for c in (*x.terms.values(), *y.terms.values())):
-            assert all(type(c) is Fraction for c in product.terms.values())
+        if kind in ("fraction", "int", "zero divisor"):
+            for elem in (x, y, product):
+                _assert_canonical(elem)
+                assert all(type(c) is Fraction for c in elem.terms.values())
+        else:
+            assert product.den == 1
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -597,6 +597,20 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
         assert build_counts["derived_scalars"] == before + 1
 
 
+def test_engine_functions_carry_no_wrapped():
+    """A caching decorator (functools.lru_cache, functools.cache) sets
+    __wrapped__ on an engine function; the benchmark's tracer, which wraps
+    and restores functions by module namespace, would report it as a leaked
+    wrapper of its own."""
+    import sys
+
+    wrapped = [f"{name}.{attr}" for name, mod in list(sys.modules.items())
+               if mod is not None and name.split(".")[0] == "wres_torsion"
+               for attr, value in vars(mod).items()
+               if callable(value) and hasattr(value, "__wrapped__")]
+    assert wrapped == []
+
+
 def test_jet_construction_derives_no_scalars(build_counts):
     from wres_torsion.cli import _one_hot_cases
     from wres_torsion.geometry import jet_from_dict, jet_to_dict, validate_symmetries

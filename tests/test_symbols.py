@@ -605,10 +605,7 @@ def _pipeline_symbols(jet, m):
     return out
 
 
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("seed", range(5))
-def test_pipeline_symbols_match_complex_oracle(m, seed):
-    jet = random_point_jet(seed, m)
+def _assert_pipeline_matches_complex_oracle(jet, m):
     engine = _pipeline_symbols(jet, m)
     with oracle_arithmetic():
         oracle = _pipeline_symbols(jet, m)
@@ -620,7 +617,31 @@ def test_pipeline_symbols_match_complex_oracle(m, seed):
             oracle[name].terms[k] for k in sorted(oracle[name].terms)], name
     # every traced symbol is even; sigma(D_T) is odd
     assert {e.phase for k, e in engine.items() if e and not k.startswith("dt")} == {0}
-    assert {engine["dt.0"].phase, engine["dt.1"].phase} == {1}
+    assert {engine[k].phase for k in ("dt.0", "dt.1") if engine[k]} == {1}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_pipeline_symbols_match_complex_oracle(m, seed):
+    _assert_pipeline_matches_complex_oracle(random_point_jet(seed, m), m)
+
+
+_CHANNEL_FLAGS = ("with_curvature", "with_torsion", "with_torsion_jet", "with_w_jet")
+
+
+def _sparse_jet(m, case):
+    """One of the four one-hot coefficient jets, or a random jet with one
+    channel off: jets whose zero torsion and curvature rows are skipped."""
+    if case in _CHANNEL_FLAGS:
+        return random_point_jet(11, m, **{case: False})
+    from wres_torsion.cli import _one_hot_cases
+    return make_point_jet(m, **list(_one_hot_cases(m))[case][2])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("case", [0, 1, 2, 3, *_CHANNEL_FLAGS])
+def test_sparse_pipeline_symbols_match_complex_oracle(m, case):
+    _assert_pipeline_matches_complex_oracle(_sparse_jet(m, case), m)
 
 
 _degs = st.lists(st.integers(0, N - 1), max_size=3).map(
@@ -763,11 +784,18 @@ def test_sparse_curvature_sums_match_dense(m):
 # one product per distinct factor pair, against the all-ordered-pairs loops
 # ---------------------------------------------------------------------------
 
+def _dense_torsion_pair(values_a, n):
+    """sum_{j<l} values_a[j][l] c_j c_l over every pair, zero entries included."""
+    return CliffordElement(n, {(1 << j) | (1 << l): values_a[j][l]
+                               for j, l in itertools.combinations(range(n), 2)})
+
+
 def _ordered_pair_order2_channels(jet, mm):
-    """tt_xx and tt_scalar from all n^2 ordered products tau_a tau_b."""
+    """tt_xx and tt_scalar from all n^2 ordered products tau_a tau_b of the
+    dense torsion rows."""
     n = jet.n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
-    tau_a = [symbols._torsion_pair(jet.T[a], n) for a in range(n)]
+    tau_a = [_dense_torsion_pair(jet.T[a], n) for a in range(n)]
     return {
         "tt_xx": SymbolExpr.sum_of(n, (
             symbols._sym(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
@@ -824,6 +852,38 @@ def _factor_pair_jets(m):
     return jets
 
 
+def _all_torsion_rows(tensor, n):
+    """symbols._torsion_rows over every leading index, zero rows included."""
+    if isinstance(tensor[0][0][0], tuple):  # dT1[b][a][j][l]
+        return {(b, a): _dense_torsion_pair(tensor[b][a], n)
+                for b in range(n) for a in range(n)}
+    return {(a,): _dense_torsion_pair(tensor[a], n) for a in range(n)}
+
+
+def _zero_row_jets(m):
+    """Jets whose zero torsion rows come before nonzero ones."""
+    if m < 2:
+        return [zero_point_jet(m)]
+    base = random_point_jet(5, m)
+    return [make_point_jet(m, T=[(1, 2, 3, Fraction(3, 5))], v=base.v, w=base.w),
+            make_point_jet(m, dT1=[(1, 1, 2, 3, Fraction(-1, 2)), (3, 1, 2, 3, 2)],
+                           R=[(0, 1, 0, 1, 1)], v=base.v, w=base.w)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_skipped_torsion_rows_change_no_channel(monkeypatch, m):
+    jets = _factor_pair_jets(m) + _zero_row_jets(m)
+    if m >= 2:
+        jets += [_sparse_jet(m, case) for case in (0, 1, 2, 3)]
+    sparse = [(build_sigma_delta_inv_parts(jet, m), build_sigma_dtpow_parts(jet, m))
+              for jet in jets]
+    monkeypatch.setattr(symbols, "_torsion_rows", _all_torsion_rows)
+    for jet, (delta, dtpow) in zip(jets, sparse):
+        for parts, dense in zip(delta, build_sigma_delta_inv_parts(jet, m)):
+            _assert_same_channels(parts, dense)
+        _assert_same_channels(dtpow, build_sigma_dtpow_parts(jet, m))
+
+
 def _assert_same_channels(engine, oracle):
     for name, expr in oracle.items():
         assert (engine[name].terms, engine[name].den, engine[name].phase) == (
@@ -841,7 +901,7 @@ def test_order2_channels_match_ordered_pair_loop(m):
 
 def test_factor_pair_jets_cover_a_vanishing_tau():
     jet = _factor_pair_jets(2)[-1]
-    tau_a = [symbols._torsion_pair(jet.T[a], jet.n) for a in range(jet.n)]
+    tau_a = [_dense_torsion_pair(jet.T[a], jet.n) for a in range(jet.n)]
     assert any(tau_a) and not all(tau_a)
     assert _ordered_pair_order2_channels(jet, 2)["tt_xx"].terms
 
