@@ -516,16 +516,17 @@ def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
                                if values[f][a][b]})
 
 
-def _torsion_rows(tensor, n: int) -> Dict[Tuple[int, ...], CliffordElement]:
-    """lead -> sum_{j<l} tensor[*lead][j][l] c_j c_l for every leading index
-    tuple with a nonzero entry (T: (a,), dT1: (b, a)), from one scan of the
-    nonzero entries."""
+def _torsion_rows(tensor, n: int) -> Dict[object, CliffordElement]:
+    """lead -> sum_{j<l} tensor[lead][j][l] c_j c_l for every leading index
+    with a nonzero entry (T: a, dT1: (b, a)), from one scan of the nonzero
+    entries."""
     nums, den = _integer_form(_nonzero(tensor))
-    rows: Dict[Tuple[int, ...], Dict[Word, int]] = {}
+    rows: Dict[object, Dict[Word, int]] = {}
     for index, c in nums.items():
-        j, l = index[-2:]
+        *lead, j, l = index
         if j < l:
-            rows.setdefault(index[:-2], {})[(1 << j) | (1 << l)] = c
+            key = lead[0] if len(lead) == 1 else tuple(lead)
+            rows.setdefault(key, {})[(1 << j) | (1 << l)] = c
     return {lead: CliffordElement._of(n, row, den) for lead, row in rows.items()}
 
 
@@ -558,15 +559,6 @@ def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
             terms.setdefault((b, a), []).append(
                 ((1 << s) | (1 << t), val if s < t else -val))
     return {ba: _elem(n, row, den) for ba, row in terms.items()}
-
-
-def _bivector_rows(jet: PointJet, curvature: Dict[Deg, Fraction]) -> Tuple[Dict, ...]:
-    """The nonzero bivector rows an inverse-power builder reads: the
-    curvature pair sums (b, a), the torsion rows tau_a of T and the rows
-    (b, a) of dT1; ``curvature`` = _nonzero(R)."""
-    n = jet.n
-    tau = {a: row for (a,), row in _torsion_rows(jet.T, n).items()}
-    return _curvature_pair_sums(curvature, n), tau, _torsion_rows(jet.dT1, n)
 
 
 def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
@@ -704,8 +696,8 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     n = jet.n
     p = -2 * m - 2
     curvature = _nonzero(jet.R)
-    rows = _bivector_rows(jet, curvature)
-    pairs, tau, dtau = rows
+    pairs = _curvature_pair_sums(curvature, n)
+    tau, dtau = _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n)
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = _scalar_channel(n, curvature, lambda a, j, b, k: (
@@ -730,18 +722,21 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
             for (b, a), row in dtau.items())),
     }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, rows)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs, tau, dtau)
     return parts_m, parts_m1, parts_m2
 
 
-def _sigma_inverse_order2_parts(jet: PointJet, mm: int, rows) -> Dict[str, SymbolExpr]:
+def _sigma_inverse_order2_parts(
+        jet: PointJet, mm: int, pairs: Dict[Tuple[int, int], CliffordElement],
+        tau: Dict[int, CliffordElement], dtau: Dict[Tuple[int, int], CliffordElement]
+) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
-    with mm = m-1 for the first one; ``rows`` is _bivector_rows of the jet."""
+    with mm = m-1 for the first one; ``pairs`` are the curvature pair sums,
+    ``tau`` and ``dtau`` the nonzero torsion rows of T and dT1."""
     n, der = jet.n, jet.derived
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
-    pairs, tau, dtau = rows
 
     ric = _scalar_channel(n, _nonzero(der.ric), lambda a, b: (x0, _pair(n, a, b), p4, 0),
                           Fraction(mm * (mm + 1), 3))
@@ -780,4 +775,6 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
     _check_dim(jet, m)
-    return _sigma_inverse_order2_parts(jet, m - 1, _bivector_rows(jet, _nonzero(jet.R)))
+    n = jet.n
+    return _sigma_inverse_order2_parts(jet, m - 1, _curvature_pair_sums(_nonzero(jet.R), n),
+                                       _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n))
