@@ -248,36 +248,54 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
 # derived quantities: contractions over the nonzero entries of each channel
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+# (n,) * rank -> the all-zero nested tuple of that shape, shared by every
+# tensor ``_dense`` builds, so all jets of one dimension share it
+_ZERO_BLOCKS: Dict[Tuple[int, ...], tuple] = {}
+
+
+def _zero_block(n: int, rank: int):
+    """The shared all-zero tensor over range(n)^rank (Fraction(0) at rank 0)."""
+    if rank == 0:
+        return _ZERO
+    shape = (n,) * rank
+    return _ZERO_BLOCKS.get(shape) or _ZERO_BLOCKS.setdefault(
+        shape, (_zero_block(n, rank - 1),) * n)
+
+
 def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
-    """Index tuple -> value for the nonzero entries of a nested tensor."""
+    """Index tuple -> value for the nonzero entries of a nested tensor, in
+    lexicographic index order; ValueError if it is ragged.  A leading block
+    that is the shared zero block of its shape is skipped unread."""
     shape = []
     cell = tensor
     while isinstance(cell, (tuple, list)) and cell:
         shape.append(len(cell))
         cell = cell[0]
-    flat = tensor
+    zero = _ZERO_BLOCKS.get(tuple(shape[1:]))
+    lead = [i for i, block in enumerate(tensor) if zero is None or block is not zero]
+    flat = map(tensor.__getitem__, lead)
     for _ in shape[1:]:
         flat = chain.from_iterable(flat)
     flat = list(flat)
-    if len(flat) != math.prod(shape):
+    if not shape or len(flat) != len(lead) * math.prod(shape[1:]):
         raise ValueError(f"tensor is not of shape {tuple(shape)}")
-    return dict(compress(zip(product(*map(range, shape)), flat), flat))
+    return dict(compress(zip(product(lead, *map(range, shape[1:])), flat), flat))
 
 
 def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):
     """The nested-tuple tensor over range(n)^rank holding ``entries`` and
-    Fraction(0) elsewhere; every all-zero sub-tensor is one shared tuple."""
-    zeros = [Fraction(0)]
-    for _ in range(rank):
-        zeros.append((zeros[-1],) * n)
+    Fraction(0) elsewhere; every all-zero sub-tensor is the shared
+    ``_zero_block(n, depth)``, which ``_nonzero`` skips by identity."""
     prefixes = {key[:k] for key in entries for k in range(rank)}
 
     def build(prefix):
         depth = rank - len(prefix)
         if prefix not in prefixes:
-            return zeros[depth]
+            return _zero_block(n, depth)
         if depth == 1:
-            return tuple(entries.get(prefix + (i,), zeros[0]) for i in range(n))
+            return tuple(entries.get(prefix + (i,), _ZERO) for i in range(n))
         return tuple(build(prefix + (i,)) for i in range(n))
     return build(())
 
@@ -380,7 +398,9 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
                       d_v * d_r * d_w)
     return DerivedScalars(
         ric=ric_mat, s=s, dT4=_four_form(dT1, n),
-        norm_t2=torsion_norm_sq(jet.T), g_vw=g_vw, ric_vw=ric_vw,
+        norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l),
+                         d_t * d_t),
+        g_vw=g_vw, ric_vw=ric_vw,
         einstein_vw=ric_vw - s * g_vw / 2,
         tt_vw=Fraction(tt_vw, d_v * d_w * d_t * d_t),
         div_t_vw=Fraction(div_t_vw, d_div * d_v * d_w),

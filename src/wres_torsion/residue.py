@@ -191,12 +191,15 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
         expr.n, expr.phase, expr.den))
 
 
+_ODD_MASKS: Dict[Tuple[int, ...], int] = {}
+
+
 def _odd_mask(xi: Tuple[int, ...]) -> int:
-    """Bit i set when the exponent of xi_i is odd."""
-    mask = 0
-    for i, e in enumerate(xi):
-        if e & 1:
-            mask |= 1 << i
+    """Bit i set when the exponent of xi_i is odd; one memo entry per
+    exponent tuple, since the traces meet the same few again and again."""
+    mask = _ODD_MASKS.get(xi)
+    if mask is None:
+        mask = _ODD_MASKS[xi] = sum(1 << i for i, e in enumerate(xi) if e & 1)
     return mask
 
 

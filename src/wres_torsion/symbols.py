@@ -705,12 +705,12 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
-    c_ric, ric = Fraction(-2 * m, 3), jet.derived.ric
+    c_ric = Fraction(-2 * m, 3)
     c_t = GaussianRational(0, 3 * m)
     parts_m1 = {
         "ric_jet": SymbolExpr(n, {
-            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * ric[a][b])
-            for a in range(n) for b in range(n)}),
+            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * x)
+            for (a, b), x in _nonzero(jet.derived.ric).items()}),
         "tt": SymbolExpr.sum_of(n, (
             _sym(row, c_t, xideg=_unit(n, a), normpow=p) for a, row in tau.items())),
         "r_jet": SymbolExpr.sum_of(n, (

@@ -20,7 +20,9 @@ from wres_torsion.geometry import (
     _antisym3_violations,
     _complete,
     _dense,
+    _nonzero,
     _riemann_violations,
+    _zero_block,
     dT_four_form,
     derived_scalars,
     jet_from_dict,
@@ -328,6 +330,66 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
         for limit in (1, 20):
             assert (_antisym3_violations(T, "T", limit)
                     == _antisym3_violations_fraction(T, "T", limit))
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-entry scan and the shared zero blocks
+# ---------------------------------------------------------------------------
+
+def test_nonzero_skips_shared_zero_blocks_unread():
+    tested = []
+
+    class Counted:
+        """An entry that records each test of its truth."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def __bool__(self):
+            tested.append(self)
+            return bool(self.value)
+
+    n = 4
+    zero = _zero_block(n, 2)
+    block = tuple(tuple(Counted(int(i == j == 1)) for j in range(n)) for i in range(n))
+    # the leading zero block also fixes the shape that _nonzero reads
+    entries = _nonzero((zero, zero, block, zero))
+    assert len(tested) == n * n
+    assert list(entries) == [(2, 1, 1)] and entries[2, 1, 1] is block[1][1]
+
+
+def _thawed(tensor):
+    """A nested-list copy with a fresh Fraction for every entry, so it
+    shares no block, and no zero, with ``tensor``."""
+    return ([_thawed(x) for x in tensor] if isinstance(tensor, tuple)
+            else Fraction(tensor))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_nonzero_inverts_dense(n, rank):
+    rng = random.Random(f"dense:{n}:{rank}")
+    for count in (0, 1, 2, 5, 17):
+        entries = {tuple(rng.randrange(n) for _ in range(rank)):
+                   Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                   for _ in range(count)}
+        tensor = _dense(entries, n, rank)
+        assert sum(block is _zero_block(n, rank - 1) for block in tensor) >= n - count
+        scanned = _nonzero(tensor)
+        assert list(scanned.items()) == sorted(entries.items())
+        assert list(_nonzero(_thawed(tensor)).items()) == list(scanned.items())
+
+
+@pytest.mark.parametrize("tensor", [
+    [[1, 2], [3]],
+    [[1, 2], [3, 4, 5]],
+    (_zero_block(4, 2), _zero_block(3, 2), _zero_block(4, 2), _zero_block(4, 2)),
+    (_zero_block(4, 2), ((Fraction(1),) * 4,) * 3, _zero_block(4, 2), _zero_block(4, 2)),
+    (),
+], ids=["short-row", "long-row", "wrong-zero-block", "short-block", "empty"])
+def test_nonzero_rejects_ragged_tensor(tensor):
+    with pytest.raises(ValueError, match="tensor is not of shape"):
+        _nonzero(tensor)
 
 
 # The contractions before the sparse rewrite: dense Fraction sums over the
