@@ -1,7 +1,7 @@
 """Exact verification engine for spectral Einstein densities of the
 torsion Dirac operator on even-dimensional spin manifolds."""
 
-from .numerics import GaussianRational, Rational, format_rational, parse_rational
+from .numerics import GaussianRational, format_rational, parse_rational
 from .clifford import (
     CliffordElement,
     GammaRep,
@@ -15,19 +15,14 @@ from .geometry import (
     PointJet,
     ValidationReport,
     derived_scalars,
-    dT_four_form,
     jet_from_dict,
     jet_to_dict,
     make_point_jet,
     random_point_jet,
-    ricci_scalar,
-    torsion_norm_sq,
     validate_symmetries,
-    zero_point_jet,
 )
 from .symbols import (
     SymbolExpr,
-    SymbolTerm,
     at_x0,
     build_sigma_ab_composed,
     build_sigma_ab_printed,

@@ -33,6 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .clifford import (
     CliffordElement,
+    _mat_mul,
     build_gamma,
     trace,
     trace_via_rep,
@@ -111,16 +112,11 @@ def _random_element(rng: random.Random, n: int, terms: int) -> CliffordElement:
 def check_clifford(cfg: RunConfig) -> CheckResult:
     rows = []
     ok = True
-    for m in (1, 2, 3):
+    for m in SUPPORTED_M:
         n = 2 * m
         rep = build_gamma(m)
-        anti_ok = True
-        for i in range(n):
-            for j in range(n):
-                prod_ij = _mat_mul_entrywise(rep, i, j)
-                target = -2 if i == j else 0
-                if not _is_scalar_matrix(prod_ij, target):
-                    anti_ok = False
+        anti_ok = all(_is_scalar_matrix(_mat_mul_entrywise(rep, i, j), -2 if i == j else 0)
+                      for i in range(n) for j in range(n))
         trace_id = trace(CliffordElement.identity(n), m)
         ok_m = anti_ok and trace_id == 1 << m
         rng = random.Random(f"clifford:{cfg.seed}:{m}")
@@ -139,7 +135,6 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
 
 
 def _mat_mul_entrywise(rep, i: int, j: int):
-    from .clifford import _mat_mul
     gi, gj = rep.matrices[i], rep.matrices[j]
     ab = _mat_mul(gi, gj)
     ba = _mat_mul(gj, gi)
@@ -148,15 +143,8 @@ def _mat_mul_entrywise(rep, i: int, j: int):
 
 
 def _is_scalar_matrix(mat, scalar: int) -> bool:
-    size = len(mat)
-    target = GaussianRational(scalar)
-    zero = GaussianRational(0)
-    for i in range(size):
-        for j in range(size):
-            want = target if i == j else zero
-            if mat[i][j] != want:
-                return False
-    return True
+    return all(entry == (scalar if i == j else 0)
+               for i, row in enumerate(mat) for j, entry in enumerate(row))
 
 
 def _multidegrees(n: int, max_total: int):

@@ -10,11 +10,12 @@ as a bitmask (bit k <-> c_{k+1}); the empty word is the identity.  Elements
 are finite linear combinations with exact coefficients and no stored zeros.
 A rational element (the engine's builders make only these) stores each
 coefficient as an int numerator over the element's one denominator
-``den`` > 0, reduced so that gcd(den, *numerators) = 1, with den = 1 for
-zero; equality is then a plain comparison of numerators and denominators.
-``GaussianRational`` coefficients, which only the gamma-matrix oracle and
-its checks use, are stored as numerators over den = 1.  ``terms`` is the
-read view, word -> exact coefficient (``Fraction`` for a rational element).
+``den`` > 0, in the canonical form of the numerator kernel in ``numerics``
+(``_reduced``, ``_summed``), so equality is a plain comparison of
+numerators and denominators.  ``GaussianRational`` coefficients, which
+only the gamma-matrix oracle and its checks use, are stored as numerators
+over den = 1.  ``terms`` is the read view, word -> exact coefficient
+(``Fraction`` for a rational element).
 
 The product is one accumulation loop over the numerators of word pairs.
 Its sign needs no table: each right-hand word b gives one bit mask,
@@ -36,11 +37,10 @@ grown by iterated tensor products from a 2x2 seed pair, entries always in
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .numerics import GaussianRational, I, ONE, ZERO, _integer_form
+from .numerics import GaussianRational, I, ONE, ZERO, _integer_form, _reduced, _summed
 
 Word = int  # bitmask encoding of a canonical word
 
@@ -122,18 +122,9 @@ class CliffordElement:
 
     @classmethod
     def _of(cls, n: int, nums: Dict[Word, object], den: int) -> "CliffordElement":
-        """The element sum nums[w]/den * w (nonzero numerators), in canonical
-        form: int numerators reduced against den, others divided into den = 1."""
-        if den != 1:
-            try:
-                g = math.gcd(den, *nums.values())
-            except TypeError:  # numerators that are not ints
-                nums, g = {w: c * Fraction(1, den) for w, c in nums.items()}, den
-            else:
-                nums = {w: c // g for w, c in nums.items()} if g != 1 else nums
-            den //= g
+        """The element sum nums[w]/den * w (nonzero numerators), reduced."""
         out = cls.__new__(cls)
-        out.n, out.nums, out.den = n, nums, den
+        out.n, (out.nums, out.den) = n, _reduced(nums, den)
         return out
 
     @property
@@ -163,12 +154,6 @@ class CliffordElement:
         """c(v) for v = sum v_i e_i; coeffs are rationals (length n)."""
         return cls(n, {1 << i: c for i, c in enumerate(coeffs)})
 
-    @classmethod
-    def from_word(cls, n: int, indices: Sequence[int],
-                  coeff=Fraction(1)) -> "CliffordElement":
-        sign, word = canonicalize(indices, n)
-        return cls(n, {word_from_indices(word): sign * coeff})
-
     # -- algebra ---------------------------------------------------------
 
     def _check(self, other: "CliffordElement") -> None:
@@ -177,16 +162,8 @@ class CliffordElement:
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
-        den = math.lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        nums = {w: c * f for w, c in self.nums.items()} if f != 1 else dict(self.nums)
-        for word, c in other.nums.items():
-            acc = nums.get(word, 0) + c * g
-            if acc:
-                nums[word] = acc
-            else:
-                nums.pop(word, None)
-        return CliffordElement._of(self.n, nums, den)
+        return CliffordElement._of(self.n, *_summed(((self.nums, self.den),
+                                                     (other.nums, other.den))))
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)

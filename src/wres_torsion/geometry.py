@@ -171,7 +171,7 @@ def _admissible(jet: PointJet) -> PointJet:
 
 
 # ---------------------------------------------------------------------------
-# construction: random, from sparse entries, zero
+# construction: random and from sparse entries
 # ---------------------------------------------------------------------------
 
 def _small_rational(rng: random.Random) -> Fraction:
@@ -214,11 +214,6 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
     dw = ([[_small_rational(rng) for _ in range(n)] for _ in range(n)] if with_w_jet
           else _dense({}, n, 2))
     return _point_jet(m, R, T, dT1, v, w, dw)
-
-
-def zero_point_jet(m: int) -> PointJet:
-    """The all-zero jet: flat, torsion-free, with v = w = 0 and dw = 0."""
-    return make_point_jet(m)
 
 
 def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
@@ -264,24 +259,32 @@ def _zero_block(n: int, rank: int):
         shape, (_zero_block(n, rank - 1),) * n)
 
 
+_ROW_TYPES = frozenset((tuple, list))
+
+
 def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
-    """Index tuple -> value for the nonzero entries of a nested tensor, in
-    lexicographic index order; ValueError if it is ragged.  A leading block
-    that is the shared zero block of its shape is skipped unread."""
+    """Index tuple -> value for the nonzero entries of a nested tensor of
+    tuples or lists, in lexicographic index order; ValueError unless all
+    rows of one level have one length and no entry is a row.  A leading
+    block that is the shared zero block of its shape is skipped unread."""
     shape = []
     cell = tensor
-    while isinstance(cell, (tuple, list)) and cell:
+    while type(cell) in _ROW_TYPES and cell:
         shape.append(len(cell))
         cell = cell[0]
-    zero = _ZERO_BLOCKS.get(tuple(shape[1:]))
-    lead = [i for i, block in enumerate(tensor) if zero is None or block is not zero]
-    flat = map(tensor.__getitem__, lead)
-    for _ in shape[1:]:
-        flat = chain.from_iterable(flat)
-    flat = list(flat)
-    if not shape or len(flat) != len(lead) * math.prod(shape[1:]):
-        raise ValueError(f"tensor is not of shape {tuple(shape)}")
-    return dict(compress(zip(product(lead, *map(range, shape[1:])), flat), flat))
+    if shape:
+        zero = _ZERO_BLOCKS.get(tuple(shape[1:]))
+        lead = [i for i, block in enumerate(tensor) if zero is None or block is not zero]
+        flat = [tensor[i] for i in lead]
+        for size in shape[1:]:
+            if not (_ROW_TYPES.issuperset(map(type, flat))
+                    and {size}.issuperset(map(len, flat))):
+                break
+            flat = list(chain.from_iterable(flat))
+        else:  # every level was rectangular
+            if _ROW_TYPES.isdisjoint(map(type, flat)):
+                return dict(compress(zip(product(lead, *map(range, shape[1:])), flat), flat))
+    raise ValueError(f"tensor is not of shape {tuple(shape)}")
 
 
 def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):
@@ -316,32 +319,11 @@ def _ricci(R) -> Tuple[Dict[Tuple[int, int], int], int]:
     return ric, den
 
 
-def ricci_scalar(R: Ten4) -> Tuple[Mat2, Fraction]:
-    """Ric_{bk} = sum_j R_{jbjk} and s = sum_b Ric_{bb}.
-
-    Raises ValueError if R violates the pair symmetries (the contraction
-    convention is only meaningful on an admissible tensor).
-    """
-    ric, den = _ricci(R)
-    return _ricci_fractions(ric, den, len(R))
-
-
-def _ricci_fractions(ric: Dict[Tuple[int, int], int], den: int,
-                     n: int) -> Tuple[Mat2, Fraction]:
-    s = Fraction(sum(x for (b, k), x in ric.items() if b == k), den)
-    return _dense({bk: Fraction(x, den) for bk, x in ric.items() if x}, n, 2), s
-
-
 # the 24 reorderings of four slots, as getters, and whether each is even
 # (the sign of a permutation is the sign of its Vandermonde product)
 _SIGNED_PERMS4 = tuple(
     (itemgetter(*perm), math.prod(q - p for p, q in combinations(perm, 2)) > 0)
     for perm in permutations(range(4)))
-
-
-def dT_four_form(dT1: Ten4) -> Ten4:
-    """(dT)_{ijkt} by alternation of the coordinate jet at x0."""
-    return _four_form(_nonzero(dT1), len(dT1))
 
 
 def _four_form(dT1: Dict[Tuple[int, ...], Fraction], n: int) -> Ten4:
@@ -361,12 +343,6 @@ def _four_form(dT1: Dict[Tuple[int, ...], Fraction], n: int) -> Ten4:
             for get, even in _SIGNED_PERMS4:
                 out[get(key)] = val if even else neg
     return _dense(out, n, 4)
-
-
-def torsion_norm_sq(T: Ten3) -> Fraction:
-    """Sum of T_{ajl}^2 over strictly increasing triples a < j < l."""
-    return sum((x * x for (a, j, l), x in _nonzero(T).items() if a < j < l),
-               Fraction(0))
 
 
 def derived_scalars(jet: PointJet) -> DerivedScalars:
@@ -392,12 +368,13 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
     tt_vw = sum(x * tw.get(jl, 0) for jl, x in tv.items())
     div_t_vw = sum(x * v[j] * w[l] for (_, _, j, l), x in div.items())
 
-    ric_mat, s = _ricci_fractions(ric, d_r, n)
+    s = Fraction(sum(x for (b, k), x in ric.items() if b == k), d_r)
     g_vw = Fraction(sum(x * w[a] for a, x in v.items()), d_v * d_w)
     ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()),
                       d_v * d_r * d_w)
     return DerivedScalars(
-        ric=ric_mat, s=s, dT4=_four_form(dT1, n),
+        ric=_dense({bk: Fraction(x, d_r) for bk, x in ric.items() if x}, n, 2),
+        s=s, dT4=_four_form(dT1, n),
         norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l),
                          d_t * d_t),
         g_vw=g_vw, ric_vw=ric_vw,

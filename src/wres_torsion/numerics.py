@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalar arithmetic: rationals, Gaussian rationals, numerator forms.
 
 Exactness is non-negotiable: intermediate symbol coefficients overflow
 64-bit ranges already for half-dimension m = 3, so every scalar is built
@@ -7,24 +7,26 @@ the normal form gcd(|p|, q) = 1, q > 0.
 
 The engine computes in rationals.  A symbol coefficient is purely real or
 purely imaginary, and its phase follows from its key (see ``symbols``), so
-a symbol term stores one rational: a reduced int numerator over the
-expression's one denominator, the form ``_integer_form`` gives.  A
-rational Clifford element stores its coefficients the same way, so a
-builder goes from the jet's nonzero entries to its symbols in ints.
-``GaussianRational`` (``a + b*i``
-with rational ``a``, ``b``) is the exact complex scalar of the gamma-matrix
-oracle, whose matrices have entries in {0, +-1, +-i}, and the type in which
-a symbol's exact complex coefficients are given and read back, and in which
-a summed trace is checked to be real.
+a symbol term stores one rational: an int numerator over the expression's
+one denominator, the form ``_integer_form`` gives.  A rational Clifford
+element stores its coefficients the same way, so a builder goes from the
+jet's nonzero entries to its symbols in ints.  Three functions own that
+numerator form for both: ``_reduced`` makes (numerators, denominator)
+canonical (ints reduce by gcd; any other ring element, such as a
+``GaussianRational``, keeps den = 1), ``_summed`` adds such pairs over the
+lcm of their denominators, and ``_collected`` sums values per key.
+
+``GaussianRational`` (``a + b*i`` with rational ``a``, ``b``) is the exact
+complex scalar of the gamma-matrix oracle, whose matrices have entries in
+{0, +-1, +-i}, and the type in which a symbol's exact complex coefficients
+are given and read back, and in which a summed trace is checked to be real.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Tuple
-
-Rational = Fraction
+from typing import Dict, Hashable, Iterable, Tuple
 
 
 def parse_rational(text: str) -> Fraction:
@@ -49,6 +51,52 @@ def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int
     this form as its storage."""
     den = math.lcm(*{x.denominator for x in entries.values()})
     return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
+
+
+def _reduced(nums: Dict, den: int) -> Tuple[Dict, int]:
+    """(nums, den) in canonical form, for nonzero numerators over den > 0:
+    int numerators share no factor with den (den = 1 when there are none),
+    and any other ring element is divided by den, leaving den = 1."""
+    if den == 1:
+        return nums, 1
+    try:
+        g = math.gcd(den, *nums.values())
+    except TypeError:  # numerators that are not ints
+        return {k: c * Fraction(1, den) for k, c in nums.items()}, 1
+    if g == 1:
+        return nums, den
+    return {k: c // g for k, c in nums.items()}, den // g
+
+
+def _summed(parts: Iterable[Tuple[Dict, int]]) -> Tuple[Dict, int]:
+    """The sum of the (nums, den) pairs over the lcm of their denominators,
+    zero sums dropped; not yet reduced."""
+    parts = list(parts)
+    den = math.lcm(*[d for _, d in parts])
+    acc: Dict = {}
+    for nums, d in parts:
+        f = den // d
+        if not acc:
+            acc = dict(nums) if f == 1 else {k: c * f for k, c in nums.items()}
+            continue
+        for k, c in nums.items():
+            if f != 1:
+                c *= f
+            c += acc.get(k, 0)
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+    return acc, den
+
+
+def _collected(pairs: Iterable[Tuple[Hashable, object]]) -> Dict:
+    """Key -> the sum of its values over the (key, value) pairs, zeros dropped."""
+    acc: Dict = {}
+    for k, c in pairs:
+        prev = acc.get(k)
+        acc[k] = c if prev is None else prev + c
+    return {k: c for k, c in acc.items() if c}
 
 
 class GaussianRational:
@@ -118,10 +166,6 @@ class GaussianRational:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
@@ -450,8 +450,6 @@ def _entry(label: str, engine: Fraction, printed: Fraction,
 
 def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict]:
     """Per-term diff of two expressions (a = composed, b = displayed)."""
-    from .clifford import word_indices
-
     keys = set(a.terms) | set(b.terms)
     rows = []
     for key in sorted(keys):
@@ -619,41 +617,39 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         "density_shift_formula": "3/4 * sum_{j,l} T(v,e_j,e_l) T(w,e_j,e_l)",
     }
 
-    report.convention_notes.extend(_convention_notes(jet, m))
+    report.convention_notes.extend(_CONVENTION_NOTES)
     return report
 
 
-def _convention_notes(jet: PointJet, m: int) -> List[str]:
-    notes = [
-        "torsion prefactor of the zeroth-order Dirac symbol: the chain uses"
-        " 1/4 on increasing triples as displayed; the operator definition"
-        " itself carries 3/2 (ratio 6) and the connection-correction"
-        " contraction carries 9/2 (ratio 18); only 1/4 is consistent with"
-        " the displayed product-symbol grades and the closed forms",
-        "part-1 closed form: the bracket is -3(m-1)/4 |T|^2 g(v,w); the"
-        " stray 73/16 |T|^2 display belongs to the part-1 + part-2 total"
-        " only",
-        "grade-0 product-symbol curvature channel: displayed index pairing"
-        " is off by one transposition (a sign); the engine keeps the"
-        " jet-consistent pairing, which matches the displayed evaluation"
-        " of that channel (II-1-B)",
-        "grade-1 product-symbol cross term: displayed as"
-        " sigma_1(B) sigma_0(A) instead of the composition's"
-        " sigma_0(A) sigma_1(B); the closed forms track the displayed"
-        " order; strict composition shifts the part-2 density by"
-        " +3/4 sum T(v,e_j,e_l)T(w,e_j,e_l), i.e. a -13/16 coefficient in"
-        " place of -25/16 in the end-to-end density",
-        "four-factor trace display: the bracket v_j w_l + v_l w_j has a"
-        " sign slip (the trace gives -v_j w_l + v_l w_j); its two uses"
-        " (I-D, I-F) produce opposite nonzero values that cancel in the"
-        " part-1 total",
-        "two torsion double sums are displayed with dangling summation"
-        " indices (II-1-A, II-3-B); the engine asserts its first-principles"
-        " traces, which match the values read without the extra sum",
-        "the torsion-square channels of the grade-2 product against the"
-        " order -(2m+2) symbol (II-3-B, II-3-C) are displayed with their"
-        " |T|^2 g content shuffled: the engine finds (27/4) m |T|^2 g -"
-        " (9/4) TT and -(27/4)(m-1) |T|^2 g respectively; the displayed"
-        " pair and the engine pair have identical sums",
-    ]
-    return notes
+_CONVENTION_NOTES = (
+    "torsion prefactor of the zeroth-order Dirac symbol: the chain uses"
+    " 1/4 on increasing triples as displayed; the operator definition"
+    " itself carries 3/2 (ratio 6) and the connection-correction"
+    " contraction carries 9/2 (ratio 18); only 1/4 is consistent with"
+    " the displayed product-symbol grades and the closed forms",
+    "part-1 closed form: the bracket is -3(m-1)/4 |T|^2 g(v,w); the"
+    " stray 73/16 |T|^2 display belongs to the part-1 + part-2 total"
+    " only",
+    "grade-0 product-symbol curvature channel: displayed index pairing"
+    " is off by one transposition (a sign); the engine keeps the"
+    " jet-consistent pairing, which matches the displayed evaluation"
+    " of that channel (II-1-B)",
+    "grade-1 product-symbol cross term: displayed as"
+    " sigma_1(B) sigma_0(A) instead of the composition's"
+    " sigma_0(A) sigma_1(B); the closed forms track the displayed"
+    " order; strict composition shifts the part-2 density by"
+    " +3/4 sum T(v,e_j,e_l)T(w,e_j,e_l), i.e. a -13/16 coefficient in"
+    " place of -25/16 in the end-to-end density",
+    "four-factor trace display: the bracket v_j w_l + v_l w_j has a"
+    " sign slip (the trace gives -v_j w_l + v_l w_j); its two uses"
+    " (I-D, I-F) produce opposite nonzero values that cancel in the"
+    " part-1 total",
+    "two torsion double sums are displayed with dangling summation"
+    " indices (II-1-A, II-3-B); the engine asserts its first-principles"
+    " traces, which match the values read without the extra sum",
+    "the torsion-square channels of the grade-2 product against the"
+    " order -(2m+2) symbol (II-3-B, II-3-C) are displayed with their"
+    " |T|^2 g content shuffled: the engine finds (27/4) m |T|^2 g -"
+    " (9/4) TT and -(27/4)(m-1) |T|^2 g respectively; the displayed"
+    " pair and the engine pair have identical sums",
+)

@@ -19,19 +19,20 @@ follows from the key: the coefficient of key (mu, nu, p, word) is
 with one phase bit per expression.  The phase is 0 for the even symbols
 that the pipelines trace (a term is imaginary exactly when |nu| + grade is
 odd) and 1 for odd ones such as sigma(D_T), c(v) and c(w); it flips under
-each d/dxi and under multiplication by i.  So a term stores r alone, as a
-reduced int numerator over the expression's one denominator: a product
-multiplies ints and the two denominators, a sum rescales to their lcm,
-and a trace sums ints and divides once.  In a product the phases add, and
-the (-1) of each common generator (c_i^2 = -1) cancels against the i^2 of
-the grade it removes, so the product's sign is the plain transposition
-parity of the two words.  The Leibniz factor (-i)^|alpha| turns back the
-phase that d_xi^alpha flips, and a cosphere trace is real exactly when the
-phase is even.  Exact ``GaussianRational`` coefficients are accepted where
-a term is given (``SymbolExpr(n, terms)``, ``add_term``, ``scale``, the
-scalar of a Clifford term family) and rebuilt where one is read
-(``coefficient``, ``term_list``, ``pretty``); a coefficient that breaks
-the phase rule raises ValueError naming its key.
+each d/dxi and under multiplication by i.  So a term stores r alone, as an
+int numerator over the expression's one denominator, in the form that the
+numerator kernel in ``numerics`` owns (``_reduced``, ``_summed``,
+``_collected``): a product multiplies ints and the two denominators, a sum
+rescales to their lcm, and a trace sums ints and divides once.  In a
+product the phases add, and the (-1) of each common generator
+(c_i^2 = -1) cancels against the i^2 of the grade it removes, so the
+product's sign is the plain transposition parity of the two words.  The
+Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips,
+and a cosphere trace is real exactly when the phase is even.  Exact
+``GaussianRational`` coefficients are accepted where a term is given
+(``SymbolExpr(n, terms)``, ``add_term``, ``scale``, the scalar of a
+Clifford term family) and rebuilt where one is read (``coefficient``); a
+coefficient that breaks the phase rule raises ValueError naming its key.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -51,41 +52,19 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from dataclasses import dataclass
-
-from .clifford import CliffordElement, Word, _below, word_indices
+from .clifford import CliffordElement, Word, _below
 # derived_scalars stays bound for bench/test_bench.py; builders read jet.derived
 from .geometry import PointJet, _nonzero, derived_scalars  # noqa: F401
-from .numerics import GaussianRational, I, _integer_form
+from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
 Key = Tuple[Deg, Deg, int, Word]
 
 X_TRUNCATION = 2
-
-
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One canonical term: coeff * x^xdeg * xi^xideg * ||xi||^normpow * word."""
-
-    coeff: GaussianRational
-    xdeg: Deg
-    xideg: Deg
-    normpow: int
-    word: Word
-
-    @property
-    def word_indices(self) -> Tuple[int, ...]:
-        return word_indices(self.word)
-
-    @property
-    def xi_homogeneity(self) -> int:
-        return sum(self.xideg) + self.normpow
 
 
 def _split(scalar) -> Tuple[Fraction, Fraction | int]:
@@ -131,18 +110,6 @@ def _real(key: Key, coeff, phase: int) -> Fraction:
     return -value if e & 2 else value
 
 
-def _accumulate(terms: Dict[Key, int], key: Key, value: int) -> None:
-    prev = terms.get(key)
-    if prev is None:
-        terms[key] = value
-    else:
-        value += prev
-        if value:
-            terms[key] = value
-        else:
-            del terms[key]
-
-
 class SymbolExpr:
     """Canonical sum of symbol terms; no zero coefficients stored.
 
@@ -170,18 +137,11 @@ class SymbolExpr:
     def _of(cls, n: int, terms: Dict[Key, int], den: int, phase: int) -> "SymbolExpr":
         """The expression (nonzero int numerators over ``den`` > 0), reduced."""
         out = cls.__new__(cls)
-        g = math.gcd(den, *terms.values())
-        if g != 1:
-            terms = {k: c // g for k, c in terms.items()}
-            den //= g
-        out.n, out.terms, out.den, out.phase = n, terms, den, phase
+        out.terms, out.den = _reduced(terms, den)
+        out.n, out.phase = n, phase
         return out
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "SymbolExpr":
-        return cls(n)
 
     @classmethod
     def from_clifford(cls, elem: CliffordElement, *, xdeg: Deg | None = None,
@@ -205,16 +165,7 @@ class SymbolExpr:
                 parts.append(expr)
         if not parts:
             return cls(n)
-        den = math.lcm(*(expr.den for expr in parts))
-        terms: Dict[Key, int] = {}
-        for expr in parts:
-            f = den // expr.den
-            for key, c in expr.terms.items():
-                if f != 1:
-                    c *= f
-                prev = terms.get(key)
-                terms[key] = c if prev is None else prev + c
-        return cls._of(n, {k: c for k, c in terms.items() if c}, den, parts[0].phase)
+        return cls._of(n, *_summed((e.terms, e.den) for e in parts), parts[0].phase)
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
                  coeff) -> None:
@@ -226,9 +177,8 @@ class SymbolExpr:
         if not self.terms:
             self.phase = _phase_of(key, coeff)
         r = _real(key, coeff, self.phase)
-        total = SymbolExpr.sum_of(self.n, (self, SymbolExpr._of(
-            self.n, {key: r.numerator}, r.denominator, self.phase)))
-        self.terms, self.den = total.terms, total.den
+        self.terms, self.den = _reduced(*_summed(
+            ((self.terms, self.den), ({key: r.numerator}, r.denominator))))
 
     def coefficient(self, key: Key) -> GaussianRational:
         """The exact complex coefficient at ``key`` (zero when absent)."""
@@ -302,31 +252,6 @@ class SymbolExpr:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def term_list(self) -> "list[SymbolTerm]":
-        """Terms in deterministic (sorted-key) order, with exact coefficients."""
-        return [SymbolTerm(self.coefficient(key), *key) for key in sorted(self.terms)]
-
-    def pretty(self) -> str:
-        """Deterministic rendering (sorted term order) for reports."""
-        if not self.terms:
-            return "0"
-        lines = []
-        for key in sorted(self.terms):
-            xdeg, xideg, p, word = key
-            factors = [f"({self.coefficient(key)})"]
-            for i, d in enumerate(xdeg):
-                if d:
-                    factors.append(f"x{i+1}" + (f"^{d}" if d > 1 else ""))
-            for i, d in enumerate(xideg):
-                if d:
-                    factors.append(f"xi{i+1}" + (f"^{d}" if d > 1 else ""))
-            if p:
-                factors.append(f"|xi|^{p}")
-            if word:
-                factors.append("c" + "c".join(map(str, word_indices(word))))
-            lines.append("*".join(factors))
-        return " + ".join(lines)
-
     def __repr__(self):
         return f"SymbolExpr(n={self.n}, {len(self.terms)} terms)"
 
@@ -343,28 +268,35 @@ def d_xi(expr: SymbolExpr, j: int) -> SymbolExpr:
     to 1); raising nu_j (from ||xi||^p) does the opposite."""
     jj = j - 1
     s = 1 if expr.phase else -1
+    # summed in place: on small symbols a pass through _collected costs more
     out: Dict[Key, int] = {}
     for (xdeg, xideg, p, word), r in expr.terms.items():
         e = xideg[jj]
         if e:
-            lowered = xideg[:jj] + (e - 1,) + xideg[jj + 1:]
-            _accumulate(out, (xdeg, lowered, p, word), r * (s * e))
+            key = (xdeg, xideg[:jj] + (e - 1,) + xideg[jj + 1:], p, word)
+            c = out.get(key, 0) + r * (s * e)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
         if p:
-            raised = xideg[:jj] + (e + 1,) + xideg[jj + 1:]
-            _accumulate(out, (xdeg, raised, p - 2, word), r * (-s * p))
+            key = (xdeg, xideg[:jj] + (e + 1,) + xideg[jj + 1:], p - 2, word)
+            c = out.get(key, 0) - r * (s * p)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
     return SymbolExpr._of(expr.n, out, expr.den, expr.phase ^ 1)
 
 
 def d_x(expr: SymbolExpr, j: int) -> SymbolExpr:
-    """d/d(x_j), 1-based; formal partial on the x-monomial (phase kept)."""
+    """d/d(x_j), 1-based; formal partial on the x-monomial (phase kept).
+    Lowering x_j is one-to-one on the keys it applies to, so no two terms
+    meet."""
     jj = j - 1
-    out: Dict[Key, int] = {}
-    for (xdeg, xideg, p, word), r in expr.terms.items():
-        e = xdeg[jj]
-        if e:
-            lowered = xdeg[:jj] + (e - 1,) + xdeg[jj + 1:]
-            _accumulate(out, (lowered, xideg, p, word), r * e)
-    return SymbolExpr._of(expr.n, out, expr.den, expr.phase)
+    return SymbolExpr._of(expr.n, {
+        (xdeg[:jj] + (xdeg[jj] - 1,) + xdeg[jj + 1:], xideg, p, word): r * xdeg[jj]
+        for (xdeg, xideg, p, word), r in expr.terms.items() if xdeg[jj]}, expr.den, expr.phase)
 
 
 def xi_grade(expr: SymbolExpr, degree: int) -> SymbolExpr:
@@ -487,7 +419,7 @@ def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
 
 
 def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
-    return sum(elems, CliffordElement.zero(n))
+    return CliffordElement._of(n, *_summed((e.nums, e.den) for e in elems))
 
 
 def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
@@ -499,14 +431,6 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
 def _check_dim(jet: PointJet, m: int) -> None:
     if jet.n != 2 * m:
         raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
-
-
-def _elem(n: int, terms: Iterable[Tuple[Word, int]], den: int) -> CliffordElement:
-    """Sum of (c / den) * word over (word, int c) pairs; zero sums dropped."""
-    acc: Dict[Word, int] = {}
-    for word, c in terms:
-        acc[word] = acc.get(word, 0) + c
-    return CliffordElement._of(n, {w: c for w, c in acc.items() if c}, den)
 
 
 def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
@@ -535,6 +459,7 @@ def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
     """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
     channels), from the nonzero entries ``curvature`` = _nonzero(R)."""
     nums, den = _integer_form(curvature)
+    num = scale.numerator
     terms: List[list] = [[] for _ in range(n)]
     for (b, a, t, s), val in nums.items():
         # c_a c_s is -1 times its canonical word iff a >= s (a swap or
@@ -542,10 +467,8 @@ def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
         # and squares to -1 if it is one of them
         ws = (1 << a) ^ (1 << s)
         odd = (a >= s) + (ws >> t).bit_count()
-        terms[b].append((ws ^ (1 << t), -val if odd & 1 else val))
-    num = scale.numerator
-    return [_elem(n, ((w, c * num) for w, c in row), den * scale.denominator)
-            for row in terms]
+        terms[b].append((ws ^ (1 << t), -val * num if odd & 1 else val * num))
+    return [CliffordElement._of(n, _collected(row), den * scale.denominator) for row in terms]
 
 
 def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
@@ -558,7 +481,7 @@ def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
         if t != s:
             terms.setdefault((b, a), []).append(
                 ((1 << s) | (1 << t), val if s < t else -val))
-    return {ba: _elem(n, row, den) for ba, row in terms.items()}
+    return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
 
 
 def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
@@ -567,12 +490,9 @@ def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
     nonzero rational ``entries``, summed as int numerators; several indices
     may share one key."""
     nums, den = _integer_form(entries)
-    acc: Dict[Key, int] = {}
-    for index, c in nums.items():
-        key = key_of(*index)
-        acc[key] = acc.get(key, 0) + c
     num, den = scale.numerator, scale.denominator * den
-    return SymbolExpr(n, {key: Fraction(c * num, den) for key, c in acc.items()})
+    sums = _collected((key_of(*index), c) for index, c in nums.items())
+    return SymbolExpr(n, {key: Fraction(c * num, den) for key, c in sums.items()})
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed"

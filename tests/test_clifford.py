@@ -95,13 +95,13 @@ def test_generator_square():
 def test_expand_and_canonicalize():
     n = 4
     lhs = (_gen(n, 1) + _gen(n, 2)) * _gen(n, 1)
-    expected = CliffordElement.identity(n).scale(-1) - CliffordElement.from_word(n, [1, 2])
+    expected = CliffordElement.identity(n).scale(-1) - CliffordElement(n, {0b0011: 1})
     assert lhs == expected
 
 
 def test_identity_law():
     n = 4
-    x = CliffordElement.from_word(n, [1, 3], GaussianRational(Fraction(2, 7)))
+    x = CliffordElement(n, {0b0101: GaussianRational(Fraction(2, 7))})
     assert CliffordElement.identity(n) * x == x
 
 
@@ -228,7 +228,7 @@ def test_trace_identity_is_2m():
 
 
 def test_trace_of_nonempty_word_vanishes():
-    assert trace(CliffordElement.from_word(4, [1, 2]), 2) == ZERO
+    assert trace(CliffordElement(4, {0b0011: 1}), 2) == ZERO
 
 
 def test_trace_cv_cw_equals_minus_g():

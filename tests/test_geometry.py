@@ -20,19 +20,17 @@ from wres_torsion.geometry import (
     _antisym3_violations,
     _complete,
     _dense,
+    _four_form,
     _nonzero,
+    _ricci,
     _riemann_violations,
     _zero_block,
-    dT_four_form,
     derived_scalars,
     jet_from_dict,
     jet_to_dict,
     make_point_jet,
     random_point_jet,
-    ricci_scalar,
-    torsion_norm_sq,
     validate_symmetries,
-    zero_point_jet,
 )
 from wres_torsion.numerics import format_rational
 
@@ -63,16 +61,16 @@ def test_unsupported_dimension():
     with pytest.raises(ValueError):
         random_point_jet(0, 4)
     for m in (4, 0):
-        for build in (zero_point_jet, make_point_jet):
-            with pytest.raises(ValueError, match=f"unsupported half-dimension m={m}"):
-                build(m)
+        with pytest.raises(ValueError, match=f"unsupported half-dimension m={m}"):
+            make_point_jet(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_zero_point_jet_is_the_zero_jet(m):
-    jet = zero_point_jet(m)
-    assert jet == make_point_jet(m)
+    """``make_point_jet(m)`` with no entries is the all-zero jet."""
+    jet = make_point_jet(m)
     assert not any(jet.v) and not any(jet.w)
+    assert not any(_nonzero(x) for x in (jet.R, jet.T, jet.dT1, jet.dw))
 
 
 def test_entry_magnitudes_bounded():
@@ -90,8 +88,8 @@ def test_entry_magnitudes_bounded():
 # ---------------------------------------------------------------------------
 
 def test_ricci_of_zero():
-    jet = zero_point_jet(2)
-    ric, s = ricci_scalar(jet.R)
+    der = derived_scalars(make_point_jet(2))
+    ric, s = der.ric, der.s
     assert s == 0
     assert all(x == 0 for row in ric for x in row)
 
@@ -110,13 +108,12 @@ def test_constant_curvature_scalar():
                         entries.append((a, b, c, d, val))
     jet = make_point_jet(2, R=entries)
     assert validate_symmetries(jet).ok
-    _, s = ricci_scalar(jet.R)
-    assert s == n * (n - 1) * kappa
+    assert derived_scalars(jet).s == n * (n - 1) * kappa
 
 
 def test_ricci_symmetric_on_random_input():
     jet = random_point_jet(17, 3)
-    ric, _ = ricci_scalar(jet.R)
+    ric = derived_scalars(jet).ric
     n = jet.n
     for b in range(n):
         for k in range(n):
@@ -128,8 +125,8 @@ def test_ricci_rejects_asymmetric_input():
               for d in range(4)] for c in range(4)] for b in range(4)]
            for a in range(4)]
     with pytest.raises(ValueError):
-        ricci_scalar(tuple(tuple(tuple(tuple(x for x in r) for r in p) for p in q)
-                           for q in bad))
+        _ricci(tuple(tuple(tuple(tuple(x for x in r) for r in p) for p in q)
+                     for q in bad))
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +134,13 @@ def test_ricci_rejects_asymmetric_input():
 # ---------------------------------------------------------------------------
 
 def test_dT_four_form_zero():
-    jet = zero_point_jet(3)
-    dT4 = dT_four_form(jet.dT1)
+    dT4 = derived_scalars(make_point_jet(3)).dT4
     assert all(x == 0 for c3 in dT4 for c2 in c3 for c1 in c2 for x in c1)
 
 
 def test_dT_four_form_one_hot():
     # only d_1 T_{234} = 1: single surviving term of the alternation
-    jet = make_point_jet(3, dT1=[(0, 1, 2, 3, 1)])
-    dT4 = dT_four_form(jet.dT1)
+    dT4 = derived_scalars(make_point_jet(3, dT1=[(0, 1, 2, 3, 1)])).dT4
     assert dT4[0][1][2][3] == 1
     assert dT4[1][0][2][3] == -1
     # a cyclic shift of four slots is an odd permutation
@@ -154,7 +149,7 @@ def test_dT_four_form_one_hot():
 
 def test_dT_four_form_alternation():
     jet = random_point_jet(5, 3)
-    dT4 = dT_four_form(jet.dT1)
+    dT4 = derived_scalars(jet).dT4
     n = jet.n
     for i in range(n):
         for j in range(n):
@@ -166,14 +161,13 @@ def test_dT_four_form_alternation():
 
 
 def test_torsion_norm_examples():
-    jet = zero_point_jet(3)
-    assert torsion_norm_sq(jet.T) == 0
+    assert derived_scalars(make_point_jet(3)).norm_t2 == 0
     one_hot = make_point_jet(3, T=[(0, 1, 2, 1)])
-    assert torsion_norm_sq(one_hot.T) == 1
+    assert derived_scalars(one_hot).norm_t2 == 1
     # sum of squares over increasing triples: (1/2)^2 + (1/3)^2 = 13/36
     two = make_point_jet(3, T=[(0, 1, 2, Fraction(1, 2)),
                                (0, 1, 3, Fraction(1, 3))])
-    assert torsion_norm_sq(two.T) == Fraction(13, 36)
+    assert derived_scalars(two).norm_t2 == Fraction(13, 36)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def _sparse_violations(m):
     one-hot R and T without their symmetry images, symmetry orbits with
     one image missing, and a complete R orbit that breaks only Bianchi."""
     n = 2 * m
-    zero = zero_point_jet(m)
+    zero = make_point_jet(m)
     riemann = [_with_entry(zero.R, idx, 1) for idx in
                ((0, 1, 0, 1), (0, 1, 2, 3), (1, 0, 0, 1), (0, 0, 1, 1), (n - 1, 2, 1, 0))]
     orbit = make_point_jet(m, R=[(0, 1, 0, 2, 1)]).R
@@ -323,7 +317,7 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
         for limit in (1, 20):
             assert _riemann_violations(R, limit) == _riemann_violations_fraction(R, limit)
         with pytest.raises(ValueError) as err:
-            ricci_scalar(R)
+            _ricci(R)
         assert str(err.value) == expected[0]
     for T in torsion:
         assert _antisym3_violations_fraction(T, "T", 1)
@@ -386,10 +380,25 @@ def test_nonzero_inverts_dense(n, rank):
     (_zero_block(4, 2), _zero_block(3, 2), _zero_block(4, 2), _zero_block(4, 2)),
     (_zero_block(4, 2), ((Fraction(1),) * 4,) * 3, _zero_block(4, 2), _zero_block(4, 2)),
     (),
-], ids=["short-row", "long-row", "wrong-zero-block", "short-block", "empty"])
+    [[1, 2], [3, 4, 5], [6]],
+    [[1, 2], [3, [4]]],
+    [[[1]], [2]],
+], ids=["short-row", "long-row", "wrong-zero-block", "short-block", "empty",
+        "short-and-long-rows", "row-as-entry", "entry-as-row"])
 def test_nonzero_rejects_ragged_tensor(tensor):
     with pytest.raises(ValueError, match="tensor is not of shape"):
         _nonzero(tensor)
+
+
+def test_validator_rejects_ragged_torsion():
+    """A T whose short and long rows make up the right entry count."""
+    jet = make_point_jet(2)
+    rows = [list(row) for row in jet.T[0]]
+    rows[1], rows[2] = rows[1][:-1], rows[2] + [Fraction(1)]
+    ragged = PointJet(m=2, R=jet.R, T=(tuple(map(tuple, rows)),) + jet.T[1:],
+                      dT1=jet.dT1, v=jet.v, w=jet.w, dw=jet.dw)
+    with pytest.raises(ValueError, match="tensor is not of shape"):
+        validate_symmetries(ragged)
 
 
 # The contractions before the sparse rewrite: dense Fraction sums over the
@@ -507,7 +516,7 @@ def _contraction_jets():
     for m, seeds in ((1, range(6)), (2, range(6)), (3, range(4))):
         for seed in seeds:
             yield random_point_jet(seed, m)
-        yield zero_point_jet(m)
+        yield make_point_jet(m)
     for m in (2, 3):
         for _, _, kw in _one_hot_cases(m):
             yield make_point_jet(m, **kw)
@@ -596,7 +605,7 @@ def test_dT_four_form_matches_dense_oracle_on_any_jet():
     for seed in range(8):
         dT1 = random_point_jet(seed, 3).dT1
         for tensor in (dT1, _perturbed(dT1, rng)):
-            assert dT_four_form(tensor) == _dT_four_form_dense(tensor)
+            assert _four_form(_nonzero(tensor), len(tensor)) == _dT_four_form_dense(tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +660,7 @@ def _jet_to_dict_dense(jet: PointJet) -> dict:
 def test_jet_to_dict_matches_dense_oracle():
     jets = [random_point_jet(seed, m) for m in (1, 2, 3) for seed in range(4)]
     for m in (1, 2, 3):
-        jets.append(zero_point_jet(m))
+        jets.append(make_point_jet(m))
         for channel in ("with_curvature", "with_torsion", "with_torsion_jet",
                         "with_w_jet"):
             off = dict.fromkeys(("with_curvature", "with_torsion",

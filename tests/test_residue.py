@@ -12,7 +12,6 @@ from wres_torsion.geometry import (
     derived_scalars,
     make_point_jet,
     random_point_jet,
-    zero_point_jet,
 )
 from wres_torsion.numerics import GaussianRational, I, ONE
 from wres_torsion.residue import (
@@ -241,7 +240,7 @@ def test_metric_equals_minus_g_random(m):
 # ---------------------------------------------------------------------------
 
 def test_part1_flat_zero_torsion():
-    jet = zero_point_jet(2)
+    jet = make_point_jet(2)
     assert part1_density(jet, 2).value == 0
 
 
@@ -631,6 +630,26 @@ def test_engine_functions_carry_no_wrapped():
                for attr, value in vars(mod).items()
                if callable(value) and hasattr(value, "__wrapped__")]
     assert wrapped == []
+
+
+def test_public_api_names():
+    """The package's public surface; any change to it shows here."""
+    import types
+
+    import wres_torsion
+
+    assert sorted(name for name, value in vars(wres_torsion).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)) == [
+        "CliffordElement", "Density", "DensityReport", "DerivedScalars", "GammaRep",
+        "GaussianRational", "PipelineContext", "PointJet", "SymbolExpr", "ValidationReport",
+        "at_x0", "audit", "build_gamma", "build_sigma_ab_composed", "build_sigma_ab_printed",
+        "build_sigma_dt", "canonicalize", "d_x", "d_xi", "derived_scalars",
+        "format_rational", "jet_from_dict", "jet_to_dict", "make_point_jet",
+        "metric_density", "parse_rational", "part1_closed", "part1_density",
+        "part2_closed", "part2_density", "random_point_jet", "sphere_moment",
+        "sphere_moment_bruteforce", "theorem_density", "trace", "trace_integral",
+        "trace_via_rep", "validate_symmetries", "xi_grade",
+    ]
 
 
 def test_jet_construction_derives_no_scalars(build_counts):
