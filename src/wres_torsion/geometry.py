@@ -222,19 +222,22 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
 
     R entries are [a, b, c, d, value], T entries [a, j, l, value] and dT1
     entries [b, a, j, l, value]; each channel is completed over its
-    symmetry images, as in ``jet_from_dict``.  Conflicting entries, a
-    nonzero torsion entry with a repeated index and a jet that fails
-    ``validate_symmetries`` raise InstanceError with ``jet_from_dict``'s
-    message; an unsupported m raises ValueError.
+    symmetry images, as in ``jet_from_dict``.  An entry of another length,
+    conflicting entries, a nonzero torsion entry with a repeated index and a
+    jet that fails ``validate_symmetries`` raise InstanceError with
+    ``jet_from_dict``'s message; an unsupported m raises ValueError.
     """
     _check_supported(m)
     n = 2 * m
 
-    def sparse(entries):
-        return ((tuple(index), Fraction(x)) for *index, x in entries or ())
+    def sparse(name, entries, indices):
+        for entry in entries or ():
+            if len(entry) != indices + 1:
+                raise _entry_error(name, entry, indices)
+            yield tuple(entry[:indices]), Fraction(entry[indices])
     return _admissible(_point_jet(
-        m, _complete("R", sparse(R), n), _complete("T", sparse(T), n),
-        _complete("dT1", sparse(dT1), n),
+        m, _complete("R", sparse("R", R, 4), n), _complete("T", sparse("T", T, 3), n),
+        _complete("dT1", sparse("dT1", dT1, 4), n),
         map(Fraction, v or [0] * n), map(Fraction, w or [0] * n),
         [map(Fraction, row) for row in dw] if dw else _dense({}, n, 2)))
 
@@ -262,18 +265,24 @@ def _zero_block(n: int, rank: int):
 _ROW_TYPES = frozenset((tuple, list))
 
 
+def _shape(tensor) -> Tuple[int, ...]:
+    """The row lengths along the first entries of a nested tensor of tuples
+    or lists: its shape, if ``_nonzero`` finds it rectangular."""
+    shape = []
+    while type(tensor) in _ROW_TYPES and tensor:
+        shape.append(len(tensor))
+        tensor = tensor[0]
+    return tuple(shape)
+
+
 def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
     """Index tuple -> value for the nonzero entries of a nested tensor of
     tuples or lists, in lexicographic index order; ValueError unless all
     rows of one level have one length and no entry is a row.  A leading
     block that is the shared zero block of its shape is skipped unread."""
-    shape = []
-    cell = tensor
-    while type(cell) in _ROW_TYPES and cell:
-        shape.append(len(cell))
-        cell = cell[0]
+    shape = _shape(tensor)
     if shape:
-        zero = _ZERO_BLOCKS.get(tuple(shape[1:]))
+        zero = _ZERO_BLOCKS.get(shape[1:])
         lead = [i for i, block in enumerate(tensor) if zero is None or block is not zero]
         flat = [tensor[i] for i in lead]
         for size in shape[1:]:
@@ -284,7 +293,7 @@ def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
         else:  # every level was rectangular
             if _ROW_TYPES.isdisjoint(map(type, flat)):
                 return dict(compress(zip(product(lead, *map(range, shape[1:])), flat), flat))
-    raise ValueError(f"tensor is not of shape {tuple(shape)}")
+    raise ValueError(f"tensor is not of shape {shape}")
 
 
 def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):
@@ -451,16 +460,19 @@ def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
 
 
 def validate_symmetries(jet: PointJet) -> ValidationReport:
-    """Check every PointJet invariant; name each violated identity."""
-    violations: List[str] = []
+    """Check every PointJet invariant; name each violated identity.  A
+    channel of the wrong shape is named, and then no symmetry is scanned;
+    a ragged R, T or dT1 raises ValueError."""
     n = jet.n
-    if len(jet.R) != n:
-        violations.append(f"R has dimension {len(jet.R)}, expected {n}")
-    violations.extend(_riemann_violations(jet.R))
-    violations.extend(_antisym3_violations(jet.T, "T"))
-    for b in range(n):
-        violations.extend(_antisym3_violations(jet.dT1[b], f"dT1[{b}]", limit=3))
-    if len(jet.v) != n or len(jet.w) != n or len(jet.dw) != n:
+    violations = [f"{name} has shape {_shape(x)}, expected {(n,) * rank}"
+                  for name, x, rank in (("R", jet.R, 4), ("T", jet.T, 3), ("dT1", jet.dT1, 4))
+                  if _shape(x) != (n,) * rank]
+    if not violations:
+        violations.extend(_riemann_violations(jet.R))
+        violations.extend(_antisym3_violations(jet.T, "T"))
+        for b in range(n):
+            violations.extend(_antisym3_violations(jet.dT1[b], f"dT1[{b}]", limit=3))
+    if (_shape(jet.v), _shape(jet.w), _shape(jet.dw)) != ((n,), (n,), (n, n)):
         violations.append("v/w/dw dimension mismatch")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -532,10 +544,14 @@ def _entries(data: dict, name: str, indices: int, n: int):
         raise InstanceError(f"{name} must be a list of entries")
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == indices + 1):
-            raise InstanceError(f"{name} entry {entry!r} must be a list of "
-                                f"{indices} indices and a value")
+            raise _entry_error(name, entry, indices)
         yield (tuple(_index(x, n, name) for x in entry[:indices]),
                _rational(entry[indices], name))
+
+
+def _entry_error(name: str, entry, indices: int) -> InstanceError:
+    return InstanceError(f"{name} entry {entry!r} must be a list of "
+                         f"{indices} indices and a value")
 
 
 def _integer(raw, what: str) -> int:

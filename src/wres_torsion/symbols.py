@@ -28,11 +28,12 @@ product the phases add, and the (-1) of each common generator
 (c_i^2 = -1) cancels against the i^2 of the grade it removes, so the
 product's sign is the plain transposition parity of the two words.  The
 Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips,
-and a cosphere trace is real exactly when the phase is even.  Exact
-``GaussianRational`` coefficients are accepted where a term is given
-(``SymbolExpr(n, terms)``, ``add_term``, ``scale``, the scalar of a
-Clifford term family) and rebuilt where one is read (``coefficient``); a
-coefficient that breaks the phase rule raises ValueError naming its key.
+and a cosphere trace is real exactly when the phase is even.  Each builder
+channel goes from int numerators to its symbol through ``_symbol`` (``_sym``
+for a Clifford term family); an exact ``GaussianRational`` enters there and
+in ``scale`` only as one real or imaginary scalar.  Per-term coefficients are
+given outside the builders (``SymbolExpr(n, terms)``, ``add_term``) and read
+back by ``coefficient``; one that breaks the phase rule raises ValueError.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -67,11 +68,11 @@ Key = Tuple[Deg, Deg, int, Word]
 X_TRUNCATION = 2
 
 
-def _split(scalar) -> Tuple[Fraction, Fraction | int]:
+def _split(scalar) -> Tuple[Fraction | int, Fraction | int]:
     """(real part, imaginary part) of an exact scalar."""
     if isinstance(scalar, GaussianRational):
         return scalar.re, scalar.im
-    return (scalar if isinstance(scalar, Fraction) else Fraction(scalar)), 0
+    return scalar, 0
 
 
 def _exponent(key: Key, phase: int) -> int:
@@ -85,13 +86,13 @@ def _phase_error(key: Key, coeff, phase: int) -> ValueError:
                       f" in a phase-{phase} expression it must be {kind}")
 
 
-def _real_or_imaginary(scalar) -> Tuple[Fraction, int]:
-    """(s, imag) with scalar = i^imag * s, s rational."""
+def _real_or_imaginary(scalar) -> Tuple[int, int, int]:
+    """(p, q, imag) with scalar = i^imag * p/q, q > 0."""
     re, im = _split(scalar)
     if re and im:
         raise ValueError(f"scaling by {scalar} breaks the phase rule:"
                          " the scalar is neither real nor imaginary")
-    return (im, 1) if im else (re, 0)
+    return (im.numerator, im.denominator, 1) if im else (re.numerator, re.denominator, 0)
 
 
 def _phase_of(key: Key, coeff) -> int:
@@ -100,7 +101,7 @@ def _phase_of(key: Key, coeff) -> int:
     return (sum(key[1]) + key[3].bit_count() + bool(_split(coeff)[1])) & 1
 
 
-def _real(key: Key, coeff, phase: int) -> Fraction:
+def _real(key: Key, coeff, phase: int) -> Fraction | int:
     """The rational r of an exact coefficient ``coeff`` = i^e * r at ``key``."""
     re, im = _split(coeff)
     e = _exponent(key, phase)
@@ -205,14 +206,13 @@ class SymbolExpr:
         """scalar * self for a real or purely imaginary exact scalar."""
         if not (self.terms and scalar):
             return SymbolExpr(self.n)
-        s, imag = _real_or_imaginary(scalar)
+        p, q, imag = _real_or_imaginary(scalar)
         phase = self.phase
         if imag:
             # i lowers the phase by one; from 0 it wraps to -1 = 1 - 2
-            s, phase = (s, 0) if phase else (-s, 1)
-        num = s.numerator
-        return SymbolExpr._of(self.n, {k: c * num for k, c in self.terms.items()},
-                              self.den * s.denominator, phase)
+            p, phase = (p, 0) if phase else (-p, 1)
+        return SymbolExpr._of(self.n, {k: c * p for k, c in self.terms.items()},
+                              self.den * q, phase)
 
     def __neg__(self) -> "SymbolExpr":
         return self.scale(-1)
@@ -389,33 +389,41 @@ def _unit(n: int, j: int) -> Deg:
     return _pair(n, j, -1)  # -1 matches no index
 
 
+def _symbol(n: int, nums: Iterable[Tuple[Key, int]], den: int, coeff=1) -> SymbolExpr:
+    """coeff * sum (num/den) * (the term at key) over the (key, nonzero int
+    num) pairs ``nums`` with distinct keys, den > 0 and a real or purely
+    imaginary exact ``coeff``, reduced; the first key sets the phase, and
+    |nu| is summed once per run of keys sharing one xi-degree tuple."""
+    if not coeff:
+        return SymbolExpr(n)
+    p, q, imag = _real_or_imaginary(coeff)
+    terms: Dict[Key, int] = {}
+    xideg = phase = None
+    for key, c in nums:
+        if key[1] is not xideg:
+            xideg = key[1]
+            # coeff * c = i^imag * p/q * c = i^e * r, so r = i^(imag - e) * p/q * c
+            nu = sum(xideg) - imag
+            if phase is None:
+                phase = (nu + key[3].bit_count()) & 1
+            nu -= phase
+        e = nu + key[3].bit_count()
+        if e & 1:
+            raise _phase_error(key, coeff * Fraction(c, den), phase)
+        terms[key] = -c * p if e & 2 else c * p
+    return SymbolExpr._of(n, terms, den * q, phase) if terms else SymbolExpr(n)
+
+
 def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
          xideg: Deg | None = None, normpow: int = 0) -> SymbolExpr:
     """coeff * elem as a symbol term family of the given degrees, for a
-    rational element and a real or purely imaginary exact ``coeff``.
-
-    The element's int numerators times coeff's numerator become the terms
-    over the product of the two denominators; the first word sets the
-    phase, and a word of the other grade parity breaks the phase rule."""
+    rational element (``_symbol`` over the element's words)."""
     n = elem.n
-    nums, den = elem.nums, elem.den
-    if not (nums and coeff):
+    if not elem:
         return SymbolExpr(n)
-    s, imag = _real_or_imaginary(coeff)
-    xdeg = xdeg or (0,) * n
-    xideg = xideg or (0,) * n
-    # coeff * c = i^imag * s * c = i^e * r, so r = i^(imag - e) * s * c
-    nu = sum(xideg) - imag
-    phase = (nu + next(iter(nums)).bit_count()) & 1
-    plus, minus = s.numerator, -s.numerator
-    terms: Dict[Key, int] = {}
-    for word, c in nums.items():
-        key = (xdeg, xideg, normpow, word)
-        e = nu + word.bit_count() - phase
-        if e & 1:
-            raise _phase_error(key, coeff * Fraction(c, den), phase)
-        terms[key] = c * (minus if e & 2 else plus)
-    return SymbolExpr._of(n, terms, den * s.denominator, phase)
+    xdeg, xideg = xdeg or (0,) * n, xideg or (0,) * n
+    return _symbol(n, (((xdeg, xideg, normpow, word), c) for word, c in elem.nums.items()),
+                   elem.den, coeff)
 
 
 def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
@@ -433,9 +441,9 @@ def _check_dim(jet: PointJet, m: int) -> None:
         raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
 
 
-def _torsion_cube(values, n: int, scale: Fraction) -> CliffordElement:
-    """scale * sum_{f<a<b} values[f][a][b] c_f c_a c_b (indices 0-based)."""
-    return CliffordElement(n, {(1 << f) | (1 << a) | (1 << b): values[f][a][b] * scale
+def _torsion_cube(values, n: int) -> CliffordElement:
+    """sum_{f<a<b} values[f][a][b] c_f c_a c_b (indices 0-based)."""
+    return CliffordElement(n, {(1 << f) | (1 << a) | (1 << b): values[f][a][b]
                                for f, a, b in combinations(range(n), 3)
                                if values[f][a][b]})
 
@@ -454,11 +462,11 @@ def _torsion_rows(tensor, n: int) -> Dict[object, CliffordElement]:
     return {lead: CliffordElement._of(n, row, den) for lead, row in rows.items()}
 
 
-def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
+def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int,
                          scale: Fraction) -> List[CliffordElement]:
     """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
-    channels), from the nonzero entries ``curvature`` = _nonzero(R)."""
-    nums, den = _integer_form(curvature)
+    channels), from the int form ``curvature`` of R's nonzero entries."""
+    nums, den = curvature
     num = scale.numerator
     terms: List[list] = [[] for _ in range(n)]
     for (b, a, t, s), val in nums.items():
@@ -471,28 +479,17 @@ def _curvature_word_sums(curvature: Dict[Deg, Fraction], n: int,
     return [CliffordElement._of(n, _collected(row), den * scale.denominator) for row in terms]
 
 
-def _curvature_pair_sums(curvature: Dict[Deg, Fraction], n: int
+def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
                          ) -> Dict[Tuple[int, int], CliffordElement]:
     """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing,
-    for the pairs with a nonzero entry; ``curvature`` = _nonzero(R)."""
-    nums, den = _integer_form(curvature)
+    for the pairs with a nonzero entry, from R's int form ``curvature``."""
+    nums, den = curvature
     terms: Dict[Tuple[int, int], list] = {}
     for (b, a, t, s), val in nums.items():
         if t != s:
             terms.setdefault((b, a), []).append(
                 ((1 << s) | (1 << t), val if s < t else -val))
     return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
-
-
-def _scalar_channel(n: int, entries: Dict[Deg, Fraction], key_of,
-                    scale: Fraction) -> SymbolExpr:
-    """scale * sum of value * (the word-free term key_of(*index)) over the
-    nonzero rational ``entries``, summed as int numerators; several indices
-    may share one key."""
-    nums, den = _integer_form(entries)
-    num, den = scale.numerator, scale.denominator * den
-    sums = _collected((key_of(*index), c) for index, c in nums.items())
-    return SymbolExpr(n, {key: Fraction(c * num, den) for key, c in sums.items()})
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed"
@@ -506,21 +503,20 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     kappa = TORSION_PREFACTOR[variant]
     n = jet.n
     x0 = (0,) * n
-    sigma1 = SymbolExpr(n, {(x0, _unit(n, a), 0, 1 << a): I for a in range(n)})
-    curvature = _curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
-    sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n, kappa))] + [
-        _sym(_torsion_cube(jet.dT1[b], n, kappa) + curvature[b], xdeg=_unit(n, b))
+    sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
+    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n, Fraction(1, 8))
+    sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n), kappa)] + [
+        _sym(_torsion_cube(jet.dT1[b], n).scale(kappa) + curvature[b], xdeg=_unit(n, b))
         for b in range(n)])
     return sigma1, sigma0
 
 
-def build_sigma_ab_composed(jet: PointJet, variant: str = "printed"
-                            ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+def build_sigma_ab_composed(jet: PointJet) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
     formula; sigma(D_T) is built once for both factors."""
     n = jet.n
-    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet, variant))
+    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet))
     cv = _sym(CliffordElement.from_vector(n, jet.v))
     # c(w(x)) carries w's first jet
     cw = SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
@@ -551,9 +547,9 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     n = jet.n
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = _torsion_cube(jet.T, n, Fraction(1))
+    tau = _torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = _curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
+    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n, Fraction(1, 8))
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
@@ -575,8 +571,8 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
             _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
         "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
         "s0_r": _sym(_elem_sum(n, (cvc[j] * curvature[j] for j in range(n)))),
-        "s0_dt": _sym(_elem_sum(n, (
-            cvc[j] * _torsion_cube(jet.dT1[j], n, Fraction(1, 4)) for j in range(n)))),
+        "s0_dt": _sym(_elem_sum(n, (cvc[j] * _torsion_cube(jet.dT1[j], n)
+                                    for j in range(n))), Fraction(1, 4)),
         "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
     }
 
@@ -603,8 +599,7 @@ def build_sigma_delta_lead(jet: PointJet, m: int) -> SymbolExpr:
     inverse m-th power (all the metric density needs)."""
     _check_dim(jet, m)
     n = jet.n
-    return SymbolExpr(n, {((0,) * n, _pair(n, a, a), -2 * m - 2, 0): Fraction(1)
-                          for a in range(n)})
+    return _symbol(n, ((((0,) * n, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
 
 
 def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
@@ -615,22 +610,23 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     _check_dim(jet, m)
     n = jet.n
     p = -2 * m - 2
-    curvature = _nonzero(jet.R)
+    curvature = _integer_form(_nonzero(jet.R))
+    ric = _integer_form(_nonzero(jet.derived.ric))
     pairs = _curvature_pair_sums(curvature, n)
     tau, dtau = _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n)
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-    r_jet = _scalar_channel(n, curvature, lambda a, j, b, k: (
-        _pair(n, j, k), _pair(n, a, b), p, 0), Fraction(-m, 3))
+    r_jet = _symbol(n, _collected(((_pair(n, j, k), _pair(n, a, b), p, 0), c)
+                                  for (a, j, b, k), c in curvature[0].items()).items(),
+                    curvature[1], Fraction(-m, 3))
     parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
 
     # order -2m-1
-    c_ric = Fraction(-2 * m, 3)
     c_t = GaussianRational(0, 3 * m)
     parts_m1 = {
-        "ric_jet": SymbolExpr(n, {
-            (_unit(n, b), _unit(n, a), p, 0): GaussianRational(0, c_ric * x)
-            for (a, b), x in _nonzero(jet.derived.ric).items()}),
+        "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
+                               for (a, b), x in ric[0].items()),
+                           ric[1], GaussianRational(0, Fraction(-2 * m, 3))),
         "tt": SymbolExpr.sum_of(n, (
             _sym(row, c_t, xideg=_unit(n, a), normpow=p) for a, row in tau.items())),
         "r_jet": SymbolExpr.sum_of(n, (
@@ -642,24 +638,22 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
             for (b, a), row in dtau.items())),
     }
 
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs, tau, dtau)
+    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs, tau, dtau, ric)
     return parts_m, parts_m1, parts_m2
 
 
 def _sigma_inverse_order2_parts(
         jet: PointJet, mm: int, pairs: Dict[Tuple[int, int], CliffordElement],
-        tau: Dict[int, CliffordElement], dtau: Dict[Tuple[int, int], CliffordElement]
-) -> Dict[str, SymbolExpr]:
+        tau: Dict[int, CliffordElement], dtau: Dict[Tuple[int, int], CliffordElement],
+        ric: Tuple[Dict[Tuple[int, int], int], int]) -> Dict[str, SymbolExpr]:
     """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
     the base point.  Used with mm = m for the second density pipeline and
     with mm = m-1 for the first one; ``pairs`` are the curvature pair sums,
-    ``tau`` and ``dtau`` the nonzero torsion rows of T and dT1."""
+    ``tau`` and ``dtau`` the nonzero torsion rows of T and dT1, ``ric`` the
+    int form of Ric's nonzero entries."""
     n, der = jet.n, jet.derived
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
-
-    ric = _scalar_channel(n, _nonzero(der.ric), lambda a, b: (x0, _pair(n, a, b), p4, 0),
-                          Fraction(mm * (mm + 1), 3))
 
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): der.dT4[i][j][k][t]
@@ -671,7 +665,9 @@ def _sigma_inverse_order2_parts(
     tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
     c_tt = Fraction(-9 * mm * (mm + 1), 2)
     return {
-        "ric": ric,
+        "ric": _symbol(n, _collected(((x0, _pair(n, a, b), p4, 0), x)
+                                     for (a, b), x in ric[0].items()).items(),
+                       ric[1], Fraction(mm * (mm + 1), 3)),
         "tt_xx": SymbolExpr.sum_of(n, (
             _sym(_grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
                  xideg=_pair(n, a, b), normpow=p4)
@@ -686,7 +682,7 @@ def _sigma_inverse_order2_parts(
         "dt_xx": SymbolExpr.sum_of(n, (
             _sym(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
             for (b, a), row in dtau.items())),
-        "e_scalar": SymbolExpr(n, {(x0, x0, p2, 0): e_val}),
+        "e_scalar": _symbol(n, [((x0, x0, p2, 0), 1)], 1, e_val),
         "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
     }
 
@@ -696,5 +692,7 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
     the base point (prefactors carry m-1 in place of m)."""
     _check_dim(jet, m)
     n = jet.n
-    return _sigma_inverse_order2_parts(jet, m - 1, _curvature_pair_sums(_nonzero(jet.R), n),
-                                       _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n))
+    return _sigma_inverse_order2_parts(
+        jet, m - 1, _curvature_pair_sums(_integer_form(_nonzero(jet.R)), n),
+        _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n),
+        _integer_form(_nonzero(jet.derived.ric)))

@@ -808,11 +808,27 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(dT1=[(1, 2, 2, 3, -1)]), "dT1[2] entry with repeated index (3,3,4) must be zero"),
     (dict(T=[(0, 1, 4, 1)]), "T index (0, 1, 4) outside 0..3"),
     (dict(v=[1, 0, 0]), "v/w/dw dimension mismatch"),
+    (dict(dw=[[1, 2, 3, 4, 5]] * 4), "v/w/dw dimension mismatch"),
+    (dict(T=[(0, 1, 2, 5, 1)]), "T entry (0, 1, 2, 5, 1) must be a list of 3 indices and a value"),
+    (dict(R=[(0, 1, 0, 1, 5, 1)]),
+     "R entry (0, 1, 0, 1, 5, 1) must be a list of 4 indices and a value"),
+    (dict(R=[(0, 1, 2)]), "R entry (0, 1, 2) must be a list of 4 indices and a value"),
+    (dict(dT1=[(0, 1, 2, 3, 4, 1)]),
+     "dT1 entry (0, 1, 2, 3, 4, 1) must be a list of 4 indices and a value"),
 ])
 def test_make_point_jet_rejects_malformed_entries(entries, reason):
     with pytest.raises(InstanceError) as err:
         make_point_jet(2, **entries)
     assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("name,shape", [("R", (2,) * 4), ("T", (2,) * 3), ("dT1", (2,) * 4)])
+def test_validator_names_channel_of_another_dimension(name, shape):
+    """A hand-built m=2 jet carrying one channel of an m=1 jet."""
+    jet = dataclasses.replace(random_point_jet(3, 2),
+                              **{name: getattr(random_point_jet(1, 1), name)})
+    report = validate_symmetries(jet)
+    assert report.violations == (f"{name} has shape {shape}, expected {(4,) * len(shape)}",)
 
 
 def test_make_point_jet_skips_zero_repeated_torsion_entry():

@@ -20,7 +20,7 @@ from wres_torsion.geometry import (
     make_point_jet,
     random_point_jet,
 )
-from wres_torsion.numerics import GaussianRational, I, ONE
+from wres_torsion.numerics import GaussianRational, I, ONE, _integer_form
 from wres_torsion.symbols import (
     X_TRUNCATION,
     SymbolExpr,
@@ -547,6 +547,12 @@ def oracle_sym(elem, coeff=1, *, xdeg=None, xideg=None, normpow=0):
                                     normpow=normpow).scale(coeff)
 
 
+def oracle_symbol(n, nums, den, coeff=1):
+    """``symbols._symbol`` computed term by term: each numerator over den as
+    an exact coefficient at its key, then scale."""
+    return OracleExpr(n, {key: Fraction(c, den) for key, c in nums}).scale(coeff)
+
+
 @contextmanager
 def oracle_arithmetic():
     """Run the symbols module's builders and Leibniz kernel on OracleExpr."""
@@ -554,6 +560,7 @@ def oracle_arithmetic():
         for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
                             ("at_x0", oracle_at_x0), ("_sym", oracle_sym),
+                            ("_symbol", oracle_symbol),
                             ("_alpha_coefficient", oracle_alpha_coefficient)):
             mp.setattr(symbols, name, value)
         yield
@@ -630,6 +637,31 @@ def _sparse_jet(m, case):
 @pytest.mark.parametrize("case", [0, 1, 2, 3, *_CHANNEL_FLAGS])
 def test_sparse_pipeline_symbols_match_complex_oracle(m, case):
     _assert_pipeline_matches_complex_oracle(_sparse_jet(m, case), m, dense=False)
+
+
+def test_builders_pass_no_terms_to_the_exact_constructor(monkeypatch):
+    """Every builder channel is built from int numerators by
+    ``symbols._symbol``: no builder hands terms to the exact-coefficient
+    constructor ``SymbolExpr(n, terms)``, on dense jets and on the one-hot
+    coefficient jets."""
+    jets = [(random_point_jet(seed, m), m) for m in (2, 3) for seed in (0, 5)]
+    jets += [(_sparse_jet(m, case), m) for m in (2, 3) for case in range(4)]
+    passed = []
+    init = SymbolExpr.__init__
+
+    def counting_init(self, n, terms=None):
+        passed.extend(terms or ())
+        init(self, n, terms)
+    monkeypatch.setattr(SymbolExpr, "__init__", counting_init)
+    for jet, m in jets:
+        symbols.build_sigma_dt(jet)
+        symbols.build_sigma_ab_printed_parts(jet)
+        symbols.build_sigma_ab_composed(jet)
+        symbols.build_sigma_delta_inv_parts(jet, m)
+        symbols.build_sigma_dtpow_parts(jet, m)
+    assert passed == []
+    SymbolExpr(N, {(Z, Z, 0, 0): ONE})   # the instrument counts
+    assert len(passed) == 1
 
 
 _degs = st.lists(st.integers(0, N - 1), max_size=3).map(
@@ -759,7 +791,7 @@ def test_sparse_curvature_sums_match_dense(m):
     jets += [make_point_jet(m), make_point_jet(m, R=[(0, 1, 0, 1, Fraction(2, 3))])]
     for jet in jets:
         n = jet.n
-        curvature = _nonzero(jet.R)
+        curvature = _integer_form(_nonzero(jet.R))
         words = symbols._curvature_word_sums(curvature, n, Fraction(1, 8))
         pairs = symbols._curvature_pair_sums(curvature, n)
         for b in range(n):
@@ -802,9 +834,10 @@ def _per_pair_printed_parts(jet):
     _sym, _elem_sum = symbols._sym, symbols._elem_sum
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = symbols._torsion_cube(jet.T, n, Fraction(1))
+    tau = symbols._torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = symbols._curvature_word_sums(_nonzero(jet.R), n, Fraction(1, 8))
+    curvature = symbols._curvature_word_sums(_integer_form(_nonzero(jet.R)), n,
+                                             Fraction(1, 8))
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
     return {
@@ -821,7 +854,7 @@ def _per_pair_printed_parts(jet):
         "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
                                    for j in range(n)))),
         "s0_dt": _sym(_elem_sum(n, (
-            cv * gens[j] * cw * symbols._torsion_cube(jet.dT1[j], n, Fraction(1, 4))
+            cv * gens[j] * cw * symbols._torsion_cube(jet.dT1[j], n).scale(Fraction(1, 4))
             for j in range(n)))),
         "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
     }
