@@ -46,7 +46,7 @@ from .geometry import (
     make_point_jet,
     random_point_jet,
 )
-from .numerics import GaussianRational, format_rational
+from .numerics import ONE, GaussianRational, format_rational
 from .residue import (
     PipelineContext,
     audit,
@@ -115,7 +115,7 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
     for m in SUPPORTED_M:
         n = 2 * m
         rep = build_gamma(m)
-        anti_ok = all(_is_scalar_matrix(_mat_mul_entrywise(rep, i, j), -2 if i == j else 0)
+        anti_ok = all(_anticommute(rep.matrices[i], rep.matrices[j], i == j)
                       for i in range(n) for j in range(n))
         trace_id = trace(CliffordElement.identity(n), m)
         ok_m = anti_ok and trace_id == 1 << m
@@ -134,17 +134,12 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
                        rows)
 
 
-def _mat_mul_entrywise(rep, i: int, j: int):
-    gi, gj = rep.matrices[i], rep.matrices[j]
-    ab = _mat_mul(gi, gj)
-    ba = _mat_mul(gj, gi)
-    return tuple(tuple(ab[r][c] + ba[r][c] for c in range(len(ab)))
-                 for r in range(len(ab)))
-
-
-def _is_scalar_matrix(mat, scalar: int) -> bool:
-    return all(entry == (scalar if i == j else 0)
-               for i, row in enumerate(mat) for j, entry in enumerate(row))
+def _anticommute(a, b, same: bool) -> bool:
+    """{a, b} = -2 delta_ab for monomial rows: a^2 is -1 on the identity
+    permutation, and ab = -ba for two distinct gammas."""
+    ab = _mat_mul(a, b)
+    return ab == (tuple((r, -ONE) for r in range(len(a))) if same
+                  else tuple((c, -x) for c, x in _mat_mul(b, a)))
 
 
 def _multidegrees(n: int, max_total: int):

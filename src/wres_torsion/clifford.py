@@ -29,10 +29,12 @@ is the zero element, returned right after the dimension check.
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
 ``trace`` reads off 2^m times the identity coefficient, a ``Fraction`` for
-a rational element.  ``build_gamma``
-and ``trace_via_rep`` provide the independent oracle: exact gamma matrices
-grown by iterated tensor products from a 2x2 seed pair, entries always in
-{0, +-1, +-i}, and the trace recomputed as an honest matrix diagonal sum.
+a rational element.  ``build_gamma`` and ``trace_via_rep`` provide the
+independent oracle: exact gamma matrices grown by iterated tensor products
+from a 2x2 seed pair.  These and their products are monomial (one entry in
+{+-1, +-i} per row), stored as one (column, entry) pair per row; a word's
+matrix is the product of its generators' matrices, O(2^m) per factor, and
+the trace sums their diagonal entries, with no use of the sign rule.
 """
 
 from __future__ import annotations
@@ -228,68 +230,50 @@ def trace(a: CliffordElement, m: int):
 # Independent matrix oracle
 # ---------------------------------------------------------------------------
 
-Matrix = Tuple[Tuple[GaussianRational, ...], ...]
+# a monomial matrix: row i -> (the column of its one nonzero entry, that entry)
+Matrix = Tuple[Tuple[int, GaussianRational], ...]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size))
-        for i in range(size)
-    )
+    return tuple((b[j][0], x * b[j][1]) for j, x in a)
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    return tuple(
-        tuple(a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb))
-        for i in range(na * nb)
-    )
+    nb = len(b)
+    return tuple((ja * nb + jb, x * y) for ja, x in a for jb, y in b)
 
 
-_X: Matrix = ((ZERO, ONE), (-ONE, ZERO))
-_Y: Matrix = ((ZERO, I), (I, ZERO))
-_Z: Matrix = ((ONE, ZERO), (ZERO, -ONE))
-_EYE2: Matrix = ((ONE, ZERO), (ZERO, ONE))
+_X: Matrix = ((1, ONE), (0, -ONE))
+_Y: Matrix = ((1, I), (0, I))
+_Z: Matrix = ((0, ONE), (1, -ONE))
 
 
 class GammaRep:
-    """Exact gamma matrices for n = 2m generators, size 2^m."""
+    """Exact gamma matrices for n = 2m generators, size 2^m, as monomial rows."""
 
     def __init__(self, n: int, matrices: Tuple[Matrix, ...]):
         self.n = n
         self.matrices = matrices
-        self._word_cache: Dict[Word, Matrix] = {0: _identity_matrix(len(matrices[0]))}
 
     @property
     def dim(self) -> int:
         return len(self.matrices[0])
 
     def word_matrix(self, word: Word) -> Matrix:
-        """Matrix of a canonical word, built by exact matrix products."""
-        cached = self._word_cache.get(word)
-        if cached is None:
-            low = word & -word
-            rest = word ^ low
-            gamma = self.matrices[low.bit_length() - 1]
-            cached = _mat_mul(gamma, self.word_matrix(rest))
-            self._word_cache[word] = cached
-        return cached
-
-
-def _identity_matrix(size: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-    )
+        """Matrix of a canonical word: the product of its generators' matrices."""
+        mat = tuple((i, ONE) for i in range(self.dim))
+        for i in word_indices(word):
+            mat = _mat_mul(mat, self.matrices[i - 1])
+        return mat
 
 
 def build_gamma(m: int) -> GammaRep:
-    """Iterated tensor construction; entries stay in {0, +-1, +-i}."""
+    """Iterated tensor construction; entries stay in {+-1, +-i}."""
     if m < 1:
         raise ValueError("half-dimension m must be >= 1")
     gammas: List[Matrix] = [_X, _Y]
     for _ in range(m - 1):
-        eye = _identity_matrix(len(gammas[0]))
+        eye = tuple((i, ONE) for i in range(len(gammas[0])))
         gammas = [_kron(g, _Z) for g in gammas]
         gammas.append(_kron(eye, _X))
         gammas.append(_kron(eye, _Y))
@@ -297,21 +281,8 @@ def build_gamma(m: int) -> GammaRep:
 
 
 def trace_via_rep(a: CliffordElement, rep: GammaRep) -> GaussianRational:
-    """Assemble the full representing matrix of ``a``, then sum its diagonal."""
+    """Sum coeff * entry over the diagonal entries of each word's matrix."""
     if a.n != rep.n:
         raise ValueError(f"element over n={a.n} against representation n={rep.n}")
-    size = rep.dim
-    acc = [[ZERO] * size for _ in range(size)]
-    for word, coeff in a.terms.items():
-        mat = rep.word_matrix(word)
-        for i in range(size):
-            row = mat[i]
-            arow = acc[i]
-            for j in range(size):
-                entry = row[j]
-                if entry:
-                    arow[j] = arow[j] + coeff * entry
-    total = ZERO
-    for i in range(size):
-        total = total + acc[i][i]
-    return total
+    return sum((coeff * x for word, coeff in a.terms.items()
+                for i, (j, x) in enumerate(rep.word_matrix(word)) if i == j), ZERO)

@@ -222,10 +222,11 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
 
     R entries are [a, b, c, d, value], T entries [a, j, l, value] and dT1
     entries [b, a, j, l, value]; each channel is completed over its
-    symmetry images, as in ``jet_from_dict``.  An entry of another length,
-    conflicting entries, a nonzero torsion entry with a repeated index and a
-    jet that fails ``validate_symmetries`` raise InstanceError with
-    ``jet_from_dict``'s message; an unsupported m raises ValueError.
+    symmetry images, as in ``jet_from_dict``.  An entry of another length, a
+    value that ``Fraction`` rejects, conflicting entries, a nonzero torsion
+    entry with a repeated index and a jet that fails ``validate_symmetries``
+    raise InstanceError with ``jet_from_dict``'s message; an unsupported m
+    raises ValueError.
     """
     _check_supported(m)
     n = 2 * m
@@ -234,12 +235,14 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
         for entry in entries or ():
             if len(entry) != indices + 1:
                 raise _entry_error(name, entry, indices)
-            yield tuple(entry[:indices]), Fraction(entry[indices])
+            yield tuple(entry[:indices]), _rational(entry[indices], name, Fraction)
     return _admissible(_point_jet(
         m, _complete("R", sparse("R", R, 4), n), _complete("T", sparse("T", T, 3), n),
         _complete("dT1", sparse("dT1", dT1, 4), n),
-        map(Fraction, v or [0] * n), map(Fraction, w or [0] * n),
-        [map(Fraction, row) for row in dw] if dw else _dense({}, n, 2)))
+        [_rational(x, "v", Fraction) for x in v or [0] * n],
+        [_rational(x, "w", Fraction) for x in w or [0] * n],
+        [[_rational(x, "dw", Fraction) for x in row] for row in dw] if dw
+        else _dense({}, n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,11 @@ def _shape(tensor) -> Tuple[int, ...]:
         shape.append(len(tensor))
         tensor = tensor[0]
     return tuple(shape)
+
+
+def _flat(row, n: int) -> bool:
+    """Whether ``row`` is a tuple or list of n entries, none of them a row."""
+    return type(row) in _ROW_TYPES and len(row) == n and _ROW_TYPES.isdisjoint(map(type, row))
 
 
 def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
@@ -472,7 +480,8 @@ def validate_symmetries(jet: PointJet) -> ValidationReport:
         violations.extend(_antisym3_violations(jet.T, "T"))
         for b in range(n):
             violations.extend(_antisym3_violations(jet.dT1[b], f"dT1[{b}]", limit=3))
-    if (_shape(jet.v), _shape(jet.w), _shape(jet.dw)) != ((n,), (n,), (n, n)):
+    if not (_flat(jet.v, n) and _flat(jet.w, n) and type(jet.dw) in _ROW_TYPES
+            and len(jet.dw) == n and all(_flat(row, n) for row in jet.dw)):
         violations.append("v/w/dw dimension mismatch")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -572,10 +581,11 @@ def _index(raw, n: int, name: str) -> int:
     return i - 1
 
 
-def _rational(raw, name: str) -> Fraction:
+def _rational(raw, name: str, convert=lambda raw: parse_rational(str(raw))) -> Fraction:
+    """``convert(raw)``; InstanceError naming the field if it fails."""
     try:
-        return parse_rational(str(raw))
-    except (ValueError, ZeroDivisionError):
+        return convert(raw)
+    except (TypeError, ValueError, ArithmeticError):
         raise InstanceError(f"{name} value {raw!r} is not an exact rational") from None
 
 

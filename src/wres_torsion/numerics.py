@@ -17,9 +17,10 @@ canonical (ints reduce by gcd; any other ring element, such as a
 lcm of their denominators, and ``_collected`` sums values per key.
 
 ``GaussianRational`` (``a + b*i`` with rational ``a``, ``b``) is the exact
-complex scalar of the gamma-matrix oracle, whose matrices have entries in
-{0, +-1, +-i}, and the type in which a symbol's exact complex coefficients
-are given and read back, and in which a summed trace is checked to be real.
+complex scalar of the gamma-matrix oracle, whose monomial matrices hold
+one entry in {+-1, +-i} per row, and the type in which a symbol's exact
+complex coefficients are given and read back, and in which a summed trace
+is checked to be real.
 """
 
 from __future__ import annotations

@@ -462,12 +462,11 @@ def _torsion_rows(tensor, n: int) -> Dict[object, CliffordElement]:
     return {lead: CliffordElement._of(n, row, den) for lead, row in rows.items()}
 
 
-def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int,
-                         scale: Fraction) -> List[CliffordElement]:
-    """[scale * sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
+def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int
+                         ) -> List[CliffordElement]:
+    """[1/8 sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
     channels), from the int form ``curvature`` of R's nonzero entries."""
     nums, den = curvature
-    num = scale.numerator
     terms: List[list] = [[] for _ in range(n)]
     for (b, a, t, s), val in nums.items():
         # c_a c_s is -1 times its canonical word iff a >= s (a swap or
@@ -475,8 +474,8 @@ def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int,
         # and squares to -1 if it is one of them
         ws = (1 << a) ^ (1 << s)
         odd = (a >= s) + (ws >> t).bit_count()
-        terms[b].append((ws ^ (1 << t), -val * num if odd & 1 else val * num))
-    return [CliffordElement._of(n, _collected(row), den * scale.denominator) for row in terms]
+        terms[b].append((ws ^ (1 << t), -val if odd & 1 else val))
+    return [CliffordElement._of(n, _collected(row), 8 * den) for row in terms]
 
 
 def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
@@ -504,7 +503,7 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     n = jet.n
     x0 = (0,) * n
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
-    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n, Fraction(1, 8))
+    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
     sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n), kappa)] + [
         _sym(_torsion_cube(jet.dT1[b], n).scale(kappa) + curvature[b], xdeg=_unit(n, b))
         for b in range(n)])
@@ -549,7 +548,7 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     cw = CliffordElement.from_vector(n, jet.w)
     tau = _torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n, Fraction(1, 8))
+    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))

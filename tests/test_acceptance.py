@@ -51,6 +51,8 @@ from wres_torsion.residue import (
 )
 from wres_torsion.symbols import build_sigma_ab_composed, build_sigma_ab_printed
 
+from test_clifford import dense, dense_mul
+
 TRIALS_PER_M = 25
 
 
@@ -65,15 +67,15 @@ def _report(k: int, ok: bool, detail: str, started: float) -> None:
 
 def test_criterion_1_clifford_foundation():
     started = time.monotonic()
-    from wres_torsion.clifford import _mat_mul
     for m in (1, 2, 3):
         n = 2 * m
         rep = build_gamma(m)
         size = rep.dim
+        gammas = [dense(g) for g in rep.matrices]
         for i in range(n):
             for j in range(n):
-                ab = _mat_mul(rep.matrices[i], rep.matrices[j])
-                ba = _mat_mul(rep.matrices[j], rep.matrices[i])
+                ab = dense_mul(gammas[i], gammas[j])
+                ba = dense_mul(gammas[j], gammas[i])
                 for r in range(size):
                     for c in range(size):
                         want = GaussianRational(-2 if (i == j and r == c) else 0)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wres_torsion import clifford
 from wres_torsion.clifford import (
     CliffordElement,
     blade_mul,
@@ -257,17 +258,78 @@ def test_trace_bilinear_form_random():
 # gamma representation
 # ---------------------------------------------------------------------------
 
+# The dense oracle of the monomial rows: 2^m x 2^m matrices of
+# GaussianRational entries, the Kronecker construction and the product
+# written out entry by entry.
+
+def dense_mul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size))
+        for i in range(size)
+    )
+
+
+def _dense_kron(a, b):
+    na, nb = len(a), len(b)
+    return tuple(
+        tuple(a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb))
+        for i in range(na * nb)
+    )
+
+
+def _dense_eye(size):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size))
+
+
+_DENSE_X = ((ZERO, ONE), (-ONE, ZERO))
+_DENSE_Y = ((ZERO, I), (I, ZERO))
+_DENSE_Z = ((ONE, ZERO), (ZERO, -ONE))
+
+
+def dense_gammas(m):
+    """The dense gamma matrices of the iterated tensor construction."""
+    gammas = [_DENSE_X, _DENSE_Y]
+    for _ in range(m - 1):
+        eye = _dense_eye(len(gammas[0]))
+        gammas = [_dense_kron(g, _DENSE_Z) for g in gammas]
+        gammas += [_dense_kron(eye, _DENSE_X), _dense_kron(eye, _DENSE_Y)]
+    return gammas
+
+
+def dense(mat):
+    """The dense matrix of monomial rows (column, entry)."""
+    size = len(mat)
+    return tuple(tuple(x if j == col else ZERO for j in range(size)) for col, x in mat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gamma_matches_dense_construction(m):
+    """Every gamma matrix and every word matrix (all 2^n words), expanded
+    to dense form, is the dense construction and the dense product."""
+    rep = build_gamma(m)
+    n = 2 * m
+    gammas = dense_gammas(m)
+    assert [dense(g) for g in rep.matrices] == gammas
+    words = {0: _dense_eye(1 << m)}
+    assert dense(rep.word_matrix(0)) == words[0]
+    for word in range(1, 1 << n):
+        low = word & -word
+        words[word] = dense_mul(gammas[low.bit_length() - 1], words[word ^ low])
+        assert dense(rep.word_matrix(word)) == words[word]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_gamma_relations_exact(m):
     rep = build_gamma(m)
     n = 2 * m
     size = rep.dim
     assert size == 1 << m
-    from wres_torsion.clifford import _mat_mul
+    gammas = [dense(g) for g in rep.matrices]
     for i in range(n):
         for j in range(n):
-            anti = _mat_mul(rep.matrices[i], rep.matrices[j])
-            anti2 = _mat_mul(rep.matrices[j], rep.matrices[i])
+            anti = dense_mul(gammas[i], gammas[j])
+            anti2 = dense_mul(gammas[j], gammas[i])
             for r in range(size):
                 for c in range(size):
                     want = GaussianRational(-2 if (i == j and r == c) else 0)
@@ -280,7 +342,8 @@ def test_gamma_entries_exact_units(m):
     allowed = {GaussianRational(0), GaussianRational(1), GaussianRational(-1),
                I, -I}
     for mat in rep.matrices:
-        for row in mat:
+        assert sorted(col for col, _ in mat) == list(range(rep.dim))
+        for row in dense(mat):
             for entry in row:
                 assert entry in allowed
 
@@ -308,6 +371,30 @@ def test_oracle_on_dense_element_m3():
     elem = _random_element(rng, 6, terms=50)
     rep = build_gamma(3)
     assert trace(elem, 3) == trace_via_rep(elem, rep)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_oracle_equivalence_beyond_supported_m(m):
+    rng = random.Random(f"oracle:{m}")
+    rep = build_gamma(m)
+    for _ in range(2):
+        elem = _random_element(rng, 2 * m, terms=12)
+        assert trace(elem, m) == trace_via_rep(elem, rep)
+
+
+def test_oracle_independent_of_sign_rule(monkeypatch):
+    """The oracle multiplies matrices: with the bit-mask sign rule gone, it
+    still agrees with ``trace`` on elements built without products."""
+    def gone(*args):
+        raise AssertionError("the oracle used the bit-mask sign rule")
+    monkeypatch.setattr(clifford, "_below", gone)
+    monkeypatch.setattr(clifford, "blade_mul", gone)
+    rng = random.Random(5)
+    for m in (1, 2, 3, 4):
+        rep = build_gamma(m)
+        for _ in range(5):
+            elem = _random_element(rng, 2 * m, terms=rng.randint(1, 12))
+            assert trace(elem, m) == trace_via_rep(elem, rep)
 
 
 def test_rep_dimension_mismatch():

@@ -815,6 +815,15 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(R=[(0, 1, 2)]), "R entry (0, 1, 2) must be a list of 4 indices and a value"),
     (dict(dT1=[(0, 1, 2, 3, 4, 1)]),
      "dT1 entry (0, 1, 2, 3, 4, 1) must be a list of 4 indices and a value"),
+    (dict(dw=[[1, 2, 3, 4]] * 3 + [[1]]), "v/w/dw dimension mismatch"),
+    (dict(v=[[1], 0, 0, 0]), "v value [1] is not an exact rational"),
+    (dict(v=["1/0", 0, 0, 0]), "v value '1/0' is not an exact rational"),
+    (dict(w=[0, 0, float("nan"), 0]), "w value nan is not an exact rational"),
+    (dict(dw=[[0, 0, 0, 0]] * 3 + [[0, 0, 0, float("inf")]]),
+     "dw value inf is not an exact rational"),
+    (dict(T=[(0, 1, 2, None)]), "T value None is not an exact rational"),
+    (dict(T=[(0, 1, 2, "x")]), "T value 'x' is not an exact rational"),
+    (dict(R=[(0, 1, 0, 1, "1/0")]), "R value '1/0' is not an exact rational"),
 ])
 def test_make_point_jet_rejects_malformed_entries(entries, reason):
     with pytest.raises(InstanceError) as err:
@@ -829,6 +838,17 @@ def test_validator_names_channel_of_another_dimension(name, shape):
                               **{name: getattr(random_point_jet(1, 1), name)})
     report = validate_symmetries(jet)
     assert report.violations == (f"{name} has shape {shape}, expected {(4,) * len(shape)}",)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(v=(1, (2,))), dict(w=(1, [2])), dict(dw=((1, 2), (3,))),
+    dict(dw=((1, 2), (3, (4,)))), dict(dw=((1, 2), 3)), dict(dw=(1, 2)),
+])
+def test_validator_reads_every_entry_of_v_w_dw(fields):
+    """A hand-built m=1 jet whose v, w or dw is ragged or nested past its
+    first entry."""
+    report = validate_symmetries(dataclasses.replace(random_point_jet(1, 1), **fields))
+    assert report.violations == ("v/w/dw dimension mismatch",)
 
 
 def test_make_point_jet_skips_zero_repeated_torsion_entry():

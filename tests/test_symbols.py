@@ -792,7 +792,7 @@ def test_sparse_curvature_sums_match_dense(m):
     for jet in jets:
         n = jet.n
         curvature = _integer_form(_nonzero(jet.R))
-        words = symbols._curvature_word_sums(curvature, n, Fraction(1, 8))
+        words = symbols._curvature_word_sums(curvature, n)
         pairs = symbols._curvature_pair_sums(curvature, n)
         for b in range(n):
             assert words[b] == _dense_curvature_word_sum(jet, b, Fraction(1, 8))
@@ -836,8 +836,7 @@ def _per_pair_printed_parts(jet):
     cw = CliffordElement.from_vector(n, jet.w)
     tau = symbols._torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = symbols._curvature_word_sums(_integer_form(_nonzero(jet.R)), n,
-                                             Fraction(1, 8))
+    curvature = symbols._curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
     return {
