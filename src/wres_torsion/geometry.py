@@ -26,12 +26,11 @@ is summed over strictly increasing triples only.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (chain, combinations, combinations_with_replacement, compress,
-                       permutations, product)
+from itertools import (chain, combinations, combinations_with_replacement, compress, groupby,
+                       product)
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -75,9 +74,9 @@ class PointJet:
 class DerivedScalars:
     """Contractions of a PointJet used by the closed-form densities."""
 
-    ric: Mat2                 # Ric_{bk} = sum_j R_{jbjk}
+    ric: Dict[Tuple[int, int], Fraction]  # (b, k) -> Ric_{bk} = sum_j R_{jbjk}, nonzero only
     s: Fraction               # scalar curvature
-    dT4: Ten4                 # exterior derivative of T as a 4-form at x0
+    dT4: Dict[Tuple[int, ...], Fraction]  # dT at x0 on i0 < i1 < i2 < i3, nonzero only
     norm_t2: Fraction         # sum over increasing triples of T^2
     g_vw: Fraction
     ric_vw: Fraction
@@ -222,27 +221,36 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
 
     R entries are [a, b, c, d, value], T entries [a, j, l, value] and dT1
     entries [b, a, j, l, value]; each channel is completed over its
-    symmetry images, as in ``jet_from_dict``.  An entry of another length, a
-    value that ``Fraction`` rejects, conflicting entries, a nonzero torsion
-    entry with a repeated index and a jet that fails ``validate_symmetries``
-    raise InstanceError with ``jet_from_dict``'s message; an unsupported m
-    raises ValueError.
+    symmetry images, as in ``jet_from_dict``.  v and w are dense rows and
+    dw a dense matrix of rows (lists or tuples); a missing channel is zero.
+    A channel, entry or row that is not a list or tuple, an entry of another
+    length, an index that is not an integer (booleans and fractional numbers
+    included), a value that ``Fraction`` rejects, conflicting entries, a
+    nonzero torsion entry with a repeated index and a jet that fails
+    ``validate_symmetries`` raise InstanceError naming the field; an
+    unsupported m raises ValueError.
     """
     _check_supported(m)
     n = 2 * m
 
     def sparse(name, entries, indices):
-        for entry in entries or ():
-            if len(entry) != indices + 1:
-                raise _entry_error(name, entry, indices)
-            yield tuple(entry[:indices]), _rational(entry[indices], name, Fraction)
+        return _complete(name, _entries(entries, name, indices,
+                                        lambda i: _integer(i, f"{name} index"), Fraction), n)
+
+    def vector(raw, name, shape=f"length-{n} array"):
+        if type(raw) not in _ROW_TYPES:
+            raise InstanceError(f"{name} must be a dense {shape}")
+        return [_rational(x, name, Fraction) for x in raw]
+
+    if dw is None:
+        dw = _dense({}, n, 2)
+    elif type(dw) in _ROW_TYPES:
+        dw = [vector(row, "dw", f"{n}x{n} matrix") for row in dw]
+    else:
+        raise InstanceError(f"dw must be a dense {n}x{n} matrix")
     return _admissible(_point_jet(
-        m, _complete("R", sparse("R", R, 4), n), _complete("T", sparse("T", T, 3), n),
-        _complete("dT1", sparse("dT1", dT1, 4), n),
-        [_rational(x, "v", Fraction) for x in v or [0] * n],
-        [_rational(x, "w", Fraction) for x in w or [0] * n],
-        [[_rational(x, "dw", Fraction) for x in row] for row in dw] if dw
-        else _dense({}, n, 2)))
+        m, sparse("R", R, 4), sparse("T", T, 3), sparse("dT1", dT1, 4),
+        vector([0] * n if v is None else v, "v"), vector([0] * n if w is None else w, "w"), dw))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +344,9 @@ def _ricci(R) -> Tuple[Dict[Tuple[int, int], int], int]:
     return ric, den
 
 
-# the 24 reorderings of four slots, as getters, and whether each is even
-# (the sign of a permutation is the sign of its Vandermonde product)
-_SIGNED_PERMS4 = tuple(
-    (itemgetter(*perm), math.prod(q - p for p, q in combinations(perm, 2)) > 0)
-    for perm in permutations(range(4)))
-
-
-def _four_form(dT1: Dict[Tuple[int, ...], Fraction], n: int) -> Ten4:
-    """dT from the nonzero dT1 entries: for i0 < i1 < i2 < i3,
+def _four_form(dT1: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, ...], Fraction]:
+    """dT from the nonzero dT1 entries, as its coordinates on strictly
+    increasing quadruples i0 < i1 < i2 < i3 with a nonzero value:
     (dT)_{i0 i1 i2 i3} = sum_r (-1)^r dT1[i_r][the other three, increasing],
     so only entries with an increasing form triple and a distinct
     derivative slot contribute."""
@@ -353,19 +355,12 @@ def _four_form(dT1: Dict[Tuple[int, ...], Fraction], n: int) -> Ten4:
         if a < j < l and b not in (a, j, l):
             key = tuple(sorted((b, a, j, l)))
             alt[key] = alt.get(key, 0) + (-x if key.index(b) % 2 else x)
-    out = {}
-    for key, val in alt.items():
-        if val:
-            neg = -val
-            for get, even in _SIGNED_PERMS4:
-                out[get(key)] = val if even else neg
-    return _dense(out, n, 4)
+    return {key: x for key, x in alt.items() if x}
 
 
 def derived_scalars(jet: PointJet) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
     in ints over one common denominator per channel."""
-    n = jet.n
     ric, d_r = _ricci(jet.R)
     T, d_t = _integer_form(_nonzero(jet.T))
     dT1 = _nonzero(jet.dT1)
@@ -390,8 +385,8 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
     ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()),
                       d_v * d_r * d_w)
     return DerivedScalars(
-        ric=_dense({bk: Fraction(x, d_r) for bk, x in ric.items() if x}, n, 2),
-        s=s, dT4=_four_form(dT1, n),
+        ric={bk: Fraction(x, d_r) for bk, x in ric.items() if x},
+        s=s, dT4=_four_form(dT1),
         norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l),
                          d_t * d_t),
         g_vw=g_vw, ric_vw=ric_vw,
@@ -405,10 +400,6 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def _riemann_violations(R: Ten4, limit: int = 20) -> List[str]:
-    return _riemann_scan(_integer_form(_nonzero(R))[0], limit)
-
 
 # the positions whose tested relations read a given entry of R: the entry,
 # its two pair swaps, its pair exchange and its two Bianchi preimages; of T:
@@ -448,17 +439,15 @@ def _riemann_scan(R: Dict[Tuple[int, ...], int], limit: int) -> List[str]:
     return out
 
 
-def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
-    """The positions where T is not totally antisymmetric, in lexicographic
-    order, at most ``limit`` (>= 1) of them; decided first over the
-    nonzero entries, as in ``_riemann_scan``."""
-    entries = _integer_form(_nonzero(T))[0]
-    at = entries.get
-    if all(x == -at((j, a, l), 0) and x == -at((a, l, j), 0)
-           for (a, j, l), x in entries.items()):
+def _antisym3_scan(T: Dict[Tuple[int, ...], int], name: str, limit: int) -> List[str]:
+    """The positions where the int entries T are not totally antisymmetric,
+    in lexicographic order, at most ``limit`` (>= 1) of them; decided first
+    over the nonzero entries, as in ``_riemann_scan``."""
+    at = T.get
+    if all(x == -at((j, a, l), 0) and x == -at((a, l, j), 0) for (a, j, l), x in T.items()):
         return []
     out: List[str] = []
-    for a, j, l in sorted({get(key) for key in entries for get in _T_READERS}):
+    for a, j, l in sorted({get(key) for key in T for get in _T_READERS}):
         x = at((a, j, l), 0)
         if x != -at((j, a, l), 0) or x != -at((a, l, j), 0):
             out.append(f"{name} total antisymmetry at ({a},{j},{l})")
@@ -467,22 +456,42 @@ def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
     return out
 
 
+def _inexact(name: str, values, keys) -> List[str]:
+    """A violation for each of the values that is not an exact rational
+    (an int or a Fraction), named by its index tuple in ``keys``."""
+    if {int, Fraction}.issuperset(map(type, values)):
+        return []
+    return [f"{name} entry at ({','.join(map(str, key))}) is not an exact rational: {x!r}"
+            for key, x in zip(keys, values) if not isinstance(x, (int, Fraction))]
+
+
 def validate_symmetries(jet: PointJet) -> ValidationReport:
     """Check every PointJet invariant; name each violated identity.  A
     channel of the wrong shape is named, and then no symmetry is scanned;
-    a ragged R, T or dT1 raises ValueError."""
+    so is each nonzero R, T or dT1 entry that is not an exact rational (an
+    int or a Fraction), and then no symmetry is scanned either.  Each v, w
+    or dw entry that is not one is named too; a ragged R, T or dT1 raises
+    ValueError."""
     n = jet.n
     violations = [f"{name} has shape {_shape(x)}, expected {(n,) * rank}"
                   for name, x, rank in (("R", jet.R, 4), ("T", jet.T, 3), ("dT1", jet.dT1, 4))
                   if _shape(x) != (n,) * rank]
     if not violations:
-        violations.extend(_riemann_violations(jet.R))
-        violations.extend(_antisym3_violations(jet.T, "T"))
-        for b in range(n):
-            violations.extend(_antisym3_violations(jet.dT1[b], f"dT1[{b}]", limit=3))
+        R, T, dT1 = (_nonzero(x) for x in (jet.R, jet.T, jet.dT1))
+        violations = [*_inexact("R", R.values(), R), *_inexact("T", T.values(), T),
+                      *_inexact("dT1", dT1.values(), dT1)]
+        if not violations:
+            violations.extend(_riemann_scan(_integer_form(R)[0], 20))
+            violations.extend(_antisym3_scan(_integer_form(T)[0], "T", 20))
+            for b, block in groupby(_integer_form(dT1)[0].items(), key=lambda e: e[0][0]):
+                violations.extend(_antisym3_scan({k[1:]: x for k, x in block}, f"dT1[{b}]", 3))
     if not (_flat(jet.v, n) and _flat(jet.w, n) and type(jet.dw) in _ROW_TYPES
             and len(jet.dw) == n and all(_flat(row, n) for row in jet.dw)):
         violations.append("v/w/dw dimension mismatch")
+    else:
+        violations.extend(_inexact("v", jet.v, product(range(n))))
+        violations.extend(_inexact("w", jet.w, product(range(n))))
+        violations.extend(_inexact("dw", [*chain(*jet.dw)], product(range(n), repeat=2)))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -527,9 +536,11 @@ def jet_from_dict(data: dict) -> PointJet:
     n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")
-    R = _complete("R", _entries(data, "R", 4, n), n)
-    T = _complete("T", _entries(data, "T", 3, n), n)
-    dT1 = _complete("dT1", _entries(data, "dT1", 4, n), n)
+
+    def sparse(name, indices):
+        return _complete(name, _entries(data.get(name), name, indices,
+                                        lambda i: _index(i, n, name)), n)
+    R, T, dT1 = sparse("R", 4), sparse("T", 3), sparse("dT1", 4)
     v = _vector(data.get("v"), n, "v")
     w = _vector(data.get("w"), n, "w")
     dw = data.get("dw")
@@ -542,20 +553,23 @@ def jet_from_dict(data: dict) -> PointJet:
                                   [[_rational(x, "dw") for x in row] for row in dw]))
 
 
-def _entries(data: dict, name: str, indices: int, n: int):
-    """The sparse entries [i_1, .., i_k, value] of one tensor field, as a
-    0-based index tuple and an exact value; a missing or null field is
+def _parsed(raw) -> Fraction:
+    return parse_rational(str(raw))
+
+
+def _entries(raw, name: str, indices: int, index, convert=_parsed):
+    """The sparse entries [i_1, .., i_k, value] of one tensor field (a list
+    or tuple of lists or tuples), as the index tuple that ``index`` reads
+    and the exact value that ``convert`` reads (see ``_rational``); None is
     empty."""
-    raw = data.get(name)
     if raw is None:
-        raw = []
-    if not isinstance(raw, list):
+        return
+    if not isinstance(raw, (list, tuple)):
         raise InstanceError(f"{name} must be a list of entries")
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == indices + 1):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == indices + 1):
             raise _entry_error(name, entry, indices)
-        yield (tuple(_index(x, n, name) for x in entry[:indices]),
-               _rational(entry[indices], name))
+        yield tuple(map(index, entry[:indices])), _rational(entry[indices], name, convert)
 
 
 def _entry_error(name: str, entry, indices: int) -> InstanceError:
@@ -564,14 +578,17 @@ def _entry_error(name: str, entry, indices: int) -> InstanceError:
 
 
 def _integer(raw, what: str) -> int:
-    """An integral JSON number or integer string; booleans and fractional
+    """An integral number or integer string; booleans and fractional
     numbers are rejected rather than truncated."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise InstanceError(f"{what} {raw!r} is not an integer")
-    try:
-        return int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise InstanceError(f"{what} {raw!r} is not an integer") from None
+    if not isinstance(raw, bool):
+        try:
+            i = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(raw, str) or i == raw:
+                return i
+    raise InstanceError(f"{what} {raw!r} is not an integer")
 
 
 def _index(raw, n: int, name: str) -> int:
@@ -581,7 +598,7 @@ def _index(raw, n: int, name: str) -> int:
     return i - 1
 
 
-def _rational(raw, name: str, convert=lambda raw: parse_rational(str(raw))) -> Fraction:
+def _rational(raw, name: str, convert=_parsed) -> Fraction:
     """``convert(raw)``; InstanceError naming the field if it fails."""
     try:
         return convert(raw)

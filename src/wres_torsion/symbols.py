@@ -610,7 +610,7 @@ def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
     n = jet.n
     p = -2 * m - 2
     curvature = _integer_form(_nonzero(jet.R))
-    ric = _integer_form(_nonzero(jet.derived.ric))
+    ric = _integer_form(jet.derived.ric)
     pairs = _curvature_pair_sums(curvature, n)
     tau, dtau = _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n)
 
@@ -655,8 +655,8 @@ def _sigma_inverse_order2_parts(
     p2, p4 = -2 * mm - 2, -2 * mm - 4
 
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
-    dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): der.dT4[i][j][k][t]
-                              for i, j, k, t in combinations(range(n), 4)})
+    dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): x
+                              for (i, j, k, t), x in der.dT4.items()})
 
     # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
     # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
@@ -694,4 +694,4 @@ def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
     return _sigma_inverse_order2_parts(
         jet, m - 1, _curvature_pair_sums(_integer_form(_nonzero(jet.R)), n),
         _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n),
-        _integer_form(_nonzero(jet.derived.ric)))
+        _integer_form(jet.derived.ric))

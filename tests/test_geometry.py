@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from typing import List
@@ -17,13 +18,13 @@ from wres_torsion.geometry import (
     DerivedScalars,
     InstanceError,
     PointJet,
-    _antisym3_violations,
+    _antisym3_scan,
     _complete,
     _dense,
     _four_form,
     _nonzero,
     _ricci,
-    _riemann_violations,
+    _riemann_scan,
     _zero_block,
     derived_scalars,
     jet_from_dict,
@@ -32,7 +33,7 @@ from wres_torsion.geometry import (
     random_point_jet,
     validate_symmetries,
 )
-from wres_torsion.numerics import format_rational
+from wres_torsion.numerics import _integer_form, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +90,8 @@ def test_entry_magnitudes_bounded():
 
 def test_ricci_of_zero():
     der = derived_scalars(make_point_jet(2))
-    ric, s = der.ric, der.s
-    assert s == 0
-    assert all(x == 0 for row in ric for x in row)
+    assert der.s == 0
+    assert der.ric == {}
 
 
 def test_constant_curvature_scalar():
@@ -114,10 +114,8 @@ def test_constant_curvature_scalar():
 def test_ricci_symmetric_on_random_input():
     jet = random_point_jet(17, 3)
     ric = derived_scalars(jet).ric
-    n = jet.n
-    for b in range(n):
-        for k in range(n):
-            assert ric[b][k] == ric[k][b]
+    assert any(b != k for b, k in ric)
+    assert ric == {(k, b): x for (b, k), x in ric.items()}
 
 
 def test_ricci_rejects_asymmetric_input():
@@ -134,13 +132,14 @@ def test_ricci_rejects_asymmetric_input():
 # ---------------------------------------------------------------------------
 
 def test_dT_four_form_zero():
-    dT4 = derived_scalars(make_point_jet(3)).dT4
-    assert all(x == 0 for c3 in dT4 for c2 in c3 for c1 in c2 for x in c1)
+    assert derived_scalars(make_point_jet(3)).dT4 == {}
 
 
 def test_dT_four_form_one_hot():
     # only d_1 T_{234} = 1: single surviving term of the alternation
-    dT4 = derived_scalars(make_point_jet(3, dT1=[(0, 1, 2, 3, 1)])).dT4
+    der = derived_scalars(make_point_jet(3, dT1=[(0, 1, 2, 3, 1)]))
+    assert der.dT4 == {(0, 1, 2, 3): 1}
+    dT4 = _expanded(der, 6).dT4
     assert dT4[0][1][2][3] == 1
     assert dT4[1][0][2][3] == -1
     # a cyclic shift of four slots is an odd permutation
@@ -149,8 +148,8 @@ def test_dT_four_form_one_hot():
 
 def test_dT_four_form_alternation():
     jet = random_point_jet(5, 3)
-    dT4 = derived_scalars(jet).dT4
     n = jet.n
+    dT4 = _expanded(derived_scalars(jet), n).dT4
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -207,6 +206,16 @@ def test_validator_names_torsion_antisymmetry():
     report = validate_symmetries(bad)
     assert not report.ok
     assert any(v.startswith("T total antisymmetry") for v in report.violations)
+
+
+# The integer scans of a dense tensor, as the validator runs them.
+
+def _riemann_violations(R, limit: int = 20) -> List[str]:
+    return _riemann_scan(_integer_form(_nonzero(R))[0], limit)
+
+
+def _antisym3_violations(T, name: str, limit: int = 20) -> List[str]:
+    return _antisym3_scan(_integer_form(_nonzero(T))[0], name, limit)
 
 
 # The symmetry scans before integer scaling: one Fraction per comparison.
@@ -434,6 +443,19 @@ def _frozen(x):
     return tuple(_frozen(e) for e in x) if isinstance(x, (tuple, list)) else x
 
 
+def _signed_perms(form):
+    """Every reordering of the keys of a 4-form given on increasing
+    quadruples, with the value times the sign of the permutation."""
+    return {tuple(key[p] for p in perm): _perm_sign(perm) * x
+            for key, x in form.items() for perm in permutations(range(4))}
+
+
+def _expanded(der: DerivedScalars, n: int) -> DerivedScalars:
+    """``der`` with ``ric`` and ``dT4`` as the dense tensors of the oracle."""
+    return dataclasses.replace(der, ric=_dense(der.ric, n, 2),
+                               dT4=_dense(_signed_perms(der.dT4), n, 4))
+
+
 def _derived_scalars_dense(jet) -> DerivedScalars:
     n = jet.n
     problems = _riemann_violations_fraction(jet.R, limit=1)
@@ -535,10 +557,23 @@ def test_derived_scalars_match_dense_oracle():
     jets = list(_contraction_jets())
     for jet in jets:
         oracle = _derived_scalars_dense(jet)
-        assert derived_scalars(jet) == oracle
-        assert jet.derived == oracle
+        assert _expanded(derived_scalars(jet), jet.n) == oracle
+        assert _expanded(jet.derived, jet.n) == oracle
     assert sum(derived_scalars(j).tt_vw != 0 for j in jets) > 10
     assert sum(derived_scalars(j).t_dw != 0 for j in jets) > 10
+
+
+def test_derived_tensors_are_sparse_maps_of_their_coordinates():
+    """dT4 is keyed by strictly increasing quadruples and Ric is symmetric;
+    neither map stores a zero."""
+    ders = [(jet.n, derived_scalars(jet)) for jet in _contraction_jets()]
+    for n, der in ders:
+        assert all(len(key) == 4 and 0 <= key[0] < key[1] < key[2] < key[3] < n
+                   for key in der.dT4)
+        assert der.ric == {(k, b): x for (b, k), x in der.ric.items()}
+        assert all(der.dT4.values()) and all(der.ric.values())
+    assert sum(bool(der.dT4) for _, der in ders) > 10
+    assert sum(bool(der.ric) for _, der in ders) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +584,7 @@ def test_replaced_jet_computes_its_own_derived_scalars():
     jet = random_point_jet(3, 2)
     assert jet.derived.tt_vw
     other = dataclasses.replace(jet, w=jet.v)
-    assert other.derived == _derived_scalars_dense(other)
+    assert _expanded(other.derived, other.n) == _derived_scalars_dense(other)
     assert other.derived.g_vw == sum(x * x for x in jet.v) != jet.derived.g_vw
     assert other.derived.tt_vw != jet.derived.tt_vw
 
@@ -605,7 +640,8 @@ def test_dT_four_form_matches_dense_oracle_on_any_jet():
     for seed in range(8):
         dT1 = random_point_jet(seed, 3).dT1
         for tensor in (dT1, _perturbed(dT1, rng)):
-            assert _four_form(_nonzero(tensor), len(tensor)) == _dT_four_form_dense(tensor)
+            dense = _dense(_signed_perms(_four_form(_nonzero(tensor))), len(tensor), 4)
+            assert dense == _dT_four_form_dense(tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -824,11 +860,52 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(T=[(0, 1, 2, None)]), "T value None is not an exact rational"),
     (dict(T=[(0, 1, 2, "x")]), "T value 'x' is not an exact rational"),
     (dict(R=[(0, 1, 0, 1, "1/0")]), "R value '1/0' is not an exact rational"),
+    (dict(T=[5]), "T entry 5 must be a list of 3 indices and a value"),
+    (dict(R=5), "R must be a list of entries"),
+    (dict(v=5), "v must be a dense length-4 array"),
+    (dict(dw=[1, 2, 3, 4]), "dw must be a dense 4x4 matrix"),
+    (dict(T=[(0, 1, "2.5", 1)]), "T index '2.5' is not an integer"),
+    (dict(T=[(0, 1, 2.5, 1)]), "T index 2.5 is not an integer"),
+    (dict(T=[(0, True, 2, 1)]), "T index True is not an integer"),
+    (dict(dT1=[(0, 1, 2, Fraction(7, 2), 1)]), "dT1 index Fraction(7, 2) is not an integer"),
+    (dict(R=[(0, 1, None, 1, 1)]), "R index None is not an integer"),
+    (dict(T=["0121"]), "T entry '0121' must be a list of 3 indices and a value"),
+    (dict(dw=5), "dw must be a dense 4x4 matrix"),
+    (dict(w="1234"), "w must be a dense length-4 array"),
 ])
 def test_make_point_jet_rejects_malformed_entries(entries, reason):
     with pytest.raises(InstanceError) as err:
         make_point_jet(2, **entries)
     assert str(err.value) == reason
+
+
+def test_make_point_jet_reads_indices_by_the_instance_rule():
+    """An integral number or integer string is the index it names, as in
+    ``jet_from_dict``."""
+    jet = make_point_jet(2, T=[(0, 1, 2, 1)], dT1=[(3, 0, 1, 2, 1)])
+    assert make_point_jet(2, T=[(0, 1, "2", 1)], dT1=[(3.0, 0, 1, 2, 1)]) == jet
+    assert make_point_jet(2, T=((0, 1, 2, 1),), dT1=[[3, 0, 1, 2, 1]]) == jet
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("T", ("T", 0, 1, 2, "a"), "T entry at (0,1,2) is not an exact rational: 'a'"),
+    ("R", ("R", 0, 1, 0, 1, 0.5), "R entry at (0,1,0,1) is not an exact rational: 0.5"),
+    ("dT1", ("dT1", 3, 0, 1, 2, Decimal(1)),
+     "dT1 entry at (3,0,1,2) is not an exact rational: Decimal('1')"),
+    ("v", ("a", 0, 0, 0), "v entry at (0) is not an exact rational: 'a'"),
+    ("w", (0, 0, 0, 0.5), "w entry at (3) is not an exact rational: 0.5"),
+    ("dw", ((0, 0, 0, 0),) * 3 + ((0, 0.5, 0, 0),),
+     "dw entry at (3,1) is not an exact rational: 0.5"),
+])
+def test_validator_names_inexact_entries(field, value, reason):
+    """A hand-built jet with an entry that is not an int or a Fraction: the
+    validator names it and scans no symmetry."""
+    jet = random_point_jet(1, 2)
+    if field in ("R", "T", "dT1"):
+        bad = _tamper(jet, value[:-1], value[-1])
+    else:
+        bad = dataclasses.replace(jet, **{field: value})
+    assert validate_symmetries(bad).violations == (reason,)
 
 
 @pytest.mark.parametrize("name,shape", [("R", (2,) * 4), ("T", (2,) * 3), ("dT1", (2,) * 4)])

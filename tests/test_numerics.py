@@ -49,6 +49,19 @@ def test_additive_and_multiplicative_inverse(a):
     assert a + (-a) == ZERO
 
 
+@given(gaussians, rationals)
+def test_hash_agrees_with_equality(a, q):
+    """Equal values hash alike, so a real GaussianRational finds its
+    Fraction or int in a set or dict, and the reverse."""
+    real = GaussianRational(q)
+    assert real == q and hash(real) == hash(q)
+    assert real in {q} and q in {real}
+    b = GaussianRational(a.re, a.im)
+    assert b == a and hash(b) == hash(a)
+    assert GaussianRational(1) in {1} and {GaussianRational(3): 0}[3] == 0
+    assert GaussianRational(1, 1) not in {1} and I not in {1, 0}
+
+
 @given(rationals)
 def test_rational_roundtrip(q):
     assert parse_rational(format_rational(q)) == q

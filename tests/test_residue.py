@@ -111,13 +111,9 @@ def test_trace_integral_ricci_contraction():
     der = derived_scalars(jet)
     n = jet.n
     e = SymbolExpr(n)
-    for a in range(n):
-        for b in range(n):
-            if der.ric[a][b]:
-                xi = tuple((1 if i == a else 0) + (1 if i == b else 0)
-                           for i in range(n))
-                e.add_term((0,) * n, xi, -2 * m - 2, 0,
-                           GaussianRational(der.ric[a][b]))
+    for (a, b), x in der.ric.items():
+        xi = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
+        e.add_term((0,) * n, xi, -2 * m - 2, 0, GaussianRational(x))
     assert trace_integral(e, m).value == der.s / (2 * m)
 
 

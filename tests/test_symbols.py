@@ -274,12 +274,9 @@ def test_sigma_delta_inv_displayed_coefficients():
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
-    for a in range(n):
-        for b in range(n):
-            if der.ric[a][b]:
-                expected_ric.add_term(_unit(b), _unit(a), -2 * m - 2, 0,
-                                      GaussianRational(0, Fraction(-2 * m, 3))
-                                      * GaussianRational(der.ric[a][b]))
+    for (a, b), x in der.ric.items():
+        expected_ric.add_term(_unit(b), _unit(a), -2 * m - 2, 0,
+                              GaussianRational(0, Fraction(-2 * m, 3)) * GaussianRational(x))
     assert parts_m1["ric_jet"] == expected_ric
     e_term = parts_m2["e_scalar"]
     assert e_term == _expr((Z, Z, -2 * m - 2, 0,
@@ -294,17 +291,29 @@ def test_sigma_dtpow_coefficients():
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
-    for a in range(n):
-        for b in range(n):
-            if der.ric[a][b]:
-                xi = tuple((1 if i == a else 0) + (1 if i == b else 0)
-                           for i in range(n))
-                expected_ric.add_term(Z, xi, -2 * m - 2, 0,
-                                      GaussianRational(Fraction(m * (m - 1), 3)
-                                                       * der.ric[a][b]))
+    for (a, b), x in der.ric.items():
+        xi = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
+        expected_ric.add_term(Z, xi, -2 * m - 2, 0,
+                              GaussianRational(Fraction(m * (m - 1), 3) * x))
     assert parts["ric"] == expected_ric
     e_val = Fraction(-(m - 1)) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     assert parts["e_scalar"] == _expr((Z, Z, -2 * m, 0, GaussianRational(e_val)))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dt4_channel_is_the_four_form_of_dT1(m):
+    # -3mm/2 (dT)_{ijkt} c_i c_j c_k c_t ||xi||^{-2mm-2}, with dT alternated
+    # from the dense dT1 here, for mm = m (inverse power) and m-1 (dtpow)
+    jet = random_point_jet(6, m)
+    n, d = jet.n, jet.dT1
+    dT = {word_from_indices((i + 1, j + 1, k + 1, t + 1)):
+          d[i][j][k][t] - d[j][i][k][t] + d[k][i][j][t] - d[t][i][j][k]
+          for i, j, k, t in itertools.combinations(range(n), 4)}
+    assert any(dT.values())
+    for mm, parts in ((m, build_sigma_delta_inv_parts(jet, m)[2]),
+                      (m - 1, build_sigma_dtpow_parts(jet, m))):
+        elem = CliffordElement(n, {w: Fraction(-3 * mm, 2) * x for w, x in dT.items()})
+        assert parts["dt4"] == SymbolExpr.from_clifford(elem, normpow=-2 * mm - 2)
 
 
 def test_dtpow_vanishes_at_m1():
