@@ -3,14 +3,18 @@
 A ``PointJet`` holds everything the symbol builders consume at the base
 point x0 of a normal coordinate chart on an n = 2m dimensional manifold:
 
-* ``R[a][b][c][d]``   Riemann components R_{abcd} (orthonormal frame),
-* ``T[a][j][l]``      components of the totally antisymmetric torsion 3-form,
-* ``dT1[b][a][j][l]`` first coordinate jet of T at x0 (derivative slot first);
-  since Christoffel symbols vanish at x0 this is simultaneously the covariant
-  derivative (nabla_{e_b} T)(e_a, e_j, e_l),
-* ``v``, ``w``        the two vector fields contracted into the functionals,
-* ``dw[j][g]``        the first jet of w (d w_g / d x_j at x0); v carries no
+* ``R_entries``   Riemann components R_{abcd} (orthonormal frame),
+* ``T_entries``   components T_{ajl} of the totally antisymmetric torsion 3-form,
+* ``dT1_entries`` first coordinate jet of T at x0, keyed (b, a, j, l) with the
+  derivative slot first; since Christoffel symbols vanish at x0 this is
+  simultaneously the covariant derivative (nabla_{e_b} T)(e_a, e_j, e_l),
+* ``v``, ``w``    the two vector fields contracted into the functionals,
+* ``dw[j][g]``    the first jet of w (d w_g / d x_j at x0); v carries no
   stored jet because no step of the density pipeline differentiates it.
+
+Each channel map takes a 0-based index tuple to its value over the nonzero
+entries of the completed tensor; ``jet.R``, ``jet.T`` and ``jet.dT1`` are
+dense views of them (``R[a][b][c][d]``, ...) for callers outside the engine.
 
 All entries are exact rationals.  Random generation keeps every magnitude
 small (|numerator| and denominator of raw channel entries <= MAX_MAGNITUDE)
@@ -27,10 +31,10 @@ is summed over strictly increasing triples only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import (chain, combinations, combinations_with_replacement, compress, groupby,
-                       product)
+from functools import cached_property
+from itertools import chain, combinations, combinations_with_replacement, product
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -42,16 +46,16 @@ SUPPORTED_M = (1, 2, 3)
 
 Vec = Tuple[Fraction, ...]
 Mat2 = Tuple[Vec, ...]
-Ten3 = Tuple[Mat2, ...]
-Ten4 = Tuple[Ten3, ...]
+Entries = Dict[Tuple[int, ...], Fraction]
 
 
 @dataclass(frozen=True)
 class PointJet:
     m: int
-    R: Ten4
-    T: Ten3
-    dT1: Ten4
+    # index tuple -> value over the nonzero entries; == compares them, hash skips them
+    R_entries: Entries = field(hash=False)
+    T_entries: Entries = field(hash=False)
+    dT1_entries: Entries = field(hash=False)
     v: Vec
     w: Vec
     dw: Mat2
@@ -59,6 +63,11 @@ class PointJet:
     @property
     def n(self) -> int:
         return 2 * self.m
+
+    # read-only dense views, nested tuples built on first read; the engine reads none
+    R = cached_property(lambda self: _dense(self.R_entries, self.n, 4))
+    T = cached_property(lambda self: _dense(self.T_entries, self.n, 3))
+    dT1 = cached_property(lambda self: _dense(self.dT1_entries, self.n, 4))
 
     @property
     def derived(self) -> DerivedScalars:
@@ -117,22 +126,25 @@ _IMAGES = {name: tuple((itemgetter(*perm), sign) for perm, sign in images)
                ("dT1", [((0, p + 1, q + 1, r + 1), sign)
                         for (p, q, r), sign in _ANTISYM3]))}
 
+# one shared object per index tuple, for the channel maps of all jets
+_INDICES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
 
 def _one_based(index: Tuple[int, ...]) -> str:
     return "(" + ",".join(str(i + 1) for i in index) + ")"
 
 
-def _complete(name: str, entries, n: int) -> Dict[Tuple[int, ...], Fraction]:
+def _complete(name: str, entries, n: int) -> Entries:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
-    (0-based index tuple, exact value) pairs.
+    (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples.
 
     Raises InstanceError where an index lies outside 0..n-1, where two
     images of the entries disagree, and on a nonzero torsion entry with a
     repeated form index (a zero one is skipped)."""
     images = _IMAGES[name]
     lead = 1 if name == "dT1" else 0      # dT1's derivative slot is not a form slot
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    out: Entries = {}
     for index, val in entries:
         label = f"dT1[{index[0] + 1}]" if lead else name
         if not all(0 <= i < n for i in index):
@@ -145,20 +157,20 @@ def _complete(name: str, entries, n: int) -> Dict[Tuple[int, ...], Fraction]:
         orbit: Dict[Tuple[int, ...], int] = {}
         for get, sign in images:
             orbit.setdefault(get(index), sign)
+        neg = -val
         for key, sign in orbit.items():
-            value = val if sign > 0 else -val
-            if out.setdefault(key, value) != value:
+            value = val if sign > 0 else neg
+            if out.setdefault(_INDICES.setdefault(key, key), value) != value:
                 kind = "symmetry" if name == "R" else "antisymmetry"
                 raise InstanceError(f"{label} entries conflict by {kind} "
                                     f"at {_one_based(key[lead:])}")
     return {key: x for key, x in out.items() if x}
 
 
-def _point_jet(m: int, R, T, dT1, v, w, dw) -> PointJet:
+def _point_jet(m: int, R: Entries, T: Entries, dT1: Entries, v, w, dw) -> PointJet:
     """The jet with the completed channels R, T, dT1 (index -> value) and
     the dense v, w and dw."""
-    n = 2 * m
-    return PointJet(m=m, R=_dense(R, n, 4), T=_dense(T, n, 3), dT1=_dense(dT1, n, 4),
+    return PointJet(m=m, R_entries=R, T_entries=T, dT1_entries=dT1,
                     v=tuple(v), w=tuple(w), dw=tuple(map(tuple, dw)))
 
 
@@ -224,11 +236,11 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
     symmetry images, as in ``jet_from_dict``.  v and w are dense rows and
     dw a dense matrix of rows (lists or tuples); a missing channel is zero.
     A channel, entry or row that is not a list or tuple, an entry of another
-    length, an index that is not an integer (booleans and fractional numbers
-    included), a value that ``Fraction`` rejects, conflicting entries, a
-    nonzero torsion entry with a repeated index and a jet that fails
-    ``validate_symmetries`` raise InstanceError naming the field; an
-    unsupported m raises ValueError.
+    length, a v, w or dw of another size, an index that is not an integer
+    (booleans and fractional numbers included), a value that ``Fraction``
+    rejects, conflicting entries, a nonzero torsion entry with a repeated
+    index and a jet that fails ``validate_symmetries`` raise InstanceError
+    naming the field; an unsupported m raises ValueError.
     """
     _check_supported(m)
     n = 2 * m
@@ -237,20 +249,12 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
         return _complete(name, _entries(entries, name, indices,
                                         lambda i: _integer(i, f"{name} index"), Fraction), n)
 
-    def vector(raw, name, shape=f"length-{n} array"):
-        if type(raw) not in _ROW_TYPES:
-            raise InstanceError(f"{name} must be a dense {shape}")
-        return [_rational(x, name, Fraction) for x in raw]
-
-    if dw is None:
-        dw = _dense({}, n, 2)
-    elif type(dw) in _ROW_TYPES:
-        dw = [vector(row, "dw", f"{n}x{n} matrix") for row in dw]
-    else:
-        raise InstanceError(f"dw must be a dense {n}x{n} matrix")
+    zero = [0] * n
     return _admissible(_point_jet(
         m, sparse("R", R, 4), sparse("T", T, 3), sparse("dT1", dT1, 4),
-        vector([0] * n if v is None else v, "v"), vector([0] * n if w is None else w, "w"), dw))
+        _vector(zero if v is None else v, n, "v", Fraction),
+        _vector(zero if w is None else w, n, "w", Fraction),
+        _dense({}, n, 2) if dw is None else _matrix(dw, n, Fraction)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,81 +263,22 @@ def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
 
 _ZERO = Fraction(0)
 
-# (n,) * rank -> the all-zero nested tuple of that shape, shared by every
-# tensor ``_dense`` builds, so all jets of one dimension share it
-_ZERO_BLOCKS: Dict[Tuple[int, ...], tuple] = {}
 
-
-def _zero_block(n: int, rank: int):
-    """The shared all-zero tensor over range(n)^rank (Fraction(0) at rank 0)."""
-    if rank == 0:
-        return _ZERO
-    shape = (n,) * rank
-    return _ZERO_BLOCKS.get(shape) or _ZERO_BLOCKS.setdefault(
-        shape, (_zero_block(n, rank - 1),) * n)
-
-
-_ROW_TYPES = frozenset((tuple, list))
-
-
-def _shape(tensor) -> Tuple[int, ...]:
-    """The row lengths along the first entries of a nested tensor of tuples
-    or lists: its shape, if ``_nonzero`` finds it rectangular."""
-    shape = []
-    while type(tensor) in _ROW_TYPES and tensor:
-        shape.append(len(tensor))
-        tensor = tensor[0]
-    return tuple(shape)
-
-
-def _flat(row, n: int) -> bool:
-    """Whether ``row`` is a tuple or list of n entries, none of them a row."""
-    return type(row) in _ROW_TYPES and len(row) == n and _ROW_TYPES.isdisjoint(map(type, row))
-
-
-def _nonzero(tensor) -> Dict[Tuple[int, ...], Fraction]:
-    """Index tuple -> value for the nonzero entries of a nested tensor of
-    tuples or lists, in lexicographic index order; ValueError unless all
-    rows of one level have one length and no entry is a row.  A leading
-    block that is the shared zero block of its shape is skipped unread."""
-    shape = _shape(tensor)
-    if shape:
-        zero = _ZERO_BLOCKS.get(shape[1:])
-        lead = [i for i, block in enumerate(tensor) if zero is None or block is not zero]
-        flat = [tensor[i] for i in lead]
-        for size in shape[1:]:
-            if not (_ROW_TYPES.issuperset(map(type, flat))
-                    and {size}.issuperset(map(len, flat))):
-                break
-            flat = list(chain.from_iterable(flat))
-        else:  # every level was rectangular
-            if _ROW_TYPES.isdisjoint(map(type, flat)):
-                return dict(compress(zip(product(lead, *map(range, shape[1:])), flat), flat))
-    raise ValueError(f"tensor is not of shape {shape}")
-
-
-def _dense(entries: Dict[Tuple[int, ...], Fraction], n: int, rank: int):
-    """The nested-tuple tensor over range(n)^rank holding ``entries`` and
-    Fraction(0) elsewhere; every all-zero sub-tensor is the shared
-    ``_zero_block(n, depth)``, which ``_nonzero`` skips by identity."""
-    prefixes = {key[:k] for key in entries for k in range(rank)}
-
+def _dense(entries: Entries, n: int, rank: int):
+    """The nested-tuple tensor over range(n)^rank of ``entries``, 0 elsewhere."""
     def build(prefix):
-        depth = rank - len(prefix)
-        if prefix not in prefixes:
-            return _zero_block(n, depth)
-        if depth == 1:
-            return tuple(entries.get(prefix + (i,), _ZERO) for i in range(n))
+        if len(prefix) == rank:
+            return entries.get(prefix, _ZERO)
         return tuple(build(prefix + (i,)) for i in range(n))
     return build(())
 
 
-def _ricci(R) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Ric_{bk} = sum_j R_{jbjk} times the common denominator of R, and
-    that denominator; raises ValueError if R violates the pair symmetries
-    (the contraction convention is only meaningful on an admissible
-    tensor)."""
-    entries, den = _integer_form(_nonzero(R))
+def _ricci(R: Entries) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Ric_{bk} = sum_j R_{jbjk} times the common denominator of the
+    nonzero entries R, and that denominator; raises ValueError if R
+    violates the pair symmetries (the contraction convention is only
+    meaningful on an admissible tensor)."""
+    entries, den = _integer_form(R)
     problems = _riemann_scan(entries, limit=1)
     if problems:
         raise ValueError(problems[0])
@@ -361,11 +306,11 @@ def _four_form(dT1: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, ...], Fr
 def derived_scalars(jet: PointJet) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
     in ints over one common denominator per channel."""
-    ric, d_r = _ricci(jet.R)
-    T, d_t = _integer_form(_nonzero(jet.T))
-    dT1 = _nonzero(jet.dT1)
-    div, d_div = _integer_form({k: x for k, x in dT1.items() if k[0] == k[1]})
-    dw, d_dw = _integer_form(_nonzero(jet.dw))
+    ric, d_r = _ricci(jet.R_entries)
+    T, d_t = _integer_form(jet.T_entries)
+    div, d_div = _integer_form({k: x for k, x in jet.dT1_entries.items() if k[0] == k[1]})
+    dw, d_dw = _integer_form({(j, g): x for j, row in enumerate(jet.dw)
+                              for g, x in enumerate(row) if x})
     (v, d_v), (w, d_w) = (_integer_form(dict(enumerate(vec))) for vec in (jet.v, jet.w))
 
     tv: Dict[Tuple[int, int], int] = {}
@@ -386,7 +331,7 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
                       d_v * d_r * d_w)
     return DerivedScalars(
         ric={bk: Fraction(x, d_r) for bk, x in ric.items() if x},
-        s=s, dT4=_four_form(dT1),
+        s=s, dT4=_four_form(jet.dT1_entries),
         norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l),
                          d_t * d_t),
         g_vw=g_vw, ric_vw=ric_vw,
@@ -465,26 +410,50 @@ def _inexact(name: str, values, keys) -> List[str]:
             for key, x in zip(keys, values) if not isinstance(x, (int, Fraction))]
 
 
+_ROW_TYPES = frozenset((tuple, list))
+
+
+def _flat(row, n: int) -> bool:
+    """Whether ``row`` is a tuple or list of n entries, none of them a row."""
+    return type(row) in _ROW_TYPES and len(row) == n and _ROW_TYPES.isdisjoint(map(type, row))
+
+
+def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
+    """The faults of a channel map, each named, in an order that does not
+    depend on the map's: not a dict, keys that are not tuples of ``rank``
+    ints in 0..n-1, values that are not exact rationals, stored zeros."""
+    if type(entries) is not dict:
+        return [f"{name} is not a dict of index tuples to values: {type(entries).__name__}"]
+    keys, flat = entries.keys(), chain.from_iterable
+    if not ({tuple} >= set(map(type, keys)) and {rank} >= set(map(len, keys))
+            and {int} >= set(map(type, flat(keys))) and set(range(n)) >= set(flat(keys))):
+        return [f"{name} key {key!r} is not a tuple of {rank} indices in 0..{n - 1}"
+                for key in sorted(keys, key=repr) if type(key) is not tuple or len(key) != rank
+                or not all(type(i) is int and 0 <= i < n for i in key)]
+    if {int, Fraction}.issuperset(map(type, entries.values())) and all(entries.values()):
+        return []
+    keys = sorted(keys)
+    return [*_inexact(name, [entries[key] for key in keys], keys),
+            *(f"{name} entry at ({','.join(map(str, key))}) is a stored zero"
+              for key in keys if entries[key] == 0)]
+
+
 def validate_symmetries(jet: PointJet) -> ValidationReport:
     """Check every PointJet invariant; name each violated identity.  A
-    channel of the wrong shape is named, and then no symmetry is scanned;
-    so is each nonzero R, T or dT1 entry that is not an exact rational (an
-    int or a Fraction), and then no symmetry is scanned either.  Each v, w
-    or dw entry that is not one is named too; a ragged R, T or dT1 raises
-    ValueError."""
+    channel map with a fault (see ``_map_faults``) is named, and then no
+    symmetry is scanned; each v, w or dw entry that is not an exact
+    rational (an int or a Fraction) is named too."""
     n = jet.n
-    violations = [f"{name} has shape {_shape(x)}, expected {(n,) * rank}"
-                  for name, x, rank in (("R", jet.R, 4), ("T", jet.T, 3), ("dT1", jet.dT1, 4))
-                  if _shape(x) != (n,) * rank]
+    violations = [*_map_faults("R", jet.R_entries, n, 4), *_map_faults("T", jet.T_entries, n, 3),
+                  *_map_faults("dT1", jet.dT1_entries, n, 4)]
     if not violations:
-        R, T, dT1 = (_nonzero(x) for x in (jet.R, jet.T, jet.dT1))
-        violations = [*_inexact("R", R.values(), R), *_inexact("T", T.values(), T),
-                      *_inexact("dT1", dT1.values(), dT1)]
-        if not violations:
-            violations.extend(_riemann_scan(_integer_form(R)[0], 20))
-            violations.extend(_antisym3_scan(_integer_form(T)[0], "T", 20))
-            for b, block in groupby(_integer_form(dT1)[0].items(), key=lambda e: e[0][0]):
-                violations.extend(_antisym3_scan({k[1:]: x for k, x in block}, f"dT1[{b}]", 3))
+        violations.extend(_riemann_scan(_integer_form(jet.R_entries)[0], 20))
+        violations.extend(_antisym3_scan(_integer_form(jet.T_entries)[0], "T", 20))
+        by_slot: Dict[int, Dict[Tuple[int, ...], int]] = {}
+        for key, x in _integer_form(jet.dT1_entries)[0].items():
+            by_slot.setdefault(key[0], {})[key[1:]] = x
+        for b in sorted(by_slot):
+            violations.extend(_antisym3_scan(by_slot[b], f"dT1[{b}]", 3))
     if not (_flat(jet.v, n) and _flat(jet.w, n) and type(jet.dw) in _ROW_TYPES
             and len(jet.dw) == n and all(_flat(row, n) for row in jet.dw)):
         violations.append("v/w/dw dimension mismatch")
@@ -504,15 +473,15 @@ def jet_to_dict(jet: PointJet) -> dict:
     entries, the representative with increasing pairs (R) or form slots,
     in lexicographic order; dT1 entries are ordered by their form slots
     first."""
-    R, T, dT1 = (_nonzero(x) for x in (jet.R, jet.T, jet.dT1))
+    R, T, dT1 = jet.R_entries, jet.T_entries, jet.dT1_entries
 
     def listed(entries, keys):
         return [[*(i + 1 for i in key), format_rational(entries[key])] for key in keys]
     return {
         "schema": "wres-torsion-instance-v1",
         "n": jet.n,
-        "R": listed(R, [k for k in R if k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:]]),
-        "T": listed(T, [k for k in T if k[0] < k[1] < k[2]]),
+        "R": listed(R, sorted(k for k in R if k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:])),
+        "T": listed(T, sorted(k for k in T if k[0] < k[1] < k[2])),
         "dT1": listed(dT1, sorted((k for k in dT1 if k[1] < k[2] < k[3]),
                                   key=lambda k: (k[1:], k[0]))),
         "v": [format_rational(x) for x in jet.v],
@@ -540,17 +509,11 @@ def jet_from_dict(data: dict) -> PointJet:
     def sparse(name, indices):
         return _complete(name, _entries(data.get(name), name, indices,
                                         lambda i: _index(i, n, name)), n)
-    R, T, dT1 = sparse("R", 4), sparse("T", 3), sparse("dT1", 4)
-    v = _vector(data.get("v"), n, "v")
-    w = _vector(data.get("w"), n, "w")
     dw = data.get("dw")
-    if dw is None:
-        dw = [[0] * n] * n
-    if not (isinstance(dw, list) and len(dw) == n and all(
-            isinstance(row, list) and len(row) == n for row in dw)):
-        raise InstanceError(f"dw must be a dense {n}x{n} matrix")
-    return _admissible(_point_jet(n // 2, R, T, dT1, v, w,
-                                  [[_rational(x, "dw") for x in row] for row in dw]))
+    return _admissible(_point_jet(
+        n // 2, sparse("R", 4), sparse("T", 3), sparse("dT1", 4),
+        _vector(data.get("v"), n, "v"), _vector(data.get("w"), n, "w"),
+        _dense({}, n, 2) if dw is None else _matrix(dw, n)))
 
 
 def _parsed(raw) -> Fraction:
@@ -606,7 +569,16 @@ def _rational(raw, name: str, convert=_parsed) -> Fraction:
         raise InstanceError(f"{name} value {raw!r} is not an exact rational") from None
 
 
-def _vector(raw, n: int, name: str) -> Vec:
-    if not (isinstance(raw, list) and len(raw) == n):
+def _vector(raw, n: int, name: str, convert=_parsed) -> Vec:
+    """A dense length-n list or tuple of values that ``convert`` reads."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == n):
         raise InstanceError(f"{name} must be a dense length-{n} array")
-    return tuple(_rational(x, name) for x in raw)
+    return tuple(_rational(x, name, convert) for x in raw)
+
+
+def _matrix(raw, n: int, convert=_parsed) -> Mat2:
+    """dw: a dense n x n list or tuple of rows of values that ``convert`` reads."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == n and all(
+            isinstance(row, (list, tuple)) and len(row) == n for row in raw)):
+        raise InstanceError(f"dw must be a dense {n}x{n} matrix")
+    return tuple(tuple(_rational(x, "dw", convert) for x in row) for row in raw)

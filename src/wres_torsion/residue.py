@@ -48,7 +48,6 @@ from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
     SymbolExpr,
-    _check_dim,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
     build_sigma_delta_inv_parts,
@@ -261,7 +260,8 @@ class PipelineContext:
     """
 
     def __init__(self, jet: PointJet, m: int):
-        _check_dim(jet, m)
+        if jet.n != 2 * m:
+            raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
         self.jet, self.m, self.n = jet, m, jet.n
 
     @cached_property
@@ -272,11 +272,11 @@ class PipelineContext:
 
     @cached_property
     def dtpow_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_dtpow_parts(self.jet, self.m)
+        return build_sigma_dtpow_parts(self.jet)
 
     @cached_property
     def delta_inv_parts(self) -> Tuple[Dict[str, SymbolExpr], ...]:
-        return build_sigma_delta_inv_parts(self.jet, self.m)
+        return build_sigma_delta_inv_parts(self.jet)
 
     @cached_property
     def delta_dx(self) -> Dict[Tuple[int, ...], SymbolExpr]:
@@ -305,7 +305,7 @@ class PipelineContext:
         return Density(_trace_integral_product(self.cvw, expr, self.m))
 
     def metric(self) -> Density:
-        return self._trace_cvw(build_sigma_delta_lead(self.jet, self.m))
+        return self._trace_cvw(build_sigma_delta_lead(self.jet))
 
     def part1(self) -> Density:
         return self._trace_cvw(SymbolExpr.sum_of(self.n, self.dtpow_parts.values()))

@@ -54,12 +54,12 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElement, Word, _below
 # derived_scalars stays bound for bench/test_bench.py; builders read jet.derived
-from .geometry import PointJet, _nonzero, derived_scalars  # noqa: F401
+from .geometry import Entries, PointJet, derived_scalars  # noqa: F401
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
@@ -436,30 +436,20 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
                                         if w.bit_count() in grades}, elem.den)
 
 
-def _check_dim(jet: PointJet, m: int) -> None:
-    if jet.n != 2 * m:
-        raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
-
-
-def _torsion_cube(values, n: int) -> CliffordElement:
-    """sum_{f<a<b} values[f][a][b] c_f c_a c_b (indices 0-based)."""
-    return CliffordElement(n, {(1 << f) | (1 << a) | (1 << b): values[f][a][b]
-                               for f, a, b in combinations(range(n), 3)
-                               if values[f][a][b]})
-
-
-def _torsion_rows(tensor, n: int) -> Dict[object, CliffordElement]:
-    """lead -> sum_{j<l} tensor[lead][j][l] c_j c_l for every leading index
-    with a nonzero entry (T: a, dT1: (b, a)), from one scan of the nonzero
-    entries."""
-    nums, den = _integer_form(_nonzero(tensor))
-    rows: Dict[object, Dict[Word, int]] = {}
-    for index, c in nums.items():
-        *lead, j, l = index
-        if j < l:
-            key = lead[0] if len(lead) == 1 else tuple(lead)
-            rows.setdefault(key, {})[(1 << j) | (1 << l)] = c
-    return {lead: CliffordElement._of(n, row, den) for lead, row in rows.items()}
+def _torsion_forms(entries: Entries, n: int) -> List[Dict[object, CliffordElement]]:
+    """[forms, rows] of a torsion channel from its nonzero entries, by leading
+    index: T (keys (f, a, b)) gives its 3-form sum_{f<a<b} T_fab c_f c_a c_b
+    under key () and the rows sum_{a<b} T_fab c_a c_b by f; dT1 (keys
+    (c, f, a, b)) gives the 3-forms by c and the rows by (c, f)."""
+    nums, den = _integer_form(entries)
+    forms, rows = {}, {}  # leading index -> word -> int numerator
+    for (*lead, f, a, b), x in nums.items():
+        if a < b:
+            rows.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
+            if f < a:
+                forms.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+    return [{key: CliffordElement._of(n, words, den) for key, words in table.items()}
+            for table in (forms, rows)]
 
 
 def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int
@@ -503,10 +493,11 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     n = jet.n
     x0 = (0,) * n
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
-    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
-    sigma0 = SymbolExpr.sum_of(n, [_sym(_torsion_cube(jet.T, n), kappa)] + [
-        _sym(_torsion_cube(jet.dT1[b], n).scale(kappa) + curvature[b], xdeg=_unit(n, b))
-        for b in range(n)])
+    curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
+    tau, dtau = (_torsion_forms(entries, n)[0] for entries in (jet.T_entries, jet.dT1_entries))
+    sigma0 = SymbolExpr.sum_of(n, [_sym(form, kappa) for form in tau.values()] + [
+        _sym(form, kappa, xdeg=_unit(n, b)) for b, form in dtau.items()] + [
+        _sym(row, xdeg=_unit(n, b)) for b, row in enumerate(curvature)])
     return sigma1, sigma0
 
 
@@ -546,9 +537,10 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     n = jet.n
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = _torsion_cube(jet.T, n)
+    tau = _torsion_forms(jet.T_entries, n)[0].get((), CliffordElement.zero(n))
+    dtau = _torsion_forms(jet.dT1_entries, n)[0]
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = _curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
+    curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
@@ -570,8 +562,8 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
             _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
         "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
         "s0_r": _sym(_elem_sum(n, (cvc[j] * curvature[j] for j in range(n)))),
-        "s0_dt": _sym(_elem_sum(n, (cvc[j] * _torsion_cube(jet.dT1[j], n)
-                                    for j in range(n))), Fraction(1, 4)),
+        "s0_dt": _sym(_elem_sum(n, (cvc[b] * form for b, form in dtau.items())),
+                      Fraction(1, 4)),
         "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
     }
 
@@ -593,32 +585,30 @@ def build_sigma_ab_printed(jet: PointJet
 
 # -- inverse Laplacian-type symbols -----------------------------------------
 
-def build_sigma_delta_lead(jet: PointJet, m: int) -> SymbolExpr:
+def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
     """||xi||^{-2m-2} sum_a xi_a^2: the leading, x-free channel of the
     inverse m-th power (all the metric density needs)."""
-    _check_dim(jet, m)
-    n = jet.n
+    m, n = jet.m, jet.n
     return _symbol(n, ((((0,) * n, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
 
 
-def build_sigma_delta_inv_parts(jet: PointJet, m: int) -> Tuple[
+def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
         Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
-    _check_dim(jet, m)
-    n = jet.n
+    m, n = jet.m, jet.n
     p = -2 * m - 2
-    curvature = _integer_form(_nonzero(jet.R))
+    curvature = _integer_form(jet.R_entries)
     ric = _integer_form(jet.derived.ric)
     pairs = _curvature_pair_sums(curvature, n)
-    tau, dtau = _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n)
+    tau, dtau = _torsion_forms(jet.T_entries, n)[1], _torsion_forms(jet.dT1_entries, n)[1]
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = _symbol(n, _collected(((_pair(n, j, k), _pair(n, a, b), p, 0), c)
                                   for (a, j, b, k), c in curvature[0].items()).items(),
                     curvature[1], Fraction(-m, 3))
-    parts_m = {"lead": build_sigma_delta_lead(jet, m), "r_jet": r_jet}
+    parts_m = {"lead": build_sigma_delta_lead(jet), "r_jet": r_jet}
 
     # order -2m-1
     c_t = GaussianRational(0, 3 * m)
@@ -686,12 +676,11 @@ def _sigma_inverse_order2_parts(
     }
 
 
-def build_sigma_dtpow_parts(jet: PointJet, m: int) -> Dict[str, SymbolExpr]:
+def build_sigma_dtpow_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
-    _check_dim(jet, m)
     n = jet.n
     return _sigma_inverse_order2_parts(
-        jet, m - 1, _curvature_pair_sums(_integer_form(_nonzero(jet.R)), n),
-        _torsion_rows(jet.T, n), _torsion_rows(jet.dT1, n),
+        jet, jet.m - 1, _curvature_pair_sums(_integer_form(jet.R_entries), n),
+        _torsion_forms(jet.T_entries, n)[1], _torsion_forms(jet.dT1_entries, n)[1],
         _integer_form(jet.derived.ric))

@@ -7,7 +7,7 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import List
 
 import pytest
@@ -20,12 +20,11 @@ from wres_torsion.geometry import (
     PointJet,
     _antisym3_scan,
     _complete,
+    _INDICES,
     _dense,
     _four_form,
-    _nonzero,
     _ricci,
     _riemann_scan,
-    _zero_block,
     derived_scalars,
     jet_from_dict,
     jet_to_dict,
@@ -34,6 +33,17 @@ from wres_torsion.geometry import (
     validate_symmetries,
 )
 from wres_torsion.numerics import _integer_form, format_rational
+
+
+def _nonzero(tensor, prefix=()):
+    """Index tuple -> value for the nonzero entries of a dense nested
+    tensor of tuples or lists, read entry by entry."""
+    if not isinstance(tensor, (tuple, list)):
+        return {prefix: tensor} if tensor else {}
+    out = {}
+    for i, block in enumerate(tensor):
+        out.update(_nonzero(block, prefix + (i,)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +63,7 @@ def test_determinism():
 
 def test_zero_torsion_mode():
     jet = random_point_jet(9, 2, with_torsion=False, with_torsion_jet=False)
+    assert jet.T_entries == jet.dT1_entries == {}
     assert all(x == 0 for plane in jet.T for row in plane for x in row)
     assert all(x == 0 for cube in jet.dT1 for plane in cube for row in plane
                for x in row)
@@ -71,6 +82,7 @@ def test_zero_point_jet_is_the_zero_jet(m):
     """``make_point_jet(m)`` with no entries is the all-zero jet."""
     jet = make_point_jet(m)
     assert not any(jet.v) and not any(jet.w)
+    assert jet.R_entries == jet.T_entries == jet.dT1_entries == {}
     assert not any(_nonzero(x) for x in (jet.R, jet.T, jet.dT1, jet.dw))
 
 
@@ -119,12 +131,8 @@ def test_ricci_symmetric_on_random_input():
 
 
 def test_ricci_rejects_asymmetric_input():
-    bad = [[[[Fraction(1) if (a, b, c, d) == (0, 1, 0, 1) else Fraction(0)
-              for d in range(4)] for c in range(4)] for b in range(4)]
-           for a in range(4)]
     with pytest.raises(ValueError):
-        _ricci(tuple(tuple(tuple(tuple(x for x in r) for r in p) for p in q)
-                     for q in bad))
+        _ricci({(0, 1, 0, 1): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +182,11 @@ def test_torsion_norm_examples():
 # ---------------------------------------------------------------------------
 
 def _tamper(jet: PointJet, path, value) -> PointJet:
-    def unfreeze(x):
-        return [unfreeze(e) for e in x] if isinstance(x, tuple) else x
-
-    data = {"R": unfreeze(jet.R), "T": unfreeze(jet.T), "dT1": unfreeze(jet.dT1)}
-    tensor = data[path[0]]
-    node = tensor
-    for idx in path[1:-1]:
-        node = node[idx]
-    node[path[-1]] = value
-
-    def freeze(x):
-        return tuple(freeze(e) for e in x) if isinstance(x, list) else x
-
-    return PointJet(m=jet.m, R=freeze(data["R"]), T=freeze(data["T"]),
-                    dT1=freeze(data["dT1"]), v=jet.v, w=jet.w, dw=jet.dw)
+    """``jet`` with the entry of channel path[0] at index path[1:] set to a
+    nonzero ``value``."""
+    name, *index = path
+    entries = {**getattr(jet, f"{name}_entries"), tuple(index): value}
+    return dataclasses.replace(jet, **{f"{name}_entries": entries})
 
 
 def test_validator_names_pair_antisymmetry():
@@ -326,7 +324,7 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
         for limit in (1, 20):
             assert _riemann_violations(R, limit) == _riemann_violations_fraction(R, limit)
         with pytest.raises(ValueError) as err:
-            _ricci(R)
+            _ricci(_nonzero(R))
         assert str(err.value) == expected[0]
     for T in torsion:
         assert _antisym3_violations_fraction(T, "T", 1)
@@ -336,78 +334,85 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
 
 
 # ---------------------------------------------------------------------------
-# the nonzero-entry scan and the shared zero blocks
+# the channel maps and their dense views
 # ---------------------------------------------------------------------------
-
-def test_nonzero_skips_shared_zero_blocks_unread():
-    tested = []
-
-    class Counted:
-        """An entry that records each test of its truth."""
-
-        def __init__(self, value):
-            self.value = value
-
-        def __bool__(self):
-            tested.append(self)
-            return bool(self.value)
-
-    n = 4
-    zero = _zero_block(n, 2)
-    block = tuple(tuple(Counted(int(i == j == 1)) for j in range(n)) for i in range(n))
-    # the leading zero block also fixes the shape that _nonzero reads
-    entries = _nonzero((zero, zero, block, zero))
-    assert len(tested) == n * n
-    assert list(entries) == [(2, 1, 1)] and entries[2, 1, 1] is block[1][1]
-
-
-def _thawed(tensor):
-    """A nested-list copy with a fresh Fraction for every entry, so it
-    shares no block, and no zero, with ``tensor``."""
-    return ([_thawed(x) for x in tensor] if isinstance(tensor, tuple)
-            else Fraction(tensor))
-
 
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_nonzero_inverts_dense(n, rank):
+    """The nonzero entries of ``_dense(entries)``, read entry by entry, are
+    ``entries``; every other entry is Fraction(0)."""
     rng = random.Random(f"dense:{n}:{rank}")
     for count in (0, 1, 2, 5, 17):
         entries = {tuple(rng.randrange(n) for _ in range(rank)):
                    Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
                    for _ in range(count)}
         tensor = _dense(entries, n, rank)
-        assert sum(block is _zero_block(n, rank - 1) for block in tensor) >= n - count
-        scanned = _nonzero(tensor)
-        assert list(scanned.items()) == sorted(entries.items())
-        assert list(_nonzero(_thawed(tensor)).items()) == list(scanned.items())
+        assert _nonzero(tensor) == entries
+        block = tensor
+        for _ in range(rank - 1):
+            assert type(block) is tuple and len(block) == n
+            block = block[-1]
+        assert all(type(x) is Fraction for x in block)
 
 
-@pytest.mark.parametrize("tensor", [
-    [[1, 2], [3]],
-    [[1, 2], [3, 4, 5]],
-    (_zero_block(4, 2), _zero_block(3, 2), _zero_block(4, 2), _zero_block(4, 2)),
-    (_zero_block(4, 2), ((Fraction(1),) * 4,) * 3, _zero_block(4, 2), _zero_block(4, 2)),
-    (),
-    [[1, 2], [3, 4, 5], [6]],
-    [[1, 2], [3, [4]]],
-    [[[1]], [2]],
-], ids=["short-row", "long-row", "wrong-zero-block", "short-block", "empty",
-        "short-and-long-rows", "row-as-entry", "entry-as-row"])
-def test_nonzero_rejects_ragged_tensor(tensor):
-    with pytest.raises(ValueError, match="tensor is not of shape"):
-        _nonzero(tensor)
+_dense_views = (("R", 4), ("T", 3), ("dT1", 4))
 
 
-def test_validator_rejects_ragged_torsion():
-    """A T whose short and long rows make up the right entry count."""
-    jet = make_point_jet(2)
-    rows = [list(row) for row in jet.T[0]]
-    rows[1], rows[2] = rows[1][:-1], rows[2] + [Fraction(1)]
-    ragged = PointJet(m=2, R=jet.R, T=(tuple(map(tuple, rows)),) + jet.T[1:],
-                      dT1=jet.dT1, v=jet.v, w=jet.w, dw=jet.dw)
-    with pytest.raises(ValueError, match="tensor is not of shape"):
-        validate_symmetries(ragged)
+def _dense_view_oracle(jet, name, rank):
+    """The dense tensor of a channel: its map read at every index in
+    lexicographic order, then cut into rows of n, rank times."""
+    n, entries = jet.n, getattr(jet, f"{name}_entries")
+    flat = [entries.get(index, 0) for index in product(range(n), repeat=rank)]
+    for _ in range(rank):
+        flat = [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
+    return flat[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_views_are_the_dense_channels(m, seed, channels):
+    """Each dense view equals the dense oracle, is built once, and the
+    channel map is exactly the nonzero entries of its view."""
+    flags = ("with_curvature", "with_torsion", "with_torsion_jet", "with_w_jet")
+    jet = random_point_jet(seed, m, **dict(zip(flags, channels)))
+    for name, rank in _dense_views:
+        view = getattr(jet, name)
+        assert view == _dense_view_oracle(jet, name, rank)
+        assert getattr(jet, name) is view
+        assert _nonzero(view) == getattr(jet, f"{name}_entries")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(jet, name, view)
+
+
+def test_maps_share_index_tuples_and_store_no_zero():
+    jets = [random_point_jet(seed, m) for m in (1, 2, 3) for seed in range(3)]
+    jets += [make_point_jet(m, **kw) for m in (2, 3) for _, _, kw in _one_hot_cases(m)]
+    jets += [jet_from_dict(jet_to_dict(jet)) for jet in jets]
+    for jet in jets:
+        for name, _ in _dense_views:
+            entries = getattr(jet, f"{name}_entries")
+            assert all(entries.values())
+            # so equal indices of any two jets are one tuple object
+            assert all(_INDICES[key] is key for key in entries)
+    assert sum(len(jet.R_entries) for jet in jets) > 1000
+
+
+def test_hash_skips_the_maps_and_equality_reads_them():
+    jet = random_point_jet(6, 2)
+    other = dataclasses.replace(jet, T_entries={})
+    assert hash(other) == hash(jet) == hash((jet.m, jet.v, jet.w, jet.dw))
+    assert other != jet
+    assert {jet, other, random_point_jet(6, 2)} == {jet, other}
+
+
+def test_nested_tuple_channels_are_no_fields():
+    jet = random_point_jet(6, 2)
+    with pytest.raises(TypeError):
+        PointJet(m=2, R=jet.R, T=jet.T, dT1=jet.dT1, v=jet.v, w=jet.w, dw=jet.dw)
+    with pytest.raises(TypeError):
+        dataclasses.replace(jet, T=jet.T)
 
 
 # The contractions before the sparse rewrite: dense Fraction sums over the
@@ -547,8 +552,8 @@ def _contraction_jets():
     # must still give the dense sums
     for seed in range(4):
         jet = random_point_jet(seed, 2)
-        yield PointJet(m=2, R=jet.R, T=_frozen(_perturbed(jet.T, rng)),
-                       dT1=_frozen(_perturbed(jet.dT1, rng)), v=jet.v, w=jet.w,
+        yield PointJet(m=2, R_entries=jet.R_entries, T_entries=_nonzero(_perturbed(jet.T, rng)),
+                       dT1_entries=_nonzero(_perturbed(jet.dT1, rng)), v=jet.v, w=jet.w,
                        dw=_frozen(_perturbed(jet.dw, rng)))
 
 
@@ -623,8 +628,8 @@ def test_failed_derived_scalars_are_not_cached():
     from wres_torsion.residue import part1_closed
 
     # R_{0123} = R_{1023}, where pair antisymmetry wants R_{1023} = -R_{0123}
-    R = _dense({(0, 1, 2, 3): Fraction(1), (1, 0, 2, 3): Fraction(1)}, 4, 4)
-    bad = dataclasses.replace(random_point_jet(1, 2), R=R)
+    R = {(0, 1, 2, 3): Fraction(1), (1, 0, 2, 3): Fraction(1)}
+    bad = dataclasses.replace(random_point_jet(1, 2), R_entries=R)
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError) as info:
@@ -843,15 +848,15 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(T=[(0, 1, 2, 1), (1, 0, 2, 1)]), "T entries conflict by antisymmetry at (2,1,3)"),
     (dict(dT1=[(1, 2, 2, 3, -1)]), "dT1[2] entry with repeated index (3,3,4) must be zero"),
     (dict(T=[(0, 1, 4, 1)]), "T index (0, 1, 4) outside 0..3"),
-    (dict(v=[1, 0, 0]), "v/w/dw dimension mismatch"),
-    (dict(dw=[[1, 2, 3, 4, 5]] * 4), "v/w/dw dimension mismatch"),
+    (dict(v=[1, 0, 0]), "v must be a dense length-4 array"),
+    (dict(dw=[[1, 2, 3, 4, 5]] * 4), "dw must be a dense 4x4 matrix"),
     (dict(T=[(0, 1, 2, 5, 1)]), "T entry (0, 1, 2, 5, 1) must be a list of 3 indices and a value"),
     (dict(R=[(0, 1, 0, 1, 5, 1)]),
      "R entry (0, 1, 0, 1, 5, 1) must be a list of 4 indices and a value"),
     (dict(R=[(0, 1, 2)]), "R entry (0, 1, 2) must be a list of 4 indices and a value"),
     (dict(dT1=[(0, 1, 2, 3, 4, 1)]),
      "dT1 entry (0, 1, 2, 3, 4, 1) must be a list of 4 indices and a value"),
-    (dict(dw=[[1, 2, 3, 4]] * 3 + [[1]]), "v/w/dw dimension mismatch"),
+    (dict(dw=[[1, 2, 3, 4]] * 3 + [[1]]), "dw must be a dense 4x4 matrix"),
     (dict(v=[[1], 0, 0, 0]), "v value [1] is not an exact rational"),
     (dict(v=["1/0", 0, 0, 0]), "v value '1/0' is not an exact rational"),
     (dict(w=[0, 0, float("nan"), 0]), "w value nan is not an exact rational"),
@@ -872,6 +877,12 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(T=["0121"]), "T entry '0121' must be a list of 3 indices and a value"),
     (dict(dw=5), "dw must be a dense 4x4 matrix"),
     (dict(w="1234"), "w must be a dense length-4 array"),
+    (dict(v=[1, 2, 3]), "v must be a dense length-4 array"),
+    (dict(w=(1, 2, 3, 4, 5)), "w must be a dense length-4 array"),
+    (dict(v=()), "v must be a dense length-4 array"),
+    (dict(dw=[[0] * 4] * 3), "dw must be a dense 4x4 matrix"),
+    (dict(dw=[(0,) * 4] * 3 + [(0,) * 5]), "dw must be a dense 4x4 matrix"),
+    (dict(dw=()), "dw must be a dense 4x4 matrix"),
 ])
 def test_make_point_jet_rejects_malformed_entries(entries, reason):
     with pytest.raises(InstanceError) as err:
@@ -908,13 +919,51 @@ def test_validator_names_inexact_entries(field, value, reason):
     assert validate_symmetries(bad).violations == (reason,)
 
 
-@pytest.mark.parametrize("name,shape", [("R", (2,) * 4), ("T", (2,) * 3), ("dT1", (2,) * 4)])
+@pytest.mark.parametrize("name,shape", [("R", (6,) * 4), ("T", (6,) * 3), ("dT1", (6,) * 4)])
 def test_validator_names_channel_of_another_dimension(name, shape):
-    """A hand-built m=2 jet carrying one channel of an m=1 jet."""
-    jet = dataclasses.replace(random_point_jet(3, 2),
-                              **{name: getattr(random_point_jet(1, 1), name)})
-    report = validate_symmetries(jet)
-    assert report.violations == (f"{name} has shape {shape}, expected {(4,) * len(shape)}",)
+    """A hand-built m=2 jet carrying one channel of an m=3 jet: each key
+    with an index outside 0..3 is named, and no symmetry is scanned."""
+    entries = getattr(random_point_jet(1, 3), f"{name}_entries")
+    jet = dataclasses.replace(random_point_jet(3, 2), **{f"{name}_entries": entries})
+    outside = sorted((key for key in entries if max(key) > 3), key=repr)
+    assert outside and all(len(key) == len(shape) for key in entries)
+    assert validate_symmetries(jet).violations == tuple(
+        f"{name} key {key!r} is not a tuple of {len(shape)} indices in 0..3"
+        for key in outside)
+
+
+@pytest.mark.parametrize("name,entries,reasons", [
+    ("T", "the dense view", ("T is not a dict of index tuples to values: tuple",)),
+    ("R", [((0, 1, 0, 1), 1)], ("R is not a dict of index tuples to values: list",)),
+    ("dT1", None, ("dT1 is not a dict of index tuples to values: NoneType",)),
+    ("R", {0: Fraction(1)}, ("R key 0 is not a tuple of 4 indices in 0..3",)),
+    ("R", {(0, 1, 0): Fraction(1)}, ("R key (0, 1, 0) is not a tuple of 4 indices in 0..3",)),
+    ("T", {(0, 1, 2): Fraction(1), (0, 1, 4): Fraction(1), (-1, 1, 2): Fraction(1)},
+     ("T key (-1, 1, 2) is not a tuple of 3 indices in 0..3",
+      "T key (0, 1, 4) is not a tuple of 3 indices in 0..3")),
+    ("T", {(0, True, 2): Fraction(1)}, ("T key (0, True, 2) is not a tuple of 3 indices in 0..3",)),
+    ("T", {(0, 1, 2.0): Fraction(1)}, ("T key (0, 1, 2.0) is not a tuple of 3 indices in 0..3",)),
+    ("dT1", {"0123": Fraction(1)}, ("dT1 key '0123' is not a tuple of 4 indices in 0..3",)),
+    ("T", {(1, 0, 2): 0, (0, 1, 2): Fraction(0)},
+     ("T entry at (0,1,2) is a stored zero", "T entry at (1,0,2) is a stored zero")),
+    ("dT1", {(3, 0, 1, 2): Fraction(0), (0, 1, 2, 3): "x"},
+     ("dT1 entry at (0,1,2,3) is not an exact rational: 'x'",
+      "dT1 entry at (3,0,1,2) is a stored zero")),
+])
+def test_validator_names_malformed_maps(name, entries, reasons):
+    """A hand-built m=2 jet whose channel is no map of nonzero exact
+    entries over 0..3: the validator names the channel and each faulty key
+    or entry, in an order that does not depend on the map's, and scans no
+    symmetry."""
+    jet = random_point_jet(3, 2)
+    if entries == "the dense view":
+        entries = getattr(jet, name)
+    bad = dataclasses.replace(jet, **{f"{name}_entries": entries})
+    assert validate_symmetries(bad).violations == reasons
+    if isinstance(entries, dict):
+        backwards = dict(reversed(list(entries.items())))
+        again = dataclasses.replace(jet, **{f"{name}_entries": backwards})
+        assert validate_symmetries(again).violations == reasons
 
 
 @pytest.mark.parametrize("fields", [

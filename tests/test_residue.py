@@ -205,7 +205,7 @@ def test_cvw_trace_guards(monkeypatch, method, bad, message):
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
     expr = SymbolExpr(4, {bad: ONE})
     ctx.dtpow_parts = {"ric": expr}
-    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet, m: expr)
+    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet: expr)
     with pytest.raises(PipelineError, match=message):
         getattr(ctx, method)()
 
@@ -334,7 +334,7 @@ def test_part2_via_generic_pipeline():
     jet = random_point_jet(13, m)
     s2, s1, s0 = build_sigma_ab_printed(jet)
     s_m, s_m1, s_m2 = (SymbolExpr.sum_of(jet.n, parts.values())
-                       for parts in build_sigma_delta_inv_parts(jet, m))
+                       for parts in build_sigma_delta_inv_parts(jet))
     full = leibniz_compose(s2 + s1 + s0, s_m + s_m1 + s_m2, 2)
     generic = trace_integral(at_x0(xi_grade(full, -2 * m)), m).value
     assert generic == part2_density(jet, m, "printed").value
@@ -488,10 +488,8 @@ def test_audit_localizes_curvature_faults():
     m = 2
     withR = random_point_jet(7, m)
     n = withR.n
-    zero_R = tuple(tuple(tuple(tuple(Fraction(0) for _ in range(n))
-                               for _ in range(n)) for _ in range(n))
-                   for _ in range(n))
-    base = dataclasses.replace(withR, R=zero_R)
+    base = dataclasses.replace(withR, R_entries={})
+    assert base.R == make_point_jet(m).R and base.R != withR.R
     assert base.T == withR.T and base.dT1 == withR.dT1
     rep_a = {e.label: e.engine for e in audit(base, m).entries}
     rep_b = {e.label: e.engine for e in audit(withR, m).entries}
@@ -526,26 +524,78 @@ def test_audit_report_serializes():
     assert {"composed", "displayed"} <= set(row)
 
 
-def test_results_ignore_shared_zero_blocks():
-    """The scans skip the shared zero blocks by identity only: a twin jet
-    of nested lists, which shares no block, gives the same densities and
-    the same audit JSON."""
-    import json
+def _reversed_twin(jet):
+    """A hand-built twin of ``jet`` whose channel maps list their entries in
+    reverse order, each under a fresh index tuple and a fresh value."""
+    from wres_torsion.geometry import PointJet
 
-    from test_geometry import _thawed
+    def fresh(entries):
+        return {tuple(k): Fraction(x) for k, x in reversed(list(entries.items()))}
+
+    return PointJet(m=jet.m, R_entries=fresh(jet.R_entries), T_entries=fresh(jet.T_entries),
+                    dT1_entries=fresh(jet.dT1_entries), v=jet.v, w=jet.w, dw=jet.dw)
+
+
+def _order_jets():
     from wres_torsion.cli import _one_hot_cases
-    from wres_torsion.geometry import PointJet, _zero_block
 
     sparse = [make_point_jet(m, **kw) for m in (2, 3) for _, _, kw in _one_hot_cases(m)]
-    assert all(any(block is _zero_block(jet.n, 3) for block in jet.R) for jet in sparse)
-    for jet in sparse + [random_point_jet(11, 2), random_point_jet(11, 3)]:
+    return sparse + [random_point_jet(11, 2), random_point_jet(11, 3)]
+
+
+def test_results_ignore_map_order():
+    """No reader depends on the order of a channel map: a twin jet with
+    reversed maps gives the same densities and the same audit JSON."""
+    import json
+
+    for jet in _order_jets():
         m = jet.m
-        twin = PointJet(m=m, **{name: _thawed(getattr(jet, name))
-                                for name in ("R", "T", "dT1", "v", "w", "dw")})
+        twin = _reversed_twin(jet)
+        assert twin == jet
+        assert list(twin.R_entries) == list(reversed(list(jet.R_entries)))
         assert part1_density(twin, m) == part1_density(jet, m)
         assert part2_density(twin, m) == part2_density(jet, m)
         assert (json.dumps(audit(twin, m).to_json(), sort_keys=True)
                 == json.dumps(audit(jet, m).to_json(), sort_keys=True))
+
+
+def _raise_on_dense_view(monkeypatch):
+    from wres_torsion.geometry import PointJet
+
+    def view(name):
+        def read(jet):
+            raise AssertionError(f"the engine read the dense view jet.{name}")
+        return property(read)
+
+    for name in ("R", "T", "dT1"):
+        monkeypatch.setattr(PointJet, name, view(name))
+
+
+def _results(jet, m):
+    """The six public calls of the certify-m3 benchmark workload, the audit
+    JSON, ``jet_to_dict``, ``validate_symmetries`` and ``derived_scalars``."""
+    from wres_torsion.geometry import jet_to_dict, validate_symmetries
+
+    return ([f(jet, m).value for f in (part1_density, part2_density, part1_closed,
+                                       part2_closed, theorem_density, metric_density)],
+            audit(jet, m).to_json(), jet_to_dict(jet), validate_symmetries(jet),
+            derived_scalars(jet))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_engine_reads_no_dense_view(monkeypatch, m):
+    """Every result is the same on a jet whose dense R, T and dT1 raise."""
+    from wres_torsion.cli import _one_hot_cases
+
+    jets = [random_point_jet(seed, m) for seed in (2, 9)]
+    jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)]
+    expected = [_results(jet, m) for jet in jets]
+    assert all(report.ok for _, _, _, report, _ in expected)
+    _raise_on_dense_view(monkeypatch)
+    with pytest.raises(AssertionError, match="dense view jet.T"):
+        jets[0].T
+    for jet, results in zip(jets, expected):
+        assert _results(_reversed_twin(jet), m) == results
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from wres_torsion import symbols
 from wres_torsion.clifford import CliffordElement, blade_mul, canonicalize, word_from_indices
 from wres_torsion.geometry import (
-    _nonzero,
     derived_scalars,
     make_point_jet,
     random_point_jet,
@@ -258,7 +257,7 @@ def test_sigma_dt_variant_ratio():
 def test_sigma_delta_inv_flat():
     jet = make_point_jet(2)
     s_m, s_m1, s_m2 = (SymbolExpr.sum_of(4, parts.values())
-                       for parts in build_sigma_delta_inv_parts(jet, 2))
+                       for parts in build_sigma_delta_inv_parts(jet))
     lead = SymbolExpr(4)
     for a in range(4):
         lead.add_term(Z, _unit(a, 2), -6, 0, ONE)
@@ -270,7 +269,7 @@ def test_sigma_delta_inv_displayed_coefficients():
     # Ricci x-jet channel coefficient -2mi/3 and scalar channel -m/4 s
     m = 2
     jet = random_point_jet(3, m, with_torsion=False, with_torsion_jet=False)
-    parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet, m)
+    parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet)
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
@@ -287,7 +286,7 @@ def test_sigma_dtpow_coefficients():
     # Ricci channel m(m-1)/3, scalar channel -(m-1)(s/4 - 3|T|^2/4)
     m = 2
     jet = random_point_jet(12, m)
-    parts = build_sigma_dtpow_parts(jet, m)
+    parts = build_sigma_dtpow_parts(jet)
     der = derived_scalars(jet)
     n = jet.n
     expected_ric = SymbolExpr(n)
@@ -310,15 +309,15 @@ def test_dt4_channel_is_the_four_form_of_dT1(m):
           d[i][j][k][t] - d[j][i][k][t] + d[k][i][j][t] - d[t][i][j][k]
           for i, j, k, t in itertools.combinations(range(n), 4)}
     assert any(dT.values())
-    for mm, parts in ((m, build_sigma_delta_inv_parts(jet, m)[2]),
-                      (m - 1, build_sigma_dtpow_parts(jet, m))):
+    for mm, parts in ((m, build_sigma_delta_inv_parts(jet)[2]),
+                      (m - 1, build_sigma_dtpow_parts(jet))):
         elem = CliffordElement(n, {w: Fraction(-3 * mm, 2) * x for w, x in dT.items()})
         assert parts["dt4"] == SymbolExpr.from_clifford(elem, normpow=-2 * mm - 2)
 
 
 def test_dtpow_vanishes_at_m1():
     jet = random_point_jet(2, 1)
-    parts = build_sigma_dtpow_parts(jet, 1)
+    parts = build_sigma_dtpow_parts(jet)
     assert all(not part.terms for part in parts.values())
 
 
@@ -587,12 +586,12 @@ def _pipeline_symbols(jet, m):
     out = {f"dt.{i}": e for i, e in enumerate(symbols.build_sigma_dt(jet))}
     out.update((f"dt_first_principles.{i}", e) for i, e in
                enumerate(symbols.build_sigma_dt(jet, "first_principles")))
-    out["lead"] = symbols.build_sigma_delta_lead(jet, m)
-    delta = symbols.build_sigma_delta_inv_parts(jet, m)
+    out["lead"] = symbols.build_sigma_delta_lead(jet)
+    delta = symbols.build_sigma_delta_inv_parts(jet)
     for order, parts in zip(("m", "m1", "m2"), delta):
         out.update((f"delta_{order}.{k}", e) for k, e in parts.items())
     out.update((f"dtpow.{k}", e) for k, e in
-               symbols.build_sigma_dtpow_parts(jet, m).items())
+               symbols.build_sigma_dtpow_parts(jet).items())
     printed = symbols.build_sigma_ab_printed_parts(jet)
     out.update((f"printed.{k}", e) for k, e in printed.items())
     sigma_delta = symbols.SymbolExpr.sum_of(
@@ -666,8 +665,8 @@ def test_builders_pass_no_terms_to_the_exact_constructor(monkeypatch):
         symbols.build_sigma_dt(jet)
         symbols.build_sigma_ab_printed_parts(jet)
         symbols.build_sigma_ab_composed(jet)
-        symbols.build_sigma_delta_inv_parts(jet, m)
-        symbols.build_sigma_dtpow_parts(jet, m)
+        symbols.build_sigma_delta_inv_parts(jet)
+        symbols.build_sigma_dtpow_parts(jet)
     assert passed == []
     SymbolExpr(N, {(Z, Z, 0, 0): ONE})   # the instrument counts
     assert len(passed) == 1
@@ -800,7 +799,7 @@ def test_sparse_curvature_sums_match_dense(m):
     jets += [make_point_jet(m), make_point_jet(m, R=[(0, 1, 0, 1, Fraction(2, 3))])]
     for jet in jets:
         n = jet.n
-        curvature = _integer_form(_nonzero(jet.R))
+        curvature = _integer_form(jet.R_entries)
         words = symbols._curvature_word_sums(curvature, n)
         pairs = symbols._curvature_pair_sums(curvature, n)
         for b in range(n):
@@ -813,6 +812,12 @@ def test_sparse_curvature_sums_match_dense(m):
 # ---------------------------------------------------------------------------
 # one product per distinct factor pair, against the all-ordered-pairs loops
 # ---------------------------------------------------------------------------
+
+def _dense_torsion_cube(values, n):
+    """sum_{f<a<b} values[f][a][b] c_f c_a c_b over every triple."""
+    return CliffordElement(n, {(1 << f) | (1 << a) | (1 << b): values[f][a][b]
+                               for f, a, b in itertools.combinations(range(n), 3)})
+
 
 def _dense_torsion_pair(values_a, n):
     """sum_{j<l} values_a[j][l] c_j c_l over every pair, zero entries included."""
@@ -843,9 +848,9 @@ def _per_pair_printed_parts(jet):
     _sym, _elem_sum = symbols._sym, symbols._elem_sum
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = symbols._torsion_cube(jet.T, n)
+    tau = _dense_torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = symbols._curvature_word_sums(_integer_form(_nonzero(jet.R)), n)
+    curvature = symbols._curvature_word_sums(_integer_form(jet.R_entries), n)
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
     return {
@@ -862,7 +867,7 @@ def _per_pair_printed_parts(jet):
         "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
                                    for j in range(n)))),
         "s0_dt": _sym(_elem_sum(n, (
-            cv * gens[j] * cw * symbols._torsion_cube(jet.dT1[j], n).scale(Fraction(1, 4))
+            cv * gens[j] * cw * _dense_torsion_cube(jet.dT1[j], n).scale(Fraction(1, 4))
             for j in range(n)))),
         "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
     }
@@ -882,12 +887,19 @@ def _factor_pair_jets(m):
     return jets
 
 
-def _all_torsion_rows(tensor, n):
-    """symbols._torsion_rows over every leading index, zero rows included."""
-    if isinstance(tensor[0][0][0], tuple):  # dT1[b][a][j][l]
-        return {(b, a): _dense_torsion_pair(tensor[b][a], n)
-                for b in range(n) for a in range(n)}
-    return {a: _dense_torsion_pair(tensor[a], n) for a in range(n)}
+def _all_torsion_forms(jet, sparse):
+    """The reader ``sparse`` (symbols._torsion_forms) on the channels of
+    ``jet``, with the rows of every leading index, zero rows included,
+    built from the dense views."""
+    def forms(entries, n):
+        if entries is jet.T_entries:
+            rows = {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
+        else:
+            assert entries is jet.dT1_entries
+            rows = {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
+                    for b in range(n) for a in range(n)}
+        return sparse(entries, n)[0], rows
+    return forms
 
 
 def _zero_row_jets(m):
@@ -905,13 +917,14 @@ def test_skipped_torsion_rows_change_no_channel(monkeypatch, m):
     jets = _factor_pair_jets(m) + _zero_row_jets(m)
     if m >= 2:
         jets += [_sparse_jet(m, case) for case in (0, 1, 2, 3)]
-    sparse = [(build_sigma_delta_inv_parts(jet, m), build_sigma_dtpow_parts(jet, m))
+    sparse = [(build_sigma_delta_inv_parts(jet), build_sigma_dtpow_parts(jet))
               for jet in jets]
-    monkeypatch.setattr(symbols, "_torsion_rows", _all_torsion_rows)
+    reader = symbols._torsion_forms
     for jet, (delta, dtpow) in zip(jets, sparse):
-        for parts, dense in zip(delta, build_sigma_delta_inv_parts(jet, m)):
+        monkeypatch.setattr(symbols, "_torsion_forms", _all_torsion_forms(jet, reader))
+        for parts, dense in zip(delta, build_sigma_delta_inv_parts(jet)):
             _assert_same_channels(parts, dense)
-        _assert_same_channels(dtpow, build_sigma_dtpow_parts(jet, m))
+        _assert_same_channels(dtpow, build_sigma_dtpow_parts(jet))
 
 
 def _assert_same_channels(engine, oracle):
@@ -923,9 +936,9 @@ def _assert_same_channels(engine, oracle):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_order2_channels_match_ordered_pair_loop(m):
     for jet in _factor_pair_jets(m):
-        _assert_same_channels(build_sigma_delta_inv_parts(jet, m)[2],
+        _assert_same_channels(build_sigma_delta_inv_parts(jet)[2],
                               _ordered_pair_order2_channels(jet, m))
-        _assert_same_channels(build_sigma_dtpow_parts(jet, m),
+        _assert_same_channels(build_sigma_dtpow_parts(jet),
                               _ordered_pair_order2_channels(jet, m - 1))
 
 
