@@ -848,15 +848,20 @@ def test_any_json_value_parses_or_raises_instance_error(data):
     (dict(T=[(0, 1, 2, 1), (1, 0, 2, 1)]), "T entries conflict by antisymmetry at (2,1,3)"),
     (dict(dT1=[(1, 2, 2, 3, -1)]), "dT1[2] entry with repeated index (3,3,4) must be zero"),
     (dict(T=[(0, 1, 4, 1)]), "T index (0, 1, 4) outside 0..3"),
-    (dict(v=[1, 0, 0]), "v must be a dense length-4 array"),
-    (dict(dw=[[1, 2, 3, 4, 5]] * 4), "dw must be a dense 4x4 matrix"),
+    # the ids of rows 7, 8 and 13 keep the generic message these inputs
+    # raised before make_point_jet named the field, so the test ids stay stable
+    pytest.param(dict(v=[1, 0, 0]), "v must be a dense length-4 array",
+                 id="entries7-v/w/dw dimension mismatch"),
+    pytest.param(dict(dw=[[1, 2, 3, 4, 5]] * 4), "dw must be a dense 4x4 matrix",
+                 id="entries8-v/w/dw dimension mismatch"),
     (dict(T=[(0, 1, 2, 5, 1)]), "T entry (0, 1, 2, 5, 1) must be a list of 3 indices and a value"),
     (dict(R=[(0, 1, 0, 1, 5, 1)]),
      "R entry (0, 1, 0, 1, 5, 1) must be a list of 4 indices and a value"),
     (dict(R=[(0, 1, 2)]), "R entry (0, 1, 2) must be a list of 4 indices and a value"),
     (dict(dT1=[(0, 1, 2, 3, 4, 1)]),
      "dT1 entry (0, 1, 2, 3, 4, 1) must be a list of 4 indices and a value"),
-    (dict(dw=[[1, 2, 3, 4]] * 3 + [[1]]), "dw must be a dense 4x4 matrix"),
+    pytest.param(dict(dw=[[1, 2, 3, 4]] * 3 + [[1]]), "dw must be a dense 4x4 matrix",
+                 id="entries13-v/w/dw dimension mismatch"),
     (dict(v=[[1], 0, 0, 0]), "v value [1] is not an exact rational"),
     (dict(v=["1/0", 0, 0, 0]), "v value '1/0' is not an exact rational"),
     (dict(w=[0, 0, float("nan"), 0]), "w value nan is not an exact rational"),
@@ -964,6 +969,16 @@ def test_validator_names_malformed_maps(name, entries, reasons):
         backwards = dict(reversed(list(entries.items())))
         again = dataclasses.replace(jet, **{f"{name}_entries": backwards})
         assert validate_symmetries(again).violations == reasons
+
+
+def test_validator_rejects_ragged_torsion():
+    """A T map whose short and long keys make up the right index count."""
+    ragged = dataclasses.replace(make_point_jet(2), T_entries={
+        (0, 1): Fraction(1), (0, 1, 2, 3): Fraction(1)})
+    report = validate_symmetries(ragged)
+    assert not report.ok
+    assert report.violations == ("T key (0, 1) is not a tuple of 3 indices in 0..3",
+                                 "T key (0, 1, 2, 3) is not a tuple of 3 indices in 0..3")
 
 
 @pytest.mark.parametrize("fields", [
