@@ -8,8 +8,9 @@ Exit code contract (stable):
     3  internal error: an unexpected exception inside the engine (reported
        on stderr); never a discrepancy, which is always 1
 
-Each jet of a command shares one ``PipelineContext`` (symbol artifacts) and
-its own ``jet.derived`` (derived scalars) across its densities and audit.
+``verify`` builds one ``PipelineContext`` (symbol artifacts) per trial
+seed and hands it to every selected per-jet check; each jet also keeps its
+own ``jet.derived`` (derived scalars) across its densities and audit.
 
 Two of the selectable checks compare the engine against displayed
 reference expressions that are reproducibly off (the grade-1 product
@@ -27,9 +28,8 @@ import json
 import random
 import sys
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .clifford import (
     CliffordElement,
@@ -57,9 +57,6 @@ from .residue import (
 REPORT_SCHEMA = "wres-torsion-report-v1"
 PREFACTOR = "2^m * 2*pi^m / Gamma(m)"
 
-ALL_CHECKS = ("clifford", "moments", "traces", "lemma36", "part1", "part2",
-              "theorem", "metric")
-
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
@@ -68,30 +65,6 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     """Invalid input or I/O failure: exit 2 with the reason named."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    dim_m: int = 2
-    seed: int = 0
-    trials: int = 5
-    checks: Sequence[str] = ALL_CHECKS
-    format: str = "text"
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    summary: str
-    rows: List[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "summary": self.summary, "rows": self.rows}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +82,7 @@ def _random_element(rng: random.Random, n: int, terms: int) -> CliffordElement:
     return elem
 
 
-def check_clifford(cfg: RunConfig) -> CheckResult:
+def check_clifford(args: argparse.Namespace) -> dict:
     rows = []
     ok = True
     for m in SUPPORTED_M:
@@ -119,9 +92,9 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
                       for i in range(n) for j in range(n))
         trace_id = trace(CliffordElement.identity(n), m)
         ok_m = anti_ok and trace_id == 1 << m
-        rng = random.Random(f"clifford:{cfg.seed}:{m}")
+        rng = random.Random(f"clifford:{args.seed}:{m}")
         oracle_ok = True
-        for _ in range(max(cfg.trials, 10)):
+        for _ in range(max(args.trials, 10)):
             elem = _random_element(rng, n, rng.randint(1, 12))
             if trace(elem, m) != trace_via_rep(elem, rep):
                 oracle_ok = False
@@ -129,9 +102,9 @@ def check_clifford(cfg: RunConfig) -> CheckResult:
         rows.append({"m": m, "anticommutators": anti_ok,
                      "trace_identity": str(trace_id), "oracle": oracle_ok})
         ok = ok and ok_m
-    return CheckResult("clifford", ok,
-                       "gamma relations and trace oracle" + ("" if ok else " FAILED"),
-                       rows)
+    return {"name": "clifford", "passed": ok,
+            "summary": "gamma relations and trace oracle" + ("" if ok else " FAILED"),
+            "rows": rows}
 
 
 def _anticommute(a, b, same: bool) -> bool:
@@ -151,7 +124,7 @@ def _multidegrees(n: int, max_total: int):
             yield (head,) + tail
 
 
-def check_moments(cfg: RunConfig) -> CheckResult:
+def check_moments(args: argparse.Namespace) -> dict:
     rows = []
     ok = True
     for n in (4, 6):
@@ -166,15 +139,15 @@ def check_moments(cfg: RunConfig) -> CheckResult:
         rows.append({"n": n, "multidegrees": count, "mismatches": bad,
                      "degree2_formula": pair, "degree4_formula": quad})
         ok = ok and bad == 0 and pair and quad
-    return CheckResult("moments", ok,
-                       "closed moment formula vs pairing enumeration", rows)
+    return {"name": "moments", "passed": ok,
+            "summary": "closed moment formula vs pairing enumeration", "rows": rows}
 
 
 def _random_vector(rng: random.Random, n: int):
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
 
 
-def check_traces(cfg: RunConfig) -> CheckResult:
+def check_traces(args: argparse.Namespace) -> dict:
     """Displayed trace identities, evaluated via the canonical trace.
 
     The six-factor and eight-factor identities hold exactly.  The displayed
@@ -188,8 +161,8 @@ def check_traces(cfg: RunConfig) -> CheckResult:
     for m in (2, 3):
         n = 2 * m
         gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-        rng = random.Random(f"traces:{cfg.seed}:{m}")
-        for trial in range(cfg.trials):
+        rng = random.Random(f"traces:{args.seed}:{m}")
+        for trial in range(args.trials):
             v = _random_vector(rng, n)
             w = _random_vector(rng, n)
             cv = CliffordElement.from_vector(n, v)
@@ -218,7 +191,7 @@ def check_traces(cfg: RunConfig) -> CheckResult:
                             br = _six_bracket(v, w, g_vw, j, l, jh, lh)
                             if t6 != br * scale:
                                 six_ok = False
-            rngx = random.Random(f"eight:{cfg.seed}:{m}:{trial}")
+            rngx = random.Random(f"eight:{args.seed}:{m}:{trial}")
             for _ in range(4):
                 word = [rngx.randrange(1, n + 1) for _ in range(rngx.randrange(0, 5))]
                 x_elem = CliffordElement.identity(n)
@@ -238,9 +211,10 @@ def check_traces(cfg: RunConfig) -> CheckResult:
                  "note": "displayed four-factor bracket has a sign slip; "
                          "corrected bracket -v_j w_l + v_l w_j verified"})
     passed = six_ok and eight_ok and four_printed_ok and four_corrected_ok
-    return CheckResult("traces", passed,
-                       "displayed trace identities (four-factor display "
-                       "disagrees by a sign; corrected form holds)", rows)
+    return {"name": "traces", "passed": passed,
+            "summary": "displayed trace identities (four-factor display "
+                       "disagrees by a sign; corrected form holds)",
+            "rows": rows}
 
 
 def _six_bracket(v, w, g_vw, j, l, jh, lh) -> Fraction:
@@ -253,95 +227,68 @@ def _six_bracket(v, w, g_vw, j, l, jh, lh) -> Fraction:
             - d(j, lh) * d(l, jh) * g_vw + d(j, jh) * d(l, lh) * g_vw)
 
 
-def _trial_contexts(cfg: RunConfig):
-    """(seed, context) for the seeded random jet of each trial."""
-    for trial in range(cfg.trials):
-        seed = cfg.seed + trial
-        yield seed, PipelineContext(random_point_jet(seed, cfg.dim_m), cfg.dim_m)
-
-
-def check_lemma36(cfg: RunConfig) -> CheckResult:
+def lemma36_row(seed: int, ctx: PipelineContext) -> dict:
     """Strict composition vs displayed product-symbol grades.
 
     Grades 2 and 0 agree exactly.  Grade 1 differs by the documented
     ordering of one cross term; the per-term diff and the induced density
     shift (+3/4 sum T(v,..)T(w,..)) are reported.  Discrepancy by design.
     """
-    rows = []
-    all_equal = True
-    for seed, ctx in _trial_contexts(cfg):
-        c2, c1, c0 = ctx.ab_composed
-        p2, p1, p0 = ctx.ab_printed
-        eq = (c2 == p2, c1 == p1, c0 == p0)
-        all_equal = all_equal and all(eq)
-        row = {"seed": seed, "grade2_equal": eq[0],
-               "grade1_equal": eq[1], "grade0_equal": eq[2]}
-        if not all(eq):
-            tt = ctx.jet.derived.tt_vw
-            shift = ctx.part2("composed").value - ctx.part2("printed").value
-            row["density_shift"] = format_rational(shift)
-            row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
-            row["shift_characterized"] = shift == Fraction(3, 4) * tt
-            diff = (c1 - p1)
-            row["differing_term_count"] = len(diff.terms)
-        rows.append(row)
-    summary = ("composed == displayed on all grades" if all_equal else
-               "grade-1 cross-term ordering differs (characterized shift "
-               "+3/4 sum T(v,.)T(w,.), displayed chain tracked by closed forms)")
-    return CheckResult("lemma36", all_equal, summary, rows)
+    c2, c1, c0 = ctx.ab_composed
+    p2, p1, p0 = ctx.ab_printed
+    eq = (c2 == p2, c1 == p1, c0 == p0)
+    row = {"seed": seed, "grade2_equal": eq[0],
+           "grade1_equal": eq[1], "grade0_equal": eq[2]}
+    if not all(eq):
+        tt = ctx.jet.derived.tt_vw
+        shift = ctx.part2("composed").value - ctx.part2("printed").value
+        row["density_shift"] = format_rational(shift)
+        row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
+        row["shift_characterized"] = shift == Fraction(3, 4) * tt
+        row["differing_term_count"] = len((c1 - p1).terms)
+    return row
 
 
-def _density_rows(cfg: RunConfig, name: str, density: Callable,
-                  closed_form: Callable) -> CheckResult:
-    """Each trial jet's ``density`` against its ``closed_form`` (context
-    methods)."""
-    rows = []
-    ok = True
-    for seed, ctx in _trial_contexts(cfg):
-        engine, closed = density(ctx).value, closed_form(ctx).value
-        match = engine == closed
-        ok = ok and match
-        rows.append({"seed": seed,
-                     "engine": format_rational(engine),
-                     "closed": format_rational(closed), "match": match})
-    return CheckResult(name, ok, f"{name} density vs closed form", rows)
+def _closed_form_row(seed: int, engine: Fraction, closed: Fraction) -> dict:
+    return {"seed": seed, "engine": format_rational(engine),
+            "closed": format_rational(closed), "match": engine == closed}
 
 
-def check_part1(cfg: RunConfig) -> CheckResult:
-    return _density_rows(cfg, "part1", PipelineContext.part1, PipelineContext.part1_closed)
+def part1_row(seed: int, ctx: PipelineContext) -> dict:
+    return _closed_form_row(seed, ctx.part1().value, ctx.part1_closed().value)
 
 
-def check_part2(cfg: RunConfig) -> CheckResult:
-    return _density_rows(cfg, "part2", PipelineContext.part2, PipelineContext.part2_closed)
+def part2_row(seed: int, ctx: PipelineContext) -> dict:
+    return _closed_form_row(seed, ctx.part2().value, ctx.part2_closed().value)
 
 
-def check_theorem(cfg: RunConfig) -> CheckResult:
-    rows = []
-    ok = True
-    m = cfg.dim_m
-    for seed, ctx in _trial_contexts(cfg):
+def theorem_row(seed: int, ctx: PipelineContext) -> dict:
+    total = ctx.part1().value + ctx.part2().value
+    thm = ctx.theorem().value
+    return {"seed": seed, "total": format_rational(total),
+            "theorem": format_rational(thm), "match": total == thm}
+
+
+def metric_row(seed: int, ctx: PipelineContext) -> dict:
+    value, expected = ctx.metric().value, -ctx.jet.derived.g_vw
+    return {"seed": seed, "value": format_rational(value),
+            "expected": format_rational(expected), "match": value == expected}
+
+
+def _theorem_case_rows(seed: int, m: int) -> List[dict]:
+    """The theorem on the zero-torsion jet of ``seed`` and the one-hot jets
+    that isolate its coefficients."""
+    ctx = PipelineContext(random_point_jet(seed, m, with_torsion=False,
+                                           with_torsion_jet=False), m)
+    total = ctx.part1().value + ctx.part2().value
+    rows = [{"case": "zero-torsion",
+             "match": total == -Fraction(1, 6) * ctx.jet.derived.einstein_vw}]
+    for label, expected, jet_kw in _one_hot_cases(m):
+        ctx = PipelineContext(make_point_jet(m, **jet_kw), m)
         total = ctx.part1().value + ctx.part2().value
-        thm = ctx.theorem().value
-        match = total == thm
-        ok = ok and match
-        rows.append({"seed": seed, "total": format_rational(total),
-                     "theorem": format_rational(thm), "match": match})
-    if m >= 2:
-        ctx = PipelineContext(random_point_jet(cfg.seed, m, with_torsion=False,
-                                               with_torsion_jet=False), m)
-        total = ctx.part1().value + ctx.part2().value
-        row_ok = total == -Fraction(1, 6) * ctx.jet.derived.einstein_vw
-        rows.append({"case": "zero-torsion", "match": row_ok})
-        ok = ok and row_ok
-        for label, expected, jet_kw in _one_hot_cases(m):
-            ctx = PipelineContext(make_point_jet(m, **jet_kw), m)
-            total = ctx.part1().value + ctx.part2().value
-            row_ok = total == expected
-            rows.append({"case": label, "value": format_rational(total),
-                         "expected": format_rational(expected), "match": row_ok})
-            ok = ok and row_ok
-    return CheckResult("theorem", ok, "part1 + part2 vs spectral Einstein density",
-                       rows)
+        rows.append({"case": label, "value": format_rational(total),
+                     "expected": format_rational(expected), "match": total == expected})
+    return rows
 
 
 def _one_hot_cases(m: int):
@@ -363,28 +310,29 @@ def _one_hot_cases(m: int):
         T=[(0, 1, 2, 1)], v=e(0, n), w=e(3, n), dw=dw))
 
 
-def check_metric(cfg: RunConfig) -> CheckResult:
-    rows = []
-    ok = True
-    for seed, ctx in _trial_contexts(cfg):
-        value = ctx.metric().value
-        match = value == -ctx.jet.derived.g_vw
-        ok = ok and match
-        rows.append({"seed": seed, "value": format_rational(value),
-                     "expected": format_rational(-ctx.jet.derived.g_vw), "match": match})
-    return CheckResult("metric", ok, "metric density vs -g(v,w)", rows)
-
-
-CHECK_RUNNERS = {
-    "clifford": check_clifford,
-    "moments": check_moments,
-    "traces": check_traces,
-    "lemma36": check_lemma36,
-    "part1": check_part1,
-    "part2": check_part2,
-    "theorem": check_theorem,
-    "metric": check_metric,
+JET_FREE_CHECKS = {"clifford": check_clifford, "moments": check_moments,
+                   "traces": check_traces}
+# per-jet check -> (its row of one trial jet, its summary)
+JET_CHECKS = {
+    "lemma36": (lemma36_row, "composed == displayed on all grades"),
+    "part1": (part1_row, "part1 density vs closed form"),
+    "part2": (part2_row, "part2 density vs closed form"),
+    "theorem": (theorem_row, "part1 + part2 vs spectral Einstein density"),
+    "metric": (metric_row, "metric density vs -g(v,w)"),
 }
+ALL_CHECKS = (*JET_FREE_CHECKS, *JET_CHECKS)
+LEMMA36_FINDING = ("grade-1 cross-term ordering differs (characterized shift "
+                   "+3/4 sum T(v,.)T(w,.), displayed chain tracked by closed forms)")
+
+
+def _jet_check(name: str, rows: List[dict]) -> dict:
+    """A per-jet check's result: it passes if every row matches (lemma36:
+    has every grade equal)."""
+    passed = all(row["match"] if "match" in row else
+                 row["grade2_equal"] and row["grade1_equal"] and row["grade0_equal"]
+                 for row in rows)
+    summary = LEMMA36_FINDING if name == "lemma36" and not passed else JET_CHECKS[name][1]
+    return {"name": name, "passed": passed, "summary": summary, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +340,10 @@ CHECK_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output_path:
         try:
-            with open(cfg.output_path, "w") as fh:
+            with open(args.output_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write output: {exc}") from None
@@ -407,38 +355,46 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = [CHECK_RUNNERS[name](cfg) for name in cfg.checks]
-    exit_code = EXIT_OK if all(r.passed for r in results) else EXIT_DISCREPANCY
-    if cfg.format == "json":
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "command": "verify",
-            "config": {"dim_m": cfg.dim_m, "seed": cfg.seed,
-                       "trials": cfg.trials, "checks": list(cfg.checks)},
-            "checks": [r.to_json() for r in results],
-            "exit_code": exit_code,
-        }
-        _emit(_dump_json(payload), cfg)
+def _report(args: argparse.Namespace, payload: dict, lines: List[str]) -> int:
+    """Emit a command's report, ``payload`` under the schema as JSON or
+    ``lines`` as text, and return its exit code."""
+    if args.format == "json":
+        _emit(args, _dump_json({"schema": REPORT_SCHEMA, **payload}))
     else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "DISCREPANCY"
-            lines.append(f"{r.name:<10} {status:<12} {r.summary}")
-        lines.append(f"exit code: {exit_code}")
-        _emit("\n".join(lines) + "\n", cfg)
-    return exit_code
+        _emit(args, "\n".join(lines) + "\n")
+    return payload["exit_code"]
 
 
-def cmd_instance(cfg: RunConfig) -> int:
-    jet = random_point_jet(cfg.seed, cfg.dim_m)
-    _emit(_dump_json(jet_to_dict(jet)), cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    m = args.dim_m
+    rows = {name: [] for name in JET_CHECKS if name in args.checks}
+    # one context per trial seed, shared by the selected per-jet checks
+    for seed in range(args.seed, args.seed + args.trials) if rows else ():
+        ctx = PipelineContext(random_point_jet(seed, m), m)
+        for name, checked in rows.items():
+            checked.append(JET_CHECKS[name][0](seed, ctx))
+    if "theorem" in rows and m >= 2:
+        rows["theorem"] += _theorem_case_rows(args.seed, m)
+    results = [_jet_check(name, rows[name]) if name in rows else JET_FREE_CHECKS[name](args)
+               for name in args.checks]
+    exit_code = EXIT_OK if all(r["passed"] for r in results) else EXIT_DISCREPANCY
+    lines = [f"{r['name']:<10} {'PASS' if r['passed'] else 'DISCREPANCY':<12} {r['summary']}"
+             for r in results]
+    return _report(args, {
+        "command": "verify",
+        "config": {"dim_m": m, "seed": args.seed, "trials": args.trials,
+                   "checks": list(args.checks)},
+        "checks": results, "exit_code": exit_code}, lines + [f"exit code: {exit_code}"])
+
+
+def cmd_instance(args: argparse.Namespace) -> int:
+    _emit(args, _dump_json(jet_to_dict(random_point_jet(args.seed, args.dim_m))))
     return EXIT_OK
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.input_path) as fh:
+        with open(args.input_path) as fh:
             data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise UsageError(f"cannot read instance: {exc}") from None
@@ -460,50 +416,33 @@ def cmd_density(cfg: RunConfig) -> int:
         "normalization": "per tr[id] * Vol(S^{n-1})",
     }
     exit_code = EXIT_OK if rows["total_matches_theorem"] else EXIT_DISCREPANCY
-    if cfg.format == "json":
-        payload = {"schema": REPORT_SCHEMA, "command": "density",
-                   "densities": rows, "exit_code": exit_code}
-        _emit(_dump_json(payload), cfg)
-    else:
-        lines = [f"{k}: {v}" for k, v in rows.items()]
-        _emit("\n".join(lines) + "\n", cfg)
-    return exit_code
+    return _report(args, {"command": "density", "densities": rows, "exit_code": exit_code},
+                   [f"{k}: {v}" for k, v in rows.items()])
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    reports = []
-    for trial in range(cfg.trials):
-        jet = random_point_jet(cfg.seed + trial, cfg.dim_m)
-        reports.append((cfg.seed + trial, audit(jet, cfg.dim_m)))
-    ok = all(rep.ok for _, rep in reports)
-    clean = all(rep.clean for _, rep in reports)
-    exit_code = EXIT_OK if clean else EXIT_DISCREPANCY
-    if cfg.format == "json":
-        payload = {
-            "schema": REPORT_SCHEMA, "command": "audit",
-            "config": {"dim_m": cfg.dim_m, "seed": cfg.seed, "trials": cfg.trials},
-            "reports": [{"seed": seed, **rep.to_json()} for seed, rep in reports],
-            "all_reconciled": ok,
-            "exit_code": exit_code,
-        }
-        _emit(_dump_json(payload), cfg)
-    else:
-        lines = []
-        for seed, rep in reports:
-            lines.append(f"audit seed={seed} m={rep.m}")
-            for e in rep.entries:
-                flag = "ok " if e.match else ("rec" if e.reconciled else "BAD")
-                lines.append(f"  [{flag}] {e.label:<8} engine={format_rational(e.engine)}"
-                             f" printed={format_rational(e.printed)}"
-                             + (f"  ({e.note})" if e.note else ""))
-            for name, row in rep.totals.items():
-                lines.append(f"  total {name}: engine={row['engine']}"
-                             f" printed={row['printed']} match={row['match']}")
-            for note in rep.convention_notes:
-                lines.append(f"  note: {note}")
-        lines.append(f"exit code: {exit_code}")
-        _emit("\n".join(lines) + "\n", cfg)
-    return exit_code
+def cmd_audit(args: argparse.Namespace) -> int:
+    reports = [(seed, audit(random_point_jet(seed, args.dim_m), args.dim_m))
+               for seed in range(args.seed, args.seed + args.trials)]
+    exit_code = EXIT_OK if all(rep.clean for _, rep in reports) else EXIT_DISCREPANCY
+    lines = []
+    for seed, rep in reports:
+        lines.append(f"audit seed={seed} m={rep.m}")
+        for e in rep.entries:
+            flag = "ok " if e.match else ("rec" if e.reconciled else "BAD")
+            lines.append(f"  [{flag}] {e.label:<8} engine={format_rational(e.engine)}"
+                         f" printed={format_rational(e.printed)}"
+                         + (f"  ({e.note})" if e.note else ""))
+        for name, row in rep.totals.items():
+            lines.append(f"  total {name}: engine={row['engine']}"
+                         f" printed={row['printed']} match={row['match']}")
+        for note in rep.convention_notes:
+            lines.append(f"  note: {note}")
+    return _report(args, {
+        "command": "audit",
+        "config": {"dim_m": args.dim_m, "seed": args.seed, "trials": args.trials},
+        "reports": [{"seed": seed, **rep.to_json()} for seed, rep in reports],
+        "all_reconciled": all(rep.ok for _, rep in reports),
+        "exit_code": exit_code}, lines + [f"exit code: {exit_code}"])
 
 
 # ---------------------------------------------------------------------------
@@ -552,43 +491,26 @@ def _parse_checks(raw: str) -> Sequence[str]:
         return ALL_CHECKS
     for name in names:
         if name not in ALL_CHECKS:
-            raise ValueError(f"unknown check {name!r}")
+            raise UsageError(f"unknown check {name!r}")
     return tuple(names)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-
-    cfg = RunConfig(
-        command=args.command,
-        dim_m=getattr(args, "dim_m", 2),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        format=getattr(args, "format", "text"),
-        input_path=getattr(args, "input_path", None),
-        output_path=getattr(args, "output_path", None),
-    )
-    if cfg.command != "density":
-        if cfg.dim_m not in SUPPORTED_M:
-            sys.stderr.write(f"error: unsupported dimension m={cfg.dim_m}\n")
-            return EXIT_USAGE
-        if cfg.trials < 1:
-            sys.stderr.write("error: trials must be >= 1\n")
-            return EXIT_USAGE
-    if cfg.command == "verify":
-        try:
-            cfg.checks = _parse_checks(args.checks)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
     commands = {"verify": cmd_verify, "instance": cmd_instance,
                 "density": cmd_density, "audit": cmd_audit}
     try:
-        return commands[cfg.command](cfg)
+        if args.command != "density":
+            if args.dim_m not in SUPPORTED_M:
+                raise UsageError(f"unsupported dimension m={args.dim_m}")
+            if args.trials < 1:
+                raise UsageError("trials must be >= 1")
+        if args.command == "verify":
+            args.checks = _parse_checks(args.checks)
+        return commands[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

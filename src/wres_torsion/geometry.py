@@ -17,8 +17,9 @@ entries of the completed tensor; ``jet.R``, ``jet.T`` and ``jet.dT1`` are
 dense views of them (``R[a][b][c][d]``, ...) for callers outside the engine.
 
 All entries are exact rationals.  Random generation keeps every magnitude
-small (|numerator| and denominator of raw channel entries <= MAX_MAGNITUDE)
-so downstream exact arithmetic stays fast, and builds the curvature tensor
+small (each drawn value, an entry of T, dT1, v, w, dw or of one of the
+symmetric 2-tensors below, is p/q with |p| <= 3 and 1 <= q <= 3) so
+downstream exact arithmetic stays fast, and builds the curvature tensor
 as a sum of Kulkarni-Nomizu squares of random symmetric 2-tensors, which
 enforces the pair symmetries and the first Bianchi identity by construction.
 The validator re-checks every identity independently.
@@ -39,8 +40,6 @@ from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .numerics import _integer_form, format_rational, parse_rational
-
-MAX_MAGNITUDE = 9
 
 SUPPORTED_M = (1, 2, 3)
 

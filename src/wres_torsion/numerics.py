@@ -25,6 +25,7 @@ is checked to be real.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Tuple
@@ -36,10 +37,33 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as "p" or "p/q" (the on-disk form; never a binary float)."""
+    """Render as "p" or "p/q" (the on-disk form; never a binary float), at
+    any length."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """``str(n)``, also past the interpreter's int-to-string digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    with decimal.localcontext() as ctx:  # exact: an inexact step would raise
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return ("-" if n < 0 else "") + str(_decimal(abs(n), abs(n).bit_length()))
+
+
+def _decimal(k: int, bits: int) -> decimal.Decimal:
+    """0 <= k < 2**bits, from its halves joined by a decimal product: a
+    subquadratic change of base, where ``Decimal(k)`` alone is quadratic."""
+    if bits <= 1024:
+        return decimal.Decimal(k)
+    half = bits // 2
+    return (_decimal(k >> half, bits - half) * decimal.Decimal(2) ** half
+            + _decimal(k & ((1 << half) - 1), half))
 
 
 def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], int]:

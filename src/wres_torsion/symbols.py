@@ -436,20 +436,20 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
                                         if w.bit_count() in grades}, elem.den)
 
 
-def _torsion_forms(entries: Entries, n: int) -> List[Dict[object, CliffordElement]]:
-    """[forms, rows] of a torsion channel from its nonzero entries, by leading
-    index: T (keys (f, a, b)) gives its 3-form sum_{f<a<b} T_fab c_f c_a c_b
-    under key () and the rows sum_{a<b} T_fab c_a c_b by f; dT1 (keys
-    (c, f, a, b)) gives the 3-forms by c and the rows by (c, f)."""
+def _torsion_forms(entries: Entries, n: int, rows: bool = False
+                   ) -> Dict[object, CliffordElement]:
+    """The 3-forms of a torsion channel from its nonzero entries, by leading
+    index: T (keys (f, a, b)) gives sum_{f<a<b} T_fab c_f c_a c_b under key
+    () and dT1 (keys (c, f, a, b)) one 3-form by c.  With ``rows``, the rows
+    sum_{a<b} T_fab c_a c_b instead: T's by f and dT1's by (c, f)."""
     nums, den = _integer_form(entries)
-    forms, rows = {}, {}  # leading index -> word -> int numerator
+    table = {}  # leading index -> word -> int numerator
     for (*lead, f, a, b), x in nums.items():
-        if a < b:
-            rows.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
-            if f < a:
-                forms.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
-    return [{key: CliffordElement._of(n, words, den) for key, words in table.items()}
-            for table in (forms, rows)]
+        if rows and a < b:
+            table.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
+        elif not rows and f < a < b:
+            table.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+    return {key: CliffordElement._of(n, words, den) for key, words in table.items()}
 
 
 def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int
@@ -494,7 +494,7 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     x0 = (0,) * n
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
     curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
-    tau, dtau = (_torsion_forms(entries, n)[0] for entries in (jet.T_entries, jet.dT1_entries))
+    tau, dtau = (_torsion_forms(entries, n) for entries in (jet.T_entries, jet.dT1_entries))
     sigma0 = SymbolExpr.sum_of(n, [_sym(form, kappa) for form in tau.values()] + [
         _sym(form, kappa, xdeg=_unit(n, b)) for b, form in dtau.items()] + [
         _sym(row, xdeg=_unit(n, b)) for b, row in enumerate(curvature)])
@@ -537,8 +537,8 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     n = jet.n
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = _torsion_forms(jet.T_entries, n)[0].get((), CliffordElement.zero(n))
-    dtau = _torsion_forms(jet.dT1_entries, n)[0]
+    tau = _torsion_forms(jet.T_entries, n).get((), CliffordElement.zero(n))
+    dtau = _torsion_forms(jet.dT1_entries, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
     curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
     # sum_{j,g} (d_j w_g) c_j c_g
@@ -602,7 +602,8 @@ def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
     curvature = _integer_form(jet.R_entries)
     ric = _integer_form(jet.derived.ric)
     pairs = _curvature_pair_sums(curvature, n)
-    tau, dtau = _torsion_forms(jet.T_entries, n)[1], _torsion_forms(jet.dT1_entries, n)[1]
+    tau, dtau = (_torsion_forms(entries, n, rows=True)
+                 for entries in (jet.T_entries, jet.dT1_entries))
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = _symbol(n, _collected(((_pair(n, j, k), _pair(n, a, b), p, 0), c)
@@ -682,5 +683,5 @@ def build_sigma_dtpow_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     n = jet.n
     return _sigma_inverse_order2_parts(
         jet, jet.m - 1, _curvature_pair_sums(_integer_form(jet.R_entries), n),
-        _torsion_forms(jet.T_entries, n)[1], _torsion_forms(jet.dT1_entries, n)[1],
+        _torsion_forms(jet.T_entries, n, rows=True), _torsion_forms(jet.dT1_entries, n, rows=True),
         _integer_form(jet.derived.ric))

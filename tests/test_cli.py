@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import decimal
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from wres_torsion import cli, geometry, residue
 from wres_torsion.cli import main
 from wres_torsion.geometry import jet_to_dict, make_point_jet
 
@@ -102,6 +105,38 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
+def _counted(monkeypatch, calls, module, name):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
+    calls = Counter()
+    _counted(monkeypatch, calls, cli, "random_point_jet")
+    _counted(monkeypatch, calls, geometry, "derived_scalars")
+    builders = [name for name in vars(residue) if name.startswith("build_sigma_")]
+    for name in builders:
+        _counted(monkeypatch, calls, residue, name)
+    trials = 2
+    code, _, _ = run(capsys, "verify", "--checks", "lemma36,part1,part2,theorem,metric",
+                     "--trials", str(trials))
+    assert code == 1  # the lemma36 finding
+    # one jet per trial seed, plus the theorem's zero-torsion jet
+    assert calls["random_point_jet"] == trials + 1
+    # the theorem check adds the zero-torsion and four one-hot jets
+    for name in builders + ["derived_scalars"]:
+        assert calls[name] <= trials + 5, name
+    assert calls["build_sigma_delta_inv_parts"] and calls["derived_scalars"]
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "--checks", "clifford", "--trials", str(trials))
+    assert code == 0
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -136,6 +171,27 @@ def test_density_zero_torsion_einstein_value(tmp_path, capsys):
     code, out, _ = run(capsys, "density", "--input", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["densities"]["theorem"] == "-1"
+
+
+@pytest.mark.parametrize("T,v0,w0", [
+    ([(0, 1, 2, 1)], "7" * 3000, "-" + "3" * 3000),
+    ([], "1e1000000", "1"),
+], ids=["3000-digit", "1e1000000"])
+def test_density_prints_values_past_the_int_string_limit(tmp_path, capsys, T, v0, w0):
+    # past 4300 digits, str() of an int raises unless the limit is lifted
+    data = jet_to_dict(make_point_jet(2, T=T, v=[1, 0, 0, 0], w=[1, 0, 0, 0]))
+    data["v"][0], data["w"][0] = v0, w0
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "density", "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["densities"]
+    assert rows["total_matches_theorem"] is True
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    # the metric density is -g(v, w) = -v0 w0
+    assert decimal.Decimal(rows["metric"]) == exact.minus(
+        exact.multiply(decimal.Decimal(v0), decimal.Decimal(w0)))
 
 
 def test_density_invalid_tensor_names_violation(tmp_path, capsys):
@@ -240,8 +296,6 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    import wres_torsion.cli as cli
-
     def broken(jet, m):
         raise RuntimeError("engine fault")
 

@@ -78,6 +78,16 @@ def test_format_is_p_over_q():
     assert format_rational(Fraction(4)) == "4"
 
 
+@pytest.mark.parametrize("digits", [4301, 5000, 123_457])
+def test_format_prints_past_the_int_string_limit(digits):
+    # str() of an int over 4300 digits raises unless the limit is lifted
+    big = 10 ** (digits - 1) + 7
+    tail = "0" * (digits - 2) + "7"
+    assert format_rational(Fraction(-big, 3)) == "-1" + tail + "/3"
+    assert format_rational(Fraction(2, big)) == "2/1" + tail
+    assert format_rational(Fraction(big)) == "1" + tail
+
+
 def test_normalized_invariants_hold():
     q = parse_rational("-6/8")
     assert q.denominator > 0

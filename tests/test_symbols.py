@@ -889,16 +889,16 @@ def _factor_pair_jets(m):
 
 def _all_torsion_forms(jet, sparse):
     """The reader ``sparse`` (symbols._torsion_forms) on the channels of
-    ``jet``, with the rows of every leading index, zero rows included,
-    built from the dense views."""
-    def forms(entries, n):
+    ``jet``, except that its rows are those of every leading index, zero
+    rows included, built from the dense views."""
+    def forms(entries, n, rows=False):
+        if not rows:
+            return sparse(entries, n)
         if entries is jet.T_entries:
-            rows = {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
-        else:
-            assert entries is jet.dT1_entries
-            rows = {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
-                    for b in range(n) for a in range(n)}
-        return sparse(entries, n)[0], rows
+            return {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
+        assert entries is jet.dT1_entries
+        return {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
+                for b in range(n) for a in range(n)}
     return forms
 
 
