@@ -486,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_checks(raw: str) -> Sequence[str]:
-    names = [x.strip() for x in raw.split(",") if x.strip()]
+    """The named checks, each once, in order of first mention."""
+    names = list(dict.fromkeys(x.strip() for x in raw.split(",") if x.strip()))
     if not names or "all" in names:
         return ALL_CHECKS
     for name in names:

@@ -10,6 +10,9 @@ prefactor as a symbolic string only).
 monomial moments; ``sphere_moment_bruteforce`` recomputes the same number
 by enumerating perfect pairings, and stays independent of the closed
 formula: the two are compared term-for-term in the verification suite.
+The trace kernel packs each xi-exponent tuple into one int and sums int
+products per moment degree, reading memoised moments derived from
+``sphere_moment``, so one trace builds one Fraction.
 
 The two density pipelines:
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import CliffordElement, word_indices
@@ -153,24 +157,56 @@ def _require_traceable(expr: SymbolExpr, m: int) -> None:
                 f"term has xi-homogeneity {sum(xideg) + p}, expected {-2 * m}")
 
 
-def _real_trace(moments: Dict[Tuple[int, ...], int], n: int, phase: int,
-                den: int) -> Fraction:
-    """The cosphere trace of a term sum given as xi-exponent -> summed int
-    numerator of r, over the common denominator ``den``.
+_PACKED: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+_MOMENTS: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+def _packed(xi: Tuple[int, ...]) -> Tuple[int, int]:
+    """(odd mask, code) of a xi-exponent tuple: mask bit i is set when xi_i is
+    odd, and bits 8i..8i+7 of the code hold xi_i, so a product monomial's
+    code is the sum of its factors' codes (no carry: exponents must be below
+    128).  One memo entry per tuple; the traces meet the same few often."""
+    got = _PACKED.get(xi)
+    if got is None:
+        if max(xi, default=0) >= 128:
+            raise PipelineError(f"xi-exponent {max(xi)} >= 128 cannot be packed")
+        got = _PACKED[xi] = (sum(1 << i for i, e in enumerate(xi) if e & 1),
+                             sum(e << 8 * i for i, e in enumerate(xi)))
+    return got
+
+
+def _moment(code: int, n: int) -> Tuple[int, int]:
+    """(w, d) for the packed xi-exponent ``code`` of degree 2k: d = n(n+2)
+    ...(n+2k-2) and w = (-1)^k sphere_moment * d, the int prod (a-1)!! with
+    the trace's sign (w = 0 for an odd monomial); one memo entry per (code, n)."""
+    got = _MOMENTS.get((code, n))
+    if got is None:
+        xi = tuple((code >> 8 * i) & 255 for i in range(n))
+        k = sum(xi) // 2
+        d = prod(range(n, n + 2 * k, 2))
+        w = int(sphere_moment(xi, n) * d)
+        got = _MOMENTS[code, n] = (-w if k & 1 else w, d)
+    return got
+
+
+def _real_trace(moments: Dict[int, int], n: int, phase: int, den: int) -> Fraction:
+    """The cosphere trace of a term sum given as packed xi-exponent -> summed
+    int numerator of r, over the common denominator ``den``.
 
     Only even xi-monomials have a moment, so the sum over keys of
-    (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.
-    That value is rebuilt and must be real: an imaginary part is a
-    pipeline bug and raises.
+    (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.  The
+    signed int products r * prod (a-1)!! are summed per moment degree; the
+    moment denominators n(n+2)... divide each other, so one Fraction over the
+    largest carries the whole sum.  That value is rebuilt as a complex number
+    and must be real: an imaginary part is a pipeline bug and raises.
     """
-    total = Fraction(0)
-    for xi, r in moments.items():
-        if not r:
-            continue
-        moment = sphere_moment(xi, n)
-        if moment:
-            total += -r * moment if sum(xi) & 2 else r * moment
-    value = _I_POWERS[-phase % 4] * (total / den)
+    sums: Dict[int, int] = {}  # moment denominator -> summed int numerator
+    for code, r in moments.items():
+        w, d = _moment(code, n)
+        sums[d] = sums.get(d, 0) + r * w
+    top = max(sums, default=1)
+    total = Fraction(sum(s * (top // d) for d, s in sums.items()), top * den)
+    value = _I_POWERS[-phase % 4] * total
     if value.im:
         raise PipelineError(f"trace integral has imaginary part {value.im}")
     return value.re
@@ -186,20 +222,8 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     """
     _require_traceable(expr, m)
     return Density(_real_trace(
-        {xideg: r for (_, xideg, _, word), r in expr.terms.items() if not word},
+        {_packed(xideg)[1]: r for (_, xideg, _, word), r in expr.terms.items() if not word},
         expr.n, expr.phase, expr.den))
-
-
-_ODD_MASKS: Dict[Tuple[int, ...], int] = {}
-
-
-def _odd_mask(xi: Tuple[int, ...]) -> int:
-    """Bit i set when the exponent of xi_i is odd; one memo entry per
-    exponent tuple, since the traces meet the same few again and again."""
-    mask = _ODD_MASKS.get(xi)
-    if mask is None:
-        mask = _ODD_MASKS[xi] = sum(1 << i for i, e in enumerate(xi) if e & 1)
-    return mask
 
 
 def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
@@ -210,33 +234,35 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
     canonical words coincide, in which case the product is the
     transposition parity of w into w times the identity (the c_i^2 signs
     cancel against the phase of the lost grade).  Only pairs whose xi-exponents
-    have the same parities have an even, moment-bearing sum, so terms are
-    also joined by that parity mask.  The signed int products are summed per
-    xi-exponent before any moment is taken, and the total is divided once by
-    the product of the two denominators.
+    have the same parities have an even, moment-bearing sum, so the right
+    factor is bucketed by (word, odd mask, xi-order) and each left term reads
+    the one bucket of the order that completes -2m.  The signed int products
+    are summed per packed xi-exponent before any moment is taken, and the
+    total is divided once by the product of the two denominators.
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
     grade = -2 * m
-    by_word: Dict[Tuple[int, int], List] = {}
+    buckets: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
     for (xdeg, xideg, p, word), r in right.terms.items():
         if not any(xdeg):
-            by_word.setdefault((word, _odd_mask(xideg)), []).append(
-                (xideg, sum(xideg) + p, r))
-    moments: Dict[Tuple[int, ...], int] = {}
+            mask, code = _packed(xideg)
+            buckets.setdefault((word, mask, sum(xideg) + p), []).append((code, r))
+    moments: Dict[int, int] = {}
     for (xa, xia, pa, word), ca in left.terms.items():
-        bucket = by_word.get((word, _odd_mask(xia)))
-        if bucket is None or any(xa):
+        if any(xa):
             continue
-        want = grade - sum(xia) - pa
+        mask, code = _packed(xia)
+        bucket = buckets.get((word, mask, grade - sum(xia) - pa))
+        if bucket is None:
+            continue
         # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
         # an odd number exactly when k % 4 is 2 or 3
         if word.bit_count() & 2:
             ca = -ca
-        for xib, order_b, cb in bucket:
-            if order_b == want:
-                xi = tuple(map(sum, zip(xia, xib)))
-                moments[xi] = moments.get(xi, 0) + ca * cb
+        for code_b, cb in bucket:
+            xi = code + code_b
+            moments[xi] = moments.get(xi, 0) + ca * cb
     return _real_trace(moments, left.n, left.phase + right.phase,
                        left.den * right.den)
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElement, Word, _below
@@ -342,13 +343,20 @@ def _partials(expr: SymbolExpr, d, alpha_max: int) -> Dict[Deg, SymbolExpr]:
 
 
 def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
-    """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only."""
+    """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only,
+    in one pass: d_x^alpha f |x0 = mu! [x^mu] f for the x-multidegree mu of
+    alpha, so the terms are bucketed by x-multidegree."""
+    n, x0 = expr.n, (0,) * expr.n
+    buckets: Dict[Deg, Dict[Key, int]] = {}
+    for (xdeg, xideg, p, word), r in expr.terms.items():
+        buckets.setdefault(xdeg, {})[x0, xideg, p, word] = r
     out = {}
-    for alpha, der in _partials(expr, d_x, alpha_max).items():
-        der = at_x0(der)
-        if der:
-            out[alpha] = der
-    return out
+    for xdeg, terms in buckets.items():
+        if sum(xdeg) <= alpha_max:
+            fact = prod(map(factorial, xdeg))
+            out[tuple(j for j, e in enumerate(xdeg, 1) for _ in range(e))] = SymbolExpr._of(
+                n, {k: r * fact for k, r in terms.items()}, expr.den, expr.phase)
+    return dict(sorted(out.items(), key=lambda item: (len(item[0]), item[0])))
 
 
 def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
@@ -357,13 +365,13 @@ def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
     """The Leibniz kernel at x0: pairs ((-i)^|alpha|/alpha! d_xi^alpha(L)|x0,
     d_x^alpha(R)|x0) for |alpha| in ``orders``, with ``right_dx`` the
     ``x_partials`` table of R.  Multiplying and summing the pairs gives the
-    x0-evaluation of the composition; tracing them gives its density."""
-    left_dxi = _partials(left, d_xi, max(orders))
+    x0-evaluation of the composition; tracing them gives its density.  d_xi
+    and the evaluation at x0 commute, so L is evaluated once, first."""
+    left_dxi = _partials(at_x0(left), d_xi, max(orders))
     for alpha, dr in right_dx.items():
-        if len(alpha) in orders and alpha in left_dxi:
-            dl = at_x0(left_dxi[alpha])
-            if dl:
-                yield dl.scale(_alpha_coefficient(alpha)), dr
+        dl = left_dxi.get(alpha)
+        if dl and len(alpha) in orders:
+            yield dl.scale(_alpha_coefficient(alpha)), dr
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +512,21 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
 def build_sigma_ab_composed(jet: PointJet) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
-    formula; sigma(D_T) is built once for both factors."""
+    formula.  c(v) sigma(D_T) is linear in xi with no norm power, so only
+    |alpha| <= 1 terms survive; the value and first x-jet of c(w) sigma(D_T)
+    at x0 follow by the product rule from those of its two factors."""
     n = jet.n
-    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet))
-    cv = _sym(CliffordElement.from_vector(n, jet.v))
+    zero = SymbolExpr(n)
+    sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet)), 1)
     # c(w(x)) carries w's first jet
-    cw = SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
+    cw = x_partials(SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
         _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
-        for j, row in enumerate(jet.dw)])
-    # every term degree is nonnegative, so the x-degree-zero part of the
-    # composition is the sum of the products of the x0-evaluated pairs
+        for j, row in enumerate(jet.dw)]), 1)
+    s0, w0 = sigma.get((), zero), cw.get((), zero)
+    right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
+                             for j in range(1, n + 1)}}
     full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
-        cv * sigma, x_partials(cw * sigma))))
+        _sym(CliffordElement.from_vector(n, jet.v)) * s0, right, (0, 1))))
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 

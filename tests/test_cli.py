@@ -67,6 +67,22 @@ def test_verify_green_checks_exit_zero(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_verify_repeated_check_names_run_once_json(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "part1,part1,metric,part1",
+                       "--trials", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"]] == ["part1", "metric"]
+    assert payload["config"]["checks"] == ["part1", "metric"]
+
+
+def test_verify_repeated_check_names_run_once_text(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "theorem,clifford,theorem",
+                       "--trials", "1")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["theorem", "clifford", "exit"]
+
+
 def test_verify_clifford_check(capsys):
     code, out, _ = run(capsys, "verify", "--checks", "clifford", "--trials", "3")
     assert code == 0

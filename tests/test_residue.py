@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wres_torsion.clifford import CliffordElement
+from wres_torsion.clifford import CliffordElement, blade_mul
 from wres_torsion.geometry import (
     derived_scalars,
     make_point_jet,
@@ -173,6 +173,91 @@ def test_fast_product_trace_equals_generic():
                            _phase_coeff(xi, word, phase, r))
         generic = trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value
         assert _trace_integral_product(left, right, m) == generic
+
+
+def _oracle_trace(expr, n):
+    """sum of coefficient * sphere_moment over the identity-word terms, as an
+    exact complex number that must be real."""
+    total = GaussianRational(0)
+    for key in expr.terms:
+        if not key[3]:
+            total += expr.coefficient(key) * sphere_moment(key[1], n)
+    assert not total.im
+    return total.re
+
+
+def _oracle_product_trace(left, right, m):
+    """The x-free, grade -2m part of left * right traced pair by pair: the
+    two exact coefficients, the sign of w * w, and the sphere moment of the
+    summed xi-exponent."""
+    total = GaussianRational(0)
+    for ka in left.terms:
+        for kb in right.terms:
+            (xa, xia, pa, wa), (xb, xib, pb, wb) = ka, kb
+            if any(xa) or any(xb) or wa != wb or sum(xia) + pa + sum(xib) + pb != -2 * m:
+                continue
+            xi = tuple(a + b for a, b in zip(xia, xib))
+            total += (left.coefficient(ka) * right.coefficient(kb)
+                      * (blade_mul(wa, wb)[0] * sphere_moment(xi, left.n)))
+    assert not total.im
+    return total.re
+
+
+def _random_traceable(rng, n, phase, orders, x_share=0.0, words=(0, 0b11, 0b101, 0b1110)):
+    """Eight phase-consistent terms whose xi-orders |nu| + p are drawn from
+    ``orders`` and whose words from ``words``; a share of them x-dependent.
+    Exponents are raised by 2 and at most one of xi_1, xi_2 by 1, so that
+    many term pairs share a parity and have a moment."""
+    expr = SymbolExpr(n)
+    for _ in range(8):
+        xi = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            xi[rng.randrange(n)] += 2
+        if rng.random() < 0.5:
+            xi[rng.randrange(2)] += 1
+        xd = [0] * n
+        if rng.random() < x_share:
+            xd[rng.randrange(n)] += 1
+        word = rng.choice(words)
+        r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        expr.add_term(tuple(xd), tuple(xi), rng.choice(orders) - sum(xi), word,
+                      _phase_coeff(xi, word, phase, r))
+    return expr
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_trace_kernel_matches_moment_oracle(n):
+    m = n // 2
+    rng = random.Random(n)
+    for trial in range(40):
+        phase = trial % 2
+        left = _random_traceable(rng, n, phase, (0, 1, 2), x_share=0.3)
+        right = _random_traceable(rng, n, phase, (-2 * m, -2 * m - 1, -2 * m - 2),
+                                  x_share=0.3)
+        assert _trace_integral_product(left, right, m) == \
+            _oracle_product_trace(left, right, m)
+        single = _random_traceable(rng, n, 0, (-2 * m,), words=(0, 0, 0b11))
+        assert trace_integral(single, m).value == _oracle_trace(single, n)
+
+
+def test_trace_kernel_exponents_below_128_add_without_carry():
+    n, m = 4, 2
+    left = SymbolExpr(n, {((0,) * n, (127, 1, 0, 0), -128, 0): ONE})
+    right = SymbolExpr(n, {((0,) * n, (1, 127, 0, 0), -132, 0): ONE})
+    value = _trace_integral_product(left, right, m)
+    assert value == _oracle_product_trace(left, right, m) != 0
+
+
+def test_trace_kernel_rejects_exponent_128():
+    n, m = 4, 2
+    big = SymbolExpr(n, {((0,) * n, (128, 0, 0, 0), -132, 0): ONE})
+    with pytest.raises(PipelineError, match="128"):
+        trace_integral(big, m)
+    # packed, 128 + 128 would carry into xi_2's byte: the code of xi_2^1,
+    # an odd monomial, whose moment 0 would be returned silently
+    left = SymbolExpr(n, {((0,) * n, (128, 0, 0, 0), -128, 0): ONE})
+    with pytest.raises(PipelineError, match="128"):
+        _trace_integral_product(left, big, m)
 
 
 def test_odd_phase_traces_raise():

@@ -196,18 +196,47 @@ def test_compose_xi_independent_left_is_product():
         assert leibniz_compose(L, R, 2) == L * R
 
 
-def test_compose_at_x0_matches_generic():
-    # the two factors c(v) D_T and c(w) D_T of the product symbol, w with its jet
-    def c(vector, xdeg=Z):
-        return SymbolExpr.from_clifford(CliffordElement.from_vector(N, vector), xdeg=xdeg)
+def _product_factors(jet):
+    """The two factors c(v) sigma(D_T) and c(w) sigma(D_T) of the product
+    symbol, w with its first jet, as full x-dependent symbols."""
+    n = jet.n
 
-    jet = random_point_jet(4, 2)
-    sigma = SymbolExpr.sum_of(N, build_sigma_dt(jet))
-    cw = SymbolExpr.sum_of(N, [c(jet.w)] + [c(row, _unit(j))
+    def c(vector, xdeg=(0,) * n):
+        return SymbolExpr.from_clifford(CliffordElement.from_vector(n, vector), xdeg=xdeg)
+
+    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet))
+    cw = SymbolExpr.sum_of(n, [c(jet.w)] + [c(row, tuple(int(i == j) for i in range(n)))
                                             for j, row in enumerate(jet.dw)])
-    left, right = c(jet.v) * sigma, cw * sigma
+    return c(jet.v) * sigma, cw * sigma
+
+
+def test_compose_at_x0_matches_generic():
+    left, right = _product_factors(random_point_jet(4, 2))
     assert at_x0(leibniz_compose(left, right, 2)) == SymbolExpr.sum_of(N, (
         dl * dr for dl, dr in symbols.leibniz_pairs(left, symbols.x_partials(right, 2))))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_composed_grades_match_full_composition(m, seed):
+    """The first-order builder equals grades 2, 1, 0 of the full x-dependent
+    composition with |alpha| <= 2, evaluated at x0."""
+    jet = random_point_jet(seed, m)
+    full = at_x0(leibniz_compose(*_product_factors(jet), 2))
+    assert build_sigma_ab_composed(jet) == tuple(xi_grade(full, d) for d in (2, 1, 0))
+
+
+def test_x_partials_one_pass_matches_repeated_d_x():
+    rng = random.Random(12)
+    for _ in range(40):
+        expr = _random_expr(rng, terms=rng.randint(0, 12))
+        for alpha_max in (0, 1, 2):
+            one_pass = symbols.x_partials(expr, alpha_max)
+            repeated = repeated_x_partials(expr, alpha_max)
+            assert list(one_pass) == list(repeated)
+            assert one_pass == repeated
+            for part in one_pass.values():
+                _assert_canonical(part)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +590,19 @@ def oracle_symbol(n, nums, den, coeff=1):
     return OracleExpr(n, {key: Fraction(c, den) for key, c in nums}).scale(coeff)
 
 
+def repeated_x_partials(expr, alpha_max=2):
+    """alpha -> d_x^alpha(expr) at x0 by repeated d_x, then evaluation at x0:
+    the reference of the one-pass ``symbols.x_partials``.  ``d_x`` and
+    ``at_x0`` are looked up in the ``symbols`` module, so
+    ``oracle_arithmetic`` swaps them."""
+    out = {}
+    for alpha, der in symbols._partials(expr, symbols.d_x, alpha_max).items():
+        der = symbols.at_x0(der)
+        if der:
+            out[alpha] = der
+    return out
+
+
 @contextmanager
 def oracle_arithmetic():
     """Run the symbols module's builders and Leibniz kernel on OracleExpr."""
@@ -568,7 +610,7 @@ def oracle_arithmetic():
         for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
                             ("at_x0", oracle_at_x0), ("_sym", oracle_sym),
-                            ("_symbol", oracle_symbol),
+                            ("_symbol", oracle_symbol), ("x_partials", repeated_x_partials),
                             ("_alpha_coefficient", oracle_alpha_coefficient)):
             mp.setattr(symbols, name, value)
         yield
