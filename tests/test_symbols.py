@@ -205,8 +205,8 @@ def _product_factors(jet):
         return SymbolExpr.from_clifford(CliffordElement.from_vector(n, vector), xdeg=xdeg)
 
     sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet))
-    cw = SymbolExpr.sum_of(n, [c(jet.w)] + [c(row, tuple(int(i == j) for i in range(n)))
-                                            for j, row in enumerate(jet.dw)])
+    cw = SymbolExpr.sum_of(n, [c(jet.w)] + [
+        c(row, tuple(int(i == j) for i in range(n))) for j, row in enumerate(jet.dw)])
     return c(jet.v) * sigma, cw * sigma
 
 
