@@ -54,6 +54,7 @@ pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -65,6 +66,7 @@ from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, 
 
 Deg = Tuple[int, ...]
 Key = Tuple[Deg, Deg, int, Word]
+Grades = Tuple["SymbolExpr", "SymbolExpr", "SymbolExpr"]  # grades 2, 1, 0
 
 X_TRUNCATION = 2
 
@@ -367,7 +369,18 @@ def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
     ``x_partials`` table of R.  Multiplying and summing the pairs gives the
     x0-evaluation of the composition; tracing them gives its density.  d_xi
     and the evaluation at x0 commute, so L is evaluated once, first."""
-    left_dxi = _partials(at_x0(left), d_xi, max(orders))
+    return _paired(_xi_partials(left, max(orders)), right_dx, orders)
+
+
+def _xi_partials(expr: SymbolExpr, alpha_max: int) -> Dict[Deg, SymbolExpr]:
+    """alpha -> d_xi^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only."""
+    return _partials(at_x0(expr), d_xi, alpha_max)
+
+
+def _paired(left_dxi: Dict[Deg, SymbolExpr], right_dx: Dict[Deg, SymbolExpr],
+            orders: Sequence[int]) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
+    """``leibniz_pairs`` from the ``_xi_partials`` table of L, which may
+    reach higher orders than it reads."""
     for alpha, dr in right_dx.items():
         dl = left_dxi.get(alpha)
         if dl and len(alpha) in orders:
@@ -489,7 +502,68 @@ def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
     return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
 
 
-def build_sigma_dt(jet: PointJet, variant: str = "printed"
+class JetInputs:
+    """What the builders read of one jet, each built on first read and shared
+    by every builder given this object: R's and Ric's int forms, the curvature
+    word and pair sums, T's and dT1's 3-forms and bivector rows, and the mm-free
+    order -(2mm+2) families.  A builder given only the jet makes its own."""
+
+    def __init__(self, jet: PointJet):
+        self.jet, self.n = jet, jet.n
+
+    curvature = cached_property(lambda self: _integer_form(self.jet.R_entries))
+    ric = cached_property(lambda self: _integer_form(self.jet.derived.ric))
+    word_sums = cached_property(lambda self: _curvature_word_sums(self.curvature, self.n))
+    pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
+    forms = cached_property(lambda self: tuple(
+        _torsion_forms(e, self.n) for e in (self.jet.T_entries, self.jet.dT1_entries)))
+    rows = cached_property(lambda self: tuple(
+        _torsion_forms(e, self.n, rows=True) for e in (self.jet.T_entries, self.jet.dT1_entries)))
+
+    @cached_property
+    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Tuple[Deg, Word], int], int]]:
+        """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
+        x0 is c mm (mm+1)^q times the term family nums[(xi-degree, word)]/den,
+        at the norm power -2mm-2-2q."""
+        n, der = self.n, self.jet.derived
+        x0 = (0,) * n
+        (tau, dtau), (ric, ric_den) = self.rows, self.ric
+        # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
+        # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
+        # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
+        tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
+        placed = {  # each family as (xi-degree, rational Clifford element) pairs
+            "ric": (Fraction(1, 3), 1, [(_pair(n, a, b), CliffordElement._of(n, {0: x}, ric_den))
+                                        for (a, b), x in ric.items()]),
+            "tt_xx": (Fraction(-9, 2), 1, [(_pair(n, a, b), _grades(ab, 0, 4).scale(1 + (a != b)))
+                                           for (a, b), ab in tt.items()]),
+            "tt_scalar": (Fraction(9, 4), 0, [(x0, _elem_sum(n, (tt[a, a] for a in tau)))]),
+            "div_t": (Fraction(3, 2), 0, [(x0, _elem_sum(n, (
+                row for (b, a), row in dtau.items() if a == b)))]),
+            "r_xx": (Fraction(-1, 4), 1, [(_pair(n, a, b), pair)
+                                          for (b, a), pair in self.pair_sums.items()]),
+            "dt_xx": (-3, 1, [(_pair(n, a, b), row) for (b, a), row in dtau.items()]),
+            "e_scalar": (-1, 0, [(x0, CliffordElement(
+                n, {0: der.s / 4 - Fraction(3, 4) * der.norm_t2}))]),
+            "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement(n, {
+                sum(1 << i for i in ijkt): x for ijkt, x in der.dT4.items()}))]),
+        }
+        return {name: (c, q, *_summed(({(xideg, w): k for w, k in e.nums.items()}, e.den)
+                                      for xideg, e in family))
+                for name, (c, q, family) in placed.items()}
+
+    def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
+        """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
+        x0, each family scaled and placed at its norm power by ``_symbol``:
+        mm = m for part 2's pipeline, mm = m-1 for part 1's."""
+        x0 = (0,) * self.n
+        return {name: _symbol(self.n, (((x0, xideg, -2 * mm - 2 - 2 * q, w), k)
+                                       for (xideg, w), k in nums.items()),
+                              den, Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator))
+                for name, (c, q, nums, den) in self.order2.items()}
+
+
+def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | None = None
                    ) -> Tuple[SymbolExpr, SymbolExpr]:
     """(sigma_1, sigma_0-with-x-jet) of the torsion Dirac operator.
 
@@ -501,15 +575,15 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed"
     n = jet.n
     x0 = (0,) * n
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
-    curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
-    tau, dtau = (_torsion_forms(entries, n) for entries in (jet.T_entries, jet.dT1_entries))
+    inputs = inputs or JetInputs(jet)
+    curvature, (tau, dtau) = inputs.word_sums, inputs.forms
     sigma0 = SymbolExpr.sum_of(n, [_sym(form, kappa) for form in tau.values()] + [
         _sym(form, kappa, xdeg=_unit(n, b)) for b, form in dtau.items()] + [
         _sym(row, xdeg=_unit(n, b)) for b, row in enumerate(curvature)])
     return sigma1, sigma0
 
 
-def build_sigma_ab_composed(jet: PointJet) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None) -> Grades:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
     formula.  c(v) sigma(D_T) is linear in xi with no norm power, so only
@@ -517,7 +591,7 @@ def build_sigma_ab_composed(jet: PointJet) -> Tuple[SymbolExpr, SymbolExpr, Symb
     at x0 follow by the product rule from those of its two factors."""
     n = jet.n
     zero = SymbolExpr(n)
-    sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet)), 1)
+    sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
     # c(w(x)) carries w's first jet
     cw = x_partials(SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
         _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
@@ -530,7 +604,8 @@ def build_sigma_ab_composed(jet: PointJet) -> Tuple[SymbolExpr, SymbolExpr, Symb
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
-def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
+def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
+                                 ) -> Dict[str, SymbolExpr]:
     """Reference (closed-form) product-symbol grades at x0, by channel.
 
     These are the displayed expressions of the reference derivation with
@@ -548,10 +623,10 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     n = jet.n
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
-    tau = _torsion_forms(jet.T_entries, n).get((), CliffordElement.zero(n))
-    dtau = _torsion_forms(jet.dT1_entries, n)
+    inputs = inputs or JetInputs(jet)
+    (tau, dtau), curvature = inputs.forms, inputs.word_sums
+    tau = tau.get((), CliffordElement.zero(n))
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = _curvature_word_sums(_integer_form(jet.R_entries), n)
     # sum_{j,g} (d_j w_g) c_j c_g
     dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                        for j, row in enumerate(jet.dw)))
@@ -579,8 +654,7 @@ def build_sigma_ab_printed_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     }
 
 
-def printed_grades(parts: Dict[str, SymbolExpr]
-                   ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+def printed_grades(parts: Dict[str, SymbolExpr]) -> Grades:
     """Grades 2, 1, 0 from the channels of build_sigma_ab_printed_parts."""
     n = parts["s2"].n
     return (parts["s2"],
@@ -589,9 +663,8 @@ def printed_grades(parts: Dict[str, SymbolExpr]
                                   parts["s0_tdw"])))
 
 
-def build_sigma_ab_printed(jet: PointJet
-                           ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-    return printed_grades(build_sigma_ab_printed_parts(jet))
+def build_sigma_ab_printed(jet: PointJet, inputs: JetInputs | None = None) -> Grades:
+    return printed_grades(build_sigma_ab_printed_parts(jet, inputs))
 
 
 # -- inverse Laplacian-type symbols -----------------------------------------
@@ -603,18 +676,15 @@ def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
     return _symbol(n, ((((0,) * n, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
 
 
-def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
+def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) -> Tuple[
         Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
     m, n = jet.m, jet.n
     p = -2 * m - 2
-    curvature = _integer_form(jet.R_entries)
-    ric = _integer_form(jet.derived.ric)
-    pairs = _curvature_pair_sums(curvature, n)
-    tau, dtau = (_torsion_forms(entries, n, rows=True)
-                 for entries in (jet.T_entries, jet.dT1_entries))
+    inputs = inputs or JetInputs(jet)
+    curvature, ric, (tau, dtau) = inputs.curvature, inputs.ric, inputs.rows
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
     r_jet = _symbol(n, _collected(((_pair(n, j, k), _pair(n, a, b), p, 0), c)
@@ -633,66 +703,16 @@ def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
         "r_jet": SymbolExpr.sum_of(n, (
             _sym(pair, GaussianRational(0, Fraction(m, 4)),
                  xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
-            for (b, a), pair in pairs.items())),
+            for (b, a), pair in inputs.pair_sums.items())),
         "dt_jet": SymbolExpr.sum_of(n, (
             _sym(row, c_t, xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
             for (b, a), row in dtau.items())),
     }
-
-    parts_m2 = _sigma_inverse_order2_parts(jet, m, pairs, tau, dtau, ric)
-    return parts_m, parts_m1, parts_m2
+    return parts_m, parts_m1, inputs.order2_parts(m)
 
 
-def _sigma_inverse_order2_parts(
-        jet: PointJet, mm: int, pairs: Dict[Tuple[int, int], CliffordElement],
-        tau: Dict[int, CliffordElement], dtau: Dict[Tuple[int, int], CliffordElement],
-        ric: Tuple[Dict[Tuple[int, int], int], int]) -> Dict[str, SymbolExpr]:
-    """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
-    the base point.  Used with mm = m for the second density pipeline and
-    with mm = m-1 for the first one; ``pairs`` are the curvature pair sums,
-    ``tau`` and ``dtau`` the nonzero torsion rows of T and dT1, ``ric`` the
-    int form of Ric's nonzero entries."""
-    n, der = jet.n, jet.derived
-    x0 = (0,) * n
-    p2, p4 = -2 * mm - 2, -2 * mm - 4
-
-    e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
-    dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): x
-                              for (i, j, k, t), x in der.dT4.items()})
-
-    # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
-    # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
-    # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
-    tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
-    c_tt = Fraction(-9 * mm * (mm + 1), 2)
-    return {
-        "ric": _symbol(n, _collected(((x0, _pair(n, a, b), p4, 0), x)
-                                     for (a, b), x in ric[0].items()).items(),
-                       ric[1], Fraction(mm * (mm + 1), 3)),
-        "tt_xx": SymbolExpr.sum_of(n, (
-            _sym(_grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
-                 xideg=_pair(n, a, b), normpow=p4)
-            for (a, b), prod in tt.items())),
-        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in tau)),
-                          Fraction(9 * mm, 4), normpow=p2),
-        "div_t": _sym(_elem_sum(n, (row for (b, a), row in dtau.items() if a == b)),
-                      Fraction(3 * mm, 2), normpow=p2),
-        "r_xx": SymbolExpr.sum_of(n, (
-            _sym(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
-            for (b, a), pair in pairs.items())),
-        "dt_xx": SymbolExpr.sum_of(n, (
-            _sym(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
-            for (b, a), row in dtau.items())),
-        "e_scalar": _symbol(n, [((x0, x0, p2, 0), 1)], 1, e_val),
-        "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
-    }
-
-
-def build_sigma_dtpow_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
+def build_sigma_dtpow_parts(jet: PointJet, inputs: JetInputs | None = None
+                            ) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
-    n = jet.n
-    return _sigma_inverse_order2_parts(
-        jet, jet.m - 1, _curvature_pair_sums(_integer_form(jet.R_entries), n),
-        _torsion_forms(jet.T_entries, n, rows=True), _torsion_forms(jet.dT1_entries, n, rows=True),
-        _integer_form(jet.derived.ric))
+    return (inputs or JetInputs(jet)).order2_parts(jet.m - 1)

@@ -13,8 +13,10 @@ from wres_torsion.geometry import (
     make_point_jet,
     random_point_jet,
 )
+from wres_torsion import residue
 from wres_torsion.numerics import GaussianRational, I, ONE
 from wres_torsion.residue import (
+    PipelineContext,
     PipelineError,
     _trace_integral_product,
     audit,
@@ -725,28 +727,156 @@ def test_metric_builds_no_inverse_power_channels(build_counts):
     assert build_counts["derived_scalars"] == 0
 
 
+@pytest.fixture
+def input_reads(monkeypatch):
+    """Count the builders' reads of a jet's tensors, through the ``symbols``
+    bindings: the curvature pair sums, each map turned into its int form (by
+    the map's id) and each torsion map read as rows or 3-forms."""
+    import wres_torsion.symbols as symbols
+    from collections import Counter
+
+    reads = Counter()
+    for name, key in (
+            ("_curvature_pair_sums", lambda curvature, n: "pair_sums"),
+            ("_integer_form", lambda entries: ("int_form", id(entries))),
+            ("_torsion_forms", lambda entries, n, rows=False: ("torsion", id(entries), rows))):
+        def counted(*args, _fn=getattr(symbols, name), _key=key, **kwargs):
+            reads[_key(*args, **kwargs)] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(symbols, name, counted)
+    return reads
+
+
+def _jet_reads(reads, jet):
+    """The counts of ``input_reads`` that concern ``jet``'s maps."""
+    ids = {id(jet.R_entries): "R", id(jet.T_entries): "T", id(jet.dT1_entries): "dT1"}
+    out = {"pair_sums": reads["pair_sums"], "R int form": reads["int_form", id(jet.R_entries)]}
+    out.update(((ids[key[1]], "rows" if key[2] else "3-forms"), count)
+               for key, count in reads.items() if key[0] == "torsion")
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 5])
-def test_certify_derives_scalars_once_per_jet(build_counts, seed):
-    """The six public calls the certify-m3 benchmark workload makes per jet."""
+def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, seed):
+    """The six public calls the certify-m3 benchmark workload makes per jet
+    share one context: each builder they use runs once, and the jet's maps
+    are read once by the builders; an audit of the same jet right after them
+    builds only the composed product symbol."""
     jet = random_point_jet(seed, 3)
     p1, p2 = part1_density(jet, 3).value, part2_density(jet, 3).value
     assert p1 == part1_closed(jet, 3).value
     assert p2 == part2_closed(jet, 3).value
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -jet.derived.g_vw
-    assert build_counts["derived_scalars"] == 1
+    once = {"derived_scalars": 1, "build_sigma_dtpow_parts": 1,
+            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1}
+    assert build_counts == once
+    reads = {"pair_sums": 1, "R int form": 1, ("T", "rows"): 1, ("dT1", "rows"): 1,
+             ("T", "3-forms"): 1, ("dT1", "3-forms"): 1}
+    assert _jet_reads(input_reads, jet) == reads
+    assert audit(jet, 3).ok
+    assert build_counts == {**once, "build_sigma_ab_composed": 1}
+    assert _jet_reads(input_reads, jet) == reads
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
+    """The three public calls the identity-m3 workload makes per jet share
+    one context, so each builder they use runs once per jet."""
     from wres_torsion.cli import _one_hot_cases
 
     for _, expected, kw in _one_hot_cases(m):
         jet = make_point_jet(m, **kw)
-        before = build_counts["derived_scalars"]
+        before = dict(build_counts)
         total = part1_density(jet, m).value + part2_density(jet, m).value
         assert total == theorem_density(jet, m).value == expected
-        assert build_counts["derived_scalars"] == before + 1
+        assert {name: build_counts[name] - before.get(name, 0) for name in BUILDERS} == {
+            "derived_scalars": 1, "build_sigma_dtpow_parts": 1,
+            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1,
+            "build_sigma_ab_composed": 0}
+
+
+def test_audit_builds_the_xi_table_of_s2_once(monkeypatch):
+    """II-4-A, II-4-B, II-4-C and II-6 read one order-2 d_xi table of s2; the
+    other d_xi tables of an audit are those of II-5, of the composed product
+    symbol (order 1) and of the printed and composed part-2 totals (order 2)."""
+    import wres_torsion.symbols as symbols
+
+    orders = []
+    partials = symbols._partials
+
+    def counted(expr, d, alpha_max):
+        if d is symbols.d_xi:
+            orders.append(alpha_max)
+        return partials(expr, d, alpha_max)
+    monkeypatch.setattr(symbols, "_partials", counted)
+    assert audit(random_point_jet(3, 2), 2).ok
+    assert sorted(orders) == [1, 1, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the held context
+# ---------------------------------------------------------------------------
+
+def _held():
+    return residue._held[1]
+
+
+def test_interleaved_jets_match_fresh_contexts():
+    j1, j2 = random_point_jet(1, 2), random_point_jet(2, 2)
+    a = part1_density(j1, 2).value
+    b = part1_density(j2, 2).value
+    c = part2_density(j1, 2).value
+    assert _held().jet is j1
+    assert (a, b, c) == (PipelineContext(j1, 2).part1().value,
+                         PipelineContext(j2, 2).part1().value,
+                         PipelineContext(j1, 2).part2().value)
+
+
+def test_an_equal_jet_gets_its_own_context():
+    jet, twin = random_point_jet(4, 2), random_point_jet(4, 2)
+    assert jet == twin and jet is not twin
+    part1_density(jet, 2)
+    held = _held()
+    assert part2_density(twin, 2).value == PipelineContext(twin, 2).part2().value
+    assert _held() is not held and _held().jet is twin
+
+
+def test_a_wrong_m_raises_and_keeps_the_held_context():
+    jet = random_point_jet(6, 2)
+    p1 = part1_density(jet, 2).value
+    held = _held()
+    with pytest.raises(ValueError, match="does not match m=3"):
+        part1_density(jet, 3)
+    assert _held() is held
+    assert part2_density(jet, 2).value == PipelineContext(jet, 2).part2().value
+    assert p1 == PipelineContext(jet, 2).part1().value
+    assert _held() is held
+
+
+def test_a_replaced_context_is_released():
+    import gc
+    import weakref
+
+    j1, j2 = random_point_jet(1, 2), random_point_jet(2, 2)
+    part1_density(j1, 2)
+    ref = weakref.ref(_held())
+    part1_density(j2, 2)
+    gc.collect()
+    assert ref() is None
+    assert part1_density(j1, 2).value == PipelineContext(j1, 2).part1().value
+
+
+def test_a_rebound_builder_bypasses_the_held_context(monkeypatch):
+    jet = random_point_jet(8, 2)
+    p1 = part1_density(jet, 2).value
+    assert p1
+    held = _held()
+    monkeypatch.setattr(residue, "build_sigma_dtpow_parts", lambda jet, inputs=None: {})
+    assert part1_density(jet, 2).value == PipelineContext(jet, 2).part1().value == 0
+    assert _held() is not held
+    monkeypatch.undo()
+    assert part1_density(jet, 2).value == p1
 
 
 def test_engine_functions_carry_no_wrapped():

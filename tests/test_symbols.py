@@ -984,6 +984,81 @@ def test_order2_channels_match_ordered_pair_loop(m):
                               _ordered_pair_order2_channels(jet, m - 1))
 
 
+def _per_mm_order2_parts(jet, mm):
+    """The order -(2mm+2) channels built for one mm, as the builders built
+    them before the mm-free families: the inputs, the Clifford products and
+    every term family made anew for each mm."""
+    n, der = jet.n, jet.derived
+    _sym, _pair, _elem_sum = symbols._sym, symbols._pair, symbols._elem_sum
+    x0 = (0,) * n
+    p2, p4 = -2 * mm - 2, -2 * mm - 4
+    pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
+    tau, dtau = (symbols._torsion_forms(entries, n, rows=True)
+                 for entries in (jet.T_entries, jet.dT1_entries))
+    ric = _integer_form(der.ric)
+    e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
+    dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): x
+                              for (i, j, k, t), x in der.dT4.items()})
+    tt = {(a, b): tau[a] * tau[b] for a, b in itertools.combinations_with_replacement(tau, 2)}
+    c_tt = Fraction(-9 * mm * (mm + 1), 2)
+    return {
+        "ric": symbols._symbol(n, symbols._collected(((x0, _pair(n, a, b), p4, 0), x)
+                                                     for (a, b), x in ric[0].items()).items(),
+                               ric[1], Fraction(mm * (mm + 1), 3)),
+        "tt_xx": SymbolExpr.sum_of(n, (
+            _sym(symbols._grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
+                 xideg=_pair(n, a, b), normpow=p4)
+            for (a, b), prod in tt.items())),
+        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in tau)),
+                          Fraction(9 * mm, 4), normpow=p2),
+        "div_t": _sym(_elem_sum(n, (row for (b, a), row in dtau.items() if a == b)),
+                      Fraction(3 * mm, 2), normpow=p2),
+        "r_xx": SymbolExpr.sum_of(n, (
+            _sym(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
+            for (b, a), pair in pairs.items())),
+        "dt_xx": SymbolExpr.sum_of(n, (
+            _sym(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
+            for (b, a), row in dtau.items())),
+        "e_scalar": symbols._symbol(n, [((x0, x0, p2, 0), 1)], 1, e_val),
+        "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
+    }
+
+
+def _assert_order2_matches_per_mm(jet):
+    m = jet.m
+    inputs = symbols.JetInputs(jet)
+    for mm, built in ((m - 1, build_sigma_dtpow_parts(jet)),
+                      (m, build_sigma_delta_inv_parts(jet)[2])):
+        parts, per_mm = inputs.order2_parts(mm), _per_mm_order2_parts(jet, mm)
+        assert list(parts) == list(per_mm) == list(built)
+        _assert_same_channels(parts, per_mm)
+        _assert_same_channels(built, per_mm)
+        if mm == 0:
+            assert not any(parts.values())
+    return inputs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_order2_families_match_per_mm_channels(m, seed):
+    inputs = _assert_order2_matches_per_mm(random_point_jet(seed, m))
+    assert any(inputs.order2_parts(m).values())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_order2_families_match_per_mm_channels_without_e_scalar(m):
+    """On a jet with s = 3|T|^2 the e_scalar family is zero."""
+    import dataclasses
+
+    jet = random_point_jet(2, m)
+    scale = 3 * jet.derived.norm_t2 / jet.derived.s
+    jet = dataclasses.replace(jet, R_entries={k: x * scale for k, x in jet.R_entries.items()})
+    assert jet.derived.s == 3 * jet.derived.norm_t2 != 0
+    inputs = _assert_order2_matches_per_mm(jet)
+    assert not inputs.order2["e_scalar"][2]
+    assert all(inputs.order2_parts(mm)["ric"] for mm in (m - 1, m))
+
+
 def test_factor_pair_jets_cover_a_vanishing_tau():
     jet = _factor_pair_jets(2)[-1]
     tau_a = [_dense_torsion_pair(jet.T[a], jet.n) for a in range(jet.n)]
