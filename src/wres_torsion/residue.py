@@ -29,9 +29,8 @@ spectral Einstein density
     - (25/16) sum T(v,e_j,e_l) T(w,e_j,e_l)
     + (11/4) sum (nabla_{e_a} T)(e_a,v,w) + (17/4) sum T(v, nabla_j w, e_j).
 
-The public densities, closed forms and ``audit`` read one ``PipelineContext``:
-the module holds the newest, and a call on the same jet object, m and builder
-bindings reuses it, so the calls of one certification build each symbol once.
+The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
+for the same jet object, m and builder bindings, so each symbol is built once per jet.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6) and reports every display that disagrees with the engine, together
@@ -296,8 +295,7 @@ class PipelineContext:
     def __init__(self, jet: PointJet, m: int):
         if jet.n != 2 * m:
             raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
-        self.jet, self.m, self.n = jet, m, jet.n
-        self.inputs = JetInputs(jet)
+        self.jet, self.m, self.n, self.inputs = jet, m, jet.n, JetInputs(jet)
 
     @cached_property
     def cvw(self) -> SymbolExpr:

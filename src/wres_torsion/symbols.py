@@ -66,7 +66,6 @@ from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, 
 
 Deg = Tuple[int, ...]
 Key = Tuple[Deg, Deg, int, Word]
-Grades = Tuple["SymbolExpr", "SymbolExpr", "SymbolExpr"]  # grades 2, 1, 0
 
 X_TRUNCATION = 2
 
@@ -583,7 +582,8 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     return sigma1, sigma0
 
 
-def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None) -> Grades:
+def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
+                            ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
     formula.  c(v) sigma(D_T) is linear in xi with no norm power, so only
@@ -654,7 +654,8 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
     }
 
 
-def printed_grades(parts: Dict[str, SymbolExpr]) -> Grades:
+def printed_grades(parts: Dict[str, SymbolExpr]
+                   ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 from the channels of build_sigma_ab_printed_parts."""
     n = parts["s2"].n
     return (parts["s2"],
@@ -663,8 +664,9 @@ def printed_grades(parts: Dict[str, SymbolExpr]) -> Grades:
                                   parts["s0_tdw"])))
 
 
-def build_sigma_ab_printed(jet: PointJet, inputs: JetInputs | None = None) -> Grades:
-    return printed_grades(build_sigma_ab_printed_parts(jet, inputs))
+def build_sigma_ab_printed(jet: PointJet
+                           ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
+    return printed_grades(build_sigma_ab_printed_parts(jet))
 
 
 # -- inverse Laplacian-type symbols -----------------------------------------

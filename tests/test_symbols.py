@@ -634,6 +634,8 @@ def _pipeline_symbols(jet, m):
         out.update((f"delta_{order}.{k}", e) for k, e in parts.items())
     out.update((f"dtpow.{k}", e) for k, e in
                symbols.build_sigma_dtpow_parts(jet).items())
+    for mm in (m - 1, m):
+        out.update((f"per_mm{mm}.{k}", e) for k, e in _per_mm_order2_parts(jet, mm).items())
     printed = symbols.build_sigma_ab_printed_parts(jet)
     out.update((f"printed.{k}", e) for k, e in printed.items())
     sigma_delta = symbols.SymbolExpr.sum_of(
@@ -657,6 +659,11 @@ def _assert_pipeline_matches_complex_oracle(jet, m, dense=True):
     for name, expr in engine.items():
         assert isinstance(oracle[name], OracleExpr)
         assert expand(expr) == oracle[name].terms, name
+    # the mm-free families (engine sums, factor 2 on the off-diagonal tt pairs)
+    # against the per-mm channels summed and scaled by the oracle alone
+    for mm, built in ((m - 1, "dtpow"), (m, "delta_m2")):
+        for k in _per_mm_order2_parts(jet, mm):
+            assert oracle[f"{built}.{k}"].terms == oracle[f"per_mm{mm}.{k}"].terms, (mm, k)
     # every traced symbol is even; sigma(D_T) is odd
     assert {e.phase for k, e in engine.items() if e and not k.startswith("dt")} == {0}
     if dense:
@@ -987,7 +994,8 @@ def test_order2_channels_match_ordered_pair_loop(m):
 def _per_mm_order2_parts(jet, mm):
     """The order -(2mm+2) channels built for one mm, as the builders built
     them before the mm-free families: the inputs, the Clifford products and
-    every term family made anew for each mm."""
+    every term family made anew for each mm.  The symbol helpers are looked
+    up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
     n, der = jet.n, jet.derived
     _sym, _pair, _elem_sum = symbols._sym, symbols._pair, symbols._elem_sum
     x0 = (0,) * n
@@ -1001,6 +1009,7 @@ def _per_mm_order2_parts(jet, mm):
                               for (i, j, k, t), x in der.dT4.items()})
     tt = {(a, b): tau[a] * tau[b] for a, b in itertools.combinations_with_replacement(tau, 2)}
     c_tt = Fraction(-9 * mm * (mm + 1), 2)
+    SymbolExpr = symbols.SymbolExpr  # the installed arithmetic, as in the builders
     return {
         "ric": symbols._symbol(n, symbols._collected(((x0, _pair(n, a, b), p4, 0), x)
                                                      for (a, b), x in ric[0].items()).items(),
