@@ -488,11 +488,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_checks(raw: str) -> Sequence[str]:
     """The named checks, each once, in order of first mention."""
     names = list(dict.fromkeys(x.strip() for x in raw.split(",") if x.strip()))
+    for name in names:
+        if name not in ALL_CHECKS and name != "all":
+            raise UsageError(f"unknown check {name!r}")
     if not names or "all" in names:
         return ALL_CHECKS
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise UsageError(f"unknown check {name!r}")
     return tuple(names)
 
 

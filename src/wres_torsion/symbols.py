@@ -29,11 +29,12 @@ product the phases add, and the (-1) of each common generator
 product's sign is the plain transposition parity of the two words.  The
 Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips,
 and a cosphere trace is real exactly when the phase is even.  Each builder
-channel goes from int numerators to its symbol through ``_symbol`` (``_sym``
-for a Clifford term family); an exact ``GaussianRational`` enters there and
-in ``scale`` only as one real or imaginary scalar.  Per-term coefficients are
-given outside the builders (``SymbolExpr(n, terms)``, ``add_term``) and read
-back by ``coefficient``; one that breaks the phase rule raises ValueError.
+channel goes from int numerators to its symbol through one ``_symbol`` call
+(``_family`` for a Clifford term family); an exact ``GaussianRational``
+enters there and in ``scale`` only as one real or imaginary scalar.
+Per-term coefficients are given outside the builders (``SymbolExpr(n,
+terms)``, ``add_term``) and read back by ``coefficient``; one that breaks
+the phase rule raises ValueError.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -150,7 +151,8 @@ class SymbolExpr:
     def from_clifford(cls, elem: CliffordElement, *, xdeg: Deg | None = None,
                       xideg: Deg | None = None, normpow: int = 0) -> "SymbolExpr":
         """The rational Clifford element as one term family of the given degrees."""
-        return _sym(elem, xdeg=xdeg, xideg=xideg, normpow=normpow)
+        x0 = (0,) * elem.n
+        return _family(elem.n, [(xdeg or x0, xideg or x0, normpow, elem)])
 
     @classmethod
     def sum_of(cls, n: int, exprs: Iterable["SymbolExpr"]) -> "SymbolExpr":
@@ -434,20 +436,22 @@ def _symbol(n: int, nums: Iterable[Tuple[Key, int]], den: int, coeff=1) -> Symbo
     return SymbolExpr._of(n, terms, den * q, phase) if terms else SymbolExpr(n)
 
 
-def _sym(elem: CliffordElement, coeff=1, *, xdeg: Deg | None = None,
-         xideg: Deg | None = None, normpow: int = 0) -> SymbolExpr:
-    """coeff * elem as a symbol term family of the given degrees, for a
-    rational element (``_symbol`` over the element's words)."""
-    n = elem.n
-    if not elem:
-        return SymbolExpr(n)
-    xdeg, xideg = xdeg or (0,) * n, xideg or (0,) * n
-    return _symbol(n, (((xdeg, xideg, normpow, word), c) for word, c in elem.nums.items()),
-                   elem.den, coeff)
+Placement = Tuple[Deg, Deg, int, CliffordElement]
 
 
-def _elem_sum(n: int, elems: Iterable[CliffordElement]) -> CliffordElement:
-    return CliffordElement._of(n, *_summed((e.nums, e.den) for e in elems))
+def _placed(placed: Iterable[Placement]) -> Tuple[Dict[Key, int], int]:
+    """The rational Clifford elements placed at (x-degree, xi-degree, norm
+    power), summed per key: int numerators over the lcm of the elements'
+    denominators, zero sums dropped, not yet reduced."""
+    return _summed(({(xdeg, xideg, p, w): c for w, c in elem.nums.items()}, elem.den)
+                   for xdeg, xideg, p, elem in placed)
+
+
+def _family(n: int, placed: Iterable[Placement], coeff=1) -> SymbolExpr:
+    """coeff * the sum of the placed rational Clifford elements, a Clifford
+    term family, by one ``_symbol`` call."""
+    nums, den = _placed(placed)
+    return _symbol(n, nums.items(), den, coeff)
 
 
 def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
@@ -520,10 +524,10 @@ class JetInputs:
         _torsion_forms(e, self.n, rows=True) for e in (self.jet.T_entries, self.jet.dT1_entries)))
 
     @cached_property
-    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Tuple[Deg, Word], int], int]]:
+    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Key, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
-        x0 is c mm (mm+1)^q times the term family nums[(xi-degree, word)]/den,
-        at the norm power -2mm-2-2q."""
+        x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
+        norm power 0) moved to the norm power -2mm-2-2q."""
         n, der = self.n, self.jet.derived
         x0 = (0,) * n
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
@@ -531,14 +535,13 @@ class JetInputs:
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
         # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
         tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
-        placed = {  # each family as (xi-degree, rational Clifford element) pairs
+        families = {  # each as (xi-degree, rational Clifford element) pairs
             "ric": (Fraction(1, 3), 1, [(_pair(n, a, b), CliffordElement._of(n, {0: x}, ric_den))
                                         for (a, b), x in ric.items()]),
             "tt_xx": (Fraction(-9, 2), 1, [(_pair(n, a, b), _grades(ab, 0, 4).scale(1 + (a != b)))
                                            for (a, b), ab in tt.items()]),
-            "tt_scalar": (Fraction(9, 4), 0, [(x0, _elem_sum(n, (tt[a, a] for a in tau)))]),
-            "div_t": (Fraction(3, 2), 0, [(x0, _elem_sum(n, (
-                row for (b, a), row in dtau.items() if a == b)))]),
+            "tt_scalar": (Fraction(9, 4), 0, [(x0, tt[a, a]) for a in tau]),
+            "div_t": (Fraction(3, 2), 0, [(x0, row) for (b, a), row in dtau.items() if a == b]),
             "r_xx": (Fraction(-1, 4), 1, [(_pair(n, a, b), pair)
                                           for (b, a), pair in self.pair_sums.items()]),
             "dt_xx": (-3, 1, [(_pair(n, a, b), row) for (b, a), row in dtau.items()]),
@@ -547,17 +550,15 @@ class JetInputs:
             "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement(n, {
                 sum(1 << i for i in ijkt): x for ijkt, x in der.dT4.items()}))]),
         }
-        return {name: (c, q, *_summed(({(xideg, w): k for w, k in e.nums.items()}, e.den)
-                                      for xideg, e in family))
-                for name, (c, q, family) in placed.items()}
+        return {name: (c, q, *_placed((x0, xideg, 0, e) for xideg, e in family))
+                for name, (c, q, family) in families.items()}
 
     def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
-        x0, each family scaled and placed at its norm power by ``_symbol``:
+        x0, each family scaled and moved to its norm power by ``_symbol``:
         mm = m for part 2's pipeline, mm = m-1 for part 1's."""
-        x0 = (0,) * self.n
-        return {name: _symbol(self.n, (((x0, xideg, -2 * mm - 2 - 2 * q, w), k)
-                                       for (xideg, w), k in nums.items()),
+        return {name: _symbol(self.n, (((x, xideg, -2 * mm - 2 - 2 * q, w), k)
+                                       for (x, xideg, _, w), k in nums.items()),
                               den, Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator))
                 for name, (c, q, nums, den) in self.order2.items()}
 
@@ -576,9 +577,9 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
     inputs = inputs or JetInputs(jet)
     curvature, (tau, dtau) = inputs.word_sums, inputs.forms
-    sigma0 = SymbolExpr.sum_of(n, [_sym(form, kappa) for form in tau.values()] + [
-        _sym(form, kappa, xdeg=_unit(n, b)) for b, form in dtau.items()] + [
-        _sym(row, xdeg=_unit(n, b)) for b, row in enumerate(curvature)])
+    sigma0 = _family(n, [(x0, x0, 0, form.scale(kappa)) for form in tau.values()] + [
+        (_unit(n, b), x0, 0, form.scale(kappa)) for b, form in dtau.items()] + [
+        (_unit(n, b), x0, 0, row) for b, row in enumerate(curvature)])
     return sigma1, sigma0
 
 
@@ -590,17 +591,17 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     |alpha| <= 1 terms survive; the value and first x-jet of c(w) sigma(D_T)
     at x0 follow by the product rule from those of its two factors."""
     n = jet.n
-    zero = SymbolExpr(n)
+    x0, zero = (0,) * n, SymbolExpr(n)
     sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
     # c(w(x)) carries w's first jet
-    cw = x_partials(SymbolExpr.sum_of(n, [_sym(CliffordElement.from_vector(n, jet.w))] + [
-        _sym(CliffordElement.from_vector(n, row), xdeg=_unit(n, j))
+    cw = x_partials(_family(n, [(x0, x0, 0, CliffordElement.from_vector(n, jet.w))] + [
+        (_unit(n, j), x0, 0, CliffordElement.from_vector(n, row))
         for j, row in enumerate(jet.dw)]), 1)
     s0, w0 = sigma.get((), zero), cw.get((), zero)
     right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
                              for j in range(1, n + 1)}}
     full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
-        _sym(CliffordElement.from_vector(n, jet.v)) * s0, right, (0, 1))))
+        SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v)) * s0, right, (0, 1))))
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
@@ -627,30 +628,27 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
     (tau, dtau), curvature = inputs.forms, inputs.word_sums
     tau = tau.get((), CliffordElement.zero(n))
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    # sum_{j,g} (d_j w_g) c_j c_g
-    dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
-                       for j, row in enumerate(jet.dw)))
+    # c(v) sum_{j,g} (d_j w_g) c_j c_g, where c_j c_g is -1 times its word iff j >= g
+    cv_dw = cv * CliffordElement(n, _collected(((1 << j) ^ (1 << g), -x if j >= g else x)
+                                               for j, row in enumerate(jet.dw)
+                                               for g, x in enumerate(row)))
     # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
     cvc = [cv * gens[f] * cw for f in range(n)]
+    x0 = (0,) * n
     return {
-        # xi_f xi_g = xi_g xi_f: one term family per unordered pair
-        "s2": SymbolExpr.sum_of(n, (
-            _sym(cvc[f] * gens[g] + cvc[g] * gens[f] if f < g else cvc[f] * gens[f],
-                 -1, xideg=_pair(n, f, g))
-            for f, g in combinations_with_replacement(range(n), 2))),
+        # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
+        "s2": _family(n, [(x0, _pair(n, f, g), 0, cvc[f] * gens[g])
+                          for f in range(n) for g in range(n)], -1),
         # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
         # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
-        "s1_tt": SymbolExpr.sum_of(n, (
-            _sym(_grades(cvc[a], 1) * tau,
-                 GaussianRational(0, Fraction(1, 2)), xideg=_unit(n, a))
-            for a in range(n))),
-        "s1_dw": SymbolExpr.sum_of(n, (
-            _sym(cv * dw * gens[a], I, xideg=_unit(n, a)) for a in range(n))),
-        "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
-        "s0_r": _sym(_elem_sum(n, (cvc[j] * curvature[j] for j in range(n)))),
-        "s0_dt": _sym(_elem_sum(n, (cvc[b] * form for b, form in dtau.items())),
-                      Fraction(1, 4)),
-        "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
+        "s1_tt": _family(n, [(x0, _unit(n, a), 0, _grades(cvc[a], 1) * tau) for a in range(n)],
+                         GaussianRational(0, Fraction(1, 2))),
+        "s1_dw": _family(n, [(x0, _unit(n, a), 0, cv_dw * gens[a]) for a in range(n)], I),
+        "s0_tt": _family(n, [(x0, x0, 0, cv * tau * cw * tau)], Fraction(1, 16)),
+        "s0_r": _family(n, [(x0, x0, 0, cvc[j] * curvature[j]) for j in range(n)]),
+        "s0_dt": _family(n, [(x0, x0, 0, cvc[b] * form) for b, form in dtau.items()],
+                         Fraction(1, 4)),
+        "s0_tdw": _family(n, [(x0, x0, 0, cv_dw * tau)], Fraction(1, 4)),
     }
 
 
@@ -684,7 +682,7 @@ def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) 
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
     m, n = jet.m, jet.n
-    p = -2 * m - 2
+    x0, p = (0,) * n, -2 * m - 2
     inputs = inputs or JetInputs(jet)
     curvature, ric, (tau, dtau) = inputs.curvature, inputs.ric, inputs.rows
 
@@ -700,15 +698,12 @@ def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) 
         "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
                                for (a, b), x in ric[0].items()),
                            ric[1], GaussianRational(0, Fraction(-2 * m, 3))),
-        "tt": SymbolExpr.sum_of(n, (
-            _sym(row, c_t, xideg=_unit(n, a), normpow=p) for a, row in tau.items())),
-        "r_jet": SymbolExpr.sum_of(n, (
-            _sym(pair, GaussianRational(0, Fraction(m, 4)),
-                 xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
-            for (b, a), pair in inputs.pair_sums.items())),
-        "dt_jet": SymbolExpr.sum_of(n, (
-            _sym(row, c_t, xdeg=_unit(n, b), xideg=_unit(n, a), normpow=p)
-            for (b, a), row in dtau.items())),
+        "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
+        "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, pair)
+                             for (b, a), pair in inputs.pair_sums.items()],
+                         GaussianRational(0, Fraction(m, 4))),
+        "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, row)
+                              for (b, a), row in dtau.items()], c_t),
     }
     return parts_m, parts_m1, inputs.order2_parts(m)
 

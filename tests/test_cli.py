@@ -52,6 +52,14 @@ def test_unknown_check_rejected(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", ["bogus,all", "all,bogus"])
+def test_unknown_check_rejected_next_to_all(capsys, checks):
+    code, out, err = run(capsys, "verify", "--checks", checks, "--trials", "1")
+    assert code == 2
+    assert err == "error: unknown check 'bogus'\n"
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from wres_torsion.geometry import (
     make_point_jet,
     random_point_jet,
 )
-from wres_torsion.numerics import GaussianRational, I, ONE, _integer_form
+from wres_torsion.numerics import GaussianRational, I, ONE, _collected, _integer_form
 from wres_torsion.symbols import (
     X_TRUNCATION,
     SymbolExpr,
@@ -578,10 +578,12 @@ def oracle_alpha_coefficient(alpha):
     return coeff
 
 
-def oracle_sym(elem, coeff=1, *, xdeg=None, xideg=None, normpow=0):
-    """``symbols._sym`` computed term by term: from_clifford, then scale."""
-    return OracleExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg,
-                                    normpow=normpow).scale(coeff)
+def oracle_family(n, placed, coeff=1):
+    """``symbols._family`` computed term by term: each placement through
+    from_clifford, summed, then scaled."""
+    return OracleExpr.sum_of(n, (
+        OracleExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=p)
+        for xdeg, xideg, p, elem in placed)).scale(coeff)
 
 
 def oracle_symbol(n, nums, den, coeff=1):
@@ -609,7 +611,7 @@ def oracle_arithmetic():
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
-                            ("at_x0", oracle_at_x0), ("_sym", oracle_sym),
+                            ("at_x0", oracle_at_x0), ("_family", oracle_family),
                             ("_symbol", oracle_symbol), ("x_partials", repeated_x_partials),
                             ("_alpha_coefficient", oracle_alpha_coefficient)):
             mp.setattr(symbols, name, value)
@@ -721,6 +723,35 @@ def test_builders_pass_no_terms_to_the_exact_constructor(monkeypatch):
     assert len(passed) == 1
 
 
+def _channels(built):
+    """The symbols a builder returns, in order, through its dicts and tuples."""
+    if isinstance(built, SymbolExpr):
+        return [built]
+    return [e for part in (built.values() if isinstance(built, dict) else built)
+            for e in _channels(part)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_builders_make_one_symbol_call_per_channel(monkeypatch, m):
+    """Each channel of the four Clifford-family builders is made by one
+    ``symbols._symbol`` call: its term families are summed as int numerators
+    first, not built one by one and added as expressions."""
+    jet = random_point_jet(4, m)
+    calls = []
+    symbol = symbols._symbol
+
+    def counting_symbol(*args):
+        calls.append(args)
+        return symbol(*args)
+    monkeypatch.setattr(symbols, "_symbol", counting_symbol)
+    for build, count in ((symbols.build_sigma_dt, 2), (symbols.build_sigma_delta_inv_parts, 14),
+                         (symbols.build_sigma_dtpow_parts, 8),
+                         (symbols.build_sigma_ab_printed_parts, 7)):
+        calls.clear()
+        channels = _channels(build(jet))
+        assert len(calls) == len(channels) == count, build.__name__
+
+
 _degs = st.lists(st.integers(0, N - 1), max_size=3).map(
     lambda idx: tuple(idx.count(i) for i in range(N)))
 _terms = st.lists(st.tuples(
@@ -797,8 +828,8 @@ def test_phase_violation_raises_at_construction():
     with pytest.raises(ValueError, match=re.escape(str((Z, Z, 0, 0b0011)))):
         SymbolExpr.from_clifford(CliffordElement(N, {0b0001: Fraction(1), 0b0011: Fraction(1)}))
     with pytest.raises(ValueError, match=re.escape(str((Z, _unit(0), 0, 0b0001)))):
-        symbols._sym(CliffordElement(N, {0: Fraction(1, 3), 0b0001: Fraction(2)}), I,
-                     xideg=_unit(0))
+        symbols._family(N, [(Z, _unit(0), 0, CliffordElement(
+            N, {0: Fraction(1, 3), 0b0001: Fraction(2)}))], I)
     assert SymbolExpr(N, {key: I}).phase == 0
     assert SymbolExpr(N, {key: GaussianRational(2)}).phase == 1
     assert e.add_term(*key, I) is None and e.coefficient(key) == I
@@ -812,6 +843,46 @@ def test_coefficients_read_back_exactly():
     assert expand(e) == {(Z, _unit(0), 0, 0b0001): GaussianRational(Fraction(3, 4)),
                          (Z, _unit(1), 0, 0): GaussianRational(0, Fraction(-1, 2))}
     assert e.coefficient((Z, Z, 0, 0)) == 0
+
+
+_families = st.lists(st.tuples(
+    st.sampled_from([Z, _unit(0), _unit(1, 2)]), st.sampled_from([Z, _unit(2), _unit(0, 2)]),
+    st.sampled_from([0, -2]),
+    st.lists(st.tuples(st.integers(0, (1 << N) - 1),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+             max_size=4),
+    st.booleans()), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families, st.integers(0, 1), _scalars)
+def test_family_matches_summed_term_families(families, parity, coeff):
+    """``_family`` sums its placements per key before its one ``_symbol``
+    call: it equals the per-element term families scaled and added as
+    expressions, and the complex oracle, over shared keys, mixed
+    denominators, empty elements and sums that cancel."""
+    placed = []
+    for xdeg, xideg, p, words, negated in families:
+        # one grade parity per |nu| keeps the whole family in one phase
+        elem = CliffordElement(N, _collected(
+            (w ^ ((w.bit_count() + sum(xideg) + parity) & 1), c) for w, c in words))
+        placed.append((xdeg, xideg, p, elem))
+        if negated:   # the same element negated at the same key: the key cancels
+            placed.append((xdeg, xideg, p, -elem))
+    family = symbols._family(N, placed, coeff)
+    summed = SymbolExpr.sum_of(N, (
+        SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=p).scale(coeff)
+        for xdeg, xideg, p, elem in placed))
+    _assert_canonical(family)
+    assert (family.terms, family.den) == (summed.terms, summed.den)
+    assert not family or family.phase == summed.phase
+    assert expand(family) == oracle_family(N, placed, coeff).terms
+
+
+def test_family_of_no_placements_is_zero():
+    for coeff in (1, I, Fraction(-2, 3)):
+        zero = symbols._family(N, [], coeff)
+        assert zero == SymbolExpr(N) and zero.den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +945,18 @@ def _dense_torsion_pair(values_a, n):
                                for j, l in itertools.combinations(range(n), 2)})
 
 
+def _term_family(elem, coeff=1, *, xdeg=None, xideg=None, normpow=0):
+    """coeff * elem as one term family: ``from_clifford``, then ``scale``.
+    ``SymbolExpr`` is looked up in the ``symbols`` module, so
+    ``oracle_arithmetic`` swaps it."""
+    return symbols.SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg,
+                                            normpow=normpow).scale(coeff)
+
+
+def _clifford_sum(n, elems):
+    return sum(elems, CliffordElement.zero(n))
+
+
 def _ordered_pair_order2_channels(jet, mm):
     """tt_xx and tt_scalar from all n^2 ordered products tau_a tau_b of the
     dense torsion rows."""
@@ -881,44 +964,47 @@ def _ordered_pair_order2_channels(jet, mm):
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     tau_a = [_dense_torsion_pair(jet.T[a], n) for a in range(n)]
     return {
-        "tt_xx": SymbolExpr.sum_of(n, (
-            symbols._sym(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
+        "tt_xx": symbols.SymbolExpr.sum_of(n, (
+            _term_family(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
                          xideg=symbols._pair(n, a, b), normpow=p4)
             for a in range(n) for b in range(n))),
-        "tt_scalar": symbols._sym(symbols._elem_sum(n, (t * t for t in tau_a)),
+        "tt_scalar": _term_family(_clifford_sum(n, (t * t for t in tau_a)),
                                   Fraction(9 * mm, 4), normpow=p2),
     }
 
 
 def _per_pair_printed_parts(jet):
     """The printed channels with every operator product written out per
-    (f, g) and per a, as displayed."""
+    (f, g) and per a, as displayed, and every term family summed as an
+    expression."""
     n = jet.n
-    _sym, _elem_sum = symbols._sym, symbols._elem_sum
+    sum_of = symbols.SymbolExpr.sum_of
     cv = CliffordElement.from_vector(n, jet.v)
     cw = CliffordElement.from_vector(n, jet.w)
     tau = _dense_torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
     curvature = symbols._curvature_word_sums(_integer_form(jet.R_entries), n)
-    dw = _elem_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
-                       for j, row in enumerate(jet.dw)))
+    dw = _clifford_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
+                           for j, row in enumerate(jet.dw)))
     return {
-        "s2": SymbolExpr.sum_of(n, (
-            _sym(cv * gens[f] * cw * gens[g], -1, xideg=symbols._pair(n, f, g))
+        "s2": sum_of(n, (
+            _term_family(cv * gens[f] * cw * gens[g], -1, xideg=symbols._pair(n, f, g))
             for f in range(n) for g in range(n))),
-        "s1_tt": SymbolExpr.sum_of(n, (
-            _sym((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
-                 GaussianRational(0, Fraction(1, 4)), xideg=symbols._unit(n, a))
+        "s1_tt": sum_of(n, (
+            _term_family((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
+                         GaussianRational(0, Fraction(1, 4)), xideg=symbols._unit(n, a))
             for a in range(n))),
-        "s1_dw": SymbolExpr.sum_of(n, (
-            _sym(cv * dw * gens[a], I, xideg=symbols._unit(n, a)) for a in range(n))),
-        "s0_tt": _sym(cv * tau * cw * tau, Fraction(1, 16)),
-        "s0_r": _sym(_elem_sum(n, (cv * gens[j] * cw * curvature[j]
-                                   for j in range(n)))),
-        "s0_dt": _sym(_elem_sum(n, (
-            cv * gens[j] * cw * _dense_torsion_cube(jet.dT1[j], n).scale(Fraction(1, 4))
-            for j in range(n)))),
-        "s0_tdw": _sym(cv * dw * tau, Fraction(1, 4)),
+        "s1_dw": sum_of(n, (
+            _term_family(cv * dw * gens[a], I, xideg=symbols._unit(n, a))
+            for a in range(n))),
+        "s0_tt": _term_family(cv * tau * cw * tau, Fraction(1, 16)),
+        "s0_r": sum_of(n, (_term_family(cv * gens[j] * cw * curvature[j])
+                           for j in range(n))),
+        "s0_dt": sum_of(n, (
+            _term_family(cv * gens[j] * cw * _dense_torsion_cube(jet.dT1[j], n),
+                         Fraction(1, 4))
+            for j in range(n))),
+        "s0_tdw": _term_family(cv * dw * tau, Fraction(1, 4)),
     }
 
 
@@ -997,7 +1083,7 @@ def _per_mm_order2_parts(jet, mm):
     every term family made anew for each mm.  The symbol helpers are looked
     up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
     n, der = jet.n, jet.derived
-    _sym, _pair, _elem_sum = symbols._sym, symbols._pair, symbols._elem_sum
+    _pair = symbols._pair
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
@@ -1015,21 +1101,22 @@ def _per_mm_order2_parts(jet, mm):
                                                      for (a, b), x in ric[0].items()).items(),
                                ric[1], Fraction(mm * (mm + 1), 3)),
         "tt_xx": SymbolExpr.sum_of(n, (
-            _sym(symbols._grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
-                 xideg=_pair(n, a, b), normpow=p4)
+            _term_family(symbols._grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
+                         xideg=_pair(n, a, b), normpow=p4)
             for (a, b), prod in tt.items())),
-        "tt_scalar": _sym(_elem_sum(n, (tt[a, a] for a in tau)),
-                          Fraction(9 * mm, 4), normpow=p2),
-        "div_t": _sym(_elem_sum(n, (row for (b, a), row in dtau.items() if a == b)),
-                      Fraction(3 * mm, 2), normpow=p2),
+        "tt_scalar": SymbolExpr.sum_of(n, (
+            _term_family(tt[a, a], Fraction(9 * mm, 4), normpow=p2) for a in tau)),
+        "div_t": SymbolExpr.sum_of(n, (
+            _term_family(row, Fraction(3 * mm, 2), normpow=p2)
+            for (b, a), row in dtau.items() if a == b)),
         "r_xx": SymbolExpr.sum_of(n, (
-            _sym(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
+            _term_family(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
             for (b, a), pair in pairs.items())),
         "dt_xx": SymbolExpr.sum_of(n, (
-            _sym(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
+            _term_family(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
             for (b, a), row in dtau.items())),
         "e_scalar": symbols._symbol(n, [((x0, x0, p2, 0), 1)], 1, e_val),
-        "dt4": _sym(dt4, Fraction(-3 * mm, 2), normpow=p2),
+        "dt4": _term_family(dt4, Fraction(-3 * mm, 2), normpow=p2),
     }
 
 
