@@ -8,9 +8,8 @@ Exit code contract (stable):
     3  internal error: an unexpected exception inside the engine (reported
        on stderr); never a discrepancy, which is always 1
 
-``verify`` builds one ``PipelineContext`` (symbol artifacts) per trial
-seed and hands it to every selected per-jet check; each jet also keeps its
-own ``jet.derived`` (derived scalars) across its densities and audit.
+``verify`` builds one ``PipelineContext`` (derived scalars and symbol
+artifacts) per trial seed and hands it to every selected per-jet check.
 
 Two of the selectable checks compare the engine against displayed
 reference expressions that are reproducibly off (the grade-1 product
@@ -240,7 +239,7 @@ def lemma36_row(seed: int, ctx: PipelineContext) -> dict:
     row = {"seed": seed, "grade2_equal": eq[0],
            "grade1_equal": eq[1], "grade0_equal": eq[2]}
     if not all(eq):
-        tt = ctx.jet.derived.tt_vw
+        tt = ctx.derived.tt_vw
         shift = ctx.part2("composed").value - ctx.part2("printed").value
         row["density_shift"] = format_rational(shift)
         row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
@@ -270,7 +269,7 @@ def theorem_row(seed: int, ctx: PipelineContext) -> dict:
 
 
 def metric_row(seed: int, ctx: PipelineContext) -> dict:
-    value, expected = ctx.metric().value, -ctx.jet.derived.g_vw
+    value, expected = ctx.metric().value, -ctx.derived.g_vw
     return {"seed": seed, "value": format_rational(value),
             "expected": format_rational(expected), "match": value == expected}
 
@@ -282,7 +281,7 @@ def _theorem_case_rows(seed: int, m: int) -> List[dict]:
                                            with_torsion_jet=False), m)
     total = ctx.part1().value + ctx.part2().value
     rows = [{"case": "zero-torsion",
-             "match": total == -Fraction(1, 6) * ctx.jet.derived.einstein_vw}]
+             "match": total == -Fraction(1, 6) * ctx.derived.einstein_vw}]
     for label, expected, jet_kw in _one_hot_cases(m):
         ctx = PipelineContext(make_point_jet(m, **jet_kw), m)
         total = ctx.part1().value + ctx.part2().value
@@ -457,17 +456,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the torsion Dirac operator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=5):
+    def common(p, trials_default=None):
         p.add_argument("--dim", "-m", type=int, default=2, dest="dim_m",
                        help="half-dimension m (n = 2m); supported: "
                             + ", ".join(map(str, SUPPORTED_M)))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if trials_default:  # not for instance, which prints one jet as JSON
+            p.add_argument("--trials", type=int, default=trials_default)
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", dest="output_path", default=None)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
-    common(p_verify)
+    common(p_verify, trials_default=5)
     p_verify.add_argument("--checks", default="all",
                           help="comma-separated subset of: "
                                + ",".join(ALL_CHECKS) + ",all")
@@ -504,11 +504,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = {"verify": cmd_verify, "instance": cmd_instance,
                 "density": cmd_density, "audit": cmd_audit}
     try:
-        if args.command != "density":
-            if args.dim_m not in SUPPORTED_M:
-                raise UsageError(f"unsupported dimension m={args.dim_m}")
-            if args.trials < 1:
-                raise UsageError("trials must be >= 1")
+        if args.command != "density" and args.dim_m not in SUPPORTED_M:
+            raise UsageError(f"unsupported dimension m={args.dim_m}")
+        if args.command in ("verify", "audit") and args.trials < 1:
+            raise UsageError("trials must be >= 1")
         if args.command == "verify":
             args.checks = _parse_checks(args.checks)
         return commands[args.command](args)

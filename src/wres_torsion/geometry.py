@@ -68,15 +68,6 @@ class PointJet:
     T = cached_property(lambda self: _dense(self.T_entries, self.n, 3))
     dT1 = cached_property(lambda self: _dense(self.dT1_entries, self.n, 4))
 
-    @property
-    def derived(self) -> DerivedScalars:
-        """``derived_scalars(self)``, kept outside the fields (==, hash and repr ignore
-        it) from the first read until the module's ``derived_scalars`` is rebound."""
-        kept = self.__dict__.get("derived")
-        if kept is None or kept[0] is not derived_scalars:
-            kept = self.__dict__["derived"] = (derived_scalars, derived_scalars(self))
-        return kept[1]
-
 
 @dataclass(frozen=True)
 class DerivedScalars:

@@ -30,7 +30,8 @@ spectral Einstein density
     + (11/4) sum (nabla_{e_a} T)(e_a,v,w) + (17/4) sum T(v, nabla_j w, e_j).
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
-for the same jet object, m and builder bindings, so each symbol is built once per jet.
+for the same jet object, m and builder bindings, so each symbol and the derived
+scalars are built once per jet.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6) and reports every display that disagrees with the engine, together
@@ -50,7 +51,7 @@ from functools import cached_property
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .clifford import CliffordElement, word_indices
+from .clifford import word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
@@ -278,38 +279,37 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
 # ---------------------------------------------------------------------------
 
 
-class PipelineContext:
+class PipelineContext(JetInputs):
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
-    Every field is built on first use and reused by every later consumer:
-    c(v)c(w), the inverse-power channels of parts 1 and 2, the printed and
-    composed product-symbol grades, and the table alpha -> d_x^alpha
-    sigma_Delta |x0 (|alpha| <= 2) that every Leibniz sum of part 2 reads.
-    The builders, called through this module's bindings, share the context's
-    ``JetInputs``, so each reads the jet's tensors converted once.  The public
-    calls on one jet in a row share the context ``_context`` holds (the CLI
-    makes one per jet); the derived scalars belong to the jet (``jet.derived``).
-    A jet whose dimension is not 2m is rejected before any field is built.
+    The context is the builders' ``JetInputs`` (the derived scalars, c(v),
+    c(w) and the jet's tensors converted once), handed to every builder it
+    calls through this module's bindings.  Every field is built on first use
+    and reused by every later consumer: c(v)c(w), the inverse-power channels
+    of parts 1 and 2, the printed and composed product-symbol grades, and the
+    table alpha -> d_x^alpha sigma_Delta |x0 (|alpha| <= 2) that every
+    Leibniz sum of part 2 reads.  The public calls on one jet in a row share
+    the context ``_context`` holds (the CLI makes one per jet).  A jet whose
+    dimension is not 2m is rejected before any field is built.
     """
 
     def __init__(self, jet: PointJet, m: int):
         if jet.n != 2 * m:
             raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
-        self.jet, self.m, self.n, self.inputs = jet, m, jet.n, JetInputs(jet)
+        super().__init__(jet)
+        self.m = m
 
     @cached_property
     def cvw(self) -> SymbolExpr:
-        cv = CliffordElement.from_vector(self.n, self.jet.v)
-        cw = CliffordElement.from_vector(self.n, self.jet.w)
-        return SymbolExpr.from_clifford(cv * cw)
+        return SymbolExpr.from_clifford(self.cv * self.cw)
 
     @cached_property
     def dtpow_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_dtpow_parts(self.jet, self.inputs)
+        return build_sigma_dtpow_parts(self.jet, self)
 
     @cached_property
     def delta_inv_parts(self) -> Tuple[Dict[str, SymbolExpr], ...]:
-        return build_sigma_delta_inv_parts(self.jet, self.inputs)
+        return build_sigma_delta_inv_parts(self.jet, self)
 
     @cached_property
     def delta_dx(self) -> Dict[Tuple[int, ...], SymbolExpr]:
@@ -320,7 +320,7 @@ class PipelineContext:
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_ab_printed_parts(self.jet, self.inputs)
+        return build_sigma_ab_printed_parts(self.jet, self)
 
     @cached_property
     def ab_printed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
@@ -328,7 +328,7 @@ class PipelineContext:
 
     @cached_property
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-        return build_sigma_ab_composed(self.jet, self.inputs)
+        return build_sigma_ab_composed(self.jet, self)
 
     def _trace_cvw(self, expr: SymbolExpr) -> Density:
         """trace_integral(cvw * expr), joined by word: cvw is x-free of
@@ -356,12 +356,12 @@ class PipelineContext:
                            Fraction(0)))
 
     def part1_closed(self) -> Density:
-        der, m = self.jet.derived, self.m
+        der, m = self.derived, self.m
         return Density(Fraction(m - 1, 12) * der.s * der.g_vw
                        - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
 
     def part2_closed(self) -> Density:
-        der, m = self.jet.derived, self.m
+        der, m = self.derived, self.m
         return Density(-Fraction(1, 6) * (der.ric_vw - der.s * der.g_vw / 2)
                        - Fraction(m - 1, 12) * der.s * der.g_vw
                        + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
@@ -370,7 +370,7 @@ class PipelineContext:
                        + Fraction(17, 4) * der.t_dw)
 
     def theorem(self) -> Density:
-        der = self.jet.derived
+        der = self.derived
         return Density(-Fraction(1, 6) * der.einstein_vw
                        + Fraction(73, 16) * der.norm_t2 * der.g_vw
                        - Fraction(25, 16) * der.tt_vw
@@ -379,7 +379,7 @@ class PipelineContext:
 
 
 # the residue bindings whose results a context keeps
-_KEPT = ("JetInputs", "printed_grades", "x_partials", "build_sigma_ab_composed",
+_KEPT = ("printed_grades", "x_partials", "build_sigma_ab_composed",
          "build_sigma_dtpow_parts", "build_sigma_delta_inv_parts", "build_sigma_ab_printed_parts")
 _held: Tuple[Tuple[object, ...], PipelineContext] | None = None
 
@@ -522,7 +522,7 @@ def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict
 def audit(jet: PointJet, m: int) -> DensityReport:
     """Step-by-step comparison of the engine against the reference chain."""
     ctx = _context(jet, m)
-    der = jet.derived
+    der = ctx.derived
     report = DensityReport(m=m)
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw

@@ -61,8 +61,7 @@ from math import factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElement, Word, _below
-# derived_scalars stays bound for bench/test_bench.py; builders read jet.derived
-from .geometry import Entries, PointJet, derived_scalars  # noqa: F401
+from .geometry import Entries, PointJet, derived_scalars
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
@@ -507,15 +506,19 @@ def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
 
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
-    by every builder given this object: R's and Ric's int forms, the curvature
-    word and pair sums, T's and dT1's 3-forms and bivector rows, and the mm-free
-    order -(2mm+2) families.  A builder given only the jet makes its own."""
+    by every builder given this object: the derived scalars, c(v) and c(w),
+    R's and Ric's int forms, the curvature word and pair sums, T's and dT1's
+    3-forms and bivector rows, and the mm-free order -(2mm+2) families.  A
+    builder given only the jet makes its own."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
 
+    derived = cached_property(lambda self: derived_scalars(self.jet))
+    cv = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.v))
+    cw = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.w))
     curvature = cached_property(lambda self: _integer_form(self.jet.R_entries))
-    ric = cached_property(lambda self: _integer_form(self.jet.derived.ric))
+    ric = cached_property(lambda self: _integer_form(self.derived.ric))
     word_sums = cached_property(lambda self: _curvature_word_sums(self.curvature, self.n))
     pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
     forms = cached_property(lambda self: tuple(
@@ -528,7 +531,7 @@ class JetInputs:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q."""
-        n, der = self.n, self.jet.derived
+        n, der = self.n, self.derived
         x0 = (0,) * n
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
@@ -592,16 +595,17 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     at x0 follow by the product rule from those of its two factors."""
     n = jet.n
     x0, zero = (0,) * n, SymbolExpr(n)
+    inputs = inputs or JetInputs(jet)
     sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
     # c(w(x)) carries w's first jet
-    cw = x_partials(_family(n, [(x0, x0, 0, CliffordElement.from_vector(n, jet.w))] + [
+    cw = x_partials(_family(n, [(x0, x0, 0, inputs.cw)] + [
         (_unit(n, j), x0, 0, CliffordElement.from_vector(n, row))
         for j, row in enumerate(jet.dw)]), 1)
     s0, w0 = sigma.get((), zero), cw.get((), zero)
     right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
                              for j in range(1, n + 1)}}
     full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
-        SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v)) * s0, right, (0, 1))))
+        SymbolExpr.from_clifford(inputs.cv) * s0, right, (0, 1))))
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
@@ -622,10 +626,8 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       the audit reports the difference.
     """
     n = jet.n
-    cv = CliffordElement.from_vector(n, jet.v)
-    cw = CliffordElement.from_vector(n, jet.w)
     inputs = inputs or JetInputs(jet)
-    (tau, dtau), curvature = inputs.forms, inputs.word_sums
+    cv, cw, (tau, dtau), curvature = inputs.cv, inputs.cw, inputs.forms, inputs.word_sums
     tau = tau.get((), CliffordElement.zero(n))
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
     # c(v) sum_{j,g} (d_j w_g) c_j c_g, where c_j c_g is -1 times its word iff j >= g

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wres_torsion import cli, geometry, residue
+from wres_torsion import cli, residue, symbols
 from wres_torsion.cli import main
 from wres_torsion.geometry import jet_to_dict, make_point_jet
 
@@ -29,9 +30,19 @@ def test_instance_deterministic_bytes(capsys):
     code2, out2, _ = run(capsys, "instance", "--dim", "2", "--seed", "1")
     assert code1 == code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "1fcb84f067ef0ef9612b2efb262aafcbb5e3ad2d48109b13c66ae86d21c599b5")
     data = json.loads(out1)
     assert data["n"] == 4
     assert data["schema"] == "wres-torsion-instance-v1"
+
+
+@pytest.mark.parametrize("flag", [("--trials", "0"), ("--format", "text")])
+def test_instance_rejects_report_options(capsys, flag):
+    code, out, err = run(capsys, "instance", "--dim", "2", *flag)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_instance_unsupported_dim(capsys):
@@ -44,6 +55,7 @@ def test_trials_zero_rejected(capsys):
     code, _, err = run(capsys, "verify", "--trials", "0")
     assert code == 2
     assert "trials" in err
+    assert run(capsys, "audit", "--trials", "0") == (2, "", "error: trials must be >= 1\n")
 
 
 def test_unknown_check_rejected(capsys):
@@ -141,7 +153,7 @@ def _counted(monkeypatch, calls, module, name):
 def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
     calls = Counter()
     _counted(monkeypatch, calls, cli, "random_point_jet")
-    _counted(monkeypatch, calls, geometry, "derived_scalars")
+    _counted(monkeypatch, calls, symbols, "derived_scalars")
     builders = [name for name in vars(residue) if name.startswith("build_sigma_")]
     for name in builders:
         _counted(monkeypatch, calls, residue, name)

@@ -563,7 +563,6 @@ def test_derived_scalars_match_dense_oracle():
     for jet in jets:
         oracle = _derived_scalars_dense(jet)
         assert _expanded(derived_scalars(jet), jet.n) == oracle
-        assert _expanded(jet.derived, jet.n) == oracle
     assert sum(derived_scalars(j).tt_vw != 0 for j in jets) > 10
     assert sum(derived_scalars(j).t_dw != 0 for j in jets) > 10
 
@@ -582,46 +581,18 @@ def test_derived_tensors_are_sparse_maps_of_their_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# the derived scalars a jet keeps
+# derived scalars of replaced and inadmissible jets
 # ---------------------------------------------------------------------------
 
 def test_replaced_jet_computes_its_own_derived_scalars():
     jet = random_point_jet(3, 2)
-    assert jet.derived.tt_vw
+    der = derived_scalars(jet)
+    assert der.tt_vw
     other = dataclasses.replace(jet, w=jet.v)
-    assert _expanded(other.derived, other.n) == _derived_scalars_dense(other)
-    assert other.derived.g_vw == sum(x * x for x in jet.v) != jet.derived.g_vw
-    assert other.derived.tt_vw != jet.derived.tt_vw
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_filled_cache_leaves_the_jet_unchanged(m):
-    jet, twin = random_point_jet(4, m), random_point_jet(4, m)
-    before = (hash(jet), repr(jet), jet_to_dict(jet))
-    assert jet.derived is jet.derived
-    assert "derived" in vars(jet) and "derived" not in vars(twin)
-    assert jet == twin
-    assert (hash(jet), repr(jet), jet_to_dict(jet)) == before == (
-        hash(twin), repr(twin), jet_to_dict(twin))
-
-
-def test_rebound_derived_scalars_recomputes_a_kept_value(monkeypatch):
-    import wres_torsion.geometry as geometry
-
-    jet = random_point_jet(5, 2)
-    original = jet.derived
-    calls = []
-
-    def wrapped(j):
-        calls.append(j)
-        return derived_scalars(j)
-
-    monkeypatch.setattr(geometry, "derived_scalars", wrapped)
-    assert jet.derived == jet.derived == original
-    assert calls == [jet]
-    monkeypatch.undo()
-    assert jet.derived == original
-    assert vars(jet)["derived"][0] is derived_scalars
+    other_der = derived_scalars(other)
+    assert _expanded(other_der, other.n) == _derived_scalars_dense(other)
+    assert other_der.g_vw == sum(x * x for x in jet.v) != der.g_vw
+    assert other_der.tt_vw != der.tt_vw
 
 
 def test_failed_derived_scalars_are_not_cached():
@@ -636,7 +607,6 @@ def test_failed_derived_scalars_are_not_cached():
             part1_closed(bad, 2)
         assert type(info.value) is ValueError
         messages.append(str(info.value))
-        assert "derived" not in vars(bad)
     assert messages[0] == messages[1] == "R pair antisymmetry (first pair) at (0,1,2,3)"
 
 

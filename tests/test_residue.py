@@ -598,6 +598,44 @@ def test_audit_lemma36_payload():
     assert diff["density_shift_formula"].startswith("3/4")
 
 
+def _audit_jets():
+    """Seeds 0-4 at m = 2 and 3, and the one-hot jets of each m."""
+    from wres_torsion.cli import _one_hot_cases
+
+    for m in (2, 3):
+        yield from ((m, random_point_jet(seed, m)) for seed in range(5))
+        yield from ((m, make_point_jet(m, **kw)) for _, _, kw in _one_hot_cases(m))
+
+
+def test_audit_rows_add_up_to_its_totals():
+    """The I-* rows split part 1 and the II-* rows split part 2, so a dropped
+    or double-counted row shows against the totals."""
+    from wres_torsion.numerics import format_rational
+
+    for m, jet in _audit_jets():
+        report = audit(jet, m)
+        for part, prefix in (("part1", "I-"), ("part2", "II-")):
+            rows = sum((e.engine for e in report.entries if e.label.startswith(prefix)),
+                       Fraction(0))
+            assert format_rational(rows) == report.totals[part]["engine"], (m, jet, part)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_no_engine_call_writes_to_a_jet(m):
+    import copy
+
+    jet = random_point_jet(11, m)
+    before = (hash(jet), copy.deepcopy(vars(jet)))
+    for call in (metric_density, part1_density, part2_density, part1_closed,
+                 part2_closed, theorem_density, audit):
+        call(jet, m)
+    ctx = PipelineContext(jet, m)
+    ctx.part2("composed")
+    assert ctx.part1().value + ctx.part2().value == ctx.theorem().value
+    assert ctx.metric().value == -derived_scalars(jet).g_vw
+    assert (hash(jet), vars(jet)) == before
+
+
 def test_audit_report_serializes():
     import json
 
@@ -757,26 +795,36 @@ def _jet_reads(reads, jet):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, seed):
+def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
     share one context: each builder they use runs once, and the jet's maps
-    are read once by the builders; an audit of the same jet right after them
-    builds only the composed product symbol."""
+    and vectors are read once by the builders; an audit of the same jet right
+    after them builds only the composed product symbol."""
+    vectors = []
+    from_vector = CliffordElement.from_vector.__func__
+
+    def counted(cls, n, coeffs):
+        vectors.append(coeffs)
+        return from_vector(cls, n, coeffs)
+
+    monkeypatch.setattr(CliffordElement, "from_vector", classmethod(counted))
     jet = random_point_jet(seed, 3)
     p1, p2 = part1_density(jet, 3).value, part2_density(jet, 3).value
     assert p1 == part1_closed(jet, 3).value
     assert p2 == part2_closed(jet, 3).value
     assert p1 + p2 == theorem_density(jet, 3).value
-    assert metric_density(jet, 3).value == -jet.derived.g_vw
+    assert metric_density(jet, 3).value == -derived_scalars(jet).g_vw
     once = {"derived_scalars": 1, "build_sigma_dtpow_parts": 1,
             "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1}
     assert build_counts == once
     reads = {"pair_sums": 1, "R int form": 1, ("T", "rows"): 1, ("dT1", "rows"): 1,
              ("T", "3-forms"): 1, ("dT1", "3-forms"): 1}
     assert _jet_reads(input_reads, jet) == reads
+    assert vectors == [jet.v, jet.w]  # c(v) and c(w), once each
     assert audit(jet, 3).ok
     assert build_counts == {**once, "build_sigma_ab_composed": 1}
     assert _jet_reads(input_reads, jet) == reads
+    assert vectors == [jet.v, jet.w, *jet.dw]  # the composed symbol adds c(w)'s jet
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -922,4 +970,3 @@ def test_jet_construction_derives_no_scalars(build_counts):
         jets += [random_point_jet(7, m), jet_from_dict(jet_to_dict(random_point_jet(8, m)))]
     assert all(validate_symmetries(jet).ok for jet in jets)
     assert build_counts["derived_scalars"] == 0
-    assert not any("derived" in vars(jet) for jet in jets)

@@ -1082,7 +1082,7 @@ def _per_mm_order2_parts(jet, mm):
     them before the mm-free families: the inputs, the Clifford products and
     every term family made anew for each mm.  The symbol helpers are looked
     up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
-    n, der = jet.n, jet.derived
+    n, der = jet.n, derived_scalars(jet)
     _pair = symbols._pair
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
@@ -1147,9 +1147,11 @@ def test_order2_families_match_per_mm_channels_without_e_scalar(m):
     import dataclasses
 
     jet = random_point_jet(2, m)
-    scale = 3 * jet.derived.norm_t2 / jet.derived.s
+    der = derived_scalars(jet)
+    scale = 3 * der.norm_t2 / der.s
     jet = dataclasses.replace(jet, R_entries={k: x * scale for k, x in jet.R_entries.items()})
-    assert jet.derived.s == 3 * jet.derived.norm_t2 != 0
+    der = derived_scalars(jet)
+    assert der.s == 3 * der.norm_t2 != 0
     inputs = _assert_order2_matches_per_mm(jet)
     assert not inputs.order2["e_scalar"][2]
     assert all(inputs.order2_parts(mm)["ric"] for mm in (m - 1, m))
