@@ -40,6 +40,7 @@ from .clifford import (
 from .geometry import (
     SUPPORTED_M,
     InstanceError,
+    _small_rational,
     jet_from_dict,
     jet_to_dict,
     make_point_jet,
@@ -143,7 +144,7 @@ def check_moments(args: argparse.Namespace) -> dict:
 
 
 def _random_vector(rng: random.Random, n: int):
-    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    return [_small_rational(rng) for _ in range(n)]
 
 
 def check_traces(args: argparse.Namespace) -> dict:

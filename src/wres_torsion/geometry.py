@@ -22,6 +22,9 @@ symmetric 2-tensors below, is p/q with |p| <= 3 and 1 <= q <= 3) so
 downstream exact arithmetic stays fast, and builds the curvature tensor
 as a sum of Kulkarni-Nomizu squares of random symmetric 2-tensors, which
 enforces the pair symmetries and the first Bianchi identity by construction.
+The squares are summed in ints over the 2-tensors times 6 (every q divides
+6), with one ``Fraction`` per orbit representative; every drawn value is one
+shared object of a table of the 21 values p/q.
 The validator re-checks every identity independently.
 
 Conventions fixed here (and relied on by the residue pipelines):
@@ -124,6 +127,11 @@ def _one_based(index: Tuple[int, ...]) -> str:
     return "(" + ",".join(str(i + 1) for i in index) + ")"
 
 
+def _label(name: str, index: Tuple[int, ...]) -> str:
+    """The channel as an error names it; dT1 with its derivative slot."""
+    return f"dT1[{index[0] + 1}]" if name == "dT1" else name
+
+
 def _complete(name: str, entries, n: int) -> Entries:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
@@ -136,12 +144,11 @@ def _complete(name: str, entries, n: int) -> Entries:
     lead = 1 if name == "dT1" else 0      # dT1's derivative slot is not a form slot
     out: Entries = {}
     for index, val in entries:
-        label = f"dT1[{index[0] + 1}]" if lead else name
         if not all(0 <= i < n for i in index):
             raise InstanceError(f"{name} index {index} outside 0..{n - 1}")
         if name != "R" and len(set(index[lead:])) < 3:
             if val:
-                raise InstanceError(f"{label} entry with repeated index "
+                raise InstanceError(f"{_label(name, index)} entry with repeated index "
                                     f"{_one_based(index[lead:])} must be zero")
             continue
         orbit: Dict[Tuple[int, ...], int] = {}
@@ -150,9 +157,11 @@ def _complete(name: str, entries, n: int) -> Entries:
         neg = -val
         for key, sign in orbit.items():
             value = val if sign > 0 else neg
-            if out.setdefault(_INDICES.setdefault(key, key), value) != value:
+            # a new key returns ``value`` itself, so only a revisited one is compared
+            prev = out.setdefault(_INDICES.setdefault(key, key), value)
+            if prev is not value and prev != value:
                 kind = "symmetry" if name == "R" else "antisymmetry"
-                raise InstanceError(f"{label} entries conflict by {kind} "
+                raise InstanceError(f"{_label(name, index)} entries conflict by {kind} "
                                     f"at {_one_based(key[lead:])}")
     return {key: x for key, x in out.items() if x}
 
@@ -175,8 +184,13 @@ def _admissible(jet: PointJet) -> PointJet:
 # construction: random and from sparse entries
 # ---------------------------------------------------------------------------
 
+# every value p/q that ``_small_rational`` draws, one shared object each
+_SMALL = {(p, q): Fraction(p, q) for p in range(-3, 4) for q in range(1, 4)}
+
+
 def _small_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    """p/q, p drawn from -3..3 and then q from 1..3 (randint's stream)."""
+    return _SMALL[rng.randrange(-3, 4), rng.randrange(1, 4)]
 
 
 def _check_supported(m: int) -> None:
@@ -197,11 +211,13 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
         hs = [{} for _ in range(rng.randint(2, 4))]
         for h in hs:
             for i, j in combinations_with_replacement(range(n), 2):
-                h[i, j] = h[j, i] = _small_rational(rng)
+                x = _small_rational(rng)
+                h[i, j] = h[j, i] = 6 * x.numerator // x.denominator   # 6h, an int
         # the sum of the Kulkarni-Nomizu squares of the h (up to overall
-        # scale), on one representative a < b, c < d, (a, b) <= (c, d) per orbit
+        # scale), on one representative a < b, c < d, (a, b) <= (c, d) per
+        # orbit: summed in ints over the 6h, so each value is total / 36
         R = _complete("R", (
-            ((a, b, c, d), sum(h[a, c] * h[b, d] - h[a, d] * h[b, c] for h in hs))
+            ((a, b, c, d), Fraction(sum(h[a, c] * h[b, d] - h[a, d] * h[b, c] for h in hs), 36))
             for (a, b), (c, d) in combinations_with_replacement(
                 list(combinations(range(n), 2)), 2)), n)
     triples = list(combinations(range(n), 3))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from decimal import Decimal
@@ -59,6 +60,28 @@ def test_generator_output_validates(m):
 
 def test_determinism():
     assert random_point_jet(42, 2) == random_point_jet(42, 2)
+
+
+_FLAG_SETTINGS = [{}, {"with_curvature": False}, {"with_torsion": False},
+                  {"with_torsion_jet": False}, {"with_w_jet": False}]
+
+
+def test_generated_jets_are_pinned():
+    """Every entry of every generated jet, images included, for seeds 0-4,
+    m = 1, 2, 3 and each flag setting: ``jet_to_dict`` alone reads only the
+    orbit representatives, so a wrong image would pass it."""
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for m in (1, 2, 3):
+            for flags in _FLAG_SETTINGS:
+                jet = random_point_jet(seed, m, **flags)
+                for entries in (jet.R_entries, jet.T_entries, jet.dT1_entries):
+                    digest.update(repr(sorted((key, format_rational(x))
+                                              for key, x in entries.items())).encode())
+                for row in (jet.v, jet.w, *jet.dw):
+                    digest.update(repr([format_rational(x) for x in row]).encode())
+    assert digest.hexdigest() == (
+        "6d6b31d440e9e686f0693313cd08104105d71d8d5f2543e882f7cd852dec1b20")
 
 
 def test_zero_torsion_mode():
@@ -707,6 +730,25 @@ def test_conflicting_torsion_jet_entries_rejected():
             "v": ["0"] * 4, "w": ["0"] * 4, "dw": [["0"] * 4] * 4}
     with pytest.raises(InstanceError, match="conflict"):
         jet_from_dict(data)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({"T": [(0, 1, 2, 0), (1, 0, 2, 1)]}, "T entries conflict by antisymmetry at (2,1,3)"),
+    ({"dT1": [(1, 0, 1, 2, 1), (1, 1, 0, 2, 1)]},
+     "dT1[2] entries conflict by antisymmetry at (2,1,3)"),
+    ({"dT1": [(1, 0, 1, 2, 0), (1, 2, 1, 0, 3)]},
+     "dT1[2] entries conflict by antisymmetry at (3,2,1)"),
+    ({"R": [(0, 1, 0, 1, 0), (1, 0, 0, 1, 2)]}, "R entries conflict by symmetry at (2,1,1,2)"),
+    ({"T": [(0, 0, 1, 1)]}, "T entry with repeated index (1,1,2) must be zero"),
+    ({"dT1": [(2, 0, 0, 1, 1)]}, "dT1[3] entry with repeated index (1,1,2) must be zero"),
+    ({"T": [(0, 1, 4, 1)]}, "T index (0, 1, 4) outside 0..3"),
+])
+def test_completion_errors_keep_their_messages(entries, message):
+    """Each completion error names its channel (dT1 with its derivative
+    slot) and position, zero entries included."""
+    with pytest.raises(InstanceError) as err:
+        make_point_jet(2, **entries)
+    assert str(err.value) == message
 
 
 def test_repeated_index_torsion_rejected():
