@@ -24,8 +24,16 @@ as a sum of Kulkarni-Nomizu squares of random symmetric 2-tensors, which
 enforces the pair symmetries and the first Bianchi identity by construction.
 The squares are summed in ints over the 2-tensors times 6 (every q divides
 6), with one ``Fraction`` per orbit representative; every drawn value is one
-shared object of a table of the 21 values p/q.
-The validator re-checks every identity independently.
+shared object of a table of the 21 values p/q.  The completion reads each
+index's signed images from a memo, once per orbit representative.
+
+The validator re-checks every identity independently, with its own copy of
+each symmetry group: a channel map has its (anti)symmetries exactly when it
+is the completion of its orbit representatives, and for such an R the
+Bianchi cyclic sum is a 4-form, so it is tested on the increasing
+quadruples of the representatives' index sets only.  That decision costs
+in proportion to the nonzero entries and builds no Fraction; only a map it
+rejects is scanned in ints, to name each violation.
 
 Conventions fixed here (and relied on by the residue pipelines):
 Ric_{bk} = sum_j R_{jbjk}, s = sum_b Ric_{bb}, and the squared torsion norm
@@ -122,6 +130,12 @@ _IMAGES = {name: tuple((itemgetter(*perm), sign) for perm, sign in images)
 # one shared object per index tuple, for the channel maps of all jets
 _INDICES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
+# per (channel, n): index -> its distinct images of sign +1 and those of sign
+# -1 (the first sign of each image in ``_IMAGES`` order), as ``_INDICES``'
+# tuples; filled on the first completion of an in-range index
+Orbit = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+_ORBITS: Dict[Tuple[str, int], Dict[Tuple[int, ...], Orbit]] = {}
+
 
 def _one_based(index: Tuple[int, ...]) -> str:
     return "(" + ",".join(str(i + 1) for i in index) + ")"
@@ -132,38 +146,68 @@ def _label(name: str, index: Tuple[int, ...]) -> str:
     return f"dT1[{index[0] + 1}]" if name == "dT1" else name
 
 
+def _orbit(name: str, index: Tuple[int, ...], n: int, val) -> Orbit | None:
+    """The orbit of ``index`` as ``_ORBITS`` keeps it; None for a zero
+    torsion entry with a repeated form index.  Raises InstanceError where an
+    index lies outside 0..n-1 and on a nonzero torsion entry with a repeated
+    form index."""
+    if not all(0 <= i < n for i in index):
+        raise InstanceError(f"{name} index {index} outside 0..{n - 1}")
+    lead = 1 if name == "dT1" else 0      # dT1's derivative slot is not a form slot
+    if name != "R" and len(set(index[lead:])) < 3:
+        if val:
+            raise InstanceError(f"{_label(name, index)} entry with repeated index "
+                                f"{_one_based(index[lead:])} must be zero")
+        return None
+    signs: Dict[Tuple[int, ...], int] = {}
+    for get, sign in _IMAGES[name]:
+        signs.setdefault(get(index), sign)
+    return tuple(tuple(_INDICES.setdefault(key, key) for key, s in signs.items() if s == side)
+                 for side in (1, -1))
+
+
 def _complete(name: str, entries, n: int) -> Entries:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
     (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples.
 
+    Each index's signed images are read from ``_ORBITS``.  An entry whose
+    orbit no earlier entry set is written without a comparison, and a zero
+    one is only noted, so no zero is stored; a revisited orbit compares each
+    image, positive ones first.
     Raises InstanceError where an index lies outside 0..n-1, where two
     images of the entries disagree, and on a nonzero torsion entry with a
     repeated form index (a zero one is skipped)."""
-    images = _IMAGES[name]
-    lead = 1 if name == "dT1" else 0      # dT1's derivative slot is not a form slot
+    orbits = _ORBITS.setdefault((name, n), {})
     out: Entries = {}
+    zero = set()                         # the positions of the orbits set to zero
     for index, val in entries:
-        if not all(0 <= i < n for i in index):
-            raise InstanceError(f"{name} index {index} outside 0..{n - 1}")
-        if name != "R" and len(set(index[lead:])) < 3:
+        orbit = orbits.get(index)
+        if orbit is None:
+            orbit = _orbit(name, index, n, val)
+            if orbit is None:
+                continue
+            orbits[index] = orbit
+        pos, neg = orbit
+        # the orbits of two entries are equal or disjoint, so one position tells
+        if pos[0] not in out and pos[0] not in zero:
             if val:
-                raise InstanceError(f"{_label(name, index)} entry with repeated index "
-                                    f"{_one_based(index[lead:])} must be zero")
+                opposite = -val
+                for key in pos:
+                    out[key] = val
+                for key in neg:
+                    out[key] = opposite
+            else:
+                zero.update(pos, neg)
             continue
-        orbit: Dict[Tuple[int, ...], int] = {}
-        for get, sign in images:
-            orbit.setdefault(get(index), sign)
-        neg = -val
-        for key, sign in orbit.items():
-            value = val if sign > 0 else neg
-            # a new key returns ``value`` itself, so only a revisited one is compared
-            prev = out.setdefault(_INDICES.setdefault(key, key), value)
-            if prev is not value and prev != value:
-                kind = "symmetry" if name == "R" else "antisymmetry"
-                raise InstanceError(f"{_label(name, index)} entries conflict by {kind} "
-                                    f"at {_one_based(key[lead:])}")
-    return {key: x for key, x in out.items() if x}
+        kind = "symmetry" if name == "R" else "antisymmetry"
+        for keys, value in ((pos, val), (neg, -val)):
+            for key in keys:
+                if out.get(key, 0) != value:
+                    lead = 1 if name == "dT1" else 0
+                    raise InstanceError(f"{_label(name, index)} entries conflict by {kind} "
+                                        f"at {_one_based(key[lead:])}")
+    return out
 
 
 def _point_jet(m: int, R: Entries, T: Entries, dT1: Entries, v, w, dw) -> PointJet:
@@ -285,7 +329,7 @@ def _ricci(R: Entries) -> Tuple[Dict[Tuple[int, int], int], int]:
     violates the pair symmetries (the contraction convention is only
     meaningful on an admissible tensor)."""
     entries, den = _integer_form(R)
-    problems = _riemann_scan(entries, limit=1)
+    problems = [] if _is_curvature(entries) else _riemann_scan(entries, limit=1)
     if problems:
         raise ValueError(problems[0])
     ric: Dict[Tuple[int, int], int] = {}
@@ -352,6 +396,77 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
 # validation
 # ---------------------------------------------------------------------------
 
+# Each channel's symmetry group as the validator reads it, apart from the
+# completion's image table: the slot permutations other than the identity
+# that keep the value of an orbit representative (even) and those that
+# negate it (odd, a transposition first).  R's representatives have a < b,
+# c < d and (a, b) <= (c, d), T's and dT1's increasing form slots; on each
+# of their orbits the sign of an image is well defined.
+_R_GROUP = ((itemgetter(2, 3, 0, 1), itemgetter(1, 0, 3, 2), itemgetter(3, 2, 1, 0)),
+            (itemgetter(1, 0, 2, 3), itemgetter(0, 1, 3, 2), itemgetter(2, 3, 1, 0),
+             itemgetter(3, 2, 0, 1)))
+_T_GROUP = ((itemgetter(1, 2, 0), itemgetter(2, 0, 1)),
+            (itemgetter(1, 0, 2), itemgetter(0, 2, 1), itemgetter(2, 1, 0)))
+_DT1_GROUP = ((itemgetter(0, 2, 3, 1), itemgetter(0, 3, 1, 2)),
+              (itemgetter(0, 2, 1, 3), itemgetter(0, 1, 3, 2), itemgetter(0, 3, 2, 1)))
+
+
+def _opposite(x, y) -> bool:
+    """Whether the exact rational y is -x and x is nonzero (in lowest terms,
+    so by numerator and denominator; no Fraction is built)."""
+    return (y is not None and x.numerator != 0 and y.numerator == -x.numerator
+            and y.denominator == x.denominator)
+
+
+def _is_completion(entries, reps, group, size: int) -> bool:
+    """Whether the exact entries are the completion of their orbit
+    representatives ``reps`` over ``group``, whose orbits hold ``size``
+    positions in all: each representative's value x, nonzero, at its even
+    images, the entry y = -x at its first odd image at all its odd ones,
+    and no other entry.  For a map with a stored zero this is False."""
+    if not reps:
+        return not entries
+    even, odd = group
+    at = entries.get
+    xs = list(map(entries.__getitem__, reps))
+    ys = list(map(at, map(odd[0], reps)))
+    return (all(map(_opposite, xs, ys))
+            and all(list(map(at, map(get, reps))) == xs for get in even)
+            and all(list(map(at, map(get, reps))) == ys for get in odd[1:])
+            and len(entries) == size)
+
+
+def _is_curvature(R) -> bool:
+    """Whether the exact nonzero entries R have the pair symmetries and
+    satisfy the first Bianchi identity, at a cost that follows the entries.
+
+    For R with the pair symmetries, the cyclic sum
+    b_{abcd} = R_{abcd} + R_{acdb} + R_{adbc} is a 4-form (Besse, *Einstein
+    Manifolds*, ch. 1), so it vanishes exactly when it vanishes on the
+    strictly increasing quadruples, and there it reads only entries on the
+    quadruple's index set: those of the representatives with four distinct
+    indices."""
+    reps = [(a, b, c, d) for a, b, c, d in R if a < b and c < d and (a, b) <= (c, d)]
+    # an orbit holds 8 positions, 4 where the pairs are equal
+    size = 8 * len(reps) - 4 * sum(a == c and b == d for a, b, c, d in reps)
+    if not _is_completion(R, reps, _R_GROUP, size):
+        return False
+    at = R.get
+    for a, b, c, d in {tuple(sorted(k)) for k in reps if len(set(k)) == 4}:
+        x, y, z = at((a, b, c, d), 0), at((a, c, d, b), 0), at((a, d, b, c), 0)
+        if (x.numerator * y.denominator * z.denominator + y.numerator * x.denominator
+                * z.denominator + z.numerator * x.denominator * y.denominator):
+            return False
+    return True
+
+
+def _is_antisymmetric(T, group) -> bool:
+    """Whether the exact nonzero entries T (or dT1, with ``_DT1_GROUP``)
+    are totally antisymmetric in their form slots, the last three."""
+    reps = [k for k in T if k[-3] < k[-2] < k[-1]]
+    return _is_completion(T, reps, group, 6 * len(reps))
+
+
 # the positions whose tested relations read a given entry of R: the entry,
 # its two pair swaps, its pair exchange and its two Bianchi preimages; of T:
 # the entry and its two transpositions
@@ -364,16 +479,11 @@ def _riemann_scan(R: Dict[Tuple[int, ...], int], limit: int) -> List[str]:
     """The violated pair symmetries and Bianchi sums of the int entries R,
     in lexicographic order of position, at most ``limit`` (>= 1) of them.
 
-    Every relation tested holds trivially where all its entries are zero,
-    so one pass over the nonzero entries decides whether any fails; only
-    then are the positions whose relations read a nonzero entry named, in
-    sorted order."""
+    It only names violations, after ``_is_curvature`` found one: every
+    relation tested holds trivially where all its entries are zero, so the
+    positions scanned, in sorted order, are those whose relations read a
+    nonzero entry."""
     at = R.get
-    if all(x == -at((b, a, c, d), 0) and x == -at((a, b, d, c), 0)
-           and x == at((c, d, a, b), 0)
-           and not x + at((a, c, d, b), 0) + at((a, d, b, c), 0)
-           for (a, b, c, d), x in R.items()):
-        return []
     out: List[str] = []
     for a, b, c, d in sorted({get(key) for key in R for get in _R_READERS}):
         x = at((a, b, c, d), 0)
@@ -392,11 +502,10 @@ def _riemann_scan(R: Dict[Tuple[int, ...], int], limit: int) -> List[str]:
 
 def _antisym3_scan(T: Dict[Tuple[int, ...], int], name: str, limit: int) -> List[str]:
     """The positions where the int entries T are not totally antisymmetric,
-    in lexicographic order, at most ``limit`` (>= 1) of them; decided first
-    over the nonzero entries, as in ``_riemann_scan``."""
+    in lexicographic order, at most ``limit`` (>= 1) of them.  As
+    ``_riemann_scan``, it only names violations, after ``_is_antisymmetric``
+    found one."""
     at = T.get
-    if all(x == -at((j, a, l), 0) and x == -at((a, l, j), 0) for (a, j, l), x in T.items()):
-        return []
     out: List[str] = []
     for a, j, l in sorted({get(key) for key in T for get in _T_READERS}):
         x = at((a, j, l), 0)
@@ -424,15 +533,21 @@ def _flat(row, n: int) -> bool:
     return type(row) in _ROW_TYPES and len(row) == n and _ROW_TYPES.isdisjoint(map(type, row))
 
 
+def _indexed(keys, n: int, rank: int) -> bool:
+    """Whether every key is a tuple of ``rank`` ints in 0..n-1."""
+    flat = chain.from_iterable
+    return ({tuple} >= set(map(type, keys)) and {rank} >= set(map(len, keys))
+            and {int} >= set(map(type, flat(keys))) and set(range(n)) >= set(flat(keys)))
+
+
 def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
     """The faults of a channel map, each named, in an order that does not
     depend on the map's: not a dict, keys that are not tuples of ``rank``
     ints in 0..n-1, values that are not exact rationals, stored zeros."""
     if type(entries) is not dict:
         return [f"{name} is not a dict of index tuples to values: {type(entries).__name__}"]
-    keys, flat = entries.keys(), chain.from_iterable
-    if not ({tuple} >= set(map(type, keys)) and {rank} >= set(map(len, keys))
-            and {int} >= set(map(type, flat(keys))) and set(range(n)) >= set(flat(keys))):
+    keys = entries.keys()
+    if not _indexed(keys, n, rank):
         return [f"{name} key {key!r} is not a tuple of {rank} indices in 0..{n - 1}"
                 for key in sorted(keys, key=repr) if type(key) is not tuple or len(key) != rank
                 or not all(type(i) is int and 0 <= i < n for i in key)]
@@ -444,22 +559,41 @@ def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
               for key in keys if entries[key] == 0)]
 
 
+def _well_formed(entries, n: int, rank: int) -> bool:
+    """Whether a channel map is a dict of tuples of ``rank`` ints in 0..n-1
+    to ints and Fractions."""
+    return (type(entries) is dict and _indexed(entries.keys(), n, rank)
+            and {int, Fraction}.issuperset(map(type, entries.values())))
+
+
 def validate_symmetries(jet: PointJet) -> ValidationReport:
-    """Check every PointJet invariant; name each violated identity.  A
-    channel map with a fault (see ``_map_faults``) is named, and then no
-    symmetry is scanned; each v, w or dw entry that is not an exact
-    rational (an int or a Fraction) is named too."""
+    """Check every PointJet invariant; name each violated identity.
+
+    Each channel is first decided at a cost that follows its nonzero
+    entries (``_is_curvature``, ``_is_antisymmetric``), reading no
+    completion table.  Only where that fails is a channel map with a fault
+    (see ``_map_faults``) named, and then no symmetry is scanned; otherwise
+    each channel that failed is scanned in ints, and its violations named.
+    Each v, w or dw entry that is not an exact rational (an int or a
+    Fraction) is named too."""
     n = jet.n
-    violations = [*_map_faults("R", jet.R_entries, n, 4), *_map_faults("T", jet.T_entries, n, 3),
-                  *_map_faults("dT1", jet.dT1_entries, n, 4)]
+    R, T, dT1 = jet.R_entries, jet.T_entries, jet.dT1_entries
+    decided = (_well_formed(R, n, 4) and _is_curvature(R),
+               _well_formed(T, n, 3) and _is_antisymmetric(T, _T_GROUP),
+               _well_formed(dT1, n, 4) and _is_antisymmetric(dT1, _DT1_GROUP))
+    violations = [] if all(decided) else [*_map_faults("R", R, n, 4), *_map_faults("T", T, n, 3),
+                                          *_map_faults("dT1", dT1, n, 4)]
     if not violations:
-        violations.extend(_riemann_scan(_integer_form(jet.R_entries)[0], 20))
-        violations.extend(_antisym3_scan(_integer_form(jet.T_entries)[0], "T", 20))
-        by_slot: Dict[int, Dict[Tuple[int, ...], int]] = {}
-        for key, x in _integer_form(jet.dT1_entries)[0].items():
-            by_slot.setdefault(key[0], {})[key[1:]] = x
-        for b in sorted(by_slot):
-            violations.extend(_antisym3_scan(by_slot[b], f"dT1[{b}]", 3))
+        if not decided[0]:
+            violations.extend(_riemann_scan(_integer_form(R)[0], 20))
+        if not decided[1]:
+            violations.extend(_antisym3_scan(_integer_form(T)[0], "T", 20))
+        if not decided[2]:
+            by_slot: Dict[int, Dict[Tuple[int, ...], int]] = {}
+            for key, x in _integer_form(dT1)[0].items():
+                by_slot.setdefault(key[0], {})[key[1:]] = x
+            for b in sorted(by_slot):
+                violations.extend(_antisym3_scan(by_slot[b], f"dT1[{b}]", 3))
     if not (_flat(jet.v, n) and _flat(jet.w, n) and type(jet.dw) in _ROW_TYPES
             and len(jet.dw) == n and all(_flat(row, n) for row in jet.dw)):
         violations.append("v/w/dw dimension mismatch")

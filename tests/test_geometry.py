@@ -6,14 +6,17 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wres_torsion import geometry
 from wres_torsion.cli import _one_hot_cases
 from wres_torsion.geometry import (
     DerivedScalars,
@@ -318,23 +321,29 @@ def _with_entry(tensor, index, value):
     return out
 
 
+def _completed(name, entries, n):
+    """The dense tensor of ``_complete(name, entries, n)``; any even n."""
+    return _dense(_complete(name, [(tuple(k), Fraction(x)) for *k, x in entries], n),
+                  n, 3 if name == "T" else 4)
+
+
 def _sparse_violations(m):
     """Tensors whose violations sit at zero entries with a nonzero partner:
     one-hot R and T without their symmetry images, symmetry orbits with
-    one image missing, and a complete R orbit that breaks only Bianchi."""
+    one image missing, and a complete R orbit that breaks only Bianchi
+    (built through ``_complete``, so for any m)."""
     n = 2 * m
-    zero = make_point_jet(m)
-    riemann = [_with_entry(zero.R, idx, 1) for idx in
+    zero_r, zero_t = _completed("R", [], n), _completed("T", [], n)
+    riemann = [_with_entry(zero_r, idx, 1) for idx in
                ((0, 1, 0, 1), (0, 1, 2, 3), (1, 0, 0, 1), (0, 0, 1, 1), (n - 1, 2, 1, 0))]
-    orbit = make_point_jet(m, R=[(0, 1, 0, 2, 1)]).R
+    orbit = _completed("R", [(0, 1, 0, 2, 1)], n)
     riemann += [_with_entry(orbit, (0, 2, 0, 1), 0), _with_entry(orbit, (1, 0, 2, 0), 0)]
-    # make_point_jet rejects this orbit, so it is completed here unchecked
-    riemann.append(_dense(_complete("R", [((0, 1, 2, 3), Fraction(1))], n), n, 4))
-    torsion = [_with_entry(zero.T, idx, 1) for idx in ((0, 1, 2), (2, 1, 0), (1, 1, 2))]
-    torsion.append(_with_entry(make_point_jet(m, T=[(0, 1, 2, 1)]).T, (2, 0, 1), 0))
+    riemann.append(_completed("R", [(0, 1, 2, 3, 1)], n))
+    torsion = [_with_entry(zero_t, idx, 1) for idx in ((0, 1, 2), (2, 1, 0), (1, 1, 2))]
+    torsion.append(_with_entry(_completed("T", [(0, 1, 2, 1)], n), (2, 0, 1), 0))
     # antisymmetric in the first or in the last two slots only
-    torsion.append(_with_entry(_with_entry(zero.T, (0, 1, 2), 1), (1, 0, 2), -1))
-    torsion.append(_with_entry(_with_entry(zero.T, (0, 1, 2), 1), (0, 2, 1), -1))
+    torsion.append(_with_entry(_with_entry(zero_t, (0, 1, 2), 1), (1, 0, 2), -1))
+    torsion.append(_with_entry(_with_entry(zero_t, (0, 1, 2), 1), (0, 2, 1), -1))
     return riemann, torsion
 
 
@@ -354,6 +363,138 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
         for limit in (1, 20):
             assert (_antisym3_violations(T, "T", limit)
                     == _antisym3_violations_fraction(T, "T", limit))
+
+
+def _validator_oracle(R, T, dT1) -> List[str]:
+    """What ``validate_symmetries`` names for dense channels whose maps are
+    well formed, by the Fraction oracle: R, T, then each dT1 slot."""
+    return [*_riemann_violations_fraction(R), *_antisym3_violations_fraction(T, "T"),
+            *(v for b, block in enumerate(dT1)
+              for v in _antisym3_violations_fraction(block, f"dT1[{b}]", 3))]
+
+
+def _small_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _symmetric_form(rng: random.Random, n: int):
+    form = {}
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(i, n)], rng.randint(1, 4)):
+        form[i, j] = form[j, i] = rng.randint(-2, 2)
+    return form
+
+
+def _curvature_case(kind: str, rng: random.Random, n: int):
+    """A dense R: completed from random orbit representatives (the pair
+    symmetries hold, Bianchi usually not) or a sum of Kulkarni-Nomizu
+    products (admissible), either of them perturbed or with every entry's
+    sign dropped, or one of the sparse violations."""
+    if kind == "sparse":
+        return rng.choice(_sparse_violations(n // 2)[0])
+    if (kind if kind in ("reps", "kn") else rng.choice(["reps", "kn"])) == "reps":
+        pairs = list(combinations(range(n), 2))
+        reps = [p + q for p, q in combinations_with_replacement(pairs, 2)]
+        R = _completed("R", [(*k, _small_value(rng))
+                             for k in rng.sample(reps, rng.randint(1, 12))], n)
+    else:
+        entries = [e for _ in range(rng.randint(1, 3)) for e in _kulkarni_nomizu(
+            _symmetric_form(rng, n), _symmetric_form(rng, n), n)]
+        # the products' sum, completed from each (a < b, c < d) entry
+        total = {}
+        for *k, x in entries:
+            total[tuple(k)] = total.get(tuple(k), 0) + x
+        R = _completed("R", [(*k, x) for k, x in total.items()], n)
+        assert not _riemann_violations_fraction(R, 1)
+    if kind == "perturbed":
+        return _perturbed(R, rng)
+    # every sign dropped: each orbit holds its values at the odd images too
+    return _absolute(R) if kind == "unsigned" else R
+
+
+def _absolute(tensor):
+    if isinstance(tensor, (tuple, list)):
+        return [_absolute(x) for x in tensor]
+    return abs(tensor)
+
+
+def _form_case(rng: random.Random, n: int):
+    """A dense T (or one dT1 slot), completed from random increasing
+    triples, and perturbed or not."""
+    tensor = _completed("T", [(*k, _small_value(rng)) for k in rng.sample(
+        list(combinations(range(n), 3)), rng.randint(0, 4))], n)
+    return _perturbed(tensor, rng) if rng.random() < 0.5 else tensor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 6, 8]),
+       st.sampled_from(["reps", "kn", "perturbed", "unsigned", "sparse"]),
+       st.integers(0, 2 ** 32))
+def test_validator_decision_matches_fraction_oracle(n, kind, seed):
+    """The validator decides R by its orbit representatives and Bianchi on
+    the increasing quadruples of its entries' index sets only, and T and
+    dT1 by their representatives; its violations and ``_ricci``'s first
+    message equal the dense oracle's (n = 8 built through ``_complete``)."""
+    rng = random.Random(seed)
+    R = _curvature_case(kind, rng, n)
+    T = _form_case(rng, n)
+    dT1 = [_form_case(rng, n) if rng.random() < 0.3 else _completed("T", [], n)
+           for _ in range(n)]
+    zero = (Fraction(0),) * n
+    jet = PointJet(m=n // 2, R_entries=_nonzero(R), T_entries=_nonzero(T),
+                   dT1_entries=_nonzero(dT1), v=zero, w=zero, dw=(zero,) * n)
+    assert validate_symmetries(jet).violations == tuple(_validator_oracle(R, T, dT1))
+    first = _riemann_violations_fraction(R, 1)
+    if first:
+        with pytest.raises(ValueError) as err:
+            _ricci(_nonzero(R))
+        assert str(err.value) == first[0]
+    else:
+        _ricci(_nonzero(R))
+
+
+def _flipped(images, k):
+    return images[:k] + ((images[k][0], -images[k][1]),) + images[k + 1:]
+
+
+@pytest.mark.parametrize("name,k", [("R", k) for k in range(8)]
+                         + [(name, k) for name in ("T", "dT1") for k in range(6)])
+def test_validation_does_not_trust_the_completion(monkeypatch, name, k):
+    """With one sign of a channel's image table flipped, a generated jet
+    fails to complete or fails validation with a named violation: the
+    validator reads no completion table."""
+    monkeypatch.setitem(geometry._IMAGES, name, _flipped(geometry._IMAGES[name], k))
+    monkeypatch.setattr(geometry, "_ORBITS", {})
+    try:
+        jet = random_point_jet(0, 3)
+    except InstanceError as err:
+        assert "conflict" in str(err)
+        return
+    label = "dT1[" if name == "dT1" else name
+    violations = validate_symmetries(jet).violations
+    assert violations and all(v.startswith(label) or "Bianchi" in v for v in violations)
+
+
+def test_jet_setup_counts(monkeypatch):
+    """A generated m = 3 jet tests one value per orbit representative for
+    zero (260 ``Fraction.__bool__`` calls, against 1,740, one per completed
+    entry, when the completion dropped zeros at the end), and validating it
+    calls ``Fraction.__bool__`` and converts a channel to ints never
+    (1,662 and 3 times for this jet when every entry was scanned in ints)."""
+    counts = Counter()
+
+    def counting(kind, method):
+        def wrapper(*args):
+            counts[kind] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__bool__", counting("bool", Fraction.__bool__))
+    monkeypatch.setattr(geometry, "_integer_form", counting("int form", _integer_form))
+    jet = random_point_jet(0, 3)
+    assert counts == {"bool": 260}
+    counts.clear()
+    assert validate_symmetries(jet).ok
+    assert counts == {}
 
 
 # ---------------------------------------------------------------------------
