@@ -50,7 +50,7 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from .numerics import _integer_form, format_rational, parse_rational
+from .numerics import _collected, _integer_form, _reduced, format_rational, parse_rational
 
 SUPPORTED_M = (1, 2, 3)
 
@@ -82,7 +82,8 @@ class PointJet:
 
 @dataclass(frozen=True)
 class DerivedScalars:
-    """Contractions of a PointJet used by the closed-form densities."""
+    """Contractions of a PointJet used by the closed-form densities, and in
+    ``int_forms`` (skipped by == and repr) the int forms they were summed from."""
 
     ric: Dict[Tuple[int, int], Fraction]  # (b, k) -> Ric_{bk} = sum_j R_{jbjk}, nonzero only
     s: Fraction               # scalar curvature
@@ -94,6 +95,7 @@ class DerivedScalars:
     tt_vw: Fraction           # sum_{j,l} T(v,e_j,e_l) T(w,e_j,e_l)
     div_t_vw: Fraction        # sum_a (nabla_{e_a} T)(e_a, v, w)
     t_dw: Fraction            # sum_j T(v, nabla^L_{e_j} w, e_j)
+    int_forms: Dict[str, Tuple[Dict, int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -323,29 +325,23 @@ def _dense(entries: Entries, n: int, rank: int):
     return build(())
 
 
-def _ricci(R: Entries) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Ric_{bk} = sum_j R_{jbjk} times the common denominator of the
-    nonzero entries R, and that denominator; raises ValueError if R
-    violates the pair symmetries (the contraction convention is only
-    meaningful on an admissible tensor)."""
-    entries, den = _integer_form(R)
-    problems = [] if _is_curvature(entries) else _riemann_scan(entries, limit=1)
-    if problems:
+def _ricci(R: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, int], int]:
+    """The nonzero Ric_{bk} = sum_j R_{jbjk} over the exact nonzero entries
+    R (the engine passes R's int form); raises ValueError if R violates the
+    pair symmetries (the contraction convention is only meaningful on an
+    admissible tensor)."""
+    if not _is_curvature(R) and (problems := _riemann_scan(R, limit=1)):
         raise ValueError(problems[0])
-    ric: Dict[Tuple[int, int], int] = {}
-    for (j, b, c, k), x in entries.items():
-        if j == c:
-            ric[b, k] = ric.get((b, k), 0) + x
-    return ric, den
+    return _collected(((b, k), x) for (j, b, c, k), x in R.items() if j == c)
 
 
-def _four_form(dT1: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, ...], Fraction]:
-    """dT from the nonzero dT1 entries, as its coordinates on strictly
-    increasing quadruples i0 < i1 < i2 < i3 with a nonzero value:
-    (dT)_{i0 i1 i2 i3} = sum_r (-1)^r dT1[i_r][the other three, increasing],
-    so only entries with an increasing form triple and a distinct
-    derivative slot contribute."""
-    alt: Dict[Tuple[int, ...], Fraction] = {}
+def _four_form(dT1: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """dT from the exact nonzero dT1 entries (the engine passes dT1's int
+    form), as its nonzero coordinates on strictly increasing quadruples
+    i0 < i1 < i2 < i3: (dT)_{i0 i1 i2 i3} = sum_r (-1)^r dT1[i_r][the other
+    three, increasing], so only entries with an increasing form triple and a
+    distinct derivative slot contribute."""
+    alt: Dict[Tuple[int, ...], int] = {}
     for (b, a, j, l), x in dT1.items():
         if a < j < l and b not in (a, j, l):
             key = tuple(sorted((b, a, j, l)))
@@ -355,17 +351,17 @@ def _four_form(dT1: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, ...], Fr
 
 def derived_scalars(jet: PointJet) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
-    in ints over one common denominator per channel."""
-    ric, d_r = _ricci(jet.R_entries)
-    T, d_t = _integer_form(jet.T_entries)
-    div, d_div = _integer_form({k: x for k, x in jet.dT1_entries.items() if k[0] == k[1]})
+    in ints over one common denominator per channel, from one int form each
+    of R, T and dT1.  The result keeps those forms and Ric's nonzero int
+    sums, reduced, for the builders (``int_forms``: keys R, T, dT1, ric)."""
+    forms = {name: _integer_form(getattr(jet, f"{name}_entries")) for name in ("R", "T", "dT1")}
+    (R, d_r), (T, d_t), (dT1, d_dt1) = forms.values()
+    ric, d_r = forms["ric"] = _reduced(_ricci(R), d_r)
     dw, d_dw = _integer_form({(j, g): x for j, row in enumerate(jet.dw)
                               for g, x in enumerate(row) if x})
     (v, d_v), (w, d_w) = (_integer_form(dict(enumerate(vec))) for vec in (jet.v, jet.w))
 
-    tv: Dict[Tuple[int, int], int] = {}
-    tw: Dict[Tuple[int, int], int] = {}
-    t_dw = 0
+    tv, tw, t_dw = {}, {}, 0
     for (a, j, l), x in T.items():
         if v[a]:
             tv[j, l] = tv.get((j, l), 0) + v[a] * x
@@ -373,22 +369,19 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
         if w[a]:
             tw[j, l] = tw.get((j, l), 0) + w[a] * x
     tt_vw = sum(x * tw.get(jl, 0) for jl, x in tv.items())
-    div_t_vw = sum(x * v[j] * w[l] for (_, _, j, l), x in div.items())
+    div_t_vw = sum(x * v[j] * w[l] for (c, a, j, l), x in dT1.items() if c == a)
 
     s = Fraction(sum(x for (b, k), x in ric.items() if b == k), d_r)
     g_vw = Fraction(sum(x * w[a] for a, x in v.items()), d_v * d_w)
-    ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()),
-                      d_v * d_r * d_w)
+    ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()), d_v * d_r * d_w)
     return DerivedScalars(
-        ric={bk: Fraction(x, d_r) for bk, x in ric.items() if x},
-        s=s, dT4=_four_form(jet.dT1_entries),
-        norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l),
-                         d_t * d_t),
-        g_vw=g_vw, ric_vw=ric_vw,
-        einstein_vw=ric_vw - s * g_vw / 2,
+        ric={bk: Fraction(x, d_r) for bk, x in ric.items()},
+        s=s, dT4={key: Fraction(x, d_dt1) for key, x in _four_form(dT1).items()},
+        norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l), d_t * d_t),
+        g_vw=g_vw, ric_vw=ric_vw, einstein_vw=ric_vw - s * g_vw / 2,
         tt_vw=Fraction(tt_vw, d_v * d_w * d_t * d_t),
-        div_t_vw=Fraction(div_t_vw, d_div * d_v * d_w),
-        t_dw=Fraction(t_dw, d_v * d_t * d_dw),
+        div_t_vw=Fraction(div_t_vw, d_dt1 * d_v * d_w),
+        t_dw=Fraction(t_dw, d_v * d_t * d_dw), int_forms=forms,
     )
 
 

@@ -27,12 +27,19 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Tuple
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or decimal strings into an exact rational."""
+    """Parse "p/q", integer, or decimal strings into an exact rational.  An
+    exponent past ``sys.get_int_max_str_digits()`` (0: none) in magnitude
+    raises ValueError before 10**exponent is built, as such a literal does."""
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
+    if exponent and abs(int(exponent[1])) > (sys.get_int_max_str_digits() or math.inf):
+        raise ValueError(f"decimal exponent {exponent[1]} is past the int-string digit limit")
     return Fraction(text.strip())
 
 
@@ -68,12 +75,11 @@ def _decimal(k: int, bits: int) -> decimal.Decimal:
 
 def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], int]:
     """The entries times one common positive denominator, as ints, and that
-    denominator.
-
-    Scaling by a positive constant keeps every equality, sign and zero
-    test, so the symmetry scans compare plain ints, a contraction is an int
-    sum divided once, and a Clifford element or symbol expression keeps
-    this form as its storage."""
+    denominator.  Scaling by a positive constant keeps every equality, sign
+    and zero test, so the symmetry scans compare plain ints, a contraction
+    is an int sum divided once, and a Clifford element or symbol expression
+    keeps this form as its storage; a jet's R, T and dT1 get it once each,
+    in ``geometry.derived_scalars``, whose result hands it to the builders."""
     den = math.lcm(*{x.denominator for x in entries.values()})
     return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
 

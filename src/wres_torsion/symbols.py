@@ -61,7 +61,7 @@ from math import factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElement, Word, _below
-from .geometry import Entries, PointJet, derived_scalars
+from .geometry import PointJet, derived_scalars
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
@@ -459,20 +459,19 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
                                         if w.bit_count() in grades}, elem.den)
 
 
-def _torsion_forms(entries: Entries, n: int, rows: bool = False
-                   ) -> Dict[object, CliffordElement]:
-    """The 3-forms of a torsion channel from its nonzero entries, by leading
-    index: T (keys (f, a, b)) gives sum_{f<a<b} T_fab c_f c_a c_b under key
-    () and dT1 (keys (c, f, a, b)) one 3-form by c.  With ``rows``, the rows
-    sum_{a<b} T_fab c_a c_b instead: T's by f and dT1's by (c, f)."""
-    nums, den = _integer_form(entries)
-    table = {}  # leading index -> word -> int numerator
+def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int) -> Tuple[Dict, Dict]:
+    """(3-forms, rows) of a torsion channel, in one pass over the int form of
+    its nonzero entries, by leading index: T (keys (f, a, b)) gives the 3-form
+    sum_{f<a<b} T_fab c_f c_a c_b under key () and the rows sum_{a<b} T_fab
+    c_a c_b by f, dT1 (keys (c, f, a, b)) a 3-form by c and a row by (c, f)."""
+    nums, den = form
+    forms, rows = {}, {}  # leading index -> word -> int numerator
     for (*lead, f, a, b), x in nums.items():
-        if rows and a < b:
-            table.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
-        elif not rows and f < a < b:
-            table.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
-    return {key: CliffordElement._of(n, words, den) for key, words in table.items()}
+        if a < b:
+            rows.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
+            if f < a:
+                forms.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+    return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
 
 
 def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int
@@ -507,8 +506,9 @@ def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
     by every builder given this object: the derived scalars, c(v) and c(w),
-    R's and Ric's int forms, the curvature word and pair sums, T's and dT1's
-    3-forms and bivector rows, and the mm-free order -(2mm+2) families.  A
+    R's and Ric's int forms (the derived scalars' ``int_forms``), the curvature
+    word and pair sums, T's and dT1's 3-forms and bivector rows (``torsion``:
+    one pass per channel), and the mm-free order -(2mm+2) families.  A
     builder given only the jet makes its own."""
 
     def __init__(self, jet: PointJet):
@@ -517,14 +517,14 @@ class JetInputs:
     derived = cached_property(lambda self: derived_scalars(self.jet))
     cv = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.v))
     cw = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.w))
-    curvature = cached_property(lambda self: _integer_form(self.jet.R_entries))
-    ric = cached_property(lambda self: _integer_form(self.derived.ric))
+    curvature = property(lambda self: self.derived.int_forms["R"])
+    ric = property(lambda self: self.derived.int_forms["ric"])
     word_sums = cached_property(lambda self: _curvature_word_sums(self.curvature, self.n))
     pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
-    forms = cached_property(lambda self: tuple(
-        _torsion_forms(e, self.n) for e in (self.jet.T_entries, self.jet.dT1_entries)))
-    rows = cached_property(lambda self: tuple(
-        _torsion_forms(e, self.n, rows=True) for e in (self.jet.T_entries, self.jet.dT1_entries)))
+    torsion = cached_property(lambda self: tuple(zip(*(
+        _torsion_forms(self.derived.int_forms[name], self.n) for name in ("T", "dT1")))))
+    forms = property(lambda self: self.torsion[0])
+    rows = property(lambda self: self.torsion[1])
 
     @cached_property
     def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Key, int], int]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -209,12 +210,18 @@ def test_density_zero_torsion_einstein_value(tmp_path, capsys):
     assert json.loads(out)["densities"]["theorem"] == "-1"
 
 
-@pytest.mark.parametrize("T,v0,w0", [
-    ([(0, 1, 2, 1)], "7" * 3000, "-" + "3" * 3000),
-    ([], "1e1000000", "1"),
+@pytest.mark.parametrize("T,v0,w0,limit", [
+    ([(0, 1, 2, 1)], "7" * 3000, "-" + "3" * 3000, None),
+    # parse_rational reads an exponent only up to the int-string digit
+    # limit, so this case raises the limit it reads to 1,000,000 digits;
+    # str() keeps the interpreter's limit
+    ([], "1e1000000", "1", 1_000_000),
 ], ids=["3000-digit", "1e1000000"])
-def test_density_prints_values_past_the_int_string_limit(tmp_path, capsys, T, v0, w0):
+def test_density_prints_values_past_the_int_string_limit(tmp_path, capsys, monkeypatch,
+                                                         T, v0, w0, limit):
     # past 4300 digits, str() of an int raises unless the limit is lifted
+    if limit:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
     data = jet_to_dict(make_point_jet(2, T=T, v=[1, 0, 0, 0], w=[1, 0, 0, 0]))
     data["v"][0], data["w"][0] = v0, w0
     path = tmp_path / "long.json"
@@ -228,6 +235,18 @@ def test_density_prints_values_past_the_int_string_limit(tmp_path, capsys, T, v0
     # the metric density is -g(v, w) = -v0 w0
     assert decimal.Decimal(rows["metric"]) == exact.minus(
         exact.multiply(decimal.Decimal(v0), decimal.Decimal(w0)))
+
+
+@pytest.mark.parametrize("field,value,text", [
+    ("v", ["1e100000000", "0", "0", "0"], "1e100000000"),
+    ("T", [[1, 2, 3, "1E-100000000"]], "1E-100000000"),
+])
+def test_density_refuses_an_exponent_past_the_int_string_limit(tmp_path, capsys, field, value,
+                                                               text):
+    # 10**100000000 would be built in full before the density is read
+    code, out, err = _density_with(tmp_path, capsys, field, value)
+    assert (code, out) == (2, "")
+    assert f"{field} value '{text}' is not an exact rational" in err
 
 
 def test_density_invalid_tensor_names_violation(tmp_path, capsys):

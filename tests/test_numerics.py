@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,38 @@ def test_parse_decimal_and_integer_strings():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(" 3/4 ") == Fraction(3, 4)
+
+
+@pytest.fixture
+def int_str_limit():
+    """Set the interpreter's int-string digit limit for one test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("mark", ["e", "E"])
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_parse_refuses_an_exponent_past_the_int_string_limit(int_str_limit, mark, sign):
+    """Fraction builds 10**exponent in full, so an exponent of magnitude
+    above the int-string digit limit is refused, as a literal of that many
+    digits is; one at the limit is read exactly."""
+    int_str_limit(4300)
+    power = Fraction(10) ** (-4300 if sign == "-" else 4300)
+    assert parse_rational(f"1{mark}{sign}4300") == power
+    assert parse_rational(f" 2.5{mark}{sign}4300 ") == Fraction(5, 2) * power
+    for text in (f"1{mark}{sign}4301", f"1{mark}{sign}100000000", f"1{mark}{sign}{'9' * 5000}"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def test_parse_exponent_bound_follows_the_int_string_limit(int_str_limit):
+    int_str_limit(5000)
+    assert parse_rational("1e5000") == 10 ** 5000
+    with pytest.raises(ValueError):
+        parse_rational("1e-5001")
+    int_str_limit(0)  # no limit
+    assert parse_rational("1e-10000") == Fraction(1, 10 ** 10000)
 
 
 def test_format_is_p_over_q():

@@ -767,29 +767,49 @@ def test_metric_builds_no_inverse_power_channels(build_counts):
 
 @pytest.fixture
 def input_reads(monkeypatch):
-    """Count the builders' reads of a jet's tensors, through the ``symbols``
-    bindings: the curvature pair sums, each map turned into its int form (by
-    the map's id) and each torsion map read as rows or 3-forms."""
+    """Count the engine's reads of a jet's tensors: the curvature pair sums
+    (through the ``symbols`` binding), each map turned into its int form
+    through the ``geometry``, ``symbols`` and ``clifford`` bindings (by the
+    map's id, and the calls and entries in all) and each int form read as
+    torsion 3-forms and rows (by the id of the map it was made from)."""
+    import wres_torsion.clifford as clifford
+    import wres_torsion.geometry as geometry
+    import wres_torsion.numerics as numerics
     import wres_torsion.symbols as symbols
     from collections import Counter
 
     reads = Counter()
-    for name, key in (
-            ("_curvature_pair_sums", lambda curvature, n: "pair_sums"),
-            ("_integer_form", lambda entries: ("int_form", id(entries))),
-            ("_torsion_forms", lambda entries, n, rows=False: ("torsion", id(entries), rows))):
-        def counted(*args, _fn=getattr(symbols, name), _key=key, **kwargs):
-            reads[_key(*args, **kwargs)] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(symbols, name, counted)
+    sources = {}  # id of a live int form -> id of the map it was made from
+
+    def int_form(entries, _fn=numerics._integer_form):
+        form = _fn(entries)
+        reads["int_form", id(entries)] += 1
+        reads["int_form calls"] += 1
+        reads["int_form entries"] += len(entries)
+        sources[id(form)] = id(entries)
+        return form
+
+    def torsion_forms(form, n, _fn=symbols._torsion_forms):
+        reads["torsion", sources.get(id(form))] += 1
+        return _fn(form, n)
+
+    def pair_sums(curvature, n, _fn=symbols._curvature_pair_sums):
+        reads["pair_sums"] += 1
+        return _fn(curvature, n)
+
+    for mod in (geometry, symbols, clifford):
+        monkeypatch.setattr(mod, "_integer_form", int_form)
+    monkeypatch.setattr(symbols, "_torsion_forms", torsion_forms)
+    monkeypatch.setattr(symbols, "_curvature_pair_sums", pair_sums)
     return reads
 
 
 def _jet_reads(reads, jet):
     """The counts of ``input_reads`` that concern ``jet``'s maps."""
     ids = {id(jet.R_entries): "R", id(jet.T_entries): "T", id(jet.dT1_entries): "dT1"}
-    out = {"pair_sums": reads["pair_sums"], "R int form": reads["int_form", id(jet.R_entries)]}
-    out.update(((ids[key[1]], "rows" if key[2] else "3-forms"), count)
+    out = {"pair_sums": reads["pair_sums"]}
+    out.update(((name, "int form"), reads["int_form", i]) for i, name in ids.items())
+    out.update(((ids.get(key[1]), "3-forms and rows"), count)
                for key, count in reads.items() if key[0] == "torsion")
     return out
 
@@ -797,9 +817,10 @@ def _jet_reads(reads, jet):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
-    share one context: each builder they use runs once, and the jet's maps
-    and vectors are read once by the builders; an audit of the same jet right
-    after them builds only the composed product symbol."""
+    share one context: each builder they use runs once, R, T and dT1 are
+    each turned into their int form once (by the derived scalars, whose
+    forms the builders read) and the vectors read once; an audit of the same
+    jet right after them builds only the composed product symbol."""
     vectors = []
     from_vector = CliffordElement.from_vector.__func__
 
@@ -809,17 +830,25 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
 
     monkeypatch.setattr(CliffordElement, "from_vector", classmethod(counted))
     jet = random_point_jet(seed, 3)
+    g_vw = derived_scalars(jet).g_vw
+    input_reads.clear()
     p1, p2 = part1_density(jet, 3).value, part2_density(jet, 3).value
     assert p1 == part1_closed(jet, 3).value
     assert p2 == part2_closed(jet, 3).value
     assert p1 + p2 == theorem_density(jet, 3).value
-    assert metric_density(jet, 3).value == -derived_scalars(jet).g_vw
+    assert metric_density(jet, 3).value == -g_vw
     once = {"derived_scalars": 1, "build_sigma_dtpow_parts": 1,
             "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1}
     assert build_counts == once
-    reads = {"pair_sums": 1, "R int form": 1, ("T", "rows"): 1, ("dT1", "rows"): 1,
-             ("T", "3-forms"): 1, ("dT1", "3-forms"): 1}
+    # each channel is converted to ints once, by the derived scalars, and
+    # each torsion int form is read once for its 3-forms and rows
+    reads = {"pair_sums": 1, ("R", "int form"): 1, ("T", "int form"): 1,
+             ("dT1", "int form"): 1, ("T", "3-forms and rows"): 1,
+             ("dT1", "3-forms and rows"): 1}
     assert _jet_reads(input_reads, jet) == reads
+    assert input_reads["int_form calls"] <= 14
+    if seed == 0:
+        assert input_reads["int_form entries"] <= 1750
     assert vectors == [jet.v, jet.w]  # c(v) and c(w), once each
     assert audit(jet, 3).ok
     assert build_counts == {**once, "build_sigma_ab_composed": 1}

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import types
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -1025,15 +1026,17 @@ def _factor_pair_jets(m):
 def _all_torsion_forms(jet, sparse):
     """The reader ``sparse`` (symbols._torsion_forms) on the channels of
     ``jet``, except that its rows are those of every leading index, zero
-    rows included, built from the dense views."""
-    def forms(entries, n, rows=False):
-        if not rows:
-            return sparse(entries, n)
-        if entries is jet.T_entries:
-            return {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
-        assert entries is jet.dT1_entries
-        return {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
-                for b in range(n) for a in range(n)}
+    rows included, built from the dense views.  A ``JetInputs`` reads T's
+    int form and then dT1's, so the calls alternate between the two."""
+    channels = itertools.cycle(("T", "dT1"))
+
+    def forms(form, n):
+        name = next(channels)
+        assert form == _integer_form(getattr(jet, f"{name}_entries"))
+        if name == "T":
+            return sparse(form, n)[0], {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
+        return sparse(form, n)[0], {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
+                                    for b in range(n) for a in range(n)}
     return forms
 
 
@@ -1087,7 +1090,7 @@ def _per_mm_order2_parts(jet, mm):
     x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
-    tau, dtau = (symbols._torsion_forms(entries, n, rows=True)
+    tau, dtau = (symbols._torsion_forms(_integer_form(entries), n)[1]
                  for entries in (jet.T_entries, jet.dT1_entries))
     ric = _integer_form(der.ric)
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
@@ -1155,6 +1158,68 @@ def test_order2_families_match_per_mm_channels_without_e_scalar(m):
     inputs = _assert_order2_matches_per_mm(jet)
     assert not inputs.order2["e_scalar"][2]
     assert all(inputs.order2_parts(mm)["ric"] for mm in (m - 1, m))
+
+
+def _map_torsion_forms(entries, n, rows=False):
+    """The torsion reader as it read a jet map before the derived scalars
+    handed their int forms on: the map converted anew on each call, and
+    the 3-forms or (``rows``) the bivector rows, one kind per call."""
+    nums, den = _integer_form(entries)
+    table = {}
+    for (*lead, f, a, b), x in nums.items():
+        if rows and a < b:
+            table.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
+        elif not rows and f < a < b:
+            table.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+    return {key: CliffordElement._of(n, words, den) for key, words in table.items()}
+
+
+def _raw(value):
+    """``value`` with each Clifford element as its (nums, den) pair, so that
+    == compares the stored form, not only the value."""
+    if isinstance(value, CliffordElement):
+        return value.nums, value.den
+    if isinstance(value, dict):
+        return {k: _raw(x) for k, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_raw, value))
+    return value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_jet_inputs_match_inputs_converted_from_the_maps(m):
+    """Every ``JetInputs`` field, read off the int forms that the derived
+    scalars hand on, equals the one built from the jet's maps, each
+    converted anew: R's int form and Ric's from ``_integer_form`` of
+    ``jet.R_entries`` and of ``derived.ric``, the torsion 3-forms and rows
+    by the map reader above, and the sums and order -(2mm+2) families from
+    those (on seeds 0-4, the one-hot coefficient jets, the jets with one
+    channel off and a constant curvature 1/(n-1), whose Ric is integral while
+    R's denominator is n-1)."""
+    n = 2 * m
+    jets = [random_point_jet(seed, m) for seed in range(5)]
+    jets += [_sparse_jet(m, case) for case in (*(range(4) if m >= 2 else ()), *_CHANNEL_FLAGS)]
+    jets.append(make_point_jet(m, R=[(a, b, a, b, Fraction(1, n - 1))
+                                     for a, b in itertools.combinations(range(n), 2)]))
+    for jet in jets:
+        n, der = jet.n, derived_scalars(jet)
+        curvature, ric = _integer_form(jet.R_entries), _integer_form(der.ric)
+        maps = (jet.T_entries, jet.dT1_entries)
+        rows = tuple(_map_torsion_forms(entries, n, rows=True) for entries in maps)
+        pair_sums = symbols._curvature_pair_sums(curvature, n)
+        oracle = {
+            "curvature": curvature, "ric": ric,
+            "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
+            "rows": rows,
+            "word_sums": symbols._curvature_word_sums(curvature, n),
+            "pair_sums": pair_sums,
+            # the families of JetInputs.order2 over the inputs converted anew
+            "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
+                n=n, derived=der, rows=rows, ric=ric, pair_sums=pair_sums)),
+        }
+        inputs = symbols.JetInputs(jet)
+        for name, expected in oracle.items():
+            assert _raw(getattr(inputs, name)) == _raw(expected), name
 
 
 def test_factor_pair_jets_cover_a_vanishing_tau():
