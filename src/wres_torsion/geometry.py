@@ -58,6 +58,8 @@ Vec = Tuple[Fraction, ...]
 Mat2 = Tuple[Vec, ...]
 Entries = Dict[Tuple[int, ...], Fraction]
 
+_EXACT = frozenset((int, Fraction))  # an exact value's types, by ``type``: a bool is not one
+
 
 @dataclass(frozen=True)
 class PointJet:
@@ -281,32 +283,34 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
 
 def make_point_jet(m: int, *, R=None, T=None, dT1=None, v=None, w=None,
                    dw=None) -> PointJet:
-    """Build an admissible jet from sparse channel entries (indices 0-based).
+    """An admissible jet from sparse channel entries (indices 0-based) by ``_jet``.
 
     R entries are [a, b, c, d, value], T entries [a, j, l, value] and dT1
-    entries [b, a, j, l, value]; each channel is completed over its
-    symmetry images, as in ``jet_from_dict``.  v and w are dense rows and
-    dw a dense matrix of rows (lists or tuples); a missing channel is zero.
-    A channel, entry or row that is not a list or tuple, an entry of another
-    length, a v, w or dw of another size, an index that is not an integer
-    (booleans and fractional numbers included), a value that ``Fraction``
-    rejects, conflicting entries, a nonzero torsion entry with a repeated
-    index and a jet that fails ``validate_symmetries`` raise InstanceError
-    naming the field; an unsupported m raises ValueError.
+    entries [b, a, j, l, value]; v and w are dense rows and dw a dense matrix
+    of rows (lists or tuples); a missing channel is zero.  A channel, entry
+    or row that is not a list or tuple, an entry of another length, a v, w
+    or dw of another size, an index that is not an integer (booleans and
+    fractional numbers included), a value that ``_rational`` refuses,
+    conflicting entries, a nonzero torsion entry with a repeated index and a
+    jet that fails ``validate_symmetries`` raise InstanceError naming the
+    field; an unsupported m raises ValueError.
     """
     _check_supported(m)
+    zero = [0] * (2 * m)
+    return _jet(m, R, T, dT1, zero if v is None else v, zero if w is None else w, dw,
+                lambda i, name: _integer(i, f"{name} index"))
+
+
+def _jet(m: int, R, T, dT1, v, w, dw, index) -> PointJet:
+    """The admissible jet of the sparse entries R, T and dT1, each completed
+    over its symmetry images, with indices that ``index(raw, channel)`` reads
+    0-based, of the dense v and w and of the dense dw (None: zero);
+    ``_rational`` reads every value."""
     n = 2 * m
-
-    def sparse(name, entries, indices):
-        return _complete(name, _entries(entries, name, indices,
-                                        lambda i: _integer(i, f"{name} index"), Fraction), n)
-
-    zero = [0] * n
-    return _admissible(_point_jet(
-        m, sparse("R", R, 4), sparse("T", T, 3), sparse("dT1", dT1, 4),
-        _vector(zero if v is None else v, n, "v", Fraction),
-        _vector(zero if w is None else w, n, "w", Fraction),
-        _dense({}, n, 2) if dw is None else _matrix(dw, n, Fraction)))
+    R, T, dT1 = (_complete(name, _entries(raw, name, rank, index), n)
+                 for name, raw, rank in (("R", R, 4), ("T", T, 3), ("dT1", dT1, 4)))
+    return _admissible(_point_jet(m, R, T, dT1, _vector(v, n, "v"), _vector(w, n, "w"),
+                                  _dense({}, n, 2) if dw is None else _matrix(dw, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +356,12 @@ def _four_form(dT1: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
 def derived_scalars(jet: PointJet) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
     in ints over one common denominator per channel, from one int form each
-    of R, T and dT1.  The result keeps those forms and Ric's nonzero int
-    sums, reduced, for the builders (``int_forms``: keys R, T, dT1, ric)."""
+    of R, T and dT1, which the result keeps for the builders with Ric's and
+    dT's nonzero int sums (``int_forms``: keys R, T, dT1, ric (reduced), dT4)."""
     forms = {name: _integer_form(getattr(jet, f"{name}_entries")) for name in ("R", "T", "dT1")}
     (R, d_r), (T, d_t), (dT1, d_dt1) = forms.values()
     ric, d_r = forms["ric"] = _reduced(_ricci(R), d_r)
+    forms["dT4"] = _four_form(dT1), d_dt1
     dw, d_dw = _integer_form({(j, g): x for j, row in enumerate(jet.dw)
                               for g, x in enumerate(row) if x})
     (v, d_v), (w, d_w) = (_integer_form(dict(enumerate(vec))) for vec in (jet.v, jet.w))
@@ -376,7 +381,7 @@ def derived_scalars(jet: PointJet) -> DerivedScalars:
     ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()), d_v * d_r * d_w)
     return DerivedScalars(
         ric={bk: Fraction(x, d_r) for bk, x in ric.items()},
-        s=s, dT4={key: Fraction(x, d_dt1) for key, x in _four_form(dT1).items()},
+        s=s, dT4={key: Fraction(x, d_dt1) for key, x in forms["dT4"][0].items()},
         norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l), d_t * d_t),
         g_vw=g_vw, ric_vw=ric_vw, einstein_vw=ric_vw - s * g_vw / 2,
         tt_vw=Fraction(tt_vw, d_v * d_w * d_t * d_t),
@@ -512,10 +517,10 @@ def _antisym3_scan(T: Dict[Tuple[int, ...], int], name: str, limit: int) -> List
 def _inexact(name: str, values, keys) -> List[str]:
     """A violation for each of the values that is not an exact rational
     (an int or a Fraction), named by its index tuple in ``keys``."""
-    if {int, Fraction}.issuperset(map(type, values)):
+    if _EXACT.issuperset(map(type, values)):
         return []
     return [f"{name} entry at ({','.join(map(str, key))}) is not an exact rational: {x!r}"
-            for key, x in zip(keys, values) if not isinstance(x, (int, Fraction))]
+            for key, x in zip(keys, values) if type(x) not in _EXACT]
 
 
 _ROW_TYPES = frozenset((tuple, list))
@@ -544,7 +549,7 @@ def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
         return [f"{name} key {key!r} is not a tuple of {rank} indices in 0..{n - 1}"
                 for key in sorted(keys, key=repr) if type(key) is not tuple or len(key) != rank
                 or not all(type(i) is int and 0 <= i < n for i in key)]
-    if {int, Fraction}.issuperset(map(type, entries.values())) and all(entries.values()):
+    if _EXACT.issuperset(map(type, entries.values())) and all(entries.values()):
         return []
     keys = sorted(keys)
     return [*_inexact(name, [entries[key] for key in keys], keys),
@@ -556,7 +561,7 @@ def _well_formed(entries, n: int, rank: int) -> bool:
     """Whether a channel map is a dict of tuples of ``rank`` ints in 0..n-1
     to ints and Fractions."""
     return (type(entries) is dict and _indexed(entries.keys(), n, rank)
-            and {int, Fraction}.issuperset(map(type, entries.values())))
+            and _EXACT.issuperset(map(type, entries.values())))
 
 
 def validate_symmetries(jet: PointJet) -> ValidationReport:
@@ -624,7 +629,7 @@ def jet_to_dict(jet: PointJet) -> dict:
 
 
 def jet_from_dict(data: dict) -> PointJet:
-    """Parse and symmetry-complete a serialized instance.
+    """Parse and symmetry-complete a serialized instance (indices 1-based) by ``_jet``.
 
     Sparse R/T/dT1 entries are completed by symmetry; entries whose orbits
     collide with a different value are rejected, as is any tensor that fails
@@ -638,26 +643,14 @@ def jet_from_dict(data: dict) -> PointJet:
     n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")
-
-    def sparse(name, indices):
-        return _complete(name, _entries(data.get(name), name, indices,
-                                        lambda i: _index(i, n, name)), n)
-    dw = data.get("dw")
-    return _admissible(_point_jet(
-        n // 2, sparse("R", 4), sparse("T", 3), sparse("dT1", 4),
-        _vector(data.get("v"), n, "v"), _vector(data.get("w"), n, "w"),
-        _dense({}, n, 2) if dw is None else _matrix(dw, n)))
+    return _jet(n // 2, *map(data.get, ("R", "T", "dT1", "v", "w", "dw")),
+                lambda i, name: _index(i, n, name))
 
 
-def _parsed(raw) -> Fraction:
-    return parse_rational(str(raw))
-
-
-def _entries(raw, name: str, indices: int, index, convert=_parsed):
+def _entries(raw, name: str, indices: int, index):
     """The sparse entries [i_1, .., i_k, value] of one tensor field (a list
-    or tuple of lists or tuples), as the index tuple that ``index`` reads
-    and the exact value that ``convert`` reads (see ``_rational``); None is
-    empty."""
+    or tuple of lists or tuples), as the index tuple that ``index(i, name)``
+    reads and the exact value that ``_rational`` reads; None is empty."""
     if raw is None:
         return
     if not isinstance(raw, (list, tuple)):
@@ -665,7 +658,7 @@ def _entries(raw, name: str, indices: int, index, convert=_parsed):
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == indices + 1):
             raise _entry_error(name, entry, indices)
-        yield tuple(map(index, entry[:indices])), _rational(entry[indices], name, convert)
+        yield tuple(index(i, name) for i in entry[:indices]), _rational(entry[indices], name)
 
 
 def _entry_error(name: str, entry, indices: int) -> InstanceError:
@@ -694,24 +687,27 @@ def _index(raw, n: int, name: str) -> int:
     return i - 1
 
 
-def _rational(raw, name: str, convert=_parsed) -> Fraction:
-    """``convert(raw)``; InstanceError naming the field if it fails."""
+def _rational(raw, name: str) -> Fraction:
+    """An int or a Fraction as ``Fraction(raw)``, anything else as
+    ``parse_rational(str(raw))``: a float by its decimal repr (0.1 is 1/10),
+    and a bool, nan, inf or an exponent past the bound refused, by an
+    InstanceError naming the field."""
     try:
-        return convert(raw)
+        return Fraction(raw) if type(raw) in _EXACT else parse_rational(str(raw))
     except (TypeError, ValueError, ArithmeticError):
         raise InstanceError(f"{name} value {raw!r} is not an exact rational") from None
 
 
-def _vector(raw, n: int, name: str, convert=_parsed) -> Vec:
-    """A dense length-n list or tuple of values that ``convert`` reads."""
+def _vector(raw, n: int, name: str) -> Vec:
+    """A dense length-n list or tuple of values that ``_rational`` reads."""
     if not (isinstance(raw, (list, tuple)) and len(raw) == n):
         raise InstanceError(f"{name} must be a dense length-{n} array")
-    return tuple(_rational(x, name, convert) for x in raw)
+    return tuple(_rational(x, name) for x in raw)
 
 
-def _matrix(raw, n: int, convert=_parsed) -> Mat2:
-    """dw: a dense n x n list or tuple of rows of values that ``convert`` reads."""
+def _matrix(raw, n: int) -> Mat2:
+    """dw: a dense n x n list or tuple of rows of values that ``_rational`` reads."""
     if not (isinstance(raw, (list, tuple)) and len(raw) == n and all(
             isinstance(row, (list, tuple)) and len(row) == n for row in raw)):
         raise InstanceError(f"dw must be a dense {n}x{n} matrix")
-    return tuple(tuple(_rational(x, "dw", convert) for x in row) for row in raw)
+    return tuple(tuple(_rational(x, "dw") for x in row) for row in raw)

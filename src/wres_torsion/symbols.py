@@ -534,6 +534,7 @@ class JetInputs:
         n, der = self.n, self.derived
         x0 = (0,) * n
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
+        (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
         # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
@@ -548,10 +549,10 @@ class JetInputs:
             "r_xx": (Fraction(-1, 4), 1, [(_pair(n, a, b), pair)
                                           for (b, a), pair in self.pair_sums.items()]),
             "dt_xx": (-3, 1, [(_pair(n, a, b), row) for (b, a), row in dtau.items()]),
-            "e_scalar": (-1, 0, [(x0, CliffordElement(
-                n, {0: der.s / 4 - Fraction(3, 4) * der.norm_t2}))]),
-            "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement(n, {
-                sum(1 << i for i in ijkt): x for ijkt, x in der.dT4.items()}))]),
+            "e_scalar": (-1, 0, [(x0, CliffordElement._of(
+                n, {0: scalar.numerator} if scalar else {}, scalar.denominator))]),
+            "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement._of(n, {
+                sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))]),
         }
         return {name: (c, q, *_placed((x0, xideg, 0, e) for xideg, e in family))
                 for name, (c, q, family) in families.items()}

@@ -1056,6 +1056,42 @@ def test_make_point_jet_reads_indices_by_the_instance_rule():
     assert make_point_jet(2, T=((0, 1, 2, 1),), dT1=[[3, 0, 1, 2, 1]]) == jet
 
 
+# one entry of each field at m = 2: its 0-based make_point_jet keyword and
+# its 1-based instance field, each given the value x
+_ONE_ENTRY = {
+    "R": (lambda x: [(0, 1, 0, 1, x)], lambda x: [[1, 2, 1, 2, x]]),
+    "T": (lambda x: [(0, 1, 2, x)], lambda x: [[1, 2, 3, x]]),
+    "dT1": (lambda x: [(3, 0, 1, 2, x)], lambda x: [[4, 1, 2, 3, x]]),
+    "v": (lambda x: [x, 0, 0, 0],) * 2,
+    "w": (lambda x: [0, 0, 0, x],) * 2,
+    "dw": (lambda x: [[0] * 4] * 3 + [[0, x, 0, 0]],) * 2,
+}
+
+
+@pytest.mark.parametrize("field", list(_ONE_ENTRY))
+@pytest.mark.parametrize("value,expected", [
+    (2, Fraction(2)), (Fraction(-2, 3), Fraction(-2, 3)), ("-2/3", Fraction(-2, 3)),
+    ("0.25", Fraction(1, 4)), (0.1, Fraction(1, 10)),
+    ("1e5000", None), (True, None), (float("nan"), None),
+])
+def test_both_fronts_read_a_value_alike(field, value, expected):
+    """A value kind through make_point_jet (0-based) and jet_from_dict (the
+    same entry, 1-based): the same jet, holding the exact value (a float by
+    its decimal repr), or the same InstanceError naming the field."""
+    zero_based, one_based = _ONE_ENTRY[field]
+    instance = {"n": 4, "v": [0] * 4, "w": [0] * 4, field: one_based(value)}
+    if expected is None:
+        with pytest.raises(InstanceError) as err:
+            make_point_jet(2, **{field: zero_based(value)})
+        assert str(err.value) == f"{field} value {value!r} is not an exact rational"
+        with pytest.raises(InstanceError) as err:
+            jet_from_dict(instance)
+        assert str(err.value) == f"{field} value {value!r} is not an exact rational"
+    else:
+        jet = make_point_jet(2, **{field: zero_based(value)})
+        assert jet == jet_from_dict(instance) == make_point_jet(2, **{field: zero_based(expected)})
+
+
 @pytest.mark.parametrize("field,value,reason", [
     ("T", ("T", 0, 1, 2, "a"), "T entry at (0,1,2) is not an exact rational: 'a'"),
     ("R", ("R", 0, 1, 0, 1, 0.5), "R entry at (0,1,0,1) is not an exact rational: 0.5"),
@@ -1065,6 +1101,8 @@ def test_make_point_jet_reads_indices_by_the_instance_rule():
     ("w", (0, 0, 0, 0.5), "w entry at (3) is not an exact rational: 0.5"),
     ("dw", ((0, 0, 0, 0),) * 3 + ((0, 0.5, 0, 0),),
      "dw entry at (3,1) is not an exact rational: 0.5"),
+    ("T", ("T", 0, 1, 2, True), "T entry at (0,1,2) is not an exact rational: True"),
+    ("v", (True, 0, 0, 0), "v entry at (0) is not an exact rational: True"),
 ])
 def test_validator_names_inexact_entries(field, value, reason):
     """A hand-built jet with an entry that is not an int or a Fraction: the

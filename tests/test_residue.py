@@ -846,7 +846,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
              ("dT1", "int form"): 1, ("T", "3-forms and rows"): 1,
              ("dT1", "3-forms and rows"): 1}
     assert _jet_reads(input_reads, jet) == reads
-    assert input_reads["int_form calls"] <= 14
+    assert input_reads["int_form calls"] <= 12
     if seed == 0:
         assert input_reads["int_form entries"] <= 1750
     assert vectors == [jet.v, jet.w]  # c(v) and c(w), once each

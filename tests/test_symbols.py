@@ -1160,6 +1160,21 @@ def test_order2_families_match_per_mm_channels_without_e_scalar(m):
     assert all(inputs.order2_parts(mm)["ric"] for mm in (m - 1, m))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_r_xx_family_holds_no_term(m):
+    """The r_xx family places each curvature pair sum sum_{t,s} R_{bats}
+    c_s c_t at the symmetric key xi_a xi_b, and R_{bats} = -R_{abts}, so the
+    (a, b) and (b, a) placements cancel: no term is left (seeds 0-4 and the
+    one-hot coefficient jets)."""
+    from wres_torsion.cli import _one_hot_cases
+
+    jets = [random_point_jet(seed, m) for seed in range(5)]
+    jets += [make_point_jet(m, **kw) for _, _, kw in (_one_hot_cases(m) if m > 1 else ())]
+    assert any(symbols.JetInputs(jet).pair_sums for jet in jets)
+    for jet in jets:
+        assert symbols.JetInputs(jet).order2["r_xx"][2] == {}
+
+
 def _map_torsion_forms(entries, n, rows=False):
     """The torsion reader as it read a jet map before the derived scalars
     handed their int forms on: the map converted anew on each call, and
