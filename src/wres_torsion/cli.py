@@ -245,7 +245,7 @@ def lemma36_row(seed: int, ctx: PipelineContext) -> dict:
         row["density_shift"] = format_rational(shift)
         row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
         row["shift_characterized"] = shift == Fraction(3, 4) * tt
-        row["differing_term_count"] = len((c1 - p1).terms)
+        row["differing_term_count"] = len((c1 - p1).nums)
     return row
 
 

@@ -10,9 +10,9 @@ prefactor as a symbolic string only).
 monomial moments; ``sphere_moment_bruteforce`` recomputes the same number
 by enumerating perfect pairings, and stays independent of the closed
 formula: the two are compared term-for-term in the verification suite.
-The trace kernel packs each xi-exponent tuple into one int and sums int
-products per moment degree, reading memoised moments derived from
-``sphere_moment``, so one trace builds one Fraction.
+The trace kernel adds the terms' xi-codes (see ``symbols``) and sums int
+products per code, then per moment degree, reading memoised moments derived
+from ``sphere_moment``, so one trace builds one Fraction.
 
 The two density pipelines:
 
@@ -57,6 +57,9 @@ from .numerics import I, ONE, format_rational
 from .symbols import (
     JetInputs,
     SymbolExpr,
+    _decode,
+    _key,
+    _ones,
     _paired,
     _xi_partials,
     build_sigma_ab_composed,
@@ -156,49 +159,39 @@ _I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
 
 def _require_traceable(expr: SymbolExpr, m: int) -> None:
     """Raise unless every term is x-free of xi-homogeneity -2m."""
-    for xdeg, xideg, p, _ in expr.terms:
-        if any(xdeg):
+    s = 8 * expr.n
+    for x, xi, p, _ in expr.nums:
+        if x:
             raise PipelineError("trace integral of an x-dependent expression")
-        if sum(xideg) + p != -2 * m:
+        if (xi >> s) + p != -2 * m:
             raise PipelineError(
-                f"term has xi-homogeneity {sum(xideg) + p}, expected {-2 * m}")
+                f"term has xi-homogeneity {(xi >> s) + p}, expected {-2 * m}")
 
 
-_PACKED: Dict[Tuple[int, ...], Tuple[int, int]] = {}
 _MOMENTS: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
 
-def _packed(xi: Tuple[int, ...]) -> Tuple[int, int]:
-    """(odd mask, code) of a xi-exponent tuple: mask bit i is set when xi_i is
-    odd, and bits 8i..8i+7 of the code hold xi_i, so a product monomial's
-    code is the sum of its factors' codes (no carry: exponents must be below
-    128).  One memo entry per tuple; the traces meet the same few often."""
-    got = _PACKED.get(xi)
-    if got is None:
-        if max(xi, default=0) >= 128:
-            raise PipelineError(f"xi-exponent {max(xi)} >= 128 cannot be packed")
-        got = _PACKED[xi] = (sum(1 << i for i, e in enumerate(xi) if e & 1),
-                             sum(e << 8 * i for i, e in enumerate(xi)))
-    return got
+def _unpackable(xi: int, n: int) -> PipelineError:
+    """A xi-code with an exponent of 128 or more, which could carry in a sum."""
+    return PipelineError(f"xi-exponent {max(_decode(xi, n))} >= 128 cannot be packed")
 
 
 def _moment(code: int, n: int) -> Tuple[int, int]:
-    """(w, d) for the packed xi-exponent ``code`` of degree 2k: d = n(n+2)
-    ...(n+2k-2) and w = (-1)^k sphere_moment * d, the int prod (a-1)!! with
-    the trace's sign (w = 0 for an odd monomial); one memo entry per (code, n)."""
+    """(w, d) for the xi-code ``code`` of degree 2k: d = n(n+2)...(n+2k-2)
+    and w = (-1)^k sphere_moment * d, the int prod (a-1)!! with the trace's
+    sign (w = 0 for an odd monomial); one memo entry per (code, n)."""
     got = _MOMENTS.get((code, n))
     if got is None:
-        xi = tuple((code >> 8 * i) & 255 for i in range(n))
-        k = sum(xi) // 2
+        k = (code >> 8 * n) // 2
         d = prod(range(n, n + 2 * k, 2))
-        w = int(sphere_moment(xi, n) * d)
+        w = int(sphere_moment(_decode(code, n), n) * d)
         got = _MOMENTS[code, n] = (-w if k & 1 else w, d)
     return got
 
 
 def _real_trace(moments: Dict[int, int], n: int, phase: int, den: int) -> Fraction:
-    """The cosphere trace of a term sum given as packed xi-exponent -> summed
-    int numerator of r, over the common denominator ``den``.
+    """The cosphere trace of a term sum given as xi-code -> summed int
+    numerator of r, over the common denominator ``den``.
 
     Only even xi-monomials have a moment, so the sum over keys of
     (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.  The
@@ -224,13 +217,15 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
 
     Requires an x-independent expression of pure xi-homogeneity -2m; the
     norm factors are 1 on the sphere.  Only the identity word is traced
-    (nonempty canonical words are traceless), and a term contributes
-    i^(|nu| - phase) r times its moment.
+    (nonempty canonical words are traceless), a term contributes i^(|nu| -
+    phase) r times its moment, and an exponent of 128 or more raises.
     """
     _require_traceable(expr, m)
-    return Density(_real_trace(
-        {_packed(xideg)[1]: r for (_, xideg, _, word), r in expr.terms.items() if not word},
-        expr.n, expr.phase, expr.den))
+    moments = {xi: r for (_, xi, _, word), r in expr.nums.items() if not word}
+    for xi in moments:
+        if xi & _ones(expr.n) << 7:
+            raise _unpackable(xi, expr.n)
+    return Density(_real_trace(moments, expr.n, expr.phase, expr.den))
 
 
 def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
@@ -242,35 +237,39 @@ def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Frac
     transposition parity of w into w times the identity (the c_i^2 signs
     cancel against the phase of the lost grade).  Only pairs whose xi-exponents
     have the same parities have an even, moment-bearing sum, so the right
-    factor is bucketed by (word, odd mask, xi-order) and each left term reads
-    the one bucket of the order that completes -2m.  The signed int products
-    are summed per packed xi-exponent before any moment is taken, and the
-    total is divided once by the product of the two denominators.
+    factor is bucketed by (word, odd mask ``xi & _ones(n)``, xi-order) and
+    each left term reads the one bucket of the order that completes -2m.  The
+    signed int products are summed per product code (the sum of the pair's
+    xi-codes, which cannot carry with exponents below 128) before any moment
+    is taken, and the total is divided once by the product of the denominators.
     """
     if left.n != right.n:
         raise ValueError("dimension mismatch")
-    grade = -2 * m
+    n, grade = left.n, -2 * m
+    s, odd, high = 8 * n, _ones(n), _ones(n) << 7
     buckets: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
-    for (xdeg, xideg, p, word), r in right.terms.items():
-        if not any(xdeg):
-            mask, code = _packed(xideg)
-            buckets.setdefault((word, mask, sum(xideg) + p), []).append((code, r))
+    for (x, xi, p, word), r in right.nums.items():
+        if not x:
+            if xi & high:
+                raise _unpackable(xi, n)
+            buckets.setdefault((word, xi & odd, (xi >> s) + p), []).append((xi, r))
     moments: Dict[int, int] = {}
-    for (xa, xia, pa, word), ca in left.terms.items():
-        if any(xa):
+    for (x, xi, p, word), ca in left.nums.items():
+        if x:
             continue
-        mask, code = _packed(xia)
-        bucket = buckets.get((word, mask, grade - sum(xia) - pa))
+        if xi & high:
+            raise _unpackable(xi, n)
+        bucket = buckets.get((word, xi & odd, grade - (xi >> s) - p))
         if bucket is None:
             continue
         # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
         # an odd number exactly when k % 4 is 2 or 3
         if word.bit_count() & 2:
             ca = -ca
-        for code_b, cb in bucket:
-            xi = code + code_b
-            moments[xi] = moments.get(xi, 0) + ca * cb
-    return _real_trace(moments, left.n, left.phase + right.phase,
+        for xi_b, cb in bucket:
+            code = xi + xi_b
+            moments[code] = moments.get(code, 0) + ca * cb
+    return _real_trace(moments, n, left.phase + right.phase,
                        left.den * right.den)
 
 
@@ -502,21 +501,12 @@ def _entry(label: str, engine: Fraction, printed: Fraction,
 
 
 def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict]:
-    """Per-term diff of two expressions (a = composed, b = displayed)."""
-    keys = set(a.terms) | set(b.terms)
-    rows = []
-    for key in sorted(keys):
-        ca, cb = a.coefficient(key), b.coefficient(key)
-        if ca != cb:
-            xdeg, xideg, p, word = key
-            rows.append({
-                "xdeg": list(xdeg), "xideg": list(xideg), "normpow": p,
-                "word": list(word_indices(word)),
-                "composed": str(ca), "displayed": str(cb),
-            })
-            if len(rows) >= limit:
-                break
-    return rows
+    """Per-term diff of two expressions of one phase (a = composed, b =
+    displayed): the first ``limit`` terms of a - b in exponent-tuple order."""
+    return [{"xdeg": list(key[0]), "xideg": list(key[1]), "normpow": key[2],
+             "word": list(word_indices(key[3])),
+             "composed": str(a.coefficient(key)), "displayed": str(b.coefficient(key))}
+            for key in sorted(_key(k, a.n) for k in (a - b).nums)[:limit]]
 
 
 def audit(jet: PointJet, m: int) -> DensityReport:

@@ -8,8 +8,12 @@ with exact coefficients.  The x-multidegree is hard truncated at total
 degree 2 (the deepest jet any builder carries, and at most two
 x-derivatives are ever applied), while ||xi||^p stays symbolic: the
 cosphere integrals later set p-factors to 1, and the homogeneity of a term
-is |nu| + p throughout.  Terms are keyed by (x-degree, xi-degree, p, word),
-so equality of expressions is structural.
+is |nu| + p throughout.  Terms are keyed by four ints (x-code, xi-code, p,
+word), so equality of expressions is structural.  A multidegree's monomial
+code holds e_i in bits 8i..8i+7 and |e| from bit 8n up: a product adds
+codes, d/dx_j and d/dxi_j add or subtract a unit code, and |nu| is ``code
+>> 8n``.  An exponent outside 0..255, or a product or d/dxi carrying out of
+a field, raises ValueError; the public calls speak in exponent tuples.
 
 Every coefficient is purely real or purely imaginary, and which one
 follows from the key: the coefficient of key (mu, nu, p, word) is
@@ -65,9 +69,33 @@ from .geometry import PointJet, derived_scalars
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
-Key = Tuple[Deg, Deg, int, Word]
+Key = Tuple[Deg, Deg, int, Word]  # the exponent-tuple form callers give and read
+Code = Tuple[int, int, int, Word]  # (x-code, xi-code, p, word), the stored form
 
 X_TRUNCATION = 2
+
+
+def _ones(n: int) -> int:
+    """Bit 8i of each exponent field of a monomial code in dimension n."""
+    return ((1 << 8 * n) - 1) // 255
+
+
+def _decode(code: int, n: int) -> Deg:
+    """The exponent tuple of a monomial code."""
+    return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
+
+
+def _key(code: Code, n: int) -> Key:
+    return _decode(code[0], n), _decode(code[1], n), code[2], code[3]
+
+
+def _coded(key: Key, n: int) -> Code:
+    """The stored form of a tuple key: ValueError names a malformed one."""
+    xdeg, xideg, p, word = key
+    if not (len(xdeg) == len(xideg) == n and 0 <= min(xdeg + xideg) and max(xdeg + xideg) < 256):
+        raise ValueError(f"term {key} needs {n} exponents in 0..255 per multidegree")
+    return (int.from_bytes(bytes(xdeg), "little") + (sum(xdeg) << 8 * n),
+            int.from_bytes(bytes(xideg), "little") + (sum(xideg) << 8 * n), p, word)
 
 
 def _split(scalar) -> Tuple[Fraction | int, Fraction | int]:
@@ -77,14 +105,14 @@ def _split(scalar) -> Tuple[Fraction | int, Fraction | int]:
     return scalar, 0
 
 
-def _exponent(key: Key, phase: int) -> int:
+def _exponent(key: Code, phase: int, n: int) -> int:
     """e with coefficient = i^e * r for the key: |nu| + grade - phase mod 4."""
-    return (sum(key[1]) + key[3].bit_count() - phase) & 3
+    return ((key[1] >> 8 * n) + key[3].bit_count() - phase) & 3
 
 
-def _phase_error(key: Key, coeff, phase: int) -> ValueError:
-    kind = "imaginary" if _exponent(key, phase) & 1 else "real"
-    return ValueError(f"coefficient {coeff} of term {key} breaks the phase rule:"
+def _phase_error(key: Code, coeff, phase: int, n: int) -> ValueError:
+    kind = "imaginary" if _exponent(key, phase, n) & 1 else "real"
+    return ValueError(f"coefficient {coeff} of term {_key(key, n)} breaks the phase rule:"
                       f" in a phase-{phase} expression it must be {kind}")
 
 
@@ -97,52 +125,54 @@ def _real_or_imaginary(scalar) -> Tuple[int, int, int]:
     return (im.numerator, im.denominator, 1) if im else (re.numerator, re.denominator, 0)
 
 
-def _phase_of(key: Key, coeff) -> int:
+def _phase_of(key: Code, coeff, n: int) -> int:
     """The phase in which the exact coefficient ``coeff`` at ``key`` obeys
     the phase rule."""
-    return (sum(key[1]) + key[3].bit_count() + bool(_split(coeff)[1])) & 1
+    return _exponent(key, -bool(_split(coeff)[1]), n) & 1
 
 
-def _real(key: Key, coeff, phase: int) -> Fraction | int:
+def _real(key: Code, coeff, phase: int, n: int) -> Fraction | int:
     """The rational r of an exact coefficient ``coeff`` = i^e * r at ``key``."""
     re, im = _split(coeff)
-    e = _exponent(key, phase)
+    e = _exponent(key, phase, n)
     value, stray = (im, re) if e & 1 else (re, im)
     if stray:
-        raise _phase_error(key, coeff, phase)
+        raise _phase_error(key, coeff, phase, n)
     return -value if e & 2 else value
 
 
 class SymbolExpr:
     """Canonical sum of symbol terms; no zero coefficients stored.
 
-    ``terms`` maps each key to the int numerator of the rational r of its
-    coefficient i^(|nu| + grade(word) - phase) * r, over the one
-    denominator ``den`` > 0 of the expression; gcd(den, *numerators) = 1,
-    and den = 1 when the expression is zero.  ``phase`` is 0 or 1 and means
-    nothing while the expression is zero.
+    ``nums`` maps each key (x-code, xi-code, p, word) to the int numerator
+    of the rational r of its coefficient i^(|nu| + grade(word) - phase) * r,
+    over the one denominator ``den`` > 0; gcd(den, *numerators) = 1, and den
+    = 1 when the expression is zero.  ``terms`` is the exponent-tuple view.
+    ``phase`` is 0 or 1 and means nothing while the expression is zero.
     """
 
-    __slots__ = ("n", "terms", "den", "phase")
+    __slots__ = ("n", "nums", "den", "phase")
 
     def __init__(self, n: int, terms: Dict[Key, object] | None = None):
-        self.n = n
-        self.phase = 0
-        rationals: Dict[Key, Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            if coeff:
-                if not rationals:
-                    self.phase = _phase_of(key, coeff)
-                rationals[key] = _real(key, coeff, self.phase)
-        self.terms, self.den = _integer_form(rationals)
+        self.n, self.phase, self.nums, self.den = n, 0, {}, 1
+        terms = {_coded(key, n): coeff for key, coeff in (terms or {}).items() if coeff}
+        if terms:  # the first term sets the phase
+            phase = self.phase = _phase_of(*next(iter(terms.items())), n)
+            self.nums, self.den = _integer_form({key: _real(key, coeff, phase, n)
+                                                 for key, coeff in terms.items()})
 
     @classmethod
-    def _of(cls, n: int, terms: Dict[Key, int], den: int, phase: int) -> "SymbolExpr":
+    def _of(cls, n: int, nums: Dict[Code, int], den: int, phase: int) -> "SymbolExpr":
         """The expression (nonzero int numerators over ``den`` > 0), reduced."""
         out = cls.__new__(cls)
-        out.terms, out.den = _reduced(terms, den)
+        out.nums, out.den = _reduced(nums, den)
         out.n, out.phase = n, phase
         return out
+
+    @property
+    def terms(self) -> Dict[Key, int]:
+        """Exponent-tuple key -> int numerator over ``den``."""
+        return {_key(k, self.n): c for k, c in self.nums.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -151,7 +181,8 @@ class SymbolExpr:
                       xideg: Deg | None = None, normpow: int = 0) -> "SymbolExpr":
         """The rational Clifford element as one term family of the given degrees."""
         x0 = (0,) * elem.n
-        return _family(elem.n, [(xdeg or x0, xideg or x0, normpow, elem)])
+        x, xi = _coded((xdeg or x0, xideg or x0, 0, 0), elem.n)[:2] if xdeg or xideg else (0, 0)
+        return _family(elem.n, [(x, xi, normpow, elem)])
 
     @classmethod
     def sum_of(cls, n: int, exprs: Iterable["SymbolExpr"]) -> "SymbolExpr":
@@ -162,14 +193,14 @@ class SymbolExpr:
         for expr in exprs:
             if expr.n != n:
                 raise ValueError(f"dimension mismatch: {n} != {expr.n}")
-            if expr.terms:
+            if expr.nums:
                 if parts and expr.phase != parts[0].phase:
                     raise ValueError("sum of expressions of different phase breaks"
                                      " the phase rule")
                 parts.append(expr)
         if not parts:
             return cls(n)
-        return cls._of(n, *_summed((e.terms, e.den) for e in parts), parts[0].phase)
+        return cls._of(n, *_summed((e.nums, e.den) for e in parts), parts[0].phase)
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
                  coeff) -> None:
@@ -177,19 +208,20 @@ class SymbolExpr:
         the first term of a zero expression sets its phase."""
         if not coeff:
             return
-        key = (xdeg, xideg, normpow, word)
-        if not self.terms:
-            self.phase = _phase_of(key, coeff)
-        r = _real(key, coeff, self.phase)
-        self.terms, self.den = _reduced(*_summed(
-            ((self.terms, self.den), ({key: r.numerator}, r.denominator))))
+        key = _coded((xdeg, xideg, normpow, word), self.n)
+        if not self.nums:
+            self.phase = _phase_of(key, coeff, self.n)
+        r = _real(key, coeff, self.phase, self.n)
+        self.nums, self.den = _reduced(*_summed(
+            ((self.nums, self.den), ({key: r.numerator}, r.denominator))))
 
     def coefficient(self, key: Key) -> GaussianRational:
         """The exact complex coefficient at ``key`` (zero when absent)."""
-        c = self.terms.get(key)
+        key = _coded(key, self.n)
+        c = self.nums.get(key)
         if c is None:
             return GaussianRational(0)
-        e = _exponent(key, self.phase)
+        e = _exponent(key, self.phase, self.n)
         r = Fraction(-c if e & 2 else c, self.den)
         return GaussianRational(0, r) if e & 1 else GaussianRational(r)
 
@@ -207,14 +239,14 @@ class SymbolExpr:
 
     def scale(self, scalar) -> "SymbolExpr":
         """scalar * self for a real or purely imaginary exact scalar."""
-        if not (self.terms and scalar):
+        if not (self.nums and scalar):
             return SymbolExpr(self.n)
         p, q, imag = _real_or_imaginary(scalar)
         phase = self.phase
         if imag:
             # i lowers the phase by one; from 0 it wraps to -1 = 1 - 2
             p, phase = (p, 0) if phase else (-p, 1)
-        return SymbolExpr._of(self.n, {k: c * p for k, c in self.terms.items()},
+        return SymbolExpr._of(self.n, {k: c * p for k, c in self.nums.items()},
                               self.den * q, phase)
 
     def __neg__(self) -> "SymbolExpr":
@@ -223,20 +255,23 @@ class SymbolExpr:
     def __mul__(self, other: "SymbolExpr") -> "SymbolExpr":
         """Exact graded product; x-degree truncated at X_TRUNCATION.
 
-        The phases add; two odd phases give i^-2 = -1."""
+        The phases add (two odd phases give i^-2 = -1), and so do the codes:
+        a xi-exponent past 255 would carry into the next field and raises."""
         self._check(other)
-        n = self.n
-        flip = self.phase & other.phase
-        right = [(xb, sum(xb), xib, pb, wb, _below(wb), cb)
-                 for (xb, xib, pb, wb), cb in other.terms.items()]
-        acc: Dict[Key, int] = {}
-        for (xa, xia, pa, wa), ca in self.terms.items():
-            xa_total = sum(xa)
+        n, flip = self.n, self.phase & other.phase
+        s, carry = 8 * n, _ones(n) << 8
+        right = [(xb, xb >> s, xib, pb, wb, _below(wb), cb)
+                 for (xb, xib, pb, wb), cb in other.nums.items()]
+        acc: Dict[Code, int] = {}
+        for (xa, xia, pa, wa), ca in self.nums.items():
+            xa_total = xa >> s
             for xb, xb_total, xib, pb, wb, below, cb in right:
                 if xa_total + xb_total > X_TRUNCATION:
                     continue
-                x = tuple(map(sum, zip(xa, xb))) if xa_total or xb_total else xa
-                key = (x, tuple(map(sum, zip(xia, xib))), pa + pb, wa ^ wb)
+                xi = xia + xib
+                if (xi ^ xia ^ xib) & carry:
+                    raise ValueError(f"xi-exponents {_decode(xia, n)} + {_decode(xib, n)} pass 255")
+                key = (xa + xb, xi, pa + pb, wa ^ wb)
                 c = ca * cb
                 if ((wa & below).bit_count() ^ flip) & 1:
                     c = -c
@@ -248,15 +283,15 @@ class SymbolExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolExpr):
             return NotImplemented
-        return (self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.nums == other.nums
                 and self.den == other.den
-                and (not self.terms or self.phase == other.phase))
+                and (not self.nums or self.phase == other.phase))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        return f"SymbolExpr(n={self.n}, {len(self.terms)} terms)"
+        return f"SymbolExpr(n={self.n}, {len(self.nums)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +303,23 @@ def d_xi(expr: SymbolExpr, j: int) -> SymbolExpr:
 
     The phase flips.  Lowering nu_j keeps i^(|nu| - phase) when the phase
     goes 1 -> 0 and turns it by i^-2 = -1 when it goes 0 -> 1 (which wraps
-    to 1); raising nu_j (from ||xi||^p) does the opposite."""
-    jj = j - 1
-    s = 1 if expr.phase else -1
+    to 1); raising nu_j (from ||xi||^p) does the opposite (past 255: ValueError)."""
+    shift, unit, s = 8 * (j - 1), _unit(expr.n, j - 1), (1 if expr.phase else -1)
     # summed in place: on small symbols a pass through _collected costs more
-    out: Dict[Key, int] = {}
-    for (xdeg, xideg, p, word), r in expr.terms.items():
-        e = xideg[jj]
+    out: Dict[Code, int] = {}
+    for (x, xi, p, word), r in expr.nums.items():
+        e = (xi >> shift) & 255
         if e:
-            key = (xdeg, xideg[:jj] + (e - 1,) + xideg[jj + 1:], p, word)
+            key = (x, xi - unit, p, word)
             c = out.get(key, 0) + r * (s * e)
             if c:
                 out[key] = c
             else:
                 del out[key]
         if p:
-            key = (xdeg, xideg[:jj] + (e + 1,) + xideg[jj + 1:], p - 2, word)
+            if e == 255:
+                raise ValueError(f"d/dxi_{j} raises xi_{j} past 255 in {_decode(xi, expr.n)}")
+            key = (x, xi + unit, p - 2, word)
             c = out.get(key, 0) - r * (s * p)
             if c:
                 out[key] = c
@@ -296,22 +332,23 @@ def d_x(expr: SymbolExpr, j: int) -> SymbolExpr:
     """d/d(x_j), 1-based; formal partial on the x-monomial (phase kept).
     Lowering x_j is one-to-one on the keys it applies to, so no two terms
     meet."""
-    jj = j - 1
+    shift, unit = 8 * (j - 1), _unit(expr.n, j - 1)
     return SymbolExpr._of(expr.n, {
-        (xdeg[:jj] + (xdeg[jj] - 1,) + xdeg[jj + 1:], xideg, p, word): r * xdeg[jj]
-        for (xdeg, xideg, p, word), r in expr.terms.items() if xdeg[jj]}, expr.den, expr.phase)
+        (x - unit, xi, p, word): r * e for (x, xi, p, word), r in expr.nums.items()
+        if (e := (x >> shift) & 255)}, expr.den, expr.phase)
 
 
 def xi_grade(expr: SymbolExpr, degree: int) -> SymbolExpr:
     """Terms of xi-homogeneity |xideg| + normpow == degree."""
-    return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
-                                   if sum(k[1]) + k[2] == degree}, expr.den, expr.phase)
+    s = 8 * expr.n
+    return SymbolExpr._of(expr.n, {k: c for k, c in expr.nums.items()
+                                   if (k[1] >> s) + k[2] == degree}, expr.den, expr.phase)
 
 
 def at_x0(expr: SymbolExpr) -> SymbolExpr:
     """Evaluate at the base point: keep x-degree-zero terms."""
-    return SymbolExpr._of(expr.n, {k: c for k, c in expr.terms.items()
-                                   if not any(k[0])}, expr.den, expr.phase)
+    return SymbolExpr._of(expr.n, {k: c for k, c in expr.nums.items()
+                                   if not k[0]}, expr.den, expr.phase)
 
 
 def _alpha_coefficient(alpha: Sequence[int]) -> GaussianRational:
@@ -347,14 +384,15 @@ def _partials(expr: SymbolExpr, d, alpha_max: int) -> Dict[Deg, SymbolExpr]:
 def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
     """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only,
     in one pass: d_x^alpha f |x0 = mu! [x^mu] f for the x-multidegree mu of
-    alpha, so the terms are bucketed by x-multidegree."""
-    n, x0 = expr.n, (0,) * expr.n
-    buckets: Dict[Deg, Dict[Key, int]] = {}
-    for (xdeg, xideg, p, word), r in expr.terms.items():
-        buckets.setdefault(xdeg, {})[x0, xideg, p, word] = r
+    alpha, so the terms are bucketed by x-code."""
+    n = expr.n
+    buckets: Dict[int, Dict[Code, int]] = {}
+    for (x, xi, p, word), r in expr.nums.items():
+        buckets.setdefault(x, {})[0, xi, p, word] = r
     out = {}
-    for xdeg, terms in buckets.items():
-        if sum(xdeg) <= alpha_max:
+    for x, terms in buckets.items():
+        if x >> 8 * n <= alpha_max:
+            xdeg = _decode(x, n)
             fact = prod(map(factorial, xdeg))
             out[tuple(j for j, e in enumerate(xdeg, 1) for _ in range(e))] = SymbolExpr._of(
                 n, {k: r * fact for k, r in terms.items()}, expr.den, expr.phase)
@@ -397,53 +435,47 @@ TORSION_PREFACTOR = {
 }
 
 
-_DEGREES: Dict[Tuple[int, int, int], Deg] = {}
+def _pair(n: int, a: int, b: int) -> int:
+    """Monomial code of x_a x_b (or xi_a xi_b)."""
+    return (1 << 8 * a) + (1 << 8 * b) + (2 << 8 * n)
 
 
-def _pair(n: int, a: int, b: int) -> Deg:
-    """Multidegree of x_a x_b (or xi_a xi_b), one shared tuple per (n, a, b)."""
-    return _DEGREES.get((n, a, b)) or _DEGREES.setdefault(
-        (n, a, b), tuple((i == a) + (i == b) for i in range(n)))
+def _unit(n: int, j: int) -> int:
+    """Monomial code of x_j (or xi_j)."""
+    return (1 << 8 * j) + (1 << 8 * n)
 
 
-def _unit(n: int, j: int) -> Deg:
-    return _pair(n, j, -1)  # -1 matches no index
-
-
-def _symbol(n: int, nums: Iterable[Tuple[Key, int]], den: int, coeff=1) -> SymbolExpr:
-    """coeff * sum (num/den) * (the term at key) over the (key, nonzero int
-    num) pairs ``nums`` with distinct keys, den > 0 and a real or purely
-    imaginary exact ``coeff``, reduced; the first key sets the phase, and
-    |nu| is summed once per run of keys sharing one xi-degree tuple."""
+def _symbol(n: int, nums: Iterable[Tuple[Code, int]], den: int, coeff=1) -> SymbolExpr:
+    """coeff * sum (num/den) * (the term at key) over the (stored key,
+    nonzero int num) pairs ``nums`` with distinct keys, den > 0 and a real
+    or purely imaginary exact ``coeff``, reduced; the first key sets the
+    phase."""
     if not coeff:
         return SymbolExpr(n)
     p, q, imag = _real_or_imaginary(coeff)
-    terms: Dict[Key, int] = {}
-    xideg = phase = None
+    s, phase = 8 * n, None
+    terms: Dict[Code, int] = {}
     for key, c in nums:
-        if key[1] is not xideg:
-            xideg = key[1]
-            # coeff * c = i^imag * p/q * c = i^e * r, so r = i^(imag - e) * p/q * c
-            nu = sum(xideg) - imag
-            if phase is None:
-                phase = (nu + key[3].bit_count()) & 1
-            nu -= phase
-        e = nu + key[3].bit_count()
+        # coeff * c = i^imag * p/q * c = i^e * r, so r = i^(imag - e) * p/q * c
+        e = (key[1] >> s) + key[3].bit_count() - imag
+        if phase is None:
+            phase = e & 1
+        e -= phase
         if e & 1:
-            raise _phase_error(key, coeff * Fraction(c, den), phase)
+            raise _phase_error(key, coeff * Fraction(c, den), phase, n)
         terms[key] = -c * p if e & 2 else c * p
     return SymbolExpr._of(n, terms, den * q, phase) if terms else SymbolExpr(n)
 
 
-Placement = Tuple[Deg, Deg, int, CliffordElement]
+Placement = Tuple[int, int, int, CliffordElement]
 
 
-def _placed(placed: Iterable[Placement]) -> Tuple[Dict[Key, int], int]:
-    """The rational Clifford elements placed at (x-degree, xi-degree, norm
+def _placed(placed: Iterable[Placement]) -> Tuple[Dict[Code, int], int]:
+    """The rational Clifford elements placed at (x-code, xi-code, norm
     power), summed per key: int numerators over the lcm of the elements'
     denominators, zero sums dropped, not yet reduced."""
-    return _summed(({(xdeg, xideg, p, w): c for w, c in elem.nums.items()}, elem.den)
-                   for xdeg, xideg, p, elem in placed)
+    return _summed(({(x, xi, p, w): c for w, c in elem.nums.items()}, elem.den)
+                   for x, xi, p, elem in placed)
 
 
 def _family(n: int, placed: Iterable[Placement], coeff=1) -> SymbolExpr:
@@ -527,12 +559,11 @@ class JetInputs:
     rows = property(lambda self: self.torsion[1])
 
     @cached_property
-    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Key, int], int]]:
+    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q."""
-        n, der = self.n, self.derived
-        x0 = (0,) * n
+        n, der, x0 = self.n, self.derived, 0
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
@@ -576,8 +607,7 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     Both are odd (phase 1).
     """
     kappa = TORSION_PREFACTOR[variant]
-    n = jet.n
-    x0 = (0,) * n
+    n, x0 = jet.n, 0
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
     inputs = inputs or JetInputs(jet)
     curvature, (tau, dtau) = inputs.word_sums, inputs.forms
@@ -595,7 +625,7 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     |alpha| <= 1 terms survive; the value and first x-jet of c(w) sigma(D_T)
     at x0 follow by the product rule from those of its two factors."""
     n = jet.n
-    x0, zero = (0,) * n, SymbolExpr(n)
+    x0, zero = 0, SymbolExpr(n)
     inputs = inputs or JetInputs(jet)
     sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
     # c(w(x)) carries w's first jet
@@ -637,7 +667,7 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
                                                for g, x in enumerate(row)))
     # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
     cvc = [cv * gens[f] * cw for f in range(n)]
-    x0 = (0,) * n
+    x0 = 0
     return {
         # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
         "s2": _family(n, [(x0, _pair(n, f, g), 0, cvc[f] * gens[g])
@@ -676,7 +706,7 @@ def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
     """||xi||^{-2m-2} sum_a xi_a^2: the leading, x-free channel of the
     inverse m-th power (all the metric density needs)."""
     m, n = jet.m, jet.n
-    return _symbol(n, ((((0,) * n, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
+    return _symbol(n, (((0, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
 
 
 def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) -> Tuple[
@@ -685,7 +715,7 @@ def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) 
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
     m, n = jet.m, jet.n
-    x0, p = (0,) * n, -2 * m - 2
+    x0, p = 0, -2 * m - 2
     inputs = inputs or JetInputs(jet)
     curvature, ric, (tau, dtau) = inputs.curvature, inputs.ric, inputs.rows
 

@@ -13,7 +13,7 @@ from wres_torsion.geometry import (
     make_point_jet,
     random_point_jet,
 )
-from wres_torsion import residue
+from wres_torsion import residue, symbols
 from wres_torsion.numerics import GaussianRational, I, ONE
 from wres_torsion.residue import (
     PipelineContext,
@@ -596,6 +596,34 @@ def test_audit_lemma36_payload():
     assert not diff["grade1_equal"]
     assert diff["differing_terms"]
     assert diff["density_shift_formula"].startswith("3/4")
+
+
+def test_audit_diff_rows_follow_exponent_tuple_order():
+    """The lemma-3.6 rows list the differing terms in the order of their
+    exponent-tuple keys, truncated at 12, whatever the order of the stored
+    monomial codes: here the code order puts xi_1 before xi_2 (and x_1
+    before x_2), the tuple order the reverse."""
+    from wres_torsion.clifford import word_indices
+    from wres_torsion.residue import _expr_diff_terms
+
+    n = 4
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    a, b = SymbolExpr(n), SymbolExpr(n)
+    keys = [(x, xi, -2, word) for x in ((0,) * n, *units[:2]) for xi in units
+            for word in (0b0001, 0b0110)]
+    for i, (x, xi, p, word) in enumerate(keys):
+        a.add_term(x, xi, p, word, _phase_coeff(xi, word, 0, Fraction(i + 1, 3)))
+        # b agrees with a on every third key
+        b.add_term(x, xi, p, word, _phase_coeff(xi, word, 0, Fraction(i + 1, 5 if i % 3 else 3)))
+    codes = sorted(a.nums)
+    assert [symbols._key(c, n) for c in codes] != sorted(a.terms)
+    differing = sorted(key for i, key in enumerate(keys) if i % 3)
+    assert len(differing) > 12
+    rows = _expr_diff_terms(a, b)
+    assert [(tuple(r["xdeg"]), tuple(r["xideg"]), r["normpow"], r["word"]) for r in rows] == [
+        (x, xi, p, list(word_indices(word))) for x, xi, p, word in differing[:12]]
+    assert [(r["composed"], r["displayed"]) for r in rows] == [
+        (str(a.coefficient(key)), str(b.coefficient(key))) for key in differing[:12]]
 
 
 def _audit_jets():

@@ -580,17 +580,19 @@ def oracle_alpha_coefficient(alpha):
 
 
 def oracle_family(n, placed, coeff=1):
-    """``symbols._family`` computed term by term: each placement through
-    from_clifford, summed, then scaled."""
+    """``symbols._family`` computed term by term: each placement, its
+    monomial codes decoded, through from_clifford, summed, then scaled."""
     return OracleExpr.sum_of(n, (
-        OracleExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=p)
-        for xdeg, xideg, p, elem in placed)).scale(coeff)
+        OracleExpr.from_clifford(elem, xdeg=symbols._decode(x, n),
+                                 xideg=symbols._decode(xi, n), normpow=p)
+        for x, xi, p, elem in placed)).scale(coeff)
 
 
 def oracle_symbol(n, nums, den, coeff=1):
     """``symbols._symbol`` computed term by term: each numerator over den as
-    an exact coefficient at its key, then scale."""
-    return OracleExpr(n, {key: Fraction(c, den) for key, c in nums}).scale(coeff)
+    an exact coefficient at its decoded key, then scale."""
+    return OracleExpr(n, {symbols._key(key, n): Fraction(c, den)
+                          for key, c in nums}).scale(coeff)
 
 
 def repeated_x_partials(expr, alpha_max=2):
@@ -773,8 +775,8 @@ def _assert_canonical(expr):
     assert expr.terms or expr.den == 1
 
 
-def _pair_of(terms, phase):
-    engine, oracle = SymbolExpr(N), OracleExpr(N)
+def _pair_of(terms, phase, n=N):
+    engine, oracle = SymbolExpr(n), OracleExpr(n)
     for xdeg, xideg, p, word, r in terms:
         coeff = _phase_coeff(xideg, word, phase, r)
         engine.add_term(xdeg, xideg, p, word, coeff)
@@ -811,6 +813,121 @@ def test_phase_arithmetic_matches_complex_oracle(ta, tb, tc, pa, pb, j, z):
     assert a - a == SymbolExpr(N) and (a + d) == c
 
 
+# ---------------------------------------------------------------------------
+# monomial codes
+# ---------------------------------------------------------------------------
+
+_CODE_DIMS = (2, 4, 6, 8, 16)
+
+
+def _exponents(n, top):
+    return st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_CODE_DIMS).flatmap(lambda n: st.tuples(
+    st.just(n), _exponents(n, 255), _exponents(n, 255), _exponents(n, 127), _exponents(n, 127))))
+def test_monomial_codes_decode_add_and_read_off(case):
+    """A tuple key's codes decode back to it; codes of exponents below 128
+    add to the code of the summed exponents; ``_unit`` and ``_pair`` are the
+    codes of x_i and x_i x_k; the odd mask and the total read off a code are
+    the odd exponents and |e|."""
+    n, xdeg, xideg, a, b = case
+    key = (xdeg, xideg, -4, (1 << n) - 1)
+    coded = symbols._coded(key, n)
+    assert all(type(c) is int for c in coded)
+    assert symbols._key(coded, n) == key
+
+    def code(d):
+        return symbols._coded((d, d, 0, 0), n)[0]
+    assert code(a) + code(b) == code(tuple(x + y for x, y in zip(a, b)))
+    for i in range(n):  # the builders' unit and pair codes
+        k = 7 * i % n
+        assert symbols._unit(n, i) == code(tuple(int(t == i) for t in range(n)))
+        assert symbols._pair(n, i, k) == code(tuple((t == i) + (t == k) for t in range(n)))
+    for d in (xdeg, a):
+        assert code(d) >> 8 * n == sum(d)
+        assert symbols._decode(code(d) & symbols._ones(n), n) == tuple(e & 1 for e in d)
+        assert (code(d) & symbols._ones(n) << 7 != 0) == (max(d) >= 128)
+
+
+@st.composite
+def _expr_cases(draw):
+    """A dimension, two random expressions of it (each as engine and
+    OracleExpr), a 1-based index and a xi-grade."""
+    n = draw(st.sampled_from(_CODE_DIMS))
+    deg = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
+    terms = st.lists(st.tuples(
+        deg.filter(lambda d: sum(d) <= 2), deg, st.sampled_from([0, -2, -4]),
+        st.integers(0, (1 << n) - 1),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=5)
+    pairs = [_pair_of(draw(terms), draw(st.integers(0, 1)), n) for _ in range(2)]
+    return n, pairs, draw(st.integers(1, n)), draw(st.integers(-4, 3))
+
+
+def _oracle_x_partials(expr, alpha_max):
+    """The repeated-d_x table of an OracleExpr, each entry at x0."""
+    table = symbols._partials(expr, oracle_d_x, alpha_max).items()
+    return {alpha: oracle_at_x0(der) for alpha, der in table if oracle_at_x0(der)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr_cases())
+def test_code_keyed_calculus_matches_tuple_keyed_oracle(case):
+    """d_xi, d_x, the product, xi_grade, at_x0 and x_partials on code keys
+    equal the tuple-keyed OracleExpr, for n up to 16."""
+    n, ((a, oa), (b, ob)), j, grade = case
+    cases = [(d_xi(a, j), oracle_d_xi(oa, j)), (d_x(a, j), oracle_d_x(oa, j)),
+             (a * b, oa * ob), (xi_grade(a, grade), oracle_xi_grade(oa, grade)),
+             (at_x0(a), oracle_at_x0(oa))]
+    for alpha_max in (1, 2):
+        table, oracle = symbols.x_partials(a, alpha_max), _oracle_x_partials(oa, alpha_max)
+        assert list(table) == sorted(oracle, key=lambda alpha: (len(alpha), alpha))
+        cases += [(table[alpha], oracle[alpha]) for alpha in table]
+    for engine, oracle in cases:
+        _assert_canonical(engine)
+        assert expand(engine) == oracle.terms
+
+
+def test_exponents_past_255_are_refused_by_name():
+    """Building a term with an exponent outside 0..255 (or a multidegree of
+    the wrong length) raises ValueError naming its key."""
+    for key in ((Z, (256, 0, 0, 0), 0, 0), ((0, 0, 0, 300), Z, 0, 0),
+                (Z, (-1, 0, 0, 0), 0, 0), ((0, 0, 0), Z, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            SymbolExpr(N, {key: ONE})
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            SymbolExpr(N).add_term(*key, ONE)
+    with pytest.raises(ValueError, match=re.escape(str((Z, (256, 0, 0, 0), 0, 0)))):
+        SymbolExpr.from_clifford(CliffordElement.identity(N), xideg=(256, 0, 0, 0))
+    top = (Z, (255, 0, 0, 255), 0, 0)
+    assert expand(SymbolExpr(N, {top: ONE})) == {top: ONE}
+
+
+def test_products_and_d_xi_raise_instead_of_carrying():
+    """A xi-exponent past 255 would carry into the next field of the code
+    (the last field carries into the total): a product or a d_xi that
+    raises an exponent from ||xi||^p that far raises ValueError."""
+    def mono(*xi, p=0):
+        return SymbolExpr(N, {(Z, xi, p, 0): ONE})
+    for a, b in (((200, 0, 0, 0), (56, 0, 0, 0)), ((0, 0, 0, 255), (0, 0, 0, 1)),
+                 ((3, 128, 0, 0), (0, 128, 0, 0))):
+        with pytest.raises(ValueError, match="pass 255"):
+            mono(*a) * mono(*b)
+    # exponents of 128 and more that stay within their fields multiply exactly
+    assert mono(200, 0, 0, 128) * mono(55, 9, 0, 127) == mono(255, 9, 0, 255)
+    with pytest.raises(ValueError, match="past 255"):
+        d_xi(mono(255, 0, 0, 0, p=-2), 1)
+    with pytest.raises(ValueError, match="past 255"):
+        d_xi(mono(0, 0, 0, 255, p=-2), 4)
+    assert d_xi(mono(254, 0, 0, 0, p=-2), 1) == _expr(
+        (Z, (253, 0, 0, 0), -2, 0, GaussianRational(254)),
+        (Z, (255, 0, 0, 0), -4, 0, GaussianRational(-2)))
+    assert d_xi(mono(255, 0, 0, 0, p=-2), 2) == _expr(
+        (Z, (255, 1, 0, 0), -4, 0, GaussianRational(-2)))
+
+
 def test_phase_violation_raises_at_construction():
     key = (Z, _unit(0), -2, 0b0011)           # |nu| + grade = 3
     with pytest.raises(ValueError, match=re.escape(str(key))):
@@ -829,7 +946,7 @@ def test_phase_violation_raises_at_construction():
     with pytest.raises(ValueError, match=re.escape(str((Z, Z, 0, 0b0011)))):
         SymbolExpr.from_clifford(CliffordElement(N, {0b0001: Fraction(1), 0b0011: Fraction(1)}))
     with pytest.raises(ValueError, match=re.escape(str((Z, _unit(0), 0, 0b0001)))):
-        symbols._family(N, [(Z, _unit(0), 0, CliffordElement(
+        symbols._family(N, [(0, symbols._unit(N, 0), 0, CliffordElement(
             N, {0: Fraction(1, 3), 0b0001: Fraction(2)}))], I)
     assert SymbolExpr(N, {key: I}).phase == 0
     assert SymbolExpr(N, {key: GaussianRational(2)}).phase == 1
@@ -870,14 +987,17 @@ def test_family_matches_summed_term_families(families, parity, coeff):
         placed.append((xdeg, xideg, p, elem))
         if negated:   # the same element negated at the same key: the key cancels
             placed.append((xdeg, xideg, p, -elem))
-    family = symbols._family(N, placed, coeff)
+    # the private constructors take monomial codes
+    coded = [(*symbols._coded((xdeg, xideg, p, 0), N)[:3], elem)
+             for xdeg, xideg, p, elem in placed]
+    family = symbols._family(N, coded, coeff)
     summed = SymbolExpr.sum_of(N, (
         SymbolExpr.from_clifford(elem, xdeg=xdeg, xideg=xideg, normpow=p).scale(coeff)
         for xdeg, xideg, p, elem in placed))
     _assert_canonical(family)
     assert (family.terms, family.den) == (summed.terms, summed.den)
     assert not family or family.phase == summed.phase
-    assert expand(family) == oracle_family(N, placed, coeff).terms
+    assert expand(family) == oracle_family(N, coded, coeff).terms
 
 
 def test_family_of_no_placements_is_zero():
@@ -946,6 +1066,11 @@ def _dense_torsion_pair(values_a, n):
                                for j, l in itertools.combinations(range(n), 2)})
 
 
+def _deg(n, *indices):
+    """The exponent tuple of the product of x_i (or xi_i) over ``indices``."""
+    return tuple(indices.count(i) for i in range(n))
+
+
 def _term_family(elem, coeff=1, *, xdeg=None, xideg=None, normpow=0):
     """coeff * elem as one term family: ``from_clifford``, then ``scale``.
     ``SymbolExpr`` is looked up in the ``symbols`` module, so
@@ -967,7 +1092,7 @@ def _ordered_pair_order2_channels(jet, mm):
     return {
         "tt_xx": symbols.SymbolExpr.sum_of(n, (
             _term_family(tau_a[a] * tau_a[b], Fraction(-9 * mm * (mm + 1), 2),
-                         xideg=symbols._pair(n, a, b), normpow=p4)
+                         xideg=_deg(n, a, b), normpow=p4)
             for a in range(n) for b in range(n))),
         "tt_scalar": _term_family(_clifford_sum(n, (t * t for t in tau_a)),
                                   Fraction(9 * mm, 4), normpow=p2),
@@ -989,14 +1114,14 @@ def _per_pair_printed_parts(jet):
                            for j, row in enumerate(jet.dw)))
     return {
         "s2": sum_of(n, (
-            _term_family(cv * gens[f] * cw * gens[g], -1, xideg=symbols._pair(n, f, g))
+            _term_family(cv * gens[f] * cw * gens[g], -1, xideg=_deg(n, f, g))
             for f in range(n) for g in range(n))),
         "s1_tt": sum_of(n, (
             _term_family((cv * gens[a] * cw + cw * gens[a] * cv) * tau,
-                         GaussianRational(0, Fraction(1, 4)), xideg=symbols._unit(n, a))
+                         GaussianRational(0, Fraction(1, 4)), xideg=_deg(n, a))
             for a in range(n))),
         "s1_dw": sum_of(n, (
-            _term_family(cv * dw * gens[a], I, xideg=symbols._unit(n, a))
+            _term_family(cv * dw * gens[a], I, xideg=_deg(n, a))
             for a in range(n))),
         "s0_tt": _term_family(cv * tau * cw * tau, Fraction(1, 16)),
         "s0_r": sum_of(n, (_term_family(cv * gens[j] * cw * curvature[j])
@@ -1084,10 +1209,9 @@ def _per_mm_order2_parts(jet, mm):
     """The order -(2mm+2) channels built for one mm, as the builders built
     them before the mm-free families: the inputs, the Clifford products and
     every term family made anew for each mm.  The symbol helpers are looked
-    up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
+    up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them;
+    ``symbols._symbol`` takes monomial codes, the term families tuples."""
     n, der = jet.n, derived_scalars(jet)
-    _pair = symbols._pair
-    x0 = (0,) * n
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
     tau, dtau = (symbols._torsion_forms(_integer_form(entries), n)[1]
@@ -1100,12 +1224,12 @@ def _per_mm_order2_parts(jet, mm):
     c_tt = Fraction(-9 * mm * (mm + 1), 2)
     SymbolExpr = symbols.SymbolExpr  # the installed arithmetic, as in the builders
     return {
-        "ric": symbols._symbol(n, symbols._collected(((x0, _pair(n, a, b), p4, 0), x)
+        "ric": symbols._symbol(n, symbols._collected(((0, symbols._pair(n, a, b), p4, 0), x)
                                                      for (a, b), x in ric[0].items()).items(),
                                ric[1], Fraction(mm * (mm + 1), 3)),
         "tt_xx": SymbolExpr.sum_of(n, (
             _term_family(symbols._grades(prod, 0, 4), c_tt if a == b else 2 * c_tt,
-                         xideg=_pair(n, a, b), normpow=p4)
+                         xideg=_deg(n, a, b), normpow=p4)
             for (a, b), prod in tt.items())),
         "tt_scalar": SymbolExpr.sum_of(n, (
             _term_family(tt[a, a], Fraction(9 * mm, 4), normpow=p2) for a in tau)),
@@ -1113,12 +1237,12 @@ def _per_mm_order2_parts(jet, mm):
             _term_family(row, Fraction(3 * mm, 2), normpow=p2)
             for (b, a), row in dtau.items() if a == b)),
         "r_xx": SymbolExpr.sum_of(n, (
-            _term_family(pair, Fraction(-mm * (mm + 1), 4), xideg=_pair(n, a, b), normpow=p4)
+            _term_family(pair, Fraction(-mm * (mm + 1), 4), xideg=_deg(n, a, b), normpow=p4)
             for (b, a), pair in pairs.items())),
         "dt_xx": SymbolExpr.sum_of(n, (
-            _term_family(row, -3 * mm * (mm + 1), xideg=_pair(n, a, b), normpow=p4)
+            _term_family(row, -3 * mm * (mm + 1), xideg=_deg(n, a, b), normpow=p4)
             for (b, a), row in dtau.items())),
-        "e_scalar": symbols._symbol(n, [((x0, x0, p2, 0), 1)], 1, e_val),
+        "e_scalar": symbols._symbol(n, [((0, 0, p2, 0), 1)], 1, e_val),
         "dt4": _term_family(dt4, Fraction(-3 * mm, 2), normpow=p2),
     }
 
