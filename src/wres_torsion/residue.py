@@ -60,8 +60,6 @@ from .symbols import (
     _decode,
     _key,
     _ones,
-    _paired,
-    _xi_partials,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
     build_sigma_delta_inv_parts,
@@ -70,6 +68,7 @@ from .symbols import (
     leibniz_pairs,
     printed_grades,
     x_partials,
+    xi_partials,
 )
 
 # ---------------------------------------------------------------------------
@@ -349,9 +348,9 @@ class PipelineContext(JetInputs):
             grades = self.ab_composed
         else:
             raise ValueError(f"unknown ab_source {ab_source!r}")
-        sigma_ab = SymbolExpr.sum_of(self.n, grades)
+        ab_dxi = xi_partials(SymbolExpr.sum_of(self.n, grades))
         return Density(sum((_trace_integral_product(dl, dr, self.m)
-                            for dl, dr in leibniz_pairs(sigma_ab, self.delta_dx)),
+                            for dl, dr in leibniz_pairs(ab_dxi, self.delta_dx)),
                            Fraction(0)))
 
     def part1_closed(self) -> Density:
@@ -610,10 +609,10 @@ def audit(jet: PointJet, m: int) -> DensityReport:
 
     def alpha_trace(left_dxi: Dict, right: SymbolExpr, order: int) -> Fraction:
         """The |alpha| = order Leibniz terms of left o right, traced."""
-        return sum((tr(dl, dr) for dl, dr in _paired(
-            left_dxi, x_partials(right, order), (order,))), Fraction(0))
+        right_dx = {a: d for a, d in x_partials(right, order).items() if len(a) == order}
+        return sum((tr(dl, dr) for dl, dr in leibniz_pairs(left_dxi, right_dx)), Fraction(0))
 
-    s2_dxi = _xi_partials(s2, 2)  # the order-2 table holds the order-1 entries
+    s2_dxi = xi_partials(s2)
     report.entries.append(_entry(
         "II-4-A", alpha_trace(s2_dxi, parts_m1["ric_jet"], 1),
         Fraction(2, 3) * (2 * ric_vw - s * g)))
@@ -622,7 +621,7 @@ def audit(jet: PointJet, m: int) -> DensityReport:
     report.entries.append(_entry(
         "II-4-C", alpha_trace(s2_dxi, parts_m1["dt_jet"], 1), 6 * divt))
     report.entries.append(_entry(
-        "II-5", alpha_trace(_xi_partials(ctx.ab_printed[1], 1), sm, 1), Fraction(0)))
+        "II-5", alpha_trace(xi_partials(ctx.ab_printed[1]), sm, 1), Fraction(0)))
     report.entries.append(_entry(
         "II-6", alpha_trace(s2_dxi, parts_m["r_jet"], 2),
         -Fraction(1, 3) * (2 * ric_vw - s * g)))

@@ -31,11 +31,13 @@ rescales to their lcm, and a trace sums ints and divides once.  In a
 product the phases add, and the (-1) of each common generator
 (c_i^2 = -1) cancels against the i^2 of the grade it removes, so the
 product's sign is the plain transposition parity of the two words.  The
-Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips,
-and a cosphere trace is real exactly when the phase is even.  Each builder
-channel goes from int numerators to its symbol through one ``_symbol`` call
-(``_family`` for a Clifford term family); an exact ``GaussianRational``
-enters there and in ``scale`` only as one real or imaginary scalar.
+Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips, so
+the scaled table ``xi_partials`` multiplies each numerator by C(nu, alpha)
+and keeps the phase and denominator; a cosphere trace is real exactly when
+the phase is even.  Each builder channel goes from int numerators to its
+symbol through one ``_symbol`` call (``_family`` for a Clifford term
+family); an exact ``GaussianRational`` enters there and in ``scale`` only as
+one real or imaginary scalar.
 Per-term coefficients are given outside the builders (``SymbolExpr(n,
 terms)``, ``add_term``) and read back by ``coefficient``; one that breaks
 the phase rule raises ValueError.
@@ -62,7 +64,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below
 from .geometry import PointJet, derived_scalars
@@ -351,36 +353,6 @@ def at_x0(expr: SymbolExpr) -> SymbolExpr:
                                    if not k[0]}, expr.den, expr.phase)
 
 
-def _alpha_coefficient(alpha: Sequence[int]) -> GaussianRational:
-    # (-i)^|alpha| / alpha!; (-i)^k is 1, -i, -1, i for k = 0, 1, 2, 3 mod 4
-    k = len(alpha)
-    fact = 1
-    run = 1
-    for a, b in zip(alpha, alpha[1:]):
-        run = run + 1 if a == b else 1
-        fact *= run
-    r = Fraction(1 if k % 4 in (0, 3) else -1, fact)
-    return GaussianRational(0, r) if k % 2 else GaussianRational(r)
-
-
-def _iter_alphas(n: int, alpha_max: int) -> Iterable[Tuple[int, ...]]:
-    for k in range(alpha_max + 1):
-        yield from combinations_with_replacement(range(1, n + 1), k)
-
-
-def _partials(expr: SymbolExpr, d, alpha_max: int) -> Dict[Deg, SymbolExpr]:
-    """alpha -> d^alpha(expr) for |alpha| <= alpha_max, zero entries dropped;
-    each entry is one derivative of the entry for alpha minus its last index."""
-    table = {(): expr}
-    for alpha in _iter_alphas(expr.n, alpha_max):
-        prev = table.get(alpha[:-1]) if alpha else None
-        if prev:
-            der = d(prev, alpha[-1])
-            if der:
-                table[alpha] = der
-    return table
-
-
 def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
     """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only,
     in one pass: d_x^alpha f |x0 = mu! [x^mu] f for the x-multidegree mu of
@@ -399,30 +371,42 @@ def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
     return dict(sorted(out.items(), key=lambda item: (len(item[0]), item[0])))
 
 
-def leibniz_pairs(left: SymbolExpr, right_dx: Dict[Deg, SymbolExpr],
-                  orders: Sequence[int] = (0, 1, 2)
+def xi_partials(expr: SymbolExpr) -> Dict[Deg, SymbolExpr]:
+    """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <=
+    X_TRUNCATION (no x-jet is read past it), nonzero only, read off the codes:
+    the factor (-i)^|alpha| turns back the phase that d_xi^alpha flips, so a
+    term r xi^nu word at x0 gives C(nu, alpha) r xi^(nu - alpha) word at the
+    same phase and denominator, built per alpha in bulk.  A term at x0 with a
+    norm power raises ValueError naming it; no left factor has one."""
+    n, terms = expr.n, []
+    for key, r in expr.nums.items():
+        if not key[0]:
+            if key[2]:
+                raise ValueError(f"term {_key(key, n)} has a norm power: xi_partials needs none")
+            terms.append((key[1], key[3], r))
+    # per alpha in bulk: C(nu, alpha) is nu_j, nu_j (nu_j - 1)/2 or nu_j nu_k (j < k)
+    table = {(): {(0, xi, 0, w): r for xi, w, r in terms}}
+    for j in range(n):
+        unit = _unit(n, j)
+        lowered = [(xi - unit, w, r, e) for xi, w, r in terms if (e := (xi >> 8 * j) & 255)]
+        table[j + 1,] = {(0, xi, 0, w): e * r for xi, w, r, e in lowered}
+        table[j + 1, j + 1] = {(0, xi - unit, 0, w): e * (e - 1) // 2 * r
+                               for xi, w, r, e in lowered if e > 1}
+        for k in range(j + 1, n):
+            unit_k = _unit(n, k)
+            table[j + 1, k + 1] = {(0, xi - unit_k, 0, w): e * f * r for xi, w, r, e in lowered
+                                   if (f := (xi >> 8 * k) & 255)}
+    return {alpha: SymbolExpr._of(n, nums, expr.den, expr.phase)
+            for alpha, nums in table.items() if nums}
+
+
+def leibniz_pairs(left_dxi: Dict[Deg, SymbolExpr], right_dx: Dict[Deg, SymbolExpr]
                   ) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
-    """The Leibniz kernel at x0: pairs ((-i)^|alpha|/alpha! d_xi^alpha(L)|x0,
-    d_x^alpha(R)|x0) for |alpha| in ``orders``, with ``right_dx`` the
-    ``x_partials`` table of R.  Multiplying and summing the pairs gives the
-    x0-evaluation of the composition; tracing them gives its density.  d_xi
-    and the evaluation at x0 commute, so L is evaluated once, first."""
-    return _paired(_xi_partials(left, max(orders)), right_dx, orders)
-
-
-def _xi_partials(expr: SymbolExpr, alpha_max: int) -> Dict[Deg, SymbolExpr]:
-    """alpha -> d_xi^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only."""
-    return _partials(at_x0(expr), d_xi, alpha_max)
-
-
-def _paired(left_dxi: Dict[Deg, SymbolExpr], right_dx: Dict[Deg, SymbolExpr],
-            orders: Sequence[int]) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
-    """``leibniz_pairs`` from the ``_xi_partials`` table of L, which may
-    reach higher orders than it reads."""
-    for alpha, dr in right_dx.items():
-        dl = left_dxi.get(alpha)
-        if dl and len(alpha) in orders:
-            yield dl.scale(_alpha_coefficient(alpha)), dr
+    """The Leibniz kernel at x0: the pairs of the ``xi_partials`` table of L
+    and the ``x_partials`` table of R (holding the orders a caller reads) at
+    each alpha of both.  Their products sum to the composition at x0; traced,
+    they give its density."""
+    return ((dl, dr) for alpha, dr in right_dx.items() if (dl := left_dxi.get(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +620,7 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
                              for j in range(1, n + 1)}}
     full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
-        SymbolExpr.from_clifford(inputs.cv) * s0, right, (0, 1))))
+        xi_partials(SymbolExpr.from_clifford(inputs.cv) * s0), right)))
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 

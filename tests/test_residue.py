@@ -902,21 +902,20 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 
 
 def test_audit_builds_the_xi_table_of_s2_once(monkeypatch):
-    """II-4-A, II-4-B, II-4-C and II-6 read one order-2 d_xi table of s2; the
-    other d_xi tables of an audit are those of II-5, of the composed product
-    symbol (order 1) and of the printed and composed part-2 totals (order 2)."""
-    import wres_torsion.symbols as symbols
+    """II-4-A, II-4-B, II-4-C and II-6 read one ``xi_partials`` table of s2;
+    the other tables of an audit are those of II-5, of the composed product
+    symbol's left factor and of the printed and composed part-2 totals."""
+    args = []
+    xi_partials = symbols.xi_partials
 
-    orders = []
-    partials = symbols._partials
-
-    def counted(expr, d, alpha_max):
-        if d is symbols.d_xi:
-            orders.append(alpha_max)
-        return partials(expr, d, alpha_max)
-    monkeypatch.setattr(symbols, "_partials", counted)
+    def counted(expr):
+        args.append(expr)
+        return xi_partials(expr)
+    for module in (symbols, residue):
+        monkeypatch.setattr(module, "xi_partials", counted)
     assert audit(random_point_jet(3, 2), 2).ok
-    assert sorted(orders) == [1, 1, 2, 2, 2]
+    s2 = _held().ab_printed_parts["s2"]
+    assert len(args) == 5 and sum(expr is s2 for expr in args) == 1
 
 
 # ---------------------------------------------------------------------------

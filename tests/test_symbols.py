@@ -151,15 +151,36 @@ def test_grade_partition():
 # composition
 # ---------------------------------------------------------------------------
 
+def _alphas(n, alpha_max):
+    """The multi-indices of order <= alpha_max, as sorted 1-based index tuples."""
+    for k in range(alpha_max + 1):
+        yield from itertools.combinations_with_replacement(range(1, n + 1), k)
+
+
+def _partials(expr, d, alpha_max):
+    """alpha -> d^alpha(expr) for |alpha| <= alpha_max by repeated d, zero
+    entries dropped; each entry is one derivative of the entry for alpha
+    minus its last index."""
+    table = {(): expr}
+    for alpha in _alphas(expr.n, alpha_max):
+        prev = table.get(alpha[:-1]) if alpha else None
+        if prev:
+            der = d(prev, alpha[-1])
+            if der:
+                table[alpha] = der
+    return table
+
+
 def leibniz_compose(left, right, alpha_max=2):
     """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
 
     The full x-dependent composition, the independent oracle of
-    ``symbols.leibniz_pairs``.  The derivatives and the Leibniz factor are
-    looked up in the ``symbols`` module, so ``oracle_arithmetic`` swaps them."""
+    ``symbols.leibniz_pairs``.  The derivatives are looked up in the
+    ``symbols`` module, so ``oracle_arithmetic`` swaps them; the Leibniz
+    factor is the tests' ``oracle_alpha_coefficient``."""
     left._check(right)
     total = type(left)(left.n)
-    for alpha in symbols._iter_alphas(left.n, alpha_max):
+    for alpha in _alphas(left.n, alpha_max):
         dl, dr = left, right
         for j in alpha:
             dl = symbols.d_xi(dl, j)
@@ -169,7 +190,7 @@ def leibniz_compose(left, right, alpha_max=2):
             dr = symbols.d_x(dr, j)
         if not dr:
             continue
-        total = total + (dl.scale(symbols._alpha_coefficient(alpha)) * dr)
+        total = total + (dl.scale(oracle_alpha_coefficient(alpha)) * dr)
     return total
 
 
@@ -214,7 +235,8 @@ def _product_factors(jet):
 def test_compose_at_x0_matches_generic():
     left, right = _product_factors(random_point_jet(4, 2))
     assert at_x0(leibniz_compose(left, right, 2)) == SymbolExpr.sum_of(N, (
-        dl * dr for dl, dr in symbols.leibniz_pairs(left, symbols.x_partials(right, 2))))
+        dl * dr for dl, dr in symbols.leibniz_pairs(
+            symbols.xi_partials(left), symbols.x_partials(right, 2))))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -238,6 +260,46 @@ def test_x_partials_one_pass_matches_repeated_d_x():
             assert one_pass == repeated
             for part in one_pass.values():
                 _assert_canonical(part)
+
+
+@st.composite
+def _xi_partials_cases(draw):
+    """A dimension, a phase-consistent expression of it with xi-exponents up
+    to 4 (norm powers only on terms with x != 0) and one x0 term with a norm
+    power."""
+    n, phase = draw(st.sampled_from((2, 4, 6, 8))), draw(st.integers(0, 1))
+
+    def degree(draw_exponents):
+        return draw_exponents.map(lambda d: tuple(d.get(i, 0) for i in range(n)))
+    xdeg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=1))
+    xideg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3))
+    terms = {}
+    for x, xi, p, word, r in draw(st.lists(st.tuples(
+            xdeg, xideg, st.sampled_from([0, -2]), st.integers(0, (1 << n) - 1),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6)):
+        terms[x, xi, p if any(x) else 0, word] = _phase_coeff(xi, word, phase, r)
+    normed = ((0,) * n, draw(xideg), -2, draw(st.integers(0, (1 << n) - 1)))
+    return n, SymbolExpr(n, terms), normed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_xi_partials_cases())
+def test_xi_partials_one_pass_matches_repeated_d_xi(case):
+    """The one-pass table equals the repeated-d_xi table at x0 times the
+    Leibniz factor, entry by entry, in canonical form at the expression's
+    phase; terms with x != 0 are ignored, and an x0 term with a norm power
+    is refused by name."""
+    n, expr, normed = case
+    table = symbols.xi_partials(expr)
+    assert table == repeated_xi_partials(expr)
+    for part in table.values():
+        _assert_canonical(part)
+        assert part.phase == expr.phase
+    assert symbols.xi_partials(at_x0(expr)) == table
+    bad = SymbolExpr.sum_of(n, (expr, SymbolExpr(n, {
+        normed: _phase_coeff(normed[1], normed[3], expr.phase, Fraction(1, 3))})))
+    with pytest.raises(ValueError, match=re.escape(str(normed))):
+        symbols.xi_partials(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +663,21 @@ def repeated_x_partials(expr, alpha_max=2):
     ``at_x0`` are looked up in the ``symbols`` module, so
     ``oracle_arithmetic`` swaps them."""
     out = {}
-    for alpha, der in symbols._partials(expr, symbols.d_x, alpha_max).items():
+    for alpha, der in _partials(expr, symbols.d_x, alpha_max).items():
         der = symbols.at_x0(der)
         if der:
             out[alpha] = der
     return out
+
+
+def repeated_xi_partials(expr):
+    """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <= 2,
+    nonzero only, by evaluation at x0, then repeated d_xi, then the Leibniz
+    factor: the reference of the one-pass ``symbols.xi_partials``.  ``d_xi``
+    and ``at_x0`` are looked up in the ``symbols`` module, so
+    ``oracle_arithmetic`` swaps them."""
+    return {alpha: der.scale(oracle_alpha_coefficient(alpha)) for alpha, der in
+            _partials(symbols.at_x0(expr), symbols.d_xi, X_TRUNCATION).items() if der}
 
 
 @contextmanager
@@ -616,7 +688,7 @@ def oracle_arithmetic():
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
                             ("at_x0", oracle_at_x0), ("_family", oracle_family),
                             ("_symbol", oracle_symbol), ("x_partials", repeated_x_partials),
-                            ("_alpha_coefficient", oracle_alpha_coefficient)):
+                            ("xi_partials", repeated_xi_partials)):
             mp.setattr(symbols, name, value)
         yield
 
@@ -650,7 +722,7 @@ def _pipeline_symbols(jet, m):
                            ("composed", symbols.build_sigma_ab_composed(jet))):
         out.update((f"{source}_grade{2 - i}", e) for i, e in enumerate(grades))
         left = symbols.SymbolExpr.sum_of(n, grades)
-        for i, (dl, dr) in enumerate(symbols.leibniz_pairs(left, right_dx)):
+        for i, (dl, dr) in enumerate(symbols.leibniz_pairs(symbols.xi_partials(left), right_dx)):
             out[f"{source}_pair{i}.left"] = dl
             out[f"{source}_pair{i}.right"] = dr
     return out
@@ -868,7 +940,7 @@ def _expr_cases(draw):
 
 def _oracle_x_partials(expr, alpha_max):
     """The repeated-d_x table of an OracleExpr, each entry at x0."""
-    table = symbols._partials(expr, oracle_d_x, alpha_max).items()
+    table = _partials(expr, oracle_d_x, alpha_max).items()
     return {alpha: oracle_at_x0(der) for alpha, der in table if oracle_at_x0(der)}
 
 
