@@ -353,18 +353,28 @@ def _four_form(dT1: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
     return {key: x for key, x in alt.items() if x}
 
 
-def derived_scalars(jet: PointJet) -> DerivedScalars:
+def vector_forms(jet: PointJet) -> Dict[str, Tuple[Dict, int]]:
+    """The int forms of v and w (index -> numerator, zeros kept) and of dw's
+    nonzero entries ((j, g) -> numerator of d_j w_g), under keys v, w, dw."""
+    return {"v": _integer_form(dict(enumerate(jet.v))), "w": _integer_form(dict(enumerate(jet.w))),
+            "dw": _integer_form({(j, g): x for j, row in enumerate(jet.dw)
+                                 for g, x in enumerate(row) if x})}
+
+
+def derived_scalars(jet: PointJet, vectors: Dict[str, Tuple[Dict, int]] | None = None
+                    ) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
     in ints over one common denominator per channel, from one int form each
-    of R, T and dT1, which the result keeps for the builders with Ric's and
-    dT's nonzero int sums (``int_forms``: keys R, T, dT1, ric (reduced), dT4)."""
+    of R, T, dT1 and the vectors (``vectors``: those of ``vector_forms``, made
+    here unless given), which the result keeps for the builders with Ric's
+    and dT's nonzero int sums (``int_forms``: keys R, T, dT1, ric (reduced),
+    dT4, v, w, dw)."""
     forms = {name: _integer_form(getattr(jet, f"{name}_entries")) for name in ("R", "T", "dT1")}
     (R, d_r), (T, d_t), (dT1, d_dt1) = forms.values()
     ric, d_r = forms["ric"] = _reduced(_ricci(R), d_r)
     forms["dT4"] = _four_form(dT1), d_dt1
-    dw, d_dw = _integer_form({(j, g): x for j, row in enumerate(jet.dw)
-                              for g, x in enumerate(row) if x})
-    (v, d_v), (w, d_w) = (_integer_form(dict(enumerate(vec))) for vec in (jet.v, jet.w))
+    forms.update(vectors or vector_forms(jet))
+    (v, d_v), (w, d_w), (dw, d_dw) = forms["v"], forms["w"], forms["dw"]
 
     tv, tw, t_dw = {}, {}, 0
     for (a, j, l), x in T.items():

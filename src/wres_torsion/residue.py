@@ -10,9 +10,12 @@ prefactor as a symbolic string only).
 monomial moments; ``sphere_moment_bruteforce`` recomputes the same number
 by enumerating perfect pairings, and stays independent of the closed
 formula: the two are compared term-for-term in the verification suite.
-The trace kernel adds the terms' xi-codes (see ``symbols``) and sums int
-products per code, then per moment degree, reading memoised moments derived
-from ``sphere_moment``, so one trace builds one Fraction.
+The one trace kernel, ``_leibniz_trace``, traces the order -2m part at x0
+of a Leibniz composition L o R in one pass, reading each term's Leibniz
+factors off its xi-code (no derivative table); the product trace is its
+alpha = () case.  It adds xi-codes and sums int products per code, then per
+moment degree, reading memoised moments derived from ``sphere_moment``, so
+one trace builds one Fraction.
 
 The two density pipelines:
 
@@ -55,20 +58,20 @@ from .clifford import word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
+    X_TRUNCATION,
     JetInputs,
     SymbolExpr,
     _decode,
     _key,
+    _leibniz_alphas,
+    _norm_power,
     _ones,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
     build_sigma_delta_inv_parts,
     build_sigma_delta_lead,
     build_sigma_dtpow_parts,
-    leibniz_pairs,
     printed_grades,
-    x_partials,
-    xi_partials,
 )
 
 # ---------------------------------------------------------------------------
@@ -227,49 +230,86 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     return Density(_real_trace(moments, expr.n, expr.phase, expr.den))
 
 
-def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
-    """Cosphere trace of the grade -2m, x-degree-0 part of left*right.
+# (R, orders, buckets), what ``_bucketed`` makes of a right factor R
+Bucketed = Tuple[SymbolExpr, int, Dict[Tuple[int, int, int, int], List[Tuple[int, int]]]]
 
-    Equivalent to ``trace_integral(at_x0(xi_grade(left * right, -2m)), m)``
-    but joins terms by Clifford word: tr(w_a w_b) vanishes unless the two
-    canonical words coincide, in which case the product is the
-    transposition parity of w into w times the identity (the c_i^2 signs
-    cancel against the phase of the lost grade).  Only pairs whose xi-exponents
-    have the same parities have an even, moment-bearing sum, so the right
-    factor is bucketed by (word, odd mask ``xi & _ones(n)``, xi-order) and
-    each left term reads the one bucket of the order that completes -2m.  The
-    signed int products are summed per product code (the sum of the pair's
-    xi-codes, which cannot carry with exponents below 128) before any moment
-    is taken, and the total is divided once by the product of the denominators.
-    """
-    if left.n != right.n:
-        raise ValueError("dimension mismatch")
-    n, grade = left.n, -2 * m
-    s, odd, high = 8 * n, _ones(n), _ones(n) << 7
-    buckets: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
+
+def _bucketed(right: SymbolExpr, orders: int) -> Bucketed:
+    """The right factor R of the trace kernel, bucketed once: each term r x^mu
+    xi^nu ||xi||^p word with |mu| <= ``orders`` is listed as (xi-code, mu! r)
+    under (x-code, word, odd mask ``xi & _ones(n)``, xi-order |nu| + p), so
+    the buckets of x-code alpha hold d_x^alpha R at x0 (mu! is 2 exactly for
+    an x_j^2 term)."""
+    n = right.n
+    s, odd, high, twos = 8 * n, _ones(n), _ones(n) << 7, _ones(n) << 1
+    buckets: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
     for (x, xi, p, word), r in right.nums.items():
-        if not x:
+        if x >> s <= orders:
             if xi & high:
                 raise _unpackable(xi, n)
-            buckets.setdefault((word, xi & odd, (xi >> s) + p), []).append((xi, r))
+            buckets.setdefault((x, word, xi & odd, (xi >> s) + p), []).append(
+                (xi, 2 * r if x & twos else r))
+    return right, orders, buckets
+
+
+_PRODUCT = ((0, 1),)  # alpha = () alone, with its Leibniz factor 1
+
+
+def _leibniz_trace(left: SymbolExpr, bucketed: Bucketed, m: int) -> Fraction:
+    """Cosphere trace of the grade -2m part at x0 of the Leibniz composition
+    sum_{|alpha| <= orders} (-i)^|alpha|/alpha! d_xi^alpha L d_x^alpha R, for
+    the right factor (R, orders, buckets) of ``_bucketed``.
+
+    Each x0 term r xi^nu word of L gives C(nu, alpha) r xi^(nu - alpha) word
+    at L's phase (``symbols._leibniz_alphas``; the alpha code is also the
+    x-code of the buckets of d_x^alpha R).  tr(w_a w_b) vanishes unless the
+    two canonical words coincide, and then the product is the transposition
+    parity of w into w times the identity (the c_i^2 signs cancel against
+    the phase of the lost grade); only xi-exponents of equal parities have a
+    moment.  So each term and alpha read the one bucket of the word, parity
+    and xi-order that complete -2m, and the int products are summed per
+    product code (no carry below 128) before one ``_real_trace``.  With
+    ``orders`` 0 this is the product trace, where L may carry a norm power;
+    past it, d_xi would differentiate ||xi||^p, and such a term raises
+    ValueError naming it."""
+    right, orders, buckets = bucketed
+    if left.n != right.n:
+        raise ValueError("dimension mismatch")
+    n, grade, get = left.n, -2 * m, buckets.get
+    s, odd, high = 8 * n, _ones(n), _ones(n) << 7
     moments: Dict[int, int] = {}
-    for (x, xi, p, word), ca in left.nums.items():
+    for key, ca in left.nums.items():
+        x, xi, p, word = key
         if x:
             continue
         if xi & high:
             raise _unpackable(xi, n)
-        bucket = buckets.get((word, xi & odd, grade - (xi >> s) - p))
-        if bucket is None:
-            continue
+        if not orders:
+            alphas = _PRODUCT
+        elif p:
+            raise _norm_power(key, n)
+        else:
+            alphas = _leibniz_alphas(xi, n)
         # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
         # an odd number exactly when k % 4 is 2 or 3
         if word.bit_count() & 2:
             ca = -ca
-        for xi_b, cb in bucket:
-            code = xi + xi_b
-            moments[code] = moments.get(code, 0) + ca * cb
-    return _real_trace(moments, n, left.phase + right.phase,
-                       left.den * right.den)
+        order = grade - (xi >> s) - p
+        for a, c in alphas:
+            bucket = get((a, word, (xi - a) & odd, order + (a >> s)))
+            if bucket is not None:
+                rest, c = xi - a, c * ca
+                for xi_b, cb in bucket:
+                    code = rest + xi_b
+                    moments[code] = moments.get(code, 0) + c * cb
+    return _real_trace(moments, n, left.phase + right.phase, left.den * right.den)
+
+
+def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
+    """Cosphere trace of the grade -2m, x-degree-0 part of left*right: the
+    alpha = () case of ``_leibniz_trace``, equivalent to
+    ``trace_integral(at_x0(xi_grade(left * right, -2m)), m)``."""
+    return _leibniz_trace(left, _bucketed(right, 0), m)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +324,11 @@ class PipelineContext(JetInputs):
     c(w) and the jet's tensors converted once), handed to every builder it
     calls through this module's bindings.  Every field is built on first use
     and reused by every later consumer: c(v)c(w), the inverse-power channels
-    of parts 1 and 2, the printed and composed product-symbol grades, and the
-    table alpha -> d_x^alpha sigma_Delta |x0 (|alpha| <= 2) that every
-    Leibniz sum of part 2 reads.  The public calls on one jet in a row share
-    the context ``_context`` holds (the CLI makes one per jet).  A jet whose
-    dimension is not 2m is rejected before any field is built.
+    of parts 1 and 2, the printed and composed product-symbol grades, and
+    sigma_Delta bucketed once for the Leibniz trace of both part-2 sources.
+    The public calls on one jet in a row share the context ``_context`` holds
+    (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
+    before any field is built.
     """
 
     def __init__(self, jet: PointJet, m: int):
@@ -310,11 +350,11 @@ class PipelineContext(JetInputs):
         return build_sigma_delta_inv_parts(self.jet, self)
 
     @cached_property
-    def delta_dx(self) -> Dict[Tuple[int, ...], SymbolExpr]:
-        """alpha -> d_x^alpha sigma_Delta |x0, sigma_Delta the sum of every
-        inverse-power channel."""
-        return x_partials(SymbolExpr.sum_of(self.n, (
-            part for parts in self.delta_inv_parts for part in parts.values())))
+    def delta_buckets(self) -> Bucketed:
+        """sigma_Delta, the sum of every inverse-power channel, bucketed for
+        ``_leibniz_trace``."""
+        return _bucketed(SymbolExpr.sum_of(self.n, (
+            part for parts in self.delta_inv_parts for part in parts.values())), X_TRUNCATION)
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
@@ -348,10 +388,8 @@ class PipelineContext(JetInputs):
             grades = self.ab_composed
         else:
             raise ValueError(f"unknown ab_source {ab_source!r}")
-        ab_dxi = xi_partials(SymbolExpr.sum_of(self.n, grades))
-        return Density(sum((_trace_integral_product(dl, dr, self.m)
-                            for dl, dr in leibniz_pairs(ab_dxi, self.delta_dx)),
-                           Fraction(0)))
+        return Density(_leibniz_trace(SymbolExpr.sum_of(self.n, grades),
+                                      self.delta_buckets, self.m))
 
     def part1_closed(self) -> Density:
         der, m = self.derived, self.m
@@ -377,7 +415,7 @@ class PipelineContext(JetInputs):
 
 
 # the residue bindings whose results a context keeps
-_KEPT = ("printed_grades", "x_partials", "build_sigma_ab_composed",
+_KEPT = ("printed_grades", "build_sigma_ab_composed",
          "build_sigma_dtpow_parts", "build_sigma_delta_inv_parts", "build_sigma_ab_printed_parts")
 _held: Tuple[Tuple[object, ...], PipelineContext] | None = None
 
@@ -607,24 +645,18 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         report.convention_notes.append(
             "II-3-B + II-3-C failed to compensate; part-2 pipeline inconsistent")
 
-    def alpha_trace(left_dxi: Dict, right: SymbolExpr, order: int) -> Fraction:
-        """The |alpha| = order Leibniz terms of left o right, traced."""
-        right_dx = {a: d for a, d in x_partials(right, order).items() if len(a) == order}
-        return sum((tr(dl, dr) for dl, dr in leibniz_pairs(left_dxi, right_dx)), Fraction(0))
+    def leibniz(left: SymbolExpr, right: SymbolExpr) -> Fraction:
+        """left o right at x0, traced: by grading, only |alpha| = 1 (II-4,
+        II-5) or |alpha| = 2 (II-6) completes the order -2m."""
+        return _leibniz_trace(left, _bucketed(right, X_TRUNCATION), m)
 
-    s2_dxi = xi_partials(s2)
     report.entries.append(_entry(
-        "II-4-A", alpha_trace(s2_dxi, parts_m1["ric_jet"], 1),
-        Fraction(2, 3) * (2 * ric_vw - s * g)))
+        "II-4-A", leibniz(s2, parts_m1["ric_jet"]), Fraction(2, 3) * (2 * ric_vw - s * g)))
+    report.entries.append(_entry("II-4-B", leibniz(s2, parts_m1["r_jet"]), Fraction(0)))
+    report.entries.append(_entry("II-4-C", leibniz(s2, parts_m1["dt_jet"]), 6 * divt))
+    report.entries.append(_entry("II-5", leibniz(ctx.ab_printed[1], sm), Fraction(0)))
     report.entries.append(_entry(
-        "II-4-B", alpha_trace(s2_dxi, parts_m1["r_jet"], 1), Fraction(0)))
-    report.entries.append(_entry(
-        "II-4-C", alpha_trace(s2_dxi, parts_m1["dt_jet"], 1), 6 * divt))
-    report.entries.append(_entry(
-        "II-5", alpha_trace(xi_partials(ctx.ab_printed[1]), sm, 1), Fraction(0)))
-    report.entries.append(_entry(
-        "II-6", alpha_trace(s2_dxi, parts_m["r_jet"], 2),
-        -Fraction(1, 3) * (2 * ric_vw - s * g)))
+        "II-6", leibniz(s2, parts_m["r_jet"]), -Fraction(1, 3) * (2 * ric_vw - s * g)))
 
     # ---- totals -------------------------------------------------------------
     p1 = ctx.part1().value

@@ -32,9 +32,13 @@ product the phases add, and the (-1) of each common generator
 (c_i^2 = -1) cancels against the i^2 of the grade it removes, so the
 product's sign is the plain transposition parity of the two words.  The
 Leibniz factor (-i)^|alpha| turns back the phase that d_xi^alpha flips, so
-the scaled table ``xi_partials`` multiplies each numerator by C(nu, alpha)
-and keeps the phase and denominator; a cosphere trace is real exactly when
-the phase is even.  Each builder channel goes from int numerators to its
+it is the int C(nu, alpha) at the code nu - alpha, at the same phase and
+denominator (``_leibniz_alphas``, one memo entry per xi-code); a cosphere
+trace is real exactly when the phase is even.  The trace kernel in
+``residue`` reads those factors for parts 1 and 2 and the audit with no
+derivative table; the tables ``xi_partials`` and ``x_partials``, paired by
+``leibniz_pairs``, serve the composed product symbol, the public API and
+the test oracles.  Each builder channel goes from int numerators to its
 symbol through one ``_symbol`` call (``_family`` for a Clifford term
 family); an exact ``GaussianRational`` enters there and in ``scale`` only as
 one real or imaginary scalar.
@@ -67,7 +71,7 @@ from math import factorial, prod
 from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below
-from .geometry import PointJet, derived_scalars
+from .geometry import PointJet, derived_scalars, vector_forms
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
@@ -353,6 +357,11 @@ def at_x0(expr: SymbolExpr) -> SymbolExpr:
                                    if not k[0]}, expr.den, expr.phase)
 
 
+def _indices(code: int, n: int) -> Deg:
+    """The 1-based index tuple of a monomial code: x_1^2 x_3 gives (1, 1, 3)."""
+    return tuple(j for j, e in enumerate(_decode(code, n), 1) for _ in range(e))
+
+
 def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
     """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only,
     in one pass: d_x^alpha f |x0 = mu! [x^mu] f for the x-multidegree mu of
@@ -364,48 +373,62 @@ def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
     out = {}
     for x, terms in buckets.items():
         if x >> 8 * n <= alpha_max:
-            xdeg = _decode(x, n)
-            fact = prod(map(factorial, xdeg))
-            out[tuple(j for j, e in enumerate(xdeg, 1) for _ in range(e))] = SymbolExpr._of(
+            fact = prod(map(factorial, _decode(x, n)))
+            out[_indices(x, n)] = SymbolExpr._of(
                 n, {k: r * fact for k, r in terms.items()}, expr.den, expr.phase)
     return dict(sorted(out.items(), key=lambda item: (len(item[0]), item[0])))
+
+
+_ALPHAS: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+
+
+def _leibniz_alphas(xi: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """The Leibniz factor of the xi-code ``xi`` = nu: the pairs (alpha code,
+    C(nu, alpha)) for every alpha <= nu with |alpha| <= X_TRUNCATION, alpha =
+    () first as (0, 1).  (-i)^|alpha|/alpha! d_xi^alpha xi^nu is C(nu, alpha)
+    xi^(nu - alpha), with C(nu, alpha) = nu_j, nu_j (nu_j - 1)/2 or nu_j nu_k
+    (j < k) and nu - alpha the code xi minus the alpha code, which is also
+    the x-code of x^alpha.  One memo entry per code: a nonzero code is a valid
+    code of one dimension only, and code 0 gives ((0, 1),) in every one."""
+    got = _ALPHAS.get(xi)
+    if got is None:
+        units, pairs = [(j, e) for j, e in enumerate(_decode(xi, n)) if e], _pairs(n)
+        got = _ALPHAS[xi] = ((0, 1), *((_unit(n, j), e) for j, e in units), *(
+            (pairs[j][j], e * (e - 1) // 2) for j, e in units if e > 1), *(
+            (pairs[j][k], e * f) for i, (j, e) in enumerate(units) for k, f in units[i + 1:]))
+    return got
+
+
+def _norm_power(key: Code, n: int) -> ValueError:
+    """The refusal of a left Leibniz factor's x0 term with a norm power, which
+    d_xi would have to differentiate; no engine left factor has one."""
+    return ValueError(f"term {_key(key, n)} has a norm power: a Leibniz left factor takes none")
 
 
 def xi_partials(expr: SymbolExpr) -> Dict[Deg, SymbolExpr]:
     """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <=
     X_TRUNCATION (no x-jet is read past it), nonzero only, read off the codes:
     the factor (-i)^|alpha| turns back the phase that d_xi^alpha flips, so a
-    term r xi^nu word at x0 gives C(nu, alpha) r xi^(nu - alpha) word at the
-    same phase and denominator, built per alpha in bulk.  A term at x0 with a
-    norm power raises ValueError naming it; no left factor has one."""
-    n, terms = expr.n, []
+    term r xi^nu word at x0 gives C(nu, alpha) r xi^(nu - alpha) word
+    (``_leibniz_alphas``) at the same phase and denominator.  A term at x0
+    with a norm power raises ValueError naming it."""
+    n, table = expr.n, {}
     for key, r in expr.nums.items():
-        if not key[0]:
-            if key[2]:
-                raise ValueError(f"term {_key(key, n)} has a norm power: xi_partials needs none")
-            terms.append((key[1], key[3], r))
-    # per alpha in bulk: C(nu, alpha) is nu_j, nu_j (nu_j - 1)/2 or nu_j nu_k (j < k)
-    table = {(): {(0, xi, 0, w): r for xi, w, r in terms}}
-    for j in range(n):
-        unit = _unit(n, j)
-        lowered = [(xi - unit, w, r, e) for xi, w, r in terms if (e := (xi >> 8 * j) & 255)]
-        table[j + 1,] = {(0, xi, 0, w): e * r for xi, w, r, e in lowered}
-        table[j + 1, j + 1] = {(0, xi - unit, 0, w): e * (e - 1) // 2 * r
-                               for xi, w, r, e in lowered if e > 1}
-        for k in range(j + 1, n):
-            unit_k = _unit(n, k)
-            table[j + 1, k + 1] = {(0, xi - unit_k, 0, w): e * f * r for xi, w, r, e in lowered
-                                   if (f := (xi >> 8 * k) & 255)}
-    return {alpha: SymbolExpr._of(n, nums, expr.den, expr.phase)
-            for alpha, nums in table.items() if nums}
+        x, xi, p, word = key
+        if not x:
+            if p:
+                raise _norm_power(key, n)
+            for a, c in _leibniz_alphas(xi, n):
+                table.setdefault(a, {})[0, xi - a, 0, word] = c * r
+    return {_indices(a, n): SymbolExpr._of(n, nums, expr.den, expr.phase)
+            for a, nums in table.items()}
 
 
 def leibniz_pairs(left_dxi: Dict[Deg, SymbolExpr], right_dx: Dict[Deg, SymbolExpr]
                   ) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
-    """The Leibniz kernel at x0: the pairs of the ``xi_partials`` table of L
-    and the ``x_partials`` table of R (holding the orders a caller reads) at
-    each alpha of both.  Their products sum to the composition at x0; traced,
-    they give its density."""
+    """The Leibniz pairs at x0: those of the ``xi_partials`` table of L and
+    the ``x_partials`` table of R (holding the orders a caller reads) at each
+    alpha of both.  Their products sum to the composition at x0."""
     return ((dl, dr) for alpha, dr in right_dx.items() if (dl := left_dxi.get(alpha)))
 
 
@@ -422,6 +445,17 @@ TORSION_PREFACTOR = {
 def _pair(n: int, a: int, b: int) -> int:
     """Monomial code of x_a x_b (or xi_a xi_b)."""
     return (1 << 8 * a) + (1 << 8 * b) + (2 << 8 * n)
+
+
+_PAIRS: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+
+
+def _pairs(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The table a -> b -> ``_pair(n, a, b)``, built once per n."""
+    got = _PAIRS.get(n)
+    if got is None:
+        got = _PAIRS[n] = tuple(tuple(_pair(n, a, b) for b in range(n)) for a in range(n))
+    return got
 
 
 def _unit(n: int, j: int) -> int:
@@ -519,10 +553,18 @@ def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
     return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
 
 
+def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
+    """c(v) from the int form of v (index -> numerator, zeros kept)."""
+    nums, den = form
+    return CliffordElement._of(n, {1 << i: x for i, x in nums.items() if x}, den)
+
+
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
-    by every builder given this object: the derived scalars, c(v) and c(w),
-    R's and Ric's int forms (the derived scalars' ``int_forms``), the curvature
+    by every builder given this object: the int forms of v, w and dw
+    (``vectors``, which the derived scalars keep in their ``int_forms``), the
+    derived scalars, c(v), c(w) and c(v) c(dw) read off those forms, R's and
+    Ric's int forms (the derived scalars' ``int_forms``), the curvature
     word and pair sums, T's and dT1's 3-forms and bivector rows (``torsion``:
     one pass per channel), and the mm-free order -(2mm+2) families.  A
     builder given only the jet makes its own."""
@@ -530,9 +572,10 @@ class JetInputs:
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
 
-    derived = cached_property(lambda self: derived_scalars(self.jet))
-    cv = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.v))
-    cw = cached_property(lambda self: CliffordElement.from_vector(self.n, self.jet.w))
+    vectors = cached_property(lambda self: vector_forms(self.jet))
+    derived = cached_property(lambda self: derived_scalars(self.jet, self.vectors))
+    cv = cached_property(lambda self: _vector(self.n, self.vectors["v"]))
+    cw = cached_property(lambda self: _vector(self.n, self.vectors["w"]))
     curvature = property(lambda self: self.derived.int_forms["R"])
     ric = property(lambda self: self.derived.int_forms["ric"])
     word_sums = cached_property(lambda self: _curvature_word_sums(self.curvature, self.n))
@@ -543,11 +586,19 @@ class JetInputs:
     rows = property(lambda self: self.torsion[1])
 
     @cached_property
+    def cv_dw(self) -> CliffordElement:
+        """c(v) sum_{j,g} (d_j w_g) c_j c_g over dw's nonzero int numerators,
+        where c_j c_g is -1 times its word iff j >= g."""
+        dw, den = self.vectors["dw"]
+        return self.cv * CliffordElement._of(self.n, _collected(
+            ((1 << j) ^ (1 << g), -x if j >= g else x) for (j, g), x in dw.items()), den)
+
+    @cached_property
     def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q."""
-        n, der, x0 = self.n, self.derived, 0
+        n, der, x0, pairs = self.n, self.derived, 0, _pairs(self.n)
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
@@ -555,15 +606,15 @@ class JetInputs:
         # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
         tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
         families = {  # each as (xi-degree, rational Clifford element) pairs
-            "ric": (Fraction(1, 3), 1, [(_pair(n, a, b), CliffordElement._of(n, {0: x}, ric_den))
+            "ric": (Fraction(1, 3), 1, [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
                                         for (a, b), x in ric.items()]),
-            "tt_xx": (Fraction(-9, 2), 1, [(_pair(n, a, b), _grades(ab, 0, 4).scale(1 + (a != b)))
+            "tt_xx": (Fraction(-9, 2), 1, [(pairs[a][b], _grades(ab, 0, 4).scale(1 + (a != b)))
                                            for (a, b), ab in tt.items()]),
             "tt_scalar": (Fraction(9, 4), 0, [(x0, tt[a, a]) for a in tau]),
             "div_t": (Fraction(3, 2), 0, [(x0, row) for (b, a), row in dtau.items() if a == b]),
-            "r_xx": (Fraction(-1, 4), 1, [(_pair(n, a, b), pair)
+            "r_xx": (Fraction(-1, 4), 1, [(pairs[a][b], pair)
                                           for (b, a), pair in self.pair_sums.items()]),
-            "dt_xx": (-3, 1, [(_pair(n, a, b), row) for (b, a), row in dtau.items()]),
+            "dt_xx": (-3, 1, [(pairs[a][b], row) for (b, a), row in dtau.items()]),
             "e_scalar": (-1, 0, [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))]),
             "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement._of(n, {
@@ -612,10 +663,11 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     x0, zero = 0, SymbolExpr(n)
     inputs = inputs or JetInputs(jet)
     sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
-    # c(w(x)) carries w's first jet
-    cw = x_partials(_family(n, [(x0, x0, 0, inputs.cw)] + [
-        (_unit(n, j), x0, 0, CliffordElement.from_vector(n, row))
-        for j, row in enumerate(jet.dw)]), 1)
+    # c(w(x)) carries w's first jet, read off the int forms of w and dw
+    (w, w_den), (dw, dw_den) = inputs.vectors["w"], inputs.vectors["dw"]
+    nums, den = _summed((({(x0, x0, 0, 1 << a): x for a, x in w.items() if x}, w_den),
+                         ({(_unit(n, j), x0, 0, 1 << g): x for (j, g), x in dw.items()}, dw_den)))
+    cw = x_partials(_symbol(n, nums.items(), den), 1)
     s0, w0 = sigma.get((), zero), cw.get((), zero)
     right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
                              for j in range(1, n + 1)}}
@@ -643,18 +695,14 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
     n = jet.n
     inputs = inputs or JetInputs(jet)
     cv, cw, (tau, dtau), curvature = inputs.cv, inputs.cw, inputs.forms, inputs.word_sums
-    tau = tau.get((), CliffordElement.zero(n))
+    tau, cv_dw = tau.get((), CliffordElement.zero(n)), inputs.cv_dw
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    # c(v) sum_{j,g} (d_j w_g) c_j c_g, where c_j c_g is -1 times its word iff j >= g
-    cv_dw = cv * CliffordElement(n, _collected(((1 << j) ^ (1 << g), -x if j >= g else x)
-                                               for j, row in enumerate(jet.dw)
-                                               for g, x in enumerate(row)))
     # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
     cvc = [cv * gens[f] * cw for f in range(n)]
-    x0 = 0
+    x0, pairs = 0, _pairs(n)
     return {
         # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
-        "s2": _family(n, [(x0, _pair(n, f, g), 0, cvc[f] * gens[g])
+        "s2": _family(n, [(x0, pairs[f][g], 0, cvc[f] * gens[g])
                           for f in range(n) for g in range(n)], -1),
         # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
         # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
@@ -690,7 +738,7 @@ def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
     """||xi||^{-2m-2} sum_a xi_a^2: the leading, x-free channel of the
     inverse m-th power (all the metric density needs)."""
     m, n = jet.m, jet.n
-    return _symbol(n, (((0, _pair(n, a, a), -2 * m - 2, 0), 1) for a in range(n)), 1)
+    return _symbol(n, (((0, row[a], -2 * m - 2, 0), 1) for a, row in enumerate(_pairs(n))), 1)
 
 
 def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) -> Tuple[
@@ -701,10 +749,10 @@ def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) 
     m, n = jet.m, jet.n
     x0, p = 0, -2 * m - 2
     inputs = inputs or JetInputs(jet)
-    curvature, ric, (tau, dtau) = inputs.curvature, inputs.ric, inputs.rows
+    curvature, ric, (tau, dtau), pairs = inputs.curvature, inputs.ric, inputs.rows, _pairs(n)
 
     # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-    r_jet = _symbol(n, _collected(((_pair(n, j, k), _pair(n, a, b), p, 0), c)
+    r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
                                   for (a, j, b, k), c in curvature[0].items()).items(),
                     curvature[1], Fraction(-m, 3))
     parts_m = {"lead": build_sigma_delta_lead(jet), "r_jet": r_jet}

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wres_torsion.clifford import CliffordElement, blade_mul
 from wres_torsion.geometry import (
@@ -32,6 +34,7 @@ from wres_torsion.residue import (
 )
 from test_symbols import leibniz_compose
 from wres_torsion.symbols import (
+    X_TRUNCATION,
     SymbolExpr,
     at_x0,
     build_sigma_ab_printed,
@@ -276,6 +279,92 @@ def test_odd_phase_traces_raise():
     # two odd factors trace to a real number again
     assert _trace_integral_product(cv, cv.scale(I) * even, m) == \
         trace_integral(cv * (cv.scale(I) * even), m).value
+
+
+@st.composite
+def _leibniz_cases(draw):
+    """m and a pair of one phase: a left symbol whose x0 terms carry no norm
+    power and a right one of xi-orders -2m, -2m-1 and -2m-2, both with x-jets
+    up to degree 2 and xi-exponents up to 4.  Some right terms are drawn as
+    partners of a left x0 term r xi^nu word: at x^alpha for an alpha <= nu
+    with |alpha| <= 2, on the same word, with the parities of nu - alpha and
+    the order that completes -2m (when |nu - alpha| <= 2)."""
+    n, phase = draw(st.sampled_from((2, 4, 6))), draw(st.integers(0, 1))
+    m = n // 2
+    index = st.one_of(st.integers(0, 1), st.integers(0, n - 1))
+
+    def counts(idx):
+        return tuple(map(idx.count, range(n)))
+    xdeg = st.lists(index, max_size=2).map(counts)
+    xideg = st.lists(index, max_size=4).map(counts)
+    words = st.sampled_from(sorted({0, 0b11, (1 << n) - 1}))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    left, right = {}, {}
+    for x, xi, p, word, r in draw(st.lists(st.tuples(
+            xdeg, xideg, st.sampled_from([0, -2]), words, coeffs), min_size=1, max_size=8)):
+        left[x, xi, p if any(x) else 0, word] = _phase_coeff(xi, word, phase, r)
+    x0_terms = [(xi, word) for x, xi, _, word in left if not any(x)]
+    for _ in range(draw(st.integers(1, 10))):
+        if x0_terms and draw(st.booleans()):
+            xi, word = draw(st.sampled_from(x0_terms))
+            picked = draw(st.permutations([i for i, e in enumerate(xi) for _ in range(e)]))
+            x = counts(picked[:draw(st.integers(0, min(2, len(picked))))])
+            rest = [e - a for e, a in zip(xi, x)]
+            raised = counts(draw(st.lists(index, max_size=1)))
+            xi_b = tuple(e % 2 + 2 * a for e, a in zip(rest, raised))
+            k = min(sum(rest), 2)
+        else:
+            x, xi_b, k, word = draw(st.tuples(xdeg, xideg, st.integers(0, 2), words))
+        right[x, xi_b, -2 * m - k - sum(xi_b), word] = _phase_coeff(
+            xi_b, word, phase, draw(coeffs))
+    return m, SymbolExpr(n, left), SymbolExpr(n, right)
+
+
+def _second_x_derivative_case(n, j, k):
+    """xi_j xi_k on the identity word and on c_1 c_2 against x_j x_k on the
+    same words, where |alpha| = 2 at (j, k) pairs them and d_x^alpha reads
+    2 x_j^2 when j == k, and against one x0 term of order -2m-2, where
+    alpha = () does."""
+    m, x0, unit = n // 2, (0,) * n, [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    pair = tuple(a + b for a, b in zip(unit[j], unit[k]))
+    terms = [(x0, pair, 0, 0), (x0, pair, 0, 0b11)]
+    right = [(pair, x0, -2 * m, 0), (pair, x0, -2 * m, 0b11), (x0, x0, -2 * m - 2, 0)]
+    return m, SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 0, Fraction(i + 2, 3))
+                             for i, key in enumerate(terms)}), \
+        SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 0, Fraction(5, i + 1))
+                       for i, key in enumerate(right)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_leibniz_cases())
+@example(_second_x_derivative_case(4, 0, 0))
+@example(_second_x_derivative_case(6, 5, 5))
+@example(_second_x_derivative_case(6, 1, 4))
+def test_leibniz_trace_matches_the_table_oracle(case):
+    """The one-pass Leibniz trace equals the sum over alpha of the traced
+    products of the ``xi_partials`` entry of L and the ``x_partials`` entry
+    of R, each traced pair by pair by the moment oracle."""
+    m, left, right = case
+    right_dx = symbols.x_partials(right)
+    oracle = sum((_oracle_product_trace(dl, right_dx[alpha], m)
+                  for alpha, dl in symbols.xi_partials(left).items() if alpha in right_dx),
+                 Fraction(0))
+    assert residue._leibniz_trace(left, residue._bucketed(right, X_TRUNCATION), m) == oracle
+
+
+def test_leibniz_trace_refuses_a_left_norm_power_by_name():
+    """Past alpha = (), d_xi would differentiate ||xi||^p: a left x0 term
+    with a norm power is refused by name; the product trace (alpha = ()
+    alone) takes it."""
+    n, m = 4, 2
+    normed = ((0,) * n, (2, 0, 0, 0), -2, 0)
+    left = SymbolExpr(n, {normed: ONE, ((0,) * n, (0, 2, 0, 0), 0, 0): ONE})
+    right = SymbolExpr(n, {((0,) * n, (2, 0, 0, 0), -6, 0): ONE,
+                           ((1, 0, 0, 0), (1, 0, 0, 0), -5, 0): I})
+    with pytest.raises(ValueError, match=re.escape(f"term {normed} has a norm power")):
+        residue._leibniz_trace(left, residue._bucketed(right, X_TRUNCATION), m)
+    assert _trace_integral_product(left, right, m) == \
+        _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("method", ["part1", "metric"])
@@ -847,16 +936,24 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     """The six public calls the certify-m3 benchmark workload makes per jet
     share one context: each builder they use runs once, R, T and dT1 are
     each turned into their int form once (by the derived scalars, whose
-    forms the builders read) and the vectors read once; an audit of the same
-    jet right after them builds only the composed product symbol."""
-    vectors = []
-    from_vector = CliffordElement.from_vector.__func__
+    forms the builders read) and v, w and dw once (by ``vector_forms``,
+    whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
+    composed symbol's c(w)-jet are read off, so no Clifford vector is built
+    from the jet's rationals); an audit of the same jet right after them
+    builds only the composed product symbol."""
+    vectors, from_vectors = [], []
+    from_vector, vector_forms = CliffordElement.from_vector.__func__, symbols.vector_forms
 
     def counted(cls, n, coeffs):
-        vectors.append(coeffs)
+        from_vectors.append(coeffs)
         return from_vector(cls, n, coeffs)
 
+    def counted_forms(jet):
+        vectors.append(jet)
+        return vector_forms(jet)
+
     monkeypatch.setattr(CliffordElement, "from_vector", classmethod(counted))
+    monkeypatch.setattr(symbols, "vector_forms", counted_forms)
     jet = random_point_jet(seed, 3)
     g_vw = derived_scalars(jet).g_vw
     input_reads.clear()
@@ -874,14 +971,14 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
              ("dT1", "int form"): 1, ("T", "3-forms and rows"): 1,
              ("dT1", "3-forms and rows"): 1}
     assert _jet_reads(input_reads, jet) == reads
-    assert input_reads["int_form calls"] <= 12
+    assert input_reads["int_form calls"] <= 7
     if seed == 0:
-        assert input_reads["int_form entries"] <= 1750
-    assert vectors == [jet.v, jet.w]  # c(v) and c(w), once each
+        assert input_reads["int_form entries"] <= 1710
+    assert vectors == [jet] and from_vectors == []
     assert audit(jet, 3).ok
     assert build_counts == {**once, "build_sigma_ab_composed": 1}
     assert _jet_reads(input_reads, jet) == reads
-    assert vectors == [jet.v, jet.w, *jet.dw]  # the composed symbol adds c(w)'s jet
+    assert vectors == [jet] and from_vectors == []
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -901,21 +998,36 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
             "build_sigma_ab_composed": 0}
 
 
-def test_audit_builds_the_xi_table_of_s2_once(monkeypatch):
-    """II-4-A, II-4-B, II-4-C and II-6 read one ``xi_partials`` table of s2;
-    the other tables of an audit are those of II-5, of the composed product
-    symbol's left factor and of the printed and composed part-2 totals."""
-    args = []
-    xi_partials = symbols.xi_partials
+def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
+    """An audit builds one ``xi_partials`` table, of the composed product
+    symbol's left factor c(v) sigma(D_T): II-4, II-5, II-6 and both part-2
+    totals trace the composition off the codes, the totals reading one
+    bucketed sigma_Delta per context."""
+    tables, buckets = [], []
+    xi_partials, bucketed = symbols.xi_partials, residue._bucketed
 
     def counted(expr):
-        args.append(expr)
+        tables.append(expr)
         return xi_partials(expr)
-    for module in (symbols, residue):
-        monkeypatch.setattr(module, "xi_partials", counted)
-    assert audit(random_point_jet(3, 2), 2).ok
-    s2 = _held().ab_printed_parts["s2"]
-    assert len(args) == 5 and sum(expr is s2 for expr in args) == 1
+
+    def counted_buckets(right, orders):
+        buckets.append((right, orders))
+        return bucketed(right, orders)
+    monkeypatch.setattr(symbols, "xi_partials", counted)
+    monkeypatch.setattr(residue, "_bucketed", counted_buckets)
+    jet = random_point_jet(3, 2)
+    assert audit(jet, 2).ok
+    ctx = _held()
+    sigma = at_x0(SymbolExpr.sum_of(jet.n, symbols.build_sigma_dt(jet)))
+    assert tables == [SymbolExpr.from_clifford(ctx.cv) * sigma]
+    sigma_delta = SymbolExpr.sum_of(jet.n, (
+        part for parts in ctx.delta_inv_parts for part in parts.values()))
+    # sigma_Delta once, and the four channels of II-4 and II-6 and sm of II-5
+    leibniz = [right for right, orders in buckets if orders]
+    assert len(leibniz) == 6 and sum(right == sigma_delta for right in leibniz) == 1
+    count = len(buckets)
+    assert ctx.part2("printed") == part2_density(jet, 2)
+    assert ctx.part2("composed").value and len(buckets) == count
 
 
 # ---------------------------------------------------------------------------

@@ -1403,10 +1403,11 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
     scalars hand on, equals the one built from the jet's maps, each
     converted anew: R's int form and Ric's from ``_integer_form`` of
     ``jet.R_entries`` and of ``derived.ric``, the torsion 3-forms and rows
-    by the map reader above, and the sums and order -(2mm+2) families from
-    those (on seeds 0-4, the one-hot coefficient jets, the jets with one
-    channel off and a constant curvature 1/(n-1), whose Ric is integral while
-    R's denominator is n-1)."""
+    by the map reader above, the sums and order -(2mm+2) families from
+    those, and c(v), c(w) and c(v) sum (d_j w_g) c_j c_g from the jet's
+    rational vectors and the generators' products (on seeds 0-4, the
+    one-hot coefficient jets, the jets with one channel off and a constant
+    curvature 1/(n-1), whose Ric is integral while R's denominator is n-1)."""
     n = 2 * m
     jets = [random_point_jet(seed, m) for seed in range(5)]
     jets += [_sparse_jet(m, case) for case in (*(range(4) if m >= 2 else ()), *_CHANNEL_FLAGS)]
@@ -1418,7 +1419,14 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         maps = (jet.T_entries, jet.dT1_entries)
         rows = tuple(_map_torsion_forms(entries, n, rows=True) for entries in maps)
         pair_sums = symbols._curvature_pair_sums(curvature, n)
+        gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+        dw = CliffordElement.zero(n)
+        for j, row in enumerate(jet.dw):
+            for g, x in enumerate(row):
+                dw = dw + (gens[j] * gens[g]).scale(x)
+        cv = CliffordElement.from_vector(n, jet.v)
         oracle = {
+            "cv": cv, "cw": CliffordElement.from_vector(n, jet.w), "cv_dw": cv * dw,
             "curvature": curvature, "ric": ric,
             "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
             "rows": rows,
