@@ -10,12 +10,14 @@ prefactor as a symbolic string only).
 monomial moments; ``sphere_moment_bruteforce`` recomputes the same number
 by enumerating perfect pairings, and stays independent of the closed
 formula: the two are compared term-for-term in the verification suite.
-The one trace kernel, ``_leibniz_trace``, traces the order -2m part at x0
-of a Leibniz composition L o R in one pass, reading each term's Leibniz
-factors off its xi-code (no derivative table); the product trace is its
-alpha = () case.  It adds xi-codes and sums int products per code, then per
-moment degree, reading memoised moments derived from ``sphere_moment``, so
-one trace builds one Fraction.
+The one trace kernel, ``_trace_table``, traces the order -2m part at x0 of
+the Leibniz compositions L_i o R_j of a list of left channels with a list of
+right channels in one pass, reading each term's Leibniz factors off its
+xi-code (no derivative table).  It adds xi-codes tagged with the (left,
+right) cell and sums int products per tagged code, then per cell and moment
+degree, reading memoised moments derived from ``sphere_moment``; any set of
+cells then traces to one Fraction (``TraceTable.trace``).  The one-cell case
+is ``_leibniz_trace``, and the product trace is its alpha = () case.
 
 The two density pipelines:
 
@@ -33,12 +35,13 @@ spectral Einstein density
     + (11/4) sum (nabla_{e_a} T)(e_a,v,w) + (17/4) sum T(v, nabla_j w, e_j).
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
-for the same jet object, m and builder bindings, so each symbol and the derived
-scalars are built once per jet.
+for the same jet object, m and builder bindings, so each symbol, the derived
+scalars and each trace table are built once per jet.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
-II-6) and reports every display that disagrees with the engine, together
-with the exact engine value.  The one load-bearing disagreement is the
+II-6, each read off the cells of the part-1 or printed part-2 table) and
+reports every display that disagrees with the engine, together with the
+exact engine value.  The one load-bearing disagreement is the
 ordering of one cross term in the grade-1 product symbol: the reference
 chain carries c(w)c(xi)c(v)tau where the composition rule produces
 c(v)tau c(w)c(xi).  The closed forms track the former; the strict
@@ -51,8 +54,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
-from typing import Dict, List, Sequence, Tuple
+from itertools import product
+from math import lcm, prod
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import word_indices
 from .geometry import PointJet
@@ -191,21 +195,15 @@ def _moment(code: int, n: int) -> Tuple[int, int]:
     return got
 
 
-def _real_trace(moments: Dict[int, int], n: int, phase: int, den: int) -> Fraction:
-    """The cosphere trace of a term sum given as xi-code -> summed int
-    numerator of r, over the common denominator ``den``.
+def _real_trace(sums: Dict[int, int], phase: int, den: int) -> Fraction:
+    """The cosphere trace of a term sum given as moment denominator d ->
+    summed signed int numerator r * prod (a-1)!!, over the common
+    denominator ``den``: i^-phase times the exact complex trace.
 
-    Only even xi-monomials have a moment, so the sum over keys of
-    (-1)^(|nu|/2) r * moment is i^-phase times the exact complex trace.  The
-    signed int products r * prod (a-1)!! are summed per moment degree; the
-    moment denominators n(n+2)... divide each other, so one Fraction over the
-    largest carries the whole sum.  That value is rebuilt as a complex number
-    and must be real: an imaginary part is a pipeline bug and raises.
+    The moment denominators n(n+2)... divide each other, so one Fraction over
+    the largest carries the whole sum.  That value is rebuilt as a complex
+    number and must be real: an imaginary part is a pipeline bug and raises.
     """
-    sums: Dict[int, int] = {}  # moment denominator -> summed int numerator
-    for code, r in moments.items():
-        w, d = _moment(code, n)
-        sums[d] = sums.get(d, 0) + r * w
     top = max(sums, default=1)
     total = Fraction(sum(s * (top // d) for d, s in sums.items()), top * den)
     value = _I_POWERS[-phase % 4] * total
@@ -220,96 +218,164 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     Requires an x-independent expression of pure xi-homogeneity -2m; the
     norm factors are 1 on the sphere.  Only the identity word is traced
     (nonempty canonical words are traceless), a term contributes i^(|nu| -
-    phase) r times its moment, and an exponent of 128 or more raises.
+    phase) r times its moment, and an exponent of 128 or more raises.  This
+    is the product trace of the identity symbol with ``expr``.
     """
     _require_traceable(expr, m)
-    moments = {xi: r for (_, xi, _, word), r in expr.nums.items() if not word}
-    for xi in moments:
-        if xi & _ones(expr.n) << 7:
-            raise _unpackable(xi, expr.n)
-    return Density(_real_trace(moments, expr.n, expr.phase, expr.den))
+    return Density(_trace_integral_product(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0),
+                                           expr, m))
 
 
-# (R, orders, buckets), what ``_bucketed`` makes of a right factor R
-Bucketed = Tuple[SymbolExpr, int, Dict[Tuple[int, int, int, int], List[Tuple[int, int]]]]
+class TraceTable(NamedTuple):
+    """A channel-resolved cosphere trace: (left key, right key) -> moment
+    denominator d -> summed signed int numerator, for each cell that a term
+    reaches, over one phase and one denominator."""
+
+    cells: Dict[Tuple[Hashable, Hashable], Dict[int, int]]
+    phase: int
+    den: int
+
+    def trace(self, lefts: Iterable[Hashable] | None = None,
+              rights: Iterable[Hashable] = ()) -> Fraction:
+        """The trace of the cells (a, b) for a in ``lefts`` and b in
+        ``rights`` (of every cell, without ``lefts``): the trace is linear,
+        so one ``_real_trace`` of the summed cells."""
+        sums: Dict[int, int] = {}
+        for cell in (self.cells.values() if lefts is None else
+                     filter(None, map(self.cells.get, product(lefts, rights)))):
+            for d, s in cell.items():
+                sums[d] = sums.get(d, 0) + s
+        return _real_trace(sums, self.phase, self.den)
 
 
-def _bucketed(right: SymbolExpr, orders: int) -> Bucketed:
-    """The right factor R of the trace kernel, bucketed once: each term r x^mu
-    xi^nu ||xi||^p word with |mu| <= ``orders`` is listed as (xi-code, mu! r)
-    under (x-code, word, odd mask ``xi & _ones(n)``, xi-order |nu| + p), so
-    the buckets of x-code alpha hold d_x^alpha R at x0 (mu! is 2 exactly for
-    an x_j^2 term)."""
-    n = right.n
+def _tag_shift(n: int) -> int:
+    """The bit above the xi-code of any product of two packable codes (|nu|
+    < 2^16), from which a kernel code carries its cell index."""
+    return 8 * n + 16
+
+
+def _common(n: int, exprs: Sequence[SymbolExpr]) -> Tuple[int, int, List[int]]:
+    """(den, phase, factors) of channels of dimension n: the lcm of their
+    denominators, the one phase of the nonzero ones and den over each
+    channel's denominator."""
+    den, phases = 1, set()
+    for e in exprs:
+        if e.n != n:
+            raise ValueError("dimension mismatch")
+        den = lcm(den, e.den)
+        if e.nums:
+            phases.add(e.phase)
+    if len(phases) > 1:
+        raise ValueError("channels of different phase break the phase rule")
+    return den, min(phases, default=0), [den // e.den for e in exprs]
+
+
+# (n, right keys, orders, den, phase, buckets), what ``_bucketed`` makes of
+# the right channels
+Bucketed = Tuple[int, List[Hashable], int, int, int,
+                 Dict[Tuple[int, int, int, int], List[Tuple[int, int]]]]
+
+
+def _bucketed(n: int, rights: Dict[Hashable, SymbolExpr], orders: int) -> Bucketed:
+    """The right channels R_j of the trace kernel over their common
+    denominator and phase, bucketed once: each term r x^mu xi^nu ||xi||^p
+    word of R_j with |mu| <= ``orders`` is listed as (xi-code plus j above
+    ``_tag_shift(n)``, mu! r over the common denominator) under (x-code,
+    word, odd mask ``xi & _ones(n)``, xi-order |nu| + p), so the buckets of
+    x-code alpha hold d_x^alpha R_j at x0 (mu! is 2 exactly for an x_j^2
+    term)."""
     s, odd, high, twos = 8 * n, _ones(n), _ones(n) << 7, _ones(n) << 1
+    den, phase, factors = _common(n, list(rights.values()))
     buckets: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
-    for (x, xi, p, word), r in right.nums.items():
-        if x >> s <= orders:
-            if xi & high:
-                raise _unpackable(xi, n)
-            buckets.setdefault((x, word, xi & odd, (xi >> s) + p), []).append(
-                (xi, 2 * r if x & twos else r))
-    return right, orders, buckets
+    for j, (right, f) in enumerate(zip(rights.values(), factors)):
+        tag = j << _tag_shift(n)
+        for (x, xi, p, word), r in right.nums.items():
+            if x >> s <= orders:
+                if xi & high:
+                    raise _unpackable(xi, n)
+                buckets.setdefault((x, word, xi & odd, (xi >> s) + p), []).append(
+                    (xi + tag, (2 * r if x & twos else r) * f))
+    return n, list(rights), orders, den, phase, buckets
 
 
 _PRODUCT = ((0, 1),)  # alpha = () alone, with its Leibniz factor 1
 
 
-def _leibniz_trace(left: SymbolExpr, bucketed: Bucketed, m: int) -> Fraction:
-    """Cosphere trace of the grade -2m part at x0 of the Leibniz composition
-    sum_{|alpha| <= orders} (-i)^|alpha|/alpha! d_xi^alpha L d_x^alpha R, for
-    the right factor (R, orders, buckets) of ``_bucketed``.
+def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) -> TraceTable:
+    """The channel-resolved cosphere trace of the grade -2m part at x0 of the
+    Leibniz compositions sum_{|alpha| <= orders} (-i)^|alpha|/alpha!
+    d_xi^alpha L_i d_x^alpha R_j of each left channel L_i (over their common
+    denominator and phase) with each right channel R_j of ``_bucketed``.
 
-    Each x0 term r xi^nu word of L gives C(nu, alpha) r xi^(nu - alpha) word
-    at L's phase (``symbols._leibniz_alphas``; the alpha code is also the
-    x-code of the buckets of d_x^alpha R).  tr(w_a w_b) vanishes unless the
-    two canonical words coincide, and then the product is the transposition
-    parity of w into w times the identity (the c_i^2 signs cancel against
-    the phase of the lost grade); only xi-exponents of equal parities have a
-    moment.  So each term and alpha read the one bucket of the word, parity
-    and xi-order that complete -2m, and the int products are summed per
-    product code (no carry below 128) before one ``_real_trace``.  With
-    ``orders`` 0 this is the product trace, where L may carry a norm power;
-    past it, d_xi would differentiate ||xi||^p, and such a term raises
-    ValueError naming it."""
-    right, orders, buckets = bucketed
-    if left.n != right.n:
-        raise ValueError("dimension mismatch")
-    n, grade, get = left.n, -2 * m, buckets.get
+    Each x0 term r xi^nu word of L_i gives C(nu, alpha) r xi^(nu - alpha)
+    word at L_i's phase (``symbols._leibniz_alphas``; the alpha code is also
+    the x-code of the buckets of d_x^alpha R_j).  tr(w_a w_b) vanishes unless
+    the two canonical words coincide, and then the product is the
+    transposition parity of w into w times the identity (the c_i^2 signs
+    cancel against the phase of the lost grade); only xi-exponents of equal
+    parities have a moment.  So each term and alpha read the one bucket of
+    the word, parity and xi-order that complete -2m, and the int products are
+    summed per product code (no carry below 128), which carries the cell
+    index i R + j above ``_tag_shift(n)``; then per cell and moment degree.
+    By grading, a cell of two homogeneous channels holds one |alpha| only.
+    With ``orders`` 0 this is the product trace, where L_i may carry a norm
+    power; past it, d_xi would differentiate ||xi||^p, and such a term
+    raises ValueError naming it."""
+    n, right_keys, orders, right_den, right_phase, buckets = bucketed
+    den, phase, factors = _common(n, list(lefts.values()))
+    grade, get, width, shift = -2 * m, buckets.get, len(right_keys), _tag_shift(n)
     s, odd, high = 8 * n, _ones(n), _ones(n) << 7
     moments: Dict[int, int] = {}
-    for key, ca in left.nums.items():
-        x, xi, p, word = key
-        if x:
-            continue
-        if xi & high:
-            raise _unpackable(xi, n)
-        if not orders:
-            alphas = _PRODUCT
-        elif p:
-            raise _norm_power(key, n)
-        else:
-            alphas = _leibniz_alphas(xi, n)
-        # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
-        # an odd number exactly when k % 4 is 2 or 3
-        if word.bit_count() & 2:
-            ca = -ca
-        order = grade - (xi >> s) - p
-        for a, c in alphas:
-            bucket = get((a, word, (xi - a) & odd, order + (a >> s)))
-            if bucket is not None:
-                rest, c = xi - a, c * ca
-                for xi_b, cb in bucket:
-                    code = rest + xi_b
-                    moments[code] = moments.get(code, 0) + c * cb
-    return _real_trace(moments, n, left.phase + right.phase, left.den * right.den)
+    for i, (left, f) in enumerate(zip(lefts.values(), factors)):
+        tag = i * width << shift
+        for key, ca in left.nums.items():
+            x, xi, p, word = key
+            if x:
+                continue
+            if xi & high:
+                raise _unpackable(xi, n)
+            if not orders:
+                alphas = _PRODUCT
+            elif p:
+                raise _norm_power(key, n)
+            else:
+                alphas = _leibniz_alphas(xi, n)
+            # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
+            # an odd number exactly when k % 4 is 2 or 3
+            ca *= -f if word.bit_count() & 2 else f
+            order = grade - (xi >> s) - p
+            for a, c in alphas:
+                bucket = get((a, word, (xi - a) & odd, order + (a >> s)))
+                if bucket is not None:
+                    rest, c = xi - a + tag, c * ca
+                    for xi_b, cb in bucket:
+                        code = rest + xi_b
+                        moments[code] = moments.get(code, 0) + c * cb
+    cells: Dict[int, Dict[int, int]] = {}  # cell index -> d -> sum
+    for code, r in moments.items():
+        w, d = _moment(code & (1 << shift) - 1, n)
+        cell = cells.get(code >> shift)
+        if cell is None:
+            cell = cells[code >> shift] = {}
+        cell[d] = cell.get(d, 0) + r * w
+    left_keys = list(lefts)
+    return TraceTable({(left_keys[t // width], right_keys[t % width]): cell
+                       for t, cell in cells.items()}, phase + right_phase, den * right_den)
+
+
+def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int,
+                   orders: int = X_TRUNCATION) -> Fraction:
+    """The one-cell ``_trace_table``: the cosphere trace of the grade -2m
+    part at x0 of sum_{|alpha| <= orders} (-i)^|alpha|/alpha! d_xi^alpha L
+    d_x^alpha R."""
+    return _trace_table({0: left}, _bucketed(left.n, {0: right}, orders), m).trace()
 
 
 def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
     """Cosphere trace of the grade -2m, x-degree-0 part of left*right: the
     alpha = () case of ``_leibniz_trace``, equivalent to
     ``trace_integral(at_x0(xi_grade(left * right, -2m)), m)``."""
-    return _leibniz_trace(left, _bucketed(right, 0), m)
+    return _leibniz_trace(left, right, m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +390,10 @@ class PipelineContext(JetInputs):
     c(w) and the jet's tensors converted once), handed to every builder it
     calls through this module's bindings.  Every field is built on first use
     and reused by every later consumer: c(v)c(w), the inverse-power channels
-    of parts 1 and 2, the printed and composed product-symbol grades, and
-    sigma_Delta bucketed once for the Leibniz trace of both part-2 sources.
+    of parts 1 and 2, the printed and composed product-symbol grades,
+    sigma_Delta's channels bucketed once, and the trace tables of part 1, the
+    metric and both part-2 sources, whose cells the densities and the audit
+    rows read.
     The public calls on one jet in a row share the context ``_context`` holds
     (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
     before any field is built.
@@ -350,13 +418,6 @@ class PipelineContext(JetInputs):
         return build_sigma_delta_inv_parts(self.jet, self)
 
     @cached_property
-    def delta_buckets(self) -> Bucketed:
-        """sigma_Delta, the sum of every inverse-power channel, bucketed for
-        ``_leibniz_trace``."""
-        return _bucketed(SymbolExpr.sum_of(self.n, (
-            part for parts in self.delta_inv_parts for part in parts.values())), X_TRUNCATION)
-
-    @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
         return build_sigma_ab_printed_parts(self.jet, self)
 
@@ -368,28 +429,45 @@ class PipelineContext(JetInputs):
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self.jet, self)
 
-    def _trace_cvw(self, expr: SymbolExpr) -> Density:
-        """trace_integral(cvw * expr), joined by word: cvw is x-free of
-        xi-homogeneity 0, so the product is traceable exactly when expr is,
-        and only the words of expr that match a word of cvw survive."""
-        _require_traceable(expr, self.m)
-        return Density(_trace_integral_product(self.cvw, expr, self.m))
+    def _cvw_table(self, channels: Dict[str, SymbolExpr]) -> TraceTable:
+        """c(v)c(w) against each channel, keyed ("cvw", name): cvw is x-free
+        of xi-homogeneity 0, so a product is traceable exactly when its
+        channel is."""
+        for part in channels.values():
+            _require_traceable(part, self.m)
+        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, channels, 0), self.m)
+
+    part1_table = cached_property(lambda self: self._cvw_table(self.dtpow_parts))
+    metric_table = cached_property(
+        lambda self: self._cvw_table({"lead": build_sigma_delta_lead(self.jet)}))
+
+    @cached_property
+    def delta_buckets(self) -> Bucketed:
+        """sigma_Delta's channels, keyed (g, name) for the order -2m-g, bucketed
+        once for both part-2 tables: the printed channels (keyed by name) and
+        the composed grades 2, 1, 0 (keyed 0, 1, 2) against each of them."""
+        return _bucketed(self.n, {(g, name): part for g, parts in enumerate(self.delta_inv_parts)
+                                  for name, part in parts.items()}, X_TRUNCATION)
+
+    printed_table = cached_property(
+        lambda self: _trace_table(self.ab_printed_parts, self.delta_buckets, self.m))
+    composed_table = cached_property(
+        lambda self: _trace_table(dict(enumerate(self.ab_composed)), self.delta_buckets, self.m))
 
     def metric(self) -> Density:
-        return self._trace_cvw(build_sigma_delta_lead(self.jet))
+        return Density(self.metric_table.trace())
 
     def part1(self) -> Density:
-        return self._trace_cvw(SymbolExpr.sum_of(self.n, self.dtpow_parts.values()))
+        return Density(self.part1_table.trace())
 
     def part2(self, ab_source: str = "printed") -> Density:
         if ab_source == "printed":
-            grades = self.ab_printed
+            table = self.printed_table
         elif ab_source == "composed":
-            grades = self.ab_composed
+            table = self.composed_table
         else:
             raise ValueError(f"unknown ab_source {ab_source!r}")
-        return Density(_leibniz_trace(SymbolExpr.sum_of(self.n, grades),
-                                      self.delta_buckets, self.m))
+        return Density(table.trace())
 
     def part1_closed(self) -> Density:
         der, m = self.derived, self.m
@@ -415,7 +493,7 @@ class PipelineContext(JetInputs):
 
 
 # the residue bindings whose results a context keeps
-_KEPT = ("printed_grades", "build_sigma_ab_composed",
+_KEPT = ("printed_grades", "build_sigma_ab_composed", "build_sigma_delta_lead",
          "build_sigma_dtpow_parts", "build_sigma_delta_inv_parts", "build_sigma_ab_printed_parts")
 _held: Tuple[Tuple[object, ...], PipelineContext] | None = None
 
@@ -554,12 +632,9 @@ def audit(jet: PointJet, m: int) -> DensityReport:
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw
 
-    def tr(left: SymbolExpr, right: SymbolExpr) -> Fraction:
-        return _trace_integral_product(left, right, m)
-
-    # ---- part 1 sub-terms -------------------------------------------------
+    # ---- part 1 sub-terms: c(v)c(w) against one channel each ----------------
     p1_engine: Dict[str, Fraction] = {
-        key: tr(ctx.cvw, part) for key, part in ctx.dtpow_parts.items()}
+        key: ctx.part1_table.trace(("cvw",), (key,)) for key in ctx.dtpow_parts}
     p1_printed = {
         "ric": ("I-A", -Fraction(m - 1, 6) * s * g, False, ""),
         "tt_xx": ("I-B", -Fraction(27 * (m - 1), 4) * nt2 * g, False, ""),
@@ -583,38 +658,36 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         report.convention_notes.append(
             "I-D + I-F failed to cancel; part-1 pipeline inconsistent")
 
-    # ---- part 2 sub-terms ---------------------------------------------------
-    ab_parts = ctx.ab_printed_parts
-    parts_m, parts_m1, parts_m2 = ctx.delta_inv_parts
-    # the trace keeps only the x-degree-0 terms of the right factor
-    sm = SymbolExpr.sum_of(jet.n, parts_m.values())
-    sm1 = SymbolExpr.sum_of(jet.n, parts_m1.values())
+    # ---- part 2 sub-terms: printed channels against sigma_Delta channels ----
+    # by grading, each cell reads the one |alpha| that completes order -2m:
+    # alpha = () in II-1 to II-3, |alpha| = 1 in II-4 and II-5, 2 in II-6
+    sm, sm1 = ({(g, key) for key in parts} for g, parts in enumerate(ctx.delta_inv_parts[:2]))
+    tr = ctx.printed_table.trace  # (printed channels, sigma_Delta channels) -> trace
 
     report.entries.append(_entry(
-        "II-1-A", tr(ab_parts["s0_tt"], sm),
+        "II-1-A", tr({"s0_tt"}, sm),
         Fraction(1, 16) * nt2 * g - Fraction(1, 16) * tt,
         note="displayed with a dangling summation index; printed value read"
              " without the extra index sum"))
     report.entries.append(_entry(
-        "II-1-B", tr(ab_parts["s0_r"], sm),
+        "II-1-B", tr({"s0_r"}, sm),
         Fraction(1, 4) * s * g - Fraction(1, 2) * ric_vw,
         note="displayed curvature term carries the opposite sign pairing;"
              " the engine keeps the jet-consistent pairing, which reproduces"
              " exactly this displayed value"))
     report.entries.append(_entry(
-        "II-1-C", tr(ab_parts["s0_dt"], sm), -Fraction(1, 4) * divt))
+        "II-1-C", tr({"s0_dt"}, sm), -Fraction(1, 4) * divt))
     report.entries.append(_entry(
-        "II-1-D", tr(ab_parts["s0_tdw"], sm), -Fraction(1, 4) * tdw))
+        "II-1-D", tr({"s0_tdw"}, sm), -Fraction(1, 4) * tdw))
 
     report.entries.append(_entry(
-        "II-2-A", tr(ab_parts["s1_tt"], sm1),
+        "II-2-A", tr({"s1_tt"}, sm1),
         -Fraction(9, 4) * nt2 * g + Fraction(3, 4) * tt,
         note="reference chain value; the strict composition ordering of the"
              " grade-1 cross term shifts this sub-term, see lemma36_diff"))
     report.entries.append(_entry(
-        "II-2-B", tr(ab_parts["s1_dw"], sm1), Fraction(9, 2) * tdw))
+        "II-2-B", tr({"s1_dw"}, sm1), Fraction(9, 2) * tdw))
 
-    s2 = ab_parts["s2"]
     p2_3_printed = {
         "ric": ("II-3-A", Fraction(m, 6) * s * g - Fraction(1, 3) * ric_vw,
                 False, ""),
@@ -637,7 +710,7 @@ def audit(jet: PointJet, m: int) -> DensityReport:
     }
     p2_3_engine: Dict[str, Fraction] = {}
     for key, (label, printed, reconciled, note) in p2_3_printed.items():
-        p2_3_engine[key] = tr(s2, parts_m2[key])
+        p2_3_engine[key] = tr({"s2"}, {(2, key)})
         report.entries.append(_entry(label, p2_3_engine[key], printed,
                                      reconciled, note))
     pair_sum_printed = (p2_3_printed["tt_xx"][1] + p2_3_printed["tt_scalar"][1])
@@ -645,18 +718,13 @@ def audit(jet: PointJet, m: int) -> DensityReport:
         report.convention_notes.append(
             "II-3-B + II-3-C failed to compensate; part-2 pipeline inconsistent")
 
-    def leibniz(left: SymbolExpr, right: SymbolExpr) -> Fraction:
-        """left o right at x0, traced: by grading, only |alpha| = 1 (II-4,
-        II-5) or |alpha| = 2 (II-6) completes the order -2m."""
-        return _leibniz_trace(left, _bucketed(right, X_TRUNCATION), m)
-
     report.entries.append(_entry(
-        "II-4-A", leibniz(s2, parts_m1["ric_jet"]), Fraction(2, 3) * (2 * ric_vw - s * g)))
-    report.entries.append(_entry("II-4-B", leibniz(s2, parts_m1["r_jet"]), Fraction(0)))
-    report.entries.append(_entry("II-4-C", leibniz(s2, parts_m1["dt_jet"]), 6 * divt))
-    report.entries.append(_entry("II-5", leibniz(ctx.ab_printed[1], sm), Fraction(0)))
+        "II-4-A", tr({"s2"}, {(1, "ric_jet")}), Fraction(2, 3) * (2 * ric_vw - s * g)))
+    report.entries.append(_entry("II-4-B", tr({"s2"}, {(1, "r_jet")}), Fraction(0)))
+    report.entries.append(_entry("II-4-C", tr({"s2"}, {(1, "dt_jet")}), 6 * divt))
+    report.entries.append(_entry("II-5", tr({"s1_tt", "s1_dw"}, sm), Fraction(0)))
     report.entries.append(_entry(
-        "II-6", leibniz(s2, parts_m["r_jet"]), -Fraction(1, 3) * (2 * ric_vw - s * g)))
+        "II-6", tr({"s2"}, {(0, "r_jet")}), -Fraction(1, 3) * (2 * ric_vw - s * g)))
 
     # ---- totals -------------------------------------------------------------
     p1 = ctx.part1().value

@@ -67,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below
@@ -150,6 +150,8 @@ def _real(key: Code, coeff, phase: int, n: int) -> Fraction | int:
 class SymbolExpr:
     """Canonical sum of symbol terms; no zero coefficients stored.
 
+    Every expression owns its term dictionary (no operation hands its result
+    a dictionary of its source), which ``add_term`` updates in place.
     ``nums`` maps each key (x-code, xi-code, p, word) to the int numerator
     of the rational r of its coefficient i^(|nu| + grade(word) - phase) * r,
     over the one denominator ``den`` > 0; gcd(den, *numerators) = 1, and den
@@ -210,16 +212,33 @@ class SymbolExpr:
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
                  coeff) -> None:
-        """Add an exact (rational or Gaussian-rational) coefficient at a key;
-        the first term of a zero expression sets its phase."""
+        """Add an exact (rational or Gaussian-rational) coefficient at a key,
+        in place; the first term of a zero expression sets its phase.  The
+        numerators are rescaled only when the denominator grows, and their gcd
+        is read only when a key's numerator changed and shares a factor with
+        it: a new key's numerator leaves them reduced."""
         if not coeff:
             return
-        key = _coded((xdeg, xideg, normpow, word), self.n)
-        if not self.nums:
+        key, nums = _coded((xdeg, xideg, normpow, word), self.n), self.nums
+        if not nums:
             self.phase = _phase_of(key, coeff, self.n)
         r = _real(key, coeff, self.phase, self.n)
-        self.nums, self.den = _reduced(*_summed(
-            ((self.nums, self.den), ({key: r.numerator}, r.denominator))))
+        den = lcm(self.den, r.denominator)
+        if den != self.den:
+            f = den // self.den
+            for k in nums:
+                nums[k] *= f
+        prev = nums.get(key)
+        c = (prev or 0) + r.numerator * (den // r.denominator)
+        if c:
+            nums[key] = c
+        else:
+            del nums[key]
+        if prev and (g := gcd(den, c)) != 1 and (g := gcd(g, *nums.values())) != 1:
+            for k in nums:
+                nums[k] //= g
+            den //= g
+        self.den = den
 
     def coefficient(self, key: Key) -> GaussianRational:
         """The exact complex coefficient at ``key`` (zero when absent)."""

@@ -349,7 +349,7 @@ def test_leibniz_trace_matches_the_table_oracle(case):
     oracle = sum((_oracle_product_trace(dl, right_dx[alpha], m)
                   for alpha, dl in symbols.xi_partials(left).items() if alpha in right_dx),
                  Fraction(0))
-    assert residue._leibniz_trace(left, residue._bucketed(right, X_TRUNCATION), m) == oracle
+    assert residue._leibniz_trace(left, right, m) == oracle
 
 
 def test_leibniz_trace_refuses_a_left_norm_power_by_name():
@@ -362,7 +362,7 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
     right = SymbolExpr(n, {((0,) * n, (2, 0, 0, 0), -6, 0): ONE,
                            ((1, 0, 0, 0), (1, 0, 0, 0), -5, 0): I})
     with pytest.raises(ValueError, match=re.escape(f"term {normed} has a norm power")):
-        residue._leibniz_trace(left, residue._bucketed(right, X_TRUNCATION), m)
+        residue._leibniz_trace(left, right, m)
     assert _trace_integral_product(left, right, m) == \
         _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
@@ -1000,34 +1000,120 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     """An audit builds one ``xi_partials`` table, of the composed product
-    symbol's left factor c(v) sigma(D_T): II-4, II-5, II-6 and both part-2
-    totals trace the composition off the codes, the totals reading one
-    bucketed sigma_Delta per context."""
-    tables, buckets = [], []
-    xi_partials, bucketed = symbols.xi_partials, residue._bucketed
+    symbol's left factor c(v) sigma(D_T), and makes four kernel passes over
+    three bucketings: the dtpow channels are bucketed once for part 1's
+    table, sigma_Delta's 14 channels once for both part-2 tables, and the
+    metric's lead channel once for its one cell.  No ``SymbolExpr.sum_of``
+    sums either channel set, and part1, part2 and every ``verify`` check on
+    the traced context read the tables with no further pass."""
+    from wres_torsion import cli
+
+    tables, buckets, passes, sums = [], [], [], []
+    xi_partials, bucketed, trace_table = symbols.xi_partials, residue._bucketed, residue._trace_table
+    sum_of = SymbolExpr.sum_of.__func__
 
     def counted(expr):
         tables.append(expr)
         return xi_partials(expr)
 
-    def counted_buckets(right, orders):
-        buckets.append((right, orders))
-        return bucketed(right, orders)
+    def counted_buckets(n, rights, orders):
+        buckets.append((list(rights), orders))
+        return bucketed(n, rights, orders)
+
+    def counted_passes(lefts, right, m):
+        passes.append(list(lefts))
+        return trace_table(lefts, right, m)
+
+    def counted_sums(cls, n, exprs):
+        exprs = list(exprs)
+        sums.append(exprs)
+        return sum_of(cls, n, exprs)
     monkeypatch.setattr(symbols, "xi_partials", counted)
     monkeypatch.setattr(residue, "_bucketed", counted_buckets)
+    monkeypatch.setattr(residue, "_trace_table", counted_passes)
+    monkeypatch.setattr(SymbolExpr, "sum_of", classmethod(counted_sums))
     jet = random_point_jet(3, 2)
     assert audit(jet, 2).ok
     ctx = _held()
-    sigma = at_x0(SymbolExpr.sum_of(jet.n, symbols.build_sigma_dt(jet)))
+    sigma_delta = [(g, key) for g, parts in enumerate(ctx.delta_inv_parts) for key in parts]
+    assert len(sigma_delta) == 14
+    assert buckets == [(list(ctx.dtpow_parts), 0), (sigma_delta, X_TRUNCATION), (["lead"], 0)]
+    assert passes == [["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
+    channels = {id(part) for part in ctx.dtpow_parts.values()} | {
+        id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
+    assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
+    sigma = at_x0(sum_of(SymbolExpr, jet.n, symbols.build_sigma_dt(jet)))
     assert tables == [SymbolExpr.from_clifford(ctx.cv) * sigma]
-    sigma_delta = SymbolExpr.sum_of(jet.n, (
-        part for parts in ctx.delta_inv_parts for part in parts.values()))
-    # sigma_Delta once, and the four channels of II-4 and II-6 and sm of II-5
-    leibniz = [right for right, orders in buckets if orders]
-    assert len(leibniz) == 6 and sum(right == sigma_delta for right in leibniz) == 1
-    count = len(buckets)
+    count = (len(tables), len(buckets), len(passes))
+    assert ctx.part1() == part1_density(jet, 2) and ctx.part2("composed").value
     assert ctx.part2("printed") == part2_density(jet, 2)
-    assert ctx.part2("composed").value and len(buckets) == count
+    assert all(row(3, ctx) for row, _ in cli.JET_CHECKS.values())
+    assert (len(tables), len(buckets), len(passes)) == count
+
+
+def _summed_trace(lefts, rights, m, pairs):
+    """The trace of one composition of the summed channels of each side: pair
+    by pair through the derivative tables (``pairs``), else by the one-cell
+    kernel."""
+    n = 2 * m
+    left, right = SymbolExpr.sum_of(n, lefts), SymbolExpr.sum_of(n, rights)
+    if not pairs:
+        return residue._leibniz_trace(left, right, m)
+    right_dx = symbols.x_partials(right)
+    return sum((_oracle_product_trace(dl, right_dx[alpha], m)
+                for alpha, dl in symbols.xi_partials(left).items() if alpha in right_dx),
+               Fraction(0))
+
+
+# label -> (printed channels, sigma_Delta grade (0, 1, 2 for the orders -2m,
+# -2m-1, -2m-2), its channels or None for all of them)
+_PART2_ROWS = {
+    "II-1-A": (("s0_tt",), 0, None), "II-1-B": (("s0_r",), 0, None),
+    "II-1-C": (("s0_dt",), 0, None), "II-1-D": (("s0_tdw",), 0, None),
+    "II-2-A": (("s1_tt",), 1, None), "II-2-B": (("s1_dw",), 1, None),
+    **{f"II-3-{label}": (("s2",), 2, (key,)) for label, key in zip("ABCDEFGH", (
+        "ric", "tt_xx", "tt_scalar", "div_t", "r_xx", "dt_xx", "e_scalar", "dt4"))},
+    "II-4-A": (("s2",), 1, ("ric_jet",)), "II-4-B": (("s2",), 1, ("r_jet",)),
+    "II-4-C": (("s2",), 1, ("dt_jet",)), "II-5": (("s1_tt", "s1_dw"), 0, None),
+    "II-6": (("s2",), 0, ("r_jet",)),
+}
+
+
+def test_audit_rows_and_totals_match_the_summed_path():
+    """Every audit row and the part-1, part-2 and composed-shift totals (and
+    the metric) equal one trace of the row's channels summed on each side,
+    off a fresh context: pair by pair at m = 2 and on the one-hot jets, by
+    the one-cell kernel on the m = 3 seeds.  The rows are read off shared
+    tables, so they add up to the totals by construction; this checks both
+    against a path that sums before it traces."""
+    from wres_torsion.cli import _one_hot_cases
+    from wres_torsion.numerics import format_rational
+
+    for m in (2, 3):
+        jets = [(random_point_jet(seed, m), m == 2) for seed in range(5)]
+        jets += [(make_point_jet(m, **kw), True) for _, _, kw in _one_hot_cases(m)]
+        for jet, pairs in jets:
+            report, ctx = audit(jet, m), PipelineContext(jet, m)
+            engine = {e.label: e.engine for e in report.entries}
+            sigma = ctx.delta_inv_parts
+            expected = {f"I-{label}": _summed_trace([ctx.cvw], [part], m, pairs)
+                        for label, part in zip("ABCDEFGH", ctx.dtpow_parts.values())}
+            for label, (lefts, g, rights) in _PART2_ROWS.items():
+                expected[label] = _summed_trace(
+                    [ctx.ab_printed_parts[key] for key in lefts],
+                    [part for key, part in sigma[g].items() if rights is None or key in rights],
+                    m, pairs)
+            assert engine == expected, (m, jet)
+            everything = [part for parts in sigma for part in parts.values()]
+            p1 = _summed_trace([ctx.cvw], ctx.dtpow_parts.values(), m, pairs)
+            p2 = _summed_trace(ctx.ab_printed_parts.values(), everything, m, pairs)
+            shift = _summed_trace(ctx.ab_composed, everything, m, pairs) - p2
+            metric = _summed_trace([ctx.cvw], [symbols.build_sigma_delta_lead(jet)], m, pairs)
+            assert {name: report.totals[name]["engine"] for name in (
+                "part1", "part2", "part2_composed_vs_printed_shift", "metric")} == {
+                "part1": format_rational(p1), "part2": format_rational(p2),
+                "part2_composed_vs_printed_shift": format_rational(shift),
+                "metric": format_rational(metric)}, (m, jet)
 
 
 # ---------------------------------------------------------------------------

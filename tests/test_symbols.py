@@ -1035,6 +1035,47 @@ def test_coefficients_read_back_exactly():
     assert e.coefficient((Z, Z, 0, 0)) == 0
 
 
+def test_add_term_builds_in_place_like_the_constructor():
+    """2,048 add_term calls, with repeated keys, exact cancellations and
+    growing denominators, give the constructor's (nums, den, phase) in the
+    dictionary the expression started with.  No expression derived from a
+    source shares its dictionary, so adding to either leaves the other as it
+    was."""
+    rng, n = random.Random(2048), 6
+    keys = [((0,) * n, tuple(rng.randint(0, 3) for _ in range(n)), -2, word)
+            for word in (0, 0b11, 0b1111) for _ in range(400)]
+    built, total = SymbolExpr(n), {}
+    nums = built.nums
+    for i in range(2048):
+        key = rng.choice(keys)
+        if i % 7 == 0 and key in total:  # cancel the key's running sum exactly
+            r = -total[key]
+        else:
+            r = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 6, 35)))
+        total[key] = total.get(key, 0) + r
+        built.add_term(*key, _phase_coeff(key[1], key[3], 1, r))
+    assert sum(not r for r in total.values()) > 10
+    expected = SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 1, r) for key, r in total.items()})
+    assert built.nums is nums
+    assert (built.nums, built.den, built.phase) == (expected.nums, expected.den, expected.phase)
+    _assert_canonical(built)
+
+    source = _random_expr(random.Random(5), n=N, terms=12, phase=0)
+    before = (dict(source.nums), source.den)
+    for derived in (source + SymbolExpr(N), SymbolExpr.sum_of(N, [source]), source.scale(1),
+                    at_x0(source), xi_grade(source, 0) + xi_grade(source, 1)):
+        snapshot = (dict(derived.nums), derived.den)
+        assert derived.nums is not source.nums
+        derived.add_term(Z, (9, 9, 0, 0), 0, 0, GaussianRational(Fraction(1, 7)))
+        assert (source.nums, source.den) == before
+        source.add_term(Z, (8, 8, 0, 0), 0, 0, GaussianRational(Fraction(1, 11)))
+        assert not derived.coefficient((Z, (8, 8, 0, 0), 0, 0))
+        source.add_term(Z, (8, 8, 0, 0), 0, 0, GaussianRational(Fraction(-1, 11)))
+        assert (source.nums, source.den) == before
+        derived.add_term(Z, (9, 9, 0, 0), 0, 0, GaussianRational(Fraction(-1, 7)))
+        assert (dict(derived.nums), derived.den) == snapshot
+
+
 _families = st.lists(st.tuples(
     st.sampled_from([Z, _unit(0), _unit(1, 2)]), st.sampled_from([Z, _unit(2), _unit(0, 2)]),
     st.sampled_from([0, -2]),
