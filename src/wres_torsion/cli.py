@@ -85,7 +85,8 @@ def _random_element(rng: random.Random, n: int, terms: int) -> CliffordElement:
 def check_clifford(args: argparse.Namespace) -> dict:
     rows = []
     ok = True
-    for m in SUPPORTED_M:
+    # the m <= 3 rows are the same whatever --dim is, and a larger --dim adds its own
+    for m in range(1, max(3, args.dim_m) + 1):
         n = 2 * m
         rep = build_gamma(m)
         anti_ok = all(_anticommute(rep.matrices[i], rep.matrices[j], i == j)

@@ -24,7 +24,9 @@ that mask in an odd number of bits, for any n.  The result's denominator
 is the product of the two, reduced once against the nonzero sums; a
 ``GaussianRational`` factor runs through the same loop and its result
 folds the denominator into the numerators.  A product with an empty factor
-is the zero element, returned right after the dimension check.
+is the zero element, returned right after the dimension check, and one by
+a single word is one XOR and one sign per term.  ``scalar_part`` and
+``_grades04`` build only the words a trace or a channel reads of a product.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
@@ -186,6 +188,11 @@ class CliffordElement:
         if not (self.nums and other.nums):
             return CliffordElement(self.n)
         signed = [(wb, _below(wb) ^ wb, cb) for wb, cb in other.nums.items()]
+        if len(signed) == 1:
+            (wb, mask, cb), = signed
+            return CliffordElement._of(self.n, {
+                wa ^ wb: -ca * cb if (wa & mask).bit_count() & 1 else ca * cb
+                for wa, ca in self.nums.items()}, self.den * other.den)
         acc: Dict[Word, object] = {}
         for wa, ca in self.nums.items():
             for wb, mask, cb in signed:
@@ -215,6 +222,31 @@ class CliffordElement:
             label = "id" if word == 0 else "c" + "c".join(map(str, word_indices(word)))
             bits.append(f"({terms[word]})*{label}")
         return " + ".join(bits)
+
+
+def scalar_part(a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    """The identity coefficient of a * b, the only part a trace reads, from
+    the words both carry (c_I c_J has none unless I = J): a word of grade k
+    squares to (-1)^(k(k+1)/2), negative exactly when k % 4 is 1 or 2."""
+    a._check(b)
+    total = sum(-c * d if (w.bit_count() + 1) & 2 else c * d
+                for w, c in a.nums.items() if (d := b.nums.get(w)) is not None)
+    return CliffordElement._of(a.n, {0: total} if total else {}, a.den * b.den)
+
+
+def _grades04(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """Grades 0 and 4 of the product x * y of two bivectors: equal words give
+    the scalar (-1 each), disjoint ones the 4-vector, and the pairs sharing
+    one generator (grade 2) are skipped before any multiplication."""
+    x._check(y)
+    acc = {0: -sum(c * y.nums[w] for w, c in x.nums.items() if w in y.nums)}
+    right = [(wb, _below(wb), cb) for wb, cb in y.nums.items()]
+    for wa, ca in x.nums.items():
+        for wb, below, cb in right:
+            if not wa & wb:
+                c = -ca * cb if (wa & below).bit_count() & 1 else ca * cb
+                acc[wa | wb] = acc.get(wa | wb, 0) + c
+    return CliffordElement._of(x.n, {w: c for w, c in acc.items() if c}, x.den * y.den)
 
 
 def trace(a: CliffordElement, m: int):

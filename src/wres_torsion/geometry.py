@@ -47,12 +47,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Dict, List, Tuple
 
 from .numerics import _collected, _integer_form, _reduced, format_rational, parse_rational
 
-SUPPORTED_M = (1, 2, 3)
+SUPPORTED_M = (1, 2, 3, 4, 5, 6, 7, 8)
 
 Vec = Tuple[Fraction, ...]
 Mat2 = Tuple[Vec, ...]
@@ -541,11 +541,21 @@ def _flat(row, n: int) -> bool:
     return type(row) in _ROW_TYPES and len(row) == n and _ROW_TYPES.isdisjoint(map(type, row))
 
 
+# per (n, rank): the keys ``_indexed`` accepted, each mapped to its ``_INDICES`` tuple
+_ACCEPTED: Dict[Tuple[int, int], Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
+
+
 def _indexed(keys, n: int, rank: int) -> bool:
-    """Whether every key is a tuple of ``rank`` ints in 0..n-1."""
-    flat = chain.from_iterable
-    return ({tuple} >= set(map(type, keys)) and {rank} >= set(map(len, keys))
-            and {int} >= set(map(type, flat(keys))) and set(range(n)) >= set(flat(keys)))
+    """Whether every key is a tuple of ``rank`` ints in 0..n-1: by one lookup
+    per key when all are tuples accepted before (as completed jets' keys are)."""
+    accepted, flat = _ACCEPTED.setdefault((n, rank), {}), chain.from_iterable
+    if all(map(is_, map(accepted.get, keys), keys)):
+        return True
+    if not ({tuple} >= set(map(type, keys)) and {rank} >= set(map(len, keys))
+            and {int} >= set(map(type, flat(keys))) and set(range(n)) >= set(flat(keys))):
+        return False
+    accepted.update((key, _INDICES.setdefault(key, key)) for key in keys)
+    return True
 
 
 def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:

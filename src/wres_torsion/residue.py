@@ -36,7 +36,10 @@ spectral Einstein density
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and builder bindings, so each symbol, the derived
-scalars and each trace table are built once per jet.
+scalars and each trace table are built once per jet.  The printed part-2
+table reads the four grade-0 printed channels as scalar parts alone: x-free
+of xi-order 0, they complete order -2m only against sigma_Delta's order -2m
+channels, which are scalar, and a nonempty word is traceless.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, each read off the cells of the part-1 or printed part-2 table) and
@@ -58,7 +61,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .clifford import word_indices
+from .clifford import scalar_part, word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
@@ -449,8 +452,8 @@ class PipelineContext(JetInputs):
         return _bucketed(self.n, {(g, name): part for g, parts in enumerate(self.delta_inv_parts)
                                   for name, part in parts.items()}, X_TRUNCATION)
 
-    printed_table = cached_property(
-        lambda self: _trace_table(self.ab_printed_parts, self.delta_buckets, self.m))
+    printed_table = cached_property(lambda self: _trace_table(
+        {**self.printed_s2_s1, **self.grade0(scalar_part)}, self.delta_buckets, self.m))
     composed_table = cached_property(
         lambda self: _trace_table(dict(enumerate(self.ab_composed)), self.delta_buckets, self.m))
 

@@ -60,17 +60,20 @@ with coefficient ``kappa`` on strictly increasing triples:
 The curvature jet of the zeroth-order symbol pairs R_{bats} with the word
 c(e_s)c(e_t) exactly as in the trusted heat-coefficient inputs; the same
 pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
+The printed grade-0 channels are defined once as factor pairs, multiplied in
+full or to the scalar parts that ``residue``'s trace reads (``JetInputs.grade0``).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement, Word, _below
+from .clifford import CliffordElement, Word, _below, _grades04
 from .geometry import PointJet, derived_scalars, vector_forms
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
@@ -585,8 +588,9 @@ class JetInputs:
     derived scalars, c(v), c(w) and c(v) c(dw) read off those forms, R's and
     Ric's int forms (the derived scalars' ``int_forms``), the curvature
     word and pair sums, T's and dT1's 3-forms and bivector rows (``torsion``:
-    one pass per channel), and the mm-free order -(2mm+2) families.  A
-    builder given only the jet makes its own."""
+    one pass per channel), the mm-free order -(2mm+2) families and the
+    printed product symbol's grade-2 and grade-1 channels.  A builder given
+    only the jet makes its own."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -622,12 +626,13 @@ class JetInputs:
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
-        # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part
-        tt = {(a, b): tau[a] * tau[b] for a, b in combinations_with_replacement(tau, 2)}
+        # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part,
+        # and tau_a tau_a has no grade-2 part, so only grades 0 and 4 are formed
+        tt = {(a, b): _grades04(tau[a], tau[b]) for a, b in combinations_with_replacement(tau, 2)}
         families = {  # each as (xi-degree, rational Clifford element) pairs
             "ric": (Fraction(1, 3), 1, [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
                                         for (a, b), x in ric.items()]),
-            "tt_xx": (Fraction(-9, 2), 1, [(pairs[a][b], _grades(ab, 0, 4).scale(1 + (a != b)))
+            "tt_xx": (Fraction(-9, 2), 1, [(pairs[a][b], ab.scale(1 + (a != b)))
                                            for (a, b), ab in tt.items()]),
             "tt_scalar": (Fraction(9, 4), 0, [(x0, tt[a, a]) for a in tau]),
             "div_t": (Fraction(3, 2), 0, [(x0, row) for (b, a), row in dtau.items() if a == b]),
@@ -641,6 +646,39 @@ class JetInputs:
         }
         return {name: (c, q, *_placed((x0, xideg, 0, e) for xideg, e in family))
                 for name, (c, q, family) in families.items()}
+
+    gens = cached_property(lambda self: [CliffordElement.generator(self.n, i)
+                                         for i in range(1, self.n + 1)])
+    tau = cached_property(lambda self: self.forms[0].get((), CliffordElement.zero(self.n)))
+    # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
+    cvc = cached_property(lambda self: [self.cv * c_f * self.cw for c_f in self.gens])
+
+    @cached_property
+    def printed_s2_s1(self) -> Dict[str, SymbolExpr]:
+        """The printed product symbol's grade-2 and grade-1 channels."""
+        n, x0, pairs, gens, cvc = self.n, 0, _pairs(self.n), self.gens, self.cvc
+        return {
+            # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
+            "s2": _family(n, [(x0, pairs[f][g], 0, cvc[f] * gens[g])
+                              for f in range(n) for g in range(n)], -1),
+            # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
+            # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
+            "s1_tt": _family(n, [(x0, _unit(n, a), 0, _grades(cvc[a], 1) * self.tau)
+                                 for a in range(n)], GaussianRational(0, Fraction(1, 2))),
+            "s1_dw": _family(n, [(x0, _unit(n, a), 0, self.cv_dw * gens[a]) for a in range(n)], I),
+        }
+
+    def grade0(self, product) -> Dict[str, SymbolExpr]:
+        """The printed grade-0 channels, each c * sum a_i b_i over its factor
+        pairs (a_i, b_i), multiplied by ``product`` (``operator.mul`` for the
+        full channels, ``clifford.scalar_part`` for their scalar parts)."""
+        tau, cvc, dtau = self.tau, self.cvc, self.forms[1]
+        channels = {"s0_tt": (Fraction(1, 16), [(self.cv * tau * self.cw, tau)]),
+                    "s0_r": (1, list(zip(cvc, self.word_sums))),
+                    "s0_dt": (Fraction(1, 4), [(cvc[b], form) for b, form in dtau.items()]),
+                    "s0_tdw": (Fraction(1, 4), [(self.cv_dw, tau)])}
+        return {name: _family(self.n, [(0, 0, 0, product(a, b)) for a, b in pairs], c)
+                for name, (c, pairs) in channels.items()}
 
     def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
@@ -711,29 +749,8 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       elements, the downstream closed forms track the displayed order, and
       the audit reports the difference.
     """
-    n = jet.n
     inputs = inputs or JetInputs(jet)
-    cv, cw, (tau, dtau), curvature = inputs.cv, inputs.cw, inputs.forms, inputs.word_sums
-    tau, cv_dw = tau.get((), CliffordElement.zero(n)), inputs.cv_dw
-    gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
-    cvc = [cv * gens[f] * cw for f in range(n)]
-    x0, pairs = 0, _pairs(n)
-    return {
-        # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
-        "s2": _family(n, [(x0, pairs[f][g], 0, cvc[f] * gens[g])
-                          for f in range(n) for g in range(n)], -1),
-        # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
-        # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
-        "s1_tt": _family(n, [(x0, _unit(n, a), 0, _grades(cvc[a], 1) * tau) for a in range(n)],
-                         GaussianRational(0, Fraction(1, 2))),
-        "s1_dw": _family(n, [(x0, _unit(n, a), 0, cv_dw * gens[a]) for a in range(n)], I),
-        "s0_tt": _family(n, [(x0, x0, 0, cv * tau * cw * tau)], Fraction(1, 16)),
-        "s0_r": _family(n, [(x0, x0, 0, cvc[j] * curvature[j]) for j in range(n)]),
-        "s0_dt": _family(n, [(x0, x0, 0, cvc[b] * form) for b, form in dtau.items()],
-                         Fraction(1, 4)),
-        "s0_tdw": _family(n, [(x0, x0, 0, cv_dw * tau)], Fraction(1, 4)),
-    }
+    return {**inputs.printed_s2_s1, **inputs.grade0(operator.mul)}
 
 
 def printed_grades(parts: Dict[str, SymbolExpr]

@@ -47,7 +47,7 @@ def test_instance_rejects_report_options(capsys, flag):
 
 
 def test_instance_unsupported_dim(capsys):
-    code, _, err = run(capsys, "instance", "--dim", "5")
+    code, _, err = run(capsys, "instance", "--dim", "9")
     assert code == 2
     assert "unsupported" in err
 
@@ -108,6 +108,16 @@ def test_verify_clifford_check(capsys):
     code, out, _ = run(capsys, "verify", "--checks", "clifford", "--trials", "3")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("dim,rows", [(1, [1, 2, 3]), (2, [1, 2, 3]), (5, [1, 2, 3, 4, 5])])
+def test_verify_clifford_check_runs_to_the_larger_of_3_and_dim(capsys, dim, rows):
+    """The Clifford check covers m = 1 to max(3, --dim): its m <= 3 rows do
+    not depend on --dim, and a larger --dim adds its own."""
+    code, out, _ = run(capsys, "verify", "--checks", "clifford", "--dim", str(dim),
+                       "--trials", "1", "--format", "json")
+    assert code == 0
+    assert [row["m"] for row in json.loads(out)["checks"][0]["rows"]] == rows
 
 
 def test_verify_lemma36_reports_discrepancy(capsys):

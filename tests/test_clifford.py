@@ -221,6 +221,68 @@ def test_integer_product_edge_cases(n):
 
 
 # ---------------------------------------------------------------------------
+# trace-directed kernels, each against the general pair loop
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(_fractions, _ints, _gaussians)
+
+
+@st.composite
+def _kernel_pairs(draw, grade=None):
+    """Two elements of one dimension n in {2, ..., 10}, on words of ``grade``
+    alone when given; the right one often repeats words of the left one."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    pool = [w for w in range(1 << n) if grade is None or w.bit_count() == grade]
+    words = st.sampled_from(pool)
+    a = draw(st.dictionaries(words, _scalars, max_size=8))
+    if a:
+        words = st.one_of(words, st.sampled_from(sorted(a)))
+    return CliffordElement(n, a), CliffordElement(n, draw(st.dictionaries(words, _scalars,
+                                                                          max_size=8)))
+
+
+def _assert_rational_canonical(elem, *factors):
+    if all(type(c) is int for f in factors for c in f.nums.values()):
+        _assert_canonical(elem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_pairs())
+def test_scalar_part_is_the_identity_coefficient_of_the_product(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        part = clifford.scalar_part(x, y)
+        coeff = (x * y).terms.get(0, 0)
+        assert part == CliffordElement(x.n, {0: coeff})
+        _assert_rational_canonical(part, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_pairs(), st.data())
+def test_one_word_product_matches_the_pair_loop(pair, data):
+    """A product by one word (its own path in ``__mul__``) against the
+    coefficient-by-coefficient loop over all word pairs."""
+    a, _ = pair
+    word = data.draw(st.integers(0, (1 << a.n) - 1))
+    right = CliffordElement(a.n, {word: data.draw(_scalars.filter(bool))})
+    product = a * right
+    assert product == _coefficientwise_mul(a, right)
+    _assert_rational_canonical(product, a, right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_pairs(grade=2))
+def test_bivector_grades_04_match_the_projected_product(pair):
+    from wres_torsion.symbols import _grades
+
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        part = clifford._grades04(a, b)
+        assert part == _grades(a * b, 0, 4)
+        _assert_rational_canonical(part, a, b)
+
+
+# ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
 

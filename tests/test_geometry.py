@@ -97,8 +97,8 @@ def test_zero_torsion_mode():
 
 def test_unsupported_dimension():
     with pytest.raises(ValueError):
-        random_point_jet(0, 4)
-    for m in (4, 0):
+        random_point_jet(0, 9)
+    for m in (9, 0):
         with pytest.raises(ValueError, match=f"unsupported half-dimension m={m}"):
             make_point_jet(m)
 
@@ -901,7 +901,7 @@ def test_repeated_index_torsion_rejected():
 
 def test_unsupported_instance_dimension():
     with pytest.raises(InstanceError, match="unsupported"):
-        jet_from_dict({"n": 10, "v": [], "w": [], "dw": []})
+        jet_from_dict({"n": 18, "v": [], "w": [], "dw": []})
 
 
 def _instance(**fields) -> dict:
@@ -1160,6 +1160,21 @@ def test_validator_names_malformed_maps(name, entries, reasons):
         backwards = dict(reversed(list(entries.items())))
         again = dataclasses.replace(jet, **{f"{name}_entries": backwards})
         assert validate_symmetries(again).violations == reasons
+
+
+def test_validator_reads_fresh_keys_equal_to_accepted_ones():
+    """A key the validator accepted before passes again by identity alone:
+    a fresh key equal to it (True == 1, 2.0 == 2) is still read index by
+    index and named."""
+    from wres_torsion import geometry
+
+    jet = make_point_jet(2, T=[(0, 1, 2, 1)])
+    assert validate_symmetries(jet).ok
+    assert geometry._ACCEPTED[4, 3][0, 1, 2] is next(k for k in jet.T_entries if k == (0, 1, 2))
+    for key in ((0, True, 2), (0, 1, 2.0)):
+        bad = dataclasses.replace(jet, T_entries={key: Fraction(1)})
+        assert validate_symmetries(bad).violations == (
+            f"T key {key!r} is not a tuple of 3 indices in 0..3",)
 
 
 def test_validator_rejects_ragged_torsion():

@@ -871,6 +871,27 @@ def build_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def grade0_products(monkeypatch):
+    """The product each ``JetInputs.grade0`` call multiplies the grade-0
+    factor pairs by, by name: "mul" for the full channels, "scalar_part"
+    for the scalar parts the trace reads."""
+    products = []
+    grade0 = symbols.JetInputs.grade0
+
+    def counted(self, product):
+        products.append(product.__name__)
+        return grade0(self, product)
+    monkeypatch.setattr(symbols.JetInputs, "grade0", counted)
+    return products
+
+
+def _shares_printed_s2_s1(ctx):
+    """Whether the public printed parts hold the context's grade-2 and
+    grade-1 channels themselves, built once for both."""
+    return all(ctx.ab_printed_parts[key] is part for key, part in ctx.printed_s2_s1.items())
+
+
 def test_audit_builds_each_artifact_once(build_counts):
     audit(random_point_jet(3, 2), 2)
     assert build_counts == {name: 1 for name in BUILDERS}
@@ -932,15 +953,19 @@ def _jet_reads(reads, jet):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
+def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, grade0_products,
+                                              monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
     share one context: each builder they use runs once, R, T and dT1 are
     each turned into their int form once (by the derived scalars, whose
     forms the builders read) and v, w and dw once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
-    from the jet's rationals); an audit of the same jet right after them
-    builds only the composed product symbol."""
+    from the jet's rationals).  Part 2 builds no public printed parts: its
+    table reads the grade-2 and grade-1 channels and the scalar parts of the
+    grade-0 ones.  An audit of the same jet right after them builds the
+    composed product symbol and the full grade-0 channels for its lemma-3.6
+    comparison, sharing the grade-2 and grade-1 channels."""
     vectors, from_vectors = [], []
     from_vector, vector_forms = CliffordElement.from_vector.__func__, symbols.vector_forms
 
@@ -963,8 +988,9 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -g_vw
     once = {"derived_scalars": 1, "build_sigma_dtpow_parts": 1,
-            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1}
+            "build_sigma_delta_inv_parts": 1}
     assert build_counts == once
+    assert grade0_products == ["scalar_part"]
     # each channel is converted to ints once, by the derived scalars, and
     # each torsion int form is read once for its 3-forms and rows
     reads = {"pair_sums": 1, ("R", "int form"): 1, ("T", "int form"): 1,
@@ -976,26 +1002,33 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
         assert input_reads["int_form entries"] <= 1710
     assert vectors == [jet] and from_vectors == []
     assert audit(jet, 3).ok
-    assert build_counts == {**once, "build_sigma_ab_composed": 1}
+    assert build_counts == {**once, "build_sigma_ab_composed": 1,
+                            "build_sigma_ab_printed_parts": 1}
+    assert grade0_products == ["scalar_part", "mul"]
+    assert _shares_printed_s2_s1(_held())
     assert _jet_reads(input_reads, jet) == reads
     assert vectors == [jet] and from_vectors == []
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
+def test_identity_calls_derive_scalars_once_per_jet(build_counts, grade0_products, m):
     """The three public calls the identity-m3 workload makes per jet share
-    one context, so each builder they use runs once per jet."""
+    one context, so each builder they use runs once per jet, and part 2
+    builds no public printed parts, only the scalar parts of the grade-0
+    channels."""
     from wres_torsion.cli import _one_hot_cases
 
     for _, expected, kw in _one_hot_cases(m):
         jet = make_point_jet(m, **kw)
         before = dict(build_counts)
+        grade0_products.clear()
         total = part1_density(jet, m).value + part2_density(jet, m).value
         assert total == theorem_density(jet, m).value == expected
         assert {name: build_counts[name] - before.get(name, 0) for name in BUILDERS} == {
             "derived_scalars": 1, "build_sigma_dtpow_parts": 1,
-            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 1,
+            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 0,
             "build_sigma_ab_composed": 0}
+        assert grade0_products == ["scalar_part"]
 
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
@@ -1003,9 +1036,11 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     symbol's left factor c(v) sigma(D_T), and makes four kernel passes over
     three bucketings: the dtpow channels are bucketed once for part 1's
     table, sigma_Delta's 14 channels once for both part-2 tables, and the
-    metric's lead channel once for its one cell.  No ``SymbolExpr.sum_of``
-    sums either channel set, and part1, part2 and every ``verify`` check on
-    the traced context read the tables with no further pass."""
+    metric's lead channel once for its one cell.  The printed pass reads the
+    public grade-2 and grade-1 channels themselves and, of each grade-0
+    channel, its scalar part alone.  No ``SymbolExpr.sum_of`` sums either
+    channel set, and part1, part2 and every ``verify`` check on the traced
+    context read the tables with no further pass."""
     from wres_torsion import cli
 
     tables, buckets, passes, sums = [], [], [], []
@@ -1021,7 +1056,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         return bucketed(n, rights, orders)
 
     def counted_passes(lefts, right, m):
-        passes.append(list(lefts))
+        passes.append(lefts)
         return trace_table(lefts, right, m)
 
     def counted_sums(cls, n, exprs):
@@ -1038,7 +1073,13 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     sigma_delta = [(g, key) for g, parts in enumerate(ctx.delta_inv_parts) for key in parts]
     assert len(sigma_delta) == 14
     assert buckets == [(list(ctx.dtpow_parts), 0), (sigma_delta, X_TRUNCATION), (["lead"], 0)]
-    assert passes == [["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
+    assert [list(lefts) for lefts in passes] == [
+        ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
+    printed, full = passes[1], ctx.ab_printed_parts
+    assert all(printed[key] is full[key] for key in ("s2", "s1_tt", "s1_dw"))
+    for key in ("s0_tt", "s0_r", "s0_dt", "s0_tdw"):
+        assert printed[key] == symbols._symbol(jet.n, (
+            (k, c) for k, c in full[key].nums.items() if k == (0, 0, 0, 0)), full[key].den)
     channels = {id(part) for part in ctx.dtpow_parts.values()} | {
         id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
     assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
@@ -1114,6 +1155,53 @@ def test_audit_rows_and_totals_match_the_summed_path():
                 "part1": format_rational(p1), "part2": format_rational(p2),
                 "part2_composed_vs_printed_shift": format_rational(shift),
                 "metric": format_rational(metric)}, (m, jet)
+
+
+def test_printed_table_cells_match_the_full_printed_parts():
+    """Every (printed channel, sigma_Delta channel) cell of the context's
+    table, which reads the grade-0 channels as scalar parts, traces to the
+    value of the same cell traced from the full public printed parts."""
+    from itertools import product
+    from wres_torsion.cli import _one_hot_cases
+
+    for m in (1, 2, 3):
+        jets = [random_point_jet(seed, m) for seed in range(5)] + [make_point_jet(m)]
+        jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)] if m > 1 else []
+        for jet in jets:
+            ctx = PipelineContext(jet, m)
+            full = residue._trace_table(ctx.ab_printed_parts, ctx.delta_buckets, m)
+            for left, right in product(ctx.ab_printed_parts, ctx.delta_buckets[1]):
+                assert (ctx.printed_table.trace({left}, {right})
+                        == full.trace({left}, {right})), (m, jet, left, right)
+            assert ctx.part2().value == full.trace()
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_audit_beyond_m3_keeps_its_findings(m, seed):
+    """Past m = 3 the audit is ok with the same reconciled mismatches as at
+    m = 2 and 3 (I-D, I-F, II-3-B and II-3-C), the composed source shifts
+    part 2 by (3/4) TT, and part 1 + part 2 is the theorem."""
+    jet = random_point_jet(seed, m)
+    report, tt = audit(jet, m), derived_scalars(jet).tt_vw
+    assert report.ok and tt
+    mismatches = [e for e in report.entries if not e.match]
+    assert [e.label for e in mismatches] == ["I-D", "I-F", "II-3-B", "II-3-C"]
+    assert all(e.reconciled for e in mismatches)
+    ctx = _held()
+    assert ctx.part2("composed").value - ctx.part2("printed").value == Fraction(3, 4) * tt
+    assert (part1_density(jet, m).value + part2_density(jet, m).value
+            == theorem_density(jet, m).value)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_one_hot_cases_match_their_totals_beyond_m3(m):
+    from wres_torsion.cli import _one_hot_cases
+
+    for label, expected, kw in _one_hot_cases(m):
+        jet = make_point_jet(m, **kw)
+        total = part1_density(jet, m).value + part2_density(jet, m).value
+        assert total == theorem_density(jet, m).value == expected, (m, label)
 
 
 # ---------------------------------------------------------------------------
