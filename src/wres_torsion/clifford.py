@@ -26,7 +26,7 @@ is the product of the two, reduced once against the nonzero sums; a
 folds the denominator into the numerators.  A product with an empty factor
 is the zero element, returned right after the dimension check, and one by
 a single word is one XOR and one sign per term.  ``scalar_part`` and
-``_grades04`` build only the words a trace or a channel reads of a product.
+``_graded`` build only the words of a product that a trace or a channel reads.
 
 The normalized trace used everywhere is the spinor trace for n = 2m:
 tr[id] = 2^m and every nonempty canonical word is traceless, hence
@@ -234,18 +234,20 @@ def scalar_part(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement._of(a.n, {0: total} if total else {}, a.den * b.den)
 
 
-def _grades04(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Grades 0 and 4 of the product x * y of two bivectors: equal words give
-    the scalar (-1 each), disjoint ones the 4-vector, and the pairs sharing
-    one generator (grade 2) are skipped before any multiplication."""
+def _graded(x: CliffordElement, y: CliffordElement, grades: Tuple[int, ...],
+            inside: bool = True) -> CliffordElement:
+    """The words of x * y of a grade in ``grades`` (outside them, ``inside``
+    False): only word pairs whose XOR lands there are multiplied."""
+    if inside and grades == (0,):
+        return scalar_part(x, y)
     x._check(y)
-    acc = {0: -sum(c * y.nums[w] for w, c in x.nums.items() if w in y.nums)}
-    right = [(wb, _below(wb), cb) for wb, cb in y.nums.items()]
+    right = [(wb, _below(wb) ^ wb, cb) for wb, cb in y.nums.items()]
+    acc: Dict[Word, object] = {}
     for wa, ca in x.nums.items():
-        for wb, below, cb in right:
-            if not wa & wb:
-                c = -ca * cb if (wa & below).bit_count() & 1 else ca * cb
-                acc[wa | wb] = acc.get(wa | wb, 0) + c
+        for wb, mask, cb in right:
+            if ((wa ^ wb).bit_count() in grades) is inside:
+                c = -ca * cb if (wa & mask).bit_count() & 1 else ca * cb
+                acc[wa ^ wb] = acc.get(wa ^ wb, 0) + c
     return CliffordElement._of(x.n, {w: c for w, c in acc.items() if c}, x.den * y.den)
 
 

@@ -175,7 +175,8 @@ def _complete(name: str, entries, n: int) -> Entries:
     "T" or "dT1"), completed over the channel's images from sparse
     (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples.
 
-    Each index's signed images are read from ``_ORBITS``.  An entry whose
+    Each index's signed images are read from ``_ORBITS``, and the negative of
+    a shared value of a random jet from ``_OPPOSITE``.  An entry whose
     orbit no earlier entry set is written without a comparison, and a zero
     one is only noted, so no zero is stored; a revisited orbit compares each
     image, positive ones first.
@@ -196,7 +197,7 @@ def _complete(name: str, entries, n: int) -> Entries:
         # the orbits of two entries are equal or disjoint, so one position tells
         if pos[0] not in out and pos[0] not in zero:
             if val:
-                opposite = -val
+                opposite = _OPPOSITE[id(val)] if id(val) in _OPPOSITE else -val
                 for key in pos:
                     out[key] = val
                 for key in neg:
@@ -232,13 +233,23 @@ def _admissible(jet: PointJet) -> PointJet:
 # construction: random and from sparse entries
 # ---------------------------------------------------------------------------
 
-# every value p/q that ``_small_rational`` draws, one shared object each
-_SMALL = {(p, q): Fraction(p, q) for p in range(-3, 4) for q in range(1, 4)}
+# every value p/q of a random jet (a ``_small_rational`` draw or a curvature
+# sum t/36) as one shared object, made on first use, and its negative by id
+_SHARED: Dict[Tuple[int, int], Fraction] = {}
+_OPPOSITE: Dict[int, Fraction] = {}
+
+
+def _shared(p: int, q: int) -> Fraction:
+    got = _SHARED.get((p, q))
+    if got is None:
+        got = _SHARED[p, q] = Fraction(p, q)
+        _OPPOSITE[id(got)] = _shared(-p, q) if p else got
+    return got
 
 
 def _small_rational(rng: random.Random) -> Fraction:
     """p/q, p drawn from -3..3 and then q from 1..3 (randint's stream)."""
-    return _SMALL[rng.randrange(-3, 4), rng.randrange(1, 4)]
+    return _shared(rng.randrange(-3, 4), rng.randrange(1, 4))
 
 
 def _check_supported(m: int) -> None:
@@ -265,7 +276,7 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
         # scale), on one representative a < b, c < d, (a, b) <= (c, d) per
         # orbit: summed in ints over the 6h, so each value is total / 36
         R = _complete("R", (
-            ((a, b, c, d), Fraction(sum(h[a, c] * h[b, d] - h[a, d] * h[b, c] for h in hs), 36))
+            ((a, b, c, d), _shared(sum(h[a, c] * h[b, d] - h[a, d] * h[b, c] for h in hs), 36))
             for (a, b), (c, d) in combinations_with_replacement(
                 list(combinations(range(n), 2)), 2)), n)
     triples = list(combinations(range(n), 3))

@@ -36,10 +36,8 @@ spectral Einstein density
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and builder bindings, so each symbol, the derived
-scalars and each trace table are built once per jet.  The printed part-2
-table reads the four grade-0 printed channels as scalar parts alone: x-free
-of xi-order 0, they complete order -2m only against sigma_Delta's order -2m
-channels, which are scalar, and a nonempty word is traceless.
+scalars and each trace table are built once per jet.  The part-1 and part-2
+tables trace ``JetInputs``' traced channels, built on the terms they read.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, each read off the cells of the part-1 or printed part-2 table) and
@@ -61,7 +59,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .clifford import scalar_part, word_indices
+from .clifford import word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
@@ -75,9 +73,7 @@ from .symbols import (
     _ones,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
-    build_sigma_delta_inv_parts,
     build_sigma_delta_lead,
-    build_sigma_dtpow_parts,
     printed_grades,
 )
 
@@ -393,10 +389,11 @@ class PipelineContext(JetInputs):
     c(w) and the jet's tensors converted once), handed to every builder it
     calls through this module's bindings.  Every field is built on first use
     and reused by every later consumer: c(v)c(w), the inverse-power channels
-    of parts 1 and 2, the printed and composed product-symbol grades,
-    sigma_Delta's channels bucketed once, and the trace tables of part 1, the
-    metric and both part-2 sources, whose cells the densities and the audit
-    rows read.
+    of parts 1 and 2 and the printed channels, built on the terms a table
+    reads (``JetInputs``' traced channels), the printed grades (the read
+    products plus the rest) and the composed ones, sigma_Delta's channels
+    bucketed once, and the trace tables of part 1, the metric and both
+    part-2 sources, whose cells the densities and the audit rows read.
     The public calls on one jet in a row share the context ``_context`` holds
     (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
     before any field is built.
@@ -412,13 +409,8 @@ class PipelineContext(JetInputs):
     def cvw(self) -> SymbolExpr:
         return SymbolExpr.from_clifford(self.cv * self.cw)
 
-    @cached_property
-    def dtpow_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_dtpow_parts(self.jet, self)
-
-    @cached_property
-    def delta_inv_parts(self) -> Tuple[Dict[str, SymbolExpr], ...]:
-        return build_sigma_delta_inv_parts(self.jet, self)
+    dtpow_parts = cached_property(lambda self: self.order2_parts(self.m - 1, self.order2_read))
+    delta_inv_parts = cached_property(lambda self: self.sigma_delta(traced=True))
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
@@ -452,8 +444,8 @@ class PipelineContext(JetInputs):
         return _bucketed(self.n, {(g, name): part for g, parts in enumerate(self.delta_inv_parts)
                                   for name, part in parts.items()}, X_TRUNCATION)
 
-    printed_table = cached_property(lambda self: _trace_table(
-        {**self.printed_s2_s1, **self.grade0(scalar_part)}, self.delta_buckets, self.m))
+    printed_table = cached_property(
+        lambda self: _trace_table(self.printed(), self.delta_buckets, self.m))
     composed_table = cached_property(
         lambda self: _trace_table(dict(enumerate(self.ab_composed)), self.delta_buckets, self.m))
 
@@ -497,7 +489,7 @@ class PipelineContext(JetInputs):
 
 # the residue bindings whose results a context keeps
 _KEPT = ("printed_grades", "build_sigma_ab_composed", "build_sigma_delta_lead",
-         "build_sigma_dtpow_parts", "build_sigma_delta_inv_parts", "build_sigma_ab_printed_parts")
+         "build_sigma_ab_printed_parts")
 _held: Tuple[Tuple[object, ...], PipelineContext] | None = None
 
 

@@ -60,20 +60,19 @@ with coefficient ``kappa`` on strictly increasing triples:
 The curvature jet of the zeroth-order symbol pairs R_{bats} with the word
 c(e_s)c(e_t) exactly as in the trusted heat-coefficient inputs; the same
 pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
-The printed grade-0 channels are defined once as factor pairs, multiplied in
-full or to the scalar parts that ``residue``'s trace reads (``JetInputs.grade0``).
+Each channel is defined once, in full or on the terms that ``residue``'s
+traces read (``JetInputs``).
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement, Word, _below, _grades04
+from .clifford import CliffordElement, Word, _below, _graded
 from .geometry import PointJet, derived_scalars, vector_forms
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
@@ -581,6 +580,12 @@ def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
     return CliffordElement._of(n, {1 << i: x for i, x in nums.items() if x}, den)
 
 
+def _near(elem: CliffordElement, a: int, b: int, traced: bool) -> CliffordElement:
+    """``elem`` or (``traced``, a != b) its words that meet e_a or e_b."""
+    return elem if a == b or not traced else CliffordElement._of(
+        elem.n, {w: c for w, c in elem.nums.items() if w >> a & 1 or w >> b & 1}, elem.den)
+
+
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
     by every builder given this object: the int forms of v, w and dw
@@ -589,8 +594,21 @@ class JetInputs:
     Ric's int forms (the derived scalars' ``int_forms``), the curvature
     word and pair sums, T's and dT1's 3-forms and bivector rows (``torsion``:
     one pass per channel), the mm-free order -(2mm+2) families and the
-    printed product symbol's grade-2 and grade-1 channels.  A builder given
-    only the jet makes its own."""
+    printed product symbol's channels.  A builder given only the jet makes
+    its own.
+
+    Each channel is defined once, whole for the public builders or
+    (``traced``, ``printed()``) on the terms a context's traces read, as
+    tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
+    The order -(2mm+2) families meet c(v) c(w), s2 and the composed grade 2,
+    of grades 0 and 2: tau_a tau_b is formed on grade 0, dt4 left empty.
+    (2) sigma_Delta's x^2 r_jet meets xi^2 terms at |alpha| = 2: its xi_a^2
+    terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx, meet s2 and the
+    composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b + c(v) c_b
+    c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no
+    word at a != b misses both e_a and e_b (``_near``).  (4) s1 meets only
+    sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
+    printed channel sums the read products and the rest (``printed``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -616,8 +634,8 @@ class JetInputs:
         return self.cv * CliffordElement._of(self.n, _collected(
             ((1 << j) ^ (1 << g), -x if j >= g else x) for (j, g), x in dw.items()), den)
 
-    @cached_property
-    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
+    def _order2(self, traced: bool = False
+                ) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q."""
@@ -628,7 +646,8 @@ class JetInputs:
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
         # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part,
         # and tau_a tau_a has no grade-2 part, so only grades 0 and 4 are formed
-        tt = {(a, b): _grades04(tau[a], tau[b]) for a, b in combinations_with_replacement(tau, 2)}
+        tt = {(a, b): _graded(tau[a], tau[b], (0,) if traced else (0, 4))
+              for a, b in combinations_with_replacement(tau, 2)}
         families = {  # each as (xi-degree, rational Clifford element) pairs
             "ric": (Fraction(1, 3), 1, [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
                                         for (a, b), x in ric.items()]),
@@ -638,56 +657,96 @@ class JetInputs:
             "div_t": (Fraction(3, 2), 0, [(x0, row) for (b, a), row in dtau.items() if a == b]),
             "r_xx": (Fraction(-1, 4), 1, [(pairs[a][b], pair)
                                           for (b, a), pair in self.pair_sums.items()]),
-            "dt_xx": (-3, 1, [(pairs[a][b], row) for (b, a), row in dtau.items()]),
+            "dt_xx": (-3, 1, [(pairs[a][b], _near(row, a, b, traced))
+                              for (b, a), row in dtau.items()]),
             "e_scalar": (-1, 0, [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))]),
-            "dt4": (Fraction(-3, 2), 0, [(x0, CliffordElement._of(n, {
+            "dt4": (Fraction(-3, 2), 0, [] if traced else [(x0, CliffordElement._of(n, {
                 sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))]),
         }
         return {name: (c, q, *_placed((x0, xideg, 0, e) for xideg, e in family))
                 for name, (c, q, family) in families.items()}
 
+    order2 = cached_property(_order2)
+    order2_read = cached_property(partial(_order2, traced=True))
     gens = cached_property(lambda self: [CliffordElement.generator(self.n, i)
                                          for i in range(1, self.n + 1)])
     tau = cached_property(lambda self: self.forms[0].get((), CliffordElement.zero(self.n)))
     # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
     cvc = cached_property(lambda self: [self.cv * c_f * self.cw for c_f in self.gens])
+    cv_tau_cw = cached_property(lambda self: self.cv * self.tau * self.cw)
 
     @cached_property
-    def printed_s2_s1(self) -> Dict[str, SymbolExpr]:
-        """The printed product symbol's grade-2 and grade-1 channels."""
-        n, x0, pairs, gens, cvc = self.n, 0, _pairs(self.n), self.gens, self.cvc
-        return {
-            # xi_f xi_g = xi_g xi_f: the pairs (f, g) and (g, f) land on one key
-            "s2": _family(n, [(x0, pairs[f][g], 0, cvc[f] * gens[g])
-                              for f in range(n) for g in range(n)], -1),
+    def s2(self) -> SymbolExpr:
+        """The printed grade-2 channel: (f, g) and (g, f) share xi_f xi_g."""
+        pairs, gens, cvc = _pairs(self.n), self.gens, self.cvc
+        return _family(self.n, [(0, pairs[f][g], 0, cvc[f] * gens[g])
+                                for f in range(self.n) for g in range(self.n)], -1)
+
+    def products(self, product) -> Dict[str, Tuple[object, List[Tuple[int, CliffordElement]]]]:
+        """The printed grade-1 and grade-0 channels as (c, [(xi-code, x y)])
+        over their factor pairs, each x y formed by ``product(x, y, grades)``
+        (``clifford._graded``) at the grades the trace reads: 2 of s1, 0 of s0."""
+        n, tau, cvc, gens, dtau = self.n, self.tau, self.cvc, self.gens, self.forms[1]
+        channels = {
             # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
             # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
-            "s1_tt": _family(n, [(x0, _unit(n, a), 0, _grades(cvc[a], 1) * self.tau)
-                                 for a in range(n)], GaussianRational(0, Fraction(1, 2))),
-            "s1_dw": _family(n, [(x0, _unit(n, a), 0, self.cv_dw * gens[a]) for a in range(n)], I),
-        }
+            "s1_tt": (GaussianRational(0, Fraction(1, 2)), 2,
+                      [(_unit(n, a), _grades(cvc[a], 1), tau) for a in range(n)]),
+            "s1_dw": (I, 2, [(_unit(n, a), self.cv_dw, gens[a]) for a in range(n)]),
+            "s0_tt": (Fraction(1, 16), 0, [(0, self.cv_tau_cw, tau)]),
+            "s0_r": (1, 0, [(0, x, y) for x, y in zip(cvc, self.word_sums)]),
+            "s0_dt": (Fraction(1, 4), 0, [(0, cvc[b], form) for b, form in dtau.items()]),
+            "s0_tdw": (Fraction(1, 4), 0, [(0, self.cv_dw, tau)])}
+        return {name: (c, [(xi, product(x, y, (g,))) for xi, x, y in pairs])
+                for name, (c, g, pairs) in channels.items()}
 
-    def grade0(self, product) -> Dict[str, SymbolExpr]:
-        """The printed grade-0 channels, each c * sum a_i b_i over its factor
-        pairs (a_i, b_i), multiplied by ``product`` (``operator.mul`` for the
-        full channels, ``clifford.scalar_part`` for their scalar parts)."""
-        tau, cvc, dtau = self.tau, self.cvc, self.forms[1]
-        channels = {"s0_tt": (Fraction(1, 16), [(self.cv * tau * self.cw, tau)]),
-                    "s0_r": (1, list(zip(cvc, self.word_sums))),
-                    "s0_dt": (Fraction(1, 4), [(cvc[b], form) for b, form in dtau.items()]),
-                    "s0_tdw": (Fraction(1, 4), [(self.cv_dw, tau)])}
-        return {name: _family(self.n, [(0, 0, 0, product(a, b)) for a, b in pairs], c)
-                for name, (c, pairs) in channels.items()}
+    read_products = cached_property(lambda self: self.products(_graded))
 
-    def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
+    def printed(self, *rest) -> Dict[str, SymbolExpr]:
+        """s2 and the other channels on their read products, plus those of
+        ``rest`` (``products`` of the other grades), by one ``_family`` each."""
+        return {"s2": self.s2, **{name: _family(self.n, [
+            (0, xi, 0, e) for part in (self.read_products, *rest) for xi, e in part[name][1]], c)
+            for name, (c, _) in self.read_products.items()}}
+
+    def order2_parts(self, mm: int, families=None) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
         x0, each family scaled and moved to its norm power by ``_symbol``:
-        mm = m for part 2's pipeline, mm = m-1 for part 1's."""
+        mm = m for part 2's pipeline, mm = m-1 for part 1's (``families``:
+        ``order2`` unless given)."""
         return {name: _symbol(self.n, (((x, xideg, -2 * mm - 2 - 2 * q, w), k)
                                        for (x, xideg, _, w), k in nums.items()),
                               den, Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator))
-                for name, (c, q, nums, den) in self.order2.items()}
+                for name, (c, q, nums, den) in (families or self.order2).items()}
+
+    def sigma_delta(self, traced: bool = False) -> Tuple[
+            Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
+        """The channels of ``build_sigma_delta_inv_parts``, whole or traced."""
+        m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
+        curvature, ric, (tau, dtau), pairs = self.curvature, self.ric, self.rows, _pairs(n)
+
+        # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
+        r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
+                                      for (a, j, b, k), c in curvature[0].items()
+                                      if a == b or not traced).items(),
+                        curvature[1], Fraction(-m, 3))
+        parts_m = {"lead": build_sigma_delta_lead(self.jet), "r_jet": r_jet}
+
+        # order -2m-1
+        c_t = GaussianRational(0, 3 * m)
+        parts_m1 = {
+            "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
+                                   for (a, b), x in ric[0].items()),
+                               ric[1], GaussianRational(0, Fraction(-2 * m, 3))),
+            "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
+            "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(pair, a, b, traced))
+                                 for (b, a), pair in self.pair_sums.items()],
+                             GaussianRational(0, Fraction(m, 4))),
+            "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(row, a, b, traced))
+                                  for (b, a), row in dtau.items()], c_t),
+        }
+        return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)
 
 
 def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | None = None
@@ -750,7 +809,7 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       the audit reports the difference.
     """
     inputs = inputs or JetInputs(jet)
-    return {**inputs.printed_s2_s1, **inputs.grade0(operator.mul)}
+    return inputs.printed(inputs.products(partial(_graded, inside=False)))
 
 
 def printed_grades(parts: Dict[str, SymbolExpr]
@@ -782,31 +841,7 @@ def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) 
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
-    m, n = jet.m, jet.n
-    x0, p = 0, -2 * m - 2
-    inputs = inputs or JetInputs(jet)
-    curvature, ric, (tau, dtau), pairs = inputs.curvature, inputs.ric, inputs.rows, _pairs(n)
-
-    # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-    r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
-                                  for (a, j, b, k), c in curvature[0].items()).items(),
-                    curvature[1], Fraction(-m, 3))
-    parts_m = {"lead": build_sigma_delta_lead(jet), "r_jet": r_jet}
-
-    # order -2m-1
-    c_t = GaussianRational(0, 3 * m)
-    parts_m1 = {
-        "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
-                               for (a, b), x in ric[0].items()),
-                           ric[1], GaussianRational(0, Fraction(-2 * m, 3))),
-        "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
-        "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, pair)
-                             for (b, a), pair in inputs.pair_sums.items()],
-                         GaussianRational(0, Fraction(m, 4))),
-        "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, row)
-                              for (b, a), row in dtau.items()], c_t),
-    }
-    return parts_m, parts_m1, inputs.order2_parts(m)
+    return (inputs or JetInputs(jet)).sigma_delta()
 
 
 def build_sigma_dtpow_parts(jet: PointJet, inputs: JetInputs | None = None

@@ -847,11 +847,16 @@ def test_engine_reads_no_dense_view(monkeypatch, m):
 BUILDERS = ("derived_scalars", "build_sigma_delta_inv_parts",
             "build_sigma_ab_printed_parts", "build_sigma_ab_composed",
             "build_sigma_dtpow_parts")
+# the JetInputs methods that build a set of channels: sigma_Delta's, the order
+# -(2mm+2) ones for one mm, and the printed products of one side of the split
+# into the part the trace reads and the rest
+CHANNEL_SETS = ("sigma_delta", "order2_parts", "products")
 
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count calls of the per-jet builders through every module binding."""
+    """Count calls of the per-jet builders through every module binding,
+    and of the ``JetInputs`` channel-set methods by name."""
     import sys
     from collections import Counter
 
@@ -868,38 +873,41 @@ def build_counts(monkeypatch):
         for mod in modules:
             if getattr(mod, fn_name, None) is original:
                 monkeypatch.setattr(mod, fn_name, counted)
+    for name in CHANNEL_SETS:
+        def counted_method(self, *args, _fn=getattr(symbols.JetInputs, name), _name=name,
+                           **kwargs):
+            counts[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(symbols.JetInputs, name, counted_method)
     return counts
 
 
-@pytest.fixture
-def grade0_products(monkeypatch):
-    """The product each ``JetInputs.grade0`` call multiplies the grade-0
-    factor pairs by, by name: "mul" for the full channels, "scalar_part"
-    for the scalar parts the trace reads."""
-    products = []
-    grade0 = symbols.JetInputs.grade0
-
-    def counted(self, product):
-        products.append(product.__name__)
-        return grade0(self, product)
-    monkeypatch.setattr(symbols.JetInputs, "grade0", counted)
-    return products
+def _shares_read_parts(ctx):
+    """Whether the public printed parts of a context hold its s2 itself and
+    were summed from the read products its table was built from."""
+    return (ctx.ab_printed_parts["s2"] is ctx.s2
+            and "read_products" in vars(ctx))
 
 
-def _shares_printed_s2_s1(ctx):
-    """Whether the public printed parts hold the context's grade-2 and
-    grade-1 channels themselves, built once for both."""
-    return all(ctx.ab_printed_parts[key] is part for key, part in ctx.printed_s2_s1.items())
+# what the traced path of one jet's context builds: the derived scalars, the
+# traced sigma_Delta channels, the order -(2mm+2) channels at mm = m - 1 (part
+# 1) and m (sigma_Delta) and the printed products the part-2 trace reads
+TRACED = {"derived_scalars": 1, "sigma_delta": 1, "order2_parts": 2, "products": 1}
 
 
 def test_audit_builds_each_artifact_once(build_counts):
+    """An audit builds each channel set once: the traced ones, the composed
+    product symbol and, for its lemma-3.6 comparison, the public printed
+    parts from the read products and the products of the rest.  It calls
+    neither public builder of the inverse-power channels."""
     audit(random_point_jet(3, 2), 2)
-    assert build_counts == {name: 1 for name in BUILDERS}
+    assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
+                            "build_sigma_ab_printed_parts": 1}
 
 
 def test_metric_builds_no_inverse_power_channels(build_counts):
     assert metric_density(random_point_jet(3, 2), 2).value
-    assert build_counts["build_sigma_delta_inv_parts"] == 0
+    assert build_counts["build_sigma_delta_inv_parts"] == build_counts["sigma_delta"] == 0
     assert build_counts["derived_scalars"] == 0
 
 
@@ -953,19 +961,18 @@ def _jet_reads(reads, jet):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, grade0_products,
-                                              monkeypatch, seed):
+def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
-    share one context: each builder they use runs once, R, T and dT1 are
-    each turned into their int form once (by the derived scalars, whose
+    share one context: each channel set they use is built once, R, T and dT1
+    are each turned into their int form once (by the derived scalars, whose
     forms the builders read) and v, w and dw once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
-    from the jet's rationals).  Part 2 builds no public printed parts: its
-    table reads the grade-2 and grade-1 channels and the scalar parts of the
-    grade-0 ones.  An audit of the same jet right after them builds the
-    composed product symbol and the full grade-0 channels for its lemma-3.6
-    comparison, sharing the grade-2 and grade-1 channels."""
+    from the jet's rationals).  The tables read the traced channels, so no
+    public builder of the inverse powers or the printed parts runs.  An
+    audit of the same jet right after them builds the composed product
+    symbol and, for its lemma-3.6 comparison, the public printed parts from
+    the read products and those of the rest."""
     vectors, from_vectors = [], []
     from_vector, vector_forms = CliffordElement.from_vector.__func__, symbols.vector_forms
 
@@ -987,10 +994,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, grade0_
     assert p2 == part2_closed(jet, 3).value
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -g_vw
-    once = {"derived_scalars": 1, "build_sigma_dtpow_parts": 1,
-            "build_sigma_delta_inv_parts": 1}
-    assert build_counts == once
-    assert grade0_products == ["scalar_part"]
+    assert build_counts == TRACED
     # each channel is converted to ints once, by the derived scalars, and
     # each torsion int form is read once for its 3-forms and rows
     reads = {"pair_sums": 1, ("R", "int form"): 1, ("T", "int form"): 1,
@@ -1002,33 +1006,29 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, grade0_
         assert input_reads["int_form entries"] <= 1710
     assert vectors == [jet] and from_vectors == []
     assert audit(jet, 3).ok
-    assert build_counts == {**once, "build_sigma_ab_composed": 1,
+    assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
                             "build_sigma_ab_printed_parts": 1}
-    assert grade0_products == ["scalar_part", "mul"]
-    assert _shares_printed_s2_s1(_held())
+    assert _shares_read_parts(_held())
     assert _jet_reads(input_reads, jet) == reads
     assert vectors == [jet] and from_vectors == []
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_identity_calls_derive_scalars_once_per_jet(build_counts, grade0_products, m):
+def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
     """The three public calls the identity-m3 workload makes per jet share
-    one context, so each builder they use runs once per jet, and part 2
-    builds no public printed parts, only the scalar parts of the grade-0
-    channels."""
+    one context, so each channel set they use is built once per jet, and
+    part 2 builds no public printed parts, only the products its trace
+    reads."""
     from wres_torsion.cli import _one_hot_cases
 
     for _, expected, kw in _one_hot_cases(m):
         jet = make_point_jet(m, **kw)
         before = dict(build_counts)
-        grade0_products.clear()
         total = part1_density(jet, m).value + part2_density(jet, m).value
         assert total == theorem_density(jet, m).value == expected
-        assert {name: build_counts[name] - before.get(name, 0) for name in BUILDERS} == {
-            "derived_scalars": 1, "build_sigma_dtpow_parts": 1,
-            "build_sigma_delta_inv_parts": 1, "build_sigma_ab_printed_parts": 0,
-            "build_sigma_ab_composed": 0}
-        assert grade0_products == ["scalar_part"]
+        assert {name: build_counts[name] - before.get(name, 0)
+                for name in (*BUILDERS, *CHANNEL_SETS)} == {
+            **dict.fromkeys(BUILDERS, 0), **TRACED}
 
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
@@ -1037,8 +1037,8 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     three bucketings: the dtpow channels are bucketed once for part 1's
     table, sigma_Delta's 14 channels once for both part-2 tables, and the
     metric's lead channel once for its one cell.  The printed pass reads the
-    public grade-2 and grade-1 channels themselves and, of each grade-0
-    channel, its scalar part alone.  No ``SymbolExpr.sum_of`` sums either
+    public s2 itself, of s1_tt and s1_dw their grade-2 parts and of each
+    grade-0 channel its scalar part.  No ``SymbolExpr.sum_of`` sums either
     channel set, and part1, part2 and every ``verify`` check on the traced
     context read the tables with no further pass."""
     from wres_torsion import cli
@@ -1076,10 +1076,12 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     assert [list(lefts) for lefts in passes] == [
         ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
     printed, full = passes[1], ctx.ab_printed_parts
-    assert all(printed[key] is full[key] for key in ("s2", "s1_tt", "s1_dw"))
-    for key in ("s0_tt", "s0_r", "s0_dt", "s0_tdw"):
-        assert printed[key] == symbols._symbol(jet.n, (
-            (k, c) for k, c in full[key].nums.items() if k == (0, 0, 0, 0)), full[key].den)
+    assert printed["s2"] is full["s2"]
+    for key, grade in (("s1_tt", 2), ("s1_dw", 2), *((key, 0) for key in (
+            "s0_tt", "s0_r", "s0_dt", "s0_tdw"))):
+        assert printed[key] == SymbolExpr._of(jet.n, {
+            k: c for k, c in full[key].nums.items() if k[3].bit_count() == grade},
+            full[key].den, full[key].phase), key
     channels = {id(part) for part in ctx.dtpow_parts.values()} | {
         id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
     assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
@@ -1259,14 +1261,14 @@ def test_a_replaced_context_is_released():
 
 def test_a_rebound_builder_bypasses_the_held_context(monkeypatch):
     jet = random_point_jet(8, 2)
-    p1 = part1_density(jet, 2).value
-    assert p1
+    metric = metric_density(jet, 2).value
+    assert metric
     held = _held()
-    monkeypatch.setattr(residue, "build_sigma_dtpow_parts", lambda jet, inputs=None: {})
-    assert part1_density(jet, 2).value == PipelineContext(jet, 2).part1().value == 0
+    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet: SymbolExpr(jet.n))
+    assert metric_density(jet, 2).value == PipelineContext(jet, 2).metric().value == 0
     assert _held() is not held
     monkeypatch.undo()
-    assert part1_density(jet, 2).value == p1
+    assert metric_density(jet, 2).value == metric
 
 
 def test_engine_functions_carry_no_wrapped():
@@ -1312,3 +1314,119 @@ def test_jet_construction_derives_no_scalars(build_counts):
         jets += [random_point_jet(7, m), jet_from_dict(jet_to_dict(random_point_jet(8, m)))]
     assert all(validate_symmetries(jet).ok for jet in jets)
     assert build_counts["derived_scalars"] == 0
+
+
+# ---------------------------------------------------------------------------
+# traced channels against the full public ones
+# ---------------------------------------------------------------------------
+
+def _full_tables(jet, m):
+    """The part-1, printed and composed part-2 tables traced from the full
+    channels of the public builders, (left keys, right keys) with each."""
+    n = jet.n
+    delta = residue._bucketed(n, {(g, name): part for g, parts in enumerate(
+        build_sigma_delta_inv_parts(jet)) for name, part in parts.items()}, X_TRUNCATION)
+    dtpow = residue._bucketed(n, symbols.build_sigma_dtpow_parts(jet), 0)
+    cvw = SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v)
+                                   * CliffordElement.from_vector(n, jet.w))
+    printed = symbols.build_sigma_ab_printed_parts(jet)
+    composed = dict(enumerate(symbols.build_sigma_ab_composed(jet)))
+    return {"part1_table": (residue._trace_table({"cvw": cvw}, dtpow, m), ["cvw"], dtpow[1]),
+            "printed_table": (residue._trace_table(printed, delta, m), list(printed), delta[1]),
+            "composed_table": (residue._trace_table(composed, delta, m), [0, 1, 2], delta[1])}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_traced_table_cells_match_the_full_public_channels(m):
+    """Every cell of the context's part-1 and part-2 tables, traced from the
+    channels projected on what the trace reads, equals the cell traced
+    from the full channels of the public builders (seeds 0-4, the zero jet
+    and the one-hot coefficient jets)."""
+    from itertools import product
+    from wres_torsion.cli import _one_hot_cases
+
+    jets = [random_point_jet(seed, m) for seed in range(5)] + [make_point_jet(m)]
+    jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)] if m > 1 else []
+    for jet in jets:
+        ctx = PipelineContext(jet, m)
+        for name, (full, lefts, rights) in _full_tables(jet, m).items():
+            table = getattr(ctx, name)
+            for left, right in product(lefts, rights):
+                assert table.trace({left}, {right}) == full.trace({left}, {right}), (
+                    m, jet, name, left, right)
+            assert table.trace() == full.trace()
+
+
+def test_traced_channels_bucket_fewer_entries():
+    """The traced sigma_Delta channels and part-1 channels hold fewer terms
+    than the full ones on a dense jet, and the traced grade-4 dt4 is empty."""
+    jet = random_point_jet(1, 3)
+    ctx = PipelineContext(jet, 3)
+    size = lambda parts: sum(len(e.nums) for e in parts.values())
+    traced = sum(map(size, ctx.delta_inv_parts))
+    assert 2 * traced < sum(map(size, build_sigma_delta_inv_parts(jet)))
+    assert 2 * size(ctx.dtpow_parts) < size(symbols.build_sigma_dtpow_parts(jet))
+    assert not ctx.dtpow_parts["dt4"] and not ctx.delta_inv_parts[2]["dt4"]
+    assert symbols.build_sigma_dtpow_parts(jet)["dt4"]
+
+
+def test_audit_forms_no_clifford_product_twice(monkeypatch):
+    """Per audit jet no two Clifford factors are multiplied on overlapping
+    grades: the public printed parts are the read products plus the
+    products of the other grades, and c(v) tau c(w) is built once."""
+    from collections import defaultdict
+
+    formed, held = defaultdict(list), []
+    mul, graded = CliffordElement.__mul__, symbols._graded
+
+    def counted_mul(a, b):
+        held.append((a, b))
+        formed[id(a), id(b)].append(set(range(a.n + 1)))
+        return mul(a, b)
+
+    def counted_graded(a, b, grades, inside=True):
+        held.append((a, b))
+        formed[id(a), id(b)].append({k for k in range(a.n + 1) if (k in grades) is inside})
+        return graded(a, b, grades, inside)
+    monkeypatch.setattr(CliffordElement, "__mul__", counted_mul)
+    monkeypatch.setattr(symbols, "_graded", counted_graded)
+    for m in (2, 3):
+        formed.clear()
+        assert audit(random_point_jet(1, m), m).ok
+        split = [grades for grades in formed.values() if len(grades) > 1]
+        assert split and all(len(set.union(*g)) == sum(map(len, g)) for g in split)
+
+
+def test_closed_forms_and_audit_displays_are_linear_in_m():
+    """On each one-hot coefficient jet, whose derived scalars do not depend
+    on m, the closed forms, the densities and every audit row (engine and
+    display) are fitted as a + b m from m = 2 and 3, and the fit is exact
+    at every m from 4 to 8.  This is evidence for m <= 8, not a proof for
+    all m."""
+    from wres_torsion.cli import _one_hot_cases
+
+    def values(m):
+        out = {}
+        for label, expected, kw in _one_hot_cases(m):
+            jet = make_point_jet(m, **kw)
+            der = derived_scalars(jet)
+            out[label, "scalars"] = (der.g_vw, der.s, der.norm_t2, der.tt_vw, der.div_t_vw,
+                                     der.t_dw)
+            for f in (part1_density, part1_closed, part2_density, part2_closed,
+                      theorem_density, metric_density):
+                out[label, f.__name__] = f(jet, m).value
+            for entry in audit(jet, m).entries:
+                out[label, entry.label] = (entry.engine, entry.printed)
+        return out
+
+    two, three = values(2), values(3)
+    for m in range(4, 9):
+        got = values(m)
+        assert got.keys() == two.keys()
+        for key, value in got.items():
+            if key[1] == "scalars":
+                assert value == two[key] == three[key], (m, key)
+                continue
+            at2, at3 = (x if isinstance(x, tuple) else (x,) for x in (two[key], three[key]))
+            fit = tuple(a + (b - a) * (m - 2) for a, b in zip(at2, at3))
+            assert (value if isinstance(value, tuple) else (value,)) == fit, (m, key)

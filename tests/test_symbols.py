@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from wres_torsion import symbols
 from wres_torsion.clifford import CliffordElement, blade_mul, canonicalize, word_from_indices
 from wres_torsion.geometry import (
+    SUPPORTED_M,
     derived_scalars,
     make_point_jet,
     random_point_jet,
@@ -1496,3 +1497,53 @@ def test_printed_parts_match_per_pair_products(m):
         oracle = _per_pair_printed_parts(jet)
         assert engine.keys() == oracle.keys()
         _assert_same_channels(engine, oracle)
+
+
+# ---------------------------------------------------------------------------
+# the rules the traced channels rely on
+# ---------------------------------------------------------------------------
+
+def _read_rule_breaks(expr):
+    """The keys of a left channel that break what ``JetInputs``' traced
+    channels assume of it: a word of grade other than 0 and 2 (rule 1), or
+    at xi_a xi_b with a != b a nonempty word meeting neither e_a nor e_b
+    (rule 3)."""
+    breaks = []
+    for key in expr.nums:
+        word, index = key[3], symbols._indices(key[1], expr.n)
+        mask = sum({1 << (i - 1) for i in index})
+        if word.bit_count() not in (0, 2) or (
+                len(set(index)) == 2 and word and not word & mask):
+            breaks.append(symbols._key(key, expr.n))
+    return breaks
+
+
+def _grade2_channels(jet):
+    """The printed s2 and the composed grade 2: both depend on v and w alone."""
+    return symbols.JetInputs(jet).s2, build_sigma_ab_composed(jet)[0]
+
+
+@pytest.mark.parametrize("m", SUPPORTED_M)
+def test_trace_read_rules_hold_on_every_basis_pair(m):
+    """The printed s2 and the composed grade 2 carry grades 0 and 2 alone,
+    and at xi_a xi_b with a != b only words that meet e_a or e_b.  Both are
+    bilinear in (v, w), and the support of a sum lies in the union of the
+    supports, so checking every pair of basis vectors proves both rules for
+    every jet at each supported n = 2m."""
+    n = 2 * m
+    unit = [[int(k == i) for k in range(n)] for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        for channel in _grade2_channels(make_point_jet(m, v=unit[i], w=unit[j])):
+            assert channel and _read_rule_breaks(channel) == [], (m, i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]).flatmap(lambda m: st.tuples(
+    st.just(m), *(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           min_size=2 * m, max_size=2 * m) for _ in "vw"))))
+def test_trace_read_rules_hold_on_random_vectors(case):
+    """The rules of the test above on random rational v and w, n in {2, 4,
+    6, 8}."""
+    m, v, w = case
+    for channel in _grade2_channels(make_point_jet(m, v=v, w=w)):
+        assert _read_rule_breaks(channel) == []
