@@ -17,7 +17,8 @@ xi-code (no derivative table).  It adds xi-codes tagged with the (left,
 right) cell and sums int products per tagged code, then per cell and moment
 degree, reading memoised moments derived from ``sphere_moment``; any set of
 cells then traces to one Fraction (``TraceTable.trace``).  The one-cell case
-is ``_leibniz_trace``, and the product trace is its alpha = () case.
+is ``_leibniz_trace``; with ``orders`` 0 (alpha = () alone) it is the
+product trace, which ``trace_integral`` takes against the identity symbol.
 
 The two density pipelines:
 
@@ -221,8 +222,7 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     is the product trace of the identity symbol with ``expr``.
     """
     _require_traceable(expr, m)
-    return Density(_trace_integral_product(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0),
-                                           expr, m))
+    return Density(_leibniz_trace(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0), expr, m, 0))
 
 
 class TraceTable(NamedTuple):
@@ -368,13 +368,6 @@ def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int,
     part at x0 of sum_{|alpha| <= orders} (-i)^|alpha|/alpha! d_xi^alpha L
     d_x^alpha R."""
     return _trace_table({0: left}, _bucketed(left.n, {0: right}, orders), m).trace()
-
-
-def _trace_integral_product(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
-    """Cosphere trace of the grade -2m, x-degree-0 part of left*right: the
-    alpha = () case of ``_leibniz_trace``, equivalent to
-    ``trace_integral(at_x0(xi_grade(left * right, -2m)), m)``."""
-    return _leibniz_trace(left, right, m, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,11 @@ it is the int C(nu, alpha) at the code nu - alpha, at the same phase and
 denominator (``_leibniz_alphas``, one memo entry per xi-code); a cosphere
 trace is real exactly when the phase is even.  The trace kernel in
 ``residue`` reads those factors for parts 1 and 2 and the audit with no
-derivative table; the tables ``xi_partials`` and ``x_partials``, paired by
-``leibniz_pairs``, serve the composed product symbol, the public API and
-the test oracles.  Each builder channel goes from int numerators to its
-symbol through one ``_symbol`` call (``_family`` for a Clifford term
-family); an exact ``GaussianRational`` enters there and in ``scale`` only as
-one real or imaginary scalar.
+derivative table; ``compose``, the one symbol-valued Leibniz composition,
+reads them for the composed product symbol.  Each builder channel goes
+from int numerators to its symbol through one ``_symbol`` call (``_family``
+for a Clifford term family); an exact ``GaussianRational`` enters there and
+in ``scale`` only as one real or imaginary scalar.
 Per-term coefficients are given outside the builders (``SymbolExpr(n,
 terms)``, ``add_term``) and read back by ``coefficient``; one that breaks
 the phase rule raises ValueError.
@@ -69,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below, _graded
@@ -378,28 +377,6 @@ def at_x0(expr: SymbolExpr) -> SymbolExpr:
                                    if not k[0]}, expr.den, expr.phase)
 
 
-def _indices(code: int, n: int) -> Deg:
-    """The 1-based index tuple of a monomial code: x_1^2 x_3 gives (1, 1, 3)."""
-    return tuple(j for j, e in enumerate(_decode(code, n), 1) for _ in range(e))
-
-
-def x_partials(expr: SymbolExpr, alpha_max: int = 2) -> Dict[Deg, SymbolExpr]:
-    """alpha -> d_x^alpha(expr) at x0 for |alpha| <= alpha_max, nonzero only,
-    in one pass: d_x^alpha f |x0 = mu! [x^mu] f for the x-multidegree mu of
-    alpha, so the terms are bucketed by x-code."""
-    n = expr.n
-    buckets: Dict[int, Dict[Code, int]] = {}
-    for (x, xi, p, word), r in expr.nums.items():
-        buckets.setdefault(x, {})[0, xi, p, word] = r
-    out = {}
-    for x, terms in buckets.items():
-        if x >> 8 * n <= alpha_max:
-            fact = prod(map(factorial, _decode(x, n)))
-            out[_indices(x, n)] = SymbolExpr._of(
-                n, {k: r * fact for k, r in terms.items()}, expr.den, expr.phase)
-    return dict(sorted(out.items(), key=lambda item: (len(item[0]), item[0])))
-
-
 _ALPHAS: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
 
@@ -426,31 +403,32 @@ def _norm_power(key: Code, n: int) -> ValueError:
     return ValueError(f"term {_key(key, n)} has a norm power: a Leibniz left factor takes none")
 
 
-def xi_partials(expr: SymbolExpr) -> Dict[Deg, SymbolExpr]:
-    """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <=
-    X_TRUNCATION (no x-jet is read past it), nonzero only, read off the codes:
-    the factor (-i)^|alpha| turns back the phase that d_xi^alpha flips, so a
-    term r xi^nu word at x0 gives C(nu, alpha) r xi^(nu - alpha) word
-    (``_leibniz_alphas``) at the same phase and denominator.  A term at x0
-    with a norm power raises ValueError naming it."""
-    n, table = expr.n, {}
-    for key, r in expr.nums.items():
+def compose(left: SymbolExpr, right: SymbolExpr) -> SymbolExpr:
+    """sum_{|alpha| <= X_TRUNCATION} (-i)^|alpha|/alpha! d_xi^alpha L
+    d_x^alpha R at x0, read off the codes.  d_x^alpha R at x0 is mu! [x^mu] R
+    for the x-multidegree mu of alpha, so R's terms are bucketed by x-code
+    (mu! is 2 exactly for an x_j^2 term); each x0 term r xi^nu word of L
+    gives C(nu, alpha) r xi^(nu - alpha) word at L's phase and denominator
+    (``_leibniz_alphas``) for each alpha whose bucket exists, and each
+    alpha's two parts are multiplied once.  An x0 term of L with a norm
+    power raises ValueError naming it."""
+    left._check(right)
+    n, twos = left.n, _ones(left.n) << 1
+    buckets: Dict[int, Dict[Code, int]] = {}
+    for (x, xi, p, word), r in right.nums.items():
+        buckets.setdefault(x, {})[0, xi, p, word] = 2 * r if x & twos else r
+    parts: Dict[int, Dict[Code, int]] = {}
+    for key, r in left.nums.items():
         x, xi, p, word = key
         if not x:
             if p:
                 raise _norm_power(key, n)
             for a, c in _leibniz_alphas(xi, n):
-                table.setdefault(a, {})[0, xi - a, 0, word] = c * r
-    return {_indices(a, n): SymbolExpr._of(n, nums, expr.den, expr.phase)
-            for a, nums in table.items()}
-
-
-def leibniz_pairs(left_dxi: Dict[Deg, SymbolExpr], right_dx: Dict[Deg, SymbolExpr]
-                  ) -> Iterable[Tuple[SymbolExpr, SymbolExpr]]:
-    """The Leibniz pairs at x0: those of the ``xi_partials`` table of L and
-    the ``x_partials`` table of R (holding the orders a caller reads) at each
-    alpha of both.  Their products sum to the composition at x0."""
-    return ((dl, dr) for alpha, dr in right_dx.items() if (dl := left_dxi.get(alpha)))
+                if a in buckets:
+                    parts.setdefault(a, {})[0, xi - a, 0, word] = c * r
+    return SymbolExpr.sum_of(n, (SymbolExpr._of(n, nums, left.den, left.phase)
+                                 * SymbolExpr._of(n, buckets[a], right.den, right.phase)
+                                 for a, nums in parts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -771,24 +749,20 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
 def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
                             ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
-    one-form-times-Dirac factors c(v) D_T and c(w) D_T, by the Leibniz
-    formula.  c(v) sigma(D_T) is linear in xi with no norm power, so only
-    |alpha| <= 1 terms survive; the value and first x-jet of c(w) sigma(D_T)
-    at x0 follow by the product rule from those of its two factors."""
+    one-form-times-Dirac factors c(v) D_T and c(w) D_T, by ``compose``.
+    c(v) sigma(D_T) is linear in xi with no norm power, so only |alpha| <= 1
+    terms survive: the left factor is read at x0, and the right one through
+    its value and first x-jet, w0 sigma + w1 sigma(x0) for c(w(x)) = w0 + w1
+    (w1 the x-linear dw jet), without the x^2 part of the full product."""
     n = jet.n
-    x0, zero = 0, SymbolExpr(n)
     inputs = inputs or JetInputs(jet)
-    sigma = x_partials(SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs)), 1)
-    # c(w(x)) carries w's first jet, read off the int forms of w and dw
+    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs))
+    s0 = at_x0(sigma)
+    # c(w(x)) read off the int forms of w and dw
     (w, w_den), (dw, dw_den) = inputs.vectors["w"], inputs.vectors["dw"]
-    nums, den = _summed((({(x0, x0, 0, 1 << a): x for a, x in w.items() if x}, w_den),
-                         ({(_unit(n, j), x0, 0, 1 << g): x for (j, g), x in dw.items()}, dw_den)))
-    cw = x_partials(_symbol(n, nums.items(), den), 1)
-    s0, w0 = sigma.get((), zero), cw.get((), zero)
-    right = {(): w0 * s0, **{(j,): cw.get((j,), zero) * s0 + w0 * sigma.get((j,), zero)
-                             for j in range(1, n + 1)}}
-    full = SymbolExpr.sum_of(n, (dl * dr for dl, dr in leibniz_pairs(
-        xi_partials(SymbolExpr.from_clifford(inputs.cv) * s0), right)))
+    w0 = _symbol(n, (((0, 0, 0, 1 << a), x) for a, x in w.items() if x), w_den)
+    w1 = _symbol(n, (((_unit(n, j), 0, 0, 1 << g), x) for (j, g), x in dw.items()), dw_den)
+    full = compose(SymbolExpr.from_clifford(inputs.cv) * s0, w0 * sigma + w1 * s0)
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 

@@ -20,7 +20,7 @@ from wres_torsion.numerics import GaussianRational, I, ONE
 from wres_torsion.residue import (
     PipelineContext,
     PipelineError,
-    _trace_integral_product,
+    _leibniz_trace,
     audit,
     metric_density,
     part1_closed,
@@ -177,7 +177,7 @@ def test_fast_product_trace_equals_generic():
             right.add_term(tuple(xd), tuple(xi), -2 * m - sum(xi), word,
                            _phase_coeff(xi, word, phase, r))
         generic = trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value
-        assert _trace_integral_product(left, right, m) == generic
+        assert _leibniz_trace(left, right, m, 0) == generic
 
 
 def _oracle_trace(expr, n):
@@ -239,7 +239,7 @@ def test_trace_kernel_matches_moment_oracle(n):
         left = _random_traceable(rng, n, phase, (0, 1, 2), x_share=0.3)
         right = _random_traceable(rng, n, phase, (-2 * m, -2 * m - 1, -2 * m - 2),
                                   x_share=0.3)
-        assert _trace_integral_product(left, right, m) == \
+        assert _leibniz_trace(left, right, m, 0) == \
             _oracle_product_trace(left, right, m)
         single = _random_traceable(rng, n, 0, (-2 * m,), words=(0, 0, 0b11))
         assert trace_integral(single, m).value == _oracle_trace(single, n)
@@ -249,7 +249,7 @@ def test_trace_kernel_exponents_below_128_add_without_carry():
     n, m = 4, 2
     left = SymbolExpr(n, {((0,) * n, (127, 1, 0, 0), -128, 0): ONE})
     right = SymbolExpr(n, {((0,) * n, (1, 127, 0, 0), -132, 0): ONE})
-    value = _trace_integral_product(left, right, m)
+    value = _leibniz_trace(left, right, m, 0)
     assert value == _oracle_product_trace(left, right, m) != 0
 
 
@@ -262,7 +262,7 @@ def test_trace_kernel_rejects_exponent_128():
     # an odd monomial, whose moment 0 would be returned silently
     left = SymbolExpr(n, {((0,) * n, (128, 0, 0, 0), -128, 0): ONE})
     with pytest.raises(PipelineError, match="128"):
-        _trace_integral_product(left, big, m)
+        _leibniz_trace(left, big, m, 0)
 
 
 def test_odd_phase_traces_raise():
@@ -273,11 +273,11 @@ def test_odd_phase_traces_raise():
     even = SymbolExpr(n, {((0,) * n, (0,) * n, -2 * m, 0b0001): I})
     assert cv.phase == 1 and even.phase == 0
     with pytest.raises(PipelineError, match="imaginary part -1$"):
-        _trace_integral_product(cv, even, m)
+        _leibniz_trace(cv, even, m, 0)
     with pytest.raises(PipelineError, match="imaginary part -1$"):
         trace_integral(cv * even, m)
     # two odd factors trace to a real number again
-    assert _trace_integral_product(cv, cv.scale(I) * even, m) == \
+    assert _leibniz_trace(cv, cv.scale(I) * even, m, 0) == \
         trace_integral(cv * (cv.scale(I) * even), m).value
 
 
@@ -341,15 +341,11 @@ def _second_x_derivative_case(n, j, k):
 @example(_second_x_derivative_case(6, 5, 5))
 @example(_second_x_derivative_case(6, 1, 4))
 def test_leibniz_trace_matches_the_table_oracle(case):
-    """The one-pass Leibniz trace equals the sum over alpha of the traced
-    products of the ``xi_partials`` entry of L and the ``x_partials`` entry
-    of R, each traced pair by pair by the moment oracle."""
+    """The one-pass Leibniz trace equals the moment-oracle trace of the
+    order -2m part of ``symbols.compose(L, R)``, the composition at x0."""
     m, left, right = case
-    right_dx = symbols.x_partials(right)
-    oracle = sum((_oracle_product_trace(dl, right_dx[alpha], m)
-                  for alpha, dl in symbols.xi_partials(left).items() if alpha in right_dx),
-                 Fraction(0))
-    assert residue._leibniz_trace(left, right, m) == oracle
+    composed = xi_grade(symbols.compose(left, right), -2 * m)
+    assert residue._leibniz_trace(left, right, m) == _oracle_trace(composed, left.n)
 
 
 def test_leibniz_trace_refuses_a_left_norm_power_by_name():
@@ -363,7 +359,7 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
                            ((1, 0, 0, 0), (1, 0, 0, 0), -5, 0): I})
     with pytest.raises(ValueError, match=re.escape(f"term {normed} has a norm power")):
         residue._leibniz_trace(left, right, m)
-    assert _trace_integral_product(left, right, m) == \
+    assert _leibniz_trace(left, right, m, 0) == \
         _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
 
@@ -1032,8 +1028,8 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
-    """An audit builds one ``xi_partials`` table, of the composed product
-    symbol's left factor c(v) sigma(D_T), and makes four kernel passes over
+    """An audit makes one ``compose`` call, on the composed product symbol's
+    left factor c(v) sigma(D_T) at x0, and makes four kernel passes over
     three bucketings: the dtpow channels are bucketed once for part 1's
     table, sigma_Delta's 14 channels once for both part-2 tables, and the
     metric's lead channel once for its one cell.  The printed pass reads the
@@ -1043,13 +1039,13 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     context read the tables with no further pass."""
     from wres_torsion import cli
 
-    tables, buckets, passes, sums = [], [], [], []
-    xi_partials, bucketed, trace_table = symbols.xi_partials, residue._bucketed, residue._trace_table
+    composed, buckets, passes, sums = [], [], [], []
+    compose, bucketed, trace_table = symbols.compose, residue._bucketed, residue._trace_table
     sum_of = SymbolExpr.sum_of.__func__
 
-    def counted(expr):
-        tables.append(expr)
-        return xi_partials(expr)
+    def counted(left, right):
+        composed.append(left)
+        return compose(left, right)
 
     def counted_buckets(n, rights, orders):
         buckets.append((list(rights), orders))
@@ -1063,7 +1059,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         exprs = list(exprs)
         sums.append(exprs)
         return sum_of(cls, n, exprs)
-    monkeypatch.setattr(symbols, "xi_partials", counted)
+    monkeypatch.setattr(symbols, "compose", counted)
     monkeypatch.setattr(residue, "_bucketed", counted_buckets)
     monkeypatch.setattr(residue, "_trace_table", counted_passes)
     monkeypatch.setattr(SymbolExpr, "sum_of", classmethod(counted_sums))
@@ -1086,26 +1082,23 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
     assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
     sigma = at_x0(sum_of(SymbolExpr, jet.n, symbols.build_sigma_dt(jet)))
-    assert tables == [SymbolExpr.from_clifford(ctx.cv) * sigma]
-    count = (len(tables), len(buckets), len(passes))
+    assert composed == [SymbolExpr.from_clifford(ctx.cv) * sigma]
+    count = (len(composed), len(buckets), len(passes))
     assert ctx.part1() == part1_density(jet, 2) and ctx.part2("composed").value
     assert ctx.part2("printed") == part2_density(jet, 2)
     assert all(row(3, ctx) for row, _ in cli.JET_CHECKS.values())
-    assert (len(tables), len(buckets), len(passes)) == count
+    assert (len(composed), len(buckets), len(passes)) == count
 
 
 def _summed_trace(lefts, rights, m, pairs):
-    """The trace of one composition of the summed channels of each side: pair
-    by pair through the derivative tables (``pairs``), else by the one-cell
-    kernel."""
+    """The trace of one composition of the summed channels of each side: by
+    the moment oracle on ``symbols.compose`` (``pairs``), else by the
+    one-cell kernel."""
     n = 2 * m
     left, right = SymbolExpr.sum_of(n, lefts), SymbolExpr.sum_of(n, rights)
     if not pairs:
         return residue._leibniz_trace(left, right, m)
-    right_dx = symbols.x_partials(right)
-    return sum((_oracle_product_trace(dl, right_dx[alpha], m)
-                for alpha, dl in symbols.xi_partials(left).items() if alpha in right_dx),
-               Fraction(0))
+    return _oracle_trace(xi_grade(symbols.compose(left, right), -2 * m), n)
 
 
 # label -> (printed channels, sigma_Delta grade (0, 1, 2 for the orders -2m,
@@ -1125,10 +1118,11 @@ _PART2_ROWS = {
 def test_audit_rows_and_totals_match_the_summed_path():
     """Every audit row and the part-1, part-2 and composed-shift totals (and
     the metric) equal one trace of the row's channels summed on each side,
-    off a fresh context: pair by pair at m = 2 and on the one-hot jets, by
-    the one-cell kernel on the m = 3 seeds.  The rows are read off shared
-    tables, so they add up to the totals by construction; this checks both
-    against a path that sums before it traces."""
+    off a fresh context: by the moment oracle on ``symbols.compose`` at
+    m = 2 and on the one-hot jets, by the one-cell kernel on the m = 3
+    seeds.  The rows are read off shared tables, so they add up to the
+    totals by construction; this checks both against a path that sums
+    before it traces."""
     from wres_torsion.cli import _one_hot_cases
     from wres_torsion.numerics import format_rational
 

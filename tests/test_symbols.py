@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wres_torsion import symbols
 from wres_torsion.clifford import CliffordElement, blade_mul, canonicalize, word_from_indices
@@ -158,27 +158,16 @@ def _alphas(n, alpha_max):
         yield from itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-def _partials(expr, d, alpha_max):
-    """alpha -> d^alpha(expr) for |alpha| <= alpha_max by repeated d, zero
-    entries dropped; each entry is one derivative of the entry for alpha
-    minus its last index."""
-    table = {(): expr}
-    for alpha in _alphas(expr.n, alpha_max):
-        prev = table.get(alpha[:-1]) if alpha else None
-        if prev:
-            der = d(prev, alpha[-1])
-            if der:
-                table[alpha] = der
-    return table
-
-
-def leibniz_compose(left, right, alpha_max=2):
+def leibniz_compose(left, right, alpha_max=2, at=None):
     """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
 
     The full x-dependent composition, the independent oracle of
-    ``symbols.leibniz_pairs``.  The derivatives are looked up in the
+    ``symbols.compose``.  The derivatives are looked up in the
     ``symbols`` module, so ``oracle_arithmetic`` swaps them; the Leibniz
-    factor is the tests' ``oracle_alpha_coefficient``."""
+    factor is the tests' ``oracle_alpha_coefficient``.  With ``at`` (an
+    ``at_x0``), each pair of derivatives is evaluated before its product:
+    that is the composition at x0, since x-degrees add and none is negative,
+    without the x-dependent products."""
     left._check(right)
     total = type(left)(left.n)
     for alpha in _alphas(left.n, alpha_max):
@@ -189,7 +178,9 @@ def leibniz_compose(left, right, alpha_max=2):
             continue
         for j in alpha:
             dr = symbols.d_x(dr, j)
-        if not dr:
+        if at:
+            dl, dr = at(dl), at(dr)
+        if not (dl and dr):
             continue
         total = total + (dl.scale(oracle_alpha_coefficient(alpha)) * dr)
     return total
@@ -235,13 +226,11 @@ def _product_factors(jet):
 
 def test_compose_at_x0_matches_generic():
     left, right = _product_factors(random_point_jet(4, 2))
-    assert at_x0(leibniz_compose(left, right, 2)) == SymbolExpr.sum_of(N, (
-        dl * dr for dl, dr in symbols.leibniz_pairs(
-            symbols.xi_partials(left), symbols.x_partials(right, 2))))
+    assert at_x0(leibniz_compose(left, right, 2)) == symbols.compose(left, right)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed, m", [(seed, m) for m in (2, 3) for seed in range(3)]
+                         + [(seed, 1) for seed in range(3)] + [(0, 4)])
 def test_composed_grades_match_full_composition(m, seed):
     """The first-order builder equals grades 2, 1, 0 of the full x-dependent
     composition with |alpha| <= 2, evaluated at x0."""
@@ -250,57 +239,65 @@ def test_composed_grades_match_full_composition(m, seed):
     assert build_sigma_ab_composed(jet) == tuple(xi_grade(full, d) for d in (2, 1, 0))
 
 
-def test_x_partials_one_pass_matches_repeated_d_x():
-    rng = random.Random(12)
-    for _ in range(40):
-        expr = _random_expr(rng, terms=rng.randint(0, 12))
-        for alpha_max in (0, 1, 2):
-            one_pass = symbols.x_partials(expr, alpha_max)
-            repeated = repeated_x_partials(expr, alpha_max)
-            assert list(one_pass) == list(repeated)
-            assert one_pass == repeated
-            for part in one_pass.values():
-                _assert_canonical(part)
-
-
 @st.composite
-def _xi_partials_cases(draw):
-    """A dimension, a phase-consistent expression of it with xi-exponents up
-    to 4 (norm powers only on terms with x != 0) and one x0 term with a norm
-    power."""
-    n, phase = draw(st.sampled_from((2, 4, 6, 8))), draw(st.integers(0, 1))
+def _compose_cases(draw):
+    """A dimension, a left and a right expression of it, each of a drawn
+    phase, with x-jets up to degree 2 and xi-exponents up to 4 (norm powers
+    on the right, and on the left only on terms with x != 0), and one left
+    x0 term with a norm power.  Some right terms sit at x^alpha for an
+    alpha <= nu of a left x0 term xi^nu, where |alpha| >= 1 pairs them."""
+    n = draw(st.sampled_from((2, 4, 6, 8)))
+    index = st.one_of(st.integers(0, 1), st.integers(0, n - 1))
 
-    def degree(draw_exponents):
-        return draw_exponents.map(lambda d: tuple(d.get(i, 0) for i in range(n)))
-    xdeg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=1))
-    xideg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3))
-    terms = {}
-    for x, xi, p, word, r in draw(st.lists(st.tuples(
-            xdeg, xideg, st.sampled_from([0, -2]), st.integers(0, (1 << n) - 1),
-            st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6)):
-        terms[x, xi, p if any(x) else 0, word] = _phase_coeff(xi, word, phase, r)
-    normed = ((0,) * n, draw(xideg), -2, draw(st.integers(0, (1 << n) - 1)))
-    return n, SymbolExpr(n, terms), normed
+    def counts(idx):
+        return tuple(map(idx.count, range(n)))
+    xideg = st.lists(index, max_size=4).map(counts)
+
+    def expr(xdeg, left):
+        phase, terms = draw(st.integers(0, 1)), {}
+        for x, xi, p, word, r in draw(st.lists(st.tuples(
+                xdeg, xideg, st.sampled_from([0, -2, -4]), st.integers(0, (1 << n) - 1),
+                st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+                min_size=1, max_size=6)):
+            terms[x, xi, p if any(x) or not left else 0, word] = _phase_coeff(xi, word, phase, r)
+        return SymbolExpr(n, terms)
+    xdeg = st.lists(index, max_size=2).map(counts)
+    left = expr(xdeg, True)
+    partners = sorted({counts(alpha) for key in left.terms if not any(key[0])
+                       for k in (1, 2) for alpha in itertools.combinations(
+                           [i for i, e in enumerate(key[1]) for _ in range(e)], k)})
+    right = expr(st.one_of(xdeg, st.sampled_from(partners)) if partners else xdeg, False)
+    return n, left, right, ((0,) * n, draw(xideg), -2, draw(st.integers(0, (1 << n) - 1)))
+
+
+def _second_x_derivative_compose(n, j, k):
+    """xi_j xi_k c_1 c_2 against x_j x_k c_1 (2 x_j^2 when j == k) and an x0
+    term with a norm power, which |alpha| = 2 and alpha = () pair with it."""
+    x0, pair = (0,) * n, tuple((i == j) + (i == k) for i in range(n))
+    left = SymbolExpr(n, {(x0, pair, 0, 0b11): _phase_coeff(pair, 0b11, 0, Fraction(2, 3))})
+    right = SymbolExpr(n, {(pair, x0, -4, 0b1): _phase_coeff(x0, 0b1, 1, Fraction(5)),
+                           (x0, pair, -6, 0b10): _phase_coeff(pair, 0b10, 1, Fraction(1, 2))})
+    return n, left, right, (x0, pair, -2, 0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_xi_partials_cases())
-def test_xi_partials_one_pass_matches_repeated_d_xi(case):
-    """The one-pass table equals the repeated-d_xi table at x0 times the
-    Leibniz factor, entry by entry, in canonical form at the expression's
-    phase; terms with x != 0 are ignored, and an x0 term with a norm power
-    is refused by name."""
-    n, expr, normed = case
-    table = symbols.xi_partials(expr)
-    assert table == repeated_xi_partials(expr)
-    for part in table.values():
-        _assert_canonical(part)
-        assert part.phase == expr.phase
-    assert symbols.xi_partials(at_x0(expr)) == table
-    bad = SymbolExpr.sum_of(n, (expr, SymbolExpr(n, {
-        normed: _phase_coeff(normed[1], normed[3], expr.phase, Fraction(1, 3))})))
+@given(_compose_cases())
+@example(_second_x_derivative_compose(4, 0, 0))
+@example(_second_x_derivative_compose(6, 1, 4))
+def test_compose_matches_the_full_composition_at_x0(case):
+    """``compose`` equals the full composition with |alpha| <= 2 at x0, in
+    canonical form at the summed phase; the left terms with x != 0 are
+    ignored, and a left x0 term with a norm power is refused by name."""
+    n, left, right, normed = case
+    composed = symbols.compose(left, right)
+    assert composed == at_x0(leibniz_compose(left, right, 2))
+    _assert_canonical(composed)
+    assert not composed or composed.phase == left.phase ^ right.phase
+    assert symbols.compose(at_x0(left), right) == composed
+    bad = SymbolExpr.sum_of(n, (left, SymbolExpr(n, {
+        normed: _phase_coeff(normed[1], normed[3], left.phase, Fraction(1, 3))})))
     with pytest.raises(ValueError, match=re.escape(str(normed))):
-        symbols.xi_partials(bad)
+        symbols.compose(bad, right)
 
 
 # ---------------------------------------------------------------------------
@@ -658,27 +655,12 @@ def oracle_symbol(n, nums, den, coeff=1):
                           for key, c in nums}).scale(coeff)
 
 
-def repeated_x_partials(expr, alpha_max=2):
-    """alpha -> d_x^alpha(expr) at x0 by repeated d_x, then evaluation at x0:
-    the reference of the one-pass ``symbols.x_partials``.  ``d_x`` and
-    ``at_x0`` are looked up in the ``symbols`` module, so
-    ``oracle_arithmetic`` swaps them."""
-    out = {}
-    for alpha, der in _partials(expr, symbols.d_x, alpha_max).items():
-        der = symbols.at_x0(der)
-        if der:
-            out[alpha] = der
-    return out
-
-
-def repeated_xi_partials(expr):
-    """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <= 2,
-    nonzero only, by evaluation at x0, then repeated d_xi, then the Leibniz
-    factor: the reference of the one-pass ``symbols.xi_partials``.  ``d_xi``
-    and ``at_x0`` are looked up in the ``symbols`` module, so
-    ``oracle_arithmetic`` swaps them."""
-    return {alpha: der.scale(oracle_alpha_coefficient(alpha)) for alpha, der in
-            _partials(symbols.at_x0(expr), symbols.d_xi, X_TRUNCATION).items() if der}
+def composed_at_x0(left, right):
+    """``symbols.compose`` as the composition at x0 by ``leibniz_compose``,
+    each derivative pair evaluated by ``at_x0`` before its product (the full
+    product is tested against ``compose`` directly); ``at_x0`` is looked up
+    in the ``symbols`` module, so ``oracle_arithmetic`` swaps it."""
+    return leibniz_compose(left, right, at=symbols.at_x0)
 
 
 @contextmanager
@@ -688,8 +670,7 @@ def oracle_arithmetic():
         for name, value in (("SymbolExpr", OracleExpr), ("d_xi", oracle_d_xi),
                             ("d_x", oracle_d_x), ("xi_grade", oracle_xi_grade),
                             ("at_x0", oracle_at_x0), ("_family", oracle_family),
-                            ("_symbol", oracle_symbol), ("x_partials", repeated_x_partials),
-                            ("xi_partials", repeated_xi_partials)):
+                            ("_symbol", oracle_symbol), ("compose", composed_at_x0)):
             mp.setattr(symbols, name, value)
         yield
 
@@ -700,8 +681,10 @@ def expand(expr):
 
 
 def _pipeline_symbols(jet, m):
-    """Every builder channel, the printed and composed grades and the
-    Leibniz pairs of part 2, under whichever arithmetic is installed."""
+    """Every builder channel, the printed and composed grades and, at m = 2,
+    their compositions with sigma_Delta (part 2's Leibniz sum), under
+    whichever arithmetic is installed.  At m = 3 a composition has about
+    10,000 terms, and the oracle's products take about 9 s per jet."""
     n = jet.n
     out = {f"dt.{i}": e for i, e in enumerate(symbols.build_sigma_dt(jet))}
     out.update((f"dt_first_principles.{i}", e) for i, e in
@@ -718,14 +701,12 @@ def _pipeline_symbols(jet, m):
     out.update((f"printed.{k}", e) for k, e in printed.items())
     sigma_delta = symbols.SymbolExpr.sum_of(
         n, (e for parts in delta for e in parts.values()))
-    right_dx = symbols.x_partials(sigma_delta)
     for source, grades in (("printed", symbols.printed_grades(printed)),
                            ("composed", symbols.build_sigma_ab_composed(jet))):
         out.update((f"{source}_grade{2 - i}", e) for i, e in enumerate(grades))
-        left = symbols.SymbolExpr.sum_of(n, grades)
-        for i, (dl, dr) in enumerate(symbols.leibniz_pairs(symbols.xi_partials(left), right_dx)):
-            out[f"{source}_pair{i}.left"] = dl
-            out[f"{source}_pair{i}.right"] = dr
+        if m == 2:
+            out[f"{source}_composition"] = symbols.compose(
+                symbols.SymbolExpr.sum_of(n, grades), sigma_delta)
     return out
 
 
@@ -939,25 +920,15 @@ def _expr_cases(draw):
     return n, pairs, draw(st.integers(1, n)), draw(st.integers(-4, 3))
 
 
-def _oracle_x_partials(expr, alpha_max):
-    """The repeated-d_x table of an OracleExpr, each entry at x0."""
-    table = _partials(expr, oracle_d_x, alpha_max).items()
-    return {alpha: oracle_at_x0(der) for alpha, der in table if oracle_at_x0(der)}
-
-
 @settings(max_examples=60, deadline=None)
 @given(_expr_cases())
 def test_code_keyed_calculus_matches_tuple_keyed_oracle(case):
-    """d_xi, d_x, the product, xi_grade, at_x0 and x_partials on code keys
-    equal the tuple-keyed OracleExpr, for n up to 16."""
+    """d_xi, d_x, the product, xi_grade and at_x0 on code keys equal the
+    tuple-keyed OracleExpr, for n up to 16."""
     n, ((a, oa), (b, ob)), j, grade = case
     cases = [(d_xi(a, j), oracle_d_xi(oa, j)), (d_x(a, j), oracle_d_x(oa, j)),
              (a * b, oa * ob), (xi_grade(a, grade), oracle_xi_grade(oa, grade)),
              (at_x0(a), oracle_at_x0(oa))]
-    for alpha_max in (1, 2):
-        table, oracle = symbols.x_partials(a, alpha_max), _oracle_x_partials(oa, alpha_max)
-        assert list(table) == sorted(oracle, key=lambda alpha: (len(alpha), alpha))
-        cases += [(table[alpha], oracle[alpha]) for alpha in table]
     for engine, oracle in cases:
         _assert_canonical(engine)
         assert expand(engine) == oracle.terms
@@ -1510,10 +1481,10 @@ def _read_rule_breaks(expr):
     (rule 3)."""
     breaks = []
     for key in expr.nums:
-        word, index = key[3], symbols._indices(key[1], expr.n)
-        mask = sum({1 << (i - 1) for i in index})
+        word = key[3]
+        mask = sum(1 << i for i, e in enumerate(symbols._decode(key[1], expr.n)) if e)
         if word.bit_count() not in (0, 2) or (
-                len(set(index)) == 2 and word and not word & mask):
+                mask.bit_count() == 2 and word and not word & mask):
             breaks.append(symbols._key(key, expr.n))
     return breaks
 
