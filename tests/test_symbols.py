@@ -158,6 +158,25 @@ def _alphas(n, alpha_max):
         yield from itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
+def _partials(expr, d, alpha_max):
+    """alpha -> d^alpha(expr) for |alpha| <= alpha_max by repeated d, zero
+    entries dropped; each entry is one derivative of the entry for alpha
+    minus its last index."""
+    table = {(): expr}
+    for alpha in _alphas(expr.n, alpha_max):
+        prev = table.get(alpha[:-1]) if alpha else None
+        if prev:
+            der = d(prev, alpha[-1])
+            if der:
+                table[alpha] = der
+    return table
+
+
+def _multidegree(n, alpha):
+    """The exponent tuple of a 1-based index tuple alpha."""
+    return tuple(alpha.count(j) for j in range(1, n + 1))
+
+
 def leibniz_compose(left, right, alpha_max=2, at=None):
     """sum_{|alpha| <= alpha_max} (-i)^|alpha|/alpha! d_xi^alpha(L) d_x^alpha(R).
 
@@ -237,6 +256,72 @@ def test_composed_grades_match_full_composition(m, seed):
     jet = random_point_jet(seed, m)
     full = at_x0(leibniz_compose(*_product_factors(jet), 2))
     assert build_sigma_ab_composed(jet) == tuple(xi_grade(full, d) for d in (2, 1, 0))
+
+
+def test_x_partials_one_pass_matches_repeated_d_x():
+    """``compose`` buckets the right operand by x-code in one pass: against
+    an x0 monomial xi^alpha word on the left, for every |alpha| <= 2, it is
+    the Leibniz sum of the left's d_xi^beta with the table of d_x^beta R at
+    x0 by repeated d_x, in canonical form."""
+    rng = random.Random(12)
+    for _ in range(40):
+        expr = _random_expr(rng, terms=rng.randint(0, 12))
+        repeated = repeated_x_partials(expr, X_TRUNCATION)
+        for alpha in _alphas(N, X_TRUNCATION):
+            nu, word = _multidegree(N, alpha), rng.randrange(1 << N)
+            left = _expr((Z, nu, 0, word, _phase_coeff(nu, word, 0, Fraction(rng.randint(1, 5)))))
+            composed = symbols.compose(left, expr)
+            assert composed == SymbolExpr.sum_of(N, (
+                dl.scale(oracle_alpha_coefficient(beta)) * repeated[beta]
+                for beta, dl in _partials(left, symbols.d_xi, X_TRUNCATION).items()
+                if beta in repeated))
+            _assert_canonical(composed)
+
+
+@st.composite
+def _xi_partials_cases(draw):
+    """A dimension, a phase-consistent expression of it with xi-exponents up
+    to 4 (norm powers only on terms with x != 0) and one x0 term with a norm
+    power."""
+    n, phase = draw(st.sampled_from((2, 4, 6, 8))), draw(st.integers(0, 1))
+
+    def degree(draw_exponents):
+        return draw_exponents.map(lambda d: tuple(d.get(i, 0) for i in range(n)))
+    xdeg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=1))
+    xideg = degree(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3))
+    terms = {}
+    for x, xi, p, word, r in draw(st.lists(st.tuples(
+            xdeg, xideg, st.sampled_from([0, -2]), st.integers(0, (1 << n) - 1),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6)):
+        terms[x, xi, p if any(x) else 0, word] = _phase_coeff(xi, word, phase, r)
+    normed = ((0,) * n, draw(xideg), -2, draw(st.integers(0, (1 << n) - 1)))
+    return n, SymbolExpr(n, terms), normed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_xi_partials_cases())
+def test_xi_partials_one_pass_matches_repeated_d_xi(case):
+    """``compose`` reads the left operand's Leibniz factors in one pass:
+    against the right operand x^mu, for every |alpha| <= 2 of multidegree
+    mu, it is mu! times the repeated-d_xi entry for alpha at x0 with the
+    Leibniz factor, in canonical form at the expression's phase; terms with
+    x != 0 are ignored, and an x0 term with a norm power is refused by
+    name."""
+    n, expr, normed = case
+    table, x0 = repeated_xi_partials(expr), (0,) * n
+    for alpha in _alphas(n, X_TRUNCATION):
+        mu = _multidegree(n, alpha)
+        right = SymbolExpr(n, {(mu, x0, 0, 0): ONE})
+        entry = symbols.compose(expr, right)
+        assert entry == table.get(alpha, SymbolExpr(n)).scale(
+            math.prod(map(math.factorial, mu)))
+        _assert_canonical(entry)
+        assert not entry or entry.phase == expr.phase
+        assert symbols.compose(at_x0(expr), right) == entry
+    bad = SymbolExpr.sum_of(n, (expr, SymbolExpr(n, {
+        normed: _phase_coeff(normed[1], normed[3], expr.phase, Fraction(1, 3))})))
+    with pytest.raises(ValueError, match=re.escape(str(normed))):
+        symbols.compose(bad, SymbolExpr(n, {(x0, x0, 0, 0): ONE}))
 
 
 @st.composite
@@ -653,6 +738,26 @@ def oracle_symbol(n, nums, den, coeff=1):
     an exact coefficient at its decoded key, then scale."""
     return OracleExpr(n, {symbols._key(key, n): Fraction(c, den)
                           for key, c in nums}).scale(coeff)
+
+
+def repeated_x_partials(expr, alpha_max=2):
+    """alpha -> d_x^alpha(expr) at x0 by repeated d_x, then evaluation at x0:
+    the reference of the right operand's x-code buckets in ``compose``."""
+    out = {}
+    for alpha, der in _partials(expr, symbols.d_x, alpha_max).items():
+        der = symbols.at_x0(der)
+        if der:
+            out[alpha] = der
+    return out
+
+
+def repeated_xi_partials(expr):
+    """alpha -> (-i)^|alpha|/alpha! d_xi^alpha(expr) at x0 for |alpha| <= 2,
+    nonzero only, by evaluation at x0, then repeated d_xi, then the Leibniz
+    factor: the reference of the left operand's Leibniz factors in
+    ``compose``."""
+    return {alpha: der.scale(oracle_alpha_coefficient(alpha)) for alpha, der in
+            _partials(symbols.at_x0(expr), symbols.d_xi, X_TRUNCATION).items() if der}
 
 
 def composed_at_x0(left, right):
