@@ -17,8 +17,9 @@ xi-code (no derivative table).  It adds xi-codes tagged with the (left,
 right) cell and sums int products per tagged code, then per cell and moment
 degree, reading memoised moments derived from ``sphere_moment``; any set of
 cells then traces to one Fraction (``TraceTable.trace``).  The one-cell case
-is ``_leibniz_trace``; with ``orders`` 0 (alpha = () alone) it is the
-product trace, which ``trace_integral`` takes against the identity symbol.
+is ``_leibniz_trace``, which ``trace_integral`` takes with the identity symbol
+on the left (its only alpha is ()).  A left x0 term with a norm power is
+refused by name, as in ``symbols.compose`` (``_norm_power``).
 
 The two density pipelines:
 
@@ -64,7 +65,6 @@ from .clifford import word_indices
 from .geometry import PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
-    X_TRUNCATION,
     JetInputs,
     SymbolExpr,
     _decode,
@@ -219,10 +219,11 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     norm factors are 1 on the sphere.  Only the identity word is traced
     (nonempty canonical words are traceless), a term contributes i^(|nu| -
     phase) r times its moment, and an exponent of 128 or more raises.  This
-    is the product trace of the identity symbol with ``expr``.
+    is ``_leibniz_trace`` of the identity symbol, whose only alpha is (),
+    with ``expr``.
     """
     _require_traceable(expr, m)
-    return Density(_leibniz_trace(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0), expr, m, 0))
+    return Density(_leibniz_trace(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0), expr, m))
 
 
 class TraceTable(NamedTuple):
@@ -269,40 +270,35 @@ def _common(n: int, exprs: Sequence[SymbolExpr]) -> Tuple[int, int, List[int]]:
     return den, min(phases, default=0), [den // e.den for e in exprs]
 
 
-# (n, right keys, orders, den, phase, buckets), what ``_bucketed`` makes of
-# the right channels
-Bucketed = Tuple[int, List[Hashable], int, int, int,
+# (n, right keys, den, phase, buckets), what ``_bucketed`` makes of the
+# right channels
+Bucketed = Tuple[int, List[Hashable], int, int,
                  Dict[Tuple[int, int, int, int], List[Tuple[int, int]]]]
 
 
-def _bucketed(n: int, rights: Dict[Hashable, SymbolExpr], orders: int) -> Bucketed:
+def _bucketed(n: int, rights: Dict[Hashable, SymbolExpr]) -> Bucketed:
     """The right channels R_j of the trace kernel over their common
     denominator and phase, bucketed once: each term r x^mu xi^nu ||xi||^p
-    word of R_j with |mu| <= ``orders`` is listed as (xi-code plus j above
-    ``_tag_shift(n)``, mu! r over the common denominator) under (x-code,
-    word, odd mask ``xi & _ones(n)``, xi-order |nu| + p), so the buckets of
-    x-code alpha hold d_x^alpha R_j at x0 (mu! is 2 exactly for an x_j^2
-    term)."""
+    word of R_j is listed as (xi-code plus j above ``_tag_shift(n)``, mu! r
+    over the common denominator) under (x-code, word, odd mask ``xi &
+    _ones(n)``, xi-order |nu| + p), so the buckets of x-code alpha hold
+    d_x^alpha R_j at x0 (mu! is 2 exactly for an x_j^2 term)."""
     s, odd, high, twos = 8 * n, _ones(n), _ones(n) << 7, _ones(n) << 1
     den, phase, factors = _common(n, list(rights.values()))
     buckets: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = {}
     for j, (right, f) in enumerate(zip(rights.values(), factors)):
         tag = j << _tag_shift(n)
         for (x, xi, p, word), r in right.nums.items():
-            if x >> s <= orders:
-                if xi & high:
-                    raise _unpackable(xi, n)
-                buckets.setdefault((x, word, xi & odd, (xi >> s) + p), []).append(
-                    (xi + tag, (2 * r if x & twos else r) * f))
-    return n, list(rights), orders, den, phase, buckets
-
-
-_PRODUCT = ((0, 1),)  # alpha = () alone, with its Leibniz factor 1
+            if xi & high:
+                raise _unpackable(xi, n)
+            buckets.setdefault((x, word, xi & odd, (xi >> s) + p), []).append(
+                (xi + tag, (2 * r if x & twos else r) * f))
+    return n, list(rights), den, phase, buckets
 
 
 def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) -> TraceTable:
     """The channel-resolved cosphere trace of the grade -2m part at x0 of the
-    Leibniz compositions sum_{|alpha| <= orders} (-i)^|alpha|/alpha!
+    Leibniz compositions sum_{|alpha| <= 2} (-i)^|alpha|/alpha!
     d_xi^alpha L_i d_x^alpha R_j of each left channel L_i (over their common
     denominator and phase) with each right channel R_j of ``_bucketed``.
 
@@ -317,10 +313,9 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
     summed per product code (no carry below 128), which carries the cell
     index i R + j above ``_tag_shift(n)``; then per cell and moment degree.
     By grading, a cell of two homogeneous channels holds one |alpha| only.
-    With ``orders`` 0 this is the product trace, where L_i may carry a norm
-    power; past it, d_xi would differentiate ||xi||^p, and such a term
-    raises ValueError naming it."""
-    n, right_keys, orders, right_den, right_phase, buckets = bucketed
+    An x0 term of L_i with a norm power raises ValueError naming it
+    (``_norm_power``), whatever the right channels."""
+    n, right_keys, right_den, right_phase, buckets = bucketed
     den, phase, factors = _common(n, list(lefts.values()))
     grade, get, width, shift = -2 * m, buckets.get, len(right_keys), _tag_shift(n)
     s, odd, high = 8 * n, _ones(n), _ones(n) << 7
@@ -333,17 +328,13 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
                 continue
             if xi & high:
                 raise _unpackable(xi, n)
-            if not orders:
-                alphas = _PRODUCT
-            elif p:
+            if p:
                 raise _norm_power(key, n)
-            else:
-                alphas = _leibniz_alphas(xi, n)
             # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
             # an odd number exactly when k % 4 is 2 or 3
             ca *= -f if word.bit_count() & 2 else f
-            order = grade - (xi >> s) - p
-            for a, c in alphas:
+            order = grade - (xi >> s)
+            for a, c in _leibniz_alphas(xi, n):
                 bucket = get((a, word, (xi - a) & odd, order + (a >> s)))
                 if bucket is not None:
                     rest, c = xi - a + tag, c * ca
@@ -362,12 +353,11 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
                        for t, cell in cells.items()}, phase + right_phase, den * right_den)
 
 
-def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int,
-                   orders: int = X_TRUNCATION) -> Fraction:
+def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
     """The one-cell ``_trace_table``: the cosphere trace of the grade -2m
-    part at x0 of sum_{|alpha| <= orders} (-i)^|alpha|/alpha! d_xi^alpha L
+    part at x0 of sum_{|alpha| <= 2} (-i)^|alpha|/alpha! d_xi^alpha L
     d_x^alpha R."""
-    return _trace_table({0: left}, _bucketed(left.n, {0: right}, orders), m).trace()
+    return _trace_table({0: left}, _bucketed(left.n, {0: right}), m).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +413,7 @@ class PipelineContext(JetInputs):
         channel is."""
         for part in channels.values():
             _require_traceable(part, self.m)
-        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, channels, 0), self.m)
+        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, channels), self.m)
 
     part1_table = cached_property(lambda self: self._cvw_table(self.dtpow_parts))
     metric_table = cached_property(
@@ -435,7 +425,7 @@ class PipelineContext(JetInputs):
         once for both part-2 tables: the printed channels (keyed by name) and
         the composed grades 2, 1, 0 (keyed 0, 1, 2) against each of them."""
         return _bucketed(self.n, {(g, name): part for g, parts in enumerate(self.delta_inv_parts)
-                                  for name, part in parts.items()}, X_TRUNCATION)
+                                  for name, part in parts.items()})
 
     printed_table = cached_property(
         lambda self: _trace_table(self.printed(), self.delta_buckets, self.m))

@@ -398,8 +398,10 @@ def _leibniz_alphas(xi: int, n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def _norm_power(key: Code, n: int) -> ValueError:
-    """The refusal of a left Leibniz factor's x0 term with a norm power, which
-    d_xi would have to differentiate; no engine left factor has one."""
+    """The one rule of both Leibniz paths, ``compose`` and ``residue``'s trace
+    kernel: an x0 term of the left factor with a norm power is refused by
+    name, whatever the right factor, since d_xi would have to differentiate
+    ||xi||^p; no engine left factor has one."""
     return ValueError(f"term {_key(key, n)} has a norm power: a Leibniz left factor takes none")
 
 
@@ -523,22 +525,6 @@ def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int) -> Tuple[Dict, Dict
     return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
 
 
-def _curvature_word_sums(curvature: Tuple[Dict[Deg, int], int], n: int
-                         ) -> List[CliffordElement]:
-    """[1/8 sum_{a,t,s} R_{bats} c_a c_s c_t for b < n] (the x^b jet
-    channels), from the int form ``curvature`` of R's nonzero entries."""
-    nums, den = curvature
-    terms: List[list] = [[] for _ in range(n)]
-    for (b, a, t, s), val in nums.items():
-        # c_a c_s is -1 times its canonical word iff a >= s (a swap or
-        # c_a^2 = -1); c_t then passes the generators of that word above t
-        # and squares to -1 if it is one of them
-        ws = (1 << a) ^ (1 << s)
-        odd = (a >= s) + (ws >> t).bit_count()
-        terms[b].append((ws ^ (1 << t), -val if odd & 1 else val))
-    return [CliffordElement._of(n, _collected(row), 8 * den) for row in terms]
-
-
 def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
                          ) -> Dict[Tuple[int, int], CliffordElement]:
     """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing,
@@ -570,10 +556,10 @@ class JetInputs:
     (``vectors``, which the derived scalars keep in their ``int_forms``), the
     derived scalars, c(v), c(w) and c(v) c(dw) read off those forms, R's and
     Ric's int forms (the derived scalars' ``int_forms``), the curvature
-    word and pair sums, T's and dT1's 3-forms and bivector rows (``torsion``:
-    one pass per channel), the mm-free order -(2mm+2) families and the
-    printed product symbol's channels.  A builder given only the jet makes
-    its own.
+    pair sums and the word sums read off them, T's and dT1's 3-forms and
+    bivector rows (``torsion``: one pass per channel), the mm-free order
+    -(2mm+2) families and the printed product symbol's channels.  A builder
+    given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``printed()``) on the terms a context's traces read, as
@@ -597,12 +583,25 @@ class JetInputs:
     cw = cached_property(lambda self: _vector(self.n, self.vectors["w"]))
     curvature = property(lambda self: self.derived.int_forms["R"])
     ric = property(lambda self: self.derived.int_forms["ric"])
-    word_sums = cached_property(lambda self: _curvature_word_sums(self.curvature, self.n))
     pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
     torsion = cached_property(lambda self: tuple(zip(*(
         _torsion_forms(self.derived.int_forms[name], self.n) for name in ("T", "dT1")))))
     forms = property(lambda self: self.torsion[0])
     rows = property(lambda self: self.torsion[1])
+
+    @cached_property
+    def word_sums(self) -> List[CliffordElement]:
+        """[1/8 sum_a c_a pair_sums[(b, a)] for b < n], the x^b jet channels
+        1/8 sum_{a,t,s} R_{bats} c_a c_s c_t, in one pass over the pair sums'
+        words: c_a w is -1 times its word iff w holds an odd number of
+        generators at or below a (those below are passed, and c_a^2 = -1)."""
+        rows: List[list] = [[] for _ in range(self.n)]
+        for (b, a), pair in self.pair_sums.items():
+            upto = (2 << a) - 1
+            rows[b].append(({w ^ (1 << a): -c if (w & upto).bit_count() & 1 else c
+                             for w, c in pair.nums.items()}, pair.den))
+        return [CliffordElement._of(self.n, nums, 8 * den)
+                for nums, den in map(_summed, rows)]
 
     @cached_property
     def cv_dw(self) -> CliffordElement:

@@ -34,7 +34,6 @@ from wres_torsion.residue import (
 )
 from test_symbols import leibniz_compose
 from wres_torsion.symbols import (
-    X_TRUNCATION,
     SymbolExpr,
     at_x0,
     build_sigma_ab_printed,
@@ -151,33 +150,47 @@ def _phase_coeff(xi, word, phase, r):
 
 
 def test_fast_product_trace_equals_generic():
+    """The kernel against the generic arithmetic: a left operand without a
+    norm power against a right one with x-jets up to degree 2, traced by the
+    kernel and through ``trace_integral`` of the order -2m part of
+    ``leibniz_compose``.  The same left terms, given the norm powers that
+    make each of xi-order 0, are traced through ``trace_integral`` of the x0
+    product, against the pair-by-pair oracle.  Exponents sit on xi_1, xi_2
+    and x_1, x_2 and words on 0 and c_1 c_2, so that many pairs meet."""
     rng = random.Random(8)
     n, m = 4, 2
+    hits = [0, 0, 0]  # nonzero traces, of them with an |alpha| >= 1 part, nonzero normed ones
     for trial in range(30):
-        left = SymbolExpr(n)
-        right = SymbolExpr(n)
+        left, normed, right = SymbolExpr(n), SymbolExpr(n), SymbolExpr(n)
         phase = trial % 2  # both even, or both odd (an even product)
         for _ in range(6):
             xi = [0] * n
             for _ in range(rng.randint(0, 2)):
-                xi[rng.randrange(n)] += 1
-            word = rng.randrange(1 << n)
-            r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            left.add_term((0,) * n, tuple(xi), -sum(xi), word,
-                          _phase_coeff(xi, word, phase, r))
+                xi[rng.randrange(2)] += 1
+            word = rng.choice((0, 0b11))
+            coeff = _phase_coeff(xi, word, phase, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            left.add_term((0,) * n, tuple(xi), 0, word, coeff)
+            normed.add_term((0,) * n, tuple(xi), -sum(xi), word, coeff)
         for _ in range(6):
             xi = [0] * n
             for _ in range(rng.randint(0, 2)):
-                xi[rng.randrange(n)] += 1
+                xi[rng.randrange(2)] += 1
             xd = [0] * n
-            if rng.random() < 0.4:
-                xd[rng.randrange(n)] += 1
-            word = rng.randrange(1 << n)
+            if rng.random() < 0.6:
+                for _ in range(rng.randint(1, 2)):
+                    xd[rng.randrange(2)] += 1
+            word = rng.choice((0, 0b11))
             r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            right.add_term(tuple(xd), tuple(xi), -2 * m - sum(xi), word,
+            right.add_term(tuple(xd), tuple(xi), -2 * m - rng.randint(0, 2) - sum(xi), word,
                            _phase_coeff(xi, word, phase, r))
-        generic = trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value
-        assert _leibniz_trace(left, right, m, 0) == generic
+        value = _leibniz_trace(left, right, m)
+        assert value == trace_integral(
+            at_x0(xi_grade(leibniz_compose(left, right), -2 * m)), m).value
+        product_value = trace_integral(at_x0(xi_grade(normed * right, -2 * m)), m).value
+        assert product_value == _oracle_product_trace(normed, right, m)
+        hits = [h + bool(v) for h, v in zip(hits, (
+            value, value - _leibniz_trace(left, at_x0(right), m), product_value))]
+    assert all(hits), hits
 
 
 def _oracle_trace(expr, n):
@@ -230,8 +243,20 @@ def _random_traceable(rng, n, phase, orders, x_share=0.0, words=(0, 0b11, 0b101,
     return expr
 
 
+def _bare(expr):
+    """The x0 terms of ``expr`` without their norm powers (summed where two
+    then meet)."""
+    n = expr.n
+    return SymbolExpr.sum_of(n, (SymbolExpr._of(n, {(0, xi, 0, word): r}, expr.den, expr.phase)
+                                 for (x, xi, _, word), r in expr.nums.items() if not x))
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_trace_kernel_matches_moment_oracle(n):
+    """Product traces against the pair-by-pair oracle: a left operand with
+    norm powers through ``trace_integral`` of the x0 product, and the kernel
+    itself on the same left terms without them against the x-free right, so
+    that alpha = () alone pairs."""
     m = n // 2
     rng = random.Random(n)
     for trial in range(40):
@@ -239,17 +264,21 @@ def test_trace_kernel_matches_moment_oracle(n):
         left = _random_traceable(rng, n, phase, (0, 1, 2), x_share=0.3)
         right = _random_traceable(rng, n, phase, (-2 * m, -2 * m - 1, -2 * m - 2),
                                   x_share=0.3)
-        assert _leibniz_trace(left, right, m, 0) == \
+        assert trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value == \
             _oracle_product_trace(left, right, m)
+        bare = _bare(left)
+        assert _leibniz_trace(bare, at_x0(right), m) == _oracle_product_trace(bare, right, m)
         single = _random_traceable(rng, n, 0, (-2 * m,), words=(0, 0, 0b11))
         assert trace_integral(single, m).value == _oracle_trace(single, n)
 
 
 def test_trace_kernel_exponents_below_128_add_without_carry():
+    """127 + 1 in the kernel's packed sum: the left term takes no norm power,
+    and against an x-free right alpha = () alone pairs."""
     n, m = 4, 2
-    left = SymbolExpr(n, {((0,) * n, (127, 1, 0, 0), -128, 0): ONE})
-    right = SymbolExpr(n, {((0,) * n, (1, 127, 0, 0), -132, 0): ONE})
-    value = _leibniz_trace(left, right, m, 0)
+    left = SymbolExpr(n, {((0,) * n, (127, 1, 0, 0), 0, 0): ONE})
+    right = SymbolExpr(n, {((0,) * n, (1, 127, 0, 0), -260, 0): ONE})
+    value = _leibniz_trace(left, right, m)
     assert value == _oracle_product_trace(left, right, m) != 0
 
 
@@ -259,10 +288,13 @@ def test_trace_kernel_rejects_exponent_128():
     with pytest.raises(PipelineError, match="128"):
         trace_integral(big, m)
     # packed, 128 + 128 would carry into xi_2's byte: the code of xi_2^1,
-    # an odd monomial, whose moment 0 would be returned silently
-    left = SymbolExpr(n, {((0,) * n, (128, 0, 0, 0), -128, 0): ONE})
+    # an odd monomial, whose moment 0 would be returned silently; a right
+    # exponent of 128 is refused as it is bucketed, a left one as it is read
+    left = SymbolExpr(n, {((0,) * n, (128, 0, 0, 0), 0, 0): ONE})
     with pytest.raises(PipelineError, match="128"):
-        _leibniz_trace(left, big, m, 0)
+        _leibniz_trace(left, big, m)
+    with pytest.raises(PipelineError, match="128"):
+        _leibniz_trace(left, SymbolExpr(n, {((0,) * n, (0,) * n, -132, 0): ONE}), m)
 
 
 def test_odd_phase_traces_raise():
@@ -273,11 +305,11 @@ def test_odd_phase_traces_raise():
     even = SymbolExpr(n, {((0,) * n, (0,) * n, -2 * m, 0b0001): I})
     assert cv.phase == 1 and even.phase == 0
     with pytest.raises(PipelineError, match="imaginary part -1$"):
-        _leibniz_trace(cv, even, m, 0)
+        _leibniz_trace(cv, even, m)
     with pytest.raises(PipelineError, match="imaginary part -1$"):
         trace_integral(cv * even, m)
     # two odd factors trace to a real number again
-    assert _leibniz_trace(cv, cv.scale(I) * even, m, 0) == \
+    assert _leibniz_trace(cv, cv.scale(I) * even, m) == \
         trace_integral(cv * (cv.scale(I) * even), m).value
 
 
@@ -349,17 +381,22 @@ def test_leibniz_trace_matches_the_table_oracle(case):
 
 
 def test_leibniz_trace_refuses_a_left_norm_power_by_name():
-    """Past alpha = (), d_xi would differentiate ||xi||^p: a left x0 term
-    with a norm power is refused by name; the product trace (alpha = ()
-    alone) takes it."""
+    """d_xi would differentiate ||xi||^p: a left x0 term with a norm power
+    is refused by name, by the kernel whatever the right (an x-free one
+    too) and by ``compose``; the x0 product traces it through
+    ``trace_integral``."""
     n, m = 4, 2
     normed = ((0,) * n, (2, 0, 0, 0), -2, 0)
     left = SymbolExpr(n, {normed: ONE, ((0,) * n, (0, 2, 0, 0), 0, 0): ONE})
     right = SymbolExpr(n, {((0,) * n, (2, 0, 0, 0), -6, 0): ONE,
                            ((1, 0, 0, 0), (1, 0, 0, 0), -5, 0): I})
-    with pytest.raises(ValueError, match=re.escape(f"term {normed} has a norm power")):
-        residue._leibniz_trace(left, right, m)
-    assert _leibniz_trace(left, right, m, 0) == \
+    refused = re.escape(f"term {normed} has a norm power")
+    for call in (lambda: residue._leibniz_trace(left, right, m),
+                 lambda: residue._leibniz_trace(left, at_x0(right), m),
+                 lambda: symbols.compose(left, right)):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    assert trace_integral(at_x0(xi_grade(left * right, -2 * m)), m).value == \
         _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
 
@@ -1047,9 +1084,9 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         composed.append(left)
         return compose(left, right)
 
-    def counted_buckets(n, rights, orders):
-        buckets.append((list(rights), orders))
-        return bucketed(n, rights, orders)
+    def counted_buckets(n, rights):
+        buckets.append(list(rights))
+        return bucketed(n, rights)
 
     def counted_passes(lefts, right, m):
         passes.append(lefts)
@@ -1068,7 +1105,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     ctx = _held()
     sigma_delta = [(g, key) for g, parts in enumerate(ctx.delta_inv_parts) for key in parts]
     assert len(sigma_delta) == 14
-    assert buckets == [(list(ctx.dtpow_parts), 0), (sigma_delta, X_TRUNCATION), (["lead"], 0)]
+    assert buckets == [list(ctx.dtpow_parts), sigma_delta, ["lead"]]
     assert [list(lefts) for lefts in passes] == [
         ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
     printed, full = passes[1], ctx.ab_printed_parts
@@ -1314,13 +1351,19 @@ def test_jet_construction_derives_no_scalars(build_counts):
 # traced channels against the full public ones
 # ---------------------------------------------------------------------------
 
+def _whole_delta_buckets(jet):
+    """The whole channels of ``build_sigma_delta_inv_parts``, keyed (g, name)
+    as in ``PipelineContext.delta_buckets``, bucketed."""
+    return residue._bucketed(jet.n, {(g, name): part for g, parts in enumerate(
+        build_sigma_delta_inv_parts(jet)) for name, part in parts.items()})
+
+
 def _full_tables(jet, m):
     """The part-1, printed and composed part-2 tables traced from the full
     channels of the public builders, (left keys, right keys) with each."""
     n = jet.n
-    delta = residue._bucketed(n, {(g, name): part for g, parts in enumerate(
-        build_sigma_delta_inv_parts(jet)) for name, part in parts.items()}, X_TRUNCATION)
-    dtpow = residue._bucketed(n, symbols.build_sigma_dtpow_parts(jet), 0)
+    delta = _whole_delta_buckets(jet)
+    dtpow = residue._bucketed(n, symbols.build_sigma_dtpow_parts(jet))
     cvw = SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v)
                                    * CliffordElement.from_vector(n, jet.w))
     printed = symbols.build_sigma_ab_printed_parts(jet)
@@ -1349,6 +1392,35 @@ def test_traced_table_cells_match_the_full_public_channels(m):
                 assert table.trace({left}, {right}) == full.trace({left}, {right}), (
                     m, jet, name, left, right)
             assert table.trace() == full.trace()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_delta_buckets_serve_the_spectral_torsion_channels(m):
+    """The spectral-torsion left channels c(u)c(v)c(w) sigma_1(D_T) and
+    c(u)c(v)c(w) sigma_0(D_T) at x0 read the same cells from the context's
+    ``delta_buckets`` (sigma_Delta projected on what parts 1 and 2 read) as
+    from the whole channels of ``build_sigma_delta_inv_parts`` (seeds 0-2,
+    random integer u).  Each reaches a nonzero cell, and the sigma_1 trace is
+    -18 times the sigma_0 one: -(9/2) T(u, v, w) against (1/4) T(u, v, w)."""
+    from itertools import product
+
+    for seed in range(3):
+        jet = random_point_jet(seed, m)
+        n, rng = jet.n, random.Random(seed)
+        u = [rng.randint(-3, 3) for _ in range(n)]
+        cuvw = SymbolExpr.from_clifford(CliffordElement.from_vector(n, u)
+                                        * CliffordElement.from_vector(n, jet.v)
+                                        * CliffordElement.from_vector(n, jet.w))
+        sigma1, sigma0 = symbols.build_sigma_dt(jet)
+        lefts = {"sigma1": cuvw * sigma1, "sigma0": at_x0(cuvw * sigma0)}
+        whole = _whole_delta_buckets(jet)
+        traced = residue._trace_table(lefts, PipelineContext(jet, m).delta_buckets, m)
+        full = residue._trace_table(lefts, whole, m)
+        for left, right in product(lefts, whole[1]):
+            assert traced.trace({left}, {right}) == full.trace({left}, {right}), (
+                m, seed, left, right)
+        totals = {left: full.trace({left}, whole[1]) for left in lefts}
+        assert totals["sigma0"] and totals["sigma1"] == -18 * totals["sigma0"], (m, seed)
 
 
 def test_traced_channels_bucket_fewer_entries():

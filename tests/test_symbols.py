@@ -188,7 +188,7 @@ def leibniz_compose(left, right, alpha_max=2, at=None):
     that is the composition at x0, since x-degrees add and none is negative,
     without the x-dependent products."""
     left._check(right)
-    total = type(left)(left.n)
+    parts = []
     for alpha in _alphas(left.n, alpha_max):
         dl, dr = left, right
         for j in alpha:
@@ -201,8 +201,8 @@ def leibniz_compose(left, right, alpha_max=2, at=None):
             dl, dr = at(dl), at(dr)
         if not (dl and dr):
             continue
-        total = total + (dl.scale(oracle_alpha_coefficient(alpha)) * dr)
-    return total
+        parts.append(dl.scale(oracle_alpha_coefficient(alpha)) * dr)
+    return type(left).sum_of(left.n, parts)
 
 
 def test_compose_canonical_commutation():
@@ -1231,7 +1231,7 @@ def test_sparse_curvature_sums_match_dense(m):
     for jet in jets:
         n = jet.n
         curvature = _integer_form(jet.R_entries)
-        words = symbols._curvature_word_sums(curvature, n)
+        words = symbols.JetInputs(jet).word_sums
         pairs = symbols._curvature_pair_sums(curvature, n)
         for b in range(n):
             assert words[b] == _dense_curvature_word_sum(jet, b, Fraction(1, 8))
@@ -1299,7 +1299,7 @@ def _per_pair_printed_parts(jet):
     cw = CliffordElement.from_vector(n, jet.w)
     tau = _dense_torsion_cube(jet.T, n)
     gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
-    curvature = symbols._curvature_word_sums(_integer_form(jet.R_entries), n)
+    curvature = [_dense_curvature_word_sum(jet, b, Fraction(1, 8)) for b in range(n)]
     dw = _clifford_sum(n, (gens[j] * CliffordElement.from_vector(n, row)
                            for j, row in enumerate(jet.dw)))
     return {
@@ -1548,7 +1548,7 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
             "curvature": curvature, "ric": ric,
             "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
             "rows": rows,
-            "word_sums": symbols._curvature_word_sums(curvature, n),
+            "word_sums": [_dense_curvature_word_sum(jet, b, Fraction(1, 8)) for b in range(n)],
             "pair_sums": pair_sums,
             # the families of JetInputs.order2 over the inputs converted anew
             "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
