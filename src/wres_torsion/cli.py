@@ -28,6 +28,8 @@ import random
 import sys
 import traceback
 from fractions import Fraction
+from functools import partial
+from itertools import permutations, product
 from typing import List, Optional, Sequence
 
 from .clifford import (
@@ -48,6 +50,7 @@ from .geometry import (
 )
 from .numerics import ONE, GaussianRational, format_rational
 from .residue import (
+    SHIFT,
     PipelineContext,
     audit,
     sphere_moment,
@@ -156,12 +159,11 @@ def check_traces(args: argparse.Namespace) -> dict:
     (-v_j w_l + v_l w_j).  The discrepancy is reported (and the corrected
     bracket verified), so this check exits with a discrepancy by design.
     """
-    rows = []
-    six_ok = eight_ok = four_corrected_ok = True
-    four_printed_ok = True
+    six_ok = eight_ok = four_corrected_ok = four_printed_ok = True
     for m in (2, 3):
         n = 2 * m
         gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+        pairs = list(permutations(range(n), 2))  # (j, l) with j != l
         rng = random.Random(f"traces:{args.seed}:{m}")
         for trial in range(args.trials):
             v = _random_vector(rng, n)
@@ -170,52 +172,33 @@ def check_traces(args: argparse.Namespace) -> dict:
             cw = CliffordElement.from_vector(n, w)
             g_vw = sum(a * b for a, b in zip(v, w))
             scale = 1 << m
-            for j in range(n):
-                for l in range(n):
-                    if j == l:
-                        continue
-                    t4 = trace(cv * cw * gens[j] * gens[l], m)
-                    if t4 != (v[j] * w[l] + v[l] * w[j]) * scale:
-                        four_printed_ok = False
-                    if t4 != (-v[j] * w[l] + v[l] * w[j]) * scale:
-                        four_corrected_ok = False
-            for j in range(n):
-                for l in range(n):
-                    if j == l:
-                        continue
-                    for jh in range(n):
-                        for lh in range(n):
-                            if jh == lh:
-                                continue
-                            t6 = trace(cv * cw * gens[j] * gens[l]
-                                       * gens[jh] * gens[lh], m)
-                            br = _six_bracket(v, w, g_vw, j, l, jh, lh)
-                            if t6 != br * scale:
-                                six_ok = False
+            for j, l in pairs:
+                t4 = trace(cv * cw * gens[j] * gens[l], m)
+                four_printed_ok &= t4 == (v[j] * w[l] + v[l] * w[j]) * scale
+                four_corrected_ok &= t4 == (-v[j] * w[l] + v[l] * w[j]) * scale
+            for (j, l), (jh, lh) in product(pairs, repeat=2):
+                t6 = trace(cv * cw * gens[j] * gens[l] * gens[jh] * gens[lh], m)
+                six_ok &= t6 == _six_bracket(v, w, g_vw, j, l, jh, lh) * scale
             rngx = random.Random(f"eight:{args.seed}:{m}:{trial}")
             for _ in range(4):
                 word = [rngx.randrange(1, n + 1) for _ in range(rngx.randrange(0, 5))]
                 x_elem = CliffordElement.identity(n)
                 for idx in word:
                     x_elem = x_elem * gens[idx - 1]
-                lhs = Fraction(0)
-                for f in range(n):
-                    lhs = lhs + trace(cv * gens[f] * cw * gens[f] * x_elem, m)
-                rhs = trace(cv * cw * x_elem, m) * (2 * m)
-                for f in range(n):
-                    rhs = rhs - trace(cv * gens[f] * x_elem, m) * (2 * w[f])
-                if lhs != rhs:
-                    eight_ok = False
-    rows.append({"six_factor": six_ok, "eight_factor": eight_ok,
-                 "four_factor_displayed": four_printed_ok,
-                 "four_factor_corrected": four_corrected_ok,
-                 "note": "displayed four-factor bracket has a sign slip; "
-                         "corrected bracket -v_j w_l + v_l w_j verified"})
+                lhs = sum((trace(cv * gens[f] * cw * gens[f] * x_elem, m) for f in range(n)),
+                          Fraction(0))
+                rhs = trace(cv * cw * x_elem, m) * (2 * m) - sum(
+                    (trace(cv * gens[f] * x_elem, m) * (2 * w[f]) for f in range(n)), Fraction(0))
+                eight_ok &= lhs == rhs
     passed = six_ok and eight_ok and four_printed_ok and four_corrected_ok
     return {"name": "traces", "passed": passed,
             "summary": "displayed trace identities (four-factor display "
                        "disagrees by a sign; corrected form holds)",
-            "rows": rows}
+            "rows": [{"six_factor": six_ok, "eight_factor": eight_ok,
+                      "four_factor_displayed": four_printed_ok,
+                      "four_factor_corrected": four_corrected_ok,
+                      "note": "displayed four-factor bracket has a sign slip; "
+                              "corrected bracket -v_j w_l + v_l w_j verified"}]}
 
 
 def _six_bracket(v, w, g_vw, j, l, jh, lh) -> Fraction:
@@ -235,45 +218,25 @@ def lemma36_row(seed: int, ctx: PipelineContext) -> dict:
     ordering of one cross term; the per-term diff and the induced density
     shift (+3/4 sum T(v,..)T(w,..)) are reported.  Discrepancy by design.
     """
-    c2, c1, c0 = ctx.ab_composed
-    p2, p1, p0 = ctx.ab_printed
-    eq = (c2 == p2, c1 == p1, c0 == p0)
+    eq = ctx.grades_equal
     row = {"seed": seed, "grade2_equal": eq[0],
            "grade1_equal": eq[1], "grade0_equal": eq[2]}
     if not all(eq):
-        tt = ctx.derived.tt_vw
-        shift = ctx.part2("composed").value - ctx.part2("printed").value
-        row["density_shift"] = format_rational(shift)
-        row["three_quarters_tt"] = format_rational(Fraction(3, 4) * tt)
-        row["shift_characterized"] = shift == Fraction(3, 4) * tt
-        row["differing_term_count"] = len((c1 - p1).nums)
+        shift = ctx.compare(SHIFT)
+        row["density_shift"] = format_rational(shift.engine)
+        row["three_quarters_tt"] = format_rational(shift.expected)
+        row["shift_characterized"] = shift.match
+        row["differing_term_count"] = len((ctx.ab_composed[1] - ctx.ab_printed[1]).nums)
     return row
 
 
-def _closed_form_row(seed: int, engine: Fraction, closed: Fraction) -> dict:
-    return {"seed": seed, "engine": format_rational(engine),
-            "closed": format_rational(closed), "match": engine == closed}
-
-
-def part1_row(seed: int, ctx: PipelineContext) -> dict:
-    return _closed_form_row(seed, ctx.part1().value, ctx.part1_closed().value)
-
-
-def part2_row(seed: int, ctx: PipelineContext) -> dict:
-    return _closed_form_row(seed, ctx.part2().value, ctx.part2_closed().value)
-
-
-def theorem_row(seed: int, ctx: PipelineContext) -> dict:
-    total = ctx.part1().value + ctx.part2().value
-    thm = ctx.theorem().value
-    return {"seed": seed, "total": format_rational(total),
-            "theorem": format_rational(thm), "match": total == thm}
-
-
-def metric_row(seed: int, ctx: PipelineContext) -> dict:
-    value, expected = ctx.metric().value, -ctx.derived.g_vw
-    return {"seed": seed, "value": format_rational(value),
-            "expected": format_rational(expected), "match": value == expected}
+def _compared_row(name: str, engine: str, expected: str,
+                  seed: int, ctx: PipelineContext) -> dict:
+    """The row of the context's comparison ``name``, its two values under
+    the keys ``engine`` and ``expected``."""
+    got = ctx.compare(name)
+    return {"seed": seed, engine: format_rational(got.engine),
+            expected: format_rational(got.expected), "match": got.match}
 
 
 def _theorem_case_rows(seed: int, m: int) -> List[dict]:
@@ -281,12 +244,10 @@ def _theorem_case_rows(seed: int, m: int) -> List[dict]:
     that isolate its coefficients."""
     ctx = PipelineContext(random_point_jet(seed, m, with_torsion=False,
                                            with_torsion_jet=False), m)
-    total = ctx.part1().value + ctx.part2().value
-    rows = [{"case": "zero-torsion",
-             "match": total == -Fraction(1, 6) * ctx.derived.einstein_vw}]
+    rows = [{"case": "zero-torsion", "match": ctx.compare("theorem").engine
+             == -Fraction(1, 6) * ctx.derived.einstein_vw}]
     for label, expected, jet_kw in _one_hot_cases(m):
-        ctx = PipelineContext(make_point_jet(m, **jet_kw), m)
-        total = ctx.part1().value + ctx.part2().value
+        total = PipelineContext(make_point_jet(m, **jet_kw), m).compare("theorem").engine
         rows.append({"case": label, "value": format_rational(total),
                      "expected": format_rational(expected), "match": total == expected})
     return rows
@@ -316,10 +277,14 @@ JET_FREE_CHECKS = {"clifford": check_clifford, "moments": check_moments,
 # per-jet check -> (its row of one trial jet, its summary)
 JET_CHECKS = {
     "lemma36": (lemma36_row, "composed == displayed on all grades"),
-    "part1": (part1_row, "part1 density vs closed form"),
-    "part2": (part2_row, "part2 density vs closed form"),
-    "theorem": (theorem_row, "part1 + part2 vs spectral Einstein density"),
-    "metric": (metric_row, "metric density vs -g(v,w)"),
+    "part1": (partial(_compared_row, "part1", "engine", "closed"),
+              "part1 density vs closed form"),
+    "part2": (partial(_compared_row, "part2", "engine", "closed"),
+              "part2 density vs closed form"),
+    "theorem": (partial(_compared_row, "theorem", "total", "theorem"),
+                "part1 + part2 vs spectral Einstein density"),
+    "metric": (partial(_compared_row, "metric", "value", "expected"),
+               "metric density vs -g(v,w)"),
 }
 ALL_CHECKS = (*JET_FREE_CHECKS, *JET_CHECKS)
 LEMMA36_FINDING = ("grade-1 cross-term ordering differs (characterized shift "
@@ -404,15 +369,13 @@ def cmd_density(args: argparse.Namespace) -> int:
     except InstanceError as exc:
         raise UsageError(f"invalid instance: {exc}") from None
     ctx = PipelineContext(jet, jet.m)
-    p1 = ctx.part1().value
-    p2 = ctx.part2().value
-    thm = ctx.theorem().value
+    theorem = ctx.compare("theorem")
     rows = {
-        "metric": format_rational(ctx.metric().value),
-        "part1": format_rational(p1),
-        "part2": format_rational(p2),
-        "theorem": format_rational(thm),
-        "total_matches_theorem": p1 + p2 == thm,
+        "metric": format_rational(ctx.compare("metric").engine),
+        "part1": format_rational(ctx.compare("part1").engine),
+        "part2": format_rational(ctx.compare("part2").engine),
+        "theorem": format_rational(theorem.expected),
+        "total_matches_theorem": theorem.match,
         "prefactor": PREFACTOR,
         "normalization": "per tr[id] * Vol(S^{n-1})",
     }

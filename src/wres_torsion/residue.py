@@ -42,9 +42,9 @@ scalars and each trace table are built once per jet.  The part-1 and part-2
 tables trace ``JetInputs``' traced channels, built on the terms they read.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
-II-6, each read off the cells of the part-1 or printed part-2 table) and
-reports every display that disagrees with the engine, together with the
-exact engine value.  The one load-bearing disagreement is the
+II-6, one row each of ``_audit_rows``, read off the cells of the part-1 or
+printed part-2 table) and reports every display that disagrees with the
+engine, with the exact engine value.  The one load-bearing disagreement is the
 ordering of one cross term in the grade-1 product symbol: the reference
 chain carries c(w)c(xi)c(v)tau where the composition rule produces
 c(v)tau c(w)c(xi).  The closed forms track the former; the strict
@@ -62,7 +62,7 @@ from math import lcm, prod
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import word_indices
-from .geometry import PointJet
+from .geometry import DerivedScalars, PointJet
 from .numerics import I, ONE, format_rational
 from .symbols import (
     JetInputs,
@@ -229,17 +229,27 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
 class TraceTable(NamedTuple):
     """A channel-resolved cosphere trace: (left key, right key) -> moment
     denominator d -> summed signed int numerator, for each cell that a term
-    reaches, over one phase and one denominator."""
+    reaches, over one phase and one denominator, with the keys of the left
+    and right channels traced."""
 
     cells: Dict[Tuple[Hashable, Hashable], Dict[int, int]]
     phase: int
     den: int
+    left_keys: Tuple[Hashable, ...]
+    right_keys: Tuple[Hashable, ...]
 
     def trace(self, lefts: Iterable[Hashable] | None = None,
               rights: Iterable[Hashable] = ()) -> Fraction:
         """The trace of the cells (a, b) for a in ``lefts`` and b in
         ``rights`` (of every cell, without ``lefts``): the trace is linear,
-        so one ``_real_trace`` of the summed cells."""
+        so one ``_real_trace`` of the summed cells.  A key that names none of
+        the table's channels raises ValueError (a cell no term reaches is 0)."""
+        if lefts is not None:
+            lefts, rights = tuple(lefts), tuple(rights)
+            unknown = {*lefts} - {*self.left_keys} | {*rights} - {*self.right_keys}
+            if unknown:
+                raise ValueError(f"no channel {' or '.join(sorted(map(repr, unknown)))}"
+                                 " in this trace table")
         sums: Dict[int, int] = {}
         for cell in (self.cells.values() if lefts is None else
                      filter(None, map(self.cells.get, product(lefts, rights)))):
@@ -348,9 +358,10 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
         if cell is None:
             cell = cells[code >> shift] = {}
         cell[d] = cell.get(d, 0) + r * w
-    left_keys = list(lefts)
+    left_keys = tuple(lefts)
     return TraceTable({(left_keys[t // width], right_keys[t % width]): cell
-                       for t, cell in cells.items()}, phase + right_phase, den * right_den)
+                       for t, cell in cells.items()}, phase + right_phase, den * right_den,
+                      left_keys, tuple(right_keys))
 
 
 def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
@@ -365,6 +376,30 @@ def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class Comparison(NamedTuple):
+    """An engine value and the exact value a report compares it with."""
+
+    engine: Fraction
+    expected: Fraction
+    match = property(lambda self: self.engine == self.expected)
+
+
+SHIFT = "part2_composed_vs_printed_shift"
+# the comparisons of the reports, each made once per context (``compare``):
+# parts 1 and 2 against their closed forms, part 1 + part 2 against the
+# theorem, the metric against -g(v, w) and the composed source's part 2
+# against the printed one's plus the characterized (3/4) TT(v, w)
+COMPARISONS = {
+    "part1": lambda c: (c.part1().value, c.part1_closed().value),
+    "part2": lambda c: (c.part2().value, c.part2_closed().value),
+    "theorem": lambda c: (c.compare("part1").engine + c.compare("part2").engine,
+                          c.theorem().value),
+    "metric": lambda c: (c.metric().value, -c.derived.g_vw),
+    SHIFT: lambda c: (c.part2("composed").value - c.compare("part2").engine,
+                      Fraction(3, 4) * c.derived.tt_vw),
+}
+
+
 class PipelineContext(JetInputs):
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
@@ -376,7 +411,9 @@ class PipelineContext(JetInputs):
     reads (``JetInputs``' traced channels), the printed grades (the read
     products plus the rest) and the composed ones, sigma_Delta's channels
     bucketed once, and the trace tables of part 1, the metric and both
-    part-2 sources, whose cells the densities and the audit rows read.
+    part-2 sources, whose cells the densities and the audit rows read; then
+    the ``COMPARISONS`` and the product symbol's three grade equalities,
+    which the audit and the CLI read.
     The public calls on one jet in a row share the context ``_context`` holds
     (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
     before any field is built.
@@ -387,6 +424,7 @@ class PipelineContext(JetInputs):
             raise ValueError(f"jet dimension n={jet.n} does not match m={m}")
         super().__init__(jet)
         self.m = m
+        self._compared: Dict[str, Comparison] = {}
 
     @cached_property
     def cvw(self) -> SymbolExpr:
@@ -439,13 +477,9 @@ class PipelineContext(JetInputs):
         return Density(self.part1_table.trace())
 
     def part2(self, ab_source: str = "printed") -> Density:
-        if ab_source == "printed":
-            table = self.printed_table
-        elif ab_source == "composed":
-            table = self.composed_table
-        else:
+        if ab_source not in ("printed", "composed"):
             raise ValueError(f"unknown ab_source {ab_source!r}")
-        return Density(table.trace())
+        return Density(getattr(self, f"{ab_source}_table").trace())
 
     def part1_closed(self) -> Density:
         der, m = self.derived, self.m
@@ -468,6 +502,19 @@ class PipelineContext(JetInputs):
                        - Fraction(25, 16) * der.tt_vw
                        + Fraction(11, 4) * der.div_t_vw
                        + Fraction(17, 4) * der.t_dw)
+
+    def compare(self, name: str) -> Comparison:
+        """The comparison ``name`` of ``COMPARISONS``, made on first use."""
+        got = self._compared.get(name)
+        if got is None:
+            got = self._compared[name] = Comparison(*COMPARISONS[name](self))
+        return got
+
+    @cached_property
+    def grades_equal(self) -> Tuple[bool, bool, bool]:
+        """Whether grades 2, 1 and 0 of the composed product symbol equal the
+        printed ones."""
+        return tuple(c == p for c, p in zip(self.ab_composed, self.ab_printed))
 
 
 # the residue bindings whose results a context keeps
@@ -587,12 +634,6 @@ class DensityReport:
         }
 
 
-def _entry(label: str, engine: Fraction, printed: Fraction,
-           reconciled: bool = False, note: str = "") -> AuditEntry:
-    return AuditEntry(label=label, engine=engine, printed=printed,
-                      match=engine == printed, reconciled=reconciled, note=note)
-
-
 def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict]:
     """Per-term diff of two expressions of one phase (a = composed, b =
     displayed): the first ``limit`` terms of a - b in exponent-tuple order."""
@@ -602,142 +643,107 @@ def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict
             for key in sorted(_key(k, a.n) for k in (a - b).nums)[:limit]]
 
 
-def audit(jet: PointJet, m: int) -> DensityReport:
-    """Step-by-step comparison of the engine against the reference chain."""
-    ctx = _context(jet, m)
-    der = ctx.derived
-    report = DensityReport(m=m)
+class _Row(NamedTuple):
+    """An audit row: the context's trace table (by name) and the left and
+    right keys of the cells it traces, the displayed value and, for a
+    documented mismatch, its reconciliation; and its note."""
+
+    label: str
+    table: str
+    lefts: Tuple[Hashable, ...]
+    rights: Tuple[Hashable, ...]
+    printed: Fraction
+    reconciled: bool = False
+    note: str = ""
+
+
+def _audit_rows(m: int, der: DerivedScalars) -> Tuple[_Row, ...]:
+    """The displayed steps of the reference derivation at m: part 1 traces
+    c(v)c(w) against one dtpow channel, part 2 printed channels against
+    sigma_Delta's, keyed (g, name) for the order -2m-g.  By grading, each
+    part-2 cell reads the one |alpha| that completes order -2m: alpha = ()
+    in II-1 to II-3, |alpha| = 1 in II-4 and II-5, 2 in II-6."""
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw
+    p1, p2, cvw, s2 = "part1_table", "printed_table", ("cvw",), ("s2",)
+    sm = ((0, "lead"), (0, "r_jet"))  # every channel of order -2m
+    sm1 = ((1, "ric_jet"), (1, "tt"), (1, "r_jet"), (1, "dt_jet"))  # and of -2m-1
+    return (
+        _Row("I-A", p1, cvw, ("ric",), -Fraction(m - 1, 6) * s * g),
+        _Row("I-B", p1, cvw, ("tt_xx",), -Fraction(27 * (m - 1), 4) * nt2 * g),
+        _Row("I-C", p1, cvw, ("tt_scalar",), Fraction(27 * (m - 1), 4) * nt2 * g),
+        _Row("I-D", p1, cvw, ("div_t",), Fraction(0), True, "displayed as 0 via a"
+             " sign-slipped four-factor trace bracket; cancels exactly against I-F"),
+        _Row("I-E", p1, cvw, ("r_xx",), Fraction(0)),
+        _Row("I-F", p1, cvw, ("dt_xx",), Fraction(0), True,
+             "displayed as 0 via the same bracket; cancels exactly against I-D"),
+        _Row("I-G", p1, cvw, ("e_scalar",), Fraction(m - 1) * (s / 4 - Fraction(3, 4) * nt2) * g),
+        _Row("I-H", p1, cvw, ("dt4",), Fraction(0),
+             note="four-form channel; no displayed evaluation, trace vanishes"),
+        _Row("II-1-A", p2, ("s0_tt",), sm, Fraction(1, 16) * nt2 * g - Fraction(1, 16) * tt,
+             note="displayed with a dangling summation index; printed value read"
+                  " without the extra index sum"),
+        _Row("II-1-B", p2, ("s0_r",), sm, Fraction(1, 4) * s * g - Fraction(1, 2) * ric_vw,
+             note="displayed curvature term carries the opposite sign pairing; the engine"
+                  " keeps the jet-consistent pairing, which reproduces exactly this"
+                  " displayed value"),
+        _Row("II-1-C", p2, ("s0_dt",), sm, -Fraction(1, 4) * divt),
+        _Row("II-1-D", p2, ("s0_tdw",), sm, -Fraction(1, 4) * tdw),
+        _Row("II-2-A", p2, ("s1_tt",), sm1, -Fraction(9, 4) * nt2 * g + Fraction(3, 4) * tt,
+             note="reference chain value; the strict composition ordering of the grade-1"
+                  " cross term shifts this sub-term, see lemma36_diff"),
+        _Row("II-2-B", p2, ("s1_dw",), sm1, Fraction(9, 2) * tdw),
+        _Row("II-3-A", p2, s2, ((2, "ric"),), Fraction(m, 6) * s * g - Fraction(1, 3) * ric_vw),
+        _Row("II-3-B", p2, s2, ((2, "tt_xx"),),
+             Fraction(27, 4) * (2 - m) * nt2 * g - Fraction(9, 4) * tt, True,
+             "compensating pair with II-3-C: the engine channel carries (27/4) m |T|^2 g"
+             " - (9/4) TT (the displayed |T|^2 content is shuffled between the two"
+             " displays); pair sum matches exactly"),
+        _Row("II-3-C", p2, s2, ((2, "tt_scalar"),), Fraction(27, 4) * (m - 1) * nt2 * g, True,
+             "compensating pair with II-3-B: the engine channel carries -(27/4)(m-1)"
+             " |T|^2 g, the negative of the display; pair sum matches exactly"),
+        _Row("II-3-D", p2, s2, ((2, "div_t"),), Fraction(3 * (m - 1), 2) * divt),
+        _Row("II-3-E", p2, s2, ((2, "r_xx"),), Fraction(0)),
+        _Row("II-3-F", p2, s2, ((2, "dt_xx"),), -Fraction(3 * (m + 1), 2) * divt),
+        _Row("II-3-G", p2, s2, ((2, "e_scalar"),), (1 - m) * (s / 4 - Fraction(3, 4) * nt2) * g),
+        _Row("II-3-H", p2, s2, ((2, "dt4"),), Fraction(0)),
+        _Row("II-4-A", p2, s2, ((1, "ric_jet"),), Fraction(2, 3) * (2 * ric_vw - s * g)),
+        _Row("II-4-B", p2, s2, ((1, "r_jet"),), Fraction(0)),
+        _Row("II-4-C", p2, s2, ((1, "dt_jet"),), 6 * divt),
+        _Row("II-5", p2, ("s1_tt", "s1_dw"), sm, Fraction(0)),
+        _Row("II-6", p2, s2, ((0, "r_jet"),), -Fraction(1, 3) * (2 * ric_vw - s * g)),
+    )
 
-    # ---- part 1 sub-terms: c(v)c(w) against one channel each ----------------
-    p1_engine: Dict[str, Fraction] = {
-        key: ctx.part1_table.trace(("cvw",), (key,)) for key in ctx.dtpow_parts}
-    p1_printed = {
-        "ric": ("I-A", -Fraction(m - 1, 6) * s * g, False, ""),
-        "tt_xx": ("I-B", -Fraction(27 * (m - 1), 4) * nt2 * g, False, ""),
-        "tt_scalar": ("I-C", Fraction(27 * (m - 1), 4) * nt2 * g, False, ""),
-        "div_t": ("I-D", Fraction(0), True,
-                  "displayed as 0 via a sign-slipped four-factor trace bracket;"
-                  " cancels exactly against I-F"),
-        "r_xx": ("I-E", Fraction(0), False, ""),
-        "dt_xx": ("I-F", Fraction(0), True,
-                  "displayed as 0 via the same bracket; cancels exactly"
-                  " against I-D"),
-        "e_scalar": ("I-G", Fraction(m - 1) * (s / 4 - Fraction(3, 4) * nt2) * g,
-                     False, ""),
-        "dt4": ("I-H", Fraction(0), False,
-                "four-form channel; no displayed evaluation, trace vanishes"),
-    }
-    for key, (label, printed, reconciled, note) in p1_printed.items():
-        report.entries.append(_entry(label, p1_engine[key], printed,
-                                     reconciled, note))
-    if p1_engine["div_t"] + p1_engine["dt_xx"]:
-        report.convention_notes.append(
-            "I-D + I-F failed to cancel; part-1 pipeline inconsistent")
 
-    # ---- part 2 sub-terms: printed channels against sigma_Delta channels ----
-    # by grading, each cell reads the one |alpha| that completes order -2m:
-    # alpha = () in II-1 to II-3, |alpha| = 1 in II-4 and II-5, 2 in II-6
-    sm, sm1 = ({(g, key) for key in parts} for g, parts in enumerate(ctx.delta_inv_parts[:2]))
-    tr = ctx.printed_table.trace  # (printed channels, sigma_Delta channels) -> trace
-
-    report.entries.append(_entry(
-        "II-1-A", tr({"s0_tt"}, sm),
-        Fraction(1, 16) * nt2 * g - Fraction(1, 16) * tt,
-        note="displayed with a dangling summation index; printed value read"
-             " without the extra index sum"))
-    report.entries.append(_entry(
-        "II-1-B", tr({"s0_r"}, sm),
-        Fraction(1, 4) * s * g - Fraction(1, 2) * ric_vw,
-        note="displayed curvature term carries the opposite sign pairing;"
-             " the engine keeps the jet-consistent pairing, which reproduces"
-             " exactly this displayed value"))
-    report.entries.append(_entry(
-        "II-1-C", tr({"s0_dt"}, sm), -Fraction(1, 4) * divt))
-    report.entries.append(_entry(
-        "II-1-D", tr({"s0_tdw"}, sm), -Fraction(1, 4) * tdw))
-
-    report.entries.append(_entry(
-        "II-2-A", tr({"s1_tt"}, sm1),
-        -Fraction(9, 4) * nt2 * g + Fraction(3, 4) * tt,
-        note="reference chain value; the strict composition ordering of the"
-             " grade-1 cross term shifts this sub-term, see lemma36_diff"))
-    report.entries.append(_entry(
-        "II-2-B", tr({"s1_dw"}, sm1), Fraction(9, 2) * tdw))
-
-    p2_3_printed = {
-        "ric": ("II-3-A", Fraction(m, 6) * s * g - Fraction(1, 3) * ric_vw,
-                False, ""),
-        "tt_xx": ("II-3-B", Fraction(27, 4) * (2 - m) * nt2 * g
-                  - Fraction(9, 4) * tt, True,
-                  "compensating pair with II-3-C: the engine channel carries"
-                  " (27/4) m |T|^2 g - (9/4) TT (the displayed |T|^2 content"
-                  " is shuffled between the two displays); pair sum matches"
-                  " exactly"),
-        "tt_scalar": ("II-3-C", Fraction(27, 4) * (m - 1) * nt2 * g, True,
-                      "compensating pair with II-3-B: the engine channel"
-                      " carries -(27/4)(m-1) |T|^2 g, the negative of the"
-                      " display; pair sum matches exactly"),
-        "div_t": ("II-3-D", Fraction(3 * (m - 1), 2) * divt, False, ""),
-        "r_xx": ("II-3-E", Fraction(0), False, ""),
-        "dt_xx": ("II-3-F", -Fraction(3 * (m + 1), 2) * divt, False, ""),
-        "e_scalar": ("II-3-G", (1 - m) * (s / 4 - Fraction(3, 4) * nt2) * g,
-                     False, ""),
-        "dt4": ("II-3-H", Fraction(0), False, ""),
-    }
-    p2_3_engine: Dict[str, Fraction] = {}
-    for key, (label, printed, reconciled, note) in p2_3_printed.items():
-        p2_3_engine[key] = tr({"s2"}, {(2, key)})
-        report.entries.append(_entry(label, p2_3_engine[key], printed,
-                                     reconciled, note))
-    pair_sum_printed = (p2_3_printed["tt_xx"][1] + p2_3_printed["tt_scalar"][1])
-    if p2_3_engine["tt_xx"] + p2_3_engine["tt_scalar"] != pair_sum_printed:
+def audit(jet: PointJet, m: int) -> DensityReport:
+    """Step-by-step comparison of the engine against the reference chain:
+    an entry per row of ``_audit_rows``, the ``COMPARISONS`` as totals and
+    the product symbol compared grade by grade."""
+    ctx = _context(jet, m)
+    report = DensityReport(m=m)
+    for row in _audit_rows(m, ctx.derived):
+        engine = getattr(ctx, row.table).trace(row.lefts, row.rights)
+        report.entries.append(AuditEntry(row.label, engine, row.printed, engine == row.printed,
+                                         row.reconciled, row.note))
+    got = {e.label: e for e in report.entries}
+    if got["I-D"].engine + got["I-F"].engine:
+        report.convention_notes.append("I-D + I-F failed to cancel; part-1 pipeline inconsistent")
+    if got["II-3-B"].engine + got["II-3-C"].engine != got["II-3-B"].printed + got["II-3-C"].printed:
         report.convention_notes.append(
             "II-3-B + II-3-C failed to compensate; part-2 pipeline inconsistent")
-
-    report.entries.append(_entry(
-        "II-4-A", tr({"s2"}, {(1, "ric_jet")}), Fraction(2, 3) * (2 * ric_vw - s * g)))
-    report.entries.append(_entry("II-4-B", tr({"s2"}, {(1, "r_jet")}), Fraction(0)))
-    report.entries.append(_entry("II-4-C", tr({"s2"}, {(1, "dt_jet")}), 6 * divt))
-    report.entries.append(_entry("II-5", tr({"s1_tt", "s1_dw"}, sm), Fraction(0)))
-    report.entries.append(_entry(
-        "II-6", tr({"s2"}, {(0, "r_jet")}), -Fraction(1, 3) * (2 * ric_vw - s * g)))
-
-    # ---- totals -------------------------------------------------------------
-    p1 = ctx.part1().value
-    p1c = ctx.part1_closed().value
-    p2 = ctx.part2("printed").value
-    p2c = ctx.part2_closed().value
-    p2_composed = ctx.part2("composed").value
-    thm = ctx.theorem().value
-    metric = ctx.metric().value
-
-    def total_row(engine: Fraction, printed: Fraction) -> Dict[str, str]:
-        return {"engine": format_rational(engine),
-                "printed": format_rational(printed),
-                "match": "true" if engine == printed else "false"}
-
-    report.totals["part1"] = total_row(p1, p1c)
-    report.totals["part2"] = total_row(p2, p2c)
-    report.totals["theorem"] = total_row(p1 + p2, thm)
-    report.totals["metric"] = total_row(metric, -der.g_vw)
-    report.totals["part2_composed_vs_printed_shift"] = total_row(
-        p2_composed - p2, Fraction(3, 4) * tt)
-
-    # ---- grade-by-grade product-symbol comparison ---------------------------
-    c2, c1, c0 = ctx.ab_composed
-    g2, g1, g0 = ctx.ab_printed
-    diff_rows = _expr_diff_terms(c1, g1)
+    # before the totals: the shift builds the composed table before the metric's
+    eq2, eq1, eq0 = ctx.grades_equal
     report.lemma36_diff = {
-        "grade2_equal": c2 == g2,
-        "grade1_equal": c1 == g1,
-        "grade0_equal": c0 == g0,
-        "differing_terms": diff_rows,
-        "density_shift": format_rational(p2_composed - p2),
+        "grade2_equal": eq2, "grade1_equal": eq1, "grade0_equal": eq0,
+        "differing_terms": _expr_diff_terms(ctx.ab_composed[1], ctx.ab_printed[1]),
+        "density_shift": format_rational(ctx.compare(SHIFT).engine),
         "density_shift_formula": "3/4 * sum_{j,l} T(v,e_j,e_l) T(w,e_j,e_l)",
     }
-
+    for name in COMPARISONS:
+        total = ctx.compare(name)
+        report.totals[name] = {"engine": format_rational(total.engine),
+                               "printed": format_rational(total.expected),
+                               "match": "true" if total.match else "false"}
     report.convention_notes.extend(_CONVENTION_NOTES)
     return report
 

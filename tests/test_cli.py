@@ -13,7 +13,7 @@ import pytest
 
 from wres_torsion import cli, residue, symbols
 from wres_torsion.cli import main
-from wres_torsion.geometry import jet_to_dict, make_point_jet
+from wres_torsion.geometry import jet_to_dict, make_point_jet, random_point_jet
 
 
 def run(capsys, *argv):
@@ -202,6 +202,32 @@ def test_density_roundtrip(tmp_path, capsys):
     rows = payload["densities"]
     assert rows["total_matches_theorem"] is True
     assert rows["prefactor"] == "2^m * 2*pi^m / Gamma(m)"
+
+
+def test_audit_verify_and_density_read_the_context_comparisons(tmp_path, capsys, monkeypatch):
+    """The theorem comparison and the grade equalities are defined once on
+    the context: redefined there, the audit's totals and lemma36 diff, the
+    verify rows (the one-hot theorem cases too) and the density report all
+    change with them."""
+    monkeypatch.setitem(residue.COMPARISONS, "theorem",
+                        lambda ctx: (Fraction(1), Fraction(2)))
+    monkeypatch.setattr(residue.PipelineContext, "grades_equal", (True, True, True))
+    jet = random_point_jet(3, 2)
+    report = residue.audit(jet, 2)
+    assert report.totals["theorem"] == {"engine": "1", "printed": "2", "match": "false"}
+    assert [report.lemma36_diff[f"grade{g}_equal"] for g in (2, 1, 0)] == [True] * 3
+    ctx = residue.PipelineContext(jet, 2)
+    assert cli.JET_CHECKS["theorem"][0](3, ctx) == {
+        "seed": 3, "total": "1", "theorem": "2", "match": False}
+    assert cli.JET_CHECKS["lemma36"][0](3, ctx) == {
+        "seed": 3, "grade2_equal": True, "grade1_equal": True, "grade0_equal": True}
+    assert all(row["value"] == "1" for row in cli._theorem_case_rows(0, 2)[1:])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(jet_to_dict(jet)))
+    code, out, _ = run(capsys, "density", "--input", str(path), "--format", "json")
+    densities = json.loads(out)["densities"]
+    assert code == 1 and densities["theorem"] == "2"
+    assert densities["total_matches_theorem"] is False
 
 
 def test_density_zero_torsion_einstein_value(tmp_path, capsys):

@@ -13,6 +13,10 @@ At every recorded m the findings are also asserted: each audit is ``ok``,
 its mismatches are exactly the reconciled I-D, I-F, II-3-B and II-3-C, the
 composed source shifts part 2 by (3/4) TT(v, w) (computed here
 independently) and grade 1 of the product symbol differs wherever TT != 0.
+The ``slow`` tests, deselected by default, assert the same and part 1 +
+part 2 = theorem at m = 7 and 8 without a fixture:
+
+    PYTHONPATH=src python -m pytest -q -m slow
 """
 
 from __future__ import annotations
@@ -113,6 +117,16 @@ def test_findings_hold_at_m4_to_m6(payload_m46, m):
             random_point_jet(seed, m), json.loads(row["audit"]),
             Fraction(row["part2_printed"]), Fraction(row["part2_composed"]))
     assert nonzero_tt, m
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", (7, 8))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_findings_hold_at_m7_and_m8(m, seed):
+    jet = random_point_jet(seed, m)
+    p1, p2 = part1_density(jet, m).value, part2_density(jet, m).value
+    assert p1 + p2 == theorem_density(jet, m).value
+    _assert_findings(jet, audit(jet, m).to_json(), p2, part2_density(jet, m, "composed").value)
 
 
 if __name__ == "__main__":

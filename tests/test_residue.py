@@ -1209,6 +1209,40 @@ def test_printed_table_cells_match_the_full_printed_parts():
             assert ctx.part2().value == full.trace()
 
 
+def test_trace_table_refuses_a_key_it_does_not_hold():
+    """A left or right key that names none of a table's channels raises
+    ValueError naming it, where it would otherwise read as an empty cell
+    (the r_xx cell of part 1, which no term reaches, is 0)."""
+    ctx = PipelineContext(random_point_jet(3, 2), 2)
+    order_m = {(0, "lead"), (0, "r_jet")}
+    assert ctx.part1_table.trace(("cvw",), ("r_xx",)) == 0
+    assert ctx.printed_table.trace({"s0_tdw"}, order_m) == -Fraction(1, 4) * ctx.derived.t_dw
+    with pytest.raises(ValueError, match="'s0_tdwx'"):
+        ctx.printed_table.trace({"s0_tdwx"}, order_m)
+    with pytest.raises(ValueError, match="'nope'"):
+        ctx.part1_table.trace(("cvw",), ("nope",))
+    with pytest.raises(ValueError, match=re.escape("(2, 'lead')")):
+        ctx.printed_table.trace({"s2"}, {(2, "lead")})
+    with pytest.raises(ValueError, match="'cvw'"):
+        ctx.printed_table.trace(("cvw",), ())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_every_audit_row_names_cells_of_its_table(m):
+    """Each of the 27 audit rows names channels its table holds, so none
+    reads 0 from a misspelt key, at every supported m: the channel keys do
+    not depend on the jet, which is zero here so that m = 8 stays cheap."""
+    ctx = PipelineContext(make_point_jet(m), m)
+    rows = residue._audit_rows(m, ctx.derived)
+    assert len({row.label for row in rows}) == len(rows) == 27
+    for row in rows:
+        table = getattr(ctx, row.table)
+        assert row.lefts and row.rights, row.label
+        assert set(row.lefts) <= set(table.left_keys), row.label
+        assert set(row.rights) <= set(table.right_keys), row.label
+    assert [e.label for e in audit(ctx.jet, m).entries] == [row.label for row in rows]
+
+
 @pytest.mark.parametrize("m", [4, 5])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_audit_beyond_m3_keeps_its_findings(m, seed):
