@@ -141,7 +141,7 @@ class CliffordElement:
 
     @classmethod
     def zero(cls, n: int) -> "CliffordElement":
-        return cls(n)
+        return cls._of(n, {}, 1)
 
     @classmethod
     def identity(cls, n: int) -> "CliffordElement":
@@ -186,7 +186,7 @@ class CliffordElement:
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         self._check(other)
         if not (self.nums and other.nums):
-            return CliffordElement(self.n)
+            return CliffordElement._of(self.n, {}, 1)
         signed = [(wb, _below(wb) ^ wb, cb) for wb, cb in other.nums.items()]
         if len(signed) == 1:
             (wb, mask, cb), = signed

@@ -428,9 +428,10 @@ class PipelineContext(JetInputs):
 
     @cached_property
     def cvw(self) -> SymbolExpr:
-        return SymbolExpr.from_clifford(self.cv * self.cw)
+        return SymbolExpr.from_clifford(self.cv_cw)
 
-    dtpow_parts = cached_property(lambda self: self.order2_parts(self.m - 1, self.order2_read))
+    dtpow_parts = cached_property(
+        lambda self: self.order2_parts(self.m - 1, self.order2_read, even=True))
     delta_inv_parts = cached_property(lambda self: self.sigma_delta(traced=True))
 
     @cached_property

@@ -208,7 +208,7 @@ class SymbolExpr:
                                      " the phase rule")
                 parts.append(expr)
         if not parts:
-            return cls(n)
+            return cls._of(n, {}, 1, 0)
         return cls._of(n, *_summed((e.nums, e.den) for e in parts), parts[0].phase)
 
     def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
@@ -266,7 +266,7 @@ class SymbolExpr:
     def scale(self, scalar) -> "SymbolExpr":
         """scalar * self for a real or purely imaginary exact scalar."""
         if not (self.nums and scalar):
-            return SymbolExpr(self.n)
+            return SymbolExpr._of(self.n, {}, 1, 0)
         p, q, imag = _real_or_imaginary(scalar)
         phase = self.phase
         if imag:
@@ -468,22 +468,18 @@ def _symbol(n: int, nums: Iterable[Tuple[Code, int]], den: int, coeff=1) -> Symb
     """coeff * sum (num/den) * (the term at key) over the (stored key,
     nonzero int num) pairs ``nums`` with distinct keys, den > 0 and a real
     or purely imaginary exact ``coeff``, reduced; the first key sets the
-    phase."""
-    if not coeff:
-        return SymbolExpr(n)
-    p, q, imag = _real_or_imaginary(coeff)
-    s, phase = 8 * n, None
-    terms: Dict[Code, int] = {}
-    for key, c in nums:
+    phase; ``coeff`` is split at the first key, so no terms cost no split."""
+    s, phase, terms = 8 * n, None, {}
+    for key, c in nums if coeff else ():
         # coeff * c = i^imag * p/q * c = i^e * r, so r = i^(imag - e) * p/q * c
-        e = (key[1] >> s) + key[3].bit_count() - imag
         if phase is None:
-            phase = e & 1
-        e -= phase
+            p, q, imag = _real_or_imaginary(coeff)
+            phase = ((key[1] >> s) + key[3].bit_count() - imag) & 1
+        e = (key[1] >> s) + key[3].bit_count() - imag - phase
         if e & 1:
             raise _phase_error(key, coeff * Fraction(c, den), phase, n)
         terms[key] = -c * p if e & 2 else c * p
-    return SymbolExpr._of(n, terms, den * q, phase) if terms else SymbolExpr(n)
+    return SymbolExpr._of(n, terms, den * q, phase) if terms else SymbolExpr._of(n, {}, 1, 0)
 
 
 Placement = Tuple[int, int, int, CliffordElement]
@@ -550,22 +546,41 @@ def _near(elem: CliffordElement, a: int, b: int, traced: bool) -> CliffordElemen
         elem.n, {w: c for w, c in elem.nums.items() if w >> a & 1 or w >> b & 1}, elem.den)
 
 
+# order -(2mm+2) channel -> (c, q) (``JetInputs.order2``), and printed
+# channel -> (c, the grade its trace reads) (``JetInputs.products``)
+_ORDER2 = {"ric": (Fraction(1, 3), 1), "tt_xx": (Fraction(-9, 2), 1),
+           "tt_scalar": (Fraction(9, 4), 0), "div_t": (Fraction(3, 2), 0),
+           "r_xx": (Fraction(-1, 4), 1), "dt_xx": (-3, 1),
+           "e_scalar": (-1, 0), "dt4": (Fraction(-3, 2), 0)}
+_PRINTED = {"s1_tt": (GaussianRational(0, Fraction(1, 2)), 2), "s1_dw": (I, 2),
+            "s0_tt": (Fraction(1, 16), 0), "s0_r": (1, 0), "s0_dt": (Fraction(1, 4), 0),
+            "s0_tdw": (Fraction(1, 4), 0)}
+# what does not depend on the jet, built once per n, mm or m: the generators
+# c_1 .. c_n, each order -(2mm+2) channel's (c mm (mm+1)^q, -2mm-2-2q) and
+# sigma_Delta's prefactors -m/3, 3m i, -2m i/3 and m i/4
+_GENERATORS: Dict[int, Tuple[CliffordElement, ...]] = {}
+_SCALES: Dict[int, Dict[str, Tuple[Fraction, int]]] = {}
+_DELTA: Dict[int, Tuple[Fraction, GaussianRational, GaussianRational, GaussianRational]] = {}
+
+
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
     by every builder given this object: the int forms of v, w and dw
     (``vectors``, which the derived scalars keep in their ``int_forms``), the
-    derived scalars, c(v), c(w) and c(v) c(dw) read off those forms, R's and
-    Ric's int forms (the derived scalars' ``int_forms``), the curvature
-    pair sums and the word sums read off them, T's and dT1's 3-forms and
-    bivector rows (``torsion``: one pass per channel), the mm-free order
-    -(2mm+2) families and the printed product symbol's channels.  A builder
-    given only the jet makes its own.
+    derived scalars, c(v), c(w), c(v) c(w) and c(v) c(dw) read off those
+    forms (s2 and each P_f = c(v) c_f c(w) follow from the one c(v) c(w) by
+    the Clifford relation), R's and Ric's int forms (the derived scalars'
+    ``int_forms``), the curvature pair sums and the word sums read off
+    them, T's and dT1's 3-forms and bivector rows (``torsion``: one pass per
+    channel), the mm-free order -(2mm+2) families and the printed product
+    symbol's channels.  A builder given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``printed()``) on the terms a context's traces read, as
     tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
-    The order -(2mm+2) families meet c(v) c(w), s2 and the composed grade 2,
-    of grades 0 and 2: tau_a tau_b is formed on grade 0, dt4 left empty.
+    The order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
+    ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b
+    is formed on grade 0, dt4 left empty.
     (2) sigma_Delta's x^2 r_jet meets xi^2 terms at |alpha| = 2: its xi_a^2
     terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx, meet s2 and the
     composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b + c(v) c_b
@@ -615,7 +630,7 @@ class JetInputs:
                 ) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
-        norm power 0) moved to the norm power -2mm-2-2q."""
+        norm power 0) moved to the norm power -2mm-2-2q (``_ORDER2``)."""
         n, der, x0, pairs = self.n, self.derived, 0, _pairs(self.n)
         (tau, dtau), (ric, ric_den) = self.rows, self.ric
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
@@ -626,57 +641,67 @@ class JetInputs:
         tt = {(a, b): _graded(tau[a], tau[b], (0,) if traced else (0, 4))
               for a, b in combinations_with_replacement(tau, 2)}
         families = {  # each as (xi-degree, rational Clifford element) pairs
-            "ric": (Fraction(1, 3), 1, [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
-                                        for (a, b), x in ric.items()]),
-            "tt_xx": (Fraction(-9, 2), 1, [(pairs[a][b], ab.scale(1 + (a != b)))
-                                           for (a, b), ab in tt.items()]),
-            "tt_scalar": (Fraction(9, 4), 0, [(x0, tt[a, a]) for a in tau]),
-            "div_t": (Fraction(3, 2), 0, [(x0, row) for (b, a), row in dtau.items() if a == b]),
-            "r_xx": (Fraction(-1, 4), 1, [(pairs[a][b], pair)
-                                          for (b, a), pair in self.pair_sums.items()]),
-            "dt_xx": (-3, 1, [(pairs[a][b], _near(row, a, b, traced))
-                              for (b, a), row in dtau.items()]),
-            "e_scalar": (-1, 0, [(x0, CliffordElement._of(
-                n, {0: scalar.numerator} if scalar else {}, scalar.denominator))]),
-            "dt4": (Fraction(-3, 2), 0, [] if traced else [(x0, CliffordElement._of(n, {
-                sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))]),
+            "ric": [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
+                    for (a, b), x in ric.items()],
+            "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
+            "tt_scalar": [(x0, tt[a, a]) for a in tau],
+            "div_t": [(x0, row) for (b, a), row in dtau.items() if a == b],
+            "r_xx": [(pairs[a][b], pair) for (b, a), pair in self.pair_sums.items()],
+            "dt_xx": [(pairs[a][b], _near(row, a, b, traced)) for (b, a), row in dtau.items()],
+            "e_scalar": [(x0, CliffordElement._of(
+                n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],
+            "dt4": [] if traced else [(x0, CliffordElement._of(n, {
+                sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))],
         }
-        return {name: (c, q, *_placed((x0, xideg, 0, e) for xideg, e in family))
-                for name, (c, q, family) in families.items()}
+        return {name: (*_ORDER2[name], *_placed((x0, xideg, 0, e) for xideg, e in family))
+                for name, family in families.items()}
 
     order2 = cached_property(_order2)
     order2_read = cached_property(partial(_order2, traced=True))
-    gens = cached_property(lambda self: [CliffordElement.generator(self.n, i)
-                                         for i in range(1, self.n + 1)])
+    gens = property(lambda self: _GENERATORS.get(self.n) or _GENERATORS.setdefault(
+        self.n, tuple(CliffordElement.generator(self.n, i) for i in range(1, self.n + 1))))
     tau = cached_property(lambda self: self.forms[0].get((), CliffordElement.zero(self.n)))
-    # P_f = c(v) c_f c(w), the left factor of s2, s1_tt, s0_r and s0_dt
-    cvc = cached_property(lambda self: [self.cv * c_f * self.cw for c_f in self.gens])
+    cv_cw = cached_property(lambda self: self.cv * self.cw)
     cv_tau_cw = cached_property(lambda self: self.cv * self.tau * self.cw)
 
     @cached_property
+    def cvc(self) -> List[CliffordElement]:
+        """P_f = c(v) c_f c(w) = -c(v) c(w) c_f - 2 w_f c(v), the left factor of
+        s1_tt, s0_r and s0_dt: one-word products of one c(v) c(w)."""
+        (w, den), neg = self.vectors["w"], -self.cv_cw
+        return [neg * c_f + self.cv.scale(Fraction(-2 * w[f], den)) if w[f] else neg * c_f
+                for f, c_f in enumerate(self.gens)]
+
+    @cached_property
     def s2(self) -> SymbolExpr:
-        """The printed grade-2 channel: (f, g) and (g, f) share xi_f xi_g."""
-        pairs, gens, cvc = _pairs(self.n), self.gens, self.cvc
-        return _family(self.n, [(0, pairs[f][g], 0, cvc[f] * gens[g])
-                                for f in range(self.n) for g in range(self.n)], -1)
+        """The printed grade-2 channel -c(v) c(xi) c(w) c(xi) = -|xi|^2 c(v) c(w)
+        + 2 <w, xi> c(v) c(xi): c(v) c(w) at each xi_f^2 and the n one-word
+        products c(v) c_g at xi_f xi_g for each w_f != 0, not n^2 P_f c_g."""
+        n, pairs, (w, den) = self.n, _pairs(self.n), self.vectors["w"]
+        cvg = [self.cv * c_g for c_g in self.gens] if any(w.values()) else []
+        return _family(n, [(0, pairs[f][f], 0, self.cv_cw) for f in range(n)] + [
+            (0, pairs[f][g], 0, e.scale(r)) for f, x in w.items() if x
+            for r in [Fraction(-2 * x, den)] for g, e in enumerate(cvg)], -1)
 
     def products(self, product) -> Dict[str, Tuple[object, List[Tuple[int, CliffordElement]]]]:
         """The printed grade-1 and grade-0 channels as (c, [(xi-code, x y)])
         over their factor pairs, each x y formed by ``product(x, y, grades)``
-        (``clifford._graded``) at the grades the trace reads: 2 of s1, 0 of s0."""
-        n, tau, cvc, gens, dtau = self.n, self.tau, self.cvc, self.gens, self.forms[1]
+        (``clifford._graded``) at the grades the trace reads: 2 of s1, 0 of s0.
+        No pair with an empty factor is formed, and no factor of a channel
+        whose shared factor tau is zero."""
+        n, tau, cvc, cv_dw, dtau = self.n, self.tau, self.cvc, self.cv_dw, self.forms[1]
         channels = {
             # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
             # reversal) and 3 (negated), so P_a + c(w) c_a c(v) = 2 <P_a>_1
-            "s1_tt": (GaussianRational(0, Fraction(1, 2)), 2,
-                      [(_unit(n, a), _grades(cvc[a], 1), tau) for a in range(n)]),
-            "s1_dw": (I, 2, [(_unit(n, a), self.cv_dw, gens[a]) for a in range(n)]),
-            "s0_tt": (Fraction(1, 16), 0, [(0, self.cv_tau_cw, tau)]),
-            "s0_r": (1, 0, [(0, x, y) for x, y in zip(cvc, self.word_sums)]),
-            "s0_dt": (Fraction(1, 4), 0, [(0, cvc[b], form) for b, form in dtau.items()]),
-            "s0_tdw": (Fraction(1, 4), 0, [(0, self.cv_dw, tau)])}
-        return {name: (c, [(xi, product(x, y, (g,))) for xi, x, y in pairs])
-                for name, (c, g, pairs) in channels.items()}
+            "s1_tt": [(_unit(n, a), _grades(p_a, 1), tau) for a, p_a in enumerate(cvc)]
+                     if tau else [],
+            "s1_dw": [(_unit(n, a), cv_dw, c_a) for a, c_a in enumerate(self.gens)],
+            "s0_tt": [(0, self.cv_tau_cw, tau)] if tau else [],
+            "s0_r": [(0, x, y) for x, y in zip(cvc, self.word_sums)],
+            "s0_dt": [(0, cvc[b], form) for b, form in dtau.items()],
+            "s0_tdw": [(0, cv_dw, tau)]}
+        return {name: (c, [(xi, product(x, y, (g,))) for xi, x, y in channels[name] if x and y])
+                for name, (c, g) in _PRINTED.items()}
 
     read_products = cached_property(lambda self: self.products(_graded))
 
@@ -687,39 +712,42 @@ class JetInputs:
             (0, xi, 0, e) for part in (self.read_products, *rest) for xi, e in part[name][1]], c)
             for name, (c, _) in self.read_products.items()}}
 
-    def order2_parts(self, mm: int, families=None) -> Dict[str, SymbolExpr]:
+    def order2_parts(self, mm: int, families=None, even: bool = False) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
         x0, each family scaled and moved to its norm power by ``_symbol``:
         mm = m for part 2's pipeline, mm = m-1 for part 1's (``families``:
-        ``order2`` unless given)."""
-        return {name: _symbol(self.n, (((x, xideg, -2 * mm - 2 - 2 * q, w), k)
-                                       for (x, xideg, _, w), k in nums.items()),
-                              den, Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator))
-                for name, (c, q, nums, den) in (families or self.order2).items()}
+        ``order2`` unless given; ``even``: only the terms at even
+        xi-monomials, all that an x-free, xi-free left factor reads)."""
+        odd, scales = _ones(self.n) if even else 0, _SCALES.get(mm) or _SCALES.setdefault(mm, {
+            name: (Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator), -2 * mm - 2 - 2 * q)
+            for name, (c, q) in _ORDER2.items()})
+        return {name: _symbol(self.n, (((x, xideg, p, w), k) for (x, xideg, _, w), k
+                                       in nums.items() if not xideg & odd), den, c)
+                for name, (_, _, nums, den) in (families or self.order2).items()
+                for c, p in [scales[name]]}
 
     def sigma_delta(self, traced: bool = False) -> Tuple[
             Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
         """The channels of ``build_sigma_delta_inv_parts``, whole or traced."""
         m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
+        r_m, c_t, c_ric, c_r = _DELTA.get(m) or _DELTA.setdefault(m, (Fraction(-m, 3), *(
+            GaussianRational(0, c) for c in (3 * m, Fraction(-2 * m, 3), Fraction(m, 4)))))
         curvature, ric, (tau, dtau), pairs = self.curvature, self.ric, self.rows, _pairs(n)
 
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
         r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
                                       for (a, j, b, k), c in curvature[0].items()
                                       if a == b or not traced).items(),
-                        curvature[1], Fraction(-m, 3))
+                        curvature[1], r_m)
         parts_m = {"lead": build_sigma_delta_lead(self.jet), "r_jet": r_jet}
 
         # order -2m-1
-        c_t = GaussianRational(0, 3 * m)
         parts_m1 = {
             "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
-                                   for (a, b), x in ric[0].items()),
-                               ric[1], GaussianRational(0, Fraction(-2 * m, 3))),
+                                   for (a, b), x in ric[0].items()), ric[1], c_ric),
             "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
             "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(pair, a, b, traced))
-                                 for (b, a), pair in self.pair_sums.items()],
-                             GaussianRational(0, Fraction(m, 4))),
+                                 for (b, a), pair in self.pair_sums.items()], c_r),
             "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(row, a, b, traced))
                                   for (b, a), row in dtau.items()], c_t),
         }

@@ -1497,17 +1497,54 @@ def test_audit_forms_no_clifford_product_twice(monkeypatch):
         assert split and all(len(set.union(*g)) == sum(map(len, g)) for g in split)
 
 
-def test_closed_forms_and_audit_displays_are_linear_in_m():
-    """On each one-hot coefficient jet, whose derived scalars do not depend
-    on m, the closed forms, the densities and every audit row (engine and
-    display) are fitted as a + b m from m = 2 and 3, and the fit is exact
-    at every m from 4 to 8.  This is evidence for m <= 8, not a proof for
-    all m."""
+@pytest.mark.parametrize("m", range(2, 9))
+def test_one_hot_jets_form_linearly_many_clifford_products(monkeypatch, m):
+    """Part 1 + part 2 of a jet with one-hot v and w (and one T, dT1, dw or
+    curvature entry) form at most 3n Clifford products and at most 4n graded
+    ones, counted as in ``test_audit_forms_no_clifford_product_twice``: s2
+    by the Clifford relation takes n one-word products where the sum over
+    (f, g) took n^2, and no product with an empty factor is formed."""
     from wres_torsion.cli import _one_hot_cases
+
+    counts = {"mul": 0, "graded": 0}
+    mul, graded = CliffordElement.__mul__, symbols._graded
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_graded(a, b, grades, inside=True):
+        counts["graded"] += 1
+        return graded(a, b, grades, inside)
+    monkeypatch.setattr(CliffordElement, "__mul__", counted_mul)
+    monkeypatch.setattr(symbols, "_graded", counted_graded)
+    n = 2 * m
+    e3 = [Fraction(int(k == 2)) for k in range(n)]
+    for kw in [kw for _, _, kw in _one_hot_cases(m)] + [dict(R=[[0, 1, 0, 1, 1]], v=e3, w=e3)]:
+        ctx = PipelineContext(make_point_jet(m, **kw), m)
+        counts.update(mul=0, graded=0)
+        ctx.part1(), ctx.part2()
+        assert counts["mul"] <= 3 * n and counts["graded"] <= 4 * n, (kw, counts)
+
+
+def test_closed_forms_and_audit_displays_are_linear_in_m():
+    """On each one-hot coefficient jet and on the curvature jets R_1212 = 1
+    with v = w = e_1 and with v = w = e_3, whose derived scalars do not
+    depend on m, the closed forms, the densities and every audit row
+    (engine and display) are fitted as a + b m from m = 2 and 3, and the fit
+    is exact at every m from 4 to 8.  This is evidence for m <= 8, not a
+    proof for all m."""
+    from wres_torsion.cli import _one_hot_cases
+
+    def cases(m):
+        yield from _one_hot_cases(m)
+        for i in (0, 2):
+            e = [Fraction(int(k == i)) for k in range(2 * m)]
+            yield f"R_1212 = 1, v = w = e_{i + 1}", None, dict(R=[[0, 1, 0, 1, 1]], v=e, w=e)
 
     def values(m):
         out = {}
-        for label, expected, kw in _one_hot_cases(m):
+        for label, expected, kw in cases(m):
             jet = make_point_jet(m, **kw)
             der = derived_scalars(jet)
             out[label, "scalars"] = (der.g_vw, der.s, der.norm_t2, der.tt_vw, der.div_t_vw,
@@ -1520,6 +1557,9 @@ def test_closed_forms_and_audit_displays_are_linear_in_m():
         return out
 
     two, three = values(2), values(3)
+    # the curvature rows are reached: on the e_3 jet these engine values are not 0
+    assert all(two["R_1212 = 1, v = w = e_3", row][0]
+               for row in ("I-A", "II-1-B", "II-3-A", "II-4-A", "II-6"))
     for m in range(4, 9):
         got = values(m)
         assert got.keys() == two.keys()

@@ -1623,3 +1623,45 @@ def test_trace_read_rules_hold_on_random_vectors(case):
     m, v, w = case
     for channel in _grade2_channels(make_point_jet(m, v=v, w=w)):
         assert _read_rule_breaks(channel) == []
+
+
+# ---------------------------------------------------------------------------
+# s2 and P_f by the Clifford relation
+# ---------------------------------------------------------------------------
+
+def _n2_product_forms(jet):
+    """The n^2-product forms that ``JetInputs`` replaces by the relation
+    c(xi) c(w) c(xi) = |xi|^2 c(w) - 2 <w, xi> c(xi): P_f = c(v) c_f c(w) as
+    two products each, and s2 = -sum_{f,g} P_f c_g xi_f xi_g as one symbol
+    per (f, g), summed."""
+    n = jet.n
+    gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    cv, cw = CliffordElement.from_vector(n, jet.v), CliffordElement.from_vector(n, jet.w)
+    cvc = [cv * c_f * cw for c_f in gens]
+    deg = lambda f, g: tuple((k == f) + (k == g) for k in range(n))
+    s2 = SymbolExpr.sum_of(n, (SymbolExpr.from_clifford(cvc[f] * gens[g], xideg=deg(f, g))
+                               for f in range(n) for g in range(n))).scale(-1)
+    return cvc, s2
+
+
+def _relation_jets(m):
+    """Jets whose v and w are dense random rationals, one-hot, or (w) zero."""
+    n, rng = 2 * m, random.Random(f"relation:{m}")
+    dense = lambda: [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+    unit = [[int(k == i) for k in range(n)] for i in range(n)]
+    return [*(make_point_jet(m, v=dense(), w=dense()) for _ in range(3)),
+            make_point_jet(m, v=dense(), w=unit[n - 1]), make_point_jet(m, v=dense()),
+            *(make_point_jet(m, v=unit[i], w=unit[j]) for i, j in ((0, 0), (0, n - 1), (n - 1, 1)))]
+
+
+@pytest.mark.parametrize("m", SUPPORTED_M)
+def test_s2_and_p_f_by_the_relation_match_the_n2_products(m):
+    """s2 and P_f, built by the Clifford relation from one c(v) c(w) and n
+    one-word products c(v) c_g, store the same (nums, den, phase) as their
+    n^2-product forms, on dense, one-hot and zero-w jets."""
+    for jet in _relation_jets(m):
+        cvc, s2 = _n2_product_forms(jet)
+        inputs = symbols.JetInputs(jet)
+        assert _raw(inputs.cvc) == _raw(cvc)
+        assert (inputs.s2.nums, inputs.s2.den, inputs.s2.phase) == (s2.nums, s2.den, s2.phase)
+        assert s2 or not any(jet.w)
