@@ -234,18 +234,17 @@ def scalar_part(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement._of(a.n, {0: total} if total else {}, a.den * b.den)
 
 
-def _graded(x: CliffordElement, y: CliffordElement, grades: Tuple[int, ...],
-            inside: bool = True) -> CliffordElement:
-    """The words of x * y of a grade in ``grades`` (outside them, ``inside``
-    False): only word pairs whose XOR lands there are multiplied."""
-    if inside and grades == (0,):
+def _graded(x: CliffordElement, y: CliffordElement, grades: Tuple[int, ...]) -> CliffordElement:
+    """The words of x * y of a grade in ``grades``: only word pairs whose XOR
+    lands there are multiplied."""
+    if grades == (0,):
         return scalar_part(x, y)
     x._check(y)
     right = [(wb, _below(wb) ^ wb, cb) for wb, cb in y.nums.items()]
     acc: Dict[Word, object] = {}
     for wa, ca in x.nums.items():
         for wb, mask, cb in right:
-            if ((wa ^ wb).bit_count() in grades) is inside:
+            if (wa ^ wb).bit_count() in grades:
                 c = -ca * cb if (wa & mask).bit_count() & 1 else ca * cb
                 acc[wa ^ wb] = acc.get(wa ^ wb, 0) + c
     return CliffordElement._of(x.n, {w: c for w, c in acc.items() if c}, x.den * y.den)

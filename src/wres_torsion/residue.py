@@ -400,6 +400,11 @@ COMPARISONS = {
 }
 
 
+# the closed forms' m-free coefficients, built once; part 2 and the theorem share ``_tail``
+_SIXTH, _NORM_T2 = Fraction(-1, 6), Fraction(73, 16)
+_TT, _DIV_T, _T_DW = Fraction(-25, 16), Fraction(11, 4), Fraction(17, 4)
+
+
 class PipelineContext(JetInputs):
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
@@ -408,8 +413,8 @@ class PipelineContext(JetInputs):
     calls through this module's bindings.  Every field is built on first use
     and reused by every later consumer: c(v)c(w), the inverse-power channels
     of parts 1 and 2 and the printed channels, built on the terms a table
-    reads (``JetInputs``' traced channels), the printed grades (the read
-    products plus the rest) and the composed ones, sigma_Delta's channels
+    reads (``JetInputs``' traced channels), the printed grades (one product
+    per factor pair) and the composed ones, sigma_Delta's channels
     bucketed once, and the trace tables of part 1, the metric and both
     part-2 sources, whose cells the densities and the audit rows read; then
     the ``COMPARISONS`` and the product symbol's three grade equalities,
@@ -467,7 +472,7 @@ class PipelineContext(JetInputs):
                                   for name, part in parts.items()})
 
     printed_table = cached_property(
-        lambda self: _trace_table(self.printed(), self.delta_buckets, self.m))
+        lambda self: _trace_table(self.printed(self.read_products), self.delta_buckets, self.m))
     composed_table = cached_property(
         lambda self: _trace_table(dict(enumerate(self.ab_composed)), self.delta_buckets, self.m))
 
@@ -487,22 +492,19 @@ class PipelineContext(JetInputs):
         return Density(Fraction(m - 1, 12) * der.s * der.g_vw
                        - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
 
+    def _tail(self) -> Fraction:
+        der = self.derived
+        return _TT * der.tt_vw + _DIV_T * der.div_t_vw + _T_DW * der.t_dw
+
     def part2_closed(self) -> Density:
         der, m = self.derived, self.m
-        return Density(-Fraction(1, 6) * (der.ric_vw - der.s * der.g_vw / 2)
+        return Density(_SIXTH * (der.ric_vw - der.s * der.g_vw / 2)
                        - Fraction(m - 1, 12) * der.s * der.g_vw
-                       + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
-                       - Fraction(25, 16) * der.tt_vw
-                       + Fraction(11, 4) * der.div_t_vw
-                       + Fraction(17, 4) * der.t_dw)
+                       + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw + self._tail())
 
     def theorem(self) -> Density:
         der = self.derived
-        return Density(-Fraction(1, 6) * der.einstein_vw
-                       + Fraction(73, 16) * der.norm_t2 * der.g_vw
-                       - Fraction(25, 16) * der.tt_vw
-                       + Fraction(11, 4) * der.div_t_vw
-                       + Fraction(17, 4) * der.t_dw)
+        return Density(_SIXTH * der.einstein_vw + _NORM_T2 * der.norm_t2 * der.g_vw + self._tail())
 
     def compare(self, name: str) -> Comparison:
         """The comparison ``name`` of ``COMPARISONS``, made on first use."""

@@ -576,7 +576,7 @@ class JetInputs:
     symbol's channels.  A builder given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
-    (``traced``, ``printed()``) on the terms a context's traces read, as
+    (``traced``, ``read_products``) on the terms a context's traces read, as
     tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
     The order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
     ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b
@@ -587,7 +587,7 @@ class JetInputs:
     c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no
     word at a != b misses both e_a and e_b (``_near``).  (4) s1 meets only
     sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
-    printed channel sums the read products and the rest (``printed``)."""
+    printed channel takes one product per factor pair (``printed``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -605,18 +605,18 @@ class JetInputs:
     rows = property(lambda self: self.torsion[1])
 
     @cached_property
-    def word_sums(self) -> List[CliffordElement]:
-        """[1/8 sum_a c_a pair_sums[(b, a)] for b < n], the x^b jet channels
+    def word_sums(self) -> Dict[int, CliffordElement]:
+        """b -> 1/8 sum_a c_a pair_sums[(b, a)], the nonzero x^b jet channels
         1/8 sum_{a,t,s} R_{bats} c_a c_s c_t, in one pass over the pair sums'
         words: c_a w is -1 times its word iff w holds an odd number of
         generators at or below a (those below are passed, and c_a^2 = -1)."""
-        rows: List[list] = [[] for _ in range(self.n)]
+        rows: Dict[int, list] = {}
         for (b, a), pair in self.pair_sums.items():
             upto = (2 << a) - 1
-            rows[b].append(({w ^ (1 << a): -c if (w & upto).bit_count() & 1 else c
-                             for w, c in pair.nums.items()}, pair.den))
-        return [CliffordElement._of(self.n, nums, 8 * den)
-                for nums, den in map(_summed, rows)]
+            rows.setdefault(b, []).append(({w ^ (1 << a): -c if (w & upto).bit_count() & 1 else c
+                                            for w, c in pair.nums.items()}, 8 * pair.den))
+        sums = {b: CliffordElement._of(self.n, *_summed(row)) for b, row in rows.items()}
+        return {b: e for b, e in sums.items() if e}
 
     @cached_property
     def cv_dw(self) -> CliffordElement:
@@ -697,7 +697,7 @@ class JetInputs:
                      if tau else [],
             "s1_dw": [(_unit(n, a), cv_dw, c_a) for a, c_a in enumerate(self.gens)],
             "s0_tt": [(0, self.cv_tau_cw, tau)] if tau else [],
-            "s0_r": [(0, x, y) for x, y in zip(cvc, self.word_sums)],
+            "s0_r": [(0, cvc[b], y) for b, y in self.word_sums.items()],
             "s0_dt": [(0, cvc[b], form) for b, form in dtau.items()],
             "s0_tdw": [(0, cv_dw, tau)]}
         return {name: (c, [(xi, product(x, y, (g,))) for xi, x, y in channels[name] if x and y])
@@ -705,12 +705,10 @@ class JetInputs:
 
     read_products = cached_property(lambda self: self.products(_graded))
 
-    def printed(self, *rest) -> Dict[str, SymbolExpr]:
-        """s2 and the other channels on their read products, plus those of
-        ``rest`` (``products`` of the other grades), by one ``_family`` each."""
-        return {"s2": self.s2, **{name: _family(self.n, [
-            (0, xi, 0, e) for part in (self.read_products, *rest) for xi, e in part[name][1]], c)
-            for name, (c, _) in self.read_products.items()}}
+    def printed(self, products) -> Dict[str, SymbolExpr]:
+        """s2 and each channel of a ``products`` output, by one ``_family`` each."""
+        return {"s2": self.s2, **{name: _family(self.n, [(0, xi, 0, e) for xi, e in pairs], c)
+                                  for name, (c, pairs) in products.items()}}
 
     def order2_parts(self, mm: int, families=None, even: bool = False) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
@@ -769,7 +767,7 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     curvature, (tau, dtau) = inputs.word_sums, inputs.forms
     sigma0 = _family(n, [(x0, x0, 0, form.scale(kappa)) for form in tau.values()] + [
         (_unit(n, b), x0, 0, form.scale(kappa)) for b, form in dtau.items()] + [
-        (_unit(n, b), x0, 0, row) for b, row in enumerate(curvature)])
+        (_unit(n, b), x0, 0, row) for b, row in curvature.items()])
     return sigma1, sigma0
 
 
@@ -777,10 +775,11 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
                             ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by ``compose``.
-    c(v) sigma(D_T) is linear in xi with no norm power, so only |alpha| <= 1
-    terms survive: the left factor is read at x0, and the right one through
-    its value and first x-jet, w0 sigma + w1 sigma(x0) for c(w(x)) = w0 + w1
-    (w1 the x-linear dw jet), without the x^2 part of the full product."""
+    c(v) has no x and no xi, so it is applied after ``compose``.  sigma(D_T)
+    is linear in xi with no norm power, so only |alpha| <= 1 terms survive:
+    the left factor is sigma(x0), and the right one is read through its value
+    and first x-jet, w0 sigma + w1 sigma(x0) for c(w(x)) = w0 + w1 (w1 the
+    x-linear dw jet), without the x^2 part of the full product."""
     n = jet.n
     inputs = inputs or JetInputs(jet)
     sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs))
@@ -789,7 +788,7 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     (w, w_den), (dw, dw_den) = inputs.vectors["w"], inputs.vectors["dw"]
     w0 = _symbol(n, (((0, 0, 0, 1 << a), x) for a, x in w.items() if x), w_den)
     w1 = _symbol(n, (((_unit(n, j), 0, 0, 1 << g), x) for (j, g), x in dw.items()), dw_den)
-    full = compose(SymbolExpr.from_clifford(inputs.cv) * s0, w0 * sigma + w1 * s0)
+    full = SymbolExpr.from_clifford(inputs.cv) * compose(s0, w0 * sigma + w1 * s0)
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
@@ -810,7 +809,7 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       the audit reports the difference.
     """
     inputs = inputs or JetInputs(jet)
-    return inputs.printed(inputs.products(partial(_graded, inside=False)))
+    return inputs.printed(inputs.products(lambda x, y, _: x * y))
 
 
 def printed_grades(parts: Dict[str, SymbolExpr]
@@ -837,16 +836,15 @@ def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
     return _symbol(n, (((0, row[a], -2 * m - 2, 0), 1) for a, row in enumerate(_pairs(n))), 1)
 
 
-def build_sigma_delta_inv_parts(jet: PointJet, inputs: JetInputs | None = None) -> Tuple[
+def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
         Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
-    return (inputs or JetInputs(jet)).sigma_delta()
+    return JetInputs(jet).sigma_delta()
 
 
-def build_sigma_dtpow_parts(jet: PointJet, inputs: JetInputs | None = None
-                            ) -> Dict[str, SymbolExpr]:
+def build_sigma_dtpow_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
-    return (inputs or JetInputs(jet)).order2_parts(jet.m - 1)
+    return JetInputs(jet).order2_parts(jet.m - 1)

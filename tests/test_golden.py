@@ -90,8 +90,10 @@ def _assert_findings(jet, report: dict, part2_printed: Fraction,
     assert shift == {"engine": format_rational(Fraction(3, 4) * tt),
                      "printed": format_rational(Fraction(3, 4) * tt), "match": "true"}
     assert part2_composed - part2_printed == Fraction(3, 4) * tt
+    diff = report["lemma36_diff"]
+    assert diff["grade2_equal"] is True and diff["grade0_equal"] is True
     if tt:
-        assert report["lemma36_diff"]["grade1_equal"] is False
+        assert diff["grade1_equal"] is False
     return bool(tt)
 
 

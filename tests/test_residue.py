@@ -34,6 +34,7 @@ from wres_torsion.residue import (
 )
 from test_symbols import leibniz_compose
 from wres_torsion.symbols import (
+    TORSION_PREFACTOR,
     SymbolExpr,
     at_x0,
     build_sigma_ab_printed,
@@ -1066,7 +1067,7 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     """An audit makes one ``compose`` call, on the composed product symbol's
-    left factor c(v) sigma(D_T) at x0, and makes four kernel passes over
+    left factor sigma(D_T) at x0, and makes four kernel passes over
     three bucketings: the dtpow channels are bucketed once for part 1's
     table, sigma_Delta's 14 channels once for both part-2 tables, and the
     metric's lead channel once for its one cell.  The printed pass reads the
@@ -1119,7 +1120,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
     assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
     sigma = at_x0(sum_of(SymbolExpr, jet.n, symbols.build_sigma_dt(jet)))
-    assert composed == [SymbolExpr.from_clifford(ctx.cv) * sigma]
+    assert composed == [sigma]
     count = (len(composed), len(buckets), len(passes))
     assert ctx.part1() == part1_density(jet, 2) and ctx.part2("composed").value
     assert ctx.part2("printed") == part2_density(jet, 2)
@@ -1471,9 +1472,10 @@ def test_traced_channels_bucket_fewer_entries():
 
 
 def test_audit_forms_no_clifford_product_twice(monkeypatch):
-    """Per audit jet no two Clifford factors are multiplied on overlapping
-    grades: the public printed parts are the read products plus the
-    products of the other grades, and c(v) tau c(w) is built once."""
+    """Per audit jet no two Clifford factors are multiplied twice on the same
+    grades.  A pair formed twice is a printed factor pair: once on the one
+    grade its trace reads (the read products) and once in full (the public
+    printed parts, one product per pair); c(v) tau c(w) is built once."""
     from collections import defaultdict
 
     formed, held = defaultdict(list), []
@@ -1484,17 +1486,75 @@ def test_audit_forms_no_clifford_product_twice(monkeypatch):
         formed[id(a), id(b)].append(set(range(a.n + 1)))
         return mul(a, b)
 
-    def counted_graded(a, b, grades, inside=True):
+    def counted_graded(a, b, grades):
         held.append((a, b))
-        formed[id(a), id(b)].append({k for k in range(a.n + 1) if (k in grades) is inside})
-        return graded(a, b, grades, inside)
+        formed[id(a), id(b)].append(set(grades))
+        return graded(a, b, grades)
     monkeypatch.setattr(CliffordElement, "__mul__", counted_mul)
     monkeypatch.setattr(symbols, "_graded", counted_graded)
     for m in (2, 3):
         formed.clear()
         assert audit(random_point_jet(1, m), m).ok
-        split = [grades for grades in formed.values() if len(grades) > 1]
-        assert split and all(len(set.union(*g)) == sum(map(len, g)) for g in split)
+        split = [sorted(grades, key=len) for grades in formed.values() if len(grades) > 1]
+        assert split and all(len(g) == 2 and len(g[0]) == 1 and g[1] == set(range(2 * m + 1))
+                             for g in split)
+
+
+def test_audit_multiplies_fewer_symbol_word_pairs(monkeypatch):
+    """One m = 4 audit (seed 0) makes 2m + 4 = 12 ``SymbolExpr`` products
+    over fewer than 30,000 word pairs (len(a.nums) * len(b.nums) per
+    product; 22,944 here).  With c(v) in ``compose``'s left factor, each
+    alpha's product met up to n times the left terms: 39,781 pairs."""
+    mul, calls, pairs = SymbolExpr.__mul__, [], []
+
+    def counted(a, b):
+        calls.append(1)
+        pairs.append(len(a.nums) * len(b.nums))
+        return mul(a, b)
+    monkeypatch.setattr(SymbolExpr, "__mul__", counted)
+    assert audit(random_point_jet(0, 4), 4).ok
+    assert len(calls) == 12 and sum(pairs) < 30000, (len(calls), sum(pairs))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_hand_typed_note_numbers_match_the_engine(m):
+    """The numbers that the convention notes and the row notes type by hand
+    are the engine's at m = 2-6, on seed 0 and the two torsion one-hot jets
+    (T_123 = 1 with v = w = e_4, where TT = 0, and with v = w = e_1):
+    II-3-B's engine value (27/4) m |T|^2 g - (9/4) TT, II-3-C's
+    -(27/4)(m-1) |T|^2 g, part 1's bracket -3(m-1)/4 |T|^2 g beside
+    (m-1)/12 s g, the TT coefficient -13/16 = -25/16 + 3/4 of the strictly
+    composed density (73/16 |T|^2 g - 13/16 TT on the torsion-only jets)
+    and the prefactor ratios 6 and 18."""
+    from wres_torsion.cli import _one_hot_cases
+
+    rows = {row.label: row for row in residue._audit_rows(m, derived_scalars(make_point_jet(m)))}
+    notes = " ".join(residue._CONVENTION_NOTES)
+    typed = {"II-3-B": "(27/4) m |T|^2 g - (9/4) TT", "II-3-C": "-(27/4)(m-1) |T|^2 g"}
+    for label, text in typed.items():
+        assert text in rows[label].note and text in notes, label
+    first, printed = TORSION_PREFACTOR["first_principles"], TORSION_PREFACTOR["printed"]
+    for text in ("the bracket is -3(m-1)/4 |T|^2 g(v,w)", "+3/4 sum T(v,e_j,e_l)T(w,e_j,e_l)",
+                 "-13/16 coefficient in place of -25/16", f"uses {printed} on increasing",
+                 f"carries 3/2 (ratio {Fraction(3, 2) / printed})",
+                 f"carries {first} (ratio {first / printed})"):
+        assert text in notes, text
+    assert residue._TT + Fraction(3, 4) == Fraction(-13, 16) and first / printed == 18
+
+    torsion_only = [make_point_jet(m, **kw) for _, _, kw in list(_one_hot_cases(m))[:2]]
+    for jet in [random_point_jet(0, m), *torsion_only]:
+        ctx, der = PipelineContext(jet, m), derived_scalars(jet)
+        nt2_g, tt = der.norm_t2 * der.g_vw, der.tt_vw
+        cell = lambda label: ctx.printed_table.trace(rows[label].lefts, rows[label].rights)
+        assert cell("II-3-B") == Fraction(27, 4) * m * nt2_g - Fraction(9, 4) * tt
+        assert cell("II-3-C") == -Fraction(27, 4) * (m - 1) * nt2_g
+        assert ctx.part1().value == (Fraction(m - 1, 12) * der.s * der.g_vw
+                                     - Fraction(3 * (m - 1), 4) * nt2_g)
+    for jet in torsion_only:
+        ctx, der = PipelineContext(jet, m), derived_scalars(jet)
+        assert der.norm_t2 * der.g_vw and ctx.part1().value + ctx.part2("composed").value == (
+            Fraction(73, 16) * der.norm_t2 * der.g_vw - Fraction(13, 16) * der.tt_vw)
+    assert derived_scalars(torsion_only[1]).tt_vw
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -1513,9 +1573,9 @@ def test_one_hot_jets_form_linearly_many_clifford_products(monkeypatch, m):
         counts["mul"] += 1
         return mul(a, b)
 
-    def counted_graded(a, b, grades, inside=True):
+    def counted_graded(a, b, grades):
         counts["graded"] += 1
-        return graded(a, b, grades, inside)
+        return graded(a, b, grades)
     monkeypatch.setattr(CliffordElement, "__mul__", counted_mul)
     monkeypatch.setattr(symbols, "_graded", counted_graded)
     n = 2 * m

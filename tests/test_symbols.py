@@ -1233,8 +1233,10 @@ def test_sparse_curvature_sums_match_dense(m):
         curvature = _integer_form(jet.R_entries)
         words = symbols.JetInputs(jet).word_sums
         pairs = symbols._curvature_pair_sums(curvature, n)
+        assert all(words.values())
         for b in range(n):
-            assert words[b] == _dense_curvature_word_sum(jet, b, Fraction(1, 8))
+            assert words.get(b, CliffordElement.zero(n)) == \
+                _dense_curvature_word_sum(jet, b, Fraction(1, 8))
             for a in range(n):
                 assert pairs.get((b, a), CliffordElement.zero(n)) == \
                     _dense_curvature_pair_sum(jet, b, a)
@@ -1548,7 +1550,8 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
             "curvature": curvature, "ric": ric,
             "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
             "rows": rows,
-            "word_sums": [_dense_curvature_word_sum(jet, b, Fraction(1, 8)) for b in range(n)],
+            "word_sums": {b: e for b in range(n)
+                          if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
             "pair_sums": pair_sums,
             # the families of JetInputs.order2 over the inputs converted anew
             "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
@@ -1665,3 +1668,55 @@ def test_s2_and_p_f_by_the_relation_match_the_n2_products(m):
         assert _raw(inputs.cvc) == _raw(cvc)
         assert (inputs.s2.nums, inputs.s2.den, inputs.s2.phase) == (s2.nums, s2.den, s2.phase)
         assert s2 or not any(jet.w)
+
+
+# ---------------------------------------------------------------------------
+# c(v) after compose, and one product per printed factor pair
+# ---------------------------------------------------------------------------
+
+def _cv_inside_compose(jet):
+    """Grades 2, 1, 0 of compose(c(v) sigma(x0), w0 sigma + w1 sigma(x0)),
+    c(w(x)) = w0 + w1: the association with c(v) in ``compose``'s left
+    factor, which the builder used before it applied c(v) after ``compose``."""
+    n = jet.n
+    c = lambda vector, xdeg=None: SymbolExpr.from_clifford(
+        CliffordElement.from_vector(n, vector), xdeg=xdeg)
+    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet))
+    s0 = at_x0(sigma)
+    w1 = SymbolExpr.sum_of(n, [c(row, tuple(int(i == j) for i in range(n)))
+                               for j, row in enumerate(jet.dw)])
+    full = symbols.compose(c(jet.v) * s0, c(jet.w) * sigma + w1 * s0)
+    return tuple(xi_grade(full, d) for d in (2, 1, 0))
+
+
+def _read_plus_complement_parts(jet):
+    """The printed channels as built before one product per factor pair:
+    each channel's read products (``JetInputs.read_products``) plus the
+    products of the other grades, summed by one ``_family`` per channel."""
+    n, inputs = jet.n, symbols.JetInputs(jet)
+    rest = inputs.products(lambda x, y, grades: symbols._grades(
+        x * y, *(g for g in range(n + 1) if g not in grades)))
+    read = inputs.read_products
+    return {"s2": inputs.s2, **{name: symbols._family(n, [
+        (0, xi, 0, e) for part in (read, rest) for xi, e in part[name][1]], c)
+        for name, (c, _) in read.items()}}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_product_symbols_match_the_previous_rules(m):
+    """Each composed grade, with c(v) applied after ``compose``, and each
+    printed channel, one product per factor pair, store the (nums, den,
+    phase) of the previous rules above, on seeds 0-4 at m <= 6 and on the
+    one-hot coefficient jets at every m from 2 to 8."""
+    from wres_torsion.cli import _one_hot_cases
+
+    stored = lambda e: (e.nums, e.den, e.phase if e else None)
+    jets = [random_point_jet(seed, m) for seed in range(5)] if m <= 6 else []
+    jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)]
+    for jet in jets:
+        composed, oracle = build_sigma_ab_composed(jet), _cv_inside_compose(jet)
+        assert list(map(stored, composed)) == list(map(stored, oracle)), (m, jet)
+        parts, oracle = symbols.build_sigma_ab_printed_parts(jet), _read_plus_complement_parts(jet)
+        assert parts.keys() == oracle.keys()
+        for name, expr in oracle.items():
+            assert stored(parts[name]) == stored(expr), (m, jet, name)
