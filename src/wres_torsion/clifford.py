@@ -42,7 +42,7 @@ the trace sums their diagonal entries, with no use of the sign rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .numerics import GaussianRational, I, ONE, ZERO, _integer_form, _reduced, _summed
 
@@ -234,7 +234,7 @@ def scalar_part(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement._of(a.n, {0: total} if total else {}, a.den * b.den)
 
 
-def _graded(x: CliffordElement, y: CliffordElement, grades: Tuple[int, ...]) -> CliffordElement:
+def _graded(x: CliffordElement, y: CliffordElement, grades: Collection[int]) -> CliffordElement:
     """The words of x * y of a grade in ``grades``: only word pairs whose XOR
     lands there are multiplied."""
     if grades == (0,):
@@ -244,9 +244,9 @@ def _graded(x: CliffordElement, y: CliffordElement, grades: Tuple[int, ...]) -> 
     acc: Dict[Word, object] = {}
     for wa, ca in x.nums.items():
         for wb, mask, cb in right:
-            if (wa ^ wb).bit_count() in grades:
-                c = -ca * cb if (wa & mask).bit_count() & 1 else ca * cb
-                acc[wa ^ wb] = acc.get(wa ^ wb, 0) + c
+            w = wa ^ wb
+            if w.bit_count() in grades:
+                acc[w] = acc.get(w, 0) + (-ca * cb if (wa & mask).bit_count() & 1 else ca * cb)
     return CliffordElement._of(x.n, {w: c for w, c in acc.items() if c}, x.den * y.den)
 
 

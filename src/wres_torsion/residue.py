@@ -400,7 +400,7 @@ COMPARISONS = {
 }
 
 
-# the closed forms' m-free coefficients, built once; part 2 and the theorem share ``_tail``
+# the closed forms' m-free coefficients, built once
 _SIXTH, _NORM_T2 = Fraction(-1, 6), Fraction(73, 16)
 _TT, _DIV_T, _T_DW = Fraction(-25, 16), Fraction(11, 4), Fraction(17, 4)
 
@@ -413,9 +413,9 @@ class PipelineContext(JetInputs):
     calls through this module's bindings.  Every field is built on first use
     and reused by every later consumer: c(v)c(w), the inverse-power channels
     of parts 1 and 2 and the printed channels, built on the terms a table
-    reads (``JetInputs``' traced channels), the printed grades (one product
-    per factor pair) and the composed ones, sigma_Delta's channels
-    bucketed once, and the trace tables of part 1, the metric and both
+    reads (``JetInputs``' traced channels), the printed grades (the read
+    products plus the other grades) and the composed ones, sigma_Delta's
+    channels bucketed once, and the trace tables of part 1, the metric and both
     part-2 sources, whose cells the densities and the audit rows read; then
     the ``COMPARISONS`` and the product symbol's three grade equalities,
     which the audit and the CLI read.
@@ -492,19 +492,17 @@ class PipelineContext(JetInputs):
         return Density(Fraction(m - 1, 12) * der.s * der.g_vw
                        - Fraction(3 * (m - 1), 4) * der.norm_t2 * der.g_vw)
 
-    def _tail(self) -> Fraction:
-        der = self.derived
-        return _TT * der.tt_vw + _DIV_T * der.div_t_vw + _T_DW * der.t_dw
-
     def part2_closed(self) -> Density:
         der, m = self.derived, self.m
         return Density(_SIXTH * (der.ric_vw - der.s * der.g_vw / 2)
                        - Fraction(m - 1, 12) * der.s * der.g_vw
-                       + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw + self._tail())
+                       + Fraction(12 * m + 61, 16) * der.norm_t2 * der.g_vw
+                       + _TT * der.tt_vw + _DIV_T * der.div_t_vw + _T_DW * der.t_dw)
 
     def theorem(self) -> Density:
         der = self.derived
-        return Density(_SIXTH * der.einstein_vw + _NORM_T2 * der.norm_t2 * der.g_vw + self._tail())
+        return Density(_SIXTH * der.einstein_vw + _NORM_T2 * der.norm_t2 * der.g_vw
+                       + _TT * der.tt_vw + _DIV_T * der.div_t_vw + _T_DW * der.t_dw)
 
     def compare(self, name: str) -> Comparison:
         """The comparison ``name`` of ``COMPARISONS``, made on first use."""

@@ -587,7 +587,7 @@ class JetInputs:
     c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no
     word at a != b misses both e_a and e_b (``_near``).  (4) s1 meets only
     sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
-    printed channel takes one product per factor pair (``printed``)."""
+    printed channel adds the other grades to them (``full_products``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -686,9 +686,9 @@ class JetInputs:
     def products(self, product) -> Dict[str, Tuple[object, List[Tuple[int, CliffordElement]]]]:
         """The printed grade-1 and grade-0 channels as (c, [(xi-code, x y)])
         over their factor pairs, each x y formed by ``product(x, y, grades)``
-        (``clifford._graded``) at the grades the trace reads: 2 of s1, 0 of s0.
-        No pair with an empty factor is formed, and no factor of a channel
-        whose shared factor tau is zero."""
+        given the grades the trace reads, 2 of s1 and 0 of s0 (``_graded`` on
+        them or, for ``full_products``, on the others).  No pair with an empty
+        factor is formed, nor a factor of a channel whose shared tau is zero."""
         n, tau, cvc, cv_dw, dtau = self.n, self.tau, self.cvc, self.cv_dw, self.forms[1]
         channels = {
             # c(w) c_a c(v) is the reversal of P_a, a sum of grades 1 (kept by
@@ -704,6 +704,12 @@ class JetInputs:
                 for name, (c, g) in _PRINTED.items()}
 
     read_products = cached_property(lambda self: self.products(_graded))
+
+    def full_products(self) -> Dict[str, Tuple[object, List[Tuple[int, CliffordElement]]]]:
+        """The read products plus each pair's words of the other grades, so
+        that no word pair is multiplied twice."""
+        rest = self.products(lambda x, y, g: _graded(x, y, {*range(self.n + 1)} - {*g}))
+        return {name: (c, pairs + rest[name][1]) for name, (c, pairs) in self.read_products.items()}
 
     def printed(self, products) -> Dict[str, SymbolExpr]:
         """s2 and each channel of a ``products`` output, by one ``_family`` each."""
@@ -809,7 +815,7 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       the audit reports the difference.
     """
     inputs = inputs or JetInputs(jet)
-    return inputs.printed(inputs.products(lambda x, y, _: x * y))
+    return inputs.printed(inputs.full_products())
 
 
 def printed_grades(parts: Dict[str, SymbolExpr]

@@ -1671,7 +1671,7 @@ def test_s2_and_p_f_by_the_relation_match_the_n2_products(m):
 
 
 # ---------------------------------------------------------------------------
-# c(v) after compose, and one product per printed factor pair
+# c(v) after compose, and the printed channels against plain products
 # ---------------------------------------------------------------------------
 
 def _cv_inside_compose(jet):
@@ -1689,34 +1689,32 @@ def _cv_inside_compose(jet):
     return tuple(xi_grade(full, d) for d in (2, 1, 0))
 
 
-def _read_plus_complement_parts(jet):
-    """The printed channels as built before one product per factor pair:
-    each channel's read products (``JetInputs.read_products``) plus the
-    products of the other grades, summed by one ``_family`` per channel."""
-    n, inputs = jet.n, symbols.JetInputs(jet)
-    rest = inputs.products(lambda x, y, grades: symbols._grades(
-        x * y, *(g for g in range(n + 1) if g not in grades)))
-    read = inputs.read_products
-    return {"s2": inputs.s2, **{name: symbols._family(n, [
-        (0, xi, 0, e) for part in (read, rest) for xi, e in part[name][1]], c)
-        for name, (c, _) in read.items()}}
+def _plain_product_parts(jet):
+    """The printed channels with each factor pair's plain product x * y in
+    place of its read products plus the words of its other grades."""
+    inputs = symbols.JetInputs(jet)
+    return inputs.printed(inputs.products(lambda x, y, _: x * y))
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_product_symbols_match_the_previous_rules(m):
-    """Each composed grade, with c(v) applied after ``compose``, and each
-    printed channel, one product per factor pair, store the (nums, den,
-    phase) of the previous rules above, on seeds 0-4 at m <= 6 and on the
-    one-hot coefficient jets at every m from 2 to 8."""
+@pytest.mark.parametrize("m, seeds", [
+    *(pytest.param(m, range(5), id=f"{m}-seeds") for m in range(2, 5)),
+    *(pytest.param(m, range(5), id=f"{m}-seeds", marks=pytest.mark.slow) for m in (5, 6)),
+    *(pytest.param(m, (), id=f"{m}-one-hot") for m in range(2, 9))])
+def test_product_symbols_match_the_previous_rules(m, seeds):
+    """Each composed grade, with c(v) applied after ``compose``, stores the
+    (nums, den, phase) of the association above, and each printed channel,
+    the read products plus the other grades, that of the plain products, on
+    seeds 0-4 at m <= 6 (m = 5, 6 in the slow set) and on the one-hot
+    coefficient jets at every m from 2 to 8."""
     from wres_torsion.cli import _one_hot_cases
 
     stored = lambda e: (e.nums, e.den, e.phase if e else None)
-    jets = [random_point_jet(seed, m) for seed in range(5)] if m <= 6 else []
-    jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)]
+    jets = [random_point_jet(seed, m) for seed in seeds] or [
+        make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)]
     for jet in jets:
         composed, oracle = build_sigma_ab_composed(jet), _cv_inside_compose(jet)
         assert list(map(stored, composed)) == list(map(stored, oracle)), (m, jet)
-        parts, oracle = symbols.build_sigma_ab_printed_parts(jet), _read_plus_complement_parts(jet)
+        parts, oracle = symbols.build_sigma_ab_printed_parts(jet), _plain_product_parts(jet)
         assert parts.keys() == oracle.keys()
         for name, expr in oracle.items():
             assert stored(parts[name]) == stored(expr), (m, jet, name)
