@@ -74,7 +74,6 @@ from .symbols import (
     _ones,
     build_sigma_ab_composed,
     build_sigma_ab_printed_parts,
-    build_sigma_delta_lead,
     printed_grades,
 )
 
@@ -239,17 +238,22 @@ class TraceTable(NamedTuple):
     right_keys: Tuple[Hashable, ...]
 
     def trace(self, lefts: Iterable[Hashable] | None = None,
-              rights: Iterable[Hashable] = ()) -> Fraction:
+              rights: Iterable[Hashable] | None = None) -> Fraction:
         """The trace of the cells (a, b) for a in ``lefts`` and b in
-        ``rights`` (of every cell, without ``lefts``): the trace is linear,
-        so one ``_real_trace`` of the summed cells.  A key that names none of
-        the table's channels raises ValueError (a cell no term reaches is 0)."""
-        if lefts is not None:
-            lefts, rights = tuple(lefts), tuple(rights)
+        ``rights`` (of every cell, given neither): the trace is linear, so one
+        ``_real_trace`` of the summed cells.  A key that names none of the
+        table's channels raises ValueError, and so does an empty or missing
+        side, which would read as 0 (as a cell no term reaches does)."""
+        if lefts is not None or rights is not None:
+            lefts, rights = tuple(lefts or ()), tuple(rights or ())
             unknown = {*lefts} - {*self.left_keys} | {*rights} - {*self.right_keys}
             if unknown:
                 raise ValueError(f"no channel {' or '.join(sorted(map(repr, unknown)))}"
                                  " in this trace table")
+            empty = [side for side, keys in (("left", lefts), ("right", rights)) if not keys]
+            if empty:
+                raise ValueError(f"no {' or '.join(empty)} channel selected:"
+                                 " trace() traces the whole table")
         sums: Dict[int, int] = {}
         for cell in (self.cells.values() if lefts is None else
                      filter(None, map(self.cells.get, product(lefts, rights)))):
@@ -460,8 +464,7 @@ class PipelineContext(JetInputs):
         return _trace_table({"cvw": self.cvw}, _bucketed(self.n, channels), self.m)
 
     part1_table = cached_property(lambda self: self._cvw_table(self.dtpow_parts))
-    metric_table = cached_property(
-        lambda self: self._cvw_table({"lead": build_sigma_delta_lead(self.jet)}))
+    metric_table = cached_property(lambda self: self._cvw_table({"lead": self.lead}))
 
     @cached_property
     def delta_buckets(self) -> Bucketed:
@@ -519,8 +522,7 @@ class PipelineContext(JetInputs):
 
 
 # the residue bindings whose results a context keeps
-_KEPT = ("printed_grades", "build_sigma_ab_composed", "build_sigma_delta_lead",
-         "build_sigma_ab_printed_parts")
+_KEPT = ("printed_grades", "build_sigma_ab_composed", "build_sigma_ab_printed_parts")
 _held: Tuple[Tuple[object, ...], PipelineContext] | None = None
 
 
@@ -635,13 +637,17 @@ class DensityReport:
         }
 
 
-def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr, limit: int = 12) -> List[dict]:
+_DIFF_TERMS = 12  # the differing terms ``lemma36_diff`` lists
+
+
+def _expr_diff_terms(a: SymbolExpr, b: SymbolExpr) -> List[dict]:
     """Per-term diff of two expressions of one phase (a = composed, b =
-    displayed): the first ``limit`` terms of a - b in exponent-tuple order."""
+    displayed): the first ``_DIFF_TERMS`` terms of a - b in exponent-tuple
+    order."""
     return [{"xdeg": list(key[0]), "xideg": list(key[1]), "normpow": key[2],
              "word": list(word_indices(key[3])),
              "composed": str(a.coefficient(key)), "displayed": str(b.coefficient(key))}
-            for key in sorted(_key(k, a.n) for k in (a - b).nums)[:limit]]
+            for key in sorted(_key(k, a.n) for k in (a - b).nums)[:_DIFF_TERMS]]
 
 
 class _Row(NamedTuple):

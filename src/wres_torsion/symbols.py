@@ -42,8 +42,8 @@ from int numerators to its symbol through one ``_symbol`` call (``_family``
 for a Clifford term family); an exact ``GaussianRational`` enters there and
 in ``scale`` only as one real or imaginary scalar.
 Per-term coefficients are given outside the builders (``SymbolExpr(n,
-terms)``, ``add_term``) and read back by ``coefficient``; one that breaks
-the phase rule raises ValueError.
+terms)``) and read back by ``coefficient``; one that breaks the phase rule
+raises ValueError.
 
 Builders at the bottom of the module produce every graded symbol the
 density pipelines consume.  Torsion enters the zeroth-order Dirac symbol
@@ -68,7 +68,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
-from math import gcd, lcm
 from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below, _graded
@@ -149,10 +148,8 @@ def _real(key: Code, coeff, phase: int, n: int) -> Fraction | int:
 
 
 class SymbolExpr:
-    """Canonical sum of symbol terms; no zero coefficients stored.
-
-    Every expression owns its term dictionary (no operation hands its result
-    a dictionary of its source), which ``add_term`` updates in place.
+    """Canonical sum of symbol terms; no zero coefficients stored, and no
+    expression changed once the constructor or ``_of`` has returned it.
     ``nums`` maps each key (x-code, xi-code, p, word) to the int numerator
     of the rational r of its coefficient i^(|nu| + grade(word) - phase) * r,
     over the one denominator ``den`` > 0; gcd(den, *numerators) = 1, and den
@@ -210,36 +207,6 @@ class SymbolExpr:
         if not parts:
             return cls._of(n, {}, 1, 0)
         return cls._of(n, *_summed((e.nums, e.den) for e in parts), parts[0].phase)
-
-    def add_term(self, xdeg: Deg, xideg: Deg, normpow: int, word: Word,
-                 coeff) -> None:
-        """Add an exact (rational or Gaussian-rational) coefficient at a key,
-        in place; the first term of a zero expression sets its phase.  The
-        numerators are rescaled only when the denominator grows, and their gcd
-        is read only when a key's numerator changed and shares a factor with
-        it: a new key's numerator leaves them reduced."""
-        if not coeff:
-            return
-        key, nums = _coded((xdeg, xideg, normpow, word), self.n), self.nums
-        if not nums:
-            self.phase = _phase_of(key, coeff, self.n)
-        r = _real(key, coeff, self.phase, self.n)
-        den = lcm(self.den, r.denominator)
-        if den != self.den:
-            f = den // self.den
-            for k in nums:
-                nums[k] *= f
-        prev = nums.get(key)
-        c = (prev or 0) + r.numerator * (den // r.denominator)
-        if c:
-            nums[key] = c
-        else:
-            del nums[key]
-        if prev and (g := gcd(den, c)) != 1 and (g := gcd(g, *nums.values())) != 1:
-            for k in nums:
-                nums[k] //= g
-            den //= g
-        self.den = den
 
     def coefficient(self, key: Key) -> GaussianRational:
         """The exact complex coefficient at ``key`` (zero when absent)."""
@@ -572,8 +539,9 @@ class JetInputs:
     the Clifford relation), R's and Ric's int forms (the derived scalars'
     ``int_forms``), the curvature pair sums and the word sums read off
     them, T's and dT1's 3-forms and bivector rows (``torsion``: one pass per
-    channel), the mm-free order -(2mm+2) families and the printed product
-    symbol's channels.  A builder given only the jet makes its own.
+    channel), the mm-free order -(2mm+2) families, sigma_Delta's leading
+    channel (``lead``, which a context's metric also traces) and the printed
+    product symbol's channels.  A builder given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``read_products``) on the terms a context's traces read, as
@@ -596,6 +564,7 @@ class JetInputs:
     derived = cached_property(lambda self: derived_scalars(self.jet, self.vectors))
     cv = cached_property(lambda self: _vector(self.n, self.vectors["v"]))
     cw = cached_property(lambda self: _vector(self.n, self.vectors["w"]))
+    lead = cached_property(lambda self: build_sigma_delta_lead(self.jet))
     curvature = property(lambda self: self.derived.int_forms["R"])
     ric = property(lambda self: self.derived.int_forms["ric"])
     pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
@@ -743,7 +712,7 @@ class JetInputs:
                                       for (a, j, b, k), c in curvature[0].items()
                                       if a == b or not traced).items(),
                         curvature[1], r_m)
-        parts_m = {"lead": build_sigma_delta_lead(self.jet), "r_jet": r_jet}
+        parts_m = {"lead": self.lead, "r_jet": r_jet}
 
         # order -2m-1
         parts_m1 = {

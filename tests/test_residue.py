@@ -32,7 +32,7 @@ from wres_torsion.residue import (
     theorem_density,
     trace_integral,
 )
-from test_symbols import leibniz_compose
+from test_symbols import _expr, leibniz_compose
 from wres_torsion.symbols import (
     TORSION_PREFACTOR,
     SymbolExpr,
@@ -87,9 +87,7 @@ def test_moment_rejects_odd_dimension():
 # ---------------------------------------------------------------------------
 
 def _symbol_norm_id(n, m):
-    e = SymbolExpr(n)
-    e.add_term((0,) * n, (0,) * n, -2 * m, 0, ONE)
-    return e
+    return SymbolExpr(n, {((0,) * n, (0,) * n, -2 * m, 0): ONE})
 
 
 def test_trace_integral_identity():
@@ -115,30 +113,25 @@ def test_trace_integral_ricci_contraction():
     jet = random_point_jet(4, m, with_torsion=False, with_torsion_jet=False)
     der = derived_scalars(jet)
     n = jet.n
-    e = SymbolExpr(n)
-    for (a, b), x in der.ric.items():
-        xi = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-        e.add_term((0,) * n, xi, -2 * m - 2, 0, GaussianRational(x))
+    e = _expr(*(((0,) * n, tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n)),
+                 -2 * m - 2, 0, GaussianRational(x)) for (a, b), x in der.ric.items()), n=n)
     assert trace_integral(e, m).value == der.s / (2 * m)
 
 
 def test_trace_integral_homogeneity_error():
-    e = SymbolExpr(4)
-    e.add_term((0,) * 4, (0,) * 4, -2, 0, ONE)
+    e = SymbolExpr(4, {((0,) * 4, (0,) * 4, -2, 0): ONE})
     with pytest.raises(PipelineError, match="homogeneity"):
         trace_integral(e, 2)
 
 
 def test_trace_integral_x_dependence_error():
-    e = SymbolExpr(4)
-    e.add_term((1, 0, 0, 0), (0,) * 4, -4, 0, ONE)
+    e = SymbolExpr(4, {((1, 0, 0, 0), (0,) * 4, -4, 0): ONE})
     with pytest.raises(PipelineError, match="x-dependent"):
         trace_integral(e, 2)
 
 
 def test_trace_integral_imaginary_error():
-    e = SymbolExpr(4)
-    e.add_term((0,) * 4, (0,) * 4, -4, 0, I)
+    e = SymbolExpr(4, {((0,) * 4, (0,) * 4, -4, 0): I})
     with pytest.raises(PipelineError, match="imaginary"):
         trace_integral(e, 2)
 
@@ -162,7 +155,7 @@ def test_fast_product_trace_equals_generic():
     n, m = 4, 2
     hits = [0, 0, 0]  # nonzero traces, of them with an |alpha| >= 1 part, nonzero normed ones
     for trial in range(30):
-        left, normed, right = SymbolExpr(n), SymbolExpr(n), SymbolExpr(n)
+        left, normed, right = [], [], []
         phase = trial % 2  # both even, or both odd (an even product)
         for _ in range(6):
             xi = [0] * n
@@ -170,8 +163,8 @@ def test_fast_product_trace_equals_generic():
                 xi[rng.randrange(2)] += 1
             word = rng.choice((0, 0b11))
             coeff = _phase_coeff(xi, word, phase, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            left.add_term((0,) * n, tuple(xi), 0, word, coeff)
-            normed.add_term((0,) * n, tuple(xi), -sum(xi), word, coeff)
+            left.append(((0,) * n, xi, 0, word, coeff))
+            normed.append(((0,) * n, xi, -sum(xi), word, coeff))
         for _ in range(6):
             xi = [0] * n
             for _ in range(rng.randint(0, 2)):
@@ -182,8 +175,9 @@ def test_fast_product_trace_equals_generic():
                     xd[rng.randrange(2)] += 1
             word = rng.choice((0, 0b11))
             r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            right.add_term(tuple(xd), tuple(xi), -2 * m - rng.randint(0, 2) - sum(xi), word,
-                           _phase_coeff(xi, word, phase, r))
+            right.append((xd, xi, -2 * m - rng.randint(0, 2) - sum(xi), word,
+                          _phase_coeff(xi, word, phase, r)))
+        left, normed, right = (_expr(*terms, n=n) for terms in (left, normed, right))
         value = _leibniz_trace(left, right, m)
         assert value == trace_integral(
             at_x0(xi_grade(leibniz_compose(left, right), -2 * m)), m).value
@@ -227,7 +221,7 @@ def _random_traceable(rng, n, phase, orders, x_share=0.0, words=(0, 0b11, 0b101,
     ``orders`` and whose words from ``words``; a share of them x-dependent.
     Exponents are raised by 2 and at most one of xi_1, xi_2 by 1, so that
     many term pairs share a parity and have a moment."""
-    expr = SymbolExpr(n)
+    terms = []
     for _ in range(8):
         xi = [0] * n
         for _ in range(rng.randint(0, 2)):
@@ -239,9 +233,9 @@ def _random_traceable(rng, n, phase, orders, x_share=0.0, words=(0, 0b11, 0b101,
             xd[rng.randrange(n)] += 1
         word = rng.choice(words)
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        expr.add_term(tuple(xd), tuple(xi), rng.choice(orders) - sum(xi), word,
-                      _phase_coeff(xi, word, phase, r))
-    return expr
+        terms.append((xd, xi, rng.choice(orders) - sum(xi), word,
+                      _phase_coeff(xi, word, phase, r)))
+    return _expr(*terms, n=n)
 
 
 def _bare(expr):
@@ -406,7 +400,7 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
     (((1, 0, 0, 0), (0,) * 4, -4, 0), "x-dependent"),
     (((0,) * 4, (2, 0, 0, 0), -4, 0), "homogeneity -2, expected -4"),
 ])
-def test_cvw_trace_guards(monkeypatch, method, bad, message):
+def test_cvw_trace_guards(method, bad, message):
     """part1 and metric trace c(v)c(w) against one symbol by word; that
     symbol must still be x-free of homogeneity -2m, as trace_integral
     demanded of the full product."""
@@ -415,7 +409,7 @@ def test_cvw_trace_guards(monkeypatch, method, bad, message):
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
     expr = SymbolExpr(4, {bad: ONE})
     ctx.dtpow_parts = {"ric": expr}
-    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet: expr)
+    ctx.lead = expr
     with pytest.raises(PipelineError, match=message):
         getattr(ctx, method)()
 
@@ -731,13 +725,13 @@ def test_audit_diff_rows_follow_exponent_tuple_order():
 
     n = 4
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    a, b = SymbolExpr(n), SymbolExpr(n)
     keys = [(x, xi, -2, word) for x in ((0,) * n, *units[:2]) for xi in units
             for word in (0b0001, 0b0110)]
-    for i, (x, xi, p, word) in enumerate(keys):
-        a.add_term(x, xi, p, word, _phase_coeff(xi, word, 0, Fraction(i + 1, 3)))
-        # b agrees with a on every third key
-        b.add_term(x, xi, p, word, _phase_coeff(xi, word, 0, Fraction(i + 1, 5 if i % 3 else 3)))
+    a = SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 0, Fraction(i + 1, 3))
+                       for i, key in enumerate(keys)})
+    # b agrees with a on every third key
+    b = SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 0, Fraction(i + 1, 5 if i % 3 else 3))
+                       for i, key in enumerate(keys)})
     codes = sorted(a.nums)
     assert [symbols._key(c, n) for c in codes] != sorted(a.terms)
     differing = sorted(key for i, key in enumerate(keys) if i % 3)
@@ -747,6 +741,40 @@ def test_audit_diff_rows_follow_exponent_tuple_order():
         (x, xi, p, list(word_indices(word))) for x, xi, p, word in differing[:12]]
     assert [(r["composed"], r["displayed"]) for r in rows] == [
         (str(a.coefficient(key)), str(b.coefficient(key))) for key in differing[:12]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_densities_and_audit_rows_have_weight_two(m):
+    """Weight grading: scaling (R, dT1, T, dw) by (lambda^2, lambda^2, lambda,
+    lambda) scales part 1, both part-2 sources, the theorem, the composed
+    shift and every audit row, engine and display, by lambda^2, and leaves
+    the metric as it was."""
+    import dataclasses
+
+    def values(jet):
+        report = audit(jet, m)
+        ctx = _held()
+        graded = [ctx.part2("composed").value]
+        graded += [x for e in report.entries for x in (e.engine, e.printed)]
+        graded += [x for name in residue.COMPARISONS if name != "metric"
+                   for x in ctx.compare(name)]
+        return graded, ctx.compare("metric")
+
+    def scaled(entries, factor):
+        return {k: factor * x for k, x in entries.items()}
+
+    for seed in range(3):
+        jet = random_point_jet(seed, m)
+        graded, metric = values(jet)
+        assert all(graded[:2]) and metric.engine
+        for lam in (Fraction(2), Fraction(-1, 3)):
+            got, got_metric = values(dataclasses.replace(
+                jet, R_entries=scaled(jet.R_entries, lam ** 2),
+                dT1_entries=scaled(jet.dT1_entries, lam ** 2),
+                T_entries=scaled(jet.T_entries, lam),
+                dw=tuple(tuple(lam * x for x in row) for row in jet.dw)))
+            assert got == [lam ** 2 * x for x in graded], (seed, lam)
+            assert got_metric == metric
 
 
 def _audit_jets():
@@ -943,6 +971,31 @@ def test_metric_builds_no_inverse_power_channels(build_counts):
     assert metric_density(random_point_jet(3, 2), 2).value
     assert build_counts["build_sigma_delta_inv_parts"] == build_counts["sigma_delta"] == 0
     assert build_counts["derived_scalars"] == 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_context_builds_no_symbol_twice(monkeypatch, m):
+    """The six public calls of a certification and an audit, all on one held
+    context, get no nonzero (nums, den, phase) from two ``symbols._symbol``
+    calls: sigma_Delta's leading channel, which the metric traces too, is
+    built once."""
+    built = []
+
+    def recording_symbol(*args, _fn=symbols._symbol):
+        out = _fn(*args)
+        if out:
+            built.append((frozenset(out.nums.items()), out.den, out.phase))
+        return out
+    monkeypatch.setattr(symbols, "_symbol", recording_symbol)
+    for seed in range(3):
+        jet, built[:] = random_point_jet(seed, m), []
+        part1_density(jet, m)
+        held = _held()
+        for call in (part2_density, part1_closed, part2_closed, theorem_density,
+                     metric_density, audit):
+            call(jet, m)
+        assert _held() is held
+        assert built and len(set(built)) == len(built), (m, seed)
 
 
 @pytest.fixture
@@ -1228,6 +1281,22 @@ def test_trace_table_refuses_a_key_it_does_not_hold():
         ctx.printed_table.trace(("cvw",), ())
 
 
+def test_trace_table_refuses_an_empty_selection():
+    """A selection with no left or no right key raises ValueError naming the
+    empty side, where it would otherwise read as 0; ``trace()`` is the
+    whole table."""
+    ctx = PipelineContext(random_point_jet(3, 2), 2)
+    assert ctx.part1_table.trace() == Fraction(-5915, 1944)
+    for call, side in ((lambda: ctx.part1_table.trace(("cvw",)), "no right channel"),
+                       (lambda: ctx.printed_table.trace({"s2"}), "no right channel"),
+                       (lambda: ctx.printed_table.trace({"s2"}, ()), "no right channel"),
+                       (lambda: ctx.printed_table.trace((), {(0, "lead")}), "no left channel"),
+                       (lambda: ctx.printed_table.trace(rights={(0, "lead")}), "no left channel"),
+                       (lambda: ctx.metric_table.trace((), ()), "no left or right channel")):
+        with pytest.raises(ValueError, match=side):
+            call()
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_every_audit_row_names_cells_of_its_table(m):
     """Each of the 27 audit rows names channels its table holds, so none
@@ -1327,14 +1396,16 @@ def test_a_replaced_context_is_released():
 
 def test_a_rebound_builder_bypasses_the_held_context(monkeypatch):
     jet = random_point_jet(8, 2)
-    metric = metric_density(jet, 2).value
-    assert metric
+    composed = part2_density(jet, 2, "composed").value
+    assert composed
     held = _held()
-    monkeypatch.setattr(residue, "build_sigma_delta_lead", lambda jet: SymbolExpr(jet.n))
-    assert metric_density(jet, 2).value == PipelineContext(jet, 2).metric().value == 0
+    monkeypatch.setattr(residue, "build_sigma_ab_composed",
+                        lambda jet, inputs=None: (SymbolExpr(jet.n),) * 3)
+    assert part2_density(jet, 2, "composed").value == \
+        PipelineContext(jet, 2).part2("composed").value == 0
     assert _held() is not held
     monkeypatch.undo()
-    assert metric_density(jet, 2).value == metric
+    assert part2_density(jet, 2, "composed").value == composed
 
 
 def test_engine_functions_carry_no_wrapped():

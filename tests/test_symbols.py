@@ -40,11 +40,14 @@ from wres_torsion.symbols import (
 N = 4
 
 
-def _expr(*terms):
-    out = SymbolExpr(N)
+def _expr(*terms, n=N):
+    """The expression of (xdeg, xideg, p, word, coeff) terms, through the
+    constructor, with the coefficients of a repeated key summed first."""
+    summed = {}
     for xdeg, xideg, p, word, coeff in terms:
-        out.add_term(tuple(xdeg), tuple(xideg), p, word, coeff)
-    return out
+        key = (tuple(xdeg), tuple(xideg), p, word)
+        summed[key] = summed.get(key, 0) + coeff
+    return SymbolExpr(n, summed)
 
 
 def _unit(j, value=1):
@@ -112,7 +115,7 @@ def _phase_coeff(xideg, word, phase, r):
 def _random_expr(rng, n=N, terms=8, phase=None):
     """Random phase-consistent expression (phase drawn when not given)."""
     phase = rng.randint(0, 1) if phase is None else phase
-    out = SymbolExpr(n)
+    out = []
     for _ in range(terms):
         xdeg = [0] * n
         for _ in range(rng.randint(0, 2)):
@@ -123,9 +126,8 @@ def _random_expr(rng, n=N, terms=8, phase=None):
         p = rng.choice([0, -2, -4, -6])
         word = rng.randrange(1 << n)
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        out.add_term(tuple(xdeg), tuple(xideg), p, word,
-                     _phase_coeff(xideg, word, phase, r))
-    return out
+        out.append((xdeg, xideg, p, word, _phase_coeff(xideg, word, phase, r)))
+    return _expr(*out, n=n)
 
 
 def test_partials_commute():
@@ -402,7 +404,7 @@ def test_sigma_dt_curvature_jet_channel():
                            with_w_jet=False)
     _, s0 = build_sigma_dt(jet)
     n = jet.n
-    expected = SymbolExpr(n)
+    terms = []
     for b in range(n):
         for a in range(n):
             for t in range(n):
@@ -414,9 +416,9 @@ def test_sigma_dt_curvature_jet_channel():
                                 * CliffordElement.generator(n, t + 1))
                         elem = elem.scale(GaussianRational(val * Fraction(1, 8)))
                         for word, coeff in elem.terms.items():
-                            expected.add_term(tuple(1 if i == b else 0 for i in range(n)),
-                                              (0,) * n, 0, word, coeff)
-    assert s0 == expected
+                            terms.append((tuple(1 if i == b else 0 for i in range(n)),
+                                          (0,) * n, 0, word, coeff))
+    assert s0 == _expr(*terms, n=n)
 
 
 def test_sigma_dt_variant_ratio():
@@ -433,10 +435,7 @@ def test_sigma_delta_inv_flat():
     jet = make_point_jet(2)
     s_m, s_m1, s_m2 = (SymbolExpr.sum_of(4, parts.values())
                        for parts in build_sigma_delta_inv_parts(jet))
-    lead = SymbolExpr(4)
-    for a in range(4):
-        lead.add_term(Z, _unit(a, 2), -6, 0, ONE)
-    assert s_m == lead
+    assert s_m == _expr(*((Z, _unit(a, 2), -6, 0, ONE) for a in range(4)))
     assert not s_m1.terms and not s_m2.terms
 
 
@@ -447,10 +446,9 @@ def test_sigma_delta_inv_displayed_coefficients():
     parts_m, parts_m1, parts_m2 = build_sigma_delta_inv_parts(jet)
     der = derived_scalars(jet)
     n = jet.n
-    expected_ric = SymbolExpr(n)
-    for (a, b), x in der.ric.items():
-        expected_ric.add_term(_unit(b), _unit(a), -2 * m - 2, 0,
-                              GaussianRational(0, Fraction(-2 * m, 3)) * GaussianRational(x))
+    expected_ric = _expr(*((_unit(b), _unit(a), -2 * m - 2, 0,
+                            GaussianRational(0, Fraction(-2 * m, 3)) * GaussianRational(x))
+                           for (a, b), x in der.ric.items()), n=n)
     assert parts_m1["ric_jet"] == expected_ric
     e_term = parts_m2["e_scalar"]
     assert e_term == _expr((Z, Z, -2 * m - 2, 0,
@@ -464,11 +462,10 @@ def test_sigma_dtpow_coefficients():
     parts = build_sigma_dtpow_parts(jet)
     der = derived_scalars(jet)
     n = jet.n
-    expected_ric = SymbolExpr(n)
-    for (a, b), x in der.ric.items():
-        xi = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-        expected_ric.add_term(Z, xi, -2 * m - 2, 0,
-                              GaussianRational(Fraction(m * (m - 1), 3) * x))
+    expected_ric = _expr(*((Z, tuple((1 if i == a else 0) + (1 if i == b else 0)
+                                     for i in range(n)), -2 * m - 2, 0,
+                            GaussianRational(Fraction(m * (m - 1), 3) * x))
+                           for (a, b), x in der.ric.items()), n=n)
     assert parts["ric"] == expected_ric
     e_val = Fraction(-(m - 1)) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     assert parts["e_scalar"] == _expr((Z, Z, -2 * m, 0, GaussianRational(e_val)))
@@ -505,16 +502,15 @@ def test_sigma2_printed_form():
     jet = make_point_jet(2, v=[1, 0, 0, 0], w=[1, 0, 0, 0])
     s2, _, _ = build_sigma_ab_printed(jet)
     n = 4
-    expected = SymbolExpr(n)
+    terms = []
     g1 = CliffordElement.generator(n, 1)
     for f in range(n):
         for g in range(n):
             elem = (g1 * CliffordElement.generator(n, f + 1) * g1
                     * CliffordElement.generator(n, g + 1)).scale(-1)
             xi = tuple((1 if i == f else 0) + (1 if i == g else 0) for i in range(n))
-            for word, coeff in elem.terms.items():
-                expected.add_term(Z, xi, 0, word, coeff)
-    assert s2 == expected
+            terms += [(Z, xi, 0, word, coeff) for word, coeff in elem.terms.items()]
+    assert s2 == _expr(*terms, n=n)
 
 
 def test_printed_vanishes_without_sources():
@@ -558,16 +554,14 @@ def test_grade_one_difference_is_the_cross_term_commutator(m):
                                 * CliffordElement.generator(n, a + 1)
                                 * CliffordElement.generator(n, b + 1))
                         tau = tau + word.scale(GaussianRational(jet.T[f][a][b]))
-        expected = SymbolExpr(n)
+        terms = []
         iq = GaussianRational(0, Fraction(1, 4))
         for a in range(n):
             gen = CliffordElement.generator(n, a + 1)
             elem = (cw * gen * cv * tau) - (cv * tau * cw * gen)
-            for word, coeff in elem.terms.items():
-                expected.add_term(Z[:0] + (0,) * n,
-                                  tuple(1 if i == a else 0 for i in range(n)),
-                                  0, word, coeff * iq)
-        assert (p1 - c1) == expected
+            terms += [((0,) * n, tuple(1 if i == a else 0 for i in range(n)), 0, word,
+                       coeff * iq) for word, coeff in elem.terms.items()]
+        assert (p1 - c1) == _expr(*terms, n=n)
         assert (p1 - c1).terms  # nonzero for generic torsion
 
 
@@ -935,12 +929,12 @@ def _assert_canonical(expr):
 
 
 def _pair_of(terms, phase, n=N):
-    engine, oracle = SymbolExpr(n), OracleExpr(n)
+    oracle, coeffs = OracleExpr(n), []
     for xdeg, xideg, p, word, r in terms:
         coeff = _phase_coeff(xideg, word, phase, r)
-        engine.add_term(xdeg, xideg, p, word, coeff)
+        coeffs.append((xdeg, xideg, p, word, coeff))
         oracle.add_term(xdeg, xideg, p, word, coeff)
-    return engine, oracle
+    return _expr(*coeffs, n=n), oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -1046,8 +1040,6 @@ def test_exponents_past_255_are_refused_by_name():
                 (Z, (-1, 0, 0, 0), 0, 0), ((0, 0, 0), Z, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(str(key))):
             SymbolExpr(N, {key: ONE})
-        with pytest.raises(ValueError, match=re.escape(str(key))):
-            SymbolExpr(N).add_term(*key, ONE)
     with pytest.raises(ValueError, match=re.escape(str((Z, (256, 0, 0, 0), 0, 0)))):
         SymbolExpr.from_clifford(CliffordElement.identity(N), xideg=(256, 0, 0, 0))
     top = (Z, (255, 0, 0, 255), 0, 0)
@@ -1085,8 +1077,6 @@ def test_phase_violation_raises_at_construction():
         SymbolExpr(N, {key: GaussianRational(1, 1)})
     e = _expr((Z, Z, 0, 0, ONE))
     with pytest.raises(ValueError, match="phase rule"):
-        e.add_term(*key, GaussianRational(2))
-    with pytest.raises(ValueError, match="phase rule"):
         e.scale(GaussianRational(1, 1))
     with pytest.raises(ValueError, match="phase"):
         SymbolExpr.sum_of(N, (e, e.scale(I)))
@@ -1099,30 +1089,26 @@ def test_phase_violation_raises_at_construction():
             N, {0: Fraction(1, 3), 0b0001: Fraction(2)}))], I)
     assert SymbolExpr(N, {key: I}).phase == 0
     assert SymbolExpr(N, {key: GaussianRational(2)}).phase == 1
-    assert e.add_term(*key, I) is None and e.coefficient(key) == I
+    assert SymbolExpr(N, {(Z, Z, 0, 0): ONE, key: I}).coefficient(key) == I
 
 
 def test_coefficients_read_back_exactly():
-    e = SymbolExpr(N)
-    e.add_term(Z, _unit(0), 0, 0b0001, GaussianRational(Fraction(3, 4)))   # e = 2
-    e.add_term(Z, _unit(1), 0, 0, GaussianRational(0, Fraction(-1, 2)))    # e = 1
+    e = _expr((Z, _unit(0), 0, 0b0001, GaussianRational(Fraction(3, 4))),   # e = 2
+              (Z, _unit(1), 0, 0, GaussianRational(0, Fraction(-1, 2))))    # e = 1
     assert Fraction(e.terms[(Z, _unit(0), 0, 0b0001)], e.den) == Fraction(-3, 4)
     assert expand(e) == {(Z, _unit(0), 0, 0b0001): GaussianRational(Fraction(3, 4)),
                          (Z, _unit(1), 0, 0): GaussianRational(0, Fraction(-1, 2))}
     assert e.coefficient((Z, Z, 0, 0)) == 0
 
 
-def test_add_term_builds_in_place_like_the_constructor():
-    """2,048 add_term calls, with repeated keys, exact cancellations and
-    growing denominators, give the constructor's (nums, den, phase) in the
-    dictionary the expression started with.  No expression derived from a
-    source shares its dictionary, so adding to either leaves the other as it
-    was."""
+def test_constructor_builds_the_canonical_form():
+    """2,048 terms with repeated keys, exact cancellations and growing
+    denominators, summed per key and given to the constructor in two key
+    orders, give one reduced (nums, den, phase) that reads back every sum."""
     rng, n = random.Random(2048), 6
     keys = [((0,) * n, tuple(rng.randint(0, 3) for _ in range(n)), -2, word)
             for word in (0, 0b11, 0b1111) for _ in range(400)]
-    built, total = SymbolExpr(n), {}
-    nums = built.nums
+    total = {}
     for i in range(2048):
         key = rng.choice(keys)
         if i % 7 == 0 and key in total:  # cancel the key's running sum exactly
@@ -1130,27 +1116,13 @@ def test_add_term_builds_in_place_like_the_constructor():
         else:
             r = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 6, 35)))
         total[key] = total.get(key, 0) + r
-        built.add_term(*key, _phase_coeff(key[1], key[3], 1, r))
     assert sum(not r for r in total.values()) > 10
-    expected = SymbolExpr(n, {key: _phase_coeff(key[1], key[3], 1, r) for key, r in total.items()})
-    assert built.nums is nums
-    assert (built.nums, built.den, built.phase) == (expected.nums, expected.den, expected.phase)
+    coeffs = {key: _phase_coeff(key[1], key[3], 1, r) for key, r in total.items()}
+    built = SymbolExpr(n, coeffs)
     _assert_canonical(built)
-
-    source = _random_expr(random.Random(5), n=N, terms=12, phase=0)
-    before = (dict(source.nums), source.den)
-    for derived in (source + SymbolExpr(N), SymbolExpr.sum_of(N, [source]), source.scale(1),
-                    at_x0(source), xi_grade(source, 0) + xi_grade(source, 1)):
-        snapshot = (dict(derived.nums), derived.den)
-        assert derived.nums is not source.nums
-        derived.add_term(Z, (9, 9, 0, 0), 0, 0, GaussianRational(Fraction(1, 7)))
-        assert (source.nums, source.den) == before
-        source.add_term(Z, (8, 8, 0, 0), 0, 0, GaussianRational(Fraction(1, 11)))
-        assert not derived.coefficient((Z, (8, 8, 0, 0), 0, 0))
-        source.add_term(Z, (8, 8, 0, 0), 0, 0, GaussianRational(Fraction(-1, 11)))
-        assert (source.nums, source.den) == before
-        derived.add_term(Z, (9, 9, 0, 0), 0, 0, GaussianRational(Fraction(-1, 7)))
-        assert (dict(derived.nums), derived.den) == snapshot
+    assert built.phase == 1 and expand(built) == {k: c for k, c in coeffs.items() if c}
+    again = SymbolExpr(n, dict(reversed(coeffs.items())))
+    assert (again.nums, again.den, again.phase) == (built.nums, built.den, built.phase)
 
 
 _families = st.lists(st.tuples(
