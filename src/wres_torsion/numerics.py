@@ -80,8 +80,9 @@ def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int
     is an int sum divided once, and a Clifford element or symbol expression
     keeps this form as its storage; a jet's R, T and dT1 get it once each,
     in ``geometry.derived_scalars``, whose result hands it to the builders."""
-    den = math.lcm(*{x.denominator for x in entries.values()})
-    return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
+    ratios = [x.as_integer_ratio() for x in entries.values()]
+    den = math.lcm(*{d for _, d in ratios})
+    return dict(zip(entries, [p * (den // d) for p, d in ratios])), den
 
 
 def _reduced(nums: Dict, den: int) -> Tuple[Dict, int]:
@@ -168,15 +169,13 @@ class GaussianRational:
         return GaussianRational(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        # fast paths: purely real / purely imaginary operands dominate
-        if not b:
-            return GaussianRational(a * c, a * d)
-        if not d:
-            return GaussianRational(a * c, b * c)
+        if not b or not d:  # a purely real factor: two products
+            return GaussianRational(a * c, b * c if b else a * d)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

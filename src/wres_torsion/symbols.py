@@ -478,27 +478,27 @@ def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int) -> Tuple[Dict, Dict
     its nonzero entries, by leading index: T (keys (f, a, b)) gives the 3-form
     sum_{f<a<b} T_fab c_f c_a c_b under key () and the rows sum_{a<b} T_fab
     c_a c_b by f, dT1 (keys (c, f, a, b)) a 3-form by c and a row by (c, f)."""
-    nums, den = form
-    forms, rows = {}, {}  # leading index -> word -> int numerator
-    for (*lead, f, a, b), x in nums.items():
+    (nums, den), forms, rows = form, {}, {}  # leading index -> word -> int numerator
+    lead = len(next(iter(nums), "fab")) - 3  # 1 for dT1's slot c, else 0
+    for key, x in nums.items():
+        f, a, b = key[lead], key[lead + 1], key[lead + 2]
         if a < b:
-            rows.setdefault((*lead, f) if lead else f, {})[(1 << a) | (1 << b)] = x
+            rows.setdefault(key[:2] if lead else f, {})[(1 << a) | (1 << b)] = x
             if f < a:
-                forms.setdefault(lead[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+                forms.setdefault(key[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
     return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
 
 
 def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
                          ) -> Dict[Tuple[int, int], CliffordElement]:
-    """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing,
-    for the pairs with a nonzero entry, from R's int form ``curvature``."""
-    nums, den = curvature
-    terms: Dict[Tuple[int, int], list] = {}
+    """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing, for
+    the pairs with a nonzero entry of R's int form ``curvature``: 2 R_{bats}
+    c_s c_t over s < t, since ``derived_scalars`` checks R_{bast} = -R_{bats}."""
+    (nums, den), rows = curvature, {}
     for (b, a, t, s), val in nums.items():
-        if t != s:
-            terms.setdefault((b, a), []).append(
-                ((1 << s) | (1 << t), val if s < t else -val))
-    return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
+        if s < t:
+            rows.setdefault((b, a), {})[(1 << s) | (1 << t)] = 2 * val
+    return {ba: CliffordElement._of(n, row, den) for ba, row in rows.items()}
 
 
 def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
@@ -507,9 +507,9 @@ def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
     return CliffordElement._of(n, {1 << i: x for i, x in nums.items() if x}, den)
 
 
-def _near(elem: CliffordElement, a: int, b: int, traced: bool) -> CliffordElement:
-    """``elem`` or (``traced``, a != b) its words that meet e_a or e_b."""
-    return elem if a == b or not traced else CliffordElement._of(
+def _near(elem: CliffordElement, a: int, b: int) -> CliffordElement:
+    """``elem`` or (a != b) its words that meet e_a or e_b."""
+    return elem if a == b else CliffordElement._of(
         elem.n, {w: c for w, c in elem.nums.items() if w >> a & 1 or w >> b & 1}, elem.den)
 
 
@@ -533,29 +533,29 @@ _DELTA: Dict[int, Tuple[Fraction, GaussianRational, GaussianRational, GaussianRa
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
     by every builder given this object: the int forms of v, w and dw
-    (``vectors``, which the derived scalars keep in their ``int_forms``), the
-    derived scalars, c(v), c(w), c(v) c(w) and c(v) c(dw) read off those
-    forms (s2 and each P_f = c(v) c_f c(w) follow from the one c(v) c(w) by
-    the Clifford relation), R's and Ric's int forms (the derived scalars'
-    ``int_forms``), the curvature pair sums and the word sums read off
-    them, T's and dT1's 3-forms and bivector rows (``torsion``: one pass per
-    channel), the mm-free order -(2mm+2) families, sigma_Delta's leading
-    channel (``lead``, which a context's metric also traces) and the printed
-    product symbol's channels.  A builder given only the jet makes its own.
+    (``vectors``, kept in the derived scalars' ``int_forms``), the derived
+    scalars, c(v), c(w), c(v) c(w) and c(v) c(dw) read off those forms (s2 and
+    each P_f = c(v) c_f c(w) follow from the one c(v) c(w) by the Clifford
+    relation), R's and Ric's int forms (the derived scalars' ``int_forms``),
+    the curvature pair sums (over s < t) and the word sums (off Ric), T's
+    and dT1's 3-forms and bivector rows (``torsion``: one pass per channel),
+    the mm-free order -(2mm+2) families, sigma_Delta's leading channel
+    (``lead``, which a context's metric also traces) and the printed product
+    symbol's channels.  A builder given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``read_products``) on the terms a context's traces read, as
-    tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
-    The order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
-    ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b
-    is formed on grade 0, dt4 left empty.
-    (2) sigma_Delta's x^2 r_jet meets xi^2 terms at |alpha| = 2: its xi_a^2
-    terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx, meet s2 and the
-    composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b + c(v) c_b
-    c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no
-    word at a != b misses both e_a and e_b (``_near``).  (4) s1 meets only
-    sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
-    printed channel adds the other grades to them (``full_products``)."""
+    tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1) The
+    order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
+    ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b is
+    formed on grade 0, dt4 and r_xx (its (a, b) and (b, a) placements cancel)
+    left empty.  (2) sigma_Delta's x^2 r_jet meets xi^2 terms at |alpha| = 2:
+    its xi_a^2 terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx, meet s2 and
+    the composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b + c(v) c_b
+    c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no word
+    at a != b misses both e_a and e_b (``_near``, once per dT1 row).  (4) s1
+    meets only sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.
+    A full printed channel adds the other grades to them (``full_products``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -572,20 +572,18 @@ class JetInputs:
         _torsion_forms(self.derived.int_forms[name], self.n) for name in ("T", "dT1")))))
     forms = property(lambda self: self.torsion[0])
     rows = property(lambda self: self.torsion[1])
+    near_rows = cached_property(lambda self: {k: _near(row, *k) for k, row in self.rows[1].items()})
 
     @cached_property
     def word_sums(self) -> Dict[int, CliffordElement]:
-        """b -> 1/8 sum_a c_a pair_sums[(b, a)], the nonzero x^b jet channels
-        1/8 sum_{a,t,s} R_{bats} c_a c_s c_t, in one pass over the pair sums'
-        words: c_a w is -1 times its word iff w holds an odd number of
-        generators at or below a (those below are passed, and c_a^2 = -1)."""
-        rows: Dict[int, list] = {}
-        for (b, a), pair in self.pair_sums.items():
-            upto = (2 << a) - 1
-            rows.setdefault(b, []).append(({w ^ (1 << a): -c if (w & upto).bit_count() & 1 else c
-                                            for w, c in pair.nums.items()}, 8 * pair.den))
-        sums = {b: CliffordElement._of(self.n, *_summed(row)) for b, row in rows.items()}
-        return {b: e for b, e in sums.items() if e}
+        """b -> 1/8 sum_{a,t,s} R_{bats} c_a c_s c_t, the nonzero x^b jet
+        channels: by the first Bianchi identity (which ``derived_scalars``
+        checks) the words of three distinct generators cancel, and c_s c_s c_t
+        = -c_t and c_t c_s c_t = c_s leave -1/4 sum_t Ric_{bt} c_t."""
+        (ric, den), rows = self.ric, {}
+        for (b, t), x in ric.items():
+            rows.setdefault(b, {})[1 << t] = -x
+        return {b: CliffordElement._of(self.n, row, 4 * den) for b, row in rows.items()}
 
     @cached_property
     def cv_dw(self) -> CliffordElement:
@@ -600,8 +598,8 @@ class JetInputs:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q (``_ORDER2``)."""
-        n, der, x0, pairs = self.n, self.derived, 0, _pairs(self.n)
-        (tau, dtau), (ric, ric_den) = self.rows, self.ric
+        n, der, x0, pairs, (ric, ric_den) = self.n, self.derived, 0, _pairs(self.n), self.ric
+        tau, dtau = self.rows[0], self.near_rows if traced else self.rows[1]
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
@@ -615,8 +613,8 @@ class JetInputs:
             "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
             "tt_scalar": [(x0, tt[a, a]) for a in tau],
             "div_t": [(x0, row) for (b, a), row in dtau.items() if a == b],
-            "r_xx": [(pairs[a][b], pair) for (b, a), pair in self.pair_sums.items()],
-            "dt_xx": [(pairs[a][b], _near(row, a, b, traced)) for (b, a), row in dtau.items()],
+            "r_xx": [] if traced else [(pairs[a][b], e) for (b, a), e in self.pair_sums.items()],
+            "dt_xx": [(pairs[a][b], row) for (b, a), row in dtau.items()],
             "e_scalar": [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],
             "dt4": [] if traced else [(x0, CliffordElement._of(n, {
@@ -705,7 +703,7 @@ class JetInputs:
         m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
         r_m, c_t, c_ric, c_r = _DELTA.get(m) or _DELTA.setdefault(m, (Fraction(-m, 3), *(
             GaussianRational(0, c) for c in (3 * m, Fraction(-2 * m, 3), Fraction(m, 4)))))
-        curvature, ric, (tau, dtau), pairs = self.curvature, self.ric, self.rows, _pairs(n)
+        curvature, ric, tau, pairs = self.curvature, self.ric, self.rows[0], _pairs(n)
 
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
         r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
@@ -719,10 +717,10 @@ class JetInputs:
             "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
                                    for (a, b), x in ric[0].items()), ric[1], c_ric),
             "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
-            "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(pair, a, b, traced))
-                                 for (b, a), pair in self.pair_sums.items()], c_r),
-            "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(row, a, b, traced))
-                                  for (b, a), row in dtau.items()], c_t),
+            "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(e, a, b) if traced else e)
+                                 for (b, a), e in self.pair_sums.items()], c_r),
+            "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, row) for (b, a), row
+                                  in (self.near_rows if traced else self.rows[1]).items()], c_t),
         }
         return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)
 

@@ -45,6 +45,20 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(gaussians, gaussians, rationals, st.integers(-50, 50))
+def test_products_by_a_scalar_match_the_gaussian_product(a, b, q, k):
+    """An int or Fraction factor, taken directly on either side, gives the
+    product by the same value as a GaussianRational; a real or imaginary
+    factor gives the general (ac - bd) + (ad + bc) i; any other factor is
+    refused."""
+    for s in (q, k):
+        assert a * s == s * a == a * GaussianRational(s)
+    for x, y in ((a, GaussianRational(b.re)), (GaussianRational(0, a.im), b)):
+        assert x * y == GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+    with pytest.raises(TypeError):
+        a * "2"
+
+
 @given(gaussians)
 def test_additive_and_multiplicative_inverse(a):
     assert a + (-a) == ZERO

@@ -1118,6 +1118,59 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
             **dict.fromkeys(BUILDERS, 0), **TRACED}
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_context_filters_each_row_once_and_places_no_traced_r_xx(monkeypatch, m, seed):
+    """Through part 1, both part-2 sources and the metric, a context calls
+    ``_near`` once per dT1 row (for dt_xx and dt_jet together) and once per
+    curvature pair sum (for r_jet), and its traced order -(2mm+2) families
+    place no r_xx element, whose (a, b) and (b, a) placements cancel; the
+    whole families place one per pair sum."""
+    near, placed = [], []
+    real_near, real_placed = symbols._near, symbols._placed
+
+    def counted_near(elem, a, b):
+        near.append(tuple(sorted((a, b))))
+        return real_near(elem, a, b)
+
+    def counted_placed(placements):
+        placements = list(placements)
+        placed.append(len(placements))
+        return real_placed(placements)
+
+    monkeypatch.setattr(symbols, "_near", counted_near)
+    monkeypatch.setattr(symbols, "_placed", counted_placed)
+    ctx = PipelineContext(random_point_jet(seed, m), m)
+    rows, pair_sums = ctx.rows[1], ctx.pair_sums
+    assert rows and pair_sums
+    placed.clear()
+    read = dict(zip(ctx.order2_read, placed))
+    ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
+    assert sorted(near) == sorted(tuple(sorted(key)) for key in (*rows, *pair_sums))
+    assert read["r_xx"] == 0 and ctx.order2_read["r_xx"][2] == {}
+    placed.clear()
+    assert dict(zip(ctx.order2, placed))["r_xx"] == len(pair_sums)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypatch, m):
+    """The pair sums walk only s < t, which is sound because the context
+    refuses, through its derived scalars, an R with R_{bast} != -R_{bats}
+    before any pair sum is formed, whichever reader of R is asked first."""
+    import dataclasses
+
+    formed = []
+    monkeypatch.setattr(symbols, "_curvature_pair_sums", lambda *args: formed.append(args))
+    jet = random_point_jet(0, m)
+    (b, a, t, s), x = next((k, x) for k, x in jet.R_entries.items() if k[2] < k[3])
+    jet = dataclasses.replace(jet, R_entries={**jet.R_entries, (b, a, s, t): x})
+    for read in (lambda c: c.part1(), lambda c: c.part2(), lambda c: c.delta_inv_parts,
+                 lambda c: c.word_sums, lambda c: c.order2):
+        with pytest.raises(ValueError):
+            read(PipelineContext(jet, m))
+    assert formed == []
+
+
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     """An audit makes one ``compose`` call, on the composed product symbol's
     left factor sigma(D_T) at x0, and makes four kernel passes over

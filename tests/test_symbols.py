@@ -1214,6 +1214,36 @@ def test_sparse_curvature_sums_match_dense(m):
                     _dense_curvature_pair_sum(jet, b, a)
 
 
+def _two_sided_pair_sums(curvature, n):
+    """The curvature pair sums by the two-sided walk: every entry with
+    t != s, the word c_s c_t at R_{bats} for s < t and at -R_{bats} for
+    s > t, summed per word by ``_collected``."""
+    nums, den = curvature
+    terms = {}
+    for (b, a, t, s), val in nums.items():
+        if t != s:
+            terms.setdefault((b, a), []).append(((1 << s) | (1 << t), val if s < t else -val))
+    return {ba: CliffordElement._of(n, _collected(row), den) for ba, row in terms.items()}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pair_sums_over_s_below_t_match_the_two_sided_walk(m):
+    """The pair sums read off the entries with s < t alone (2 R_{bats} per
+    word) equal, numerators and denominator, the two-sided walk on seeds 0-4
+    and on the curvature jets of the linear-in-m fit (R_1212 = 1 with v = w
+    = e_1 and, from m = 2, with v = w = e_3)."""
+    n = 2 * m
+    jets = [random_point_jet(seed, m) for seed in range(5)]
+    for i in (0, 2)[:m]:
+        e = [Fraction(int(k == i)) for k in range(n)]
+        jets.append(make_point_jet(m, R=[[0, 1, 0, 1, 1]], v=e, w=e))
+    for jet in jets:
+        curvature = derived_scalars(jet).int_forms["R"]
+        oracle = _two_sided_pair_sums(curvature, n)
+        assert oracle
+        assert _raw(symbols._curvature_pair_sums(curvature, n)) == _raw(oracle)
+
+
 # ---------------------------------------------------------------------------
 # one product per distinct factor pair, against the all-ordered-pairs loops
 # ---------------------------------------------------------------------------
