@@ -80,9 +80,8 @@ def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int
     is an int sum divided once, and a Clifford element or symbol expression
     keeps this form as its storage; a jet's R, T and dT1 get it once each,
     in ``geometry.derived_scalars``, whose result hands it to the builders."""
-    ratios = [x.as_integer_ratio() for x in entries.values()]
-    den = math.lcm(*{d for _, d in ratios})
-    return dict(zip(entries, [p * (den // d) for p, d in ratios])), den
+    den = math.lcm(*{x.denominator for x in entries.values()})
+    return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
 
 
 def _reduced(nums: Dict, den: int) -> Tuple[Dict, int]:

@@ -473,13 +473,13 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
                                         if w.bit_count() in grades}, elem.den)
 
 
-def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int) -> Tuple[Dict, Dict]:
+def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int, lead: int) -> Tuple[Dict, Dict]:
     """(3-forms, rows) of a torsion channel, in one pass over the int form of
-    its nonzero entries, by leading index: T (keys (f, a, b)) gives the 3-form
-    sum_{f<a<b} T_fab c_f c_a c_b under key () and the rows sum_{a<b} T_fab
-    c_a c_b by f, dT1 (keys (c, f, a, b)) a 3-form by c and a row by (c, f)."""
+    its nonzero entries, by its ``lead`` leading indices: T (keys (f, a, b),
+    lead 0) gives the 3-form sum_{f<a<b} T_fab c_f c_a c_b under key () and
+    the rows sum_{a<b} T_fab c_a c_b by f, dT1 (keys (c, f, a, b), lead 1) a
+    3-form by c and a row by (c, f)."""
     (nums, den), forms, rows = form, {}, {}  # leading index -> word -> int numerator
-    lead = len(next(iter(nums), "fab")) - 3  # 1 for dT1's slot c, else 0
     for key, x in nums.items():
         f, a, b = key[lead], key[lead + 1], key[lead + 2]
         if a < b:
@@ -539,23 +539,24 @@ class JetInputs:
     relation), R's and Ric's int forms (the derived scalars' ``int_forms``),
     the curvature pair sums (over s < t) and the word sums (off Ric), T's
     and dT1's 3-forms and bivector rows (``torsion``: one pass per channel),
-    the mm-free order -(2mm+2) families, sigma_Delta's leading channel
-    (``lead``, which a context's metric also traces) and the printed product
-    symbol's channels.  A builder given only the jet makes its own.
+    the mm-free order -(2mm+2) families (r_xx empty in both: its (a, b) and
+    (b, a) placements cancel), sigma_Delta's leading channel (``lead``,
+    which a context's metric also traces) and the printed product symbol's
+    channels.  A builder given only the jet makes its own.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``read_products``) on the terms a context's traces read, as
     tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1) The
     order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
     ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b is
-    formed on grade 0, dt4 and r_xx (its (a, b) and (b, a) placements cancel)
-    left empty.  (2) sigma_Delta's x^2 r_jet meets xi^2 terms at |alpha| = 2:
-    its xi_a^2 terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx, meet s2 and
-    the composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b + c(v) c_b
-    c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v) c_b no word
-    at a != b misses both e_a and e_b (``_near``, once per dT1 row).  (4) s1
-    meets only sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.
-    A full printed channel adds the other grades to them (``full_products``)."""
+    formed on grade 0, dt4 left empty.  (2) sigma_Delta's x^2 r_jet meets
+    xi^2 terms at |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and
+    dt_jet, and dt_xx, meet s2 and the composed grade 2 at xi_a xi_b, where
+    by c(v) c_a c(w) c_b + c(v) c_b c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b
+    c(v) c_a - 2 w_a c(v) c_b no word at a != b misses both e_a and e_b
+    (``_near``, once per dT1 row).  (4) s1 meets only sigma_Delta's bivector
+    tt, s0 only its scalars: grades 2 and 0.  A full printed channel adds the
+    other grades to them (``full_products``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -569,7 +570,8 @@ class JetInputs:
     ric = property(lambda self: self.derived.int_forms["ric"])
     pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
     torsion = cached_property(lambda self: tuple(zip(*(
-        _torsion_forms(self.derived.int_forms[name], self.n) for name in ("T", "dT1")))))
+        _torsion_forms(self.derived.int_forms[name], self.n, lead)
+        for name, lead in (("T", 0), ("dT1", 1))))))
     forms = property(lambda self: self.torsion[0])
     rows = property(lambda self: self.torsion[1])
     near_rows = cached_property(lambda self: {k: _near(row, *k) for k, row in self.rows[1].items()})
@@ -613,7 +615,7 @@ class JetInputs:
             "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
             "tt_scalar": [(x0, tt[a, a]) for a in tau],
             "div_t": [(x0, row) for (b, a), row in dtau.items() if a == b],
-            "r_xx": [] if traced else [(pairs[a][b], e) for (b, a), e in self.pair_sums.items()],
+            "r_xx": [],  # R_bats = -R_abts (derived_scalars checks it): (a, b) and (b, a) cancel
             "dt_xx": [(pairs[a][b], row) for (b, a), row in dtau.items()],
             "e_scalar": [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],

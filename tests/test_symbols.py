@@ -1349,13 +1349,14 @@ def _all_torsion_forms(jet, sparse):
     int form and then dT1's, so the calls alternate between the two."""
     channels = itertools.cycle(("T", "dT1"))
 
-    def forms(form, n):
+    def forms(form, n, lead):
         name = next(channels)
         assert form == _integer_form(getattr(jet, f"{name}_entries"))
         if name == "T":
-            return sparse(form, n)[0], {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
-        return sparse(form, n)[0], {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
-                                    for b in range(n) for a in range(n)}
+            return sparse(form, n, lead)[0], {a: _dense_torsion_pair(jet.T[a], n)
+                                              for a in range(n)}
+        return sparse(form, n, lead)[0], {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
+                                          for b in range(n) for a in range(n)}
     return forms
 
 
@@ -1408,8 +1409,8 @@ def _per_mm_order2_parts(jet, mm):
     n, der = jet.n, derived_scalars(jet)
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
-    tau, dtau = (symbols._torsion_forms(_integer_form(entries), n)[1]
-                 for entries in (jet.T_entries, jet.dT1_entries))
+    tau, dtau = (symbols._torsion_forms(_integer_form(entries), n, lead)[1]
+                 for entries, lead in ((jet.T_entries, 0), (jet.dT1_entries, 1)))
     ric = _integer_form(der.ric)
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
     dt4 = CliffordElement(n, {(1 << i) | (1 << j) | (1 << k) | (1 << t): x
