@@ -293,12 +293,14 @@ LEMMA36_FINDING = ("grade-1 cross-term ordering differs (characterized shift "
 
 def _jet_check(name: str, rows: List[dict]) -> dict:
     """A per-jet check's result: it passes if every row matches (lemma36:
-    has every grade equal)."""
-    passed = all(row["match"] if "match" in row else
-                 row["grade2_equal"] and row["grade1_equal"] and row["grade0_equal"]
-                 for row in rows)
-    summary = LEMMA36_FINDING if name == "lemma36" and not passed else JET_CHECKS[name][1]
-    return {"name": name, "passed": passed, "summary": summary, "rows": rows}
+    has every grade equal).  A failed lemma36 names each grade that differs
+    on some row, grade 1 by its characterized finding."""
+    differing = [g for g in (2, 1, 0) if name == "lemma36"
+                 and not all(row[f"grade{g}_equal"] for row in rows)]
+    summary = "; ".join(LEMMA36_FINDING if g == 1 else f"grade-{g} composed and displayed"
+                        " product symbols differ (no characterized finding)" for g in differing)
+    return {"name": name, "passed": not differing and all(row.get("match", True) for row in rows),
+            "summary": summary or JET_CHECKS[name][1], "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ spectral Einstein density
     + (11/4) sum (nabla_{e_a} T)(e_a,v,w) + (17/4) sum T(v, nabla_j w, e_j).
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
-for the same jet object, m and builder bindings, so each symbol, the derived
+for the same jet object, m and composed builder, so each symbol, the derived
 scalars and each trace table are built once per jet.  The part-1 and part-2
 tables trace ``JetInputs``' traced channels, built on the terms they read.
 
@@ -413,15 +413,15 @@ class PipelineContext(JetInputs):
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
     The context is the builders' ``JetInputs`` (the derived scalars, c(v),
-    c(w) and the jet's tensors converted once), handed to every builder it
-    calls through this module's bindings.  Every field is built on first use
-    and reused by every later consumer: c(v)c(w), the inverse-power channels
-    of parts 1 and 2 and the printed channels, built on the terms a table
-    reads (``JetInputs``' traced channels), the printed grades (the read
+    c(w) and the jet's tensors converted once), the one argument of every
+    builder it calls through this module's bindings.  Every field is built on
+    first use and reused by every later consumer: c(v)c(w), the inverse-power
+    channels of parts 1 and 2 and the printed channels, built on the terms a
+    table reads (``JetInputs``' traced channels), the printed grades (the read
     products plus the other grades) and the composed ones, sigma_Delta's
-    channels bucketed once, and the trace tables of part 1, the metric and both
-    part-2 sources, whose cells the densities and the audit rows read; then
-    the ``COMPARISONS`` and the product symbol's three grade equalities,
+    channels bucketed once, and the trace tables of part 1, the metric and
+    both part-2 sources, whose cells the densities and the audit rows read;
+    then the ``COMPARISONS`` and the product symbol's three grade equalities,
     which the audit and the CLI read.
     The public calls on one jet in a row share the context ``_context`` holds
     (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
@@ -445,7 +445,7 @@ class PipelineContext(JetInputs):
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
-        return build_sigma_ab_printed_parts(self.jet, self)
+        return build_sigma_ab_printed_parts(self)
 
     @cached_property
     def ab_printed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
@@ -453,7 +453,7 @@ class PipelineContext(JetInputs):
 
     @cached_property
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-        return build_sigma_ab_composed(self.jet, self)
+        return build_sigma_ab_composed(self)
 
     def _cvw_table(self, channels: Dict[str, SymbolExpr]) -> TraceTable:
         """c(v)c(w) against each channel, keyed ("cvw", name): cvw is x-free
@@ -521,23 +521,20 @@ class PipelineContext(JetInputs):
         return tuple(c == p for c, p in zip(self.ab_composed, self.ab_printed))
 
 
-# the residue bindings whose results a context keeps
-_KEPT = ("printed_grades", "build_sigma_ab_composed", "build_sigma_ab_printed_parts")
-_held: Tuple[Tuple[object, ...], PipelineContext] | None = None
+# the held context, beside the composed builder binding it was built under
+_held: Tuple[object, PipelineContext] | None = None
 
 
 def _context(jet: PointJet, m: int) -> PipelineContext:
     """The held context if it is of this jet (by identity: hashing a jet reads
     its entries, and the held context keeps its jet alive), of this m and built
-    under the bindings of ``_KEPT``; else a new one, which replaces it."""
+    under this ``build_sigma_ab_composed``, the one binding a caller swaps for
+    different results; else a new one, which replaces it."""
     global _held
-    bindings = tuple(map(globals().__getitem__, _KEPT))
-    if _held and _held[1].jet is jet and _held[1].m == m and all(
-            a is b for a, b in zip(_held[0], bindings)):
+    if _held and _held[1].jet is jet and _held[1].m == m and _held[0] is build_sigma_ab_composed:
         return _held[1]
-    ctx = PipelineContext(jet, m)
-    _held = bindings, ctx
-    return ctx
+    _held = build_sigma_ab_composed, PipelineContext(jet, m)
+    return _held[1]
 
 
 def metric_density(jet: PointJet, m: int) -> Density:
@@ -612,11 +609,13 @@ class DensityReport:
 
     @property
     def ok(self) -> bool:
-        """True when every mismatching entry is a named reconciliation and
-        all totals agree."""
+        """True when every mismatching entry is a named reconciliation, all
+        totals agree and grades 2 and 0 of the product symbol are equal (grade
+        1 differs by the characterized finding)."""
         entries_ok = all(e.match or e.reconciled for e in self.entries)
         totals_ok = all(t["match"] == "true" for t in self.totals.values())
-        return entries_ok and totals_ok
+        grades_ok = all(self.lemma36_diff.get(f"grade{g}_equal", True) for g in (2, 0))
+        return entries_ok and totals_ok and grades_ok
 
     @property
     def clean(self) -> bool:

@@ -542,7 +542,8 @@ class JetInputs:
     the mm-free order -(2mm+2) families (r_xx empty in both: its (a, b) and
     (b, a) placements cancel), sigma_Delta's leading channel (``lead``,
     which a context's metric also traces) and the printed product symbol's
-    channels.  A builder given only the jet makes its own.
+    channels.  Each product-symbol builder takes a jet or this object as its
+    one argument, and makes its own from a jet.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``read_products``) on the terms a context's traces read, as
@@ -727,7 +728,7 @@ class JetInputs:
         return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)
 
 
-def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | None = None
+def build_sigma_dt(source: PointJet | JetInputs, variant: str = "printed"
                    ) -> Tuple[SymbolExpr, SymbolExpr]:
     """(sigma_1, sigma_0-with-x-jet) of the torsion Dirac operator.
 
@@ -736,9 +737,9 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     Both are odd (phase 1).
     """
     kappa = TORSION_PREFACTOR[variant]
-    n, x0 = jet.n, 0
+    inputs = source if isinstance(source, JetInputs) else JetInputs(source)
+    n, x0 = inputs.n, 0
     sigma1 = _symbol(n, (((x0, _unit(n, a), 0, 1 << a), 1) for a in range(n)), 1, I)
-    inputs = inputs or JetInputs(jet)
     curvature, (tau, dtau) = inputs.word_sums, inputs.forms
     sigma0 = _family(n, [(x0, x0, 0, form.scale(kappa)) for form in tau.values()] + [
         (_unit(n, b), x0, 0, form.scale(kappa)) for b, form in dtau.items()] + [
@@ -746,7 +747,7 @@ def build_sigma_dt(jet: PointJet, variant: str = "printed", inputs: JetInputs | 
     return sigma1, sigma0
 
 
-def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
+def build_sigma_ab_composed(source: PointJet | JetInputs
                             ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
     """Grades 2, 1, 0 at x0 of the composed product symbol of the two
     one-form-times-Dirac factors c(v) D_T and c(w) D_T, by ``compose``.
@@ -755,9 +756,8 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     the left factor is sigma(x0), and the right one is read through its value
     and first x-jet, w0 sigma + w1 sigma(x0) for c(w(x)) = w0 + w1 (w1 the
     x-linear dw jet), without the x^2 part of the full product."""
-    n = jet.n
-    inputs = inputs or JetInputs(jet)
-    sigma = SymbolExpr.sum_of(n, build_sigma_dt(jet, inputs=inputs))
+    inputs = source if isinstance(source, JetInputs) else JetInputs(source)
+    n, sigma = inputs.n, SymbolExpr.sum_of(inputs.n, build_sigma_dt(inputs))
     s0 = at_x0(sigma)
     # c(w(x)) read off the int forms of w and dw
     (w, w_den), (dw, dw_den) = inputs.vectors["w"], inputs.vectors["dw"]
@@ -767,8 +767,7 @@ def build_sigma_ab_composed(jet: PointJet, inputs: JetInputs | None = None
     return xi_grade(full, 2), xi_grade(full, 1), xi_grade(full, 0)
 
 
-def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
-                                 ) -> Dict[str, SymbolExpr]:
+def build_sigma_ab_printed_parts(source: PointJet | JetInputs) -> Dict[str, SymbolExpr]:
     """Reference (closed-form) product-symbol grades at x0, by channel.
 
     These are the displayed expressions of the reference derivation with
@@ -783,7 +782,7 @@ def build_sigma_ab_printed_parts(jet: PointJet, inputs: JetInputs | None = None
       elements, the downstream closed forms track the displayed order, and
       the audit reports the difference.
     """
-    inputs = inputs or JetInputs(jet)
+    inputs = source if isinstance(source, JetInputs) else JetInputs(source)
     return inputs.printed(inputs.full_products())
 
 
@@ -797,9 +796,9 @@ def printed_grades(parts: Dict[str, SymbolExpr]
                                   parts["s0_tdw"])))
 
 
-def build_sigma_ab_printed(jet: PointJet
+def build_sigma_ab_printed(source: PointJet | JetInputs
                            ) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
-    return printed_grades(build_sigma_ab_printed_parts(jet))
+    return printed_grades(build_sigma_ab_printed_parts(source))
 
 
 # -- inverse Laplacian-type symbols -----------------------------------------

@@ -133,6 +133,65 @@ def test_verify_lemma36_reports_discrepancy(capsys):
     assert row["shift_characterized"]
 
 
+def _printed_grade_off(monkeypatch, grade):
+    """Rebind the printed grades a context reads so that grade ``grade`` has
+    one more term than the composed one: 1/7 at the identity word (at xi_1^2
+    for grade 2)."""
+    real = residue.printed_grades
+
+    def off(parts):
+        grades, n = list(real(parts)), parts["s2"].n
+        xi, expr = symbols._pairs(n)[0][0] if grade == 2 else 0, grades[2 - grade]
+        extra = symbols.SymbolExpr._of(n, {(0, xi, 0, 0): 1}, 7, expr.phase)
+        grades[2 - grade] = symbols.SymbolExpr.sum_of(n, (expr, extra))
+        return tuple(grades)
+    monkeypatch.setattr(residue, "printed_grades", off)
+
+
+def _grade_differs(grade):
+    return (f"grade-{grade} composed and displayed product symbols differ"
+            " (no characterized finding)")
+
+
+@pytest.mark.parametrize("grade", [2, 0])
+def test_a_printed_grade_one_term_off_is_named_and_fails_the_audit(capsys, monkeypatch, grade):
+    """Grades 2 and 0 can read unequal: the verify row, its summary (the
+    grade named beside the grade-1 finding) and the audit's lemma36 diff
+    show it, and the audit report is not ok, though its totals match."""
+    _printed_grade_off(monkeypatch, grade)
+    m, seed = 2, 3
+    jet = random_point_jet(seed, m)
+    ctx = residue.PipelineContext(jet, m)
+    assert ctx.grades_equal == (grade != 2, False, grade != 0)
+    row = cli.lemma36_row(seed, ctx)
+    assert row[f"grade{grade}_equal"] is False and row["shift_characterized"]
+    report = residue.audit(jet, m)
+    assert tuple(report.lemma36_diff[f"grade{g}_equal"] for g in (2, 1, 0)) == ctx.grades_equal
+    assert all(total["match"] == "true" for total in report.totals.values())
+    assert not report.ok
+    code, out, _ = run(capsys, "verify", "--checks", "lemma36", "--dim", str(m),
+                       "--trials", "1", "--seed", str(seed), "--format", "json")
+    check = json.loads(out)["checks"][0]
+    assert code == 1 and check["rows"] == [row] and not check["passed"]
+    findings = [cli.LEMMA36_FINDING, _grade_differs(grade)]  # named in the order 2, 1, 0
+    assert check["summary"] == "; ".join(reversed(findings) if grade == 2 else findings)
+    code, out, _ = run(capsys, "audit", "--dim", str(m), "--seed", str(seed), "--format", "json")
+    assert code == 1 and json.loads(out)["all_reconciled"] is False
+
+
+def test_the_grade1_finding_is_named_for_grade_1_alone(capsys, monkeypatch):
+    """With the printed grades as the composed ones, and printed grade 2 one
+    term off, only grade 2 differs, and the summary names it alone."""
+    monkeypatch.setattr(residue, "build_sigma_ab_composed", symbols.build_sigma_ab_printed)
+    _printed_grade_off(monkeypatch, 2)
+    code, out, _ = run(capsys, "verify", "--checks", "lemma36", "--dim", "2",
+                       "--trials", "1", "--seed", "3", "--format", "json")
+    check = json.loads(out)["checks"][0]
+    assert code == 1
+    assert [check["rows"][0][f"grade{g}_equal"] for g in (2, 1, 0)] == [False, True, True]
+    assert check["summary"] == _grade_differs(2)
+
+
 def test_verify_traces_reports_four_factor_discrepancy(capsys):
     code, out, _ = run(capsys, "verify", "--checks", "traces", "--trials", "2",
                        "--format", "json")

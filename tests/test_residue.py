@@ -1458,6 +1458,24 @@ def test_a_rebound_builder_bypasses_the_held_context(monkeypatch):
     assert part2_density(jet, 2, "composed").value == composed
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_composed_builder_swapped_for_the_printed_one_fails_the_audit(monkeypatch, m):
+    """Every product-symbol builder takes one argument, so the printed
+    builder can stand in for the composed one: the audit then runs to its
+    report, grade 1 reads equal, and the composed source's part 2 loses the
+    (3/4) TT shift, so the report is not ok."""
+    jet = random_point_jet(9, m)
+    tt = derived_scalars(jet).tt_vw
+    assert tt
+    monkeypatch.setattr(residue, "build_sigma_ab_composed", build_sigma_ab_printed)
+    report = audit(jet, m)
+    assert not report.ok
+    shift = report.totals[residue.SHIFT]
+    assert (Fraction(shift["engine"]), Fraction(shift["printed"]), shift["match"]) == (
+        0, Fraction(3, 4) * tt, "false")
+    assert report.lemma36_diff["grade1_equal"] is True
+
+
 def test_engine_functions_carry_no_wrapped():
     """A caching decorator (functools.lru_cache, functools.cache) sets
     __wrapped__ on an engine function; the benchmark's tracer, which wraps
