@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
+from math import lcm
 from operator import is_, itemgetter
 from typing import Dict, List, Tuple
 
@@ -71,6 +72,8 @@ class PointJet:
     v: Vec
     w: Vec
     dw: Mat2
+    # the completion records of R, T and dT1 (``_complete``); only ``_point_jet`` sets them
+    records: Tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -170,10 +173,11 @@ def _orbit(name: str, index: Tuple[int, ...], n: int, val) -> Orbit | None:
                  for side in (1, -1))
 
 
-def _complete(name: str, entries, n: int) -> Entries:
+def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
-    (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples.
+    (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples;
+    and its record: per orbit written, its value and counts of +/- images, flat.
 
     Each index's signed images are read from ``_ORBITS``, and the negative of
     a shared value of a random jet from ``_OPPOSITE``.  An entry whose
@@ -185,7 +189,7 @@ def _complete(name: str, entries, n: int) -> Entries:
     repeated form index (a zero one is skipped)."""
     orbits = _ORBITS.setdefault((name, n), {})
     out: Entries = {}
-    zero = set()                         # the positions of the orbits set to zero
+    zero, record = set(), []             # the positions of the orbits set to zero; the record
     for index, val in entries:
         orbit = orbits.get(index)
         if orbit is None:
@@ -202,6 +206,7 @@ def _complete(name: str, entries, n: int) -> Entries:
                     out[key] = val
                 for key in neg:
                     out[key] = opposite
+                record += val, len(pos), len(neg)
             else:
                 zero.update(pos, neg)
             continue
@@ -212,14 +217,15 @@ def _complete(name: str, entries, n: int) -> Entries:
                     lead = 1 if name == "dT1" else 0
                     raise InstanceError(f"{_label(name, index)} entries conflict by {kind} "
                                         f"at {_one_based(key[lead:])}")
-    return out
+    return out, record
 
 
-def _point_jet(m: int, R: Entries, T: Entries, dT1: Entries, v, w, dw) -> PointJet:
-    """The jet with the completed channels R, T, dT1 (index -> value) and
-    the dense v, w and dw."""
-    return PointJet(m=m, R_entries=R, T_entries=T, dT1_entries=dT1,
-                    v=tuple(v), w=tuple(w), dw=tuple(map(tuple, dw)))
+def _point_jet(m: int, R, T, dT1, v, w, dw) -> PointJet:
+    """The jet with the completed channels R, T, dT1 (each a map and its
+    record, from ``_complete``) and the dense v, w and dw."""
+    jet = PointJet(m, R[0], T[0], dT1[0], tuple(v), tuple(w), tuple(map(tuple, dw)))
+    object.__setattr__(jet, "records", (R[1], T[1], dT1[1]))
+    return jet
 
 
 def _admissible(jet: PointJet) -> PointJet:
@@ -265,7 +271,7 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
     n = 2 * m
     rng = random.Random(f"wres:{seed}:{m}")
 
-    R: Dict[Tuple[int, ...], Fraction] = {}
+    R, T, dT1 = ({}, []), ({}, []), ({}, [])      # each channel's map and record
     if with_curvature:
         hs = [{} for _ in range(rng.randint(2, 4))]
         for h in hs:
@@ -280,11 +286,11 @@ def random_point_jet(seed: int, m: int, *, with_curvature: bool = True,
             for (a, b), (c, d) in combinations_with_replacement(
                 list(combinations(range(n), 2)), 2)), n)
     triples = list(combinations(range(n), 3))
-    T = _complete("T", (((a, j, l), _small_rational(rng)) for a, j, l in triples),
-                  n) if with_torsion else {}
-    dT1 = _complete("dT1", (((b, a, j, l), _small_rational(rng))
-                            for b in range(n) for a, j, l in triples),
-                    n) if with_torsion_jet else {}
+    if with_torsion:
+        T = _complete("T", (((a, j, l), _small_rational(rng)) for a, j, l in triples), n)
+    if with_torsion_jet:
+        dT1 = _complete("dT1", (((b, a, j, l), _small_rational(rng))
+                                for b in range(n) for a, j, l in triples), n)
     v = [_small_rational(rng) for _ in range(n)]
     w = [_small_rational(rng) for _ in range(n)]
     dw = ([[_small_rational(rng) for _ in range(n)] for _ in range(n)] if with_w_jet
@@ -372,15 +378,27 @@ def vector_forms(jet: PointJet) -> Dict[str, Tuple[Dict, int]]:
                                  for g, x in enumerate(row) if x})}
 
 
+def _carried(entries: Entries, record: List | None) -> Tuple[Dict, int]:
+    """``_integer_form(entries)`` of a channel map, its record expanded over its
+    keys (``_complete`` wrote them orbit by orbit); with no record, converted."""
+    if record is None:
+        return _integer_form(entries)
+    den, nums, it = lcm(*{x.denominator for x in record[::3]}), [], iter(record)
+    for x, pos, neg in zip(it, it, it):
+        nums += [k := x.numerator * (den // x.denominator)] * pos + [-k] * neg
+    return dict(zip(entries, nums)), den
+
+
 def derived_scalars(jet: PointJet, vectors: Dict[str, Tuple[Dict, int]] | None = None
                     ) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
     in ints over one common denominator per channel, from one int form each
-    of R, T, dT1 and the vectors (``vectors``: those of ``vector_forms``, made
-    here unless given), which the result keeps for the builders with Ric's
-    and dT's nonzero int sums (``int_forms``: keys R, T, dT1, ric (reduced),
-    dT4, v, w, dw)."""
-    forms = {name: _integer_form(getattr(jet, f"{name}_entries")) for name in ("R", "T", "dT1")}
+    of R, T, dT1 (``_carried``) and the vectors (``vectors``: those of
+    ``vector_forms``, made here unless given), which the result keeps for the
+    builders with Ric's and dT's nonzero int sums (``int_forms``: keys R, T,
+    dT1, ric (reduced), dT4, v, w, dw)."""
+    maps = jet.R_entries, jet.T_entries, jet.dT1_entries
+    forms = dict(zip(("R", "T", "dT1"), map(_carried, maps, jet.records or (None,) * 3)))
     (R, d_r), (T, d_t), (dT1, d_dt1) = forms.values()
     ric, d_r = forms["ric"] = _reduced(_ricci(R), d_r)
     forms["dT4"] = _four_form(dT1), d_dt1

@@ -489,18 +489,6 @@ def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int, lead: int) -> Tuple
     return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
 
 
-def _curvature_pair_sums(curvature: Tuple[Dict[Deg, int], int], n: int
-                         ) -> Dict[Tuple[int, int], CliffordElement]:
-    """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing, for
-    the pairs with a nonzero entry of R's int form ``curvature``: 2 R_{bats}
-    c_s c_t over s < t, since ``derived_scalars`` checks R_{bast} = -R_{bats}."""
-    (nums, den), rows = curvature, {}
-    for (b, a, t, s), val in nums.items():
-        if s < t:
-            rows.setdefault((b, a), {})[(1 << s) | (1 << t)] = 2 * val
-    return {ba: CliffordElement._of(n, row, den) for ba, row in rows.items()}
-
-
 def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
     """c(v) from the int form of v (index -> numerator, zeros kept)."""
     nums, den = form
@@ -536,9 +524,9 @@ class JetInputs:
     (``vectors``, kept in the derived scalars' ``int_forms``), the derived
     scalars, c(v), c(w), c(v) c(w) and c(v) c(dw) read off those forms (s2 and
     each P_f = c(v) c_f c(w) follow from the one c(v) c(w) by the Clifford
-    relation), R's and Ric's int forms (the derived scalars' ``int_forms``),
-    the curvature pair sums (over s < t) and the word sums (off Ric), T's
-    and dT1's 3-forms and bivector rows (``torsion``: one pass per channel),
+    relation), R's and Ric's int forms (the derived scalars' ``int_forms``,
+    which sigma_Delta's r_jets read term by term), the word sums (off Ric),
+    T's and dT1's 3-forms and bivector rows (``torsion``: one pass per channel),
     the mm-free order -(2mm+2) families (r_xx empty in both: its (a, b) and
     (b, a) placements cancel), sigma_Delta's leading channel (``lead``,
     which a context's metric also traces) and the printed product symbol's
@@ -569,7 +557,6 @@ class JetInputs:
     lead = cached_property(lambda self: build_sigma_delta_lead(self.jet))
     curvature = property(lambda self: self.derived.int_forms["R"])
     ric = property(lambda self: self.derived.int_forms["ric"])
-    pair_sums = cached_property(lambda self: _curvature_pair_sums(self.curvature, self.n))
     torsion = cached_property(lambda self: tuple(zip(*(
         _torsion_forms(self.derived.int_forms[name], self.n, lead)
         for name, lead in (("T", 0), ("dT1", 1))))))
@@ -706,23 +693,28 @@ class JetInputs:
         m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
         r_m, c_t, c_ric, c_r = _DELTA.get(m) or _DELTA.setdefault(m, (Fraction(-m, 3), *(
             GaussianRational(0, c) for c in (3 * m, Fraction(-2 * m, 3), Fraction(m, 4)))))
-        curvature, ric, tau, pairs = self.curvature, self.ric, self.rows[0], _pairs(n)
+        (nums, den), ric, tau, pairs = self.curvature, self.ric, self.rows[0], _pairs(n)
+        units = [_unit(n, a) for a in range(n)]
 
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-        r_jet = _symbol(n, _collected(((pairs[j][k], pairs[a][b], p, 0), c)
-                                      for (a, j, b, k), c in curvature[0].items()
-                                      if a == b or not traced).items(),
-                        curvature[1], r_m)
+        # (traced: a = b over j <= k, as R_{ajak} = R_{akaj}; derived_scalars checks R)
+        r_jet = _symbol(n, (((pairs[j][k], pairs[a][a], p, 0), c if j == k else 2 * c)
+                            for (a, j, b, k), c in nums.items() if a == b and j <= k) if traced
+                        else _collected(((pairs[j][k], pairs[a][b], p, 0), c)
+                                        for (a, j, b, k), c in nums.items()).items(), den, r_m)
         parts_m = {"lead": self.lead, "r_jet": r_jet}
 
         # order -2m-1
         parts_m1 = {
-            "ric_jet": _symbol(n, (((_unit(n, b), _unit(n, a), p, 0), x)
+            "ric_jet": _symbol(n, (((units[b], units[a], p, 0), x)
                                    for (a, b), x in ric[0].items()), ric[1], c_ric),
-            "tt": _family(n, [(x0, _unit(n, a), p, row) for a, row in tau.items()], c_t),
-            "r_jet": _family(n, [(_unit(n, b), _unit(n, a), p, _near(e, a, b) if traced else e)
-                                 for (b, a), e in self.pair_sums.items()], c_r),
-            "dt_jet": _family(n, [(_unit(n, b), _unit(n, a), p, row) for (b, a), row
+            "tt": _family(n, [(x0, units[a], p, row) for a, row in tau.items()], c_t),
+            # 2 R_{bats} c_s c_t over s < t, as R_{bast} = -R_{bats}; traced, the words
+            # that meet e_a or e_b, as _near (at a = b there is none: R_{aats} = 0)
+            "r_jet": _symbol(n, (((units[b], units[a], p, (1 << s) | (1 << t)), 2 * x)
+                                 for (b, a, t, s), x in nums.items() if s < t and (not traced
+                                 or a in (s, t) or b in (s, t))), den, c_r),
+            "dt_jet": _family(n, [(units[b], units[a], p, row) for (b, a), row
                                   in (self.near_rows if traced else self.rows[1]).items()], c_t),
         }
         return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)

@@ -323,7 +323,7 @@ def _with_entry(tensor, index, value):
 
 def _completed(name, entries, n):
     """The dense tensor of ``_complete(name, entries, n)``; any even n."""
-    return _dense(_complete(name, [(tuple(k), Fraction(x)) for *k, x in entries], n),
+    return _dense(_complete(name, [(tuple(k), Fraction(x)) for *k, x in entries], n)[0],
                   n, 3 if name == "T" else 4)
 
 
@@ -757,6 +757,115 @@ def test_replaced_jet_computes_its_own_derived_scalars():
     assert _expanded(other_der, other.n) == _derived_scalars_dense(other)
     assert other_der.g_vw == sum(x * x for x in jet.v) != der.g_vw
     assert other_der.tt_vw != der.tt_vw
+
+
+# ---------------------------------------------------------------------------
+# the completion's records: the int forms a jet carries
+# ---------------------------------------------------------------------------
+
+_CHANNELS = ("R", "T", "dT1")
+
+
+def _revisited(jet):
+    """``make_point_jet`` given every entry of ``jet``'s maps, so that each
+    orbit is revisited after it is written."""
+    return make_point_jet(jet.m, v=jet.v, w=jet.w, dw=jet.dw, **{
+        name: [[*k, x] for k, x in getattr(jet, f"{name}_entries").items()] for name in _CHANNELS})
+
+
+def _front_jets(m):
+    """A jet of each front: ``random_point_jet`` with every channel on and
+    with each ``with_*`` flag off, ``jet_from_dict`` of the first one's
+    instance, ``make_point_jet`` of the same instance read 0-based, a one-hot
+    coefficient jet and (m <= 4) ``_revisited`` of the first one."""
+    flags = ("with_curvature", "with_torsion", "with_torsion_jet", "with_w_jet")
+    jet = random_point_jet(2, m)
+    data = jet_to_dict(jet)
+    jets = [jet, *(random_point_jet(2, m, **{flag: False}) for flag in flags), jet_from_dict(data)]
+    jets.append(make_point_jet(m, v=data["v"], w=data["w"], dw=data["dw"], **{
+        name: [[*(i - 1 for i in entry[:-1]), entry[-1]] for entry in data[name]]
+        for name in _CHANNELS}))
+    if m > 1:
+        jets.append(make_point_jet(m, **next(iter(_one_hot_cases(m)))[2]))
+    return jets + ([_revisited(jet)] if m <= 4 else [])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_fronts_carry_the_int_forms_of_their_maps(monkeypatch, m):
+    """Each front's jet carries its R, T and dT1 int forms: the derived
+    scalars' ``int_forms`` equal ``_integer_form`` of the maps, keys in the
+    same order, and no map of the jet is converted."""
+    converted = []
+
+    def counted(entries):
+        converted.append(id(entries))
+        return _integer_form(entries)
+
+    monkeypatch.setattr(geometry, "_integer_form", counted)
+    for jet in _front_jets(m):
+        maps = [getattr(jet, f"{name}_entries") for name in _CHANNELS]
+        forms = derived_scalars(jet).int_forms
+        assert not {id(x) for x in maps} & set(converted)
+        for name, entries in zip(_CHANNELS, maps):
+            expected = _integer_form(entries)
+            assert forms[name] == expected and list(forms[name][0]) == list(expected[0]), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_a_record_holds_one_value_per_orbit(m):
+    """A channel's record holds, per nonzero orbit, the map's value object
+    at the orbit's representative and its counts of positive and negative
+    images, which add up to the map's size; revisiting every entry of an
+    orbit adds nothing to it."""
+    reps = {"R": lambda k: k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:],
+            "T": lambda k: k[0] < k[1] < k[2], "dT1": lambda k: k[1] < k[2] < k[3]}
+    for seed in range(3):
+        jet = random_point_jet(seed, m)
+        for name, record in zip(_CHANNELS, jet.records):
+            entries = getattr(jet, f"{name}_entries")
+            values, pos, neg = record[::3], record[1::3], record[2::3]
+            assert len(record) == 3 * len(values)
+            assert [*map(id, values)] == [id(entries[k]) for k in entries if reps[name](k)]
+            assert sum(pos) + sum(neg) == len(entries) >= 4 * len(values)
+        assert _revisited(jet).records == jet.records
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_replaced_and_hand_built_jets_carry_no_record(monkeypatch, m):
+    """A ``dataclasses.replace`` result and a hand-built ``PointJet`` carry
+    no record, so their maps are converted; they equal the generated jet in
+    ==, hash, repr and instance, and give the same int forms and densities.
+    The record is no constructor option."""
+    from wres_torsion.residue import metric_density, part1_density, part2_density, theorem_density
+
+    jet = random_point_jet(4, m)
+    hand = PointJet(m=m, R_entries=jet.R_entries, T_entries=jet.T_entries,
+                    dT1_entries=jet.dT1_entries, v=jet.v, w=jet.w, dw=jet.dw)
+    expected = derived_scalars(jet)
+    densities = [f(jet, m).value for f in (part1_density, part2_density, theorem_density,
+                                            metric_density)]
+    converted = Counter()
+
+    def counted(entries):
+        converted[id(entries)] += 1
+        return _integer_form(entries)
+
+    monkeypatch.setattr(geometry, "_integer_form", counted)
+    for other in (dataclasses.replace(jet), hand):
+        assert other.records is None and jet.records is not None
+        assert other == jet and hash(other) == hash(jet) and repr(other) == repr(jet)
+        assert jet_to_dict(other) == jet_to_dict(jet)
+        converted.clear()
+        der = derived_scalars(other)
+        assert [converted[id(getattr(jet, f"{name}_entries"))] for name in _CHANNELS] == [1, 1, 1]
+        assert der == expected and der.int_forms == expected.int_forms
+        assert [f(other, m).value for f in (part1_density, part2_density, theorem_density,
+                                             metric_density)] == densities
+    with pytest.raises(TypeError):
+        PointJet(m=m, R_entries={}, T_entries={}, dT1_entries={}, v=jet.v, w=jet.w,
+                 dw=jet.dw, records=jet.records)
+    with pytest.raises(ValueError):
+        dataclasses.replace(jet, records=jet.records)
 
 
 def test_failed_derived_scalars_are_not_cached():

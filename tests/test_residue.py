@@ -1000,11 +1000,12 @@ def test_a_context_builds_no_symbol_twice(monkeypatch, m):
 
 @pytest.fixture
 def input_reads(monkeypatch):
-    """Count the engine's reads of a jet's tensors: the curvature pair sums
-    (through the ``symbols`` binding), each map turned into its int form
-    through the ``geometry``, ``symbols`` and ``clifford`` bindings (by the
-    map's id, and the calls and entries in all) and each int form read as
-    torsion 3-forms and rows (by the id of the map it was made from)."""
+    """Count the engine's reads of a jet's tensors: each map turned into its
+    int form through the ``geometry``, ``symbols`` and ``clifford`` bindings
+    of ``_integer_form`` (by the map's id, and the calls and entries in all),
+    each map's int form taken by ``geometry._carried`` (from the jet's
+    record, or converted) and each int form read as torsion 3-forms and rows
+    (by the id of the map it was made from)."""
     import wres_torsion.clifford as clifford
     import wres_torsion.geometry as geometry
     import wres_torsion.numerics as numerics
@@ -1022,26 +1023,28 @@ def input_reads(monkeypatch):
         sources[id(form)] = id(entries)
         return form
 
+    def carried(entries, record, _fn=geometry._carried):
+        form = _fn(entries, record)
+        reads["carried", id(entries)] += 1
+        sources[id(form)] = id(entries)
+        return form
+
     def torsion_forms(form, n, lead, _fn=symbols._torsion_forms):
         reads["torsion", sources.get(id(form))] += 1
         return _fn(form, n, lead)
 
-    def pair_sums(curvature, n, _fn=symbols._curvature_pair_sums):
-        reads["pair_sums"] += 1
-        return _fn(curvature, n)
-
     for mod in (geometry, symbols, clifford):
         monkeypatch.setattr(mod, "_integer_form", int_form)
+    monkeypatch.setattr(geometry, "_carried", carried)
     monkeypatch.setattr(symbols, "_torsion_forms", torsion_forms)
-    monkeypatch.setattr(symbols, "_curvature_pair_sums", pair_sums)
     return reads
 
 
 def _jet_reads(reads, jet):
     """The counts of ``input_reads`` that concern ``jet``'s maps."""
     ids = {id(jet.R_entries): "R", id(jet.T_entries): "T", id(jet.dT1_entries): "dT1"}
-    out = {"pair_sums": reads["pair_sums"]}
-    out.update(((name, "int form"), reads["int_form", i]) for i, name in ids.items())
+    out = {(name, "int form"): reads["int_form", i] for i, name in ids.items()}
+    out.update(((name, "carried"), reads["carried", i]) for i, name in ids.items())
     out.update(((ids.get(key[1]), "3-forms and rows"), count)
                for key, count in reads.items() if key[0] == "torsion")
     return out
@@ -1051,8 +1054,9 @@ def _jet_reads(reads, jet):
 def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
     share one context: each channel set they use is built once, R, T and dT1
-    are each turned into their int form once (by the derived scalars, whose
-    forms the builders read) and v, w and dw once (by ``vector_forms``,
+    each have their int form taken once (by the derived scalars, whose forms
+    the builders read), carried from the generated jet's records with no
+    ``_integer_form`` call, and v, w and dw are converted once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
     from the jet's rationals).  The tables read the traced channels, so no
@@ -1082,15 +1086,15 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -g_vw
     assert build_counts == TRACED
-    # each channel is converted to ints once, by the derived scalars, and
-    # each torsion int form is read once for its 3-forms and rows
-    reads = {"pair_sums": 1, ("R", "int form"): 1, ("T", "int form"): 1,
-             ("dT1", "int form"): 1, ("T", "3-forms and rows"): 1,
-             ("dT1", "3-forms and rows"): 1}
+    # each channel's int form is carried once, by the derived scalars, with
+    # no conversion, and each torsion int form is read once for its 3-forms
+    # and rows; only v, w and dw are converted
+    reads = {("R", "int form"): 0, ("T", "int form"): 0, ("dT1", "int form"): 0,
+             ("R", "carried"): 1, ("T", "carried"): 1, ("dT1", "carried"): 1,
+             ("T", "3-forms and rows"): 1, ("dT1", "3-forms and rows"): 1}
     assert _jet_reads(input_reads, jet) == reads
-    assert input_reads["int_form calls"] <= 7
-    if seed == 0:
-        assert input_reads["int_form entries"] <= 1710
+    assert input_reads["int_form calls"] <= 3
+    assert input_reads["int_form entries"] <= 2 * 6 + 6 * 6  # v, w and at most all of dw
     assert vectors == [jet] and from_vectors == []
     assert audit(jet, 3).ok
     assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
@@ -1122,9 +1126,10 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     """Through part 1, both part-2 sources and the metric, a context calls
-    ``_near`` once per dT1 row (for dt_xx and dt_jet together) and once per
-    curvature pair sum (for r_jet), and its traced order -(2mm+2) families
-    place no r_xx element, whose (a, b) and (b, a) placements cancel."""
+    ``_near`` once per dT1 row (for dt_xx and dt_jet together) and for
+    nothing else (sigma_Delta's r_jet reads R's int form term by term), and
+    its traced order -(2mm+2) families place no r_xx element, whose (a, b)
+    and (b, a) placements cancel."""
     near, placed = [], []
     real_near, real_placed = symbols._near, symbols._placed
 
@@ -1140,24 +1145,32 @@ def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     monkeypatch.setattr(symbols, "_near", counted_near)
     monkeypatch.setattr(symbols, "_placed", counted_placed)
     ctx = PipelineContext(random_point_jet(seed, m), m)
-    rows, pair_sums = ctx.rows[1], ctx.pair_sums
-    assert rows and pair_sums
+    rows = ctx.rows[1]
+    assert rows
     placed.clear()
     read = dict(zip(ctx.order2_read, placed))
     ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
-    assert sorted(near) == sorted(tuple(sorted(key)) for key in (*rows, *pair_sums))
+    assert sorted(near) == sorted(tuple(sorted(key)) for key in rows)
     assert read["r_xx"] == 0 and ctx.order2_read["r_xx"][2] == {}
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypatch, m):
-    """The pair sums walk only s < t, which is sound because the context
-    refuses, through its derived scalars, an R with R_{bast} != -R_{bats}
-    before any pair sum is formed, whichever reader of R is asked first."""
+    """sigma_Delta's r_jets walk R only over s < t and j <= k, which is
+    sound because the context refuses, through its derived scalars, an R
+    with R_{bast} != -R_{bats} before any r_jet term is formed (no symbol
+    term at an x-degree, which only R, dT1 and dw give, is formed at all),
+    whichever reader of R is asked first."""
     import dataclasses
 
-    formed = []
-    monkeypatch.setattr(symbols, "_curvature_pair_sums", lambda *args: formed.append(args))
+    formed, real_symbol = [], symbols._symbol
+
+    def counted_symbol(n, nums, den, coeff=1):
+        nums = list(nums)
+        formed.extend(key for key, _ in nums if key[0])
+        return real_symbol(n, nums, den, coeff)
+
+    monkeypatch.setattr(symbols, "_symbol", counted_symbol)
     jet = random_point_jet(0, m)
     (b, a, t, s), x = next((k, x) for k, x in jet.R_entries.items() if k[2] < k[3])
     jet = dataclasses.replace(jet, R_entries={**jet.R_entries, (b, a, s, t): x})
@@ -1166,6 +1179,9 @@ def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypa
         with pytest.raises(ValueError):
             read(PipelineContext(jet, m))
     assert formed == []
+    # the counter sees r_jet's terms when R is sound
+    PipelineContext(random_point_jet(0, m), m).delta_inv_parts
+    assert formed
 
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):

@@ -1204,7 +1204,7 @@ def test_sparse_curvature_sums_match_dense(m):
         n = jet.n
         curvature = _integer_form(jet.R_entries)
         words = symbols.JetInputs(jet).word_sums
-        pairs = symbols._curvature_pair_sums(curvature, n)
+        pairs = _curvature_pair_sums(curvature, n)
         assert all(words.values())
         for b in range(n):
             assert words.get(b, CliffordElement.zero(n)) == \
@@ -1212,6 +1212,18 @@ def test_sparse_curvature_sums_match_dense(m):
             for a in range(n):
                 assert pairs.get((b, a), CliffordElement.zero(n)) == \
                     _dense_curvature_pair_sum(jet, b, a)
+
+
+def _curvature_pair_sums(curvature, n):
+    """(b, a) -> sum_{t,s} R_{bats} c_s c_t with the printed index pairing, for
+    the pairs with a nonzero entry of R's int form ``curvature``: 2 R_{bats}
+    c_s c_t over s < t, as R_{bast} = -R_{bats}.  sigma_Delta's x^1 r_jet
+    read these sums before it read R's int form term by term."""
+    (nums, den), rows = curvature, {}
+    for (b, a, t, s), val in nums.items():
+        if s < t:
+            rows.setdefault((b, a), {})[(1 << s) | (1 << t)] = 2 * val
+    return {ba: CliffordElement._of(n, row, den) for ba, row in rows.items()}
 
 
 def _two_sided_pair_sums(curvature, n):
@@ -1229,19 +1241,59 @@ def _two_sided_pair_sums(curvature, n):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_pair_sums_over_s_below_t_match_the_two_sided_walk(m):
     """The pair sums read off the entries with s < t alone (2 R_{bats} per
-    word) equal, numerators and denominator, the two-sided walk on seeds 0-4
-    and on the curvature jets of the linear-in-m fit (R_1212 = 1 with v = w
-    = e_1 and, from m = 2, with v = w = e_3)."""
+    word) equal, numerators and denominator, the two-sided walk on the jets
+    of ``_m_fit_jets``."""
+    n = 2 * m
+    for jet in _m_fit_jets(m):
+        curvature = derived_scalars(jet).int_forms["R"]
+        oracle = _two_sided_pair_sums(curvature, n)
+        assert oracle
+        assert _raw(_curvature_pair_sums(curvature, n)) == _raw(oracle)
+
+
+def _m_fit_jets(m):
+    """Seeds 0-4 and the curvature jets of the linear-in-m fit (R_1212 = 1
+    with v = w = e_1 and, from m = 2, with v = w = e_3)."""
     n = 2 * m
     jets = [random_point_jet(seed, m) for seed in range(5)]
     for i in (0, 2)[:m]:
         e = [Fraction(int(k == i)) for k in range(n)]
         jets.append(make_point_jet(m, R=[[0, 1, 0, 1, 1]], v=e, w=e))
-    for jet in jets:
-        curvature = derived_scalars(jet).int_forms["R"]
-        oracle = _two_sided_pair_sums(curvature, n)
-        assert oracle
-        assert _raw(symbols._curvature_pair_sums(curvature, n)) == _raw(oracle)
+    return jets
+
+
+def _old_r_jets(inputs, traced):
+    """sigma_Delta's two r_jets as they were built before they read R's int
+    form directly: the order -2m one by ``_collected`` over every kept
+    entry (a = b alone when traced), the order -2m-1 one as the pair sums
+    placed at x^b xi_a, each filtered by ``_near`` when traced."""
+    m, n = inputs.jet.m, inputs.n
+    p, (nums, den), pairs = -2 * m - 2, inputs.curvature, symbols._pairs(n)
+    order_2m = symbols._symbol(n, _collected(
+        ((pairs[j][k], pairs[a][b], p, 0), c) for (a, j, b, k), c in nums.items()
+        if a == b or not traced).items(), den, Fraction(-m, 3))
+    order_2m1 = symbols._family(n, [
+        (symbols._unit(n, b), symbols._unit(n, a), p, symbols._near(e, a, b) if traced else e)
+        for (b, a), e in _curvature_pair_sums((nums, den), n).items()],
+        GaussianRational(0, Fraction(m, 4)))
+    return order_2m, order_2m1
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sigma_delta_r_jets_match_the_old_walks(m):
+    """On the jets of ``_m_fit_jets``, both r_jets, whole and traced, equal
+    (numerators, denominator and phase) the old walks of ``_old_r_jets``:
+    the traced order -2m one, now read over j <= k with 2 R_{ajak} at j < k,
+    and the order -2m-1 one, now read off R's entries with s < t where it
+    was the pair sums, placed and (traced) filtered by ``_near``."""
+    for jet in _m_fit_jets(m):
+        inputs = symbols.JetInputs(jet)
+        for traced in (False, True):
+            parts_m, parts_m1, _ = inputs.sigma_delta(traced)
+            old_m, old_m1 = _old_r_jets(inputs, traced)
+            assert old_m and old_m1, (m, traced)
+            for new, old in ((parts_m["r_jet"], old_m), (parts_m1["r_jet"], old_m1)):
+                assert (new.nums, new.den, new.phase) == (old.nums, old.den, old.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -1408,7 +1460,7 @@ def _per_mm_order2_parts(jet, mm):
     ``symbols._symbol`` takes monomial codes, the term families tuples."""
     n, der = jet.n, derived_scalars(jet)
     p2, p4 = -2 * mm - 2, -2 * mm - 4
-    pairs = symbols._curvature_pair_sums(_integer_form(jet.R_entries), n)
+    pairs = _curvature_pair_sums(_integer_form(jet.R_entries), n)
     tau, dtau = (symbols._torsion_forms(_integer_form(entries), n, lead)[1]
                  for entries, lead in ((jet.T_entries, 0), (jet.dT1_entries, 1)))
     ric = _integer_form(der.ric)
@@ -1489,7 +1541,7 @@ def test_r_xx_family_holds_no_term(m):
 
     jets = [random_point_jet(seed, m) for seed in range(5)]
     jets += [make_point_jet(m, **kw) for _, _, kw in (_one_hot_cases(m) if m > 1 else ())]
-    assert any(symbols.JetInputs(jet).pair_sums for jet in jets)
+    assert any(_curvature_pair_sums(derived_scalars(jet).int_forms["R"], jet.n) for jet in jets)
     for jet in jets:
         assert symbols.JetInputs(jet).order2["r_xx"][2] == {}
 
@@ -1541,7 +1593,6 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         curvature, ric = _integer_form(jet.R_entries), _integer_form(der.ric)
         maps = (jet.T_entries, jet.dT1_entries)
         rows = tuple(_map_torsion_forms(entries, n, rows=True) for entries in maps)
-        pair_sums = symbols._curvature_pair_sums(curvature, n)
         gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
         dw = CliffordElement.zero(n)
         for j, row in enumerate(jet.dw):
@@ -1555,10 +1606,9 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
             "rows": rows,
             "word_sums": {b: e for b in range(n)
                           if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
-            "pair_sums": pair_sums,
             # the families of JetInputs.order2 over the inputs converted anew
             "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
-                n=n, derived=der, rows=rows, ric=ric, pair_sums=pair_sums)),
+                n=n, derived=der, rows=rows, ric=ric)),
         }
         inputs = symbols.JetInputs(jet)
         for name, expected in oracle.items():
