@@ -43,10 +43,11 @@ is summed over strictly increasing triples only.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import lcm
 from operator import is_, itemgetter
 from typing import Dict, List, Tuple
@@ -72,7 +73,8 @@ class PointJet:
     v: Vec
     w: Vec
     dw: Mat2
-    # the completion records of R, T and dT1 (``_complete``); only ``_point_jet`` sets them
+    # the completion records of R, T and dT1 (``_complete``), which ``_read`` follows while
+    # a map is its record's expansion; only ``_point_jet`` sets them
     records: Tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -88,7 +90,7 @@ class PointJet:
 @dataclass(frozen=True)
 class DerivedScalars:
     """Contractions of a PointJet used by the closed-form densities, and in
-    ``int_forms`` (skipped by == and repr) the int forms they were summed from."""
+    ``int_forms`` (skipped by == and repr) the reads and int forms they were summed from."""
 
     ric: Dict[Tuple[int, int], Fraction]  # (b, k) -> Ric_{bk} = sum_j R_{jbjk}, nonzero only
     s: Fraction               # scalar curvature
@@ -100,7 +102,9 @@ class DerivedScalars:
     tt_vw: Fraction           # sum_{j,l} T(v,e_j,e_l) T(w,e_j,e_l)
     div_t_vw: Fraction        # sum_a (nabla_{e_a} T)(e_a, v, w)
     t_dw: Fraction            # sum_j T(v, nabla^L_{e_j} w, e_j)
-    int_forms: Dict[str, Tuple[Dict, int]] | None = field(default=None, compare=False, repr=False)
+    # R, T, dT1 -> their ``Read``s; ric, dT4, v, w, dw -> (int numerators, denominator)
+    int_forms: Dict[str, Read | Tuple[Dict, int]] | None = field(
+        default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,8 @@ def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
     (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples;
-    and its record: per orbit written, its value and counts of +/- images, flat.
+    and its record, flat, per orbit written: its value, the object written at
+    its negative images and the orbit (the shared ``_ORBITS`` entry).
 
     Each index's signed images are read from ``_ORBITS``, and the negative of
     a shared value of a random jet from ``_OPPOSITE``.  An entry whose
@@ -206,7 +211,7 @@ def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
                     out[key] = val
                 for key in neg:
                     out[key] = opposite
-                record += val, len(pos), len(neg)
+                record += val, opposite, orbit
             else:
                 zero.update(pos, neg)
             continue
@@ -346,30 +351,6 @@ def _dense(entries: Entries, n: int, rank: int):
     return build(())
 
 
-def _ricci(R: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, int], int]:
-    """The nonzero Ric_{bk} = sum_j R_{jbjk} over the exact nonzero entries
-    R (the engine passes R's int form); raises ValueError if R violates the
-    pair symmetries (the contraction convention is only meaningful on an
-    admissible tensor)."""
-    if not _is_curvature(R) and (problems := _riemann_scan(R, limit=1)):
-        raise ValueError(problems[0])
-    return _collected(((b, k), x) for (j, b, c, k), x in R.items() if j == c)
-
-
-def _four_form(dT1: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
-    """dT from the exact nonzero dT1 entries (the engine passes dT1's int
-    form), as its nonzero coordinates on strictly increasing quadruples
-    i0 < i1 < i2 < i3: (dT)_{i0 i1 i2 i3} = sum_r (-1)^r dT1[i_r][the other
-    three, increasing], so only entries with an increasing form triple and a
-    distinct derivative slot contribute."""
-    alt: Dict[Tuple[int, ...], int] = {}
-    for (b, a, j, l), x in dT1.items():
-        if a < j < l and b not in (a, j, l):
-            key = tuple(sorted((b, a, j, l)))
-            alt[key] = alt.get(key, 0) + (-x if key.index(b) % 2 else x)
-    return {key: x for key, x in alt.items() if x}
-
-
 def vector_forms(jet: PointJet) -> Dict[str, Tuple[Dict, int]]:
     """The int forms of v and w (index -> numerator, zeros kept) and of dw's
     nonzero entries ((j, g) -> numerator of d_j w_g), under keys v, w, dw."""
@@ -378,34 +359,111 @@ def vector_forms(jet: PointJet) -> Dict[str, Tuple[Dict, int]]:
                                  for g, x in enumerate(row) if x})}
 
 
-def _carried(entries: Entries, record: List | None) -> Tuple[Dict, int]:
-    """``_integer_form(entries)`` of a channel map, its record expanded over its
-    keys (``_complete`` wrote them orbit by orbit); with no record, converted."""
-    if record is None:
-        return _integer_form(entries)
-    den, nums, it = lcm(*{x.denominator for x in record[::3]}), [], iter(record)
-    for x, pos, neg in zip(it, it, it):
-        nums += [k := x.numerator * (den // x.denominator)] * pos + [-k] * neg
-    return dict(zip(entries, nums)), den
+# channel ``name``'s map as (orbit, int numerator) pairs over one denominator:
+# by its record's orbits (``whole``) or by one orbit ((index,), ()) per entry
+Read = namedtuple("Read", "name orbits nums den whole")
+
+
+def _read(name: str, entries: Entries, record: List | None) -> Read:
+    """Channel ``name``'s ``entries``, orbit by orbit where its keys, in order,
+    and its values, by identity, are its record's expansion (per orbit, its
+    value at the positive images, then the other object at the negative
+    ones); else entry by entry (a hand-built or replaced jet, an edited map)."""
+    if not entries:
+        return Read(name, [], [], 1, record is not None)
+    if record is not None:
+        orbits, xs = record[2::3], record[::3]
+        sides = list(chain.from_iterable(orbits))
+        if list(entries) == list(chain.from_iterable(sides)) and all(map(is_, entries.values(), (
+                chain.from_iterable(map(repeat, chain.from_iterable(zip(xs, record[1::3])),
+                                        map(len, sides)))))):
+            den = lcm(*{x.denominator for x in xs})
+            return Read(name, orbits, [x.numerator * (den // x.denominator) for x in xs], den, True)
+    nums, den = _integer_form(entries)
+    return Read(name, [((key,), ()) for key in nums], [*nums.values()], den, False)
+
+
+# (rule, n, channel) -> the first index of a recorded orbit -> its template
+_TEMPLATES: Dict[Tuple, Dict[Tuple[int, ...], Tuple]] = {}
+
+
+def _spread(read: Read, rule, n: int) -> Tuple[Dict, Dict, Dict]:
+    """Per part 0, 1, 2: key -> the nonzero int sum, over the read map's
+    entries, of each entry's numerator times the coefficients of the (part,
+    key, coefficient) triples that ``rule(index, n)`` gives it, orbit by
+    orbit: an orbit's template, the triples summed over its signed images, is
+    built once (``_TEMPLATES``), an entry read alone is its own."""
+    out: Tuple[Dict, Dict, Dict] = ({}, {}, {})
+    if not read.nums:
+        return out
+    memo = _TEMPLATES.setdefault((rule, n, read.name), {}) if read.whole else None
+    for orbit, x in zip(read.orbits, read.nums):
+        if memo is None:
+            template = rule(orbit[0][0], n)
+        elif (template := memo.get(orbit[0][0])) is None:
+            template = memo[orbit[0][0]] = tuple((i, k, c) for (i, k), c in _collected(
+                ((i, k), sign * c) for side, sign in zip(orbit, (1, -1)) for key in side
+                for i, k, c in rule(key, n)).items())
+        for i, key, c in template:
+            acc = out[i]
+            acc[key] = acc.get(key, 0) + c * x
+    return tuple({key: c for key, c in acc.items() if c} for acc in out)
+
+
+def _entry(index, n):
+    """The map itself: part 0 of ``_spread`` of it is the map's int form."""
+    return ((0, index, 1),)
+
+
+def _r_terms(index, n):
+    """R_abcd in Ric_bd (a = c; part 0) and, for distinct indices, in the
+    Bianchi sum R_q0q1q2q3 + R_q0q2q3q1 + R_q0q3q1q2 of q = sorted(a, b, c, d)
+    (part 1); an index that repeats a pair index (no orbit of it is pair
+    antisymmetric) as itself (part 1)."""
+    a, b, c, d = index
+    q0, q1, q2, q3 = q = tuple(sorted(index))
+    cyclic = len(set(q)) == 4 and index in (q, (q0, q2, q3, q1), (q0, q3, q1, q2))
+    return ((1, index, 1),) if a == b or c == d else (*((0, (b, d), 1),) * (a == c),
+                                                      *((1, q, 1),) * cyclic)
+
+
+def _dt1_terms(index, n):
+    """dT1_baij in div T (v, w) at (i, j) for a = b (part 0), and for a < i < j
+    and b distinct in dT on q = sorted(b, a, i, j), by (-1)^(the place of b)
+    (part 1)."""
+    b, a, i, j = index
+    q = tuple(sorted(index))
+    return (*((0, index[2:], 1),) * (a == b),
+            *((1, q, -1 if q.index(b) % 2 else 1),) * (a < i < j and b not in (a, i, j)))
 
 
 def derived_scalars(jet: PointJet, vectors: Dict[str, Tuple[Dict, int]] | None = None
                     ) -> DerivedScalars:
     """The contractions of ``jet``, each summed over nonzero factors only,
-    in ints over one common denominator per channel, from one int form each
-    of R, T, dT1 (``_carried``) and the vectors (``vectors``: those of
-    ``vector_forms``, made here unless given), which the result keeps for the
-    builders with Ric's and dT's nonzero int sums (``int_forms``: keys R, T,
-    dT1, ric (reduced), dT4, v, w, dw)."""
-    maps = jet.R_entries, jet.T_entries, jet.dT1_entries
-    forms = dict(zip(("R", "T", "dT1"), map(_carried, maps, jet.records or (None,) * 3)))
-    (R, d_r), (T, d_t), (dT1, d_dt1) = forms.values()
-    ric, d_r = forms["ric"] = _reduced(_ricci(R), d_r)
-    forms["dT4"] = _four_form(dT1), d_dt1
+    in ints over one common denominator per channel, from one ``_read`` each
+    of R, T and dT1 and the int forms of the vectors (``vectors``: those of
+    ``vector_forms``, made here unless given), kept for the builders
+    (``int_forms``: keys R, T, dT1, ric (reduced), dT4, v, w, dw).  First a
+    ValueError names R's first violation (``_riemann_scan``): a recorded R has
+    the pair symmetries by its orbits unless one repeats a pair index, and then
+    its Bianchi sums form a 4-form (``_is_curvature``), decided on its orbits
+    of four distinct indices; any other R is decided by ``_is_curvature``."""
+    n, maps = jet.n, (jet.R_entries, jet.T_entries, jet.dT1_entries)
+    forms = {name: _read(name, entries, record) for name, entries, record
+             in zip(("R", "T", "dT1"), maps, jet.records or (None,) * 3)}
+    R, T, dT1 = forms.values()
+    (ric, sums, _), (div, dt4, _) = _spread(R, _r_terms, n), _spread(dT1, _dt1_terms, n)
+    if sums or not R.whole:
+        R_int = _spread(R, _entry, n)[0]
+        if not _is_curvature(R_int) and (problems := _riemann_scan(R_int, limit=1)):
+            raise ValueError(problems[0])
+    ric, d_r = forms["ric"] = _reduced(ric, R.den)
+    forms["dT4"] = dt4, dT1.den
     forms.update(vectors or vector_forms(jet))
     (v, d_v), (w, d_w), (dw, d_dw) = forms["v"], forms["w"], forms["dw"]
 
-    tv, tw, t_dw = {}, {}, 0
+    tv, tw, t_dw, d_t = {}, {}, 0, T.den
+    T = _spread(T, _entry, n)[0]
     for (a, j, l), x in T.items():
         if v[a]:
             tv[j, l] = tv.get((j, l), 0) + v[a] * x
@@ -413,18 +471,18 @@ def derived_scalars(jet: PointJet, vectors: Dict[str, Tuple[Dict, int]] | None =
         if w[a]:
             tw[j, l] = tw.get((j, l), 0) + w[a] * x
     tt_vw = sum(x * tw.get(jl, 0) for jl, x in tv.items())
-    div_t_vw = sum(x * v[j] * w[l] for (c, a, j, l), x in dT1.items() if c == a)
+    div_t_vw = sum(x * v[j] * w[l] for (j, l), x in div.items())
 
     s = Fraction(sum(x for (b, k), x in ric.items() if b == k), d_r)
     g_vw = Fraction(sum(x * w[a] for a, x in v.items()), d_v * d_w)
     ric_vw = Fraction(sum(v[a] * x * w[b] for (a, b), x in ric.items()), d_v * d_r * d_w)
     return DerivedScalars(
         ric={bk: Fraction(x, d_r) for bk, x in ric.items()},
-        s=s, dT4={key: Fraction(x, d_dt1) for key, x in forms["dT4"][0].items()},
+        s=s, dT4={key: Fraction(x, dT1.den) for key, x in forms["dT4"][0].items()},
         norm_t2=Fraction(sum(x * x for (a, j, l), x in T.items() if a < j < l), d_t * d_t),
         g_vw=g_vw, ric_vw=ric_vw, einstein_vw=ric_vw - s * g_vw / 2,
         tt_vw=Fraction(tt_vw, d_v * d_w * d_t * d_t),
-        div_t_vw=Fraction(div_t_vw, d_dt1 * d_v * d_w),
+        div_t_vw=Fraction(div_t_vw, dT1.den * d_v * d_w),
         t_dw=Fraction(t_dw, d_v * d_t * d_dw), int_forms=forms,
     )
 

@@ -78,8 +78,8 @@ def _integer_form(entries: Dict[Hashable, Fraction]) -> Tuple[Dict[Hashable, int
     denominator.  Scaling by a positive constant keeps every equality, sign
     and zero test, so the symmetry scans compare plain ints, a contraction
     is an int sum divided once, and a Clifford element or symbol expression
-    keeps this form as its storage; ``geometry._carried`` gives a jet's R, T
-    and dT1 theirs, through this function only for a map with no record."""
+    keeps this form as its storage; ``geometry._read`` reads a jet's R, T
+    and dT1 through this function only where a map is not its record's."""
     den = math.lcm(*{x.denominator for x in entries.values()})
     return {k: x.numerator * (den // x.denominator) for k, x in entries.items()}, den
 

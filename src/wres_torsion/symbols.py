@@ -68,10 +68,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from .clifford import CliffordElement, Word, _below, _graded
-from .geometry import PointJet, derived_scalars, vector_forms
+from .geometry import PointJet, _spread, derived_scalars, vector_forms
 from .numerics import GaussianRational, I, _collected, _integer_form, _reduced, _summed
 
 Deg = Tuple[int, ...]
@@ -473,32 +473,54 @@ def _grades(elem: CliffordElement, *grades: int) -> CliffordElement:
                                         if w.bit_count() in grades}, elem.den)
 
 
-def _torsion_forms(form: Tuple[Dict[Deg, int], int], n: int, lead: int) -> Tuple[Dict, Dict]:
-    """(3-forms, rows) of a torsion channel, in one pass over the int form of
-    its nonzero entries, by its ``lead`` leading indices: T (keys (f, a, b),
-    lead 0) gives the 3-form sum_{f<a<b} T_fab c_f c_a c_b under key () and
-    the rows sum_{a<b} T_fab c_a c_b by f, dT1 (keys (c, f, a, b), lead 1) a
-    3-form by c and a row by (c, f)."""
-    (nums, den), forms, rows = form, {}, {}  # leading index -> word -> int numerator
-    for key, x in nums.items():
-        f, a, b = key[lead], key[lead + 1], key[lead + 2]
-        if a < b:
-            rows.setdefault(key[:2] if lead else f, {})[(1 << a) | (1 << b)] = x
-            if f < a:
-                forms.setdefault(key[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
-    return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
+def _torsion(index, n):
+    """T_fab (dT1_cfab) in the 3-form (by c) at c_f c_a c_b for f < a < b
+    (part 0), and T_fab in the bivector row of f at c_a c_b for a < b (part 1)."""
+    f, a, b = index[-3:]
+    lead = index[0] if len(index) == 4 else ()
+    return (*((0, (lead, (1 << f) | (1 << a) | (1 << b)), 1),) * (f < a < b),
+            *((1, (f, (1 << a) | (1 << b)), 1),) * (a < b and lead == ()))
+
+
+def _elements(n: int, terms: Dict, den: int) -> Dict[Hashable, CliffordElement]:
+    """Leading key -> the rational Clifford element of ``terms`` over ``den``."""
+    rows: Dict[Hashable, Dict[int, int]] = {}
+    for (lead, word), x in terms.items():
+        rows.setdefault(lead, {})[word] = x
+    return {lead: CliffordElement._of(n, words, den) for lead, words in rows.items()}
+
+
+def _r_jets(index, n, traced):
+    """R_ajbk in sigma_Delta's order -2m r_jet at x^j x^k xi_a xi_b (part 0; traced: a = b,
+    over j <= k as R_ajak = R_akaj) and, as R_bats, 2 R_bats in its order -2m-1 r_jet at x^b
+    xi_a c_s c_t, s < t, as R_bast = -R_bats (part 1; traced: the words that meet e_a or e_b)."""
+    a, j, b, k = index
+    order_2m = ((0, (_pair(n, j, k), _pair(n, a, b), -n - 2, 0), 1 + (traced and j < k)),
+                ) if not traced or a == b and j <= k else ()
+    return (*order_2m, *((1, (_unit(n, a), _unit(n, j), -n - 2, (1 << k) | (1 << b)), 2),) * (
+        k < b and (not traced or j in (k, b) or a in (k, b))))
+
+
+def _dt(index, n, traced):
+    """dT1_cfab at c_a c_b (a < b) in sigma_Delta's dt_jet at x^c xi_f (part 0), in the dt_xx
+    family at xi_c xi_f (part 1) and (c = f) in div_t's (part 2); traced, where c = f or the
+    word meets e_c or e_f."""
+    c, f, a, b = index
+    word = (1 << a) | (1 << b)
+    return () if a > b or traced and c != f and not {c, f} & {a, b} else (
+        (0, (_unit(n, c), _unit(n, f), -n - 2, word), 1), (1, (0, _pair(n, c, f), 0, word), 1),
+        *((2, (0, 0, 0, word), 1),) * (c == f))
+
+
+# each rule whole and traced, one object each for ``_spread``'s templates
+_R_JETS, _DT = ({traced: partial(rule, traced=traced) for traced in (False, True)}
+                 for rule in (_r_jets, _dt))
 
 
 def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
     """c(v) from the int form of v (index -> numerator, zeros kept)."""
     nums, den = form
     return CliffordElement._of(n, {1 << i: x for i, x in nums.items() if x}, den)
-
-
-def _near(elem: CliffordElement, a: int, b: int) -> CliffordElement:
-    """``elem`` or (a != b) its words that meet e_a or e_b."""
-    return elem if a == b else CliffordElement._of(
-        elem.n, {w: c for w, c in elem.nums.items() if w >> a & 1 or w >> b & 1}, elem.den)
 
 
 # order -(2mm+2) channel -> (c, q) (``JetInputs.order2``), and printed
@@ -520,18 +542,18 @@ _DELTA: Dict[int, Tuple[Fraction, GaussianRational, GaussianRational, GaussianRa
 
 class JetInputs:
     """What the builders read of one jet, each built on first read and shared
-    by every builder given this object: the int forms of v, w and dw
-    (``vectors``, kept in the derived scalars' ``int_forms``), the derived
-    scalars, c(v), c(w), c(v) c(w) and c(v) c(dw) read off those forms (s2 and
-    each P_f = c(v) c_f c(w) follow from the one c(v) c(w) by the Clifford
-    relation), R's and Ric's int forms (the derived scalars' ``int_forms``,
-    which sigma_Delta's r_jets read term by term), the word sums (off Ric),
-    T's and dT1's 3-forms and bivector rows (``torsion``: one pass per channel),
-    the mm-free order -(2mm+2) families (r_xx empty in both: its (a, b) and
-    (b, a) placements cancel), sigma_Delta's leading channel (``lead``,
-    which a context's metric also traces) and the printed product symbol's
-    channels.  Each product-symbol builder takes a jet or this object as its
-    one argument, and makes its own from a jet.
+    by every builder given this object: the derived scalars with their reads
+    of R, T and dT1 (``reads``: (orbit, int numerator) pairs, which every field
+    below reads through ``_spread``'s per-orbit templates, so none walks a
+    map) and the int forms of v, w, dw (``vectors``) and Ric; c(v), c(w), c(v)
+    c(w) and c(v) c(dw) (s2 and each P_f = c(v) c_f c(w) follow from the one
+    c(v) c(w) by the Clifford relation), the word sums (off Ric), T's and
+    dT1's 3-forms and T's bivector rows (``torsion``), dT1's channel terms
+    (``dt_terms``), the mm-free order -(2mm+2) families (r_xx empty in both:
+    its (a, b) and (b, a) placements cancel), sigma_Delta's leading channel
+    (``lead``, which a context's metric also traces) and the printed product
+    symbol's channels.  Each product-symbol builder takes a jet or this
+    object as its one argument, and makes its own from a jet.
 
     Each channel is defined once, whole for the public builders or
     (``traced``, ``read_products``) on the terms a context's traces read, as
@@ -542,10 +564,10 @@ class JetInputs:
     xi^2 terms at |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and
     dt_jet, and dt_xx, meet s2 and the composed grade 2 at xi_a xi_b, where
     by c(v) c_a c(w) c_b + c(v) c_b c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b
-    c(v) c_a - 2 w_a c(v) c_b no word at a != b misses both e_a and e_b
-    (``_near``, once per dT1 row).  (4) s1 meets only sigma_Delta's bivector
-    tt, s0 only its scalars: grades 2 and 0.  A full printed channel adds the
-    other grades to them (``full_products``)."""
+    c(v) c_a - 2 w_a c(v) c_b no word at a != b misses both e_a and e_b (the
+    traced rules ``_r_jets`` and ``_dt`` keep no other).  (4) s1 meets only
+    sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
+    printed channel adds the other grades to them (``full_products``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -555,14 +577,23 @@ class JetInputs:
     cv = cached_property(lambda self: _vector(self.n, self.vectors["v"]))
     cw = cached_property(lambda self: _vector(self.n, self.vectors["w"]))
     lead = cached_property(lambda self: build_sigma_delta_lead(self.jet))
-    curvature = property(lambda self: self.derived.int_forms["R"])
+    reads = cached_property(lambda self: {name: self.derived.int_forms[name]
+                                          for name in ("R", "T", "dT1")})
     ric = property(lambda self: self.derived.int_forms["ric"])
-    torsion = cached_property(lambda self: tuple(zip(*(
-        _torsion_forms(self.derived.int_forms[name], self.n, lead)
-        for name, lead in (("T", 0), ("dT1", 1))))))
     forms = property(lambda self: self.torsion[0])
     rows = property(lambda self: self.torsion[1])
-    near_rows = cached_property(lambda self: {k: _near(row, *k) for k, row in self.rows[1].items()})
+
+    @cached_property
+    def torsion(self) -> Tuple[Tuple[Dict, Dict], Dict[int, CliffordElement]]:
+        """((T's 3-form, dT1's 3-forms by c), T's bivector rows by f), read off
+        ``_torsion``'s terms by part."""
+        n, (t, dt) = self.n, (self.reads["T"], self.reads["dT1"])
+        (t_form, t_rows, _), (dt_forms, _, _) = _spread(t, _torsion, n), _spread(dt, _torsion, n)
+        return (_elements(n, t_form, t.den), _elements(n, dt_forms, dt.den)), _elements(
+            n, t_rows, t.den)
+    # dT1's terms (``_dt``): sigma_Delta's dt_jet, the dt_xx and div_t families
+    dt_terms, dt_terms_read = (cached_property(lambda self, rule=rule: _spread(
+        self.reads["dT1"], rule, self.n)) for rule in (_DT[False], _DT[True]))
 
     @cached_property
     def word_sums(self) -> Dict[int, CliffordElement]:
@@ -589,7 +620,8 @@ class JetInputs:
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q (``_ORDER2``)."""
         n, der, x0, pairs, (ric, ric_den) = self.n, self.derived, 0, _pairs(self.n), self.ric
-        tau, dtau = self.rows[0], self.near_rows if traced else self.rows[1]
+        tau, (_, dt_xx, div_t), den = self.rows, self.dt_terms_read if traced else self.dt_terms, \
+            self.reads["dT1"].den
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
@@ -602,16 +634,15 @@ class JetInputs:
                     for (a, b), x in ric.items()],
             "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
             "tt_scalar": [(x0, tt[a, a]) for a in tau],
-            "div_t": [(x0, row) for (b, a), row in dtau.items() if a == b],
             "r_xx": [],  # R_bats = -R_abts (derived_scalars checks it): (a, b) and (b, a) cancel
-            "dt_xx": [(pairs[a][b], row) for (b, a), row in dtau.items()],
             "e_scalar": [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],
             "dt4": [] if traced else [(x0, CliffordElement._of(n, {
                 sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))],
         }
-        return {name: (*_ORDER2[name], *_placed((x0, xideg, 0, e) for xideg, e in family))
-                for name, family in families.items()}
+        summed = {"div_t": (div_t, den), "dt_xx": (dt_xx, den)}  # dT1's, read off its terms
+        return {name: (*_ORDER2[name], *(summed.get(name) or _placed(
+            (x0, xideg, 0, e) for xideg, e in families[name]))) for name in _ORDER2}
 
     order2 = cached_property(_order2)
     order2_read = cached_property(partial(_order2, traced=True))
@@ -693,29 +724,20 @@ class JetInputs:
         m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
         r_m, c_t, c_ric, c_r = _DELTA.get(m) or _DELTA.setdefault(m, (Fraction(-m, 3), *(
             GaussianRational(0, c) for c in (3 * m, Fraction(-2 * m, 3), Fraction(m, 4)))))
-        (nums, den), ric, tau, pairs = self.curvature, self.ric, self.rows[0], _pairs(n)
+        R, dT1, (ric, ric_den), tau = self.reads["R"], self.reads["dT1"], self.ric, self.rows
         units = [_unit(n, a) for a in range(n)]
 
+        r_jets = _spread(R, _R_JETS[traced], n)  # on R's symmetries: derived checks them
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-        # (traced: a = b over j <= k, as R_{ajak} = R_{akaj}; derived_scalars checks R)
-        r_jet = _symbol(n, (((pairs[j][k], pairs[a][a], p, 0), c if j == k else 2 * c)
-                            for (a, j, b, k), c in nums.items() if a == b and j <= k) if traced
-                        else _collected(((pairs[j][k], pairs[a][b], p, 0), c)
-                                        for (a, j, b, k), c in nums.items()).items(), den, r_m)
-        parts_m = {"lead": self.lead, "r_jet": r_jet}
-
+        parts_m = {"lead": self.lead, "r_jet": _symbol(n, r_jets[0].items(), R.den, r_m)}
         # order -2m-1
         parts_m1 = {
             "ric_jet": _symbol(n, (((units[b], units[a], p, 0), x)
-                                   for (a, b), x in ric[0].items()), ric[1], c_ric),
+                                   for (a, b), x in ric.items()), ric_den, c_ric),
             "tt": _family(n, [(x0, units[a], p, row) for a, row in tau.items()], c_t),
-            # 2 R_{bats} c_s c_t over s < t, as R_{bast} = -R_{bats}; traced, the words
-            # that meet e_a or e_b, as _near (at a = b there is none: R_{aats} = 0)
-            "r_jet": _symbol(n, (((units[b], units[a], p, (1 << s) | (1 << t)), 2 * x)
-                                 for (b, a, t, s), x in nums.items() if s < t and (not traced
-                                 or a in (s, t) or b in (s, t))), den, c_r),
-            "dt_jet": _family(n, [(units[b], units[a], p, row) for (b, a), row
-                                  in (self.near_rows if traced else self.rows[1]).items()], c_t),
+            "r_jet": _symbol(n, r_jets[1].items(), R.den, c_r),
+            "dt_jet": _symbol(n, (self.dt_terms_read if traced else self.dt_terms)[0].items(),
+                              dT1.den, c_t),
         }
         return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)
 

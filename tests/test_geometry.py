@@ -6,10 +6,11 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import (combinations, combinations_with_replacement,
+from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
 from typing import List
 
@@ -26,9 +27,11 @@ from wres_torsion.geometry import (
     _complete,
     _INDICES,
     _dense,
-    _four_form,
-    _ricci,
+    _is_curvature,
+    _point_jet,
+    _read,
     _riemann_scan,
+    _spread,
     derived_scalars,
     jet_from_dict,
     jet_to_dict,
@@ -36,7 +39,7 @@ from wres_torsion.geometry import (
     random_point_jet,
     validate_symmetries,
 )
-from wres_torsion.numerics import _integer_form, format_rational
+from wres_torsion.numerics import _collected, _integer_form, _reduced, format_rational
 
 
 def _nonzero(tensor, prefix=()):
@@ -48,6 +51,62 @@ def _nonzero(tensor, prefix=()):
     for i, block in enumerate(tensor):
         out.update(_nonzero(block, prefix + (i,)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the entry walks that the orbit reads replaced, kept as their oracles
+# ---------------------------------------------------------------------------
+
+def _ricci(R):
+    """The nonzero Ric_{bk} = sum_j R_{jbjk} over the exact nonzero entries R
+    (an int form), by one walk over them, after ``_is_curvature`` (and
+    ``_riemann_scan``'s first violation as a ValueError)."""
+    if not _is_curvature(R) and (problems := _riemann_scan(R, limit=1)):
+        raise ValueError(problems[0])
+    return _collected(((b, k), x) for (j, b, c, k), x in R.items() if j == c)
+
+
+def _four_form(dT1):
+    """dT on strictly increasing quadruples from the exact nonzero dT1
+    entries, by one walk over them: (dT)_{i0 i1 i2 i3} = sum_r (-1)^r
+    dT1[i_r][the other three, increasing]."""
+    alt = {}
+    for (b, a, j, l), x in dT1.items():
+        if a < j < l and b not in (a, j, l):
+            key = tuple(sorted((b, a, j, l)))
+            alt[key] = alt.get(key, 0) + (-x if key.index(b) % 2 else x)
+    return {key: x for key, x in alt.items() if x}
+
+
+def _entry_forms(jet):
+    """R's, T's and dT1's int forms, each map converted entry by entry."""
+    return [_integer_form(getattr(jet, f"{name}_entries")) for name in ("R", "T", "dT1")]
+
+
+def _walked(walks, name, entries, walk):
+    """``walk(entries)``, run once per distinct map (keys in order) of channel
+    ``name`` and kept in ``walks``."""
+    for key, other, got in walks:
+        if key == name and other == entries and list(other) == list(entries):
+            return got
+    walks.append((name, entries, got := walk(entries)))
+    return got
+
+
+def _hand_built(jet, **maps):
+    """A ``PointJet`` built by hand from ``jet``'s fields, with no record,
+    and any channel map replaced."""
+    return PointJet(m=jet.m, **{f"{name}_entries": maps.get(name, getattr(jet, f"{name}_entries"))
+                                for name in ("R", "T", "dT1")}, v=jet.v, w=jet.w, dw=jet.dw)
+
+
+def _curvature_guard(R):
+    """``derived_scalars`` of a hand-built jet whose only channel is the
+    dense R: its guard reads R entry by entry (``_is_curvature``)."""
+    n = len(R)
+    zero = (Fraction(0),) * n
+    return derived_scalars(PointJet(m=n // 2, R_entries=_nonzero(R), T_entries={}, dT1_entries={},
+                                    v=zero, w=zero, dw=(zero,) * n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +216,9 @@ def test_ricci_symmetric_on_random_input():
 
 
 def test_ricci_rejects_asymmetric_input():
+    jet = _hand_built(make_point_jet(2), R={(0, 1, 0, 1): Fraction(1)})
     with pytest.raises(ValueError):
-        _ricci({(0, 1, 0, 1): Fraction(1)})
+        derived_scalars(jet)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +416,7 @@ def test_sparse_scans_match_fraction_oracle_at_zero_entries(m):
         for limit in (1, 20):
             assert _riemann_violations(R, limit) == _riemann_violations_fraction(R, limit)
         with pytest.raises(ValueError) as err:
-            _ricci(_nonzero(R))
+            _curvature_guard(R)
         assert str(err.value) == expected[0]
     for T in torsion:
         assert _antisym3_violations_fraction(T, "T", 1)
@@ -432,8 +492,9 @@ def _form_case(rng: random.Random, n: int):
 def test_validator_decision_matches_fraction_oracle(n, kind, seed):
     """The validator decides R by its orbit representatives and Bianchi on
     the increasing quadruples of its entries' index sets only, and T and
-    dT1 by their representatives; its violations and ``_ricci``'s first
-    message equal the dense oracle's (n = 8 built through ``_complete``)."""
+    dT1 by their representatives; its violations and the first message of
+    the derived scalars' curvature guard on the hand-built jet equal the
+    dense oracle's (n = 8 built through ``_complete``)."""
     rng = random.Random(seed)
     R = _curvature_case(kind, rng, n)
     T = _form_case(rng, n)
@@ -446,10 +507,10 @@ def test_validator_decision_matches_fraction_oracle(n, kind, seed):
     first = _riemann_violations_fraction(R, 1)
     if first:
         with pytest.raises(ValueError) as err:
-            _ricci(_nonzero(R))
+            derived_scalars(jet)
         assert str(err.value) == first[0]
     else:
-        _ricci(_nonzero(R))
+        derived_scalars(jet)
 
 
 def _flipped(images, k):
@@ -790,52 +851,93 @@ def _front_jets(m):
     return jets + ([_revisited(jet)] if m <= 4 else [])
 
 
+def _assert_reads_match_the_entry_walks(jet, whole, walks=None):
+    """``jet``'s derived scalars read each map as ``whole`` says (orbit by
+    orbit, or entry by entry), and each read expands (``_spread`` of the map
+    itself) to the map's int form, keys in the map's order; Ric and dT read
+    off the reads equal the entry walks ``_ricci`` and ``_four_form`` on the
+    maps' int forms (each walk kept in ``walks`` per distinct map).  Returns
+    the derived scalars."""
+    walks = [] if walks is None else walks
+    n, der, maps = jet.n, derived_scalars(jet), [getattr(jet, f"{c}_entries") for c in _CHANNELS]
+    expected_forms = [_walked(walks, *pair, _integer_form) for pair in zip(_CHANNELS, maps)]
+    (R, d_r), _, (dT1, d_dt1) = expected_forms
+    ric = _walked(walks, "ric", maps[0], lambda _: _reduced(_ricci(R), d_r))
+    dt4 = _walked(walks, "dT4", maps[2], lambda _: (_four_form(dT1), d_dt1))
+    forms = der.int_forms
+    for name, expected in zip(_CHANNELS, expected_forms):
+        read = forms[name]
+        assert read.whole is whole, name
+        expanded = _spread(read, geometry._entry, n)[0]
+        assert (expanded, read.den) == expected and list(expanded) == list(expected[0]), name
+        assert sum(map(len, chain.from_iterable(read.orbits))) == len(expected[0])
+    assert forms["ric"] == ric and forms["dT4"] == dt4
+    return der
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_fronts_carry_the_int_forms_of_their_maps(monkeypatch, m):
-    """Each front's jet carries its R, T and dT1 int forms: the derived
-    scalars' ``int_forms`` equal ``_integer_form`` of the maps, keys in the
-    same order, and no map of the jet is converted."""
-    converted = []
+    """Each front's jet carries its R, T and dT1 int forms, one numerator per
+    orbit: it is read orbit by orbit, with no map of the jet converted, and
+    the replaced and hand-built copies of the first entry by entry, to the
+    same derived scalars; every read matches the entry walks."""
+    converted, walks = [], []
 
     def counted(entries):
         converted.append(id(entries))
         return _integer_form(entries)
 
-    monkeypatch.setattr(geometry, "_integer_form", counted)
-    for jet in _front_jets(m):
-        maps = [getattr(jet, f"{name}_entries") for name in _CHANNELS]
-        forms = derived_scalars(jet).int_forms
-        assert not {id(x) for x in maps} & set(converted)
-        for name, entries in zip(_CHANNELS, maps):
-            expected = _integer_form(entries)
-            assert forms[name] == expected and list(forms[name][0]) == list(expected[0]), name
+    jets = _front_jets(m)
+    for jet in jets:
+        monkeypatch.setattr(geometry, "_integer_form", counted)
+        der = derived_scalars(jet)
+        monkeypatch.undo()
+        assert not {id(getattr(jet, f"{name}_entries")) for name in _CHANNELS} & set(converted)
+        assert _assert_reads_match_the_entry_walks(jet, True, walks) == der
+    for other in (dataclasses.replace(jets[0]), _hand_built(jets[0])):
+        assert _assert_reads_match_the_entry_walks(other, False, walks) == derived_scalars(jets[0])
+
+
+def test_perturbed_torsion_reads_match_the_entry_walks():
+    """The hand-built jets whose T, dT1 and dw are perturbed out of any
+    symmetry (``_contraction_jets``) are read entry by entry, and their
+    reads match the entry walks."""
+    jets = [jet for jet in _contraction_jets() if jet.records is None]
+    assert len(jets) == 4
+    for jet in jets:
+        _assert_reads_match_the_entry_walks(jet, False)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_a_record_holds_one_value_per_orbit(m):
-    """A channel's record holds, per nonzero orbit, the map's value object
-    at the orbit's representative and its counts of positive and negative
-    images, which add up to the map's size; revisiting every entry of an
-    orbit adds nothing to it."""
+    """A channel's record holds, per nonzero orbit, the map's value object at
+    the orbit's representative, the object at its negative images and the
+    orbit itself, whose images, positive ones first, are the map's keys in
+    order; revisiting every entry of an orbit adds nothing to it."""
     reps = {"R": lambda k: k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:],
             "T": lambda k: k[0] < k[1] < k[2], "dT1": lambda k: k[1] < k[2] < k[3]}
     for seed in range(3):
         jet = random_point_jet(seed, m)
         for name, record in zip(_CHANNELS, jet.records):
             entries = getattr(jet, f"{name}_entries")
-            values, pos, neg = record[::3], record[1::3], record[2::3]
+            values, opposites, orbits = record[::3], record[1::3], record[2::3]
             assert len(record) == 3 * len(values)
             assert [*map(id, values)] == [id(entries[k]) for k in entries if reps[name](k)]
-            assert sum(pos) + sum(neg) == len(entries) >= 4 * len(values)
+            assert [*entries] == [*chain.from_iterable(chain.from_iterable(orbits))]
+            for x, y, orbit in zip(values, opposites, orbits):
+                (pos, neg), shared = orbit, geometry._ORBITS[name, 2 * m]
+                assert y == -x and len(pos) == len(neg) >= 2 and shared[pos[0]] is orbit
+                assert all(entries[k] is x for k in pos) and all(entries[k] is y for k in neg)
         assert _revisited(jet).records == jet.records
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_replaced_and_hand_built_jets_carry_no_record(monkeypatch, m):
     """A ``dataclasses.replace`` result and a hand-built ``PointJet`` carry
-    no record, so their maps are converted; they equal the generated jet in
-    ==, hash, repr and instance, and give the same int forms and densities.
-    The record is no constructor option."""
+    no record, so their maps are converted and read entry by entry; they
+    equal the generated jet in ==, hash, repr and instance, and give the
+    same int forms (the reads expanded) and densities.  The record is no
+    constructor option."""
     from wres_torsion.residue import metric_density, part1_density, part2_density, theorem_density
 
     jet = random_point_jet(4, m)
@@ -858,7 +960,13 @@ def test_replaced_and_hand_built_jets_carry_no_record(monkeypatch, m):
         converted.clear()
         der = derived_scalars(other)
         assert [converted[id(getattr(jet, f"{name}_entries"))] for name in _CHANNELS] == [1, 1, 1]
-        assert der == expected and der.int_forms == expected.int_forms
+        assert der == expected
+        for key, form in expected.int_forms.items():
+            got = der.int_forms[key]
+            if key in _CHANNELS:  # read entry by entry, not orbit by orbit
+                assert (got.whole, form.whole) == (False, True)
+                got, form = ((_spread(x, geometry._entry, jet.n)[0], x.den) for x in (got, form))
+            assert got == form, key
         assert [f(other, m).value for f in (part1_density, part2_density, theorem_density,
                                              metric_density)] == densities
     with pytest.raises(TypeError):
@@ -881,6 +989,74 @@ def test_failed_derived_scalars_are_not_cached():
         assert type(info.value) is ValueError
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "R pair antisymmetry (first pair) at (0,1,2,3)"
+
+
+def _guard_message(R):
+    """The ValueError text of the entry walk's curvature check on the map R."""
+    with pytest.raises(ValueError) as err:
+        _ricci(_integer_form(R)[0])
+    return str(err.value)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_an_edited_recorded_curvature_is_read_entry_by_entry(m):
+    """A generated jet whose R map is edited after construction is no longer
+    read off its record: an edit that breaks a pair symmetry or the first
+    Bianchi identity raises the entry walk's ValueError, and an admissible
+    edit gives the densities of the hand-built jet with the edited map."""
+    from wres_torsion.residue import part1_density, part2_density
+
+    key = next(k for k in random_point_jet(0, m).R_entries if len(set(k)) == 4)
+    jet = random_point_jet(0, m)
+    jet.R_entries[key] = -jet.R_entries[key]            # R_abcd = -R_cdab
+    message = _guard_message(jet.R_entries)
+    assert "pair" in message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derived_scalars(jet)
+    jet = random_point_jet(0, m)
+    orbit = geometry._ORBITS["R", jet.n][key]
+    for side, sign in zip(orbit, (1, -1)):              # the whole orbit doubled
+        for k in side:
+            jet.R_entries[k] = 2 * jet.R_entries[k]
+    message = _guard_message(jet.R_entries)
+    assert "Bianchi" in message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derived_scalars(jet)
+    for edit in ("scaled", "equal copies", "reordered"):
+        jet = random_point_jet(0, m)
+        if edit == "scaled":                            # every entry doubled
+            jet.R_entries.update((k, 2 * x) for k, x in jet.R_entries.items())
+        elif edit == "equal copies":
+            jet.R_entries.update((k, Fraction(x.numerator, x.denominator))
+                                 for k, x in jet.R_entries.items())
+        else:
+            jet.R_entries.update([(k, jet.R_entries.pop(k)) for k in list(jet.R_entries)[::-1]])
+        assert derived_scalars(jet).int_forms["R"].whole is False
+        hand = _hand_built(jet)
+        assert [f(jet, m) for f in (part1_density, part2_density)] == [
+            f(hand, m) for f in (part1_density, part2_density)]
+        if edit == "scaled":
+            assert derived_scalars(jet).s == 2 * derived_scalars(random_point_jet(0, m)).s != 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_recorded_curvature_is_still_checked(m):
+    """A jet that ``_point_jet`` makes from a completion that breaks the
+    first Bianchi identity (or, through an orbit that repeats a pair index,
+    a pair antisymmetry), skipping ``_admissible``, carries its record, and
+    its derived scalars raise the entry walk's ValueError."""
+    n = 2 * m
+    base = random_point_jet(0, m)
+    for entries in ([((0, 1, 2, 3), Fraction(1))] if m > 1 else [],
+                    [((0, 1, 0, 1), Fraction(2)), ((0, 2, 1, 3), Fraction(1, 3))][m < 2:],
+                    [((0, 0, 1, 2), Fraction(1))]):
+        if not entries:
+            continue
+        R = _complete("R", entries, n)
+        jet = _point_jet(m, R, ({}, []), ({}, []), base.v, base.w, base.dw)
+        assert jet.records[0] is R[1] and not validate_symmetries(jet).ok
+        with pytest.raises(ValueError, match=re.escape(_guard_message(jet.R_entries))):
+            derived_scalars(jet)
 
 
 def test_dT_four_form_matches_dense_oracle_on_any_jet():

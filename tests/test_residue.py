@@ -1003,9 +1003,10 @@ def input_reads(monkeypatch):
     """Count the engine's reads of a jet's tensors: each map turned into its
     int form through the ``geometry``, ``symbols`` and ``clifford`` bindings
     of ``_integer_form`` (by the map's id, and the calls and entries in all),
-    each map's int form taken by ``geometry._carried`` (from the jet's
-    record, or converted) and each int form read as torsion 3-forms and rows
-    (by the id of the map it was made from)."""
+    each map read by ``geometry._read`` (by the map's id, and whether it was
+    read orbit by orbit), each read spread by a rule (``geometry._spread``,
+    through both bindings, by channel and rule name) and each decision of
+    ``geometry._is_curvature``."""
     import wres_torsion.clifford as clifford
     import wres_torsion.geometry as geometry
     import wres_torsion.numerics as numerics
@@ -1013,40 +1014,45 @@ def input_reads(monkeypatch):
     from collections import Counter
 
     reads = Counter()
-    sources = {}  # id of a live int form -> id of the map it was made from
 
     def int_form(entries, _fn=numerics._integer_form):
-        form = _fn(entries)
         reads["int_form", id(entries)] += 1
         reads["int_form calls"] += 1
         reads["int_form entries"] += len(entries)
-        sources[id(form)] = id(entries)
-        return form
+        return _fn(entries)
 
-    def carried(entries, record, _fn=geometry._carried):
-        form = _fn(entries, record)
-        reads["carried", id(entries)] += 1
-        sources[id(form)] = id(entries)
-        return form
+    def read(name, entries, record, _fn=geometry._read):
+        got = _fn(name, entries, record)
+        reads["read", id(entries), got.whole] += 1
+        return got
 
-    def torsion_forms(form, n, lead, _fn=symbols._torsion_forms):
-        reads["torsion", sources.get(id(form))] += 1
-        return _fn(form, n, lead)
+    def spread(got, rule, n, _fn=geometry._spread):
+        rule_name = getattr(rule, "func", rule).__name__
+        reads["spread", got.name, rule_name + (" traced" if getattr(
+            rule, "keywords", {}).get("traced") else "")] += 1
+        return _fn(got, rule, n)
+
+    def is_curvature(R, _fn=geometry._is_curvature):
+        reads["is_curvature"] += 1
+        return _fn(R)
 
     for mod in (geometry, symbols, clifford):
         monkeypatch.setattr(mod, "_integer_form", int_form)
-    monkeypatch.setattr(geometry, "_carried", carried)
-    monkeypatch.setattr(symbols, "_torsion_forms", torsion_forms)
+    for mod in (geometry, symbols):
+        monkeypatch.setattr(mod, "_spread", spread)
+    monkeypatch.setattr(geometry, "_read", read)
+    monkeypatch.setattr(geometry, "_is_curvature", is_curvature)
     return reads
 
 
 def _jet_reads(reads, jet):
-    """The counts of ``input_reads`` that concern ``jet``'s maps."""
+    """The counts of ``input_reads`` that concern ``jet``'s maps and their reads."""
     ids = {id(jet.R_entries): "R", id(jet.T_entries): "T", id(jet.dT1_entries): "dT1"}
     out = {(name, "int form"): reads["int_form", i] for i, name in ids.items()}
-    out.update(((name, "carried"), reads["carried", i]) for i, name in ids.items())
-    out.update(((ids.get(key[1]), "3-forms and rows"), count)
-               for key, count in reads.items() if key[0] == "torsion")
+    out.update(((ids[key[1]], "read whole" if key[2] else "read by entry"), count)
+               for key, count in reads.items() if key[0] == "read" and key[1] in ids)
+    out.update(((key[1], key[2]), count) for key, count in reads.items() if key[0] == "spread")
+    out["is_curvature"] = reads["is_curvature"]
     return out
 
 
@@ -1054,9 +1060,11 @@ def _jet_reads(reads, jet):
 def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeypatch, seed):
     """The six public calls the certify-m3 benchmark workload makes per jet
     share one context: each channel set they use is built once, R, T and dT1
-    each have their int form taken once (by the derived scalars, whose forms
-    the builders read), carried from the generated jet's records with no
-    ``_integer_form`` call, and v, w and dw are converted once (by ``vector_forms``,
+    are each read once, orbit by orbit, by the derived scalars (whose reads
+    the builders take), with no ``_integer_form`` call, no int-form dict of R
+    or dT1 (no spread of the map itself, ``_entry``), no ``_is_curvature``
+    decision and one spread per rule they need, and v, w and dw are
+    converted once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
     from the jet's rationals).  The tables read the traced channels, so no
@@ -1086,12 +1094,16 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -g_vw
     assert build_counts == TRACED
-    # each channel's int form is carried once, by the derived scalars, with
-    # no conversion, and each torsion int form is read once for its 3-forms
-    # and rows; only v, w and dw are converted
+    # each channel is read once, orbit by orbit, by the derived scalars, with
+    # no conversion, and spread once per rule: R into Ric and its Bianchi sums
+    # and into sigma_Delta's traced r_jets, T into its int form (no R or dT1
+    # int form) and its 3-form and rows, dT1 into dT and div T, its 3-forms
+    # and its traced channel terms; only v, w and dw are converted
     reads = {("R", "int form"): 0, ("T", "int form"): 0, ("dT1", "int form"): 0,
-             ("R", "carried"): 1, ("T", "carried"): 1, ("dT1", "carried"): 1,
-             ("T", "3-forms and rows"): 1, ("dT1", "3-forms and rows"): 1}
+             ("R", "read whole"): 1, ("T", "read whole"): 1, ("dT1", "read whole"): 1,
+             ("R", "_r_terms"): 1, ("R", "_r_jets traced"): 1, ("T", "_entry"): 1,
+             ("T", "_torsion"): 1, ("dT1", "_dt1_terms"): 1, ("dT1", "_torsion"): 1,
+             ("dT1", "_dt traced"): 1, "is_curvature": 0}
     assert _jet_reads(input_reads, jet) == reads
     assert input_reads["int_form calls"] <= 3
     assert input_reads["int_form entries"] <= 2 * 6 + 6 * 6  # v, w and at most all of dw
@@ -1125,32 +1137,35 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
-    """Through part 1, both part-2 sources and the metric, a context calls
-    ``_near`` once per dT1 row (for dt_xx and dt_jet together) and for
-    nothing else (sigma_Delta's r_jet reads R's int form term by term), and
-    its traced order -(2mm+2) families place no r_xx element, whose (a, b)
-    and (b, a) placements cancel."""
-    near, placed = [], []
-    real_near, real_placed = symbols._near, symbols._placed
+    """Through part 1, both part-2 sources and the metric, a context builds
+    no bivector row of dT1: its traced channels are read off dT1's orbits,
+    whose templates apply the ``_near`` filter once, when they are built
+    (sigma_Delta's r_jets likewise read R's); it reads each channel once per
+    rule, and its traced order -(2mm+2) families place no r_xx element, whose
+    (a, b) and (b, a) placements cancel."""
+    spreads, placed = [], []
+    real_spread, real_placed = symbols._spread, symbols._placed
 
-    def counted_near(elem, a, b):
-        near.append(tuple(sorted((a, b))))
-        return real_near(elem, a, b)
+    def counted_spread(read, rule, n):
+        spreads.append((read.name, getattr(rule, "func", rule).__name__))
+        return real_spread(read, rule, n)
 
     def counted_placed(placements):
         placements = list(placements)
         placed.append(len(placements))
         return real_placed(placements)
 
-    monkeypatch.setattr(symbols, "_near", counted_near)
+    monkeypatch.setattr(symbols, "_spread", counted_spread)
     monkeypatch.setattr(symbols, "_placed", counted_placed)
     ctx = PipelineContext(random_point_jet(seed, m), m)
-    rows = ctx.rows[1]
-    assert rows
+    assert ctx.dt_terms_read[0]
     placed.clear()
-    read = dict(zip(ctx.order2_read, placed))
+    summed = ("div_t", "dt_xx")  # read off dT1's terms, not placed
+    read = dict(zip([name for name in ctx.order2_read if name not in summed], placed))
+    assert len(read) == len(placed) == len(ctx.order2_read) - len(summed)
     ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
-    assert sorted(near) == sorted(tuple(sorted(key)) for key in rows)
+    assert sorted(spreads) == [("R", "_r_jets"), ("T", "_torsion"), ("dT1", "_dt"),
+                               ("dT1", "_torsion")]
     assert read["r_xx"] == 0 and ctx.order2_read["r_xx"][2] == {}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_geometry import _front_jets, _hand_built, _walked
 
-from wres_torsion import symbols
+from wres_torsion import geometry, symbols
 from wres_torsion.clifford import CliffordElement, blade_mul, canonicalize, word_from_indices
 from wres_torsion.geometry import (
     SUPPORTED_M,
@@ -21,7 +23,7 @@ from wres_torsion.geometry import (
     make_point_jet,
     random_point_jet,
 )
-from wres_torsion.numerics import GaussianRational, I, ONE, _collected, _integer_form
+from wres_torsion.numerics import GaussianRational, I, ONE, _collected, _integer_form, _reduced
 from wres_torsion.symbols import (
     X_TRUNCATION,
     SymbolExpr,
@@ -1169,6 +1171,100 @@ def test_family_of_no_placements_is_zero():
 
 
 # ---------------------------------------------------------------------------
+# the entry walks that the orbit reads replaced, kept as their oracles
+# ---------------------------------------------------------------------------
+
+def _torsion_forms(form, n, lead):
+    """(3-forms, rows) of a torsion channel, in one pass over the int form of
+    its nonzero entries, by its ``lead`` leading indices: T (keys (f, a, b),
+    lead 0) gives the 3-form sum_{f<a<b} T_fab c_f c_a c_b under key () and
+    the rows sum_{a<b} T_fab c_a c_b by f, dT1 (keys (c, f, a, b), lead 1) a
+    3-form by c and a row by (c, f)."""
+    (nums, den), forms, rows = form, {}, {}
+    for key, x in nums.items():
+        f, a, b = key[lead], key[lead + 1], key[lead + 2]
+        if a < b:
+            rows.setdefault(key[:2] if lead else f, {})[(1 << a) | (1 << b)] = x
+            if f < a:
+                forms.setdefault(key[0] if lead else (), {})[(1 << f) | (1 << a) | (1 << b)] = x
+    return tuple({k: CliffordElement._of(n, ws, den) for k, ws in t.items()} for t in (forms, rows))
+
+
+def _near(elem, a, b):
+    """``elem`` or (a != b) its words that meet e_a or e_b."""
+    return elem if a == b else CliffordElement._of(
+        elem.n, {w: c for w, c in elem.nums.items() if w >> a & 1 or w >> b & 1}, elem.den)
+
+
+def _walked_dt_channels(dT1, n, traced):
+    """sigma_Delta's dt_jet at coefficient 1 and the dt_xx and div_t families
+    of the order -(2mm+2) channels, each as (nums, den), by the walk over the
+    int form of the dT1 map ``dT1`` into its bivector rows by (c, f), each
+    filtered by ``_near`` when traced."""
+    p, pairs = -n - 2, symbols._pairs(n)
+    rows = _torsion_forms(_integer_form(dT1), n, 1)[1]
+    dtau = {k: _near(row, *k) for k, row in rows.items()} if traced else rows
+    return (symbols._placed((symbols._unit(n, b), symbols._unit(n, a), p, row)
+                            for (b, a), row in dtau.items()),
+            symbols._placed((0, pairs[a][b], 0, row) for (b, a), row in dtau.items()),
+            symbols._placed((0, 0, 0, row) for (b, a), row in dtau.items() if a == b))
+
+
+def _values(nums, den):
+    """A (nums, den) pair in lowest terms, its zeros dropped: equal exactly
+    when the two pairs' values are."""
+    return _reduced({key: x for key, x in nums.items() if x}, den)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_orbit_read_channels_match_the_entry_walks(m):
+    """On every front's jet (read orbit by orbit) and on the hand-built copy
+    of the first and (m <= 4) its replaced copy (read entry by entry), the
+    torsion 3-forms and T's rows equal ``_torsion_forms`` on the maps' int
+    forms, dT1's channel terms, whole and traced, equal the walk over its
+    rows (``_walked_dt_channels``), and sigma_Delta's two r_jets, whole and
+    traced, equal the walks over R's int form that built them before: every
+    entry by ``_collected`` (a = b alone when traced), and the curvature pair
+    sums placed at x^b xi_a, ``_near``-filtered when traced.  Each walk runs
+    once per distinct map."""
+    jets = _front_jets(m)
+    jets += [_hand_built(jets[0]), *[dataclasses.replace(jets[0])][:m <= 4]]
+    walks = []  # (channel, map, its walks), one per distinct map (``_walked``)
+
+    def t_walk(T):
+        forms, rows = _torsion_forms(_integer_form(T), n, 0)
+        return _raw(forms), _raw(rows)
+
+    def dt1_walk(dT1):
+        return _raw(_torsion_forms(_integer_form(dT1), n, 1)[0]), _integer_form(dT1)[1], [
+            [_values(*part) for part in _walked_dt_channels(dT1, n, traced)]
+            for traced in (False, True)]
+
+    def r_walk(R):
+        form = _integer_form(R)
+        (nums, den), pair_sums = form, _curvature_pair_sums(form, n)
+        return den, [(_values(_collected(((pairs[j][k], pairs[a][b], p, 0), c)
+                                         for (a, j, b, k), c in nums.items()
+                                         if a == b or not traced), den),
+                       _values(*symbols._placed(
+                           (units(n, b), units(n, a), p, _near(e, a, b) if traced else e)
+                           for (b, a), e in pair_sums.items()))) for traced in (False, True)]
+
+    for jet in jets:
+        n, p, pairs, units = jet.n, -jet.n - 2, symbols._pairs(jet.n), symbols._unit
+        t_forms, t_rows = _walked(walks, "T", jet.T_entries, t_walk)
+        dt_forms, d_dt1, dt = _walked(walks, "dT1", jet.dT1_entries, dt1_walk)
+        den, r_jets = _walked(walks, "R", jet.R_entries, r_walk)
+        inputs = symbols.JetInputs(jet)
+        assert _raw(inputs.forms) == (t_forms, dt_forms) and _raw(inputs.rows) == t_rows
+        for traced, dt_walked, r_walked in zip((False, True), dt, r_jets):
+            terms = inputs.dt_terms_read if traced else inputs.dt_terms
+            assert [_values(t, d_dt1) for t in terms] == dt_walked
+            got = geometry._spread(inputs.reads["R"], symbols._R_JETS[traced], n)
+            assert (_values(got[0], den), _values(got[1], den)) == r_walked
+
+
+# ---------------------------------------------------------------------------
 # sparse curvature helpers against the dense loops
 # ---------------------------------------------------------------------------
 
@@ -1245,7 +1341,7 @@ def test_pair_sums_over_s_below_t_match_the_two_sided_walk(m):
     of ``_m_fit_jets``."""
     n = 2 * m
     for jet in _m_fit_jets(m):
-        curvature = derived_scalars(jet).int_forms["R"]
+        curvature = _integer_form(jet.R_entries)
         oracle = _two_sided_pair_sums(curvature, n)
         assert oracle
         assert _raw(_curvature_pair_sums(curvature, n)) == _raw(oracle)
@@ -1268,12 +1364,12 @@ def _old_r_jets(inputs, traced):
     entry (a = b alone when traced), the order -2m-1 one as the pair sums
     placed at x^b xi_a, each filtered by ``_near`` when traced."""
     m, n = inputs.jet.m, inputs.n
-    p, (nums, den), pairs = -2 * m - 2, inputs.curvature, symbols._pairs(n)
+    p, (nums, den), pairs = -2 * m - 2, _integer_form(inputs.jet.R_entries), symbols._pairs(n)
     order_2m = symbols._symbol(n, _collected(
         ((pairs[j][k], pairs[a][b], p, 0), c) for (a, j, b, k), c in nums.items()
         if a == b or not traced).items(), den, Fraction(-m, 3))
     order_2m1 = symbols._family(n, [
-        (symbols._unit(n, b), symbols._unit(n, a), p, symbols._near(e, a, b) if traced else e)
+        (symbols._unit(n, b), symbols._unit(n, a), p, _near(e, a, b) if traced else e)
         for (b, a), e in _curvature_pair_sums((nums, den), n).items()],
         GaussianRational(0, Fraction(m, 4)))
     return order_2m, order_2m1
@@ -1394,22 +1490,20 @@ def _factor_pair_jets(m):
     return jets
 
 
-def _all_torsion_forms(jet, sparse):
-    """The reader ``sparse`` (symbols._torsion_forms) on the channels of
-    ``jet``, except that its rows are those of every leading index, zero
-    rows included, built from the dense views.  A ``JetInputs`` reads T's
-    int form and then dT1's, so the calls alternate between the two."""
-    channels = itertools.cycle(("T", "dT1"))
+def _all_rows(jet, sparse):
+    """The element builder ``sparse`` (symbols._elements), except that T's
+    bivector rows are those of every leading index, zero rows included,
+    built from the dense view.  A ``JetInputs`` builds T's 3-form, dT1's
+    3-forms and T's rows in this order, so the calls cycle through the three
+    (dT1 has no rows: its channels are read off its entries' terms)."""
+    calls = itertools.cycle(range(3))
 
-    def forms(form, n, lead):
-        name = next(channels)
-        assert form == _integer_form(getattr(jet, f"{name}_entries"))
-        if name == "T":
-            return sparse(form, n, lead)[0], {a: _dense_torsion_pair(jet.T[a], n)
-                                              for a in range(n)}
-        return sparse(form, n, lead)[0], {(b, a): _dense_torsion_pair(jet.dT1[b][a], n)
-                                          for b in range(n) for a in range(n)}
-    return forms
+    def elements(n, terms, den):
+        if next(calls) == 2:
+            assert all(word.bit_count() == 2 for _, word in terms)
+            return {a: _dense_torsion_pair(jet.T[a], n) for a in range(n)}
+        return sparse(n, terms, den)
+    return elements
 
 
 def _zero_row_jets(m):
@@ -1429,9 +1523,9 @@ def test_skipped_torsion_rows_change_no_channel(monkeypatch, m):
         jets += [_sparse_jet(m, case) for case in (0, 1, 2, 3)]
     sparse = [(build_sigma_delta_inv_parts(jet), build_sigma_dtpow_parts(jet))
               for jet in jets]
-    reader = symbols._torsion_forms
+    reader = symbols._elements
     for jet, (delta, dtpow) in zip(jets, sparse):
-        monkeypatch.setattr(symbols, "_torsion_forms", _all_torsion_forms(jet, reader))
+        monkeypatch.setattr(symbols, "_elements", _all_rows(jet, reader))
         for parts, dense in zip(delta, build_sigma_delta_inv_parts(jet)):
             _assert_same_channels(parts, dense)
         _assert_same_channels(dtpow, build_sigma_dtpow_parts(jet))
@@ -1461,7 +1555,7 @@ def _per_mm_order2_parts(jet, mm):
     n, der = jet.n, derived_scalars(jet)
     p2, p4 = -2 * mm - 2, -2 * mm - 4
     pairs = _curvature_pair_sums(_integer_form(jet.R_entries), n)
-    tau, dtau = (symbols._torsion_forms(_integer_form(entries), n, lead)[1]
+    tau, dtau = (_torsion_forms(_integer_form(entries), n, lead)[1]
                  for entries, lead in ((jet.T_entries, 0), (jet.dT1_entries, 1)))
     ric = _integer_form(der.ric)
     e_val = Fraction(-mm) * (der.s / 4 - Fraction(3, 4) * der.norm_t2)
@@ -1541,7 +1635,7 @@ def test_r_xx_family_holds_no_term(m):
 
     jets = [random_point_jet(seed, m) for seed in range(5)]
     jets += [make_point_jet(m, **kw) for _, _, kw in (_one_hot_cases(m) if m > 1 else ())]
-    assert any(_curvature_pair_sums(derived_scalars(jet).int_forms["R"], jet.n) for jet in jets)
+    assert any(_curvature_pair_sums(_integer_form(jet.R_entries), jet.n) for jet in jets)
     for jet in jets:
         assert symbols.JetInputs(jet).order2["r_xx"][2] == {}
 
@@ -1574,15 +1668,17 @@ def _raw(value):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_jet_inputs_match_inputs_converted_from_the_maps(m):
-    """Every ``JetInputs`` field, read off the int forms that the derived
-    scalars hand on, equals the one built from the jet's maps, each
-    converted anew: R's int form and Ric's from ``_integer_form`` of
-    ``jet.R_entries`` and of ``derived.ric``, the torsion 3-forms and rows
-    by the map reader above, the sums and order -(2mm+2) families from
-    those, and c(v), c(w) and c(v) sum (d_j w_g) c_j c_g from the jet's
-    rational vectors and the generators' products (on seeds 0-4, the
-    one-hot coefficient jets, the jets with one channel off and a constant
-    curvature 1/(n-1), whose Ric is integral while R's denominator is n-1)."""
+    """Every ``JetInputs`` field, read off the reads and int forms that the
+    derived scalars hand on, equals the one built from the jet's maps, each
+    converted anew: R's read expanded and Ric's int form against
+    ``_integer_form`` of ``jet.R_entries`` and of ``derived.ric``, the torsion
+    3-forms and T's rows by the map reader above, dT1's channel terms by the
+    walk over its rows (``_walked_dt_channels``, by value), the sums and
+    order -(2mm+2) families from those, and c(v), c(w) and c(v) sum (d_j
+    w_g) c_j c_g from the jet's rational vectors and the generators'
+    products (on seeds 0-4, the one-hot coefficient jets, the jets with one
+    channel off and a constant curvature 1/(n-1), whose Ric is integral
+    while R's denominator is n-1)."""
     n = 2 * m
     jets = [random_point_jet(seed, m) for seed in range(5)]
     jets += [_sparse_jet(m, case) for case in (*(range(4) if m >= 2 else ()), *_CHANNEL_FLAGS)]
@@ -1592,7 +1688,10 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         n, der = jet.n, derived_scalars(jet)
         curvature, ric = _integer_form(jet.R_entries), _integer_form(der.ric)
         maps = (jet.T_entries, jet.dT1_entries)
-        rows = tuple(_map_torsion_forms(entries, n, rows=True) for entries in maps)
+        rows = _map_torsion_forms(jet.T_entries, n, rows=True)
+        d_dt1 = _integer_form(jet.dT1_entries)[1]
+        walked = [[_over(d_dt1, *part) for part in _walked_dt_channels(jet.dT1_entries, n, traced)]
+                  for traced in (False, True)]
         gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
         dw = CliffordElement.zero(n)
         for j, row in enumerate(jet.dw):
@@ -1601,18 +1700,27 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         cv = CliffordElement.from_vector(n, jet.v)
         oracle = {
             "cv": cv, "cw": CliffordElement.from_vector(n, jet.w), "cv_dw": cv * dw,
-            "curvature": curvature, "ric": ric,
-            "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
-            "rows": rows,
+            "ric": ric, "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
+            "rows": rows, "dt_terms": tuple(walked[0]), "dt_terms_read": tuple(walked[1]),
             "word_sums": {b: e for b in range(n)
                           if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
             # the families of JetInputs.order2 over the inputs converted anew
             "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
-                n=n, derived=der, rows=rows, ric=ric)),
+                n=n, derived=der, rows=rows, ric=ric, dt_terms=walked[0],
+                reads={"dT1": types.SimpleNamespace(den=d_dt1)})),
         }
         inputs = symbols.JetInputs(jet)
+        read = inputs.reads["R"]
+        assert (geometry._spread(read, geometry._entry, n)[0], read.den) == curvature
         for name, expected in oracle.items():
             assert _raw(getattr(inputs, name)) == _raw(expected), name
+
+
+def _over(den, nums, d):
+    """The (nums, d) pair's numerators over ``den``, a multiple of its value's
+    denominators."""
+    assert all(x * den % d == 0 for x in nums.values())
+    return {key: x * den // d for key, x in nums.items()}
 
 
 def test_factor_pair_jets_cover_a_vanishing_tau():
