@@ -47,7 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import lcm
 from operator import is_, itemgetter
 from typing import Dict, List, Tuple
@@ -73,8 +73,8 @@ class PointJet:
     v: Vec
     w: Vec
     dw: Mat2
-    # the completion records of R, T and dT1 (``_complete``), which ``_read`` follows while
-    # a map is its record's expansion; only ``_point_jet`` sets them
+    # the completion records of R, T and dT1 (``_complete``), which ``_read`` follows; only
+    # ``_point_jet`` sets them, beside the read-only maps they describe
     records: Tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -181,8 +181,8 @@ def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
     """Index -> value for the nonzero entries of channel ``name`` ("R",
     "T" or "dT1"), completed over the channel's images from sparse
     (0-based index tuple, exact value) pairs; keys are ``_INDICES``' tuples;
-    and its record, flat, per orbit written: its value, the object written at
-    its negative images and the orbit (the shared ``_ORBITS`` entry).
+    and its record, flat, per orbit written: its value and the orbit (the
+    shared ``_ORBITS`` entry).
 
     Each index's signed images are read from ``_ORBITS``, and the negative of
     a shared value of a random jet from ``_OPPOSITE``.  An entry whose
@@ -211,7 +211,7 @@ def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
                     out[key] = val
                 for key in neg:
                     out[key] = opposite
-                record += val, opposite, orbit
+                record += val, orbit
             else:
                 zero.update(pos, neg)
             continue
@@ -225,10 +225,26 @@ def _complete(name: str, entries, n: int) -> Tuple[Entries, List]:
     return out, record
 
 
+class ReadOnlyEntries(dict):
+    """A channel map that refuses every edit (TypeError), so that a jet's record
+    describes it for good; it compares, prints, copies and pickles as a dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a recorded jet's channel map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _point_jet(m: int, R, T, dT1, v, w, dw) -> PointJet:
-    """The jet with the completed channels R, T, dT1 (each a map and its
-    record, from ``_complete``) and the dense v, w and dw."""
-    jet = PointJet(m, R[0], T[0], dT1[0], tuple(v), tuple(w), tuple(map(tuple, dw)))
+    """The jet with the completed channels R, T, dT1 (each a map, stored
+    read-only, and its record, from ``_complete``) and the dense v, w and dw."""
+    jet = PointJet(m, *(ReadOnlyEntries(c[0]) for c in (R, T, dT1)), tuple(v), tuple(w),
+                   tuple(map(tuple, dw)))
     object.__setattr__(jet, "records", (R[1], T[1], dT1[1]))
     return jet
 
@@ -365,20 +381,13 @@ Read = namedtuple("Read", "name orbits nums den whole")
 
 
 def _read(name: str, entries: Entries, record: List | None) -> Read:
-    """Channel ``name``'s ``entries``, orbit by orbit where its keys, in order,
-    and its values, by identity, are its record's expansion (per orbit, its
-    value at the positive images, then the other object at the negative
-    ones); else entry by entry (a hand-built or replaced jet, an edited map)."""
-    if not entries:
-        return Read(name, [], [], 1, record is not None)
+    """Channel ``name``'s ``entries``, orbit by orbit off its record (per orbit,
+    its value and the orbit), which the read-only map of a recorded jet cannot
+    leave; else entry by entry (a hand-built or replaced jet)."""
     if record is not None:
-        orbits, xs = record[2::3], record[::3]
-        sides = list(chain.from_iterable(orbits))
-        if list(entries) == list(chain.from_iterable(sides)) and all(map(is_, entries.values(), (
-                chain.from_iterable(map(repeat, chain.from_iterable(zip(xs, record[1::3])),
-                                        map(len, sides)))))):
-            den = lcm(*{x.denominator for x in xs})
-            return Read(name, orbits, [x.numerator * (den // x.denominator) for x in xs], den, True)
+        xs, orbits = record[::2], record[1::2]
+        den = lcm(*{x.denominator for x in xs})
+        return Read(name, orbits, [x.numerator * (den // x.denominator) for x in xs], den, True)
     nums, den = _integer_form(entries)
     return Read(name, [((key,), ()) for key in nums], [*nums.values()], den, False)
 
@@ -621,6 +630,7 @@ def _inexact(name: str, values, keys) -> List[str]:
 
 
 _ROW_TYPES = frozenset((tuple, list))
+_MAPS = frozenset((dict, ReadOnlyEntries))  # a channel map's types, by ``type``
 
 
 def _flat(row, n: int) -> bool:
@@ -649,7 +659,7 @@ def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
     """The faults of a channel map, each named, in an order that does not
     depend on the map's: not a dict, keys that are not tuples of ``rank``
     ints in 0..n-1, values that are not exact rationals, stored zeros."""
-    if type(entries) is not dict:
+    if type(entries) not in _MAPS:
         return [f"{name} is not a dict of index tuples to values: {type(entries).__name__}"]
     keys = entries.keys()
     if not _indexed(keys, n, rank):
@@ -667,7 +677,7 @@ def _map_faults(name: str, entries, n: int, rank: int) -> List[str]:
 def _well_formed(entries, n: int, rank: int) -> bool:
     """Whether a channel map is a dict of tuples of ``rank`` ints in 0..n-1
     to ints and Fractions."""
-    return (type(entries) is dict and _indexed(entries.keys(), n, rank)
+    return (type(entries) in _MAPS and _indexed(entries.keys(), n, rank)
             and _EXACT.issuperset(map(type, entries.values())))
 
 

@@ -38,8 +38,10 @@ spectral Einstein density
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and composed builder, so each symbol, the derived
-scalars and each trace table are built once per jet.  The part-1 and part-2
-tables trace ``JetInputs``' traced channels, built on the terms they read.
+scalars and each trace table are built once per jet.  The right channels of
+the part-1 and part-2 tables, on the terms their traces read, are emitted
+straight into the kernel's buckets with no symbol: R's and dT1's off their
+orbits' templates (``_emitted``), the rest from ``JetInputs``' int sums.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, one row each of ``_audit_rows``, read off the cells of the part-1 or
@@ -56,26 +58,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import lcm, prod
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import word_indices
-from .geometry import DerivedScalars, PointJet
+from .geometry import DerivedScalars, PointJet, _spread
 from .numerics import I, ONE, format_rational
-from .symbols import (
-    JetInputs,
-    SymbolExpr,
-    _decode,
-    _key,
-    _leibniz_alphas,
-    _norm_power,
-    _ones,
-    build_sigma_ab_composed,
-    build_sigma_ab_printed_parts,
-    printed_grades,
-)
+from .symbols import (_DT, _ORDER2, _R_JETS, JetInputs, SymbolExpr, _decode, _delta, _key,
+                      _leibniz_alphas, _norm_power, _ones, _pairs, _phase_error, _scales, _unit,
+                      build_sigma_ab_composed, build_sigma_ab_printed_parts, printed_grades)
 
 # ---------------------------------------------------------------------------
 # sphere moments
@@ -310,6 +303,53 @@ def _bucketed(n: int, rights: Dict[Hashable, SymbolExpr]) -> Bucketed:
     return n, list(rights), den, phase, buckets
 
 
+# sigma_Delta's channels, keyed (g, name) for the order -2m-g; part 1's are _ORDER2's
+DELTA_KEYS = ((0, "lead"), (0, "r_jet"), (1, "ric_jet"), (1, "tt"), (1, "r_jet"), (1, "dt_jet"),
+              *((2, name) for name in _ORDER2))
+
+
+def _emitted(index, n: int, rule, outs) -> List[Tuple[int, Tuple[Tuple, int], int]]:
+    """The traced ``rule``'s terms at ``index`` as entries (table, (bucket key,
+    tagged xi-code), int) of each right channel (table, index, norm power + n,
+    imag, even) of ``outs[part]``: keyed as ``_bucketed`` keys a term moved to
+    that norm power, times mu! and i^(|nu| + grade - imag), whose odd power
+    breaks the phase rule (ValueError), and none at an odd xi-monomial where
+    ``even``.  ``_spread`` sums them into its templates, once per orbit."""
+    s, odd, shift, out = 8 * n, _ones(n), _tag_shift(n), []
+    high, twos = odd << 7, odd << 1
+    for part, key, c in rule(index, n):
+        x, xi, _, word = key
+        for table, j, p, imag, even in outs[part]:
+            if (e := (xi >> s) + word.bit_count() - imag) & 1:
+                raise _phase_error(key, c, imag, n)
+            if xi & high:
+                raise _unpackable(xi, n)
+            if not (even and xi & odd):
+                out.append((table, ((x, word, xi & odd, (xi >> s) + p - n), xi + (j << shift)),
+                            (-c if e & 2 else c) * (2 if x & twos else 1)))
+    return out
+
+
+# per part of the rule: R's r_jets of orders -2m, -2m-1; dT1's dt_jet and its dt_xx and
+# div_t families, of sigma_Delta (table 0) and of part 1 (table 1, even xi-monomials)
+_R_EMITTED = partial(_emitted, rule=_R_JETS[True], outs=(((0, 1, -2, 0, 0),), ((0, 4, -2, 1, 0),)))
+_DT_EMITTED = partial(_emitted, rule=_DT[True], outs=(((0, 5, -2, 1, 0),), (
+    (0, 11, -4, 0, 0), (1, 5, -2, 0, 1)), ((0, 9, -2, 0, 0), (1, 3, 0, 0, 1))))
+
+
+def _filled(n: int, keys, channels, *parts: Dict[Tuple[Tuple, int], int]) -> Bucketed:
+    """The phase-0 buckets of the right channels ``keys`` from ``parts``'
+    entries: channel j's, over d_j and times c_j (``channels``: (c_j, d_j)),
+    times c_j D / d_j over the lcm D of the d_j c_j; zeros dropped."""
+    shift, den = _tag_shift(n), lcm(*(d * c.denominator for c, d in channels))
+    factors, buckets = [c.numerator * den // (d * c.denominator) for c, d in channels], {}
+    for part in parts:
+        for (key, xi), r in part.items():
+            if r := r * factors[xi >> shift]:
+                buckets.setdefault(key, []).append((xi, r))
+    return n, list(keys), den, 0, buckets
+
+
 def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) -> TraceTable:
     """The channel-resolved cosphere trace of the grade -2m part at x0 of the
     Leibniz compositions sum_{|alpha| <= 2} (-i)^|alpha|/alpha!
@@ -415,12 +455,12 @@ class PipelineContext(JetInputs):
     The context is the builders' ``JetInputs`` (the derived scalars, c(v),
     c(w) and the jet's tensors converted once), the one argument of every
     builder it calls through this module's bindings.  Every field is built on
-    first use and reused by every later consumer: c(v)c(w), the inverse-power
-    channels of parts 1 and 2 and the printed channels, built on the terms a
-    table reads (``JetInputs``' traced channels), the printed grades (the read
-    products plus the other grades) and the composed ones, sigma_Delta's
-    channels bucketed once, and the trace tables of part 1, the metric and
-    both part-2 sources, whose cells the densities and the audit rows read;
+    first use and reused by every later consumer: c(v)c(w), the printed
+    channels built on the terms a table reads, the printed grades (the read
+    products plus the other grades) and the composed ones, dT1's emitted
+    entries, part 1's and sigma_Delta's buckets of emitted channels, and the
+    trace tables of part 1, the metric and both part-2 sources, whose cells
+    the densities and the audit rows read;
     then the ``COMPARISONS`` and the product symbol's three grade equalities,
     which the audit and the CLI read.
     The public calls on one jet in a row share the context ``_context`` holds
@@ -439,9 +479,7 @@ class PipelineContext(JetInputs):
     def cvw(self) -> SymbolExpr:
         return SymbolExpr.from_clifford(self.cv_cw)
 
-    dtpow_parts = cached_property(
-        lambda self: self.order2_parts(self.m - 1, self.order2_read, even=True))
-    delta_inv_parts = cached_property(lambda self: self.sigma_delta(traced=True))
+    dt_emitted = cached_property(lambda self: _spread(self.reads["dT1"], _DT_EMITTED, self.n))
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
@@ -455,24 +493,58 @@ class PipelineContext(JetInputs):
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self)
 
-    def _cvw_table(self, channels: Dict[str, SymbolExpr]) -> TraceTable:
-        """c(v)c(w) against each channel, keyed ("cvw", name): cvw is x-free
-        of xi-homogeneity 0, so a product is traceable exactly when its
-        channel is."""
-        for part in channels.values():
-            _require_traceable(part, self.m)
-        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, channels), self.m)
+    def _families(self, table: int):
+        """(entries, channels) of ``table``'s order -(2mm+2) channels, mm = m
+        (or m - 1, part 1): ``read_families`` at the xi-order -2mm-2, i^|nu| r
+        at nu (even nu alone in part 1), and each (c mm (mm+1)^q, den)."""
+        s, odd, shift, out, mm = 8 * self.n, _ones(self.n), _tag_shift(self.n), {}, self.m - table
+        families, den = self.read_families, self.reads["dT1"].den
+        for name, (nums, _) in families.items():
+            tag = DELTA_KEYS.index((2, name)) - 6 * table << shift
+            for xi, c in nums.items():
+                if not (table and xi & odd):
+                    out[(0, 0, xi & odd, -2 * mm - 2), xi + tag] = -c if xi >> s & 2 else c
+        return out, [(c, families.get(name, (0, den))[1]) for name, (c, _) in _scales(mm).items()]
 
-    part1_table = cached_property(lambda self: self._cvw_table(self.dtpow_parts))
-    metric_table = cached_property(lambda self: self._cvw_table({"lead": self.lead}))
+    @cached_property
+    def part1_buckets(self) -> Bucketed:
+        """Part 1's channels at the even xi-monomials c(v)c(w) reads, as the
+        kernel's buckets, each x-free at xi-order -2m (else PipelineError)."""
+        entries, channels = self._families(1)
+        out = _filled(self.n, _ORDER2, channels, entries, self.dt_emitted[1])
+        for x, _, _, order in out[4]:
+            if x or order != -2 * self.m:
+                raise PipelineError("trace integral of an x-dependent expression" if x else
+                                    f"term has xi-homogeneity {order}, expected {-2 * self.m}")
+        return out
+
+    part1_table = cached_property(
+        lambda self: _trace_table({"cvw": self.cvw}, self.part1_buckets, self.m))
+
+    @cached_property
+    def metric_table(self) -> TraceTable:
+        """c(v)c(w) against sigma_Delta's lead symbol, checked as part 1's are."""
+        _require_traceable(self.lead, self.m)
+        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, {"lead": self.lead}), self.m)
 
     @cached_property
     def delta_buckets(self) -> Bucketed:
-        """sigma_Delta's channels, keyed (g, name) for the order -2m-g, bucketed
-        once for both part-2 tables: the printed channels (keyed by name) and
-        the composed grades 2, 1, 0 (keyed 0, 1, 2) against each of them."""
-        return _bucketed(self.n, {(g, name): part for g, parts in enumerate(self.delta_inv_parts)
-                                  for name, part in parts.items()})
+        """sigma_Delta's channels as the kernel's buckets, for both part-2
+        tables: R's and dT1's off their templates, the families, and lead,
+        ric_jet (off Ric) and tt (off T's rows), at the indices 0, 2 and 3 of
+        ``DELTA_KEYS``, with their signs i^(|nu| + grade - imag): -1, 1, -1."""
+        m, n, (ric, d_ric), t = self.m, self.n, self.ric, _tag_shift(self.n)
+        units, pairs, (r_m, c_t, c_ric, c_r) = [_unit(n, a) for a in range(n)], _pairs(n), _delta(m)
+        out, families = self._families(0)
+        out.update((((0, 0, 0, -2 * m), pairs[a][a]), -1) for a in range(n))
+        out.update((((units[b], 0, 1 << 8 * a, -2 * m - 1), units[a] + (2 << t)), x)
+                   for (a, b), x in ric.items())
+        out.update((((0, w, 1 << 8 * f, -2 * m - 1), units[f] + (3 << t)), -x)
+                   for (f, w), x in self.t_terms[1].items())
+        R, T, dT1 = (self.reads[name].den for name in ("R", "T", "dT1"))
+        return _filled(n, DELTA_KEYS, [(1, 1), (r_m, R), (c_ric, d_ric), (c_t, T), (c_r, R),
+                                       (c_t, dT1), *families],
+                       out, _spread(self.reads["R"], _R_EMITTED, n)[0], self.dt_emitted[0])
 
     printed_table = cached_property(
         lambda self: _trace_table(self.printed(self.read_products), self.delta_buckets, self.m))

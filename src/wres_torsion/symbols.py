@@ -60,7 +60,9 @@ The curvature jet of the zeroth-order symbol pairs R_{bats} with the word
 c(e_s)c(e_t) exactly as in the trusted heat-coefficient inputs; the same
 pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 Each channel is defined once, in full or on the terms that ``residue``'s
-traces read (``JetInputs``).
+traces read (``JetInputs``); the latter reach no symbol: ``residue`` emits
+the traced rules' terms and the int sums of ``read_families`` into its trace
+kernel's buckets.
 """
 
 from __future__ import annotations
@@ -532,12 +534,21 @@ _ORDER2 = {"ric": (Fraction(1, 3), 1), "tt_xx": (Fraction(-9, 2), 1),
 _PRINTED = {"s1_tt": (GaussianRational(0, Fraction(1, 2)), 2), "s1_dw": (I, 2),
             "s0_tt": (Fraction(1, 16), 0), "s0_r": (1, 0), "s0_dt": (Fraction(1, 4), 0),
             "s0_tdw": (Fraction(1, 4), 0)}
-# what does not depend on the jet, built once per n, mm or m: the generators
-# c_1 .. c_n, each order -(2mm+2) channel's (c mm (mm+1)^q, -2mm-2-2q) and
-# sigma_Delta's prefactors -m/3, 3m i, -2m i/3 and m i/4
+# what does not depend on the jet, built once per n or mm: the generators
+# c_1 .. c_n and each order -(2mm+2) channel's (c mm (mm+1)^q, -2mm-2-2q)
 _GENERATORS: Dict[int, Tuple[CliffordElement, ...]] = {}
 _SCALES: Dict[int, Dict[str, Tuple[Fraction, int]]] = {}
-_DELTA: Dict[int, Tuple[Fraction, GaussianRational, GaussianRational, GaussianRational]] = {}
+
+
+def _scales(mm: int) -> Dict[str, Tuple[Fraction, int]]:
+    return _SCALES.get(mm) or _SCALES.setdefault(mm, {
+        name: (Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator), -2 * mm - 2 - 2 * q)
+        for name, (c, q) in _ORDER2.items()})
+
+
+def _delta(m: int) -> Tuple[Fraction, int, Fraction, Fraction]:
+    # sigma_Delta's prefactors -m/3 (order -2m), and 3m, -2m/3 and m/4 times i (order -2m-1)
+    return Fraction(-m, 3), 3 * m, Fraction(-2 * m, 3), Fraction(m, 4)
 
 
 class JetInputs:
@@ -547,21 +558,23 @@ class JetInputs:
     below reads through ``_spread``'s per-orbit templates, so none walks a
     map) and the int forms of v, w, dw (``vectors``) and Ric; c(v), c(w), c(v)
     c(w) and c(v) c(dw) (s2 and each P_f = c(v) c_f c(w) follow from the one
-    c(v) c(w) by the Clifford relation), the word sums (off Ric), T's and
-    dT1's 3-forms and T's bivector rows (``torsion``), dT1's channel terms
-    (``dt_terms``), the mm-free order -(2mm+2) families (r_xx empty in both:
-    its (a, b) and (b, a) placements cancel), sigma_Delta's leading channel
-    (``lead``, which a context's metric also traces) and the printed product
-    symbol's channels.  Each product-symbol builder takes a jet or this
-    object as its one argument, and makes its own from a jet.
+    c(v) c(w) by the Clifford relation), the word sums (off Ric), T's terms
+    (``t_terms``), its and dT1's 3-forms (``forms``) and T's bivector rows
+    (``rows``, which only the public builders read),
+    dT1's channel terms (``dt_terms``), the mm-free order -(2mm+2) families
+    (r_xx empty: its (a, b) and (b, a) placements cancel), sigma_Delta's
+    leading channel (``lead``, which a context's metric also traces) and the
+    printed product symbol's channels.  Each product-symbol builder takes a
+    jet or this object as its one argument, and makes its own from a jet.
 
-    Each channel is defined once, whole for the public builders or
-    (``traced``, ``read_products``) on the terms a context's traces read, as
-    tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1) The
-    order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only,
-    ``even``), s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b is
-    formed on grade 0, dt4 left empty.  (2) sigma_Delta's x^2 r_jet meets
-    xi^2 terms at |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and
+    Each channel is defined once, whole for the public builders or on the
+    terms a context's traces read (``read_products``, ``read_families`` and
+    the traced rules, whose terms ``residue`` emits into its trace kernel's
+    buckets), as tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no
+    moment.  (1) The order -(2mm+2) families meet c(v) c(w) (at even
+    xi-monomials only), s2 and the composed grade 2, of grades 0 and 2: tau_a
+    tau_b is read on grade 0, dt4 not at all.  (2) sigma_Delta's x^2 r_jet
+    meets xi^2 terms at |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and
     dt_jet, and dt_xx, meet s2 and the composed grade 2 at xi_a xi_b, where
     by c(v) c_a c(w) c_b + c(v) c_b c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b
     c(v) c_a - 2 w_a c(v) c_b no word at a != b misses both e_a and e_b (the
@@ -580,20 +593,19 @@ class JetInputs:
     reads = cached_property(lambda self: {name: self.derived.int_forms[name]
                                           for name in ("R", "T", "dT1")})
     ric = property(lambda self: self.derived.int_forms["ric"])
-    forms = property(lambda self: self.torsion[0])
-    rows = property(lambda self: self.torsion[1])
+    # T's terms by ``_torsion``: its 3-form and bivector rows, as ints
+    t_terms = cached_property(lambda self: _spread(self.reads["T"], _torsion, self.n))
+    # T's bivector rows by f as elements, which only the public builders read
+    rows = cached_property(lambda self: _elements(self.n, self.t_terms[1], self.reads["T"].den))
 
     @cached_property
-    def torsion(self) -> Tuple[Tuple[Dict, Dict], Dict[int, CliffordElement]]:
-        """((T's 3-form, dT1's 3-forms by c), T's bivector rows by f), read off
-        ``_torsion``'s terms by part."""
-        n, (t, dt) = self.n, (self.reads["T"], self.reads["dT1"])
-        (t_form, t_rows, _), (dt_forms, _, _) = _spread(t, _torsion, n), _spread(dt, _torsion, n)
-        return (_elements(n, t_form, t.den), _elements(n, dt_forms, dt.den)), _elements(
-            n, t_rows, t.den)
+    def forms(self) -> Tuple[Dict, Dict]:
+        """(T's 3-form, dT1's 3-forms by c), read off ``_torsion``'s terms."""
+        t, dt = self.reads["T"], self.reads["dT1"]
+        return (_elements(self.n, self.t_terms[0], t.den),
+                _elements(self.n, _spread(dt, _torsion, self.n)[0], dt.den))
     # dT1's terms (``_dt``): sigma_Delta's dt_jet, the dt_xx and div_t families
-    dt_terms, dt_terms_read = (cached_property(lambda self, rule=rule: _spread(
-        self.reads["dT1"], rule, self.n)) for rule in (_DT[False], _DT[True]))
+    dt_terms = cached_property(lambda self: _spread(self.reads["dT1"], _DT[False], self.n))
 
     @cached_property
     def word_sums(self) -> Dict[int, CliffordElement]:
@@ -614,20 +626,19 @@ class JetInputs:
         return self.cv * CliffordElement._of(self.n, _collected(
             ((1 << j) ^ (1 << g), -x if j >= g else x) for (j, g), x in dw.items()), den)
 
-    def _order2(self, traced: bool = False
-                ) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
+    @cached_property
+    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
         """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
         x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
         norm power 0) moved to the norm power -2mm-2-2q (``_ORDER2``)."""
         n, der, x0, pairs, (ric, ric_den) = self.n, self.derived, 0, _pairs(self.n), self.ric
-        tau, (_, dt_xx, div_t), den = self.rows, self.dt_terms_read if traced else self.dt_terms, \
-            self.reads["dT1"].den
+        tau, (_, dt_xx, div_t), den = self.rows, self.dt_terms, self.reads["dT1"].den
         (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
         # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
         # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
         # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part,
         # and tau_a tau_a has no grade-2 part, so only grades 0 and 4 are formed
-        tt = {(a, b): _graded(tau[a], tau[b], (0,) if traced else (0, 4))
+        tt = {(a, b): _graded(tau[a], tau[b], (0, 4))
               for a, b in combinations_with_replacement(tau, 2)}
         families = {  # each as (xi-degree, rational Clifford element) pairs
             "ric": [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
@@ -637,15 +648,31 @@ class JetInputs:
             "r_xx": [],  # R_bats = -R_abts (derived_scalars checks it): (a, b) and (b, a) cancel
             "e_scalar": [(x0, CliffordElement._of(
                 n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],
-            "dt4": [] if traced else [(x0, CliffordElement._of(n, {
+            "dt4": [(x0, CliffordElement._of(n, {
                 sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))],
         }
         summed = {"div_t": (div_t, den), "dt_xx": (dt_xx, den)}  # dT1's, read off its terms
         return {name: (*_ORDER2[name], *(summed.get(name) or _placed(
             (x0, xideg, 0, e) for xideg, e in families[name]))) for name in _ORDER2}
 
-    order2 = cached_property(_order2)
-    order2_read = cached_property(partial(_order2, traced=True))
+    @cached_property
+    def read_families(self) -> Dict[str, Tuple[Dict[int, int], int]]:
+        """The grade-0 order -(2mm+2) families, which a trace reads, as xi-code ->
+        int over one den: ric, Ric_ab + Ric_ba at xi_a xi_b; tt_xx, the scalar
+        part of tau_a tau_b + tau_b tau_a there, -(2 - delta_ab) sum_{s<t} T_ast
+        T_bst off T's rows; tt_scalar, their sum at the xi_a^2; e_scalar."""
+        pairs, (ric, d_ric), d_t, rows, sym = _pairs(self.n), self.ric, self.reads["T"].den, {}, {}
+        e = self.derived.s / 4 - Fraction(3, 4) * self.derived.norm_t2
+        for (a, b), x in ric.items():
+            sym[pairs[a][b]] = sym.get(pairs[a][b], 0) + x
+        for (f, word), x in self.t_terms[1].items():
+            rows.setdefault(f, {})[word] = x
+        tt = {pairs[a][b]: -(1 + (a != b)) * sum(x * rows[b].get(w, 0) for w, x in rows[a].items())
+              for a, b in combinations_with_replacement(rows, 2)}
+        return {"ric": (sym, d_ric), "tt_xx": (tt, d_t * d_t),
+                "tt_scalar": ({0: sum(tt[pairs[a][a]] for a in rows)}, d_t * d_t),
+                "e_scalar": ({0: e.numerator}, e.denominator)}
+
     gens = property(lambda self: _GENERATORS.get(self.n) or _GENERATORS.setdefault(
         self.n, tuple(CliffordElement.generator(self.n, i) for i in range(1, self.n + 1))))
     tau = cached_property(lambda self: self.forms[0].get((), CliffordElement.zero(self.n)))
@@ -704,30 +731,25 @@ class JetInputs:
         return {"s2": self.s2, **{name: _family(self.n, [(0, xi, 0, e) for xi, e in pairs], c)
                                   for name, (c, pairs) in products.items()}}
 
-    def order2_parts(self, mm: int, families=None, even: bool = False) -> Dict[str, SymbolExpr]:
+    def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
         """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
         x0, each family scaled and moved to its norm power by ``_symbol``:
-        mm = m for part 2's pipeline, mm = m-1 for part 1's (``families``:
-        ``order2`` unless given; ``even``: only the terms at even
-        xi-monomials, all that an x-free, xi-free left factor reads)."""
-        odd, scales = _ones(self.n) if even else 0, _SCALES.get(mm) or _SCALES.setdefault(mm, {
-            name: (Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator), -2 * mm - 2 - 2 * q)
-            for name, (c, q) in _ORDER2.items()})
+        mm = m for part 2's pipeline, mm = m-1 for part 1's."""
+        scales = _scales(mm)
         return {name: _symbol(self.n, (((x, xideg, p, w), k) for (x, xideg, _, w), k
-                                       in nums.items() if not xideg & odd), den, c)
-                for name, (_, _, nums, den) in (families or self.order2).items()
-                for c, p in [scales[name]]}
+                                       in nums.items()), den, c)
+                for name, (_, _, nums, den) in self.order2.items() for c, p in [scales[name]]}
 
-    def sigma_delta(self, traced: bool = False) -> Tuple[
+    def sigma_delta(self) -> Tuple[
             Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
-        """The channels of ``build_sigma_delta_inv_parts``, whole or traced."""
+        """The channels of ``build_sigma_delta_inv_parts``."""
         m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
-        r_m, c_t, c_ric, c_r = _DELTA.get(m) or _DELTA.setdefault(m, (Fraction(-m, 3), *(
-            GaussianRational(0, c) for c in (3 * m, Fraction(-2 * m, 3), Fraction(m, 4)))))
+        r_m, *imag = _delta(m)
+        c_t, c_ric, c_r = (GaussianRational(0, c) for c in imag)
         R, dT1, (ric, ric_den), tau = self.reads["R"], self.reads["dT1"], self.ric, self.rows
         units = [_unit(n, a) for a in range(n)]
 
-        r_jets = _spread(R, _R_JETS[traced], n)  # on R's symmetries: derived checks them
+        r_jets = _spread(R, _R_JETS[False], n)  # on R's symmetries: derived checks them
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
         parts_m = {"lead": self.lead, "r_jet": _symbol(n, r_jets[0].items(), R.den, r_m)}
         # order -2m-1
@@ -736,10 +758,9 @@ class JetInputs:
                                    for (a, b), x in ric.items()), ric_den, c_ric),
             "tt": _family(n, [(x0, units[a], p, row) for a, row in tau.items()], c_t),
             "r_jet": _symbol(n, r_jets[1].items(), R.den, c_r),
-            "dt_jet": _symbol(n, (self.dt_terms_read if traced else self.dt_terms)[0].items(),
-                              dT1.den, c_t),
+            "dt_jet": _symbol(n, self.dt_terms[0].items(), dT1.den, c_t),
         }
-        return parts_m, parts_m1, self.order2_parts(m, self.order2_read if traced else None)
+        return parts_m, parts_m1, self.order2_parts(m)
 
 
 def build_sigma_dt(source: PointJet | JetInputs, variant: str = "printed"

@@ -227,9 +227,9 @@ def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
     builders = [name for name in vars(residue) if name.startswith("build_sigma_")]
     for name in builders:
         _counted(monkeypatch, calls, residue, name)
-    # the traced sigma_Delta channels, which a context builds without the
-    # public builder
-    _counted(monkeypatch, calls, symbols.JetInputs, "sigma_delta")
+    # the buckets of part 1's and sigma_Delta's emitted channels, which a
+    # context builds once per table without the public builders
+    _counted(monkeypatch, calls, residue, "_filled")
     trials = 2
     code, _, _ = run(capsys, "verify", "--checks", "lemma36,part1,part2,theorem,metric",
                      "--trials", str(trials))
@@ -237,9 +237,9 @@ def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
     # one jet per trial seed, plus the theorem's zero-torsion jet
     assert calls["random_point_jet"] == trials + 1
     # the theorem check adds the zero-torsion and four one-hot jets
-    for name in builders + ["derived_scalars", "sigma_delta"]:
+    for name in builders + ["derived_scalars"]:
         assert calls[name] <= trials + 5, name
-    assert calls["sigma_delta"] and calls["derived_scalars"]
+    assert calls["derived_scalars"] and 0 < calls["_filled"] <= 2 * (trials + 5)
     calls.clear()
     code, _, _ = run(capsys, "verify", "--checks", "clifford", "--trials", str(trials))
     assert code == 0

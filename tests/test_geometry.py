@@ -911,21 +911,23 @@ def test_perturbed_torsion_reads_match_the_entry_walks():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_a_record_holds_one_value_per_orbit(m):
     """A channel's record holds, per nonzero orbit, the map's value object at
-    the orbit's representative, the object at its negative images and the
-    orbit itself, whose images, positive ones first, are the map's keys in
-    order; revisiting every entry of an orbit adds nothing to it."""
+    the orbit's representative and the orbit itself, whose images, positive
+    ones first, are the map's keys in order; the negative images hold one
+    object, its negative; revisiting every entry of an orbit adds nothing to
+    the record."""
     reps = {"R": lambda k: k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:],
             "T": lambda k: k[0] < k[1] < k[2], "dT1": lambda k: k[1] < k[2] < k[3]}
     for seed in range(3):
         jet = random_point_jet(seed, m)
         for name, record in zip(_CHANNELS, jet.records):
             entries = getattr(jet, f"{name}_entries")
-            values, opposites, orbits = record[::3], record[1::3], record[2::3]
-            assert len(record) == 3 * len(values)
+            values, orbits = record[::2], record[1::2]
+            assert len(record) == 2 * len(values)
             assert [*map(id, values)] == [id(entries[k]) for k in entries if reps[name](k)]
             assert [*entries] == [*chain.from_iterable(chain.from_iterable(orbits))]
-            for x, y, orbit in zip(values, opposites, orbits):
+            for x, orbit in zip(values, orbits):
                 (pos, neg), shared = orbit, geometry._ORBITS[name, 2 * m]
+                y = entries[neg[0]]
                 assert y == -x and len(pos) == len(neg) >= 2 and shared[pos[0]] is orbit
                 assert all(entries[k] is x for k in pos) and all(entries[k] is y for k in neg)
         assert _revisited(jet).records == jet.records
@@ -998,45 +1000,86 @@ def _guard_message(R):
     return str(err.value)
 
 
+_EDITS = {  # each edit of a map, by the call that makes it
+    "assign": lambda e, k: e.__setitem__(k, 2 * e[k]), "delete": lambda e, k: e.__delitem__(k),
+    "update": lambda e, k: e.update({k: 2 * e[k]}), "pop": lambda e, k: e.pop(k),
+    "popitem": lambda e, k: e.popitem(), "clear": lambda e, k: e.clear(),
+    "setdefault": lambda e, k: e.setdefault((0,) * len(k), 1),
+    "merge": lambda e, k: e.__ior__({k: 2 * e[k]})}
+
+
 @pytest.mark.parametrize("m", [2, 3])
-def test_an_edited_recorded_curvature_is_read_entry_by_entry(m):
-    """A generated jet whose R map is edited after construction is no longer
-    read off its record: an edit that breaks a pair symmetry or the first
-    Bianchi identity raises the entry walk's ValueError, and an admissible
-    edit gives the densities of the hand-built jet with the edited map."""
+def test_a_recorded_jets_maps_refuse_every_edit(m):
+    """The R, T and dT1 maps of a generated, made and parsed jet refuse each
+    edit by TypeError and stay as they were, so the record ``_read`` trusts
+    describes them for good.  An edited copy reaches the engine only through
+    ``dataclasses.replace`` or a hand-built jet, which carry no record and
+    are read entry by entry: an edit that breaks a pair symmetry or the
+    first Bianchi identity raises the entry walk's ValueError, and an
+    admissible one gives the same densities either way."""
     from wres_torsion.residue import part1_density, part2_density
 
-    key = next(k for k in random_point_jet(0, m).R_entries if len(set(k)) == 4)
-    jet = random_point_jet(0, m)
-    jet.R_entries[key] = -jet.R_entries[key]            # R_abcd = -R_cdab
-    message = _guard_message(jet.R_entries)
-    assert "pair" in message
-    with pytest.raises(ValueError, match=re.escape(message)):
-        derived_scalars(jet)
-    jet = random_point_jet(0, m)
-    orbit = geometry._ORBITS["R", jet.n][key]
-    for side, sign in zip(orbit, (1, -1)):              # the whole orbit doubled
-        for k in side:
-            jet.R_entries[k] = 2 * jet.R_entries[k]
-    message = _guard_message(jet.R_entries)
-    assert "Bianchi" in message
-    with pytest.raises(ValueError, match=re.escape(message)):
-        derived_scalars(jet)
-    for edit in ("scaled", "equal copies", "reordered"):
-        jet = random_point_jet(0, m)
-        if edit == "scaled":                            # every entry doubled
-            jet.R_entries.update((k, 2 * x) for k, x in jet.R_entries.items())
-        elif edit == "equal copies":
-            jet.R_entries.update((k, Fraction(x.numerator, x.denominator))
-                                 for k, x in jet.R_entries.items())
-        else:
-            jet.R_entries.update([(k, jet.R_entries.pop(k)) for k in list(jet.R_entries)[::-1]])
-        assert derived_scalars(jet).int_forms["R"].whole is False
-        hand = _hand_built(jet)
-        assert [f(jet, m) for f in (part1_density, part2_density)] == [
-            f(hand, m) for f in (part1_density, part2_density)]
-        if edit == "scaled":
-            assert derived_scalars(jet).s == 2 * derived_scalars(random_point_jet(0, m)).s != 0
+    base = random_point_jet(0, m)
+    jets = [base, jet_from_dict(jet_to_dict(base)), make_point_jet(m, **{
+        name: [[*k, x] for k, x in getattr(base, f"{name}_entries").items()]
+        for name in _CHANNELS})]
+    for jet, name, (edit, call) in product(jets, _CHANNELS, _EDITS.items()):
+        entries = getattr(jet, f"{name}_entries")
+        before = dict(entries)
+        with pytest.raises(TypeError, match="read-only"):
+            call(entries, next(iter(entries)))
+        assert entries == before and list(entries) == list(before), (name, edit)
+    key = next(k for k in base.R_entries if len(set(k)) == 4)
+    orbit = geometry._ORBITS["R", base.n][key]
+    negated = {**base.R_entries, key: -base.R_entries[key]}            # R_abcd = -R_cdab
+    doubled = {**base.R_entries, **{k: 2 * base.R_entries[k] for side in orbit for k in side}}
+    for edited, kind in ((negated, "pair"), (doubled, "Bianchi")):
+        message = _guard_message(edited)
+        assert kind in message
+        for jet in (dataclasses.replace(base, R_entries=edited), _hand_built(base, R=edited)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                derived_scalars(jet)
+    for edited in ({k: 2 * x for k, x in base.R_entries.items()},
+                   {k: Fraction(x.numerator, x.denominator) for k, x in base.R_entries.items()},
+                   dict(reversed(base.R_entries.items()))):
+        replaced = dataclasses.replace(base, R_entries=edited)
+        assert derived_scalars(replaced).int_forms["R"].whole is False
+        assert [f(replaced, m) for f in (part1_density, part2_density)] == [
+            f(_hand_built(base, R=edited), m) for f in (part1_density, part2_density)]
+    assert derived_scalars(dataclasses.replace(base, R_entries={
+        k: 2 * x for k, x in base.R_entries.items()})).s == 2 * derived_scalars(base).s != 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_recorded_jet_copies_pickles_and_prints_as_before(m):
+    """``copy.copy``, ``copy.deepcopy`` and a pickle round trip of a
+    generated, made and parsed jet give an equal jet that keeps read-only
+    maps and its record, with the same derived scalars and densities; its
+    repr is the hand-built jet's with plain dicts, as before its maps were
+    read-only."""
+    import copy
+    import pickle
+
+    from wres_torsion.residue import (metric_density, part1_density, part2_density,
+                                      theorem_density)
+
+    base = random_point_jet(5, m)
+    for jet in (base, jet_from_dict(jet_to_dict(base)),
+                make_point_jet(m, R=[[*k, x] for k, x in base.R_entries.items()], v=base.v)):
+        plain = _hand_built(jet, **{name: dict(getattr(jet, f"{name}_entries"))
+                                    for name in _CHANNELS})
+        assert repr(jet) == repr(plain) and jet == plain
+        densities = [f(jet, m) for f in (part1_density, part2_density, theorem_density,
+                                          metric_density)]
+        for other in (copy.copy(jet), copy.deepcopy(jet), pickle.loads(pickle.dumps(jet))):
+            assert other == jet and other is not jet and repr(other) == repr(jet)
+            assert other.records is not None and len(other.records) == 3
+            with pytest.raises(TypeError):
+                other.R_entries[next(iter(other.R_entries), (0, 1, 0, 1))] = 1
+            assert derived_scalars(other) == derived_scalars(jet)
+            assert derived_scalars(other).int_forms["R"].whole
+            assert [f(other, m) for f in (part1_density, part2_density, theorem_density,
+                                           metric_density)] == densities
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,7 +34,8 @@ from wres_torsion.residue import (
     theorem_density,
     trace_integral,
 )
-from test_symbols import _expr, leibniz_compose
+from test_geometry import _front_jets, _hand_built
+from test_symbols import _expr, leibniz_compose, traced_channels
 from wres_torsion.symbols import (
     TORSION_PREFACTOR,
     SymbolExpr,
@@ -401,14 +404,18 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
     (((0,) * 4, (2, 0, 0, 0), -4, 0), "homogeneity -2, expected -4"),
 ])
 def test_cvw_trace_guards(method, bad, message):
-    """part1 and metric trace c(v)c(w) against one symbol by word; that
-    symbol must still be x-free of homogeneity -2m, as trace_integral
-    demanded of the full product."""
+    """part1 and metric trace c(v)c(w) against their channels by word, which
+    must still be x-free of homogeneity -2m, as trace_integral demanded of
+    the full product: the metric's lead symbol, and every bucket of part 1's
+    emitted channels (the bad term is given among dT1's part-1 entries, as
+    part 1's ric channel)."""
     import wres_torsion.residue as residue
 
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
     expr = SymbolExpr(4, {bad: ONE})
-    ctx.dtpow_parts = {"ric": expr}
+    buckets = residue._bucketed(4, {"ric": expr})[4]
+    ctx.dt_emitted = (ctx.dt_emitted[0], {**ctx.dt_emitted[1], **{
+        (key, xi): r for key, entries in buckets.items() for xi, r in entries}}, {})
     ctx.lead = expr
     with pytest.raises(PipelineError, match=message):
         getattr(ctx, method)()
@@ -801,10 +808,18 @@ def test_audit_rows_add_up_to_its_totals():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_no_engine_call_writes_to_a_jet(m):
+    """No public call changes a jet's fields, each channel map copied by
+    ``dict`` (in its order) and the rest deep-copied, nor its record."""
     import copy
 
     jet = random_point_jet(11, m)
-    before = (hash(jet), copy.deepcopy(vars(jet)))
+    maps = ("R_entries", "T_entries", "dT1_entries")
+
+    def state():
+        fields = vars(jet)
+        return (hash(jet), {name: list(dict(fields[name]).items()) for name in maps},
+                copy.deepcopy({k: x for k, x in fields.items() if k not in maps}))
+    before = state()
     for call in (metric_density, part1_density, part2_density, part1_closed,
                  part2_closed, theorem_density, audit):
         call(jet, m)
@@ -812,7 +827,7 @@ def test_no_engine_call_writes_to_a_jet(m):
     ctx.part2("composed")
     assert ctx.part1().value + ctx.part2().value == ctx.theorem().value
     assert ctx.metric().value == -derived_scalars(jet).g_vw
-    assert (hash(jet), vars(jet)) == before
+    assert state() == before
 
 
 def test_audit_report_serializes():
@@ -917,8 +932,9 @@ CHANNEL_SETS = ("sigma_delta", "order2_parts", "products")
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count calls of the per-jet builders through every module binding,
-    and of the ``JetInputs`` channel-set methods by name."""
+    """Count calls of the per-jet builders through every module binding, of
+    the ``JetInputs`` channel-set methods by name and of ``residue._filled``,
+    which makes a table's buckets of emitted channels."""
     import sys
     from collections import Counter
 
@@ -941,6 +957,11 @@ def build_counts(monkeypatch):
             counts[_name] += 1
             return _fn(self, *args, **kwargs)
         monkeypatch.setattr(symbols.JetInputs, name, counted_method)
+
+    def counted_filled(*args, _fn=residue._filled):
+        counts["_filled"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(residue, "_filled", counted_filled)
     return counts
 
 
@@ -952,16 +973,18 @@ def _shares_read_parts(ctx):
 
 
 # what the traced path of one jet's context builds: the derived scalars, the
-# traced sigma_Delta channels, the order -(2mm+2) channels at mm = m - 1 (part
-# 1) and m (sigma_Delta) and the printed products the part-2 trace reads
-TRACED = {"derived_scalars": 1, "sigma_delta": 1, "order2_parts": 2, "products": 1}
+# printed products the part-2 trace reads and the buckets of its two tables of
+# emitted channels (part 1's and sigma_Delta's), and no symbol channel set of
+# an inverse power (``sigma_delta``, ``order2_parts``)
+TRACED = {"derived_scalars": 1, "products": 1, "_filled": 2}
 
 
 def test_audit_builds_each_artifact_once(build_counts):
-    """An audit builds each channel set once: the traced ones, the composed
-    product symbol and, for its lemma-3.6 comparison, the public printed
-    parts from the read products and the products of the rest.  It calls
-    neither public builder of the inverse-power channels."""
+    """An audit builds each channel set once: the traced ones (each table's
+    emitted buckets once), the composed product symbol and, for its lemma-3.6
+    comparison, the public printed parts from the read products and the
+    products of the rest.  It calls neither public builder of the
+    inverse-power channels."""
     audit(random_point_jet(3, 2), 2)
     assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
                             "build_sigma_ab_printed_parts": 1}
@@ -970,7 +993,7 @@ def test_audit_builds_each_artifact_once(build_counts):
 def test_metric_builds_no_inverse_power_channels(build_counts):
     assert metric_density(random_point_jet(3, 2), 2).value
     assert build_counts["build_sigma_delta_inv_parts"] == build_counts["sigma_delta"] == 0
-    assert build_counts["derived_scalars"] == 0
+    assert build_counts["derived_scalars"] == build_counts["_filled"] == 0
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1005,7 +1028,7 @@ def input_reads(monkeypatch):
     of ``_integer_form`` (by the map's id, and the calls and entries in all),
     each map read by ``geometry._read`` (by the map's id, and whether it was
     read orbit by orbit), each read spread by a rule (``geometry._spread``,
-    through both bindings, by channel and rule name) and each decision of
+    through every binding, by channel and rule name) and each decision of
     ``geometry._is_curvature``."""
     import wres_torsion.clifford as clifford
     import wres_torsion.geometry as geometry
@@ -1038,7 +1061,7 @@ def input_reads(monkeypatch):
 
     for mod in (geometry, symbols, clifford):
         monkeypatch.setattr(mod, "_integer_form", int_form)
-    for mod in (geometry, symbols):
+    for mod in (geometry, symbols, residue):
         monkeypatch.setattr(mod, "_spread", spread)
     monkeypatch.setattr(geometry, "_read", read)
     monkeypatch.setattr(geometry, "_is_curvature", is_curvature)
@@ -1063,7 +1086,8 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     are each read once, orbit by orbit, by the derived scalars (whose reads
     the builders take), with no ``_integer_form`` call, no int-form dict of R
     or dT1 (no spread of the map itself, ``_entry``), no ``_is_curvature``
-    decision and one spread per rule they need, and v, w and dw are
+    decision and one spread per rule they need (R's and dT1's traced channels
+    one ``_emitted`` spread each, dT1's for both tables), and v, w and dw are
     converted once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
@@ -1096,14 +1120,14 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert build_counts == TRACED
     # each channel is read once, orbit by orbit, by the derived scalars, with
     # no conversion, and spread once per rule: R into Ric and its Bianchi sums
-    # and into sigma_Delta's traced r_jets, T into its int form (no R or dT1
+    # and into sigma_Delta's emitted r_jets, T into its int form (no R or dT1
     # int form) and its 3-form and rows, dT1 into dT and div T, its 3-forms
-    # and its traced channel terms; only v, w and dw are converted
+    # and the emitted channels of both tables; only v, w and dw are converted
     reads = {("R", "int form"): 0, ("T", "int form"): 0, ("dT1", "int form"): 0,
              ("R", "read whole"): 1, ("T", "read whole"): 1, ("dT1", "read whole"): 1,
-             ("R", "_r_terms"): 1, ("R", "_r_jets traced"): 1, ("T", "_entry"): 1,
+             ("R", "_r_terms"): 1, ("R", "_emitted"): 1, ("T", "_entry"): 1,
              ("T", "_torsion"): 1, ("dT1", "_dt1_terms"): 1, ("dT1", "_torsion"): 1,
-             ("dT1", "_dt traced"): 1, "is_curvature": 0}
+             ("dT1", "_emitted"): 1, "is_curvature": 0}
     assert _jet_reads(input_reads, jet) == reads
     assert input_reads["int_form calls"] <= 3
     assert input_reads["int_form entries"] <= 2 * 6 + 6 * 6  # v, w and at most all of dw
@@ -1130,43 +1154,41 @@ def test_identity_calls_derive_scalars_once_per_jet(build_counts, m):
         total = part1_density(jet, m).value + part2_density(jet, m).value
         assert total == theorem_density(jet, m).value == expected
         assert {name: build_counts[name] - before.get(name, 0)
-                for name in (*BUILDERS, *CHANNEL_SETS)} == {
-            **dict.fromkeys(BUILDERS, 0), **TRACED}
+                for name in (*BUILDERS, *CHANNEL_SETS, *TRACED)} == {
+            **dict.fromkeys((*BUILDERS, *CHANNEL_SETS), 0), **TRACED}
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     """Through part 1, both part-2 sources and the metric, a context builds
-    no bivector row of dT1: its traced channels are read off dT1's orbits,
-    whose templates apply the ``_near`` filter once, when they are built
-    (sigma_Delta's r_jets likewise read R's); it reads each channel once per
-    rule, and its traced order -(2mm+2) families place no r_xx element, whose
-    (a, b) and (b, a) placements cancel."""
-    spreads, placed = [], []
-    real_spread, real_placed = symbols._spread, symbols._placed
+    no bivector row of dT1 and places no order -(2mm+2) family: its traced
+    channels are emitted off dT1's orbits, whose templates apply the
+    ``_near`` filter once, when they are built (sigma_Delta's r_jets likewise
+    off R's), and the grade-0 families are int sums (``read_families``); it
+    reads each channel once per rule, and no bucket entry of either table is
+    tagged r_xx, whose (a, b) and (b, a) placements cancel, or dt4, which no
+    trace reads."""
+    spreads, real_spread = [], symbols._spread
 
     def counted_spread(read, rule, n):
         spreads.append((read.name, getattr(rule, "func", rule).__name__))
         return real_spread(read, rule, n)
 
-    def counted_placed(placements):
-        placements = list(placements)
-        placed.append(len(placements))
-        return real_placed(placements)
-
-    monkeypatch.setattr(symbols, "_spread", counted_spread)
-    monkeypatch.setattr(symbols, "_placed", counted_placed)
+    for mod in (symbols, residue):
+        monkeypatch.setattr(mod, "_spread", counted_spread)
     ctx = PipelineContext(random_point_jet(seed, m), m)
-    assert ctx.dt_terms_read[0]
-    placed.clear()
-    summed = ("div_t", "dt_xx")  # read off dT1's terms, not placed
-    read = dict(zip([name for name in ctx.order2_read if name not in summed], placed))
-    assert len(read) == len(placed) == len(ctx.order2_read) - len(summed)
+    assert ctx.dt_emitted[0] and ctx.dt_emitted[1]
     ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
-    assert sorted(spreads) == [("R", "_r_jets"), ("T", "_torsion"), ("dT1", "_dt"),
+    assert sorted(spreads) == [("R", "_emitted"), ("T", "_torsion"), ("dT1", "_emitted"),
                                ("dT1", "_torsion")]
-    assert read["r_xx"] == 0 and ctx.order2_read["r_xx"][2] == {}
+    # the families are placed by ``order2`` alone, and dT1's whole terms are not read
+    assert not {"order2", "dt_terms"} & set(vars(ctx))
+    shift, tags = residue._tag_shift(ctx.n), set()
+    for _, keys, _, _, buckets in (ctx.part1_buckets, ctx.delta_buckets):
+        tags |= {keys[xi >> shift] for bucket in buckets.values() for xi, _ in bucket}
+    assert not tags & {"r_xx", "dt4", (2, "r_xx"), (2, "dt4")}
+    assert {"ric", "dt_xx", (2, "ric"), (2, "dt_xx"), (1, "dt_jet"), (0, "r_jet")} <= tags
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1174,46 +1196,57 @@ def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypa
     """sigma_Delta's r_jets walk R only over s < t and j <= k, which is
     sound because the context refuses, through its derived scalars, an R
     with R_{bast} != -R_{bats} before any r_jet term is formed (no symbol
-    term at an x-degree, which only R, dT1 and dw give, is formed at all),
-    whichever reader of R is asked first."""
+    term or bucket entry at an x-degree, which only R, dT1 and dw give, is
+    formed at all), whichever reader of R is asked first."""
     import dataclasses
 
-    formed, real_symbol = [], symbols._symbol
+    formed, real_symbol, real_filled = [], symbols._symbol, residue._filled
 
     def counted_symbol(n, nums, den, coeff=1):
         nums = list(nums)
         formed.extend(key for key, _ in nums if key[0])
         return real_symbol(n, nums, den, coeff)
 
+    def counted_filled(n, keys, channels, *parts):
+        formed.extend(key for part in parts for key, _ in part if key[0])
+        return real_filled(n, keys, channels, *parts)
+
     monkeypatch.setattr(symbols, "_symbol", counted_symbol)
+    monkeypatch.setattr(residue, "_filled", counted_filled)
     jet = random_point_jet(0, m)
     (b, a, t, s), x = next((k, x) for k, x in jet.R_entries.items() if k[2] < k[3])
     jet = dataclasses.replace(jet, R_entries={**jet.R_entries, (b, a, s, t): x})
-    for read in (lambda c: c.part1(), lambda c: c.part2(), lambda c: c.delta_inv_parts,
+    for read in (lambda c: c.part1(), lambda c: c.part2(), lambda c: c.delta_buckets,
                  lambda c: c.word_sums, lambda c: c.order2):
         with pytest.raises(ValueError):
             read(PipelineContext(jet, m))
     assert formed == []
-    # the counter sees r_jet's terms when R is sound
-    PipelineContext(random_point_jet(0, m), m).delta_inv_parts
+    # the counter sees r_jet's bucket entries when R is sound
+    PipelineContext(random_point_jet(0, m), m).delta_buckets
     assert formed
 
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     """An audit makes one ``compose`` call, on the composed product symbol's
-    left factor sigma(D_T) at x0, and makes four kernel passes over
-    three bucketings: the dtpow channels are bucketed once for part 1's
-    table, sigma_Delta's 14 channels once for both part-2 tables, and the
-    metric's lead channel once for its one cell.  The printed pass reads the
-    public s2 itself, of s1_tt and s1_dw their grade-2 parts and of each
-    grade-0 channel its scalar part.  No ``SymbolExpr.sum_of`` sums either
-    channel set, and part1, part2 and every ``verify`` check on the traced
+    left factor sigma(D_T) at x0, and makes four kernel passes over two
+    tables of emitted channels and one bucketing: part 1's 8 channels are
+    emitted once for its table, sigma_Delta's 14 once for both part-2
+    tables, and the metric's lead channel is bucketed once for its one cell.
+    The printed pass reads the public s2 itself, of s1_tt and s1_dw their
+    grade-2 parts and of each grade-0 channel its scalar part.  No
+    ``SymbolExpr.sum_of`` sums an inverse-power channel (a term with a norm
+    power), and part1, part2 and every ``verify`` check on the traced
     context read the tables with no further pass."""
     from wres_torsion import cli
 
+    jet = random_point_jet(3, 2)
+    # the right keys of the public builders' channels
+    sigma_delta = [(g, key) for g, parts in enumerate(build_sigma_delta_inv_parts(jet))
+                   for key in parts]
+    dtpow = list(symbols.build_sigma_dtpow_parts(jet))
     composed, buckets, passes, sums = [], [], [], []
     compose, bucketed, trace_table = symbols.compose, residue._bucketed, residue._trace_table
-    sum_of = SymbolExpr.sum_of.__func__
+    sum_of, filled = SymbolExpr.sum_of.__func__, residue._filled
 
     def counted(left, right):
         composed.append(left)
@@ -1222,6 +1255,10 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     def counted_buckets(n, rights):
         buckets.append(list(rights))
         return bucketed(n, rights)
+
+    def counted_filled(n, keys, channels, *parts):
+        buckets.append(list(keys))
+        return filled(n, keys, channels, *parts)
 
     def counted_passes(lefts, right, m):
         passes.append(lefts)
@@ -1233,14 +1270,13 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         return sum_of(cls, n, exprs)
     monkeypatch.setattr(symbols, "compose", counted)
     monkeypatch.setattr(residue, "_bucketed", counted_buckets)
+    monkeypatch.setattr(residue, "_filled", counted_filled)
     monkeypatch.setattr(residue, "_trace_table", counted_passes)
     monkeypatch.setattr(SymbolExpr, "sum_of", classmethod(counted_sums))
-    jet = random_point_jet(3, 2)
     assert audit(jet, 2).ok
     ctx = _held()
-    sigma_delta = [(g, key) for g, parts in enumerate(ctx.delta_inv_parts) for key in parts]
     assert len(sigma_delta) == 14
-    assert buckets == [list(ctx.dtpow_parts), sigma_delta, ["lead"]]
+    assert buckets == [dtpow, sigma_delta, ["lead"]]
     assert [list(lefts) for lefts in passes] == [
         ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
     printed, full = passes[1], ctx.ab_printed_parts
@@ -1250,9 +1286,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         assert printed[key] == SymbolExpr._of(jet.n, {
             k: c for k, c in full[key].nums.items() if k[3].bit_count() == grade},
             full[key].den, full[key].phase), key
-    channels = {id(part) for part in ctx.dtpow_parts.values()} | {
-        id(part) for parts in ctx.delta_inv_parts for part in parts.values()}
-    assert sums and not any(id(e) in channels for exprs in sums for e in exprs)
+    assert sums and not any(key[2] for exprs in sums for e in exprs for key in e.nums)
     sigma = at_x0(sum_of(SymbolExpr, jet.n, symbols.build_sigma_dt(jet)))
     assert composed == [sigma]
     count = (len(composed), len(buckets), len(passes))
@@ -1290,7 +1324,8 @@ _PART2_ROWS = {
 def test_audit_rows_and_totals_match_the_summed_path():
     """Every audit row and the part-1, part-2 and composed-shift totals (and
     the metric) equal one trace of the row's channels summed on each side,
-    off a fresh context: by the moment oracle on ``symbols.compose`` at
+    the traced channels as symbols (``traced_channels``, off a fresh
+    context): by the moment oracle on ``symbols.compose`` at
     m = 2 and on the one-hot jets, by the one-cell kernel on the m = 3
     seeds.  The rows are read off shared tables, so they add up to the
     totals by construction; this checks both against a path that sums
@@ -1304,9 +1339,9 @@ def test_audit_rows_and_totals_match_the_summed_path():
         for jet, pairs in jets:
             report, ctx = audit(jet, m), PipelineContext(jet, m)
             engine = {e.label: e.engine for e in report.entries}
-            sigma = ctx.delta_inv_parts
+            dtpow, sigma = traced_channels(ctx)
             expected = {f"I-{label}": _summed_trace([ctx.cvw], [part], m, pairs)
-                        for label, part in zip("ABCDEFGH", ctx.dtpow_parts.values())}
+                        for label, part in zip("ABCDEFGH", dtpow.values())}
             for label, (lefts, g, rights) in _PART2_ROWS.items():
                 expected[label] = _summed_trace(
                     [ctx.ab_printed_parts[key] for key in lefts],
@@ -1314,7 +1349,7 @@ def test_audit_rows_and_totals_match_the_summed_path():
                     m, pairs)
             assert engine == expected, (m, jet)
             everything = [part for parts in sigma for part in parts.values()]
-            p1 = _summed_trace([ctx.cvw], ctx.dtpow_parts.values(), m, pairs)
+            p1 = _summed_trace([ctx.cvw], dtpow.values(), m, pairs)
             p2 = _summed_trace(ctx.ab_printed_parts.values(), everything, m, pairs)
             shift = _summed_trace(ctx.ab_composed, everything, m, pairs) - p2
             metric = _summed_trace([ctx.cvw], [symbols.build_sigma_delta_lead(jet)], m, pairs)
@@ -1599,6 +1634,93 @@ def test_traced_table_cells_match_the_full_public_channels(m):
             assert table.trace() == full.trace()
 
 
+def _bucket_values(bucketed):
+    """(right keys, phase, {(bucket key, tagged xi-code): nonzero summed value
+    over the table's denominator}) of a ``Bucketed``."""
+    n, keys, den, phase, buckets = bucketed
+    sums = {}
+    for key, entries in buckets.items():
+        for xi, r in entries:
+            sums[key, xi] = sums.get((key, xi), 0) + r
+    return keys, phase, {k: Fraction(r, den) for k, r in sums.items() if r}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow)
+                                              for m in (5, 6, 7, 8))])
+def test_emitted_buckets_match_the_traced_channels(m):
+    """Part 1's and sigma_Delta's buckets, emitted off R's and dT1's orbit
+    templates and the int sums with no symbol, hold per (bucket key, tagged
+    xi-code) the value that ``_bucketed`` gives the traced channels as
+    symbols (``traced_channels``), under the same right keys and phase: on
+    every front's jet (``_front_jets``: each ``with_*`` flag off, parsed,
+    made, one-hot) and on the first one's hand-built and replaced copies,
+    which are read entry by entry."""
+    jets = _front_jets(m)
+    jets += [_hand_built(jets[0]), dataclasses.replace(jets[0])]
+    for jet in jets:
+        ctx = PipelineContext(jet, m)
+        dtpow, delta = traced_channels(ctx)
+        oracle = (residue._bucketed(jet.n, dtpow), residue._bucketed(jet.n, {
+            (g, name): part for g, parts in enumerate(delta) for name, part in parts.items()}))
+        for got, expected in zip((ctx.part1_buckets, ctx.delta_buckets), oracle):
+            assert _bucket_values(got) == _bucket_values(expected), (m, jet)
+    assert _bucket_values(oracle[1])[2]
+
+
+@pytest.mark.parametrize("rule, broken, error, message", [
+    (rule, broken, error, message) for rule in ("_R_EMITTED", "_DT_EMITTED")
+    for broken, error, message in (("word", ValueError, "breaks the phase rule"),
+                                   ("xi", PipelineError, "cannot be packed"))])
+def test_emission_checks_each_template_term(monkeypatch, rule, broken, error, message):
+    """R's and dT1's templates check each term of their traced rule once,
+    when they are built, as ``_symbol`` and ``_bucketed`` checked each
+    channel term: a term whose key breaks the phase rule of its phase-0
+    channel (a word of the other grade parity) raises ValueError, and one
+    whose xi-code could carry in the kernel (an exponent past 127)
+    PipelineError."""
+    emitting = getattr(residue, rule)
+    n = 4
+
+    def bent(index, n, _rule=emitting.keywords["rule"]):
+        for part, (x, xi, p, word), c in _rule(index, n):
+            if broken == "word":
+                word ^= 1 << n - 1
+            else:
+                xi += 200 * ((1 << 8 * n) + 1)
+            yield part, (x, xi, p, word), c
+    monkeypatch.setattr(residue, rule, partial(emitting.func, rule=bent,
+                                               outs=emitting.keywords["outs"]))
+    with pytest.raises(error, match=message):
+        PipelineContext(random_point_jet(0, n // 2), n // 2).part2()
+
+
+def test_a_certified_jet_forms_nine_symbols_and_one_bucketing(monkeypatch):
+    """The six public calls of a certification of one m = 3 jet form at most
+    nine symbols through ``symbols._symbol`` (sigma_Delta's lead, c(v)c(w)
+    and the seven printed channels) and bucket one channel set
+    (``_bucketed``, the metric's lead): every inverse-power channel of parts
+    1 and 2 is emitted into its table's buckets."""
+    from collections import Counter
+
+    calls, symbol, bucketed = Counter(), symbols._symbol, residue._bucketed
+
+    def counted_symbol(*args):
+        calls["_symbol"] += 1
+        return symbol(*args)
+
+    def counted_bucketed(*args):
+        calls["_bucketed"] += 1
+        return bucketed(*args)
+    monkeypatch.setattr(symbols, "_symbol", counted_symbol)
+    monkeypatch.setattr(residue, "_bucketed", counted_bucketed)
+    jet, m = random_point_jet(4, 3), 3
+    p1, p2 = part1_density(jet, m).value, part2_density(jet, m).value
+    assert p1 == part1_closed(jet, m).value and p2 == part2_closed(jet, m).value
+    assert p1 + p2 == theorem_density(jet, m).value
+    assert metric_density(jet, m).value == -derived_scalars(jet).g_vw
+    assert calls["_symbol"] <= 9 and calls["_bucketed"] == 1
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_delta_buckets_serve_the_spectral_torsion_channels(m):
     """The spectral-torsion left channels c(u)c(v)c(w) sigma_1(D_T) and
@@ -1630,14 +1752,18 @@ def test_delta_buckets_serve_the_spectral_torsion_channels(m):
 
 def test_traced_channels_bucket_fewer_entries():
     """The traced sigma_Delta channels and part-1 channels hold fewer terms
-    than the full ones on a dense jet, and the traced grade-4 dt4 is empty."""
+    than the full ones on a dense jet, and so do the tables' emitted buckets
+    (one entry per term); the traced grade-4 dt4 is empty."""
     jet = random_point_jet(1, 3)
     ctx = PipelineContext(jet, 3)
     size = lambda parts: sum(len(e.nums) for e in parts.values())
-    traced = sum(map(size, ctx.delta_inv_parts))
+    entries = lambda bucketed: sum(map(len, bucketed[4].values()))
+    dtpow, delta = traced_channels(ctx)
+    traced = sum(map(size, delta))
     assert 2 * traced < sum(map(size, build_sigma_delta_inv_parts(jet)))
-    assert 2 * size(ctx.dtpow_parts) < size(symbols.build_sigma_dtpow_parts(jet))
-    assert not ctx.dtpow_parts["dt4"] and not ctx.delta_inv_parts[2]["dt4"]
+    assert 2 * size(dtpow) < size(symbols.build_sigma_dtpow_parts(jet))
+    assert (entries(ctx.delta_buckets), entries(ctx.part1_buckets)) == (traced, size(dtpow))
+    assert not dtpow["dt4"] and not delta[2]["dt4"]
     assert symbols.build_sigma_dtpow_parts(jet)["dt4"]
 
 

@@ -1258,10 +1258,77 @@ def test_orbit_read_channels_match_the_entry_walks(m):
         inputs = symbols.JetInputs(jet)
         assert _raw(inputs.forms) == (t_forms, dt_forms) and _raw(inputs.rows) == t_rows
         for traced, dt_walked, r_walked in zip((False, True), dt, r_jets):
-            terms = inputs.dt_terms_read if traced else inputs.dt_terms
+            terms = dt_terms_read(inputs) if traced else inputs.dt_terms
             assert [_values(t, d_dt1) for t in terms] == dt_walked
             got = geometry._spread(inputs.reads["R"], symbols._R_JETS[traced], n)
             assert (_values(got[0], den), _values(got[1], den)) == r_walked
+
+
+# ---------------------------------------------------------------------------
+# the traced channels as symbols: the oracle of the emitted buckets
+# ---------------------------------------------------------------------------
+
+def dt_terms_read(inputs):
+    """dT1's traced channel terms (``symbols._dt`` with ``traced``): sigma_Delta's
+    dt_jet and the dt_xx and div_t families on the words a trace reads."""
+    return geometry._spread(inputs.reads["dT1"], symbols._DT[True], inputs.n)
+
+
+def order2_read(inputs):
+    """The order -(2mm+2) families as ``JetInputs.order2`` forms them, on the
+    terms a trace reads: tau_a tau_b on grade 0 alone, dt4 empty and dT1's
+    families off its traced terms."""
+    n, der, pairs, (ric, ric_den), tau = inputs.n, inputs.derived, symbols._pairs(inputs.n), \
+        inputs.ric, inputs.rows
+    (_, dt_xx, div_t), den = dt_terms_read(inputs), inputs.reads["dT1"].den
+    scalar = der.s / 4 - Fraction(3, 4) * der.norm_t2
+    tt = {(a, b): symbols._graded(tau[a], tau[b], (0,))
+          for a, b in itertools.combinations_with_replacement(tau, 2)}
+    families = {
+        "ric": [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
+                for (a, b), x in ric.items()],
+        "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
+        "tt_scalar": [(0, tt[a, a]) for a in tau], "r_xx": [], "dt4": [],
+        "e_scalar": [(0, CliffordElement._of(n, {0: scalar.numerator} if scalar else {},
+                                             scalar.denominator))]}
+    summed = {"div_t": (div_t, den), "dt_xx": (dt_xx, den)}
+    return {name: (*symbols._ORDER2[name], *(summed.get(name) or symbols._placed(
+        (0, xideg, 0, e) for xideg, e in families[name]))) for name in symbols._ORDER2}
+
+
+def order2_parts_read(inputs, mm, even=False):
+    """``JetInputs.order2_parts`` of the traced families (``even``: only the
+    terms at even xi-monomials, all that an x-free, xi-free left factor
+    reads)."""
+    odd, scales = symbols._ones(inputs.n) if even else 0, symbols._scales(mm)
+    return {name: symbols._symbol(inputs.n, (((x, xi, p, w), k) for (x, xi, _, w), k
+                                             in nums.items() if not xi & odd), den, c)
+            for name, (_, _, nums, den) in order2_read(inputs).items()
+            for c, p in [scales[name]]}
+
+
+def traced_channels(inputs):
+    """(part 1's channels, sigma_Delta's three channel dicts) as symbols on the
+    terms the context's traces read: the inverse (2m-2)-th power's order -2m
+    channels at even xi-monomials, and the channels of
+    ``build_sigma_delta_inv_parts`` by the traced rules and families.  The
+    context emits its buckets with no symbol; ``_bucketed`` of these is what
+    they must equal."""
+    m, n, p = inputs.jet.m, inputs.n, -inputs.n - 2
+    r_m, c_t, c_ric, c_r = symbols._delta(m)
+    c_t, c_ric, c_r = (GaussianRational(0, c) for c in (c_t, c_ric, c_r))
+    R, dT1, (ric, ric_den), units = inputs.reads["R"], inputs.reads["dT1"], inputs.ric, [
+        symbols._unit(n, a) for a in range(n)]
+    r_jets = geometry._spread(R, symbols._R_JETS[True], n)
+    parts_m = {"lead": inputs.lead, "r_jet": symbols._symbol(n, r_jets[0].items(), R.den, r_m)}
+    parts_m1 = {
+        "ric_jet": symbols._symbol(n, (((units[b], units[a], p, 0), x) for (a, b), x
+                                       in ric.items()), ric_den, c_ric),
+        "tt": symbols._family(n, [(0, units[a], p, row) for a, row in inputs.rows.items()], c_t),
+        "r_jet": symbols._symbol(n, r_jets[1].items(), R.den, c_r),
+        "dt_jet": symbols._symbol(n, dt_terms_read(inputs)[0].items(), dT1.den, c_t)}
+    return order2_parts_read(inputs, m - 1, even=True), (parts_m, parts_m1,
+                                                           order2_parts_read(inputs, m))
 
 
 # ---------------------------------------------------------------------------
@@ -1385,7 +1452,7 @@ def test_sigma_delta_r_jets_match_the_old_walks(m):
     for jet in _m_fit_jets(m):
         inputs = symbols.JetInputs(jet)
         for traced in (False, True):
-            parts_m, parts_m1, _ = inputs.sigma_delta(traced)
+            parts_m, parts_m1, _ = traced_channels(inputs)[1] if traced else inputs.sigma_delta()
             old_m, old_m1 = _old_r_jets(inputs, traced)
             assert old_m and old_m1, (m, traced)
             for new, old in ((parts_m["r_jet"], old_m), (parts_m1["r_jet"], old_m1)):
@@ -1672,9 +1739,11 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
     derived scalars hand on, equals the one built from the jet's maps, each
     converted anew: R's read expanded and Ric's int form against
     ``_integer_form`` of ``jet.R_entries`` and of ``derived.ric``, the torsion
-    3-forms and T's rows by the map reader above, dT1's channel terms by the
-    walk over its rows (``_walked_dt_channels``, by value), the sums and
-    order -(2mm+2) families from those, and c(v), c(w) and c(v) sum (d_j
+    3-forms and T's rows by the map reader above, dT1's channel terms, whole
+    and (``dt_terms_read``) traced, by the walk over its rows
+    (``_walked_dt_channels``, by value), the sums and order -(2mm+2) families
+    from those (and their grade-0 part, by value, the traced families of
+    ``read_families``), and c(v), c(w) and c(v) sum (d_j
     w_g) c_j c_g from the jet's rational vectors and the generators'
     products (on seeds 0-4, the one-hot coefficient jets, the jets with one
     channel off and a constant curvature 1/(n-1), whose Ric is integral
@@ -1701,7 +1770,7 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         oracle = {
             "cv": cv, "cw": CliffordElement.from_vector(n, jet.w), "cv_dw": cv * dw,
             "ric": ric, "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
-            "rows": rows, "dt_terms": tuple(walked[0]), "dt_terms_read": tuple(walked[1]),
+            "rows": rows, "dt_terms": tuple(walked[0]),
             "word_sums": {b: e for b in range(n)
                           if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
             # the families of JetInputs.order2 over the inputs converted anew
@@ -1714,6 +1783,15 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         assert (geometry._spread(read, geometry._entry, n)[0], read.den) == curvature
         for name, expected in oracle.items():
             assert _raw(getattr(inputs, name)) == _raw(expected), name
+        assert _raw(tuple(dt_terms_read(inputs))) == _raw(tuple(walked[1]))
+        assert {name: _by_xi(*form) for name, form in inputs.read_families.items()} == {
+            name: _by_xi({xi: c for (_, xi, _, w), c in nums.items() if not w}, den)
+            for name, (_, _, nums, den) in oracle["order2"].items() if name in inputs.read_families}
+
+
+def _by_xi(nums, den):
+    """xi-code -> the nonzero value of its numerator over ``den``."""
+    return {xi: Fraction(c, den) for xi, c in nums.items() if c}
 
 
 def _over(den, nums, d):
