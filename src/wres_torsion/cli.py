@@ -453,12 +453,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_checks(raw: str) -> Sequence[str]:
-    """The named checks, each once, in order of first mention."""
+    """The named checks, each once, in order of first mention (at least one)."""
     names = list(dict.fromkeys(x.strip() for x in raw.split(",") if x.strip()))
+    if not names:
+        raise UsageError(f"empty check selection {raw!r}")
     for name in names:
         if name not in ALL_CHECKS and name != "all":
             raise UsageError(f"unknown check {name!r}")
-    if not names or "all" in names:
+    if "all" in names:
         return ALL_CHECKS
     return tuple(names)
 

@@ -17,9 +17,9 @@ xi-code (no derivative table).  It adds xi-codes tagged with the (left,
 right) cell and sums int products per tagged code, then per cell and moment
 degree, reading memoised moments derived from ``sphere_moment``; any set of
 cells then traces to one Fraction (``TraceTable.trace``).  The one-cell case
-is ``_leibniz_trace``, which ``trace_integral`` takes with the identity symbol
-on the left (its only alpha is ()).  A left x0 term with a norm power is
-refused by name, as in ``symbols.compose`` (``_norm_power``).
+is ``_leibniz_trace``; ``trace_integral`` is the one cell of the identity
+symbol (its only alpha is ()) with a traceable right channel.  A left x0
+term with a norm power is refused by name, as in ``symbols.compose``.
 
 The two density pipelines:
 
@@ -39,9 +39,9 @@ spectral Einstein density
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and composed builder, so each symbol, the derived
 scalars and each trace table are built once per jet.  The right channels of
-the part-1 and part-2 tables, on the terms their traces read, are emitted
-straight into the kernel's buckets with no symbol: R's and dT1's off their
-orbits' templates (``_emitted``), the rest from ``JetInputs``' int sums.
+the part-1, part-2 and metric tables, on the terms their traces read, reach
+the kernel's buckets with no symbol, each term by one rule (``_entries``):
+R's and dT1's off their orbits' templates, the rest from ``JetInputs.sums``.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, one row each of ``_audit_rows``, read off the cells of the part-1 or
@@ -66,8 +66,8 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 from .clifford import word_indices
 from .geometry import DerivedScalars, PointJet, _spread
 from .numerics import I, ONE, format_rational
-from .symbols import (_DT, _ORDER2, _R_JETS, JetInputs, SymbolExpr, _decode, _delta, _key,
-                      _leibniz_alphas, _norm_power, _ones, _pairs, _phase_error, _scales, _unit,
+from .symbols import (_DT, _ORDER2, _R_JETS, JetInputs, SymbolExpr, _decode, _delta, _key, _lead,
+                      _leibniz_alphas, _norm_power, _ones, _phase_error, _scales,
                       build_sigma_ab_composed, build_sigma_ab_printed_parts, printed_grades)
 
 # ---------------------------------------------------------------------------
@@ -155,18 +155,8 @@ class PipelineError(ValueError):
 _I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
 
 
-def _require_traceable(expr: SymbolExpr, m: int) -> None:
-    """Raise unless every term is x-free of xi-homogeneity -2m."""
-    s = 8 * expr.n
-    for x, xi, p, _ in expr.nums:
-        if x:
-            raise PipelineError("trace integral of an x-dependent expression")
-        if (xi >> s) + p != -2 * m:
-            raise PipelineError(
-                f"term has xi-homogeneity {(xi >> s) + p}, expected {-2 * m}")
-
-
 _MOMENTS: Dict[Tuple[int, int], Tuple[int, int]] = {}
+_LEADS: Dict[int, Dict[Tuple[Tuple, int], int]] = {}  # sigma_Delta's lead's entries, per n
 
 
 def _unpackable(xi: int, n: int) -> PipelineError:
@@ -210,12 +200,11 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     Requires an x-independent expression of pure xi-homogeneity -2m; the
     norm factors are 1 on the sphere.  Only the identity word is traced
     (nonempty canonical words are traceless), a term contributes i^(|nu| -
-    phase) r times its moment, and an exponent of 128 or more raises.  This
-    is ``_leibniz_trace`` of the identity symbol, whose only alpha is (),
-    with ``expr``.
+    phase) r times its moment, and an exponent of 128 or more raises: the
+    one-cell table of the identity symbol (only alpha = ()) with ``expr``.
     """
-    _require_traceable(expr, m)
-    return Density(_leibniz_trace(SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0), expr, m))
+    return Density(_trace_table({0: SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0)},
+                                _require_traceable(_bucketed(expr.n, {0: expr}), m), m).trace())
 
 
 class TraceTable(NamedTuple):
@@ -303,31 +292,49 @@ def _bucketed(n: int, rights: Dict[Hashable, SymbolExpr]) -> Bucketed:
     return n, list(rights), den, phase, buckets
 
 
+def _require_traceable(bucketed: Bucketed, m: int) -> Bucketed:
+    """``bucketed``, whose every key must be x-free at xi-order -2m."""
+    for x, _, _, order in bucketed[4]:
+        if x:
+            raise PipelineError("trace integral of an x-dependent expression")
+        if order != -2 * m:
+            raise PipelineError(f"term has xi-homogeneity {order}, expected {-2 * m}")
+    return bucketed
+
+
 # sigma_Delta's channels, keyed (g, name) for the order -2m-g; part 1's are _ORDER2's
 DELTA_KEYS = ((0, "lead"), (0, "r_jet"), (1, "ric_jet"), (1, "tt"), (1, "r_jet"), (1, "dt_jet"),
               *((2, name) for name in _ORDER2))
 
 
-def _emitted(index, n: int, rule, outs) -> List[Tuple[int, Tuple[Tuple, int], int]]:
-    """The traced ``rule``'s terms at ``index`` as entries (table, (bucket key,
-    tagged xi-code), int) of each right channel (table, index, norm power + n,
-    imag, even) of ``outs[part]``: keyed as ``_bucketed`` keys a term moved to
-    that norm power, times mu! and i^(|nu| + grade - imag), whose odd power
-    breaks the phase rule (ValueError), and none at an odd xi-monomial where
-    ``even``.  ``_spread`` sums them into its templates, once per orbit."""
-    s, odd, shift, out = 8 * n, _ones(n), _tag_shift(n), []
+def _entries(n: int, j: int, nums: Iterable[Tuple[Tuple, int]], imag: int, p: int,
+             even: int) -> Dict[Tuple[Tuple, int], int]:
+    """The one way into a table's buckets: right channel j's terms, (symbol
+    key, c) pairs of i^imag c x^mu xi^nu word, at the norm power p as entries
+    (bucket key, xi-code tagged j) -> mu! i^(|nu| + grade - imag) c, keyed as
+    ``_bucketed`` keys them; an odd power of i breaks the phase rule, an
+    exponent past 127 is ``_unpackable``, and ``even`` skips odd xi^nu."""
+    s, odd, tag, out = 8 * n, _ones(n), j << _tag_shift(n), {}
     high, twos = odd << 7, odd << 1
-    for part, key, c in rule(index, n):
+    for key, c in nums:
         x, xi, _, word = key
-        for table, j, p, imag, even in outs[part]:
-            if (e := (xi >> s) + word.bit_count() - imag) & 1:
-                raise _phase_error(key, c, imag, n)
-            if xi & high:
-                raise _unpackable(xi, n)
-            if not (even and xi & odd):
-                out.append((table, ((x, word, xi & odd, (xi >> s) + p - n), xi + (j << shift)),
-                            (-c if e & 2 else c) * (2 if x & twos else 1)))
+        if (e := (nu := xi >> s) + word.bit_count() - imag) & 1:
+            raise _phase_error(key, c, imag, n)
+        if xi & high:
+            raise _unpackable(xi, n)
+        if not (even and xi & odd):
+            out[(x, word, xi & odd, nu + p), xi + tag] = (
+                (-c if e & 2 else c) * (2 if x & twos else 1))
     return out
+
+
+def _emitted(index, n: int, rule, outs) -> List[Tuple[int, Tuple[Tuple, int], int]]:
+    """The traced ``rule``'s terms at ``index`` as (table, entry, int): each
+    term's ``_entries`` as channel (table, j, norm power + n, imag, even) of
+    ``outs[part]``, which ``_spread`` sums into its templates once per orbit."""
+    return [(table, *entry) for part, key, c in rule(index, n)
+            for table, j, p, imag, even in outs[part]
+            for entry in _entries(n, j, ((key, c),), imag, p - n, even).items()]
 
 
 # per part of the rule: R's r_jets of orders -2m, -2m-1; dT1's dt_jet and its dt_xx and
@@ -453,18 +460,16 @@ class PipelineContext(JetInputs):
     """The per-(jet, m) artifacts of the density pipelines, each built once.
 
     The context is the builders' ``JetInputs`` (the derived scalars, c(v),
-    c(w) and the jet's tensors converted once), the one argument of every
-    builder it calls through this module's bindings.  Every field is built on
-    first use and reused by every later consumer: c(v)c(w), the printed
-    channels built on the terms a table reads, the printed grades (the read
-    products plus the other grades) and the composed ones, dT1's emitted
-    entries, part 1's and sigma_Delta's buckets of emitted channels, and the
-    trace tables of part 1, the metric and both part-2 sources, whose cells
-    the densities and the audit rows read;
-    then the ``COMPARISONS`` and the product symbol's three grade equalities,
-    which the audit and the CLI read.
-    The public calls on one jet in a row share the context ``_context`` holds
-    (the CLI makes one per jet).  A jet whose dimension is not 2m is rejected
+    c(w), the jet's tensors converted once and the int sums), the one argument
+    of every builder it calls through this module's bindings.  Every field is
+    built on first use and reused: c(v)c(w), the printed channels on the terms
+    a table reads, the printed and composed grades, the emitted entries of
+    sigma_Delta's lead and of dT1, the buckets of part 1's and sigma_Delta's
+    emitted channels, and the trace tables of part 1, the metric and both
+    part-2 sources, whose cells the densities and the audit rows read; then
+    the ``COMPARISONS`` and the product symbol's three grade equalities.  The
+    public calls on one jet in a row share the context ``_context`` holds (the
+    CLI makes one per jet).  A jet whose dimension is not 2m is rejected
     before any field is built.
     """
 
@@ -493,58 +498,46 @@ class PipelineContext(JetInputs):
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self)
 
+    # sigma_Delta's leading channel, for its table and the metric's (index 0 in both)
+    lead_entries = cached_property(lambda self: _LEADS.get(self.n) or _LEADS.setdefault(
+        self.n, _entries(self.n, 0, _lead(self.n), 0, -self.n - 2, False)))
+
     def _families(self, table: int):
         """(entries, channels) of ``table``'s order -(2mm+2) channels, mm = m
-        (or m - 1, part 1): ``read_families`` at the xi-order -2mm-2, i^|nu| r
-        at nu (even nu alone in part 1), and each (c mm (mm+1)^q, den)."""
-        s, odd, shift, out, mm = 8 * self.n, _ones(self.n), _tag_shift(self.n), {}, self.m - table
-        families, den = self.read_families, self.reads["dT1"].den
-        for name, (nums, _) in families.items():
-            tag = DELTA_KEYS.index((2, name)) - 6 * table << shift
-            for xi, c in nums.items():
-                if not (table and xi & odd):
-                    out[(0, 0, xi & odd, -2 * mm - 2), xi + tag] = -c if xi >> s & 2 else c
-        return out, [(c, families.get(name, (0, den))[1]) for name, (c, _) in _scales(mm).items()]
+        (or m - 1, part 1): the grade-0 ``sums`` at their norm powers, and each
+        (c mm (mm+1)^q, den)."""
+        sums, den, scales = self.sums, self.reads["dT1"].den, _scales(self.m - table)
+        return [_entries(self.n, 6 - 6 * table + j, sums[name][0].items(), 0, p, table)
+                for j, (name, (_, p)) in enumerate(scales.items()) if sums.get(name, ({},))[0]], [
+            (c, sums.get(name, (0, den))[1]) for name, (c, _) in scales.items()]
 
     @cached_property
     def part1_buckets(self) -> Bucketed:
         """Part 1's channels at the even xi-monomials c(v)c(w) reads, as the
-        kernel's buckets, each x-free at xi-order -2m (else PipelineError)."""
+        kernel's buckets."""
         entries, channels = self._families(1)
-        out = _filled(self.n, _ORDER2, channels, entries, self.dt_emitted[1])
-        for x, _, _, order in out[4]:
-            if x or order != -2 * self.m:
-                raise PipelineError("trace integral of an x-dependent expression" if x else
-                                    f"term has xi-homogeneity {order}, expected {-2 * self.m}")
-        return out
+        return _require_traceable(_filled(self.n, _ORDER2, channels, *entries,
+                                           self.dt_emitted[1]), self.m)
 
     part1_table = cached_property(
         lambda self: _trace_table({"cvw": self.cvw}, self.part1_buckets, self.m))
-
-    @cached_property
-    def metric_table(self) -> TraceTable:
-        """c(v)c(w) against sigma_Delta's lead symbol, checked as part 1's are."""
-        _require_traceable(self.lead, self.m)
-        return _trace_table({"cvw": self.cvw}, _bucketed(self.n, {"lead": self.lead}), self.m)
+    # c(v)c(w) against sigma_Delta's lead, checked as part 1's channels are
+    metric_table = cached_property(lambda self: _trace_table({"cvw": self.cvw}, _require_traceable(
+        _filled(self.n, ("lead",), [(1, 1)], self.lead_entries), self.m), self.m))
 
     @cached_property
     def delta_buckets(self) -> Bucketed:
         """sigma_Delta's channels as the kernel's buckets, for both part-2
-        tables: R's and dT1's off their templates, the families, and lead,
-        ric_jet (off Ric) and tt (off T's rows), at the indices 0, 2 and 3 of
-        ``DELTA_KEYS``, with their signs i^(|nu| + grade - imag): -1, 1, -1."""
-        m, n, (ric, d_ric), t = self.m, self.n, self.ric, _tag_shift(self.n)
-        units, pairs, (r_m, c_t, c_ric, c_r) = [_unit(n, a) for a in range(n)], _pairs(n), _delta(m)
-        out, families = self._families(0)
-        out.update((((0, 0, 0, -2 * m), pairs[a][a]), -1) for a in range(n))
-        out.update((((units[b], 0, 1 << 8 * a, -2 * m - 1), units[a] + (2 << t)), x)
-                   for (a, b), x in ric.items())
-        out.update((((0, w, 1 << 8 * f, -2 * m - 1), units[f] + (3 << t)), -x)
-                   for (f, w), x in self.t_terms[1].items())
-        R, T, dT1 = (self.reads[name].den for name in ("R", "T", "dT1"))
-        return _filled(n, DELTA_KEYS, [(1, 1), (r_m, R), (c_ric, d_ric), (c_t, T), (c_r, R),
-                                       (c_t, dT1), *families],
-                       out, _spread(self.reads["R"], _R_EMITTED, n)[0], self.dt_emitted[0])
+        tables: R's and dT1's off their templates, and the lead, ric_jet, tt
+        and the families by ``_entries``."""
+        m, n, (ric, d_ric), (tt, d_t) = self.m, self.n, self.sums["ric_jet"], self.sums["tt"]
+        (r_m, c_t, c_ric, c_r), R, dT1 = _delta(m), self.reads["R"].den, self.reads["dT1"].den
+        families, channels = self._families(0)
+        return _filled(n, DELTA_KEYS, [(1, 1), (r_m, R), (c_ric, d_ric), (c_t, d_t), (c_r, R),
+                                       (c_t, dT1), *channels],
+                       self.lead_entries, _entries(n, 2, ric.items(), 1, -n - 2, False),
+                       _entries(n, 3, tt.items(), 1, -n - 2, False), *families,
+                       _spread(self.reads["R"], _R_EMITTED, n)[0], self.dt_emitted[0])
 
     printed_table = cached_property(
         lambda self: _trace_table(self.printed(self.read_products), self.delta_buckets, self.m))

@@ -61,8 +61,8 @@ c(e_s)c(e_t) exactly as in the trusted heat-coefficient inputs; the same
 pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
 Each channel is defined once, in full or on the terms that ``residue``'s
 traces read (``JetInputs``); the latter reach no symbol: ``residue`` emits
-the traced rules' terms and the int sums of ``read_families`` into its trace
-kernel's buckets.
+the traced rules' terms and the int sums of ``JetInputs.sums``, which the
+public channels read too, into its trace kernel's buckets.
 """
 
 from __future__ import annotations
@@ -187,8 +187,13 @@ class SymbolExpr:
     @classmethod
     def from_clifford(cls, elem: CliffordElement, *, xdeg: Deg | None = None,
                       xideg: Deg | None = None, normpow: int = 0) -> "SymbolExpr":
-        """The rational Clifford element as one term family of the given degrees."""
+        """The Clifford element as one term family of the given degrees; an
+        exact coefficient that is not a rational (a ``GaussianRational``)
+        enters as through ``SymbolExpr(n, terms)``."""
         x0 = (0,) * elem.n
+        if any(type(c) is not int for c in elem.nums.values()):
+            return cls(elem.n, {(xdeg or x0, xideg or x0, normpow, w): c
+                                for w, c in elem.terms.items()})
         x, xi = _coded((xdeg or x0, xideg or x0, 0, 0), elem.n)[:2] if xdeg or xideg else (0, 0)
         return _family(elem.n, [(x, xi, normpow, elem)])
 
@@ -560,27 +565,25 @@ class JetInputs:
     c(w) and c(v) c(dw) (s2 and each P_f = c(v) c_f c(w) follow from the one
     c(v) c(w) by the Clifford relation), the word sums (off Ric), T's terms
     (``t_terms``), its and dT1's 3-forms (``forms``) and T's bivector rows
-    (``rows``, which only the public builders read),
-    dT1's channel terms (``dt_terms``), the mm-free order -(2mm+2) families
-    (r_xx empty: its (a, b) and (b, a) placements cancel), sigma_Delta's
-    leading channel (``lead``, which a context's metric also traces) and the
-    printed product symbol's channels.  Each product-symbol builder takes a
-    jet or this object as its one argument, and makes its own from a jet.
+    (``rows``, which only the public builders read), dT1's channel terms
+    (``dt_terms``), seven channels' int sums (``sums``), the order -(2mm+2)
+    families and the printed product symbol's channels.  Each product-symbol
+    builder takes a jet or this object as its one argument.
 
     Each channel is defined once, whole for the public builders or on the
-    terms a context's traces read (``read_products``, ``read_families`` and
-    the traced rules, whose terms ``residue`` emits into its trace kernel's
-    buckets), as tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no
-    moment.  (1) The order -(2mm+2) families meet c(v) c(w) (at even
-    xi-monomials only), s2 and the composed grade 2, of grades 0 and 2: tau_a
-    tau_b is read on grade 0, dt4 not at all.  (2) sigma_Delta's x^2 r_jet
-    meets xi^2 terms at |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and
-    dt_jet, and dt_xx, meet s2 and the composed grade 2 at xi_a xi_b, where
-    by c(v) c_a c(w) c_b + c(v) c_b c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b
-    c(v) c_a - 2 w_a c(v) c_b no word at a != b misses both e_a and e_b (the
-    traced rules ``_r_jets`` and ``_dt`` keep no other).  (4) s1 meets only
-    sigma_Delta's bivector tt, s0 only its scalars: grades 2 and 0.  A full
-    printed channel adds the other grades to them (``full_products``)."""
+    terms a context's traces read (``read_products``, ``sums`` and the traced
+    rules, whose terms ``residue`` emits into its trace kernel's buckets), as
+    tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
+    The order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only),
+    s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b is read on
+    grade 0, dt4 not at all.  (2) sigma_Delta's x^2 r_jet meets xi^2 terms at
+    |alpha| = 2: its xi_a^2 terms.  (3) Its x^1 r_jet and dt_jet, and dt_xx,
+    meet s2 and the composed grade 2 at xi_a xi_b, where by c(v) c_a c(w) c_b
+    + c(v) c_b c(w) c_a = 2 delta_ab c(v) c(w) - 2 w_b c(v) c_a - 2 w_a c(v)
+    c_b no word at a != b misses both e_a and e_b (the traced rules
+    ``_r_jets`` and ``_dt`` keep no other).  (4) s1 meets only sigma_Delta's
+    bivector tt, s0 only its scalars: grades 2 and 0.  A full printed channel
+    adds the other grades to them (``full_products``)."""
 
     def __init__(self, jet: PointJet):
         self.jet, self.n = jet, jet.n
@@ -589,7 +592,6 @@ class JetInputs:
     derived = cached_property(lambda self: derived_scalars(self.jet, self.vectors))
     cv = cached_property(lambda self: _vector(self.n, self.vectors["v"]))
     cw = cached_property(lambda self: _vector(self.n, self.vectors["w"]))
-    lead = cached_property(lambda self: build_sigma_delta_lead(self.jet))
     reads = cached_property(lambda self: {name: self.derived.int_forms[name]
                                           for name in ("R", "T", "dT1")})
     ric = property(lambda self: self.derived.int_forms["ric"])
@@ -627,51 +629,52 @@ class JetInputs:
             ((1 << j) ^ (1 << g), -x if j >= g else x) for (j, g), x in dw.items()), den)
 
     @cached_property
-    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
-        """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
-        x0 is c mm (mm+1)^q times the term family nums/den (``_placed`` at
-        norm power 0) moved to the norm power -2mm-2-2q (``_ORDER2``)."""
-        n, der, x0, pairs, (ric, ric_den) = self.n, self.derived, 0, _pairs(self.n), self.ric
-        tau, (_, dt_xx, div_t), den = self.rows, self.dt_terms, self.reads["dT1"].den
-        (dt4, dt4_den), scalar = der.int_forms["dT4"], der.s / 4 - Fraction(3, 4) * der.norm_t2
-        # tau_b tau_a is the reversal of tau_a tau_b (both bivectors), which keeps
-        # grades 0 and 4 and negates grade 2: the pair (a, b) and (b, a) share
-        # the key xi_a xi_b and add up to twice the grade-0 and grade-4 part,
-        # and tau_a tau_a has no grade-2 part, so only grades 0 and 4 are formed
-        tt = {(a, b): _graded(tau[a], tau[b], (0, 4))
-              for a, b in combinations_with_replacement(tau, 2)}
-        families = {  # each as (xi-degree, rational Clifford element) pairs
-            "ric": [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
-                    for (a, b), x in ric.items()],
-            "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
-            "tt_scalar": [(x0, tt[a, a]) for a in tau],
-            "r_xx": [],  # R_bats = -R_abts (derived_scalars checks it): (a, b) and (b, a) cancel
-            "e_scalar": [(x0, CliffordElement._of(
-                n, {0: scalar.numerator} if scalar else {}, scalar.denominator))],
-            "dt4": [(x0, CliffordElement._of(n, {
-                sum(1 << i for i in ijkt): x for ijkt, x in dt4.items()}, dt4_den))],
-        }
-        summed = {"div_t": (div_t, den), "dt_xx": (dt_xx, den)}  # dT1's, read off its terms
-        return {name: (*_ORDER2[name], *(summed.get(name) or _placed(
-            (x0, xideg, 0, e) for xideg, e in families[name]))) for name in _ORDER2}
+    def sums(self) -> Dict[str, Tuple[Dict[Code, int], int]]:
+        """Channel -> its nonzero int sums over one den, off Ric's and T's int
+        terms, of the channels both routes read: sigma_Delta's ric_jet, Ric_ab
+        at x^b xi_a, and tt, T's rows at xi_f, at the norm power -2m-2; and the
+        grade-0 order -(2mm+2) families at norm power 0: ric, Ric_ab + Ric_ba
+        at xi_a xi_b; tt_xx, the scalar part of tau_a tau_b + tau_b tau_a there,
+        -(2 - delta_ab) sum_{s<t} T_ast T_bst; tt_scalar, their sum at the
+        xi_a^2; e_scalar, s/4 - (3/4) |T|^2."""
+        n, x0, pairs, (ric, d_ric), d_t = self.n, 0, _pairs(self.n), self.ric, self.reads["T"].den
+        der, rows, terms, units = self.derived, {}, self.t_terms[1], [_unit(n, a) for a in range(n)]
+        for (f, word), x in terms.items():
+            rows.setdefault(f, {})[word] = x
+        tt = {(a, b): -(1 + (a != b)) * sum(x * rows[b].get(w, 0) for w, x in rows[a].items())
+              for a, b in combinations_with_replacement(rows, 2)}
+        scalar, e = sum(tt[a, a] for a in rows), der.s / 4 - Fraction(3, 4) * der.norm_t2
+        return {"ric_jet": ({(units[b], units[a], -n - 2, 0): x for (a, b), x in ric.items()},
+                            d_ric),
+                "tt": ({(x0, units[f], -n - 2, w): x for (f, w), x in terms.items()}, d_t),
+                "ric": (_collected(((x0, pairs[a][b], 0, 0), x) for (a, b), x in ric.items()),
+                        d_ric),
+                "tt_xx": ({(x0, pairs[a][b], 0, 0): x for (a, b), x in tt.items() if x}, d_t * d_t),
+                "tt_scalar": ({(x0, x0, 0, 0): scalar} if scalar else {}, d_t * d_t),
+                "e_scalar": ({(x0, x0, 0, 0): e.numerator} if e else {}, e.denominator)}
 
     @cached_property
-    def read_families(self) -> Dict[str, Tuple[Dict[int, int], int]]:
-        """The grade-0 order -(2mm+2) families, which a trace reads, as xi-code ->
-        int over one den: ric, Ric_ab + Ric_ba at xi_a xi_b; tt_xx, the scalar
-        part of tau_a tau_b + tau_b tau_a there, -(2 - delta_ab) sum_{s<t} T_ast
-        T_bst off T's rows; tt_scalar, their sum at the xi_a^2; e_scalar."""
-        pairs, (ric, d_ric), d_t, rows, sym = _pairs(self.n), self.ric, self.reads["T"].den, {}, {}
-        e = self.derived.s / 4 - Fraction(3, 4) * self.derived.norm_t2
-        for (a, b), x in ric.items():
-            sym[pairs[a][b]] = sym.get(pairs[a][b], 0) + x
-        for (f, word), x in self.t_terms[1].items():
-            rows.setdefault(f, {})[word] = x
-        tt = {pairs[a][b]: -(1 + (a != b)) * sum(x * rows[b].get(w, 0) for w, x in rows[a].items())
-              for a, b in combinations_with_replacement(rows, 2)}
-        return {"ric": (sym, d_ric), "tt_xx": (tt, d_t * d_t),
-                "tt_scalar": ({0: sum(tt[pairs[a][a]] for a in rows)}, d_t * d_t),
-                "e_scalar": ({0: e.numerator}, e.denominator)}
+    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
+        """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
+        x0 is c mm (mm+1)^q times nums/den moved from norm power 0 to -2mm-2-2q
+        (``_ORDER2``): the ``sums`` plus what no trace reads, the grade-4 part
+        of tau_a tau_b, dt4 and dT1's whole terms."""
+        n, x0, pairs, tau = self.n, 0, _pairs(self.n), self.rows
+        (_, dt_xx, div_t), den = self.dt_terms, self.reads["dT1"].den
+        dt4, dt4_den = self.derived.int_forms["dT4"]
+        # tau_b tau_a, the reversal of tau_a tau_b (both bivectors), has its grade 4:
+        # the pair (a, b) and (b, a) at xi_a xi_b adds up to twice it
+        tt = {(a, b): _graded(tau[a], tau[b], (4,))
+              for a, b in combinations_with_replacement(tau, 2)}
+        rest = {"tt_xx": _placed((x0, pairs[a][b], 0, ab.scale(1 + (a != b)))
+                                 for (a, b), ab in tt.items()),
+                "tt_scalar": _placed((x0, x0, 0, tt[a, a]) for a in tau),
+                "dt4": ({(x0, x0, 0, sum(1 << i for i in ijkt)): x for ijkt, x in dt4.items()},
+                        dt4_den),
+                "div_t": (div_t, den), "dt_xx": (dt_xx, den)}
+        # r_xx is empty: R_bats = -R_abts (derived_scalars checks it) cancels (a, b), (b, a)
+        return {name: (*_ORDER2[name], *_summed(part[name] for part in (self.sums, rest)
+                                                 if name in part)) for name in _ORDER2}
 
     gens = property(lambda self: _GENERATORS.get(self.n) or _GENERATORS.setdefault(
         self.n, tuple(CliffordElement.generator(self.n, i) for i in range(1, self.n + 1))))
@@ -743,20 +746,18 @@ class JetInputs:
     def sigma_delta(self) -> Tuple[
             Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
         """The channels of ``build_sigma_delta_inv_parts``."""
-        m, n, x0, p = self.jet.m, self.n, 0, -2 * self.jet.m - 2
-        r_m, *imag = _delta(m)
+        m, n, (ric, d_ric), (tt, d_t) = self.jet.m, self.n, self.sums["ric_jet"], self.sums["tt"]
+        (r_m, *imag), R, dT1 = _delta(m), self.reads["R"], self.reads["dT1"]
         c_t, c_ric, c_r = (GaussianRational(0, c) for c in imag)
-        R, dT1, (ric, ric_den), tau = self.reads["R"], self.reads["dT1"], self.ric, self.rows
-        units = [_unit(n, a) for a in range(n)]
 
         r_jets = _spread(R, _R_JETS[False], n)  # on R's symmetries: derived checks them
         # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-        parts_m = {"lead": self.lead, "r_jet": _symbol(n, r_jets[0].items(), R.den, r_m)}
+        parts_m = {"lead": build_sigma_delta_lead(self.jet),
+                   "r_jet": _symbol(n, r_jets[0].items(), R.den, r_m)}
         # order -2m-1
         parts_m1 = {
-            "ric_jet": _symbol(n, (((units[b], units[a], p, 0), x)
-                                   for (a, b), x in ric.items()), ric_den, c_ric),
-            "tt": _family(n, [(x0, units[a], p, row) for a, row in tau.items()], c_t),
+            "ric_jet": _symbol(n, ric.items(), d_ric, c_ric),
+            "tt": _symbol(n, tt.items(), d_t, c_t),
             "r_jet": _symbol(n, r_jets[1].items(), R.den, c_r),
             "dt_jet": _symbol(n, self.dt_terms[0].items(), dT1.den, c_t),
         }
@@ -838,11 +839,15 @@ def build_sigma_ab_printed(source: PointJet | JetInputs
 
 # -- inverse Laplacian-type symbols -----------------------------------------
 
+def _lead(n: int) -> List[Tuple[Code, int]]:
+    """The terms of ||xi||^{-n-2} sum_a xi_a^2 over 1, the leading, x-free
+    channel of the inverse m-th power (all the metric density needs)."""
+    return [((0, row[a], -n - 2, 0), 1) for a, row in enumerate(_pairs(n))]
+
+
 def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
-    """||xi||^{-2m-2} sum_a xi_a^2: the leading, x-free channel of the
-    inverse m-th power (all the metric density needs)."""
-    m, n = jet.m, jet.n
-    return _symbol(n, (((0, row[a], -2 * m - 2, 0), 1) for a, row in enumerate(_pairs(n))), 1)
+    """||xi||^{-2m-2} sum_a xi_a^2, by ``_lead``."""
+    return _symbol(jet.n, _lead(jet.n), 1)
 
 
 def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[

@@ -73,6 +73,13 @@ def test_unknown_check_rejected_next_to_all(capsys, checks):
     assert out == ""
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_empty_check_selection_rejected(capsys, checks):
+    """A selection that names no check is malformed input, not every check."""
+    assert run(capsys, "verify", "--checks", checks, "--trials", "1") == (
+        2, "", f"error: empty check selection {checks!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -227,8 +234,9 @@ def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
     builders = [name for name in vars(residue) if name.startswith("build_sigma_")]
     for name in builders:
         _counted(monkeypatch, calls, residue, name)
-    # the buckets of part 1's and sigma_Delta's emitted channels, which a
-    # context builds once per table without the public builders
+    # the buckets of part 1's and sigma_Delta's emitted channels and the
+    # metric's emitted lead, which a context builds once per table without
+    # the public builders
     _counted(monkeypatch, calls, residue, "_filled")
     trials = 2
     code, _, _ = run(capsys, "verify", "--checks", "lemma36,part1,part2,theorem,metric",
@@ -239,7 +247,7 @@ def test_verify_shares_one_context_per_trial_seed(monkeypatch, capsys):
     # the theorem check adds the zero-torsion and four one-hot jets
     for name in builders + ["derived_scalars"]:
         assert calls[name] <= trials + 5, name
-    assert calls["derived_scalars"] and 0 < calls["_filled"] <= 2 * (trials + 5)
+    assert calls["derived_scalars"] and 0 < calls["_filled"] <= 3 * (trials + 5)
     calls.clear()
     code, _, _ = run(capsys, "verify", "--checks", "clifford", "--trials", str(trials))
     assert code == 0

@@ -6,7 +6,7 @@ import dataclasses
 import random
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -406,17 +406,16 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
 def test_cvw_trace_guards(method, bad, message):
     """part1 and metric trace c(v)c(w) against their channels by word, which
     must still be x-free of homogeneity -2m, as trace_integral demanded of
-    the full product: the metric's lead symbol, and every bucket of part 1's
-    emitted channels (the bad term is given among dT1's part-1 entries, as
-    part 1's ric channel)."""
+    the full product: every bucket of the metric's emitted lead and of part
+    1's emitted channels (the bad term is emitted by ``_entries`` as channel
+    0, the lead among the lead's entries and part 1's ric among dT1's part-1
+    entries)."""
     import wres_torsion.residue as residue
 
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
-    expr = SymbolExpr(4, {bad: ONE})
-    buckets = residue._bucketed(4, {"ric": expr})[4]
-    ctx.dt_emitted = (ctx.dt_emitted[0], {**ctx.dt_emitted[1], **{
-        (key, xi): r for key, entries in buckets.items() for xi, r in entries}}, {})
-    ctx.lead = expr
+    entries = residue._entries(4, 0, SymbolExpr(4, {bad: ONE}).nums.items(), 0, bad[2], False)
+    ctx.dt_emitted = (ctx.dt_emitted[0], {**ctx.dt_emitted[1], **entries}, {})
+    ctx.lead_entries = {**ctx.lead_entries, **entries}
     with pytest.raises(PipelineError, match=message):
         getattr(ctx, method)()
 
@@ -975,25 +974,35 @@ def _shares_read_parts(ctx):
 # what the traced path of one jet's context builds: the derived scalars, the
 # printed products the part-2 trace reads and the buckets of its two tables of
 # emitted channels (part 1's and sigma_Delta's), and no symbol channel set of
-# an inverse power (``sigma_delta``, ``order2_parts``)
+# an inverse power (``sigma_delta``, ``order2_parts``); a certification adds
+# the metric's table of the emitted lead
 TRACED = {"derived_scalars": 1, "products": 1, "_filled": 2}
+CERTIFIED = {**TRACED, "_filled": 3}
 
 
 def test_audit_builds_each_artifact_once(build_counts):
     """An audit builds each channel set once: the traced ones (each table's
-    emitted buckets once), the composed product symbol and, for its lemma-3.6
-    comparison, the public printed parts from the read products and the
-    products of the rest.  It calls neither public builder of the
-    inverse-power channels."""
+    emitted buckets once, the metric's lead included), the composed product
+    symbol and, for its lemma-3.6 comparison, the public printed parts from
+    the read products and the products of the rest.  It calls neither public
+    builder of the inverse-power channels."""
     audit(random_point_jet(3, 2), 2)
-    assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
+    assert build_counts == {**CERTIFIED, "products": 2, "build_sigma_ab_composed": 1,
                             "build_sigma_ab_printed_parts": 1}
 
 
-def test_metric_builds_no_inverse_power_channels(build_counts):
+def test_metric_builds_no_inverse_power_channels(build_counts, monkeypatch):
+    """The metric alone fills one table, of the emitted lead only, with no
+    derived scalars and no inverse-power channel set."""
+    filled, real_filled = [], residue._filled
+
+    def recording_filled(n, keys, *args):
+        filled.append(tuple(keys))
+        return real_filled(n, keys, *args)
+    monkeypatch.setattr(residue, "_filled", recording_filled)
     assert metric_density(random_point_jet(3, 2), 2).value
     assert build_counts["build_sigma_delta_inv_parts"] == build_counts["sigma_delta"] == 0
-    assert build_counts["derived_scalars"] == build_counts["_filled"] == 0
+    assert build_counts["derived_scalars"] == 0 and filled == [("lead",)]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1117,7 +1126,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert p2 == part2_closed(jet, 3).value
     assert p1 + p2 == theorem_density(jet, 3).value
     assert metric_density(jet, 3).value == -g_vw
-    assert build_counts == TRACED
+    assert build_counts == CERTIFIED
     # each channel is read once, orbit by orbit, by the derived scalars, with
     # no conversion, and spread once per rule: R into Ric and its Bianchi sums
     # and into sigma_Delta's emitted r_jets, T into its int form (no R or dT1
@@ -1133,7 +1142,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     assert input_reads["int_form entries"] <= 2 * 6 + 6 * 6  # v, w and at most all of dw
     assert vectors == [jet] and from_vectors == []
     assert audit(jet, 3).ok
-    assert build_counts == {**TRACED, "products": 2, "build_sigma_ab_composed": 1,
+    assert build_counts == {**CERTIFIED, "products": 2, "build_sigma_ab_composed": 1,
                             "build_sigma_ab_printed_parts": 1}
     assert _shares_read_parts(_held())
     assert _jet_reads(input_reads, jet) == reads
@@ -1667,6 +1676,34 @@ def test_emitted_buckets_match_the_traced_channels(m):
     assert _bucket_values(oracle[1])[2]
 
 
+@pytest.mark.parametrize("xdeg, xideg, word, coeff", [
+    ((2, 0, 0, 0), (1, 1, 0, 0), 0, 3),               # x_1^2: 2!, and i^2 flips the sign
+    ((0, 1, 0, 0), (1, 0, 0, 0), 0, 5 * I),           # imaginary at odd |nu|, as ric_jet
+    ((0,) * 4, (0, 1, 0, 0), 0b0101, -7 * I),         # a word, as tt
+    ((0,) * 4, (2, 0, 0, 2), 0, Fraction(1, 1)),      # i^4
+    ((1, 0, 0, 1), (0, 0, 3, 0), 0b1000, 2)])         # i^4 again, at odd xi and grade
+def test_entries_place_a_term_as_bucketed_places_its_symbol(xdeg, xideg, word, coeff):
+    """``_entries`` gives a term i^imag c x^mu xi^nu word at norm power p the
+    bucket entry that ``_bucketed`` gives it as a phase-0 symbol: mu! times
+    i^(|nu| + grade - imag) c, under the key of its word, odd mask and
+    xi-order |nu| + p; where ``even``, nothing at an odd xi-monomial."""
+    n, p, imag = 4, -6, int(isinstance(coeff, GaussianRational) and bool(coeff.im))
+    symbol = SymbolExpr(n, {(xdeg, xideg, p, word): coeff})
+    (key, _), = symbol.nums.items()
+    c = int(coeff.im if imag else GaussianRational(coeff).re)
+    assert symbol.phase == 0 and symbol.den == 1
+    entries = residue._entries(n, 0, [(key, c)], imag, p, 0)
+    assert _bucket_values((n, [0], 1, 0, {k: [(xi, r)] for (k, xi), r in entries.items()})) \
+        == _bucket_values(residue._bucketed(n, {0: symbol}))
+    assert residue._entries(n, 0, [(key, c)], imag, p, 1) == ({} if any(
+        e % 2 for e in xideg) else entries)
+    with pytest.raises(ValueError, match="breaks the phase rule"):
+        residue._entries(n, 0, [(key, c)], 1 - imag, p, 0)
+    big = (key[0], key[1] + 128 * ((1 << 8 * n) + 1), p, word)
+    with pytest.raises(PipelineError, match="cannot be packed"):
+        residue._entries(n, 0, [(big, c)], imag, p, 0)
+
+
 @pytest.mark.parametrize("rule, broken, error, message", [
     (rule, broken, error, message) for rule in ("_R_EMITTED", "_DT_EMITTED")
     for broken, error, message in (("word", ValueError, "breaks the phase rule"),
@@ -1694,31 +1731,44 @@ def test_emission_checks_each_template_term(monkeypatch, rule, broken, error, me
         PipelineContext(random_point_jet(0, n // 2), n // 2).part2()
 
 
-def test_a_certified_jet_forms_nine_symbols_and_one_bucketing(monkeypatch):
-    """The six public calls of a certification of one m = 3 jet form at most
-    nine symbols through ``symbols._symbol`` (sigma_Delta's lead, c(v)c(w)
-    and the seven printed channels) and bucket one channel set
-    (``_bucketed``, the metric's lead): every inverse-power channel of parts
-    1 and 2 is emitted into its table's buckets."""
+def test_a_certified_jet_forms_eight_symbols_and_no_bucketing(monkeypatch):
+    """The six public calls of a certification of one m = 3 jet form eight
+    symbols through ``symbols._symbol`` (c(v)c(w) and the seven printed
+    channels), bucket no symbol (``_bucketed``) and fill three tables in
+    three kernel passes: every inverse-power channel of parts 1 and 2, and
+    the metric's lead, is emitted into its table's buckets.  The int sums of
+    ``JetInputs.sums`` are formed once, and the context's public sigma_Delta
+    channels read the same ones."""
     from collections import Counter
 
-    calls, symbol, bucketed = Counter(), symbols._symbol, residue._bucketed
+    calls = Counter()
+    for module, name in ((symbols, "_symbol"), (residue, "_bucketed"), (residue, "_filled"),
+                         (residue, "_trace_table")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
 
-    def counted_symbol(*args):
-        calls["_symbol"] += 1
-        return symbol(*args)
-
-    def counted_bucketed(*args):
-        calls["_bucketed"] += 1
-        return bucketed(*args)
-    monkeypatch.setattr(symbols, "_symbol", counted_symbol)
-    monkeypatch.setattr(residue, "_bucketed", counted_bucketed)
+    def counted_sums(self, _fn=symbols.JetInputs.sums.func):
+        calls["sums"] += 1
+        return _fn(self)
+    sums = cached_property(counted_sums)
+    sums.__set_name__(symbols.JetInputs, "sums")
+    monkeypatch.setattr(symbols.JetInputs, "sums", sums)
     jet, m = random_point_jet(4, 3), 3
     p1, p2 = part1_density(jet, m).value, part2_density(jet, m).value
     assert p1 == part1_closed(jet, m).value and p2 == part2_closed(jet, m).value
     assert p1 + p2 == theorem_density(jet, m).value
     assert metric_density(jet, m).value == -derived_scalars(jet).g_vw
-    assert calls["_symbol"] <= 9 and calls["_bucketed"] == 1
+    assert calls == {"_symbol": 8, "_filled": 3, "_trace_table": 3, "sums": 1}
+    ctx, calls["_symbol"] = _held(), 0
+    whole = ctx.sigma_delta()[1]
+    assert calls["sums"] == 1 and calls["_symbol"] > 0
+    # sigma_delta reads the context's sums: halving them halves its channels
+    for name in ("ric_jet", "tt"):
+        nums, den = ctx.sums[name]
+        ctx.sums = {**ctx.sums, name: (nums, 2 * den)}
+        assert ctx.sigma_delta()[1][name] == whole[name].scale(Fraction(1, 2)), name
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

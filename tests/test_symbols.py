@@ -1094,6 +1094,26 @@ def test_phase_violation_raises_at_construction():
     assert SymbolExpr(N, {(Z, Z, 0, 0): ONE, key: I}).coefficient(key) == I
 
 
+@pytest.mark.parametrize("coeffs", [{0b0001: I}, {0b0001: GaussianRational(Fraction(3, 2))},
+                                    {0: GaussianRational(0, 2), 0b0011: GaussianRational(0, -1)}])
+def test_from_clifford_takes_exact_gaussian_coefficients(coeffs):
+    """An element with ``GaussianRational`` coefficients enters as its terms
+    do through ``SymbolExpr(n, terms)``: i c_1 at phase 0 with numerator 1."""
+    elem, xideg = CliffordElement(N, coeffs), _unit(1)
+    expr = SymbolExpr.from_clifford(elem, xideg=xideg, normpow=-2)
+    expected = SymbolExpr(N, {(Z, xideg, -2, w): c for w, c in coeffs.items()})
+    assert (expr.nums, expr.den, expr.phase) == (expected.nums, expected.den, expected.phase)
+    assert {w: expr.coefficient((Z, xideg, -2, w)) for w in coeffs} == coeffs
+    if coeffs == {0b0001: I}:
+        assert SymbolExpr.from_clifford(elem).nums == {(0, 0, 0, 0b0001): 1}
+        assert SymbolExpr.from_clifford(elem).phase == 0
+
+
+def test_from_clifford_refuses_a_coefficient_neither_real_nor_imaginary():
+    with pytest.raises(ValueError, match="phase rule"):
+        SymbolExpr.from_clifford(CliffordElement(N, {0b0001: GaussianRational(1, 1)}))
+
+
 def test_coefficients_read_back_exactly():
     e = _expr((Z, _unit(0), 0, 0b0001, GaussianRational(Fraction(3, 4))),   # e = 2
               (Z, _unit(1), 0, 0, GaussianRational(0, Fraction(-1, 2))))    # e = 1
@@ -1320,7 +1340,8 @@ def traced_channels(inputs):
     R, dT1, (ric, ric_den), units = inputs.reads["R"], inputs.reads["dT1"], inputs.ric, [
         symbols._unit(n, a) for a in range(n)]
     r_jets = geometry._spread(R, symbols._R_JETS[True], n)
-    parts_m = {"lead": inputs.lead, "r_jet": symbols._symbol(n, r_jets[0].items(), R.den, r_m)}
+    parts_m = {"lead": symbols.build_sigma_delta_lead(inputs.jet),
+               "r_jet": symbols._symbol(n, r_jets[0].items(), R.den, r_m)}
     parts_m1 = {
         "ric_jet": symbols._symbol(n, (((units[b], units[a], p, 0), x) for (a, b), x
                                        in ric.items()), ric_den, c_ric),
@@ -1741,9 +1762,9 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
     ``_integer_form`` of ``jet.R_entries`` and of ``derived.ric``, the torsion
     3-forms and T's rows by the map reader above, dT1's channel terms, whole
     and (``dt_terms_read``) traced, by the walk over its rows
-    (``_walked_dt_channels``, by value), the sums and order -(2mm+2) families
-    from those (and their grade-0 part, by value, the traced families of
-    ``read_families``), and c(v), c(w) and c(v) sum (d_j
+    (``_walked_dt_channels``, by value), the int sums and order -(2mm+2)
+    families from those (and the grade-0 families of the sums, by value, as
+    ``order2_read`` places them on T's rows), and c(v), c(w) and c(v) sum (d_j
     w_g) c_j c_g from the jet's rational vectors and the generators'
     products (on seeds 0-4, the one-hot coefficient jets, the jets with one
     channel off and a constant curvature 1/(n-1), whose Ric is integral
@@ -1758,6 +1779,11 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         curvature, ric = _integer_form(jet.R_entries), _integer_form(der.ric)
         maps = (jet.T_entries, jet.dT1_entries)
         rows = _map_torsion_forms(jet.T_entries, n, rows=True)
+        d_t = _integer_form(jet.T_entries)[1]
+        sums = symbols.JetInputs.sums.func(types.SimpleNamespace(
+            n=n, derived=der, ric=ric, reads={"T": types.SimpleNamespace(den=d_t)},
+            t_terms=(None, {(f, w): c * (d_t // e.den) for f, e in rows.items()
+                            for w, c in e.nums.items()})))
         d_dt1 = _integer_form(jet.dT1_entries)[1]
         walked = [[_over(d_dt1, *part) for part in _walked_dt_channels(jet.dT1_entries, n, traced)]
                   for traced in (False, True)]
@@ -1770,12 +1796,12 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         oracle = {
             "cv": cv, "cw": CliffordElement.from_vector(n, jet.w), "cv_dw": cv * dw,
             "ric": ric, "forms": tuple(_map_torsion_forms(entries, n) for entries in maps),
-            "rows": rows, "dt_terms": tuple(walked[0]),
+            "rows": rows, "dt_terms": tuple(walked[0]), "sums": sums,
             "word_sums": {b: e for b in range(n)
                           if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
             # the families of JetInputs.order2 over the inputs converted anew
             "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
-                n=n, derived=der, rows=rows, ric=ric, dt_terms=walked[0],
+                n=n, derived=der, rows=rows, sums=sums, dt_terms=walked[0],
                 reads={"dT1": types.SimpleNamespace(den=d_dt1)})),
         }
         inputs = symbols.JetInputs(jet)
@@ -1784,9 +1810,11 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
         for name, expected in oracle.items():
             assert _raw(getattr(inputs, name)) == _raw(expected), name
         assert _raw(tuple(dt_terms_read(inputs))) == _raw(tuple(walked[1]))
-        assert {name: _by_xi(*form) for name, form in inputs.read_families.items()} == {
-            name: _by_xi({xi: c for (_, xi, _, w), c in nums.items() if not w}, den)
-            for name, (_, _, nums, den) in oracle["order2"].items() if name in inputs.read_families}
+        families = {name: _by_xi({xi: c for (_, xi, _, _), c in nums.items()}, den)
+                    for name, (nums, den) in inputs.sums.items() if name in symbols._ORDER2}
+        assert families == {name: _by_xi({xi: c for (_, xi, _, _), c in nums.items()}, den)
+                            for name, (_, _, nums, den) in order2_read(inputs).items()
+                            if name in families}
 
 
 def _by_xi(nums, den):
