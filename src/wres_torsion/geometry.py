@@ -55,6 +55,7 @@ from typing import Dict, List, Tuple
 from .numerics import _collected, _integer_form, _reduced, format_rational, parse_rational
 
 SUPPORTED_M = (1, 2, 3, 4, 5, 6, 7, 8)
+_FIELDS = ("schema", "n", "R", "T", "dT1", "v", "w", "dw")  # the fields of an instance file
 
 Vec = Tuple[Fraction, ...]
 Mat2 = Tuple[Vec, ...]
@@ -751,12 +752,15 @@ def jet_from_dict(data: dict) -> PointJet:
     Sparse R/T/dT1 entries are completed by symmetry; entries whose orbits
     collide with a different value are rejected, as is any tensor that fails
     validation after completion.  A missing or null R, T, dT1 or dw is
-    empty; any other malformed value raises InstanceError naming the field.
+    empty; any other malformed value or unknown field raises InstanceError naming it.
     """
     try:
         raw_n = data["n"]
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"missing or invalid field 'n': {exc}") from None
+    if unknown := [key for key in data if key not in _FIELDS]:
+        raise InstanceError(f"unknown field {', '.join(map(repr, unknown))}:"
+                            f" an instance holds only {', '.join(_FIELDS)}")
     n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")

@@ -39,9 +39,10 @@ spectral Einstein density
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and composed builder, so each symbol, the derived
 scalars and each trace table are built once per jet.  The right channels of
-the part-1, part-2 and metric tables, on the terms their traces read, reach
-the kernel's buckets with no symbol, each term by one rule (``_entries``):
-R's and dT1's off their orbits' templates, the rest from ``JetInputs.sums``.
+the part-1, part-2 and metric tables are rows of ``symbols.SIGMA_DELTA``
+(``_TABLES``); on the terms their traces read, they reach the kernel's
+buckets with no symbol, each term by one rule (``_entries``): R's and dT1's
+off their orbits' templates, the rest from ``JetInputs.sums``.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, one row each of ``_audit_rows``, read off the cells of the part-1 or
@@ -66,9 +67,9 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 from .clifford import word_indices
 from .geometry import DerivedScalars, PointJet, _spread
 from .numerics import I, ONE, format_rational
-from .symbols import (_DT, _ORDER2, _R_JETS, JetInputs, SymbolExpr, _decode, _delta, _key, _lead,
-                      _leibniz_alphas, _norm_power, _ones, _phase_error, _scales,
-                      build_sigma_ab_composed, build_sigma_ab_printed_parts, printed_grades)
+from .symbols import (_DT, _R_JETS, SIGMA_DELTA, JetInputs, SymbolExpr, _at, _decode, _key, _lead,
+                      _leibniz_alphas, _norm_power, _ones, _phase_error, build_sigma_ab_composed,
+                      build_sigma_ab_printed_parts, printed_grades)
 
 # ---------------------------------------------------------------------------
 # sphere moments
@@ -156,7 +157,6 @@ _I_POWERS = (ONE, I, -ONE, -I)  # i^k for k mod 4
 
 
 _MOMENTS: Dict[Tuple[int, int], Tuple[int, int]] = {}
-_LEADS: Dict[int, Dict[Tuple[Tuple, int], int]] = {}  # sigma_Delta's lead's entries, per n
 
 
 def _unpackable(xi: int, n: int) -> PipelineError:
@@ -302,9 +302,11 @@ def _require_traceable(bucketed: Bucketed, m: int) -> Bucketed:
     return bucketed
 
 
-# sigma_Delta's channels, keyed (g, name) for the order -2m-g; part 1's are _ORDER2's
-DELTA_KEYS = ((0, "lead"), (0, "r_jet"), (1, "ric_jet"), (1, "tt"), (1, "r_jet"), (1, "dt_jet"),
-              *((2, name) for name in _ORDER2))
+# a context's right-hand tables of ``SIGMA_DELTA`` rows at mm = m - shift: name -> (shift, right
+# key -> row, even: c(v)c(w) reads it at even xi-monomials, and ``_require_traceable`` checks it)
+_TABLES = {"delta": (0, {key: key for key in SIGMA_DELTA}, False),
+           "part1": (1, {name: (g, name) for g, name in SIGMA_DELTA if g == 2}, True),
+           "metric": (0, {key: key for key, row in SIGMA_DELTA.items() if row[3] == "lead"}, True)}
 
 
 def _entries(n: int, j: int, nums: Iterable[Tuple[Tuple, int]], imag: int, p: int,
@@ -337,11 +339,25 @@ def _emitted(index, n: int, rule, outs) -> List[Tuple[int, Tuple[Tuple, int], in
             for entry in _entries(n, j, ((key, c),), imag, p - n, even).items()]
 
 
-# per part of the rule: R's r_jets of orders -2m, -2m-1; dT1's dt_jet and its dt_xx and
-# div_t families, of sigma_Delta (table 0) and of part 1 (table 1, even xi-monomials)
-_R_EMITTED = partial(_emitted, rule=_R_JETS[True], outs=(((0, 1, -2, 0, 0),), ((0, 4, -2, 1, 0),)))
-_DT_EMITTED = partial(_emitted, rule=_DT[True], outs=(((0, 5, -2, 1, 0),), (
-    (0, 11, -4, 0, 0), (1, 5, -2, 0, 1)), ((0, 9, -2, 0, 0), (1, 3, 0, 0, 1))))
+# per part of R's and dT1's traced rules, the (table index, j, norm power + n, imag, even) of each
+# ``_TABLES`` row it is the source of: -2mm-2-2q at mm = m - shift plus n = 2m is its value at m = 0
+_R_EMITTED, _DT_EMITTED = (partial(_emitted, rule=rule[True], outs=tuple([
+    (t, j, _at(key, -shift)[1], SIGMA_DELTA[key][2], even)
+    for t, (shift, rows, even) in enumerate(_TABLES.values()) for j, key in enumerate(rows.values())
+    if SIGMA_DELTA[key][3] == (name, part)] for part in range(3)))
+    for name, rule in (("R", _R_JETS), ("dT1", _DT)))
+_PLANS: Dict[Tuple[str, int], Tuple] = {}  # ``_plan``'s, one per (table, m)
+
+
+def _plan(table: str, m: int) -> Tuple:
+    """(table index, right keys, rows as (j, source, prefactor, norm power,
+    imag), the lead's entries, even) of ``_TABLES[table]`` at m."""
+    shift, rows, even = _TABLES[table]
+    plan = [(j, SIGMA_DELTA[key][3], *_at(key, m - shift), SIGMA_DELTA[key][2])
+            for j, key in enumerate(rows.values())]
+    return list(_TABLES).index(table), list(rows), plan, [
+        _entries(2 * m, j, _lead(2 * m).items(), imag, p, even)
+        for j, source, _, p, imag in plan if source == "lead"], even
 
 
 def _filled(n: int, keys, channels, *parts: Dict[Tuple[Tuple, int], int]) -> Bucketed:
@@ -463,10 +479,10 @@ class PipelineContext(JetInputs):
     c(w), the jet's tensors converted once and the int sums), the one argument
     of every builder it calls through this module's bindings.  Every field is
     built on first use and reused: c(v)c(w), the printed channels on the terms
-    a table reads, the printed and composed grades, the emitted entries of
-    sigma_Delta's lead and of dT1, the buckets of part 1's and sigma_Delta's
-    emitted channels, and the trace tables of part 1, the metric and both
-    part-2 sources, whose cells the densities and the audit rows read; then
+    a table reads, the printed and composed grades, the entries of R's and
+    dT1's traced rules, the buckets of the ``_TABLES`` (``buckets``), and the
+    trace tables of part 1, the metric and both part-2 sources (the last two
+    on sigma_Delta's), whose cells the densities and the audit rows read; then
     the ``COMPARISONS`` and the product symbol's three grade equalities.  The
     public calls on one jet in a row share the context ``_context`` holds (the
     CLI makes one per jet).  A jet whose dimension is not 2m is rejected
@@ -479,12 +495,11 @@ class PipelineContext(JetInputs):
         super().__init__(jet)
         self.m = m
         self._compared: Dict[str, Comparison] = {}
+        self._emitted: Dict[str, Tuple[Dict, Dict, Dict]] = {}
 
     @cached_property
     def cvw(self) -> SymbolExpr:
         return SymbolExpr.from_clifford(self.cv_cw)
-
-    dt_emitted = cached_property(lambda self: _spread(self.reads["dT1"], _DT_EMITTED, self.n))
 
     @cached_property
     def ab_printed_parts(self) -> Dict[str, SymbolExpr]:
@@ -498,46 +513,34 @@ class PipelineContext(JetInputs):
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self)
 
-    # sigma_Delta's leading channel, for its table and the metric's (index 0 in both)
-    lead_entries = cached_property(lambda self: _LEADS.get(self.n) or _LEADS.setdefault(
-        self.n, _entries(self.n, 0, _lead(self.n), 0, -self.n - 2, False)))
+    def emitted(self, name: str) -> Tuple[Dict, Dict, Dict]:
+        """Per table index, R's or dT1's traced rule's entries, spread once."""
+        return self._emitted.get(name) or self._emitted.setdefault(name, _spread(
+            self.reads[name], _R_EMITTED if name == "R" else _DT_EMITTED, self.n))
 
-    def _families(self, table: int):
-        """(entries, channels) of ``table``'s order -(2mm+2) channels, mm = m
-        (or m - 1, part 1): the grade-0 ``sums`` at their norm powers, and each
-        (c mm (mm+1)^q, den)."""
-        sums, den, scales = self.sums, self.reads["dT1"].den, _scales(self.m - table)
-        return [_entries(self.n, 6 - 6 * table + j, sums[name][0].items(), 0, p, table)
-                for j, (name, (_, p)) in enumerate(scales.items()) if sums.get(name, ({},))[0]], [
-            (c, sums.get(name, (0, den))[1]) for name, (c, _) in scales.items()]
+    def buckets(self, table: str) -> Bucketed:
+        """``_TABLES[table]``'s channels as the kernel's buckets: the lead's planned
+        entries, the ``sums``' by ``_entries``, R's and dT1's off their templates."""
+        t, keys, plan, parts, even = _PLANS.get((table, self.m)) or _PLANS.setdefault(
+            (table, self.m), _plan(table, self.m))
+        parts, channels, rules = [*parts], [], {}
+        for j, source, c, p, imag in plan:
+            if isinstance(source, tuple):
+                rules[source[0]] = den = self.reads[source[0]].den
+            else:  # the lead's entries are planned, and no sums
+                nums, den = ({}, 1) if source == "lead" else self.sums.get(source, ({}, 1))
+                if nums:
+                    parts.append(_entries(self.n, j, nums.items(), imag, p, even))
+            channels.append((c, den))
+        filled = _filled(self.n, keys, channels, *parts, *(self.emitted(name)[t] for name in rules))
+        return _require_traceable(filled, self.m) if even else filled
 
-    @cached_property
-    def part1_buckets(self) -> Bucketed:
-        """Part 1's channels at the even xi-monomials c(v)c(w) reads, as the
-        kernel's buckets."""
-        entries, channels = self._families(1)
-        return _require_traceable(_filled(self.n, _ORDER2, channels, *entries,
-                                           self.dt_emitted[1]), self.m)
-
+    part1_buckets = cached_property(lambda self: self.buckets("part1"))
     part1_table = cached_property(
         lambda self: _trace_table({"cvw": self.cvw}, self.part1_buckets, self.m))
-    # c(v)c(w) against sigma_Delta's lead, checked as part 1's channels are
-    metric_table = cached_property(lambda self: _trace_table({"cvw": self.cvw}, _require_traceable(
-        _filled(self.n, ("lead",), [(1, 1)], self.lead_entries), self.m), self.m))
-
-    @cached_property
-    def delta_buckets(self) -> Bucketed:
-        """sigma_Delta's channels as the kernel's buckets, for both part-2
-        tables: R's and dT1's off their templates, and the lead, ric_jet, tt
-        and the families by ``_entries``."""
-        m, n, (ric, d_ric), (tt, d_t) = self.m, self.n, self.sums["ric_jet"], self.sums["tt"]
-        (r_m, c_t, c_ric, c_r), R, dT1 = _delta(m), self.reads["R"].den, self.reads["dT1"].den
-        families, channels = self._families(0)
-        return _filled(n, DELTA_KEYS, [(1, 1), (r_m, R), (c_ric, d_ric), (c_t, d_t), (c_r, R),
-                                       (c_t, dT1), *channels],
-                       self.lead_entries, _entries(n, 2, ric.items(), 1, -n - 2, False),
-                       _entries(n, 3, tt.items(), 1, -n - 2, False), *families,
-                       _spread(self.reads["R"], _R_EMITTED, n)[0], self.dt_emitted[0])
+    metric_table = cached_property(
+        lambda self: _trace_table({"cvw": self.cvw}, self.buckets("metric"), self.m))
+    delta_buckets = cached_property(lambda self: self.buckets("delta"))
 
     printed_table = cached_property(
         lambda self: _trace_table(self.printed(self.read_products), self.delta_buckets, self.m))
@@ -737,8 +740,8 @@ def _audit_rows(m: int, der: DerivedScalars) -> Tuple[_Row, ...]:
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
     nt2, tt, divt, tdw = der.norm_t2, der.tt_vw, der.div_t_vw, der.t_dw
     p1, p2, cvw, s2 = "part1_table", "printed_table", ("cvw",), ("s2",)
-    sm = ((0, "lead"), (0, "r_jet"))  # every channel of order -2m
-    sm1 = ((1, "ric_jet"), (1, "tt"), (1, "r_jet"), (1, "dt_jet"))  # and of -2m-1
+    # every channel of order -2m, and of -2m-1
+    sm, sm1 = (tuple(key for key in SIGMA_DELTA if key[0] == order) for order in (0, 1))
     return (
         _Row("I-A", p1, cvw, ("ric",), -Fraction(m - 1, 6) * s * g),
         _Row("I-B", p1, cvw, ("tt_xx",), -Fraction(27 * (m - 1), 4) * nt2 * g),

@@ -59,10 +59,12 @@ with coefficient ``kappa`` on strictly increasing triples:
 The curvature jet of the zeroth-order symbol pairs R_{bats} with the word
 c(e_s)c(e_t) exactly as in the trusted heat-coefficient inputs; the same
 pairing reappears (against xi_a xi_b) in the inverse-Laplacian symbols.
-Each channel is defined once, in full or on the terms that ``residue``'s
-traces read (``JetInputs``); the latter reach no symbol: ``residue`` emits
-the traced rules' terms and the int sums of ``JetInputs.sums``, which the
-public channels read too, into its trace kernel's buckets.
+Each channel is defined once, by one row of ``SIGMA_DELTA`` (sigma_Delta's
+14 channels, part 1's among them) or ``_PRINTED``, in full or on the terms
+that ``residue``'s traces read (``JetInputs``); the latter reach no symbol:
+``residue`` emits the traced rules' terms and the int sums of
+``JetInputs.sums``, which the public channels read too, into its trace
+kernel's buckets.
 """
 
 from __future__ import annotations
@@ -500,11 +502,12 @@ def _elements(n: int, terms: Dict, den: int) -> Dict[Hashable, CliffordElement]:
 def _r_jets(index, n, traced):
     """R_ajbk in sigma_Delta's order -2m r_jet at x^j x^k xi_a xi_b (part 0; traced: a = b,
     over j <= k as R_ajak = R_akaj) and, as R_bats, 2 R_bats in its order -2m-1 r_jet at x^b
-    xi_a c_s c_t, s < t, as R_bast = -R_bats (part 1; traced: the words that meet e_a or e_b)."""
+    xi_a c_s c_t, s < t, as R_bast = -R_bats (part 1; traced: the words that meet e_a or e_b);
+    at norm power 0, as every ``SIGMA_DELTA`` source, which its row moves to its own."""
     a, j, b, k = index
-    order_2m = ((0, (_pair(n, j, k), _pair(n, a, b), -n - 2, 0), 1 + (traced and j < k)),
+    order_2m = ((0, (_pair(n, j, k), _pair(n, a, b), 0, 0), 1 + (traced and j < k)),
                 ) if not traced or a == b and j <= k else ()
-    return (*order_2m, *((1, (_unit(n, a), _unit(n, j), -n - 2, (1 << k) | (1 << b)), 2),) * (
+    return (*order_2m, *((1, (_unit(n, a), _unit(n, j), 0, (1 << k) | (1 << b)), 2),) * (
         k < b and (not traced or j in (k, b) or a in (k, b))))
 
 
@@ -515,7 +518,7 @@ def _dt(index, n, traced):
     c, f, a, b = index
     word = (1 << a) | (1 << b)
     return () if a > b or traced and c != f and not {c, f} & {a, b} else (
-        (0, (_unit(n, c), _unit(n, f), -n - 2, word), 1), (1, (0, _pair(n, c, f), 0, word), 1),
+        (0, (_unit(n, c), _unit(n, f), 0, word), 1), (1, (0, _pair(n, c, f), 0, word), 1),
         *((2, (0, 0, 0, word), 1),) * (c == f))
 
 
@@ -530,30 +533,38 @@ def _vector(n: int, form: Tuple[Dict[int, int], int]) -> CliffordElement:
     return CliffordElement._of(n, {1 << i: x for i, x in nums.items() if x}, den)
 
 
-# order -(2mm+2) channel -> (c, q) (``JetInputs.order2``), and printed
-# channel -> (c, the grade its trace reads) (``JetInputs.products``)
-_ORDER2 = {"ric": (Fraction(1, 3), 1), "tt_xx": (Fraction(-9, 2), 1),
-           "tt_scalar": (Fraction(9, 4), 0), "div_t": (Fraction(3, 2), 0),
-           "r_xx": (Fraction(-1, 4), 1), "dt_xx": (-3, 1),
-           "e_scalar": (-1, 0), "dt4": (Fraction(-3, 2), 0)}
+# sigma_Delta, the symbol of the inverse m-th power of the Laplace-type square, by channel
+# (g, name) of order -2m-g: (c, q, imag, source), i^imag c mm (mm+1)^q (the lead's c alone)
+# times its source's terms at norm power -2mm-2-2q (``_at``), mm = m; a source is "lead", a
+# ``JetInputs.sums`` name or (R or dT1, part of its rule).  Part 1 reads g = 2 at mm = m - 1.
+SIGMA_DELTA = {
+    (0, "lead"): (1, 0, 0, "lead"), (0, "r_jet"): (Fraction(-1, 3), 0, 0, ("R", 0)),
+    (1, "ric_jet"): (Fraction(-2, 3), 0, 1, "ric_jet"), (1, "tt"): (3, 0, 1, "tt"),
+    (1, "r_jet"): (Fraction(1, 4), 0, 1, ("R", 1)), (1, "dt_jet"): (3, 0, 1, ("dT1", 0)),
+    (2, "ric"): (Fraction(1, 3), 1, 0, "ric"), (2, "tt_xx"): (Fraction(-9, 2), 1, 0, "tt_xx"),
+    (2, "tt_scalar"): (Fraction(9, 4), 0, 0, "tt_scalar"),
+    (2, "div_t"): (Fraction(3, 2), 0, 0, ("dT1", 2)), (2, "r_xx"): (Fraction(-1, 4), 1, 0, "r_xx"),
+    (2, "dt_xx"): (-3, 1, 0, ("dT1", 1)), (2, "e_scalar"): (-1, 0, 0, "e_scalar"),
+    (2, "dt4"): (Fraction(-3, 2), 0, 0, "dt4")}
+# printed channel -> (c, the grade its trace reads) (``JetInputs.products``)
 _PRINTED = {"s1_tt": (GaussianRational(0, Fraction(1, 2)), 2), "s1_dw": (I, 2),
             "s0_tt": (Fraction(1, 16), 0), "s0_r": (1, 0), "s0_dt": (Fraction(1, 4), 0),
             "s0_tdw": (Fraction(1, 4), 0)}
-# what does not depend on the jet, built once per n or mm: the generators
-# c_1 .. c_n and each order -(2mm+2) channel's (c mm (mm+1)^q, -2mm-2-2q)
+# the generators c_1 .. c_n, which do not depend on the jet, built once per n
 _GENERATORS: Dict[int, Tuple[CliffordElement, ...]] = {}
-_SCALES: Dict[int, Dict[str, Tuple[Fraction, int]]] = {}
 
 
-def _scales(mm: int) -> Dict[str, Tuple[Fraction, int]]:
-    return _SCALES.get(mm) or _SCALES.setdefault(mm, {
-        name: (Fraction(c.numerator * mm * (mm + 1) ** q, c.denominator), -2 * mm - 2 - 2 * q)
-        for name, (c, q) in _ORDER2.items()})
+def _at(key: Tuple[int, str], mm: int) -> Tuple[Fraction, int]:
+    """(c mm (mm+1)^q, or the lead's c, and -2mm-2-2q) of ``SIGMA_DELTA``'s row ``key``."""
+    c, q, _, source = SIGMA_DELTA[key]
+    return Fraction(c) * (1 if source == "lead" else mm * (mm + 1) ** q), -2 * mm - 2 - 2 * q
 
 
-def _delta(m: int) -> Tuple[Fraction, int, Fraction, Fraction]:
-    # sigma_Delta's prefactors -m/3 (order -2m), and 3m, -2m/3 and m/4 times i (order -2m-1)
-    return Fraction(-m, 3), 3 * m, Fraction(-2 * m, 3), Fraction(m, 4)
+def _channel(n: int, key: Tuple[int, str], mm: int, nums: Dict[Code, int], den: int):
+    """``SIGMA_DELTA``'s row ``key`` at mm on its source's terms, by one ``_symbol``."""
+    (c, p), imag = _at(key, mm), SIGMA_DELTA[key][2]
+    return _symbol(n, [((x, xi, p, w), k) for (x, xi, _, w), k in nums.items()], den,
+                   GaussianRational(0, c) if imag else c)
 
 
 class JetInputs:
@@ -566,13 +577,15 @@ class JetInputs:
     c(v) c(w) by the Clifford relation), the word sums (off Ric), T's terms
     (``t_terms``), its and dT1's 3-forms (``forms``) and T's bivector rows
     (``rows``, which only the public builders read), dT1's channel terms
-    (``dt_terms``), seven channels' int sums (``sums``), the order -(2mm+2)
-    families and the printed product symbol's channels.  Each product-symbol
-    builder takes a jet or this object as its one argument.
+    (``dt_terms``), six sources' int sums (``sums``), what the whole
+    channels add to them (``whole``) and the printed product symbol's
+    channels.  Each product-symbol builder takes a jet or this object as its
+    one argument.
 
-    Each channel is defined once, whole for the public builders or on the
-    terms a context's traces read (``read_products``, ``sums`` and the traced
-    rules, whose terms ``residue`` emits into its trace kernel's buckets), as
+    Each channel is defined once, by its row of ``SIGMA_DELTA`` or
+    ``_PRINTED``, whole for the public builders or on the terms a context's
+    traces read (``read_products``, ``sums`` and the traced rules, whose
+    terms ``residue`` emits into its trace kernel's buckets), as
     tr(c_I c_J) = 0 unless I = J and odd xi-monomials have no moment.  (1)
     The order -(2mm+2) families meet c(v) c(w) (at even xi-monomials only),
     s2 and the composed grade 2, of grades 0 and 2: tau_a tau_b is read on
@@ -630,13 +643,13 @@ class JetInputs:
 
     @cached_property
     def sums(self) -> Dict[str, Tuple[Dict[Code, int], int]]:
-        """Channel -> its nonzero int sums over one den, off Ric's and T's int
-        terms, of the channels both routes read: sigma_Delta's ric_jet, Ric_ab
-        at x^b xi_a, and tt, T's rows at xi_f, at the norm power -2m-2; and the
-        grade-0 order -(2mm+2) families at norm power 0: ric, Ric_ab + Ric_ba
-        at xi_a xi_b; tt_xx, the scalar part of tau_a tau_b + tau_b tau_a there,
-        -(2 - delta_ab) sum_{s<t} T_ast T_bst; tt_scalar, their sum at the
-        xi_a^2; e_scalar, s/4 - (3/4) |T|^2."""
+        """Source -> its nonzero int sums over one den, off Ric's and T's int
+        terms, at norm power 0, of the channels both routes read: sigma_Delta's
+        ric_jet, Ric_ab at x^b xi_a, and tt, T's rows at xi_f; and the grade-0
+        order -(2mm+2) families: ric, Ric_ab + Ric_ba at xi_a xi_b; tt_xx, the
+        scalar part of tau_a tau_b + tau_b tau_a there, -(2 - delta_ab)
+        sum_{s<t} T_ast T_bst; tt_scalar, their sum at the xi_a^2; e_scalar,
+        s/4 - (3/4) |T|^2."""
         n, x0, pairs, (ric, d_ric), d_t = self.n, 0, _pairs(self.n), self.ric, self.reads["T"].den
         der, rows, terms, units = self.derived, {}, self.t_terms[1], [_unit(n, a) for a in range(n)]
         for (f, word), x in terms.items():
@@ -644,9 +657,8 @@ class JetInputs:
         tt = {(a, b): -(1 + (a != b)) * sum(x * rows[b].get(w, 0) for w, x in rows[a].items())
               for a, b in combinations_with_replacement(rows, 2)}
         scalar, e = sum(tt[a, a] for a in rows), der.s / 4 - Fraction(3, 4) * der.norm_t2
-        return {"ric_jet": ({(units[b], units[a], -n - 2, 0): x for (a, b), x in ric.items()},
-                            d_ric),
-                "tt": ({(x0, units[f], -n - 2, w): x for (f, w), x in terms.items()}, d_t),
+        return {"ric_jet": ({(units[b], units[a], 0, 0): x for (a, b), x in ric.items()}, d_ric),
+                "tt": ({(x0, units[f], 0, w): x for (f, w), x in terms.items()}, d_t),
                 "ric": (_collected(((x0, pairs[a][b], 0, 0), x) for (a, b), x in ric.items()),
                         d_ric),
                 "tt_xx": ({(x0, pairs[a][b], 0, 0): x for (a, b), x in tt.items() if x}, d_t * d_t),
@@ -654,27 +666,27 @@ class JetInputs:
                 "e_scalar": ({(x0, x0, 0, 0): e.numerator} if e else {}, e.denominator)}
 
     @cached_property
-    def order2(self) -> Dict[str, Tuple[Fraction | int, int, Dict[Code, int], int]]:
-        """Channel -> (c, q, nums, den): at mm, the order -(2mm+2) channel at
-        x0 is c mm (mm+1)^q times nums/den moved from norm power 0 to -2mm-2-2q
-        (``_ORDER2``): the ``sums`` plus what no trace reads, the grade-4 part
-        of tau_a tau_b, dt4 and dT1's whole terms."""
-        n, x0, pairs, tau = self.n, 0, _pairs(self.n), self.rows
-        (_, dt_xx, div_t), den = self.dt_terms, self.reads["dT1"].den
+    def whole(self) -> Dict[Hashable, Tuple[Dict[Code, int], int]]:
+        """Source -> what the whole channels add to ``sums`` (``channels``):
+        the lead's terms, what no trace reads, the grade-4 part of tau_a
+        tau_b and dt4, and the terms of R's and dT1's whole rules by (R or
+        dT1, part)."""
+        n, x0, pairs, tau, reads = self.n, 0, _pairs(self.n), self.rows, self.reads
         dt4, dt4_den = self.derived.int_forms["dT4"]
         # tau_b tau_a, the reversal of tau_a tau_b (both bivectors), has its grade 4:
         # the pair (a, b) and (b, a) at xi_a xi_b adds up to twice it
         tt = {(a, b): _graded(tau[a], tau[b], (4,))
               for a, b in combinations_with_replacement(tau, 2)}
-        rest = {"tt_xx": _placed((x0, pairs[a][b], 0, ab.scale(1 + (a != b)))
+        # r_xx is empty: R_bats = -R_abts (derived_scalars checks it) cancels (a, b), (b, a)
+        return {"lead": (_lead(n), 1),
+                "tt_xx": _placed((x0, pairs[a][b], 0, ab.scale(1 + (a != b)))
                                  for (a, b), ab in tt.items()),
                 "tt_scalar": _placed((x0, x0, 0, tt[a, a]) for a in tau),
                 "dt4": ({(x0, x0, 0, sum(1 << i for i in ijkt)): x for ijkt, x in dt4.items()},
                         dt4_den),
-                "div_t": (div_t, den), "dt_xx": (dt_xx, den)}
-        # r_xx is empty: R_bats = -R_abts (derived_scalars checks it) cancels (a, b), (b, a)
-        return {name: (*_ORDER2[name], *_summed(part[name] for part in (self.sums, rest)
-                                                 if name in part)) for name in _ORDER2}
+                **{(name, i): (nums, reads[name].den) for name, parts in (
+                    ("R", _spread(reads["R"], _R_JETS[False], n)), ("dT1", self.dt_terms))
+                   for i, nums in enumerate(parts)}}
 
     gens = property(lambda self: _GENERATORS.get(self.n) or _GENERATORS.setdefault(
         self.n, tuple(CliffordElement.generator(self.n, i) for i in range(1, self.n + 1))))
@@ -734,34 +746,13 @@ class JetInputs:
         return {"s2": self.s2, **{name: _family(self.n, [(0, xi, 0, e) for xi, e in pairs], c)
                                   for name, (c, pairs) in products.items()}}
 
-    def order2_parts(self, mm: int) -> Dict[str, SymbolExpr]:
-        """Channels of the order -(2mm+2) symbol of the inverse mm-th power at
-        x0, each family scaled and moved to its norm power by ``_symbol``:
-        mm = m for part 2's pipeline, mm = m-1 for part 1's."""
-        scales = _scales(mm)
-        return {name: _symbol(self.n, (((x, xideg, p, w), k) for (x, xideg, _, w), k
-                                       in nums.items()), den, c)
-                for name, (_, _, nums, den) in self.order2.items() for c, p in [scales[name]]}
-
-    def sigma_delta(self) -> Tuple[
-            Dict[str, SymbolExpr], Dict[str, SymbolExpr], Dict[str, SymbolExpr]]:
-        """The channels of ``build_sigma_delta_inv_parts``."""
-        m, n, (ric, d_ric), (tt, d_t) = self.jet.m, self.n, self.sums["ric_jet"], self.sums["tt"]
-        (r_m, *imag), R, dT1 = _delta(m), self.reads["R"], self.reads["dT1"]
-        c_t, c_ric, c_r = (GaussianRational(0, c) for c in imag)
-
-        r_jets = _spread(R, _R_JETS[False], n)  # on R's symmetries: derived checks them
-        # order -2m: ||xi||^{-2m-2} sum (delta_ab - (m/3) R_{ajbk} x^j x^k) xi_a xi_b
-        parts_m = {"lead": build_sigma_delta_lead(self.jet),
-                   "r_jet": _symbol(n, r_jets[0].items(), R.den, r_m)}
-        # order -2m-1
-        parts_m1 = {
-            "ric_jet": _symbol(n, ric.items(), d_ric, c_ric),
-            "tt": _symbol(n, tt.items(), d_t, c_t),
-            "r_jet": _symbol(n, r_jets[1].items(), R.den, c_r),
-            "dt_jet": _symbol(n, self.dt_terms[0].items(), dT1.den, c_t),
-        }
-        return parts_m, parts_m1, self.order2_parts(m)
+    def channels(self, mm: int, g: int) -> Dict[str, SymbolExpr]:
+        """The whole channels of order -2mm-g at x0 by name, of the inverse
+        mm-th power (g = 2: mm = m for part 2, m - 1 for part 1): the g rows
+        of ``SIGMA_DELTA``, one ``_channel`` each on ``sums`` plus ``whole``."""
+        return {name: _channel(self.n, (h, name), mm, *_summed(
+            part[row[3]] for part in (self.sums, self.whole) if row[3] in part))
+            for (h, name), row in SIGMA_DELTA.items() if h == g}
 
 
 def build_sigma_dt(source: PointJet | JetInputs, variant: str = "printed"
@@ -839,15 +830,15 @@ def build_sigma_ab_printed(source: PointJet | JetInputs
 
 # -- inverse Laplacian-type symbols -----------------------------------------
 
-def _lead(n: int) -> List[Tuple[Code, int]]:
-    """The terms of ||xi||^{-n-2} sum_a xi_a^2 over 1, the leading, x-free
+def _lead(n: int) -> Dict[Code, int]:
+    """The terms of sum_a xi_a^2 over 1, the source of the leading, x-free
     channel of the inverse m-th power (all the metric density needs)."""
-    return [((0, row[a], -n - 2, 0), 1) for a, row in enumerate(_pairs(n))]
+    return {(0, row[a], 0, 0): 1 for a, row in enumerate(_pairs(n))}
 
 
 def build_sigma_delta_lead(jet: PointJet) -> SymbolExpr:
-    """||xi||^{-2m-2} sum_a xi_a^2, by ``_lead``."""
-    return _symbol(jet.n, _lead(jet.n), 1)
+    """||xi||^{-2m-2} sum_a xi_a^2, ``SIGMA_DELTA``'s lead."""
+    return _channel(jet.n, (0, "lead"), jet.m, _lead(jet.n), 1)
 
 
 def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
@@ -855,10 +846,11 @@ def build_sigma_delta_inv_parts(jet: PointJet) -> Tuple[
     """Labeled channels of the three graded symbols of the inverse m-th
     power of the Laplace-type square, with their printed truncation orders
     (x^2 jet, x^1 jet, base point)."""
-    return JetInputs(jet).sigma_delta()
+    inputs = JetInputs(jet)
+    return tuple(inputs.channels(jet.m, g) for g in range(3))
 
 
 def build_sigma_dtpow_parts(jet: PointJet) -> Dict[str, SymbolExpr]:
     """Channels of the order -2m symbol of the (2m-2)-th inverse power at
     the base point (prefactors carry m-1 in place of m)."""
-    return JetInputs(jet).order2_parts(jet.m - 1)
+    return JetInputs(jet).channels(jet.m - 1, 2)

@@ -271,6 +271,23 @@ def test_density_roundtrip(tmp_path, capsys):
     assert rows["prefactor"] == "2^m * 2*pi^m / Gamma(m)"
 
 
+@pytest.mark.parametrize("field", ["dt1", "metric"])
+def test_density_refuses_an_unknown_field(tmp_path, capsys, field):
+    """An instance with dT1 misspelt (or a field added) exits 2 naming the
+    field: a field the reader ignored would drop its tensor without a word
+    (the misspelt torsion jet would read as zero, and the density would
+    certify the wrong jet)."""
+    code, out, _ = run(capsys, "instance", "--dim", "2", "--seed", "5")
+    assert code == 0
+    data = json.loads(out)
+    data[field] = data.pop("dT1") if field == "dt1" else "-1"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "density", "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"invalid instance: unknown field '{field}'" in err and "Traceback" not in err
+
+
 def test_audit_verify_and_density_read_the_context_comparisons(tmp_path, capsys, monkeypatch):
     """The theorem comparison and the grade equalities are defined once on
     the context: redefined there, the audit's totals and lemma36 diff, the

@@ -1283,6 +1283,24 @@ def test_missing_or_null_fields_are_empty():
         assert jet_from_dict({**missing, name: None}) == empty
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"dt1": [[1, 2, 3, 4, "1/2"]]}, "'dt1'"), ({"N": 4}, "'N'"),
+    ({"v ": [], "comment": "x"}, "'v ', 'comment'")])
+def test_unknown_fields_are_refused_by_name(fields, named):
+    """Only schema, n, R, T, dT1, v, w and dw are read; any other field raises
+    InstanceError naming it, where it used to be ignored (a misspelt dT1
+    dropped the torsion jet), while every field ``jet_to_dict`` writes is
+    read back."""
+    data = _instance(**fields)
+    if "dt1" in fields:
+        del data["dT1"]
+    with pytest.raises(InstanceError, match=re.escape(f"unknown field {named}")):
+        jet_from_dict(data)
+    jet = random_point_jet(5, 2)
+    assert set(jet_to_dict(jet)) == {"schema", "n", "R", "T", "dT1", "v", "w", "dw"}
+    assert jet_from_dict(jet_to_dict(jet)) == jet
+
+
 def test_integral_numbers_parse_as_before():
     as_floats = _instance(n=4.0, R=[[1.0, 2, 1, 2.0, "1"]], T=[[1, 2.0, 3, "1"]],
                           dT1=[[1, 2, 3.0, 4, "1/2"]])

@@ -403,19 +403,19 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
     (((1, 0, 0, 0), (0,) * 4, -4, 0), "x-dependent"),
     (((0,) * 4, (2, 0, 0, 0), -4, 0), "homogeneity -2, expected -4"),
 ])
-def test_cvw_trace_guards(method, bad, message):
+def test_cvw_trace_guards(monkeypatch, method, bad, message):
     """part1 and metric trace c(v)c(w) against their channels by word, which
     must still be x-free of homogeneity -2m, as trace_integral demanded of
     the full product: every bucket of the metric's emitted lead and of part
     1's emitted channels (the bad term is emitted by ``_entries`` as channel
-    0, the lead among the lead's entries and part 1's ric among dT1's part-1
-    entries)."""
+    0, the lead in the metric's table and ric in part 1's, and added to each
+    table's entries as it is filled)."""
     import wres_torsion.residue as residue
 
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
     entries = residue._entries(4, 0, SymbolExpr(4, {bad: ONE}).nums.items(), 0, bad[2], False)
-    ctx.dt_emitted = (ctx.dt_emitted[0], {**ctx.dt_emitted[1], **entries}, {})
-    ctx.lead_entries = {**ctx.lead_entries, **entries}
+    monkeypatch.setattr(residue, "_filled", lambda n, keys, channels, *parts, _fn=residue._filled:
+                        _fn(n, keys, channels, *parts, entries))
     with pytest.raises(PipelineError, match=message):
         getattr(ctx, method)()
 
@@ -923,10 +923,10 @@ def test_engine_reads_no_dense_view(monkeypatch, m):
 BUILDERS = ("derived_scalars", "build_sigma_delta_inv_parts",
             "build_sigma_ab_printed_parts", "build_sigma_ab_composed",
             "build_sigma_dtpow_parts")
-# the JetInputs methods that build a set of channels: sigma_Delta's, the order
-# -(2mm+2) ones for one mm, and the printed products of one side of the split
-# into the part the trace reads and the rest
-CHANNEL_SETS = ("sigma_delta", "order2_parts", "products")
+# the JetInputs methods that build a set of channels: sigma_Delta's of one
+# order at one mm, and the printed products of one side of the split into the
+# part the trace reads and the rest
+CHANNEL_SETS = ("channels", "products")
 
 
 @pytest.fixture
@@ -974,7 +974,7 @@ def _shares_read_parts(ctx):
 # what the traced path of one jet's context builds: the derived scalars, the
 # printed products the part-2 trace reads and the buckets of its two tables of
 # emitted channels (part 1's and sigma_Delta's), and no symbol channel set of
-# an inverse power (``sigma_delta``, ``order2_parts``); a certification adds
+# an inverse power (``channels``); a certification adds
 # the metric's table of the emitted lead
 TRACED = {"derived_scalars": 1, "products": 1, "_filled": 2}
 CERTIFIED = {**TRACED, "_filled": 3}
@@ -1001,8 +1001,8 @@ def test_metric_builds_no_inverse_power_channels(build_counts, monkeypatch):
         return real_filled(n, keys, *args)
     monkeypatch.setattr(residue, "_filled", recording_filled)
     assert metric_density(random_point_jet(3, 2), 2).value
-    assert build_counts["build_sigma_delta_inv_parts"] == build_counts["sigma_delta"] == 0
-    assert build_counts["derived_scalars"] == 0 and filled == [("lead",)]
+    assert build_counts["build_sigma_delta_inv_parts"] == build_counts["channels"] == 0
+    assert build_counts["derived_scalars"] == 0 and filled == [((0, "lead"),)]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1174,7 +1174,7 @@ def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     no bivector row of dT1 and places no order -(2mm+2) family: its traced
     channels are emitted off dT1's orbits, whose templates apply the
     ``_near`` filter once, when they are built (sigma_Delta's r_jets likewise
-    off R's), and the grade-0 families are int sums (``read_families``); it
+    off R's), and the grade-0 families are int sums (``JetInputs.sums``); it
     reads each channel once per rule, and no bucket entry of either table is
     tagged r_xx, whose (a, b) and (b, a) placements cancel, or dt4, which no
     trace reads."""
@@ -1187,12 +1187,12 @@ def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     for mod in (symbols, residue):
         monkeypatch.setattr(mod, "_spread", counted_spread)
     ctx = PipelineContext(random_point_jet(seed, m), m)
-    assert ctx.dt_emitted[0] and ctx.dt_emitted[1]
+    assert ctx.emitted("dT1")[0] and ctx.emitted("dT1")[1]
     ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
     assert sorted(spreads) == [("R", "_emitted"), ("T", "_torsion"), ("dT1", "_emitted"),
                                ("dT1", "_torsion")]
-    # the families are placed by ``order2`` alone, and dT1's whole terms are not read
-    assert not {"order2", "dt_terms"} & set(vars(ctx))
+    # the families are placed by ``whole`` alone, and dT1's whole terms are not read
+    assert not {"whole", "dt_terms"} & set(vars(ctx))
     shift, tags = residue._tag_shift(ctx.n), set()
     for _, keys, _, _, buckets in (ctx.part1_buckets, ctx.delta_buckets):
         tags |= {keys[xi >> shift] for bucket in buckets.values() for xi, _ in bucket}
@@ -1226,7 +1226,7 @@ def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypa
     (b, a, t, s), x = next((k, x) for k, x in jet.R_entries.items() if k[2] < k[3])
     jet = dataclasses.replace(jet, R_entries={**jet.R_entries, (b, a, s, t): x})
     for read in (lambda c: c.part1(), lambda c: c.part2(), lambda c: c.delta_buckets,
-                 lambda c: c.word_sums, lambda c: c.order2):
+                 lambda c: c.word_sums, lambda c: c.whole):
         with pytest.raises(ValueError):
             read(PipelineContext(jet, m))
     assert formed == []
@@ -1285,7 +1285,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     assert audit(jet, 2).ok
     ctx = _held()
     assert len(sigma_delta) == 14
-    assert buckets == [dtpow, sigma_delta, ["lead"]]
+    assert buckets == [dtpow, sigma_delta, [(0, "lead")]]
     assert [list(lefts) for lefts in passes] == [
         ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
     printed, full = passes[1], ctx.ab_printed_parts
@@ -1660,20 +1660,24 @@ def test_emitted_buckets_match_the_traced_channels(m):
     """Part 1's and sigma_Delta's buckets, emitted off R's and dT1's orbit
     templates and the int sums with no symbol, hold per (bucket key, tagged
     xi-code) the value that ``_bucketed`` gives the traced channels as
-    symbols (``traced_channels``), under the same right keys and phase: on
-    every front's jet (``_front_jets``: each ``with_*`` flag off, parsed,
-    made, one-hot) and on the first one's hand-built and replaced copies,
-    which are read entry by entry."""
+    symbols (``traced_channels``, whose prefactors, norm powers and phases
+    are its own), under the same right keys and phase, and the metric's
+    buckets the value it gives ``build_sigma_delta_lead``: on every front's
+    jet (``_front_jets``: each ``with_*`` flag off, parsed, made, one-hot)
+    and on the first one's hand-built and replaced copies, which are read
+    entry by entry."""
     jets = _front_jets(m)
     jets += [_hand_built(jets[0]), dataclasses.replace(jets[0])]
     for jet in jets:
         ctx = PipelineContext(jet, m)
         dtpow, delta = traced_channels(ctx)
         oracle = (residue._bucketed(jet.n, dtpow), residue._bucketed(jet.n, {
-            (g, name): part for g, parts in enumerate(delta) for name, part in parts.items()}))
-        for got, expected in zip((ctx.part1_buckets, ctx.delta_buckets), oracle):
+            (g, name): part for g, parts in enumerate(delta) for name, part in parts.items()}),
+            residue._bucketed(jet.n, {(0, "lead"): symbols.build_sigma_delta_lead(jet)}))
+        for got, expected in zip((ctx.part1_buckets, ctx.delta_buckets, ctx.buckets("metric")),
+                                 oracle):
             assert _bucket_values(got) == _bucket_values(expected), (m, jet)
-    assert _bucket_values(oracle[1])[2]
+    assert _bucket_values(oracle[1])[2] and _bucket_values(oracle[2])[2]
 
 
 @pytest.mark.parametrize("xdeg, xideg, word, coeff", [
@@ -1762,13 +1766,13 @@ def test_a_certified_jet_forms_eight_symbols_and_no_bucketing(monkeypatch):
     assert metric_density(jet, m).value == -derived_scalars(jet).g_vw
     assert calls == {"_symbol": 8, "_filled": 3, "_trace_table": 3, "sums": 1}
     ctx, calls["_symbol"] = _held(), 0
-    whole = ctx.sigma_delta()[1]
+    whole = ctx.channels(m, 1)
     assert calls["sums"] == 1 and calls["_symbol"] > 0
-    # sigma_delta reads the context's sums: halving them halves its channels
+    # the public channels read the context's sums: halving them halves the channels
     for name in ("ric_jet", "tt"):
         nums, den = ctx.sums[name]
         ctx.sums = {**ctx.sums, name: (nums, 2 * den)}
-        assert ctx.sigma_delta()[1][name] == whole[name].scale(Fraction(1, 2)), name
+        assert ctx.channels(m, 1)[name] == whole[name].scale(Fraction(1, 2)), name
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -1218,13 +1218,13 @@ def _near(elem, a, b):
 
 def _walked_dt_channels(dT1, n, traced):
     """sigma_Delta's dt_jet at coefficient 1 and the dt_xx and div_t families
-    of the order -(2mm+2) channels, each as (nums, den), by the walk over the
-    int form of the dT1 map ``dT1`` into its bivector rows by (c, f), each
-    filtered by ``_near`` when traced."""
-    p, pairs = -n - 2, symbols._pairs(n)
+    of the order -(2mm+2) channels, each as (nums, den) at norm power 0, by the
+    walk over the int form of the dT1 map ``dT1`` into its bivector rows by
+    (c, f), each filtered by ``_near`` when traced."""
+    pairs = symbols._pairs(n)
     rows = _torsion_forms(_integer_form(dT1), n, 1)[1]
     dtau = {k: _near(row, *k) for k, row in rows.items()} if traced else rows
-    return (symbols._placed((symbols._unit(n, b), symbols._unit(n, a), p, row)
+    return (symbols._placed((symbols._unit(n, b), symbols._unit(n, a), 0, row)
                             for (b, a), row in dtau.items()),
             symbols._placed((0, pairs[a][b], 0, row) for (b, a), row in dtau.items()),
             symbols._placed((0, 0, 0, row) for (b, a), row in dtau.items() if a == b))
@@ -1245,8 +1245,8 @@ def test_orbit_read_channels_match_the_entry_walks(m):
     rows (``_walked_dt_channels``), and sigma_Delta's two r_jets, whole and
     traced, equal the walks over R's int form that built them before: every
     entry by ``_collected`` (a = b alone when traced), and the curvature pair
-    sums placed at x^b xi_a, ``_near``-filtered when traced.  Each walk runs
-    once per distinct map."""
+    sums placed at x^b xi_a, ``_near``-filtered when traced; every rule's
+    terms at norm power 0.  Each walk runs once per distinct map."""
     jets = _front_jets(m)
     jets += [_hand_built(jets[0]), *[dataclasses.replace(jets[0])][:m <= 4]]
     walks = []  # (channel, map, its walks), one per distinct map (``_walked``)
@@ -1271,7 +1271,7 @@ def test_orbit_read_channels_match_the_entry_walks(m):
                            for (b, a), e in pair_sums.items()))) for traced in (False, True)]
 
     for jet in jets:
-        n, p, pairs, units = jet.n, -jet.n - 2, symbols._pairs(jet.n), symbols._unit
+        n, p, pairs, units = jet.n, 0, symbols._pairs(jet.n), symbols._unit
         t_forms, t_rows = _walked(walks, "T", jet.T_entries, t_walk)
         dt_forms, d_dt1, dt = _walked(walks, "dT1", jet.dT1_entries, dt1_walk)
         den, r_jets = _walked(walks, "R", jet.R_entries, r_walk)
@@ -1294,62 +1294,71 @@ def dt_terms_read(inputs):
     return geometry._spread(inputs.reads["dT1"], symbols._DT[True], inputs.n)
 
 
-def order2_read(inputs):
-    """The order -(2mm+2) families as ``JetInputs.order2`` forms them, on the
-    terms a trace reads: tau_a tau_b on grade 0 alone, dt4 empty and dT1's
-    families off its traced terms."""
+def traced_sources(inputs):
+    """sigma_Delta's channels (g, name) in the tables' order, on the terms a
+    trace reads, each as its int terms at norm power 0 over one den, placed
+    here: the lead sum_a xi_a^2; the r_jets and dT1's channels off the traced
+    rules (``symbols._r_jets``, ``symbols._dt``); Ric_ab at x^b xi_a and T's
+    rows at xi_f; and the order -(2mm+2) families, tau_a tau_b on grade 0
+    alone, r_xx and dt4 empty."""
     n, der, pairs, (ric, ric_den), tau = inputs.n, inputs.derived, symbols._pairs(inputs.n), \
         inputs.ric, inputs.rows
-    (_, dt_xx, div_t), den = dt_terms_read(inputs), inputs.reads["dT1"].den
+    R, dT1, units = inputs.reads["R"], inputs.reads["dT1"].den, [
+        symbols._unit(n, a) for a in range(n)]
+    r_jets, (dt_jet, dt_xx, div_t) = geometry._spread(R, symbols._R_JETS[True], n), \
+        dt_terms_read(inputs)
     scalar = der.s / 4 - Fraction(3, 4) * der.norm_t2
     tt = {(a, b): symbols._graded(tau[a], tau[b], (0,))
           for a, b in itertools.combinations_with_replacement(tau, 2)}
-    families = {
-        "ric": [(pairs[a][b], CliffordElement._of(n, {0: x}, ric_den))
-                for (a, b), x in ric.items()],
-        "tt_xx": [(pairs[a][b], ab.scale(1 + (a != b))) for (a, b), ab in tt.items()],
-        "tt_scalar": [(0, tt[a, a]) for a in tau], "r_xx": [], "dt4": [],
-        "e_scalar": [(0, CliffordElement._of(n, {0: scalar.numerator} if scalar else {},
-                                             scalar.denominator))]}
-    summed = {"div_t": (div_t, den), "dt_xx": (dt_xx, den)}
-    return {name: (*symbols._ORDER2[name], *(summed.get(name) or symbols._placed(
-        (0, xideg, 0, e) for xideg, e in families[name]))) for name in symbols._ORDER2}
+    return {
+        (0, "lead"): ({(0, pairs[a][a], 0, 0): 1 for a in range(n)}, 1),
+        (0, "r_jet"): (r_jets[0], R.den),
+        (1, "ric_jet"): ({(units[b], units[a], 0, 0): x for (a, b), x in ric.items()}, ric_den),
+        (1, "tt"): symbols._placed((0, units[a], 0, row) for a, row in tau.items()),
+        (1, "r_jet"): (r_jets[1], R.den), (1, "dt_jet"): (dt_jet, dT1),
+        (2, "ric"): symbols._placed((0, pairs[a][b], 0, CliffordElement._of(n, {0: x}, ric_den))
+                                    for (a, b), x in ric.items()),
+        (2, "tt_xx"): symbols._placed((0, pairs[a][b], 0, ab.scale(1 + (a != b)))
+                                      for (a, b), ab in tt.items()),
+        (2, "tt_scalar"): symbols._placed((0, 0, 0, tt[a, a]) for a in tau),
+        (2, "div_t"): (div_t, dT1), (2, "r_xx"): ({}, 1), (2, "dt_xx"): (dt_xx, dT1),
+        (2, "e_scalar"): ({(0, 0, 0, 0): scalar.numerator} if scalar else {},
+                          scalar.denominator),
+        (2, "dt4"): ({}, 1)}
 
 
-def order2_parts_read(inputs, mm, even=False):
-    """``JetInputs.order2_parts`` of the traced families (``even``: only the
-    terms at even xi-monomials, all that an x-free, xi-free left factor
-    reads)."""
-    odd, scales = symbols._ones(inputs.n) if even else 0, symbols._scales(mm)
-    return {name: symbols._symbol(inputs.n, (((x, xi, p, w), k) for (x, xi, _, w), k
-                                             in nums.items() if not xi & odd), den, c)
-            for name, (_, _, nums, den) in order2_read(inputs).items()
-            for c, p in [scales[name]]}
+def delta_scales(mm):
+    """(g, name) -> (prefactor, norm power, imag) of sigma_Delta's channel at
+    mm, as the reference derivation prints them: the channel is i^imag times
+    the prefactor times its terms at that norm power."""
+    p2, p4, k = -2 * mm - 2, -2 * mm - 4, mm * (mm + 1)
+    return {(0, "lead"): (1, p2, 0), (0, "r_jet"): (Fraction(-mm, 3), p2, 0),
+            (1, "ric_jet"): (Fraction(-2 * mm, 3), p2, 1), (1, "tt"): (3 * mm, p2, 1),
+            (1, "r_jet"): (Fraction(mm, 4), p2, 1), (1, "dt_jet"): (3 * mm, p2, 1),
+            (2, "ric"): (Fraction(k, 3), p4, 0), (2, "tt_xx"): (Fraction(-9 * k, 2), p4, 0),
+            (2, "tt_scalar"): (Fraction(9 * mm, 4), p2, 0),
+            (2, "div_t"): (Fraction(3 * mm, 2), p2, 0), (2, "r_xx"): (Fraction(-k, 4), p4, 0),
+            (2, "dt_xx"): (-3 * k, p4, 0), (2, "e_scalar"): (-mm, p2, 0),
+            (2, "dt4"): (Fraction(-3 * mm, 2), p2, 0)}
 
 
 def traced_channels(inputs):
     """(part 1's channels, sigma_Delta's three channel dicts) as symbols on the
-    terms the context's traces read: the inverse (2m-2)-th power's order -2m
-    channels at even xi-monomials, and the channels of
-    ``build_sigma_delta_inv_parts`` by the traced rules and families.  The
-    context emits its buckets with no symbol; ``_bucketed`` of these is what
-    they must equal."""
-    m, n, p = inputs.jet.m, inputs.n, -inputs.n - 2
-    r_m, c_t, c_ric, c_r = symbols._delta(m)
-    c_t, c_ric, c_r = (GaussianRational(0, c) for c in (c_t, c_ric, c_r))
-    R, dT1, (ric, ric_den), units = inputs.reads["R"], inputs.reads["dT1"], inputs.ric, [
-        symbols._unit(n, a) for a in range(n)]
-    r_jets = geometry._spread(R, symbols._R_JETS[True], n)
-    parts_m = {"lead": symbols.build_sigma_delta_lead(inputs.jet),
-               "r_jet": symbols._symbol(n, r_jets[0].items(), R.den, r_m)}
-    parts_m1 = {
-        "ric_jet": symbols._symbol(n, (((units[b], units[a], p, 0), x) for (a, b), x
-                                       in ric.items()), ric_den, c_ric),
-        "tt": symbols._family(n, [(0, units[a], p, row) for a, row in inputs.rows.items()], c_t),
-        "r_jet": symbols._symbol(n, r_jets[1].items(), R.den, c_r),
-        "dt_jet": symbols._symbol(n, dt_terms_read(inputs)[0].items(), dT1.den, c_t)}
-    return order2_parts_read(inputs, m - 1, even=True), (parts_m, parts_m1,
-                                                           order2_parts_read(inputs, m))
+    terms the context's traces read (``traced_sources``, scaled and placed by
+    ``delta_scales``): the inverse (2m-2)-th power's order -2m channels, the
+    g = 2 ones at mm = m - 1, at even xi-monomials, and the channels of
+    ``build_sigma_delta_inv_parts`` at mm = m.  The context emits its buckets
+    with no symbol; ``_bucketed`` of these is what they must equal."""
+    m, n, odd, sources = inputs.jet.m, inputs.n, symbols._ones(inputs.n), traced_sources(inputs)
+
+    def channels(g, mm, even=False):
+        scales = delta_scales(mm)
+        return {name: symbols._symbol(n, [((x, xi, p, w), k) for (x, xi, _, w), k in nums.items()
+                                          if not (even and xi & odd)], den,
+                                      GaussianRational(0, c) if imag else c)
+                for (h, name), (nums, den) in sources.items() if h == g
+                for c, p, imag in [scales[h, name]]}
+    return channels(2, m - 1, even=True), tuple(channels(g, m) for g in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -1473,7 +1482,8 @@ def test_sigma_delta_r_jets_match_the_old_walks(m):
     for jet in _m_fit_jets(m):
         inputs = symbols.JetInputs(jet)
         for traced in (False, True):
-            parts_m, parts_m1, _ = traced_channels(inputs)[1] if traced else inputs.sigma_delta()
+            parts_m, parts_m1, _ = traced_channels(inputs)[1] if traced else (
+                inputs.channels(m, 0), inputs.channels(m, 1), None)
             old_m, old_m1 = _old_r_jets(inputs, traced)
             assert old_m and old_m1, (m, traced)
             for new, old in ((parts_m["r_jet"], old_m), (parts_m1["r_jet"], old_m1)):
@@ -1681,7 +1691,7 @@ def _assert_order2_matches_per_mm(jet):
     inputs = symbols.JetInputs(jet)
     for mm, built in ((m - 1, build_sigma_dtpow_parts(jet)),
                       (m, build_sigma_delta_inv_parts(jet)[2])):
-        parts, per_mm = inputs.order2_parts(mm), _per_mm_order2_parts(jet, mm)
+        parts, per_mm = inputs.channels(mm, 2), _per_mm_order2_parts(jet, mm)
         assert list(parts) == list(per_mm) == list(built)
         _assert_same_channels(parts, per_mm)
         _assert_same_channels(built, per_mm)
@@ -1694,7 +1704,7 @@ def _assert_order2_matches_per_mm(jet):
 @pytest.mark.parametrize("seed", range(5))
 def test_order2_families_match_per_mm_channels(m, seed):
     inputs = _assert_order2_matches_per_mm(random_point_jet(seed, m))
-    assert any(inputs.order2_parts(m).values())
+    assert any(inputs.channels(m, 2).values())
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1709,8 +1719,8 @@ def test_order2_families_match_per_mm_channels_without_e_scalar(m):
     der = derived_scalars(jet)
     assert der.s == 3 * der.norm_t2 != 0
     inputs = _assert_order2_matches_per_mm(jet)
-    assert not inputs.order2["e_scalar"][2]
-    assert all(inputs.order2_parts(mm)["ric"] for mm in (m - 1, m))
+    assert not inputs.sums["e_scalar"][0] and "e_scalar" not in inputs.whole
+    assert all(inputs.channels(mm, 2)["ric"] for mm in (m - 1, m))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1725,7 +1735,7 @@ def test_r_xx_family_holds_no_term(m):
     jets += [make_point_jet(m, **kw) for _, _, kw in (_one_hot_cases(m) if m > 1 else ())]
     assert any(_curvature_pair_sums(_integer_form(jet.R_entries), jet.n) for jet in jets)
     for jet in jets:
-        assert symbols.JetInputs(jet).order2["r_xx"][2] == {}
+        assert not symbols.JetInputs(jet).channels(jet.m, 2)["r_xx"]
 
 
 def _map_torsion_forms(entries, n, rows=False):
@@ -1762,9 +1772,9 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
     ``_integer_form`` of ``jet.R_entries`` and of ``derived.ric``, the torsion
     3-forms and T's rows by the map reader above, dT1's channel terms, whole
     and (``dt_terms_read``) traced, by the walk over its rows
-    (``_walked_dt_channels``, by value), the int sums and order -(2mm+2)
-    families from those (and the grade-0 families of the sums, by value, as
-    ``order2_read`` places them on T's rows), and c(v), c(w) and c(v) sum (d_j
+    (``_walked_dt_channels``, by value), the int sums and what the whole
+    channels add to them from those (and the grade-0 families of the sums, by
+    value, as ``traced_sources`` places them on T's rows), and c(v), c(w) and c(v) sum (d_j
     w_g) c_j c_g from the jet's rational vectors and the generators'
     products (on seeds 0-4, the one-hot coefficient jets, the jets with one
     channel off and a constant curvature 1/(n-1), whose Ric is integral
@@ -1799,10 +1809,10 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
             "rows": rows, "dt_terms": tuple(walked[0]), "sums": sums,
             "word_sums": {b: e for b in range(n)
                           if (e := _dense_curvature_word_sum(jet, b, Fraction(1, 8)))},
-            # the families of JetInputs.order2 over the inputs converted anew
-            "order2": symbols.JetInputs.order2.func(types.SimpleNamespace(
-                n=n, derived=der, rows=rows, sums=sums, dt_terms=walked[0],
-                reads={"dT1": types.SimpleNamespace(den=d_dt1)})),
+            # what JetInputs.whole adds to the sums, over the inputs converted anew
+            "whole": symbols.JetInputs.whole.func(types.SimpleNamespace(
+                n=n, derived=der, rows=rows, dt_terms=walked[0],
+                reads={"R": der.int_forms["R"], "dT1": types.SimpleNamespace(den=d_dt1)})),
         }
         inputs = symbols.JetInputs(jet)
         read = inputs.reads["R"]
@@ -1811,10 +1821,10 @@ def test_jet_inputs_match_inputs_converted_from_the_maps(m):
             assert _raw(getattr(inputs, name)) == _raw(expected), name
         assert _raw(tuple(dt_terms_read(inputs))) == _raw(tuple(walked[1]))
         families = {name: _by_xi({xi: c for (_, xi, _, _), c in nums.items()}, den)
-                    for name, (nums, den) in inputs.sums.items() if name in symbols._ORDER2}
+                    for (g, name), (nums, den) in traced_sources(inputs).items()
+                    if g == 2 and name in inputs.sums}
         assert families == {name: _by_xi({xi: c for (_, xi, _, _), c in nums.items()}, den)
-                            for name, (_, _, nums, den) in order2_read(inputs).items()
-                            if name in families}
+                            for name, (nums, den) in inputs.sums.items() if name in families}
 
 
 def _by_xi(nums, den):
