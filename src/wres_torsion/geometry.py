@@ -56,6 +56,7 @@ from .numerics import _collected, _integer_form, _reduced, format_rational, pars
 
 SUPPORTED_M = (1, 2, 3, 4, 5, 6, 7, 8)
 _FIELDS = ("schema", "n", "R", "T", "dT1", "v", "w", "dw")  # the fields of an instance file
+SCHEMA = "wres-torsion-instance-v1"  # an instance file's schema, which may be left out
 
 Vec = Tuple[Fraction, ...]
 Mat2 = Tuple[Vec, ...]
@@ -734,7 +735,7 @@ def jet_to_dict(jet: PointJet) -> dict:
     def listed(entries, keys):
         return [[*(i + 1 for i in key), format_rational(entries[key])] for key in keys]
     return {
-        "schema": "wres-torsion-instance-v1",
+        "schema": SCHEMA,
         "n": jet.n,
         "R": listed(R, sorted(k for k in R if k[0] < k[1] and k[2] < k[3] and k[:2] <= k[2:])),
         "T": listed(T, sorted(k for k in T if k[0] < k[1] < k[2])),
@@ -752,7 +753,8 @@ def jet_from_dict(data: dict) -> PointJet:
     Sparse R/T/dT1 entries are completed by symmetry; entries whose orbits
     collide with a different value are rejected, as is any tensor that fails
     validation after completion.  A missing or null R, T, dT1 or dw is
-    empty; any other malformed value or unknown field raises InstanceError naming it.
+    empty; any other malformed value or unknown field, or a schema other than
+    ``SCHEMA``, raises InstanceError naming it.
     """
     try:
         raw_n = data["n"]
@@ -761,6 +763,8 @@ def jet_from_dict(data: dict) -> PointJet:
     if unknown := [key for key in data if key not in _FIELDS]:
         raise InstanceError(f"unknown field {', '.join(map(repr, unknown))}:"
                             f" an instance holds only {', '.join(_FIELDS)}")
+    if data.get("schema", SCHEMA) != SCHEMA:
+        raise InstanceError(f"schema {data['schema']!r} is not {SCHEMA!r}")
     n = _integer(raw_n, "field 'n'")
     if n % 2 or n // 2 not in SUPPORTED_M:
         raise InstanceError(f"unsupported dimension n={n}")

@@ -10,16 +10,17 @@ prefactor as a symbolic string only).
 monomial moments; ``sphere_moment_bruteforce`` recomputes the same number
 by enumerating perfect pairings, and stays independent of the closed
 formula: the two are compared term-for-term in the verification suite.
-The one trace kernel, ``_trace_table``, traces the order -2m part at x0 of
+The one trace kernel, ``_trace_table``, traces one xi-order's part at x0 of
 the Leibniz compositions L_i o R_j of a list of left channels with a list of
 right channels in one pass, reading each term's Leibniz factors off its
 xi-code (no derivative table).  It adds xi-codes tagged with the (left,
 right) cell and sums int products per tagged code, then per cell and moment
-degree, reading memoised moments derived from ``sphere_moment``; any set of
-cells then traces to one Fraction (``TraceTable.trace``).  The one-cell case
-is ``_leibniz_trace``; ``trace_integral`` is the one cell of the identity
-symbol (its only alpha is ()) with a traceable right channel.  A left x0
-term with a norm power is refused by name, as in ``symbols.compose``.
+degree, reading memoised moments derived from ``sphere_moment``, and weights
+each cell by its right channel; any set of cells then traces to one Fraction
+(``TraceTable.trace``).  The one-cell case is ``_leibniz_trace``;
+``trace_integral`` is the one cell of the identity symbol (its only alpha is
+()) with a traceable right channel.  A left x0 term with a norm power is
+refused by name, as in ``symbols.compose``.
 
 The two density pipelines:
 
@@ -38,11 +39,12 @@ spectral Einstein density
 
 The public densities, closed forms and ``audit`` reuse the newest ``PipelineContext``
 for the same jet object, m and composed builder, so each symbol, the derived
-scalars and each trace table are built once per jet.  The right channels of
-the part-1, part-2 and metric tables are rows of ``symbols.SIGMA_DELTA``
-(``_TABLES``); on the terms their traces read, they reach the kernel's
-buckets with no symbol, each term by one rule (``_entries``): R's and dT1's
-off their orbits' templates, the rest from ``JetInputs.sums``.
+scalars and each trace table are built once per jet.  Every table reads one
+bucket set of the 14 rows of ``symbols.SIGMA_DELTA`` at m, on the terms the
+traces read, built with no symbol by one rule (``_entries``) over each row's
+m-free c: R's and dT1's off their orbits' templates, the rest from
+``JetInputs.sums``.  A table reads it at its own mm and weights mm (mm+1)^q:
+part 1 the g = 2 rows at mm = m - 1, the metric the lead and part 2 all.
 
 ``audit`` reproduces the reference derivation step by step (labels I-A ..
 II-6, one row each of ``_audit_rows``, read off the cells of the part-1 or
@@ -204,7 +206,8 @@ def trace_integral(expr: SymbolExpr, m: int) -> Density:
     one-cell table of the identity symbol (only alpha = ()) with ``expr``.
     """
     return Density(_trace_table({0: SymbolExpr._of(expr.n, {(0, 0, 0, 0): 1}, 1, 0)},
-                                _require_traceable(_bucketed(expr.n, {0: expr}), m), m).trace())
+                                _require_traceable(_bucketed(expr.n, {0: expr}), m),
+                                -2 * m).trace())
 
 
 class TraceTable(NamedTuple):
@@ -302,20 +305,12 @@ def _require_traceable(bucketed: Bucketed, m: int) -> Bucketed:
     return bucketed
 
 
-# a context's right-hand tables of ``SIGMA_DELTA`` rows at mm = m - shift: name -> (shift, right
-# key -> row, even: c(v)c(w) reads it at even xi-monomials, and ``_require_traceable`` checks it)
-_TABLES = {"delta": (0, {key: key for key in SIGMA_DELTA}, False),
-           "part1": (1, {name: (g, name) for g, name in SIGMA_DELTA if g == 2}, True),
-           "metric": (0, {key: key for key, row in SIGMA_DELTA.items() if row[3] == "lead"}, True)}
-
-
-def _entries(n: int, j: int, nums: Iterable[Tuple[Tuple, int]], imag: int, p: int,
-             even: int) -> Dict[Tuple[Tuple, int], int]:
-    """The one way into a table's buckets: right channel j's terms, (symbol
+def _entries(n: int, j: int, nums: Iterable[Tuple[Tuple, int]], imag: int, p: int) -> Dict:
+    """The one way into sigma_Delta's buckets: right channel j's terms, (symbol
     key, c) pairs of i^imag c x^mu xi^nu word, at the norm power p as entries
     (bucket key, xi-code tagged j) -> mu! i^(|nu| + grade - imag) c, keyed as
-    ``_bucketed`` keys them; an odd power of i breaks the phase rule, an
-    exponent past 127 is ``_unpackable``, and ``even`` skips odd xi^nu."""
+    ``_bucketed`` keys them; an odd power of i breaks the phase rule, and an
+    exponent past 127 is ``_unpackable``."""
     s, odd, tag, out = 8 * n, _ones(n), j << _tag_shift(n), {}
     high, twos = odd << 7, odd << 1
     for key, c in nums:
@@ -324,40 +319,37 @@ def _entries(n: int, j: int, nums: Iterable[Tuple[Tuple, int]], imag: int, p: in
             raise _phase_error(key, c, imag, n)
         if xi & high:
             raise _unpackable(xi, n)
-        if not (even and xi & odd):
-            out[(x, word, xi & odd, nu + p), xi + tag] = (
-                (-c if e & 2 else c) * (2 if x & twos else 1))
+        out[(x, word, xi & odd, nu + p), xi + tag] = (
+            (-c if e & 2 else c) * (2 if x & twos else 1))
     return out
 
 
 def _emitted(index, n: int, rule, outs) -> List[Tuple[int, Tuple[Tuple, int], int]]:
-    """The traced ``rule``'s terms at ``index`` as (table, entry, int): each
-    term's ``_entries`` as channel (table, j, norm power + n, imag, even) of
-    ``outs[part]``, which ``_spread`` sums into its templates once per orbit."""
-    return [(table, *entry) for part, key, c in rule(index, n)
-            for table, j, p, imag, even in outs[part]
-            for entry in _entries(n, j, ((key, c),), imag, p - n, even).items()]
+    """The traced ``rule``'s terms at ``index`` as (0, entry, int): each term's
+    ``_entries`` as channel (j, norm power + n, imag) of ``outs[part]``, which
+    ``_spread`` sums into its templates once per orbit."""
+    return [(0, *entry) for part, key, c in rule(index, n) for j, p, imag in outs[part]
+            for entry in _entries(n, j, ((key, c),), imag, p - n).items()]
 
 
-# per part of R's and dT1's traced rules, the (table index, j, norm power + n, imag, even) of each
-# ``_TABLES`` row it is the source of: -2mm-2-2q at mm = m - shift plus n = 2m is its value at m = 0
+# per part of R's and dT1's traced rules, the (j, norm power + n, imag) of each ``SIGMA_DELTA``
+# row it is the source of: -2m-2-2q plus n = 2m is its value at m = 0
 _R_EMITTED, _DT_EMITTED = (partial(_emitted, rule=rule[True], outs=tuple([
-    (t, j, _at(key, -shift)[1], SIGMA_DELTA[key][2], even)
-    for t, (shift, rows, even) in enumerate(_TABLES.values()) for j, key in enumerate(rows.values())
-    if SIGMA_DELTA[key][3] == (name, part)] for part in range(3)))
+    (j, _at(key, 0)[2], row[2]) for j, (key, row) in enumerate(SIGMA_DELTA.items())
+    if row[3] == (name, part)] for part in range(3)))
     for name, rule in (("R", _R_JETS), ("dT1", _DT)))
-_PLANS: Dict[Tuple[str, int], Tuple] = {}  # ``_plan``'s, one per (table, m)
+_PLANS: Dict[int, Tuple] = {}  # ``_plan``'s, one per m
+_WEIGHTS: Dict[Tuple[int, Tuple], Dict] = {}  # a reading's weights, one per (mm, rows)
+# c(v)c(w) has no xi: at alpha = (), x-code 0 and even xi-monomials, the buckets of order -2m-2
+# hold exactly the g = 2 rows (part 1's, at mm = m - 1) and those of -2m the lead (the metric's)
+_G2_ROWS, _LEAD_ROW = tuple(key for key in SIGMA_DELTA if key[0] == 2), ((0, "lead"),)
 
 
-def _plan(table: str, m: int) -> Tuple:
-    """(table index, right keys, rows as (j, source, prefactor, norm power,
-    imag), the lead's entries, even) of ``_TABLES[table]`` at m."""
-    shift, rows, even = _TABLES[table]
-    plan = [(j, SIGMA_DELTA[key][3], *_at(key, m - shift), SIGMA_DELTA[key][2])
-            for j, key in enumerate(rows.values())]
-    return list(_TABLES).index(table), list(rows), plan, [
-        _entries(2 * m, j, _lead(2 * m).items(), imag, p, even)
-        for j, source, _, p, imag in plan if source == "lead"], even
+def _plan(m: int) -> Tuple:
+    """(rows as (source, c, norm power, imag), the lead's entries) of ``SIGMA_DELTA`` at m."""
+    plan = [(row[3], *_at(key, m)[::2], row[2]) for key, row in SIGMA_DELTA.items()]
+    return plan, [_entries(2 * m, j, _lead(2 * m).items(), imag, p)
+                  for j, (source, _, p, imag) in enumerate(plan) if source == "lead"]
 
 
 def _filled(n: int, keys, channels, *parts: Dict[Tuple[Tuple, int], int]) -> Bucketed:
@@ -373,11 +365,12 @@ def _filled(n: int, keys, channels, *parts: Dict[Tuple[Tuple, int], int]) -> Buc
     return n, list(keys), den, 0, buckets
 
 
-def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) -> TraceTable:
-    """The channel-resolved cosphere trace of the grade -2m part at x0 of the
-    Leibniz compositions sum_{|alpha| <= 2} (-i)^|alpha|/alpha!
-    d_xi^alpha L_i d_x^alpha R_j of each left channel L_i (over their common
-    denominator and phase) with each right channel R_j of ``_bucketed``.
+def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, order: int,
+                 weights: Dict[Hashable, int] | None = None) -> TraceTable:
+    """The channel-resolved cosphere trace of the xi-order ``order`` part at
+    x0 of the Leibniz compositions sum_{|alpha| <= 2} (-i)^|alpha|/alpha!
+    d_xi^alpha L_i d_x^alpha R_j, times ``weights[R_j]``, of each left channel
+    L_i (over their common denominator and phase) with each R_j of ``_bucketed``.
 
     Each x0 term r xi^nu word of L_i gives C(nu, alpha) r xi^(nu - alpha)
     word at L_i's phase (``symbols._leibniz_alphas``; the alpha code is also
@@ -386,15 +379,17 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
     transposition parity of w into w times the identity (the c_i^2 signs
     cancel against the phase of the lost grade); only xi-exponents of equal
     parities have a moment.  So each term and alpha read the one bucket of
-    the word, parity and xi-order that complete -2m, and the int products are
-    summed per product code (no carry below 128), which carries the cell
-    index i R + j above ``_tag_shift(n)``; then per cell and moment degree.
-    By grading, a cell of two homogeneous channels holds one |alpha| only.
-    An x0 term of L_i with a norm power raises ValueError naming it
-    (``_norm_power``), whatever the right channels."""
+    the word, parity and xi-order that complete ``order``, and the int
+    products are summed per product code (no carry below 128), which carries
+    the cell index i R + j above ``_tag_shift(n)``; then per cell and moment
+    degree.  By grading, a cell of two homogeneous channels holds one |alpha|
+    only.  The right keys are ``weights``' (all R_j, at 1, given none): a
+    cell of another R_j raises PipelineError, and an x0 term of L_i with a
+    norm power ValueError naming it (``_norm_power``), whatever the R_j."""
     n, right_keys, right_den, right_phase, buckets = bucketed
+    weights = dict.fromkeys(right_keys, 1) if weights is None else weights
     den, phase, factors = _common(n, list(lefts.values()))
-    grade, get, width, shift = -2 * m, buckets.get, len(right_keys), _tag_shift(n)
+    get, width, shift = buckets.get, len(right_keys), _tag_shift(n)
     s, odd, high = 8 * n, _ones(n), _ones(n) << 7
     moments: Dict[int, int] = {}
     for i, (left, f) in enumerate(zip(lefts.values(), factors)):
@@ -410,9 +405,9 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
             # interleaving w into w takes C(k, 2) transpositions for k = grade(w),
             # an odd number exactly when k % 4 is 2 or 3
             ca *= -f if word.bit_count() & 2 else f
-            order = grade - (xi >> s)
+            rest_order = order - (xi >> s)
             for a, c in _leibniz_alphas(xi, n):
-                bucket = get((a, word, (xi - a) & odd, order + (a >> s)))
+                bucket = get((a, word, (xi - a) & odd, rest_order + (a >> s)))
                 if bucket is not None:
                     rest, c = xi - a + tag, c * ca
                     for xi_b, cb in bucket:
@@ -425,17 +420,19 @@ def _trace_table(lefts: Dict[Hashable, SymbolExpr], bucketed: Bucketed, m: int) 
         if cell is None:
             cell = cells[code >> shift] = {}
         cell[d] = cell.get(d, 0) + r * w
-    left_keys = tuple(lefts)
-    return TraceTable({(left_keys[t // width], right_keys[t % width]): cell
-                       for t, cell in cells.items()}, phase + right_phase, den * right_den,
-                      left_keys, tuple(right_keys))
+    left_keys, table = tuple(lefts), {}
+    for t, cell in cells.items():
+        if (weight := weights.get(right := right_keys[t % width])) is None:
+            raise PipelineError(f"channel {right!r} reaches a trace that does not read it")
+        table[left_keys[t // width], right] = {d: r * weight for d, r in cell.items()}
+    return TraceTable(table, phase + right_phase, den * right_den, left_keys, tuple(weights))
 
 
 def _leibniz_trace(left: SymbolExpr, right: SymbolExpr, m: int) -> Fraction:
     """The one-cell ``_trace_table``: the cosphere trace of the grade -2m
     part at x0 of sum_{|alpha| <= 2} (-i)^|alpha|/alpha! d_xi^alpha L
     d_x^alpha R."""
-    return _trace_table({0: left}, _bucketed(left.n, {0: right}), m).trace()
+    return _trace_table({0: left}, _bucketed(left.n, {0: right}), -2 * m).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +476,13 @@ class PipelineContext(JetInputs):
     c(w), the jet's tensors converted once and the int sums), the one argument
     of every builder it calls through this module's bindings.  Every field is
     built on first use and reused: c(v)c(w), the printed channels on the terms
-    a table reads, the printed and composed grades, the entries of R's and
-    dT1's traced rules, the buckets of the ``_TABLES`` (``buckets``), and the
-    trace tables of part 1, the metric and both part-2 sources (the last two
-    on sigma_Delta's), whose cells the densities and the audit rows read; then
-    the ``COMPARISONS`` and the product symbol's three grade equalities.  The
-    public calls on one jet in a row share the context ``_context`` holds (the
-    CLI makes one per jet).  A jet whose dimension is not 2m is rejected
-    before any field is built.
+    a table reads, the printed and composed grades, sigma_Delta's one bucket
+    set (``delta_buckets``) and the trace tables of part 1, the metric and
+    both part-2 sources, each a reading of it (``_read``), whose cells the
+    densities and the audit rows read; then the ``COMPARISONS`` and the
+    product symbol's three grade equalities.  The public calls on one jet in a
+    row share the context ``_context`` holds (the CLI makes one per jet).  A
+    jet whose dimension is not 2m is rejected before any field is built.
     """
 
     def __init__(self, jet: PointJet, m: int):
@@ -495,7 +491,6 @@ class PipelineContext(JetInputs):
         super().__init__(jet)
         self.m = m
         self._compared: Dict[str, Comparison] = {}
-        self._emitted: Dict[str, Tuple[Dict, Dict, Dict]] = {}
 
     @cached_property
     def cvw(self) -> SymbolExpr:
@@ -513,39 +508,38 @@ class PipelineContext(JetInputs):
     def ab_composed(self) -> Tuple[SymbolExpr, SymbolExpr, SymbolExpr]:
         return build_sigma_ab_composed(self)
 
-    def emitted(self, name: str) -> Tuple[Dict, Dict, Dict]:
-        """Per table index, R's or dT1's traced rule's entries, spread once."""
-        return self._emitted.get(name) or self._emitted.setdefault(name, _spread(
-            self.reads[name], _R_EMITTED if name == "R" else _DT_EMITTED, self.n))
-
-    def buckets(self, table: str) -> Bucketed:
-        """``_TABLES[table]``'s channels as the kernel's buckets: the lead's planned
-        entries, the ``sums``' by ``_entries``, R's and dT1's off their templates."""
-        t, keys, plan, parts, even = _PLANS.get((table, self.m)) or _PLANS.setdefault(
-            (table, self.m), _plan(table, self.m))
-        parts, channels, rules = [*parts], [], {}
-        for j, source, c, p, imag in plan:
+    @cached_property
+    def delta_buckets(self) -> Bucketed:
+        """``SIGMA_DELTA``'s 14 rows at m as the kernel's buckets over their
+        m-free c: the lead's planned entries, the ``sums``' by ``_entries``,
+        R's and dT1's spread once off their templates."""
+        plan, parts = _PLANS.get(self.m) or _PLANS.setdefault(self.m, _plan(self.m))
+        parts, channels, n, reads = [*parts], [], self.n, self.reads
+        for j, (source, c, p, imag) in enumerate(plan):
             if isinstance(source, tuple):
-                rules[source[0]] = den = self.reads[source[0]].den
+                den = reads[source[0]].den
             else:  # the lead's entries are planned, and no sums
                 nums, den = ({}, 1) if source == "lead" else self.sums.get(source, ({}, 1))
                 if nums:
-                    parts.append(_entries(self.n, j, nums.items(), imag, p, even))
+                    parts.append(_entries(n, j, nums.items(), imag, p))
             channels.append((c, den))
-        filled = _filled(self.n, keys, channels, *parts, *(self.emitted(name)[t] for name in rules))
-        return _require_traceable(filled, self.m) if even else filled
+        return _filled(n, SIGMA_DELTA, channels, *parts, _spread(reads["R"], _R_EMITTED, n)[0],
+                       _spread(reads["dT1"], _DT_EMITTED, n)[0])
 
-    part1_buckets = cached_property(lambda self: self.buckets("part1"))
-    part1_table = cached_property(
-        lambda self: _trace_table({"cvw": self.cvw}, self.part1_buckets, self.m))
-    metric_table = cached_property(
-        lambda self: _trace_table({"cvw": self.cvw}, self.buckets("metric"), self.m))
-    delta_buckets = cached_property(lambda self: self.buckets("delta"))
+    def _read(self, lefts: Dict[Hashable, SymbolExpr], mm: int,
+              rows: Tuple[Tuple[int, str], ...] = tuple(SIGMA_DELTA)) -> TraceTable:
+        """``lefts`` traced against ``delta_buckets``' ``rows`` at mm: weighted at
+        mm, at xi-order -2m - 2(m - mm) (the norm powers at mm are 2(m - mm) above m's)."""
+        weights = _WEIGHTS.get((mm, rows)) or _WEIGHTS.setdefault(
+            (mm, rows), {key: _at(key, mm)[1] for key in rows})
+        return _trace_table(lefts, self.delta_buckets, 2 * mm - 4 * self.m, weights)
 
+    part1_table = cached_property(lambda self: self._read({"cvw": self.cvw}, self.m - 1, _G2_ROWS))
+    metric_table = cached_property(lambda self: self._read({"cvw": self.cvw}, self.m, _LEAD_ROW))
     printed_table = cached_property(
-        lambda self: _trace_table(self.printed(self.read_products), self.delta_buckets, self.m))
+        lambda self: self._read(self.printed(self.read_products), self.m))
     composed_table = cached_property(
-        lambda self: _trace_table(dict(enumerate(self.ab_composed)), self.delta_buckets, self.m))
+        lambda self: self._read(dict(enumerate(self.ab_composed)), self.m))
 
     def metric(self) -> Density:
         return Density(self.metric_table.trace())
@@ -733,8 +727,9 @@ class _Row(NamedTuple):
 
 def _audit_rows(m: int, der: DerivedScalars) -> Tuple[_Row, ...]:
     """The displayed steps of the reference derivation at m: part 1 traces
-    c(v)c(w) against one dtpow channel, part 2 printed channels against
-    sigma_Delta's, keyed (g, name) for the order -2m-g.  By grading, each
+    c(v)c(w) and part 2 printed channels against sigma_Delta's channels,
+    keyed (g, name) for the order -2m-g (part 1's at mm = m - 1, the order
+    -2m symbol of the (2m-2)-th inverse power).  By grading, each
     part-2 cell reads the one |alpha| that completes order -2m: alpha = ()
     in II-1 to II-3, |alpha| = 1 in II-4 and II-5, 2 in II-6."""
     g, s, ric_vw = der.g_vw, der.s, der.ric_vw
@@ -743,16 +738,16 @@ def _audit_rows(m: int, der: DerivedScalars) -> Tuple[_Row, ...]:
     # every channel of order -2m, and of -2m-1
     sm, sm1 = (tuple(key for key in SIGMA_DELTA if key[0] == order) for order in (0, 1))
     return (
-        _Row("I-A", p1, cvw, ("ric",), -Fraction(m - 1, 6) * s * g),
-        _Row("I-B", p1, cvw, ("tt_xx",), -Fraction(27 * (m - 1), 4) * nt2 * g),
-        _Row("I-C", p1, cvw, ("tt_scalar",), Fraction(27 * (m - 1), 4) * nt2 * g),
-        _Row("I-D", p1, cvw, ("div_t",), Fraction(0), True, "displayed as 0 via a"
+        _Row("I-A", p1, cvw, ((2, "ric"),), -Fraction(m - 1, 6) * s * g),
+        _Row("I-B", p1, cvw, ((2, "tt_xx"),), -Fraction(27 * (m - 1), 4) * nt2 * g),
+        _Row("I-C", p1, cvw, ((2, "tt_scalar"),), Fraction(27 * (m - 1), 4) * nt2 * g),
+        _Row("I-D", p1, cvw, ((2, "div_t"),), Fraction(0), True, "displayed as 0 via a"
              " sign-slipped four-factor trace bracket; cancels exactly against I-F"),
-        _Row("I-E", p1, cvw, ("r_xx",), Fraction(0)),
-        _Row("I-F", p1, cvw, ("dt_xx",), Fraction(0), True,
+        _Row("I-E", p1, cvw, ((2, "r_xx"),), Fraction(0)),
+        _Row("I-F", p1, cvw, ((2, "dt_xx"),), Fraction(0), True,
              "displayed as 0 via the same bracket; cancels exactly against I-D"),
-        _Row("I-G", p1, cvw, ("e_scalar",), Fraction(m - 1) * (s / 4 - Fraction(3, 4) * nt2) * g),
-        _Row("I-H", p1, cvw, ("dt4",), Fraction(0),
+        _Row("I-G", p1, cvw, ((2, "e_scalar"),), (m - 1) * (s / 4 - Fraction(3, 4) * nt2) * g),
+        _Row("I-H", p1, cvw, ((2, "dt4"),), Fraction(0),
              note="four-form channel; no displayed evaluation, trace vanishes"),
         _Row("II-1-A", p2, ("s0_tt",), sm, Fraction(1, 16) * nt2 * g - Fraction(1, 16) * tt,
              note="displayed with a dangling summation index; printed value read"

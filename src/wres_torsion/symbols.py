@@ -554,17 +554,17 @@ _PRINTED = {"s1_tt": (GaussianRational(0, Fraction(1, 2)), 2), "s1_dw": (I, 2),
 _GENERATORS: Dict[int, Tuple[CliffordElement, ...]] = {}
 
 
-def _at(key: Tuple[int, str], mm: int) -> Tuple[Fraction, int]:
-    """(c mm (mm+1)^q, or the lead's c, and -2mm-2-2q) of ``SIGMA_DELTA``'s row ``key``."""
+def _at(key: Tuple[int, str], mm: int) -> Tuple[Fraction | int, int, int]:
+    """(c, weight mm (mm+1)^q or the lead's 1, norm power -2mm-2-2q) of the row ``key``."""
     c, q, _, source = SIGMA_DELTA[key]
-    return Fraction(c) * (1 if source == "lead" else mm * (mm + 1) ** q), -2 * mm - 2 - 2 * q
+    return c, 1 if source == "lead" else mm * (mm + 1) ** q, -2 * mm - 2 - 2 * q
 
 
 def _channel(n: int, key: Tuple[int, str], mm: int, nums: Dict[Code, int], den: int):
     """``SIGMA_DELTA``'s row ``key`` at mm on its source's terms, by one ``_symbol``."""
-    (c, p), imag = _at(key, mm), SIGMA_DELTA[key][2]
+    (c, weight, p), imag = _at(key, mm), SIGMA_DELTA[key][2]
     return _symbol(n, [((x, xi, p, w), k) for (x, xi, _, w), k in nums.items()], den,
-                   GaussianRational(0, c) if imag else c)
+                   GaussianRational(0, c * weight) if imag else c * weight)
 
 
 class JetInputs:

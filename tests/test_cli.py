@@ -288,6 +288,21 @@ def test_density_refuses_an_unknown_field(tmp_path, capsys, field):
     assert f"invalid instance: unknown field '{field}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("schema", ["wres-torsion-report-v1", 7])
+def test_density_refuses_another_schema(tmp_path, capsys, schema):
+    """An instance whose schema field names another schema (a report, say)
+    exits 2 naming the schema, where it used to be certified as an
+    instance."""
+    code, out, _ = run(capsys, "instance", "--dim", "2", "--seed", "5")
+    assert code == 0
+    data = {**json.loads(out), "schema": schema}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "density", "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"invalid instance: schema {schema!r} is not" in err and "Traceback" not in err
+
+
 def test_audit_verify_and_density_read_the_context_comparisons(tmp_path, capsys, monkeypatch):
     """The theorem comparison and the grade equalities are defined once on
     the context: redefined there, the audit's totals and lemma36 diff, the

@@ -21,6 +21,7 @@ from wres_torsion import geometry
 from wres_torsion.cli import _one_hot_cases
 from wres_torsion.geometry import (
     DerivedScalars,
+    SCHEMA,
     InstanceError,
     PointJet,
     _antisym3_scan,
@@ -1299,6 +1300,22 @@ def test_unknown_fields_are_refused_by_name(fields, named):
     jet = random_point_jet(5, 2)
     assert set(jet_to_dict(jet)) == {"schema", "n", "R", "T", "dT1", "v", "w", "dw"}
     assert jet_from_dict(jet_to_dict(jet)) == jet
+
+
+@pytest.mark.parametrize("schema", ["wres-torsion-report-v1", 7, None, ""])
+def test_a_schema_other_than_the_instance_schema_is_refused(schema):
+    """A present schema field must name the instance schema: any other value
+    raises InstanceError naming it, where a file of another schema used to
+    be read as an instance.  An instance that leaves the field out, as the
+    hand-written ones here do, is read as before."""
+    jet = random_point_jet(5, 2)
+    data = {**jet_to_dict(jet), "schema": schema}
+    with pytest.raises(InstanceError, match=re.escape(f"schema {schema!r} is not"
+                                                      " 'wres-torsion-instance-v1'")):
+        jet_from_dict(data)
+    del data["schema"]
+    assert jet_from_dict(data) == jet
+    assert jet_to_dict(jet)["schema"] == SCHEMA == "wres-torsion-instance-v1"
 
 
 def test_integral_numbers_parse_as_before():

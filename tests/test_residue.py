@@ -35,7 +35,7 @@ from wres_torsion.residue import (
     trace_integral,
 )
 from test_geometry import _front_jets, _hand_built
-from test_symbols import _expr, leibniz_compose, traced_channels
+from test_symbols import _expr, delta_weights, leibniz_compose, traced_channels
 from wres_torsion.symbols import (
     TORSION_PREFACTOR,
     SymbolExpr,
@@ -398,25 +398,25 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
         _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
 
-@pytest.mark.parametrize("method", ["part1", "metric"])
-@pytest.mark.parametrize("bad, message", [
-    (((1, 0, 0, 0), (0,) * 4, -4, 0), "x-dependent"),
-    (((0,) * 4, (2, 0, 0, 0), -4, 0), "homogeneity -2, expected -4"),
-])
-def test_cvw_trace_guards(monkeypatch, method, bad, message):
-    """part1 and metric trace c(v)c(w) against their channels by word, which
-    must still be x-free of homogeneity -2m, as trace_integral demanded of
-    the full product: every bucket of the metric's emitted lead and of part
-    1's emitted channels (the bad term is emitted by ``_entries`` as channel
-    0, the lead in the metric's table and ric in part 1's, and added to each
-    table's entries as it is filled)."""
+@pytest.mark.parametrize("method, row, order", [("part1", (0, "r_jet"), -6),
+                                                 ("metric", (2, "ric"), -4)],
+                         ids=["part1", "metric"])
+def test_cvw_trace_guards(monkeypatch, method, row, order):
+    """part1 and metric trace c(v)c(w), which has no xi, against sigma_Delta's
+    buckets: they read only the x-free, even buckets of their own xi-order,
+    which hold exactly their own rows (the g = 2 ones at -2m-2, the lead at
+    -2m).  A term of any other row there (emitted by ``_entries`` and added
+    to the entries as the one table is filled) raises PipelineError naming
+    its row, where it would otherwise be traced as part of the density."""
     import wres_torsion.residue as residue
 
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
-    entries = residue._entries(4, 0, SymbolExpr(4, {bad: ONE}).nums.items(), 0, bad[2], False)
+    bad = ((0,) * 4, (2, 0, 0, 0), order - 2, 0)
+    entries = residue._entries(4, list(symbols.SIGMA_DELTA).index(row),
+                               SymbolExpr(4, {bad: ONE}).nums.items(), 0, bad[2])
     monkeypatch.setattr(residue, "_filled", lambda n, keys, channels, *parts, _fn=residue._filled:
                         _fn(n, keys, channels, *parts, entries))
-    with pytest.raises(PipelineError, match=message):
+    with pytest.raises(PipelineError, match=re.escape(f"channel {row!r} reaches")):
         getattr(ctx, method)()
 
 
@@ -972,28 +972,28 @@ def _shares_read_parts(ctx):
 
 
 # what the traced path of one jet's context builds: the derived scalars, the
-# printed products the part-2 trace reads and the buckets of its two tables of
-# emitted channels (part 1's and sigma_Delta's), and no symbol channel set of
-# an inverse power (``channels``); a certification adds
-# the metric's table of the emitted lead
-TRACED = {"derived_scalars": 1, "products": 1, "_filled": 2}
-CERTIFIED = {**TRACED, "_filled": 3}
+# printed products the part-2 trace reads and the one table of sigma_Delta's
+# emitted channels, which every trace reads, and no symbol channel set of an
+# inverse power (``channels``); a certification builds the same
+TRACED = {"derived_scalars": 1, "products": 1, "_filled": 1}
+CERTIFIED = TRACED
 
 
 def test_audit_builds_each_artifact_once(build_counts):
-    """An audit builds each channel set once: the traced ones (each table's
-    emitted buckets once, the metric's lead included), the composed product
-    symbol and, for its lemma-3.6 comparison, the public printed parts from
-    the read products and the products of the rest.  It calls neither public
-    builder of the inverse-power channels."""
+    """An audit builds each channel set once: the traced ones (the one table
+    of sigma_Delta's emitted buckets, which part 1 and the metric read too),
+    the composed product symbol and, for its lemma-3.6 comparison, the public
+    printed parts from the read products and the products of the rest.  It
+    calls neither public builder of the inverse-power channels."""
     audit(random_point_jet(3, 2), 2)
     assert build_counts == {**CERTIFIED, "products": 2, "build_sigma_ab_composed": 1,
                             "build_sigma_ab_printed_parts": 1}
 
 
 def test_metric_builds_no_inverse_power_channels(build_counts, monkeypatch):
-    """The metric alone fills one table, of the emitted lead only, with no
-    derived scalars and no inverse-power channel set."""
+    """The metric alone fills the one table of all 14 sigma_Delta rows, once,
+    and reads its lead off it: it builds no inverse-power channel set (the
+    public builder or ``channels``) and no table of its own."""
     filled, real_filled = [], residue._filled
 
     def recording_filled(n, keys, *args):
@@ -1002,7 +1002,7 @@ def test_metric_builds_no_inverse_power_channels(build_counts, monkeypatch):
     monkeypatch.setattr(residue, "_filled", recording_filled)
     assert metric_density(random_point_jet(3, 2), 2).value
     assert build_counts["build_sigma_delta_inv_parts"] == build_counts["channels"] == 0
-    assert build_counts["derived_scalars"] == 0 and filled == [((0, "lead"),)]
+    assert filled == [tuple(symbols.SIGMA_DELTA)] and len(filled[0]) == 14
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1096,7 +1096,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     the builders take), with no ``_integer_form`` call, no int-form dict of R
     or dT1 (no spread of the map itself, ``_entry``), no ``_is_curvature``
     decision and one spread per rule they need (R's and dT1's traced channels
-    one ``_emitted`` spread each, dT1's for both tables), and v, w and dw are
+    one ``_emitted`` spread each, into the one table), and v, w and dw are
     converted once (by ``vector_forms``,
     whose forms the derived scalars keep and c(v), c(w), c(v) c(dw) and the
     composed symbol's c(w)-jet are read off, so no Clifford vector is built
@@ -1131,7 +1131,7 @@ def test_certify_derives_scalars_once_per_jet(build_counts, input_reads, monkeyp
     # no conversion, and spread once per rule: R into Ric and its Bianchi sums
     # and into sigma_Delta's emitted r_jets, T into its int form (no R or dT1
     # int form) and its 3-form and rows, dT1 into dT and div T, its 3-forms
-    # and the emitted channels of both tables; only v, w and dw are converted
+    # and sigma_Delta's emitted channels; only v, w and dw are converted
     reads = {("R", "int form"): 0, ("T", "int form"): 0, ("dT1", "int form"): 0,
              ("R", "read whole"): 1, ("T", "read whole"): 1, ("dT1", "read whole"): 1,
              ("R", "_r_terms"): 1, ("R", "_emitted"): 1, ("T", "_entry"): 1,
@@ -1175,7 +1175,7 @@ def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     channels are emitted off dT1's orbits, whose templates apply the
     ``_near`` filter once, when they are built (sigma_Delta's r_jets likewise
     off R's), and the grade-0 families are int sums (``JetInputs.sums``); it
-    reads each channel once per rule, and no bucket entry of either table is
+    reads each channel once per rule, and no bucket entry of the one table is
     tagged r_xx, whose (a, b) and (b, a) placements cancel, or dt4, which no
     trace reads."""
     spreads, real_spread = [], symbols._spread
@@ -1187,17 +1187,16 @@ def test_context_filters_each_row_once_and_places_no_r_xx(monkeypatch, m, seed):
     for mod in (symbols, residue):
         monkeypatch.setattr(mod, "_spread", counted_spread)
     ctx = PipelineContext(random_point_jet(seed, m), m)
-    assert ctx.emitted("dT1")[0] and ctx.emitted("dT1")[1]
     ctx.part1(), ctx.part2(), ctx.part2("composed"), ctx.metric()
     assert sorted(spreads) == [("R", "_emitted"), ("T", "_torsion"), ("dT1", "_emitted"),
                                ("dT1", "_torsion")]
     # the families are placed by ``whole`` alone, and dT1's whole terms are not read
     assert not {"whole", "dt_terms"} & set(vars(ctx))
-    shift, tags = residue._tag_shift(ctx.n), set()
-    for _, keys, _, _, buckets in (ctx.part1_buckets, ctx.delta_buckets):
-        tags |= {keys[xi >> shift] for bucket in buckets.values() for xi, _ in bucket}
-    assert not tags & {"r_xx", "dt4", (2, "r_xx"), (2, "dt4")}
-    assert {"ric", "dt_xx", (2, "ric"), (2, "dt_xx"), (1, "dt_jet"), (0, "r_jet")} <= tags
+    _, keys, _, _, buckets = ctx.delta_buckets
+    shift = residue._tag_shift(ctx.n)
+    tags = {keys[xi >> shift] for bucket in buckets.values() for xi, _ in bucket}
+    assert not tags & {(2, "r_xx"), (2, "dt4")}
+    assert {(2, "ric"), (2, "dt_xx"), (2, "div_t"), (1, "dt_jet"), (0, "r_jet")} <= tags
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1237,11 +1236,10 @@ def test_context_refuses_a_curvature_not_antisymmetric_in_its_last_pair(monkeypa
 
 def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     """An audit makes one ``compose`` call, on the composed product symbol's
-    left factor sigma(D_T) at x0, and makes four kernel passes over two
-    tables of emitted channels and one bucketing: part 1's 8 channels are
-    emitted once for its table, sigma_Delta's 14 once for both part-2
-    tables, and the metric's lead channel is bucketed once for its one cell.
-    The printed pass reads the public s2 itself, of s1_tt and s1_dw their
+    left factor sigma(D_T) at x0, and makes four kernel passes over one table
+    of emitted channels and no bucketing: sigma_Delta's 14 are emitted once,
+    and part 1, both part-2 sources and the metric read them.  The printed
+    pass reads the public s2 itself, of s1_tt and s1_dw their
     grade-2 parts and of each grade-0 channel its scalar part.  No
     ``SymbolExpr.sum_of`` sums an inverse-power channel (a term with a norm
     power), and part1, part2 and every ``verify`` check on the traced
@@ -1252,7 +1250,6 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     # the right keys of the public builders' channels
     sigma_delta = [(g, key) for g, parts in enumerate(build_sigma_delta_inv_parts(jet))
                    for key in parts]
-    dtpow = list(symbols.build_sigma_dtpow_parts(jet))
     composed, buckets, passes, sums = [], [], [], []
     compose, bucketed, trace_table = symbols.compose, residue._bucketed, residue._trace_table
     sum_of, filled = SymbolExpr.sum_of.__func__, residue._filled
@@ -1269,9 +1266,9 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
         buckets.append(list(keys))
         return filled(n, keys, channels, *parts)
 
-    def counted_passes(lefts, right, m):
+    def counted_passes(lefts, right, order, weights=None):
         passes.append(lefts)
-        return trace_table(lefts, right, m)
+        return trace_table(lefts, right, order, weights)
 
     def counted_sums(cls, n, exprs):
         exprs = list(exprs)
@@ -1285,7 +1282,7 @@ def test_audit_builds_one_xi_table_and_one_sigma_delta_table(monkeypatch):
     assert audit(jet, 2).ok
     ctx = _held()
     assert len(sigma_delta) == 14
-    assert buckets == [dtpow, sigma_delta, [(0, "lead")]]
+    assert buckets == [sigma_delta]
     assert [list(lefts) for lefts in passes] == [
         ["cvw"], list(ctx.ab_printed_parts), [0, 1, 2], ["cvw"]]
     printed, full = passes[1], ctx.ab_printed_parts
@@ -1381,7 +1378,7 @@ def test_printed_table_cells_match_the_full_printed_parts():
         jets += [make_point_jet(m, **kw) for _, _, kw in _one_hot_cases(m)] if m > 1 else []
         for jet in jets:
             ctx = PipelineContext(jet, m)
-            full = residue._trace_table(ctx.ab_printed_parts, ctx.delta_buckets, m)
+            full = ctx._read(ctx.ab_printed_parts, m)
             for left, right in product(ctx.ab_printed_parts, ctx.delta_buckets[1]):
                 assert (ctx.printed_table.trace({left}, {right})
                         == full.trace({left}, {right})), (m, jet, left, right)
@@ -1391,15 +1388,22 @@ def test_printed_table_cells_match_the_full_printed_parts():
 def test_trace_table_refuses_a_key_it_does_not_hold():
     """A left or right key that names none of a table's channels raises
     ValueError naming it, where it would otherwise read as an empty cell
-    (the r_xx cell of part 1, which no term reaches, is 0)."""
+    (the r_xx cell of part 1, which no term reaches, is 0).  Part 1's and the
+    metric's tables hold only their own rows of sigma_Delta: the g = 2 ones
+    and the lead."""
     ctx = PipelineContext(random_point_jet(3, 2), 2)
     order_m = {(0, "lead"), (0, "r_jet")}
-    assert ctx.part1_table.trace(("cvw",), ("r_xx",)) == 0
+    assert ctx.part1_table.trace(("cvw",), ((2, "r_xx"),)) == 0
     assert ctx.printed_table.trace({"s0_tdw"}, order_m) == -Fraction(1, 4) * ctx.derived.t_dw
     with pytest.raises(ValueError, match="'s0_tdwx'"):
         ctx.printed_table.trace({"s0_tdwx"}, order_m)
-    with pytest.raises(ValueError, match="'nope'"):
-        ctx.part1_table.trace(("cvw",), ("nope",))
+    for right in ("nope", "ric", (0, "lead"), (1, "tt")):
+        with pytest.raises(ValueError, match=re.escape(repr(right))):
+            ctx.part1_table.trace(("cvw",), (right,))
+    assert ctx.metric_table.right_keys == ((0, "lead"),)
+    for right in ((0, "r_jet"), (2, "ric"), "lead"):
+        with pytest.raises(ValueError, match=re.escape(repr(right))):
+            ctx.metric_table.trace(("cvw",), (right,))
     with pytest.raises(ValueError, match=re.escape("(2, 'lead')")):
         ctx.printed_table.trace({"s2"}, {(2, "lead")})
     with pytest.raises(ValueError, match="'cvw'"):
@@ -1612,14 +1616,18 @@ def _full_tables(jet, m):
     channels of the public builders, (left keys, right keys) with each."""
     n = jet.n
     delta = _whole_delta_buckets(jet)
-    dtpow = residue._bucketed(n, symbols.build_sigma_dtpow_parts(jet))
+    dtpow = residue._bucketed(n, {(2, name): part for name, part in
+                                  symbols.build_sigma_dtpow_parts(jet).items()})
     cvw = SymbolExpr.from_clifford(CliffordElement.from_vector(n, jet.v)
                                    * CliffordElement.from_vector(n, jet.w))
     printed = symbols.build_sigma_ab_printed_parts(jet)
     composed = dict(enumerate(symbols.build_sigma_ab_composed(jet)))
-    return {"part1_table": (residue._trace_table({"cvw": cvw}, dtpow, m), ["cvw"], dtpow[1]),
-            "printed_table": (residue._trace_table(printed, delta, m), list(printed), delta[1]),
-            "composed_table": (residue._trace_table(composed, delta, m), [0, 1, 2], delta[1])}
+    return {"part1_table": (residue._trace_table({"cvw": cvw}, dtpow, -2 * m), ["cvw"],
+                            dtpow[1]),
+            "printed_table": (residue._trace_table(printed, delta, -2 * m), list(printed),
+                              delta[1]),
+            "composed_table": (residue._trace_table(composed, delta, -2 * m), [0, 1, 2],
+                               delta[1])}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -1643,41 +1651,62 @@ def test_traced_table_cells_match_the_full_public_channels(m):
             assert table.trace() == full.trace()
 
 
-def _bucket_values(bucketed):
+def _bucket_values(bucketed, weights=None):
     """(right keys, phase, {(bucket key, tagged xi-code): nonzero summed value
-    over the table's denominator}) of a ``Bucketed``."""
+    over the table's denominator, times its channel's weight (1 given no
+    ``weights``)}) of a ``Bucketed``."""
     n, keys, den, phase, buckets = bucketed
-    sums = {}
+    shift, sums = residue._tag_shift(n), {}
     for key, entries in buckets.items():
         for xi, r in entries:
+            r *= 1 if weights is None else weights[keys[xi >> shift]]
             sums[key, xi] = sums.get((key, xi), 0) + r
     return keys, phase, {k: Fraction(r, den) for k, r in sums.items() if r}
+
+
+def _cells(table):
+    """Every (left key, right key) cell of a trace table, traced."""
+    from itertools import product
+
+    return {(left, right): table.trace({left}, {right})
+            for left, right in product(table.left_keys, table.right_keys)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow)
                                               for m in (5, 6, 7, 8))])
 def test_emitted_buckets_match_the_traced_channels(m):
-    """Part 1's and sigma_Delta's buckets, emitted off R's and dT1's orbit
-    templates and the int sums with no symbol, hold per (bucket key, tagged
-    xi-code) the value that ``_bucketed`` gives the traced channels as
-    symbols (``traced_channels``, whose prefactors, norm powers and phases
-    are its own), under the same right keys and phase, and the metric's
-    buckets the value it gives ``build_sigma_delta_lead``: on every front's
-    jet (``_front_jets``: each ``with_*`` flag off, parsed, made, one-hot)
-    and on the first one's hand-built and replaced copies, which are read
-    entry by entry."""
+    """sigma_Delta's buckets, emitted off R's and dT1's orbit templates and
+    the int sums with no symbol, each entry over its row's m-free prefactor,
+    hold per (bucket key, tagged xi-code), times the channel's weight at m
+    (``delta_weights``), the value that ``_bucketed`` gives the traced
+    channels as symbols (``traced_channels``, whose prefactors, norm powers,
+    phases and weights are its own), under the same right keys and phase.
+    The readings' cells equal the same cells traced from symbols: part 1's
+    from the traced channels at mm = m - 1 (and, on the first jet, from
+    ``build_sigma_dtpow_parts``), the metric's from the traced lead, and the
+    printed table's from the traced channels at m.  On every front's jet
+    (``_front_jets``: each ``with_*`` flag off, parsed, made, one-hot) and on
+    the first one's hand-built and replaced copies, which are read entry by
+    entry."""
     jets = _front_jets(m)
     jets += [_hand_built(jets[0]), dataclasses.replace(jets[0])]
     for jet in jets:
-        ctx = PipelineContext(jet, m)
+        ctx, n = PipelineContext(jet, m), jet.n
         dtpow, delta = traced_channels(ctx)
-        oracle = (residue._bucketed(jet.n, dtpow), residue._bucketed(jet.n, {
-            (g, name): part for g, parts in enumerate(delta) for name, part in parts.items()}),
-            residue._bucketed(jet.n, {(0, "lead"): symbols.build_sigma_delta_lead(jet)}))
-        for got, expected in zip((ctx.part1_buckets, ctx.delta_buckets, ctx.buckets("metric")),
-                                 oracle):
-            assert _bucket_values(got) == _bucket_values(expected), (m, jet)
-    assert _bucket_values(oracle[1])[2] and _bucket_values(oracle[2])[2]
+        rows = {(g, name): part for g, parts in enumerate(delta) for name, part in parts.items()}
+        oracle = residue._bucketed(n, rows)
+        assert _bucket_values(ctx.delta_buckets, delta_weights(m)) == _bucket_values(oracle), (
+            m, jet)
+        readings = [("part1_table", {(2, k): e for k, e in dtpow.items()}),
+                    ("metric_table", {(0, "lead"): rows[0, "lead"]}), ("printed_table", rows)]
+        if jet is jets[0]:  # the whole public channels, which cost seconds at m = 8
+            readings.append(("part1_table", {(2, k): e for k, e in
+                                             symbols.build_sigma_dtpow_parts(jet).items()}))
+        for name, channels in readings:
+            lefts = ctx.printed(ctx.read_products) if name == "printed_table" else {"cvw": ctx.cvw}
+            assert _cells(getattr(ctx, name)) == _cells(residue._trace_table(
+                lefts, residue._bucketed(n, channels), -2 * m)), (m, jet, name)
+    assert _bucket_values(oracle)[2] and (m == 1 or any(_cells(ctx.part1_table).values()))
 
 
 @pytest.mark.parametrize("xdeg, xideg, word, coeff", [
@@ -1690,22 +1719,20 @@ def test_entries_place_a_term_as_bucketed_places_its_symbol(xdeg, xideg, word, c
     """``_entries`` gives a term i^imag c x^mu xi^nu word at norm power p the
     bucket entry that ``_bucketed`` gives it as a phase-0 symbol: mu! times
     i^(|nu| + grade - imag) c, under the key of its word, odd mask and
-    xi-order |nu| + p; where ``even``, nothing at an odd xi-monomial."""
+    xi-order |nu| + p."""
     n, p, imag = 4, -6, int(isinstance(coeff, GaussianRational) and bool(coeff.im))
     symbol = SymbolExpr(n, {(xdeg, xideg, p, word): coeff})
     (key, _), = symbol.nums.items()
     c = int(coeff.im if imag else GaussianRational(coeff).re)
     assert symbol.phase == 0 and symbol.den == 1
-    entries = residue._entries(n, 0, [(key, c)], imag, p, 0)
+    entries = residue._entries(n, 0, [(key, c)], imag, p)
     assert _bucket_values((n, [0], 1, 0, {k: [(xi, r)] for (k, xi), r in entries.items()})) \
         == _bucket_values(residue._bucketed(n, {0: symbol}))
-    assert residue._entries(n, 0, [(key, c)], imag, p, 1) == ({} if any(
-        e % 2 for e in xideg) else entries)
     with pytest.raises(ValueError, match="breaks the phase rule"):
-        residue._entries(n, 0, [(key, c)], 1 - imag, p, 0)
+        residue._entries(n, 0, [(key, c)], 1 - imag, p)
     big = (key[0], key[1] + 128 * ((1 << 8 * n) + 1), p, word)
     with pytest.raises(PipelineError, match="cannot be packed"):
-        residue._entries(n, 0, [(big, c)], imag, p, 0)
+        residue._entries(n, 0, [(big, c)], imag, p)
 
 
 @pytest.mark.parametrize("rule, broken, error, message", [
@@ -1738,9 +1765,9 @@ def test_emission_checks_each_template_term(monkeypatch, rule, broken, error, me
 def test_a_certified_jet_forms_eight_symbols_and_no_bucketing(monkeypatch):
     """The six public calls of a certification of one m = 3 jet form eight
     symbols through ``symbols._symbol`` (c(v)c(w) and the seven printed
-    channels), bucket no symbol (``_bucketed``) and fill three tables in
+    channels), bucket no symbol (``_bucketed``) and fill one table, read in
     three kernel passes: every inverse-power channel of parts 1 and 2, and
-    the metric's lead, is emitted into its table's buckets.  The int sums of
+    the metric's lead, is a row of sigma_Delta's buckets.  The int sums of
     ``JetInputs.sums`` are formed once, and the context's public sigma_Delta
     channels read the same ones."""
     from collections import Counter
@@ -1764,7 +1791,7 @@ def test_a_certified_jet_forms_eight_symbols_and_no_bucketing(monkeypatch):
     assert p1 == part1_closed(jet, m).value and p2 == part2_closed(jet, m).value
     assert p1 + p2 == theorem_density(jet, m).value
     assert metric_density(jet, m).value == -derived_scalars(jet).g_vw
-    assert calls == {"_symbol": 8, "_filled": 3, "_trace_table": 3, "sums": 1}
+    assert calls == {"_symbol": 8, "_filled": 1, "_trace_table": 3, "sums": 1}
     ctx, calls["_symbol"] = _held(), 0
     whole = ctx.channels(m, 1)
     assert calls["sums"] == 1 and calls["_symbol"] > 0
@@ -1795,8 +1822,8 @@ def test_delta_buckets_serve_the_spectral_torsion_channels(m):
         sigma1, sigma0 = symbols.build_sigma_dt(jet)
         lefts = {"sigma1": cuvw * sigma1, "sigma0": at_x0(cuvw * sigma0)}
         whole = _whole_delta_buckets(jet)
-        traced = residue._trace_table(lefts, PipelineContext(jet, m).delta_buckets, m)
-        full = residue._trace_table(lefts, whole, m)
+        traced = PipelineContext(jet, m)._read(lefts, m)
+        full = residue._trace_table(lefts, whole, -2 * m)
         for left, right in product(lefts, whole[1]):
             assert traced.trace({left}, {right}) == full.trace({left}, {right}), (
                 m, seed, left, right)
@@ -1806,8 +1833,8 @@ def test_delta_buckets_serve_the_spectral_torsion_channels(m):
 
 def test_traced_channels_bucket_fewer_entries():
     """The traced sigma_Delta channels and part-1 channels hold fewer terms
-    than the full ones on a dense jet, and so do the tables' emitted buckets
-    (one entry per term); the traced grade-4 dt4 is empty."""
+    than the full ones on a dense jet, and so does the one table's emitted
+    buckets (one entry per term); the traced grade-4 dt4 is empty."""
     jet = random_point_jet(1, 3)
     ctx = PipelineContext(jet, 3)
     size = lambda parts: sum(len(e.nums) for e in parts.values())
@@ -1816,7 +1843,7 @@ def test_traced_channels_bucket_fewer_entries():
     traced = sum(map(size, delta))
     assert 2 * traced < sum(map(size, build_sigma_delta_inv_parts(jet)))
     assert 2 * size(dtpow) < size(symbols.build_sigma_dtpow_parts(jet))
-    assert (entries(ctx.delta_buckets), entries(ctx.part1_buckets)) == (traced, size(dtpow))
+    assert entries(ctx.delta_buckets) == traced
     assert not dtpow["dt4"] and not delta[2]["dt4"]
     assert symbols.build_sigma_dtpow_parts(jet)["dt4"]
 

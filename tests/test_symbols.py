@@ -1342,13 +1342,23 @@ def delta_scales(mm):
             (2, "dt4"): (Fraction(-3 * mm, 2), p2, 0)}
 
 
+def delta_weights(mm):
+    """(g, name) -> the int weight of sigma_Delta's channel at mm, the part of
+    its ``delta_scales`` prefactor that carries mm: mm (mm+1) at the norm
+    power -2mm-4, else mm, and the lead's 1."""
+    return {key: 1 if key == (0, "lead") else mm * (mm + 1) if p == -2 * mm - 4 else mm
+            for key, (_, p, _) in delta_scales(mm).items()}
+
+
 def traced_channels(inputs):
     """(part 1's channels, sigma_Delta's three channel dicts) as symbols on the
     terms the context's traces read (``traced_sources``, scaled and placed by
     ``delta_scales``): the inverse (2m-2)-th power's order -2m channels, the
     g = 2 ones at mm = m - 1, at even xi-monomials, and the channels of
-    ``build_sigma_delta_inv_parts`` at mm = m.  The context emits its buckets
-    with no symbol; ``_bucketed`` of these is what they must equal."""
+    ``build_sigma_delta_inv_parts`` at mm = m.  The context emits sigma_Delta's
+    buckets with no symbol; ``_bucketed`` of the latter is what they must
+    equal once weighted (``delta_weights``), and part 1's cells are the
+    cells of the former."""
     m, n, odd, sources = inputs.jet.m, inputs.n, symbols._ones(inputs.n), traced_sources(inputs)
 
     def channels(g, mm, even=False):
