@@ -398,24 +398,50 @@ def test_leibniz_trace_refuses_a_left_norm_power_by_name():
         _oracle_product_trace(left, right, m) == Fraction(1, 8)
 
 
+def _with_entry(monkeypatch, row, key):
+    """Add the term ``key`` to sigma_Delta's bucket set under ``row`` (emitted
+    by ``_entries`` and added as ``_filled`` fills the set); its bucket key."""
+    entries = residue._entries(4, list(symbols.SIGMA_DELTA).index(row),
+                               SymbolExpr(4, {key: ONE}).nums.items(), 0, key[2])
+    monkeypatch.setattr(residue, "_filled", lambda n, keys, channels, *parts, _fn=residue._filled:
+                        _fn(n, keys, channels, *parts, entries))
+    return next(iter(entries))[0]
+
+
+@pytest.mark.parametrize("method, row", [("part1", (2, "ric")), ("metric", (0, "lead"))],
+                         ids=["part1", "metric"])
+@pytest.mark.parametrize("x, xi, above", [((1, 0, 0, 0), (0,) * 4, 0),
+                                          ((0,) * 4, (2, 0, 0, 0), 2)],
+                         ids=["bad0-x-dependent", "bad1-homogeneity -2, expected -4"])
+def test_cvw_trace_guards(monkeypatch, method, row, x, xi, above):
+    """part1 and metric trace c(v)c(w), which has no xi, at x0 and at their own
+    xi-order (-2m - 2 and -2m): of sigma_Delta's one bucket set they read only
+    the x-free buckets of that order.  A term of their own row that is
+    x-dependent, or of homogeneity ``above`` the order (-2, expected -4, for
+    the metric at m = 2), sits in the set but is not traced: the density is
+    the unperturbed one, where the same term x-free at the order moves it."""
+    m, jet = 2, random_point_jet(3, 2)
+    order = {"part1": -2 * m - 2, "metric": -2 * m}[method]
+    clean = getattr(residue.PipelineContext(jet, m), method)().value
+    with monkeypatch.context() as patch:
+        key = _with_entry(patch, row, (x, xi, order + above - sum(xi), 0))
+        ctx = residue.PipelineContext(jet, m)
+        assert key in ctx.delta_buckets[4]
+        assert getattr(ctx, method)().value == clean
+    _with_entry(monkeypatch, row, ((0,) * 4, (0,) * 4, order, 0))
+    assert getattr(residue.PipelineContext(jet, m), method)().value != clean
+
+
 @pytest.mark.parametrize("method, row, order", [("part1", (0, "r_jet"), -6),
                                                  ("metric", (2, "ric"), -4)],
                          ids=["part1", "metric"])
-def test_cvw_trace_guards(monkeypatch, method, row, order):
-    """part1 and metric trace c(v)c(w), which has no xi, against sigma_Delta's
-    buckets: they read only the x-free, even buckets of their own xi-order,
-    which hold exactly their own rows (the g = 2 ones at -2m-2, the lead at
-    -2m).  A term of any other row there (emitted by ``_entries`` and added
-    to the entries as the one table is filled) raises PipelineError naming
+def test_cvw_trace_refuses_a_foreign_row(monkeypatch, method, row, order):
+    """part1 and metric read only the x-free, even buckets of their own
+    xi-order, which hold exactly their own rows (the g = 2 ones at -2m-2, the
+    lead at -2m).  A term of any other row there raises PipelineError naming
     its row, where it would otherwise be traced as part of the density."""
-    import wres_torsion.residue as residue
-
+    _with_entry(monkeypatch, row, ((0,) * 4, (2, 0, 0, 0), order - 2, 0))
     ctx = residue.PipelineContext(random_point_jet(3, 2), 2)
-    bad = ((0,) * 4, (2, 0, 0, 0), order - 2, 0)
-    entries = residue._entries(4, list(symbols.SIGMA_DELTA).index(row),
-                               SymbolExpr(4, {bad: ONE}).nums.items(), 0, bad[2])
-    monkeypatch.setattr(residue, "_filled", lambda n, keys, channels, *parts, _fn=residue._filled:
-                        _fn(n, keys, channels, *parts, entries))
     with pytest.raises(PipelineError, match=re.escape(f"channel {row!r} reaches")):
         getattr(ctx, method)()
 
